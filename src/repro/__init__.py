@@ -117,7 +117,7 @@ from .check import CheckReport, InvariantChecker, ReplayReport, Violation
 from .faults import FaultPlan, RetryPolicy, TakeoverReport
 from .service import PlacementUpdate, SchedulerKernel, SchedulerService
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "CloudScaleScheduler",

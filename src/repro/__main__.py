@@ -13,8 +13,6 @@ Commands
 ``figure``    — regenerate one of the paper's figures (fig06..fig14).
 ``ablations`` — run the CORP component ablations (DESIGN.md §5).
 ``mixed``     — the mixed short+long workload extension.
-``bench``     — time the end-to-end sweep against the pre-optimization
-                baseline and write a JSON report.
 ``check``     — run a comparison with the runtime invariant checker
                 installed and print the violation table (exit 1 on any
                 violation); ``--replay capture.jsonl`` instead re-runs a
@@ -53,7 +51,6 @@ Examples::
     python -m repro compare --faults 0.5 --quick
     python -m repro profile --jobs 50
     python -m repro figure fig09 --testbed cluster
-    python -m repro bench --quick --bench-out BENCH_runtime.json
     python -m repro check --quick --differential
     python -m repro check --jobs 30 --events /tmp/cap.jsonl
     python -m repro check --replay /tmp/cap.jsonl
@@ -491,25 +488,6 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
             title="CORP ablations",
         )
     )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .experiments.bench import write_benchmark
-
-    try:
-        report = write_benchmark(
-            args.bench_out,
-            quick=args.quick,
-            workers=args.workers,
-            seed=args.seed,
-            min_speedup=float("-inf") if args.no_assert else None,
-        )
-    except AssertionError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(report, indent=2))
-    print(f"\nwrote {args.bench_out}")
     return 0
 
 
@@ -969,8 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=7)
     profile.add_argument(
         "--out", default="PROFILE_runtime.json",
-        help="JSON report path (default: PROFILE_runtime.json, next to "
-             "BENCH_runtime.json)",
+        help="JSON report path (default: PROFILE_runtime.json)",
     )
     profile.add_argument(
         "--events", metavar="PATH", default=None,
@@ -1005,28 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     mixed.add_argument("--jobs", type=int, default=200)
     mixed.add_argument("--seed", type=int, default=7)
     mixed.set_defaults(func=_cmd_mixed)
-
-    bench = sub.add_parser(
-        "bench", help="time the sweep against the pre-optimization baseline"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="abbreviated sweep (job counts 50 and 150)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for the optimized sweep (0 = serial)",
-    )
-    bench.add_argument(
-        "--bench-out", default="BENCH_runtime.json",
-        help="path of the JSON report (default: BENCH_runtime.json)",
-    )
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument(
-        "--no-assert", action="store_true",
-        help="record the numbers without enforcing the speedup floor",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     storms = sub.add_parser(
         "storms",

@@ -1,12 +1,15 @@
-"""Reference-vs-vectorized differential execution (the PR 1 oracle as a tool).
+"""Reference-vs-vectorized differential execution: the slot-execution oracle.
 
-The vectorized :meth:`~repro.cluster.machine.VirtualMachine.execute_slot`
-was property-tested against the per-placement reference semantics
-(:mod:`repro.cluster._legacy`) on randomized placements.  This module
-generalizes that one-shot test into a runtime tool: snapshot a VM just
-before it executes a slot, re-derive the slot with a *pure* (non-mutating)
-transcription of the reference semantics, and diff the aggregates and
-per-job execution rates against what the vectorized path produced.
+:func:`reference_outcome` is the one scalar reference for the slot
+semantics of Section III (primaries served out of their reservation,
+opportunists sharing what is left).  The vectorized
+:meth:`~repro.cluster.machine.VirtualMachine.execute_slot` is
+property-tested against it on randomized placements
+(``tests/cluster/test_execute_slot_property.py``), and the same function
+is a runtime tool: snapshot a VM just before it executes a slot,
+re-derive the slot from the snapshot without mutating anything, and diff
+the aggregates and per-job execution rates against what the vectorized
+path produced.
 
 Enabled via the ``differential`` rule of
 :class:`~repro.check.rules.InvariantChecker` (``repro check
@@ -86,12 +89,12 @@ def capture_snapshot(vm: "VirtualMachine") -> SlotSnapshot:
 
 
 def reference_outcome(snapshot: SlotSnapshot) -> ReferenceOutcome:
-    """Pure transcription of ``repro.cluster._legacy.legacy_execute_slot``.
+    """The per-placement reference semantics of one slot, side-effect free.
 
-    Same placement-by-placement grant arithmetic (primaries first, each
+    Placement-by-placement grant arithmetic (primaries first, each
     capped at ``min(demand, cap)``, scaled back if they collectively
     exceed capacity; opportunists share the remainder proportionally),
-    but computed from the snapshot without touching any job or VM state.
+    computed from the snapshot without touching any job or VM state.
     """
     cap_arr = snapshot.capacity
     n = len(snapshot.job_ids)

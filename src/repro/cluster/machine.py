@@ -304,7 +304,8 @@ class VirtualMachine:
 
         Demands, caps and grants are handled as ``(n_placements, l)``
         arrays; the per-placement reference semantics are preserved (and
-        property-tested against :mod:`repro.cluster._legacy`).
+        property-tested against
+        :func:`repro.check.differential.reference_outcome`).
         """
         committed = self.committed()
         placements = self.placements

@@ -7,9 +7,9 @@ the placement path.  This module grows that structure into a
 *persistent*, incrementally-maintained availability index partitioned
 into VM-pool shards:
 
-* :class:`ScaleConfig` — the typed scale knobs (`shards`, `chunk_size`,
-  index backend) the run entry points accept as ``scale=`` and the CLI
-  exposes as ``--shards`` / ``--chunk-size``.
+* :class:`ScaleConfig` — the typed scale knobs (`shards`, `chunk_size`)
+  the run entry points accept as ``scale=`` and the CLI exposes as
+  ``--shards`` / ``--chunk-size``.
 * :class:`ShardedCandidateIndex` — N struct-of-arrays shards (each one a
   :class:`CandidateSet` plus liveness/version lanes), per-shard
   feasible-mask/volume kernels, and a cross-shard argmin aggregation
@@ -43,11 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 __all__ = ["ScaleConfig", "ShardedCandidateIndex"]
 
-#: Index backends ``ScaleConfig`` accepts.  ``"dense"`` is the NumPy
-#: struct-of-arrays implementation below; the name is a seam for a
-#: future compiled backend (see ROADMAP "raw speed round 2").
-INDEX_BACKENDS: tuple[str, ...] = ("dense",)
-
 
 @dataclass(frozen=True)
 class ScaleConfig:
@@ -64,25 +59,16 @@ class ScaleConfig:
         Records per chunk for streaming trace generation
         (:meth:`~repro.trace.generator.GoogleTraceGenerator.generate_chunks`)
         — million-job workloads never materialize in memory at once.
-    index_backend:
-        Availability-index implementation; only ``"dense"`` (NumPy
-        struct-of-arrays) exists today.
     """
 
     shards: int = 1
     chunk_size: int = 4096
-    index_backend: str = "dense"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.index_backend not in INDEX_BACKENDS:
-            raise ValueError(
-                f"unknown index backend {self.index_backend!r} "
-                f"(expected one of {INDEX_BACKENDS})"
-            )
 
 
 def _candidate_set_cls() -> "type[CandidateSet]":
@@ -98,11 +84,10 @@ class _Shard:
 
     Wraps a :class:`CandidateSet` (the vectorized mask/volume kernels
     stay single-sourced there) with the lanes sharding adds: a liveness
-    mask, the per-row ``state_version`` last synced, and the nominal
-    row capacities ``release`` restores toward.
+    mask and the per-row ``state_version`` last synced.
     """
 
-    __slots__ = ("cset", "online", "versions", "caps")
+    __slots__ = ("cset", "online", "versions")
 
     def __init__(
         self, vms: Sequence["VirtualMachine"], matrix: np.ndarray
@@ -111,7 +96,6 @@ class _Shard:
         self.online = np.ones(len(vms), dtype=bool)
         #: ``-1`` forces the first ``sync`` to populate every row.
         self.versions = np.full(len(vms), -1, dtype=np.int64)
-        self.caps = self.cset.matrix.copy()
 
     def __len__(self) -> int:
         return len(self.cset.vms)
@@ -163,7 +147,7 @@ class ShardedCandidateIndex:
 
     * ``ShardedCandidateIndex(vms, matrix, shards=...)`` — a static
       pool over explicit availability rows (the per-window
-      opportunistic pools, synthetic benchmark drivers).
+      opportunistic pools).
     * :meth:`for_vms` — the *persistent* primary pool: rows mirror each
       VM's unallocated capacity and liveness, kept current by
       :meth:`refresh` through the VM ``state_version`` counters instead
@@ -250,20 +234,6 @@ class ShardedCandidateIndex:
         shard, row = entry
         matrix = shard.cset.matrix
         np.clip(matrix[row] - amount, 0.0, None, out=matrix[row])
-
-    def release(self, vm: "VirtualMachine", amount: np.ndarray) -> None:
-        """Return ``amount`` to ``vm``'s row, capped at its nominal row.
-
-        The synthetic counterpart of a completion for drivers that step
-        the index directly (the ``--scale`` benchmark); the scheduler
-        path instead refreshes rows from VM state.
-        """
-        entry = self._locate.get(vm.vm_id)
-        if entry is None:  # pragma: no cover - release outside the pool
-            return
-        shard, row = entry
-        matrix = shard.cset.matrix
-        np.minimum(matrix[row] + amount, shard.caps[row], out=matrix[row])
 
     # ------------------------------------------------------------------
     # CandidateSet-compatible views

@@ -110,18 +110,20 @@ class Scenario:
         cfg = self.trace_config
         master = max(self.master_jobs, self.n_jobs)
         # Over-generate so the post-filter count is reached exactly.
-        raw_cfg = replace(
-            cfg,
-            n_jobs=max(int(master / max(cfg.short_fraction, 0.05)) + 10, 10),
-        )
-        raw = GoogleTraceGenerator(raw_cfg).generate()
-        short = remove_long_lived(raw)
-        records = list(short)[:master]
-        if len(records) < master:
-            raise RuntimeError(
-                f"generator produced only {len(records)} short jobs "
-                f"(needed {master}); raise short_fraction or n_jobs"
-            )
+        n_raw = max(int(master / max(cfg.short_fraction, 0.05)) + 10, 10)
+        while True:
+            raw = GoogleTraceGenerator(replace(cfg, n_jobs=n_raw)).generate()
+            records = list(remove_long_lived(raw))[:master]
+            if len(records) == master:
+                break
+            if not records:
+                raise RuntimeError(
+                    f"generator produced no short jobs in {n_raw} "
+                    f"(needed {master}); raise short_fraction"
+                )
+            # A seed that draws many long jobs falls short of the fixed
+            # margin: double it and draw again.
+            n_raw = master + 2 * (n_raw - master)
         if self.n_jobs < master:
             idx = np.round(np.linspace(0, master - 1, self.n_jobs)).astype(int)
             records = [records[i] for i in idx]

@@ -419,7 +419,15 @@ class SchedulerKernel:
         scheduler pairs: a standby holding a snapshot can take over
         mid-run and finish the workload exactly as the live kernel
         would have (:mod:`repro.faults.takeover` is the drill).
+
+        The ``on_placements`` hook belongs to whoever attached it (the
+        daemon's is a bound method reaching its asyncio state, which
+        cannot be copied), so it is left out: a restored kernel starts
+        with ``on_placements=None`` and the caller re-attaches.
         """
-        return KernelSnapshot(
-            taken_at_slot=self.next_slot, _kernel=copy.deepcopy(self)
-        )
+        hook, self.on_placements = self.on_placements, None
+        try:
+            frozen = copy.deepcopy(self)
+        finally:
+            self.on_placements = hook
+        return KernelSnapshot(taken_at_slot=self.next_slot, _kernel=frozen)

@@ -7,6 +7,8 @@ bug produces — the checker's own regression test.
 
 from __future__ import annotations
 
+import inspect
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -157,3 +159,56 @@ class TestCorruptedVectorSelector:
         # must notice (the volume rule alone cannot — the chosen VM's
         # volume is still within its tolerance of optimal).
         assert "differential" in rules
+
+
+class TestUnscaledOpportunists:
+    """The surviving slot-execution oracle is independent of the
+    vectorized path: mutate one and the other contradicts it."""
+
+    #: (original line, mutated line) of ``VirtualMachine.execute_slot``.
+    #: The first skips the opportunists' scale-back to the capacity the
+    #: primaries left.  On its own that also trips the ``capacity`` rule
+    #: (served demand exceeds the VM), so the second clips the served
+    #: aggregate the way a plausible wrong fix would: the VM's books
+    #: balance again, yet opportunists advance faster than the machine
+    #: can carry them — visible only in the per-job reference rates.
+    MUTATIONS = (
+        (
+            "grants[opp] = np.minimum(demands[opp] * scale, caps[opp])",
+            "grants[opp] = np.minimum(demands[opp], caps[opp])",
+        ),
+        (
+            "served = np.minimum(grants, demands).sum(axis=0)",
+            "served = np.minimum("
+            "np.minimum(grants, demands).sum(axis=0), cap_arr)",
+        ),
+    )
+
+    def test_only_the_differential_rule_catches_it(self, monkeypatch):
+        from repro.cluster import machine
+
+        cache = api.PredictorCache()
+        scenario = tight_scenario(30)
+        healthy = api.check_run(
+            scenario=scenario, methods=("CORP",), differential=True,
+            predictor_cache=cache,
+        )
+        assert healthy.ok
+        assert healthy.checks.get("differential", 0) > 0
+
+        source = textwrap.dedent(inspect.getsource(VirtualMachine.execute_slot))
+        for original, mutated in self.MUTATIONS:
+            assert source.count(original) == 1, original
+            source = source.replace(original, mutated)
+        namespace: dict = {}
+        exec(source, vars(machine), namespace)
+        monkeypatch.setattr(
+            VirtualMachine, "execute_slot", namespace["execute_slot"]
+        )
+        report = api.check_run(
+            scenario=scenario, methods=("CORP",), differential=True,
+            predictor_cache=cache,
+        )
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"differential"}
+        assert any("reference" in v.detail for v in report.violations)

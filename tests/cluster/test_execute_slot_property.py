@@ -1,17 +1,18 @@
 """Vectorized ``execute_slot`` vs the per-placement reference.
 
 The vectorized hot path in :meth:`VirtualMachine.execute_slot` must be
-semantically interchangeable with the original per-placement loop (kept
-verbatim in :mod:`repro.cluster._legacy`).  These tests drive both over
-randomized placement mixes designed to hit every branch: primaries whose
-collective demand exceeds capacity (over-capacity scaling), opportunists
-squeezed into leftover room, and per-placement ``granted_cap`` ceilings.
+semantically interchangeable with the per-placement reference semantics
+(:func:`repro.check.differential.reference_outcome`, the one scalar
+oracle).  These tests drive both over randomized placement mixes
+designed to hit every branch: primaries whose collective demand exceeds
+capacity (over-capacity scaling), opportunists squeezed into leftover
+room, and per-placement ``granted_cap`` ceilings.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster._legacy import legacy_execute_slot, legacy_max_vm_capacity
+from repro.check.differential import capture_snapshot, reference_outcome
 from repro.cluster.machine import VirtualMachine
 from repro.cluster.resources import ResourceVector
 
@@ -49,17 +50,31 @@ def build_vm(seed: int) -> VirtualMachine:
     return vm
 
 
-def assert_outcomes_match(a, b):
-    for field in (
-        "committed",
-        "primary_demand",
-        "opportunistic_demand",
-        "served_demand",
-        "unused",
+def reference_execute_slot(vm: VirtualMachine, slot: int):
+    """Run one slot of ``vm`` through the oracle alone.
+
+    The reference is pure, so its per-job rates are applied here to make
+    the twin's jobs progress, complete and change demand from slot to
+    slot exactly as the reference dictates.
+    """
+    snapshot = capture_snapshot(vm)
+    ref = reference_outcome(snapshot)
+    for p, rate in zip(vm.placements, ref.rates):
+        p.job.advance(float(rate), slot)
+    return snapshot, ref
+
+
+def assert_outcomes_match(outcome, snapshot, ref):
+    for field, want in (
+        ("committed", snapshot.committed),
+        ("primary_demand", ref.primary_demand),
+        ("opportunistic_demand", ref.opportunistic_demand),
+        ("served_demand", ref.served_demand),
+        ("unused", ref.unused),
     ):
         np.testing.assert_allclose(
-            getattr(a, field).as_array(),
-            getattr(b, field).as_array(),
+            getattr(outcome, field).as_array(),
+            want,
             rtol=1e-12,
             atol=1e-12,
             err_msg=field,
@@ -70,10 +85,13 @@ def assert_outcomes_match(a, b):
 def test_vectorized_matches_reference(seed):
     vec_vm = build_vm(seed)
     ref_vm = build_vm(seed)  # independent twin: jobs mutate as they run
+    ref_unused, ref_demand = [], []
     for slot in range(N_SLOTS):
         vec_out = vec_vm.execute_slot(slot)
-        ref_out = legacy_execute_slot(ref_vm, slot)
-        assert_outcomes_match(vec_out, ref_out)
+        snapshot, ref = reference_execute_slot(ref_vm, slot)
+        assert_outcomes_match(vec_out, snapshot, ref)
+        ref_unused.append(ref.unused)
+        ref_demand.append(ref.primary_demand + ref.opportunistic_demand)
         # Per-job effects must agree too: rates, progress, completion.
         for pv, pr in zip(vec_vm.placements, ref_vm.placements):
             assert pv.job.job_id == pr.job.job_id
@@ -85,22 +103,18 @@ def test_vectorized_matches_reference(seed):
         vec_done = {j.record.task_id for j in vec_vm.remove_completed()}
         ref_done = {j.record.task_id for j in ref_vm.remove_completed()}
         assert vec_done == ref_done
-    np.testing.assert_allclose(
-        vec_vm.unused_history(), ref_vm.unused_history(), rtol=1e-12
-    )
-    np.testing.assert_allclose(
-        vec_vm.demand_history(), ref_vm.demand_history(), rtol=1e-12
-    )
+    np.testing.assert_allclose(vec_vm.unused_history(), ref_unused, rtol=1e-12)
+    np.testing.assert_allclose(vec_vm.demand_history(), ref_demand, rtol=1e-12)
 
 
 def test_empty_vm_fast_path_matches_reference():
     vec_vm, ref_vm = make_vm(), make_vm()
-    assert_outcomes_match(vec_vm.execute_slot(0), legacy_execute_slot(ref_vm, 0))
+    snapshot, ref = reference_execute_slot(ref_vm, 0)
+    assert_outcomes_match(vec_vm.execute_slot(0), snapshot, ref)
+    np.testing.assert_array_equal(vec_vm.unused_history(), [ref.unused])
     np.testing.assert_array_equal(
-        vec_vm.unused_history(), ref_vm.unused_history()
-    )
-    np.testing.assert_array_equal(
-        vec_vm.demand_history(), ref_vm.demand_history()
+        vec_vm.demand_history(),
+        [ref.primary_demand + ref.opportunistic_demand],
     )
 
 
@@ -113,7 +127,7 @@ def test_max_vm_capacity_cache_matches_uncached():
     sim = ClusterSimulator(
         ClusterProfile.palmetto(n_pms=2, vms_per_pm=2), GreedyScheduler()
     )
-    uncached = legacy_max_vm_capacity(sim.vms)
+    uncached = ResourceVector.elementwise_max(vm.capacity for vm in sim.vms)
     assert sim.max_vm_capacity() == uncached
     # Second read hits the memo; a changed VM set invalidates it.
     assert sim.max_vm_capacity() == uncached

@@ -17,11 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.resources import ResourceVector
-from repro.cluster.shards import (
-    INDEX_BACKENDS,
-    ScaleConfig,
-    ShardedCandidateIndex,
-)
+from repro.cluster.shards import ScaleConfig, ShardedCandidateIndex
 from repro.core.vm_selection import (
     CandidateSet,
     select_most_matched as scalar_select_most_matched,
@@ -50,16 +46,12 @@ def _build(caps, shards):
 class TestScaleConfig:
     def test_defaults(self):
         cfg = ScaleConfig()
-        assert (cfg.shards, cfg.chunk_size, cfg.index_backend) == (
-            1, 4096, "dense",
-        )
-        assert cfg.index_backend in INDEX_BACKENDS
+        assert (cfg.shards, cfg.chunk_size) == (1, 4096)
 
     @pytest.mark.parametrize("kwargs", [
         {"shards": 0},
         {"shards": -3},
         {"chunk_size": 0},
-        {"index_backend": "sparse"},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):

@@ -131,14 +131,9 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
-    def test_bench_parser_options(self):
+    def test_workers_parser_option(self):
         from repro.__main__ import build_parser
 
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--workers", "4", "--bench-out", "/tmp/b.json"]
-        )
-        assert args.quick and args.workers == 4
-        assert args.bench_out == "/tmp/b.json"
         args = build_parser().parse_args(["compare", "--workers", "2"])
         assert args.workers == 2
 
@@ -185,138 +180,3 @@ class TestCli:
         assert "1 hit(s)" in capsys.readouterr().out
         assert main(["cache", "clear", "--dir", store_dir]) == 0
         assert "cleared 1 artifact" in capsys.readouterr().out
-
-
-class TestBenchModule:
-    def test_legacy_mode_restores_patches(self):
-        from repro.cluster.machine import VirtualMachine
-        from repro.experiments.bench import legacy_mode
-
-        original = VirtualMachine.__dict__["execute_slot"]
-        with legacy_mode():
-            assert VirtualMachine.__dict__["execute_slot"] is not original
-        assert VirtualMachine.__dict__["execute_slot"] is original
-
-    def test_legacy_mode_restores_on_error(self):
-        from repro.cluster.machine import VirtualMachine
-        from repro.experiments.bench import legacy_mode
-
-        original = VirtualMachine.__dict__["execute_slot"]
-        with pytest.raises(RuntimeError):
-            with legacy_mode():
-                raise RuntimeError("boom")
-        assert VirtualMachine.__dict__["execute_slot"] is original
-
-    def test_sweep_scenarios_cross_product(self):
-        from repro.experiments.bench import sweep_scenarios
-
-        scenarios = sweep_scenarios((50, 150), seed=7)
-        assert [s.n_jobs for s in scenarios] == [50, 150, 50, 150]
-        assert len({s.profile.name for s in scenarios}) == 2
-
-    def test_identity_check_rejects_divergence(self):
-        from repro.experiments.bench import _check_identity
-
-        good = [{"overall_utilization": 0.5}]
-        _check_identity(good, [{"overall_utilization": 0.5}])
-        with pytest.raises(AssertionError):
-            _check_identity(good, [{"overall_utilization": 0.51}])
-        with pytest.raises(AssertionError):
-            _check_identity(good, [])
-
-    def test_write_benchmark_reports_floor_failure(self, tmp_path):
-        import json
-        from unittest import mock
-
-        from repro.experiments import bench
-
-        fake = {
-            "speedup": 1.0,
-            "baseline": {"seconds": 1.0},
-            "optimized": {"seconds": 1.0},
-        }
-        out = tmp_path / "bench.json"
-
-        def fail(**kwargs):
-            error = AssertionError("too slow")
-            error.report = fake
-            raise error
-
-        with mock.patch.object(bench, "run_benchmark", side_effect=fail):
-            with pytest.raises(AssertionError):
-                bench.write_benchmark(str(out))
-        # The numbers still land on disk as evidence.
-        assert json.loads(out.read_text())["speedup"] == 1.0
-
-
-class TestRegressionGate:
-    REFERENCE = {
-        "mode": "quick",
-        "baseline": {"seconds": 10.0},
-        "optimized": {"seconds": 4.0},
-    }
-
-    def test_within_budget_passes(self):
-        from repro.experiments.bench import check_regression
-
-        # A 2x slower machine (baseline 20s) is allowed 4 * 2 * 1.25 = 10s.
-        report = {
-            "mode": "quick",
-            "baseline": {"seconds": 20.0},
-            "optimized": {"seconds": 9.5},
-        }
-        verdict = check_regression(report, self.REFERENCE)
-        assert verdict["ok"] and verdict["allowed_s"] == 10.0
-
-    def test_regression_fails(self):
-        from repro.experiments.bench import check_regression
-
-        report = {
-            "mode": "quick",
-            "baseline": {"seconds": 10.0},
-            "optimized": {"seconds": 5.1},  # budget is 4 * 1.0 * 1.25 = 5.0
-        }
-        with pytest.raises(AssertionError, match="regressed"):
-            check_regression(report, self.REFERENCE)
-
-    def test_mode_mismatch_rejected(self):
-        from repro.experiments.bench import check_regression
-
-        with pytest.raises(ValueError, match="mode mismatch"):
-            check_regression({"mode": "full"}, self.REFERENCE)
-
-    def test_committed_reference_is_quick_mode(self):
-        """The file the CI gate diffs against must stay in quick mode."""
-        import json
-        import os
-
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "..", "benchmarks",
-            "BENCH_reference_quick.json",
-        )
-        reference = json.loads(open(path).read())
-        assert reference["mode"] == "quick"
-        assert reference["identity_check"] == "passed"
-
-
-class TestColdBenchmark:
-    def test_cold_benchmark_smoke(self, tmp_path):
-        """One tiny end-to-end cold bench: identity holds, report sane.
-
-        Floors are not asserted here — at this scenario size the fit no
-        longer dominates, so the ratios are not meaningful; the floor
-        enforcement runs in CI via ``bench_runtime.py --cold``.
-        """
-        from repro.experiments.bench import run_cold_benchmark
-
-        report = run_cold_benchmark(
-            jobs=10, seed=3, store_dir=str(tmp_path), assert_floors=False
-        )
-        assert report["identity_check"].startswith("passed")
-        variants = report["variants"]
-        assert set(variants) == {
-            "no_store", "cold_store", "warm_store", "parallel_fit",
-            "warm_start_refit",
-        }
-        assert all(v["seconds"] > 0 for v in variants.values())
-        assert report["speedups"]["warm_store"] > 1.0

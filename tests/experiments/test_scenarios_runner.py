@@ -1,5 +1,8 @@
 """Scenario builders and the multi-method runner (fast variants)."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.cluster.profiles import ClusterProfile
@@ -58,6 +61,27 @@ class TestScenarios:
         history_ids = {(r.task_id, r.submit_time_s) for r in history}
         eval_ids = {(r.task_id, r.submit_time_s) for r in evaluation}
         assert history_ids != eval_ids
+
+    @pytest.mark.parametrize("builder", [cluster_scenario, ec2_scenario])
+    def test_no_seed_falls_short_of_the_master_trace(self, builder):
+        # Seeds 18 and 30 draw enough long jobs to exhaust the first
+        # over-generation margin; they used to raise RuntimeError.
+        for seed in range(60):
+            assert len(builder(300, seed=seed).evaluation_trace()) == 300
+
+    def test_seed_7_trace_digest_pinned(self):
+        # Seeds the first draw satisfies must keep their exact records
+        # (rounded like the goldens, so the pin holds across platforms).
+        digest = hashlib.sha256()
+        for r in cluster_scenario(300, seed=7).evaluation_trace():
+            times = (round(r.submit_time_s, 6), round(r.duration_s, 6))
+            digest.update(repr((r.task_id, *times)).encode())
+            digest.update(np.round(r.requested.as_array(), 9).tobytes())
+            digest.update(np.round(r.usage, 9).tobytes())
+        assert digest.hexdigest() == (
+            "5de7edf6e64281bd79898ef150384355"
+            "a6a792b2b035579bb33e0354e0d046d8"
+        )
 
 
 class TestRunner:

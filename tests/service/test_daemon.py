@@ -188,3 +188,36 @@ class TestOpenService:
             "opportunistic": True,
             "method": "CORP",
         }
+
+
+class TestSnapshotUnderService:
+    def test_snapshot_with_placements_hook_attached(self, small_scenario):
+        """The daemon's hook reaches asyncio state deepcopy cannot copy."""
+
+        async def go():
+            async def consume(svc):
+                async for _ in svc.placements():
+                    pass
+
+            async with api.open_service(
+                scenario=small_scenario, method="DRA", seed=0
+            ) as svc:
+                consumer = asyncio.ensure_future(consume(svc))
+                await svc.submit_trace(small_scenario.evaluation_trace())
+                await asyncio.sleep(0)  # the subscriber now waits on a Future
+                kernel = svc.kernel
+                for _ in range(10):
+                    kernel.advance()
+                hook = kernel.on_placements
+                assert hook is not None
+                snapshot = kernel.snapshot()
+                assert kernel.on_placements is hook  # live kernel untouched
+                standby = snapshot.restore()
+                assert standby.on_placements is None
+                standby.run_until_blocked()
+                live = await svc.drain()
+                await consumer
+                return live.summary(), standby.result().summary()
+
+        live, restored = asyncio.run(go())
+        assert _comparable(live) == _comparable(restored)
