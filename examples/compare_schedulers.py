@@ -12,15 +12,15 @@ Run with::
 
 import sys
 
-from repro import cluster_scenario, run_methods
+from repro import api
 from repro.experiments.report import format_table
 
 
 def main(n_jobs: int = 200) -> None:
-    scenario = cluster_scenario(n_jobs=n_jobs, seed=7)
+    scenario = api.build_scenario(jobs=n_jobs, seed=7)
     print(f"running all four methods on {n_jobs} jobs "
           f"({scenario.profile.n_vms} VMs) ...")
-    results = run_methods(scenario=scenario)
+    results = api.compare(scenario=scenario)
 
     rows = []
     for method, result in results.items():

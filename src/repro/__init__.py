@@ -87,7 +87,6 @@ from .experiments import (
     Scenario,
     cluster_scenario,
     ec2_scenario,
-    run_methods,
 )
 from .trace import (
     GoogleTraceGenerator,
@@ -148,7 +147,6 @@ __all__ = [
     "Scenario",
     "cluster_scenario",
     "ec2_scenario",
-    "run_methods",
     "GoogleTraceGenerator",
     "TaskRecord",
     "Trace",

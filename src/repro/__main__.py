@@ -6,6 +6,8 @@ Commands
                 comparison table (a single column of the evaluation);
                 ``--scenario {pipeline,diurnal,storm}`` swaps in a
                 scenario-zoo family with its extra summary metrics.
+``serve``     — one lifecycle of the asyncio allocation service over a
+                generated workload, echoing streamed placements.
 ``storms``    — revocation-storm sweep: every method at every storm
                 intensity, with per-intensity resilience tables.
 ``profile``   — run a profiled comparison, print the per-stage timing
@@ -27,20 +29,12 @@ Commands
 ``predictors``— list the registered predictor families the
                 ``--predictor`` flag accepts.
 
-``compare`` and ``profile`` accept ``--store [DIR]`` (reuse fitted
-predictors across processes via the on-disk store), ``--warm-start``
-(seed unavoidable refits from the nearest stored artifact; changes
-fitted weights, so opt-in), ``--fit-workers N`` (fan the per-resource
-fits across processes, bit-identical to serial), and
-``--predictor-cache-size N`` (in-memory LRU bound).  ``compare``,
-``profile`` and ``serve`` accept ``--predictor NAME`` to run CORP on a
-different registered forecasting family (``corp``, ``quantile``,
-``classify``, ``ets``, ``markov`` or ``auto``).
-
-Experiment execution routes exclusively through :mod:`repro.api`; pass
-``--events out.jsonl`` to stream structured decision events (slots,
-placements, preemption-gate evaluations, predictor fits) to a JSONL
-file.
+The parser is data: every flag two subcommands share (workload,
+``--faults``, ``--events``, the predictor cache/store group,
+``--predictor``, the scale knobs, ``--methods``, ``--workers``) is
+declared once in ``_SHARED``, and each handler's ``@_command`` row names
+the flags it takes — ``python -m repro <command> --help`` prints them.
+Experiment execution routes exclusively through :mod:`repro.api`.
 
 Examples::
 
@@ -65,40 +59,196 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import Callable, Mapping
 
 from . import __version__, api
+from .check import golden as goldens
+from .check.rules import ALL_RULES
 from .experiments.report import format_table
+from .experiments.scenarios import FAULT_INTENSITIES, SCENARIO_FAMILIES
 
-FIGURES = (
-    "fig06", "fig07", "fig08", "fig09", "fig10",
-    "fig11", "fig12", "fig13", "fig14",
+def _flag(name: str, help: str | None = None, **kwargs) -> tuple[str, dict]:
+    """One ``add_argument`` call as data: ``(flag, keyword arguments)``."""
+    return name, dict(kwargs, help=help)
+
+
+#: Flags that two or more subcommands take, declared once.
+_SHARED = dict((
+    _flag("--jobs", type=int),
+    _flag("--testbed", choices=("cluster", "ec2"), default="cluster"),
+    _flag("--seed", type=int, default=7),
+    _flag("--quick", "cap the job count at 30 (the CI smoke setting)",
+          action="store_true"),
+    _flag("--faults",
+          "replay a seeded deterministic fault plan (VM crashes, capacity revocations, "
+          "predictor outages, job failures) of the given intensity against the run "
+          "and report resilience metrics (bare flag = 0.3)",
+          nargs="?", const=0.3, type=float, metavar="INTENSITY"),
+    _flag("--fault-seed", "seed of the fault plan (independent of the workload seed)",
+          type=int, default=0),
+    _flag("--events",
+          "stream structured decision events (slot, placement, preemption, "
+          "predictor_fit, vm_fail, evict, retry) to a JSONL file; with --workers, "
+          "per-worker shards are merged; `check --replay` re-runs a `check` capture",
+          metavar="PATH"),
+    _flag("--store",
+          "persist fitted predictors to an on-disk store and load them back "
+          "on later runs (bare flag = $REPRO_CACHE_DIR or the XDG cache dir)",
+          nargs="?", const="", metavar="DIR"),
+    _flag("--warm-start",
+          "seed unavoidable refits from the nearest same-config stored "
+          "artifact (requires --store; changes the fitted weights, so "
+          "results differ from a cold fit)",
+          action="store_true"),
+    _flag("--fit-workers",
+          "fan the three per-resource DNN/HMM fits across N worker "
+          "processes (0 = serial; results are identical either way)",
+          type=int, default=0),
+    _flag("--predictor-cache-size",
+          "in-memory LRU bound of the fitted-predictor cache (default: 16)",
+          type=int, default=16),
+    # Free-form (not ``choices=``) so third-party registrations work; an
+    # unknown name raises the registry's ValueError, which main() turns
+    # into the usual one-line error + exit 2.
+    _flag("--predictor",
+          "registered forecasting family CORP runs on: corp (DNN+HMM, "
+          "default), quantile, classify, ets, markov, or auto (online "
+          "per-workload selection); see `repro predictors`",
+          default="corp", metavar="NAME"),
+    _flag("--shards",
+          "partition the availability index into N VM-pool shards (default: "
+          "1; results are identical at any shard count — sharding bounds "
+          "per-slot recompute work on 10k+-VM clusters)",
+          type=int, metavar="N"),
+    _flag("--chunk-size",
+          "records per chunk for streaming trace generation (default: 4096)",
+          type=int, metavar="N"),
+    _flag("--methods",
+          "restrict to a subset of the schedulers (default: all four; for "
+          "check --replay, the captured set)",
+          nargs="+", metavar="METHOD"),
+    _flag("--workers",
+          "fan the runs across N worker processes (0 = in-process; results "
+          "are identical either way)",
+          type=int, default=0),
+))
+
+_WORKLOAD = ("--jobs", "--testbed", "--seed")
+_FAULTS = ("--faults", "--fault-seed")
+_CACHE = ("--store", "--warm-start", "--fit-workers", "--predictor-cache-size")
+_SCALE = ("--shards", "--chunk-size")
+
+
+#: The subcommand rows, in ``--help`` order (filled by :func:`_command`).
+_COMMANDS: list[tuple] = []
+
+
+def _command(name: str, help: str, *options, **defaults):
+    """Register the decorated handler as subcommand ``name``.
+
+    ``options`` are, in ``--help`` order, the names of the ``_SHARED``
+    flags it takes and then a :func:`_flag` row per flag of its own;
+    ``defaults`` are its own defaults for shared flags (``jobs=200``).
+    """
+
+    def register(handler: Callable[[argparse.Namespace], int]):
+        _COMMANDS.append((name, help, handler, options, defaults))
+        return handler
+
+    return register
+
+
+def _run_inputs(args: argparse.Namespace) -> tuple:
+    """``(jobs, fault_plan, cache, scale)`` as the shared flags describe them.
+
+    A flag group the subcommand does not declare yields ``None`` (for
+    ``jobs``: no ``--quick`` cap), so every handler reads its run inputs
+    through this one function.
+    """
+    jobs = min(args.jobs, 30) if getattr(args, "quick", False) else args.jobs
+    fault_plan = None
+    if getattr(args, "faults", None) is not None:
+        fault_plan = api.build_fault_plan(
+            seed=args.fault_seed, intensity=args.faults
+        )
+    cache = None
+    if hasattr(args, "store"):
+        store = None
+        if args.store is not None:
+            store = api.PredictorStore(args.store or None)
+        if args.warm_start and store is None:
+            raise ValueError("--warm-start requires --store")
+        cache = api.PredictorCache(
+            maxsize=args.predictor_cache_size,
+            store=store,
+            warm_start=args.warm_start,
+            fit_workers=args.fit_workers,
+        )
+    knobs = {
+        knob: getattr(args, knob)
+        for knob in ("shards", "chunk_size")
+        if getattr(args, knob, None) is not None
+    }
+    return jobs, fault_plan, cache, api.ScaleConfig(**knobs) if knobs else None
+
+
+def _events(args: argparse.Namespace):
+    """Capture events to ``--events PATH`` for a block (no flag: no-op)."""
+    if args.events:
+        return api.capture_events(args.events)
+    return contextlib.nullcontext()
+
+
+#: Summary-table columns are ``(header, summary key[, cast[, default]])``:
+#: ``cast`` is ``int`` for counts (summaries store every scalar as a
+#: float) and ``default`` is shown when the summary lacks the key — a
+#: column without one requires it.
+_UTILIZATION = ("utilization", "overall_utilization")
+_SLO_RATE = ("slo_rate", "slo_violation_rate")
+#: The comparison table of ``compare`` and ``serve``.
+_RUN_COLUMNS = (
+    _UTILIZATION,
+    _SLO_RATE,
+    ("err_rate", "prediction_error_rate", None, float("nan")),
+    ("latency_s", "allocation_latency_s"),
+)
+#: The variant table of ``ablations`` and ``mixed``.
+_VARIANT_COLUMNS = (
+    _UTILIZATION,
+    _SLO_RATE,
+    ("err_rate", "prediction_error_rate", None, 0.0),
+    ("riders", "riders", int),
 )
 
 
-def _open_events(args: argparse.Namespace) -> bool:
-    """Attach a JSONL sink when ``--events`` was given."""
-    path = getattr(args, "events", None)
-    if not path:
-        return False
-    api.attach_sink(path)
-    return True
+def _print_summaries(
+    title: str,
+    summaries: Mapping[str, Mapping[str, float]],
+    columns: tuple[tuple, ...],
+    label: str = "method",
+) -> None:
+    """Print ``name -> summary dict`` as one table row per name."""
+
+    def cell(summary, key, cast=None, default=None):
+        if key not in summary and default is not None:
+            return default
+        return cast(summary[key]) if cast else summary[key]
+
+    rows = [
+        [name] + [cell(summary, *column[1:]) for column in columns]
+        for name, summary in summaries.items()
+    ]
+    headers = [label] + [column[0] for column in columns]
+    print(format_table(headers, rows, title=title))
 
 
-def _make_cache(args: argparse.Namespace) -> api.PredictorCache:
-    """A :class:`PredictorCache` configured from the shared CLI flags."""
-    store = None
-    if getattr(args, "store", None) is not None:
-        store = api.PredictorStore(args.store or None)
-    if getattr(args, "warm_start", False) and store is None:
-        raise ValueError("--warm-start requires --store")
-    return api.PredictorCache(
-        maxsize=args.predictor_cache_size,
-        store=store,
-        warm_start=getattr(args, "warm_start", False),
-        fit_workers=args.fit_workers,
-    )
+def _print_rows(title: str, items: list) -> None:
+    """Table of ``as_row()`` records (check violations, replay mismatches)."""
+    rows = [list(item.as_row().values()) for item in items]
+    print(format_table(list(items[0].as_row().keys()), rows, title=title))
 
 
 def _print_cache_stats(stats: dict) -> None:
@@ -133,38 +283,26 @@ def _warn_truncated(results: dict) -> None:
         )
 
 
-def _print_extra_metrics(results: dict) -> None:
-    """Scenario-family metrics table (pipeline/diurnal/storm summaries)."""
-    if not any(r.extra_metrics for r in results.values()):
-        return
-    keys = sorted(
-        {k for r in results.values() for k in (r.extra_metrics or {})}
-    )
-    rows = [
-        [method]
-        + [(r.extra_metrics or {}).get(k, float("nan")) for k in keys]
-        for method, r in results.items()
-    ]
-    print()
-    print(format_table(["method"] + keys, rows, title="scenario metrics"))
-
-
+@_command(
+    "compare", "run all four schedulers once",
+    *_WORKLOAD, "--quick", "--workers", "--events", *_FAULTS,
+    *_CACHE, "--predictor", *_SCALE,
+    _flag("--scenario",
+          "run a scenario-zoo family instead of the steady arrival mix: pipeline "
+          "(phased DAG submission), diurnal (day/night arrivals with flash crowds) "
+          "or storm (correlated spot revocations at intensity 0.5)",
+          choices=SCENARIO_FAMILIES),
+    jobs=200,
+)
 def _cmd_compare(args: argparse.Namespace) -> int:
-    jobs = min(args.jobs, 30) if args.quick else args.jobs
-    fault_plan = None
-    if args.faults is not None:
-        fault_plan = api.build_fault_plan(
-            seed=args.fault_seed, intensity=args.faults
-        )
+    jobs, fault_plan, cache, scale = _run_inputs(args)
     scenario = None
     if args.scenario is not None:
         scenario = api.build_scenario(
             jobs=jobs, testbed=args.testbed, seed=args.seed,
             family=args.scenario,
         )
-    cache = _make_cache(args)
-    capturing = _open_events(args)
-    try:
+    with _events(args):
         results = api.compare(
             scenario=scenario,
             jobs=jobs,
@@ -174,49 +312,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             predictor_cache=cache,
             predictor=args.predictor,
-            scale=_scale_from_args(args),
+            scale=scale,
         )
-    finally:
-        if capturing:
-            api.detach_sink()
-    rows = []
-    for method, result in results.items():
-        summary = result.summary()
-        rows.append(
-            [
-                method,
-                summary["overall_utilization"],
-                summary["slo_violation_rate"],
-                summary.get("prediction_error_rate", float("nan")),
-                summary["allocation_latency_s"],
-            ]
-        )
+    summaries = {method: r.summary() for method, r in results.items()}
     workload = (
         f"the {args.scenario} scenario ({args.testbed} profile)"
         if args.scenario is not None
         else f"the {args.testbed} profile"
     )
-    print(
-        format_table(
-            ["method", "utilization", "slo_rate", "err_rate", "latency_s"],
-            rows,
-            title=f"{jobs} jobs on {workload}",
-        )
-    )
+    _print_summaries(f"{jobs} jobs on {workload}", summaries, _RUN_COLUMNS)
     if any(r.resilience is not None for r in results.values()):
-        fault_rows = []
-        for method, result in results.items():
-            summary = result.summary()
-            fault_rows.append(
-                [
-                    method,
-                    int(summary["evictions"]),
-                    int(summary["retries"]),
-                    int(summary["gave_up"]),
-                    int(summary["slo_violations_faulted"]),
-                    summary["recovery_latency_slots"],
-                ]
-            )
         if args.faults is not None:
             res_title = (
                 f"resilience under fault intensity {args.faults:g} "
@@ -225,17 +330,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         else:  # the scenario carries its own plan (e.g. --scenario storm)
             res_title = "resilience under the scenario's fault plan"
         print()
-        print(
-            format_table(
-                [
-                    "method", "evictions", "retries", "gave_up",
-                    "slo_viol_faulted", "recovery_slots",
-                ],
-                fault_rows,
-                title=res_title,
-            )
+        _print_summaries(
+            res_title,
+            summaries,
+            (
+                ("evictions", "evictions", int),
+                ("retries", "retries", int),
+                ("gave_up", "gave_up", int),
+                ("slo_viol_faulted", "slo_violations_faulted", int),
+                ("recovery_slots", "recovery_latency_slots"),
+            ),
         )
-    _print_extra_metrics(results)
+    extras = {method: r.extra_metrics or {} for method, r in results.items()}
+    extra_keys = sorted({key for extra in extras.values() for key in extra})
+    if extra_keys:  # the pipeline/diurnal/storm family metrics
+        print()
+        _print_summaries(
+            "scenario metrics",
+            extras,
+            tuple((key, key, None, float("nan")) for key in extra_keys),
+        )
     if cache.store is not None:
         stats = cache.stats()
         store = stats["store"]
@@ -244,12 +358,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{store['hits']} hit(s), {store['misses']} miss(es), "
             f"{store['saves']} save(s), {stats['warm_starts']} warm start(s)"
         )
-    if capturing:
+    if args.events:
         print(f"\nwrote events to {args.events}")
     _warn_truncated(results)
     return 0
 
 
+@_command(
+    "serve", "run the asyncio allocation service over a generated workload",
+    *_WORKLOAD, "--events", *_FAULTS, *_CACHE, "--predictor", *_SCALE,
+    _flag("--method", "the scheduler the service runs (default: CORP)",
+          choices=api.METHOD_ORDER, default="CORP"),
+    _flag("--show-placements", "echo the first N streamed placement updates",
+          type=int, default=0, metavar="N"),
+    jobs=50,
+)
 def _cmd_serve(args: argparse.Namespace) -> int:
     """One lifecycle of the asyncio allocation service (v1.5).
 
@@ -260,15 +383,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    fault_plan = None
-    if args.faults is not None:
-        fault_plan = api.build_fault_plan(
-            seed=args.fault_seed, intensity=args.faults
-        )
-    cache = _make_cache(args)
-    capturing = _open_events(args)
+    jobs, fault_plan, cache, scale = _run_inputs(args)
     scenario = api.build_scenario(
-        jobs=args.jobs, testbed=args.testbed, seed=args.seed
+        jobs=jobs, testbed=args.testbed, seed=args.seed
     )
 
     async def _serve():
@@ -290,7 +407,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             predictor_cache=cache,
             predictor=args.predictor,
-            scale=_scale_from_args(args),
+            scale=scale,
         ) as svc:
             consumer = asyncio.ensure_future(_consume(svc))
             n = await svc.submit_trace(scenario.evaluation_trace())
@@ -302,59 +419,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await consumer
         return n, updates, result
 
-    try:
+    with _events(args):
         n_submitted, updates, result = asyncio.run(_serve())
-    finally:
-        if capturing:
-            api.detach_sink()
 
-    summary = result.summary()
-    rows = [
-        [
-            args.method,
-            summary["overall_utilization"],
-            summary["slo_violation_rate"],
-            summary.get("prediction_error_rate", float("nan")),
-            summary["allocation_latency_s"],
-        ]
-    ]
-    print(
-        format_table(
-            ["method", "utilization", "slo_rate", "err_rate", "latency_s"],
-            rows,
-            title=f"service drain: {n_submitted} job(s) submitted, "
-                  f"{len(updates)} placement update(s) streamed",
-        )
+    _print_summaries(
+        f"service drain: {n_submitted} job(s) submitted, "
+        f"{len(updates)} placement update(s) streamed",
+        {args.method: result.summary()},
+        _RUN_COLUMNS,
     )
     if cache.store is not None:
         _print_cache_stats(cache.stats())
-    if capturing:
+    if args.events:
         print(f"\nwrote events to {args.events}")
     _warn_truncated({args.method: result})
     return 0
 
 
+@_command(
+    "profile", "profiled comparison: per-stage timing table + counters",
+    *_WORKLOAD, "--events", *_CACHE, "--predictor",
+    _flag("--out", "JSON report path (default: PROFILE_runtime.json)",
+          default="PROFILE_runtime.json"),
+    jobs=50,
+)
 def _cmd_profile(args: argparse.Namespace) -> int:
-    cache = _make_cache(args)
-    capturing = _open_events(args)
-    try:
-        report = api.profile_run(
-            jobs=args.jobs, testbed=args.testbed, seed=args.seed,
-            predictor_cache=cache, predictor=args.predictor,
-        )
-    finally:
-        if capturing:
-            api.detach_sink()
-    stage_rows = [
-        [s["stage"], s["calls"], s["total_s"], s["mean_s"], s["share"]]
-        for s in report["stages"]
-    ]
-    print(
-        format_table(
-            ["stage", "calls", "total_s", "mean_s", "share"],
-            stage_rows,
-            title=f"per-stage wall clock ({args.jobs} jobs, {args.testbed})",
-        )
+    _, _, cache, _ = _run_inputs(args)
+    report = api.profile_run(
+        jobs=args.jobs, testbed=args.testbed, seed=args.seed,
+        predictor_cache=cache, predictor=args.predictor, events=args.events,
+    )
+    _print_summaries(
+        f"per-stage wall clock ({args.jobs} jobs, {args.testbed})",
+        {stage["stage"]: stage for stage in report["stages"]},
+        tuple((key, key) for key in ("calls", "total_s", "mean_s", "share")),
+        label="stage",
     )
     counters = report["counters"]
     if counters:
@@ -375,46 +474,45 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command(
+    "figure", "regenerate one paper figure",
+    _flag("name", choices=[f"fig{number:02d}" for number in range(6, 15)]),
+    "--testbed", "--seed",
+    _flag("--svg",
+          "also render the figure as a standalone SVG chart "
+          "(fig06/fig07/fig09 and their EC2 twins)",
+          metavar="PATH"),
+)
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from .experiments.figures import (
-        fig06_prediction_error,
-        fig07_utilization,
-        fig08_utilization_vs_slo,
-        fig09_slo_vs_confidence,
-        fig10_overhead,
-    )
+    from .experiments import figures
     from .experiments.plot import save_figure_svg
 
-    cache = api.PredictorCache()
-    name = args.name
-    testbed = args.testbed
-    # EC2 figures are the cluster figures rerun on the EC2 profile.
-    mapped = {
-        "fig11": ("fig07", "ec2"),
-        "fig12": ("fig08", "ec2"),
-        "fig13": ("fig09", "ec2"),
-        "fig14": ("fig10", "ec2"),
-    }
-    if name in mapped:
-        name, testbed = mapped[name]
-    if name == "fig06":
-        result = fig06_prediction_error(testbed=testbed, seed=args.seed, cache=cache)
+    number, testbed = int(args.name[3:]), args.testbed
+    if number >= 11:
+        # EC2 figures 11-14 are cluster figures 7-10 on the EC2 profile.
+        number, testbed = number - 4, "ec2"
+    run = {
+        6: figures.fig06_prediction_error,
+        7: figures.fig07_utilization,
+        8: figures.fig08_utilization_vs_slo,
+        9: figures.fig09_slo_vs_confidence,
+        10: figures.fig10_overhead,
+    }[number]
+    result = run(testbed=testbed, seed=args.seed, cache=api.PredictorCache())
+    y_labels = {6: "error rate", 9: "SLO violation rate"}
+    chart = None  # (FigureResult, y label) of the chart --svg renders
+    if number in y_labels:
         print(result.to_table())
-        if args.svg:
-            print("wrote", save_figure_svg(result, args.svg, y_label="error rate"))
-    elif name == "fig07":
-        panels = fig07_utilization(testbed=testbed, seed=args.seed, cache=cache)
+        chart = result, y_labels[number]
+    elif number == 7:
         for key in ("cpu", "mem", "storage", "overall"):
-            print(panels[key].to_table())
+            print(result[key].to_table())
             print()
-        if args.svg:
-            print("wrote", save_figure_svg(
-                panels["overall"], args.svg, y_label="overall utilization"))
-    elif name == "fig08":
-        curves = fig08_utilization_vs_slo(testbed=testbed, seed=args.seed, cache=cache)
+        chart = result["overall"], "overall utilization"
+    elif number == 8:
         rows = [
             [method, slo, util]
-            for method, points in curves.items()
+            for method, points in result.items()
             for slo, util in points
         ]
         print(
@@ -424,97 +522,72 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 title=f"utilization vs SLO violation rate ({testbed})",
             )
         )
-    elif name == "fig09":
-        result = fig09_slo_vs_confidence(testbed=testbed, seed=args.seed, cache=cache)
-        print(result.to_table())
-        if args.svg:
-            print("wrote", save_figure_svg(result, args.svg, y_label="SLO violation rate"))
-    elif name == "fig10":
-        latencies = fig10_overhead(testbed=testbed, seed=args.seed, cache=cache)
+    else:
         print(
             format_table(
                 ["method", "allocation_latency_s"],
-                [[m, v] for m, v in latencies.items()],
+                [[m, v] for m, v in result.items()],
                 title=f"allocation latency, 300 jobs ({testbed})",
             )
         )
-    else:
-        raise ValueError(f"unknown figure {name!r} (expected {FIGURES})")
+    if args.svg and chart:
+        print("wrote", save_figure_svg(chart[0], args.svg, y_label=chart[1]))
     return 0
 
 
+@_command(
+    "ablations", "CORP component ablations",
+    "--jobs", "--seed",
+    _flag("--predictors",
+          "ablate the forecasting family instead of the scheduler "
+          "components: one CORP run per registered predictor",
+          action="store_true"),
+    jobs=300,
+)
 def _cmd_ablations(args: argparse.Namespace) -> int:
     from .experiments.ablations import run_ablations, run_predictor_ablation
 
     if args.predictors:
-        results = run_predictor_ablation(n_jobs=args.jobs, seed=args.seed)
-        rows = [
-            [
-                name,
-                s["overall_utilization"],
-                s["slo_violation_rate"],
-                s.get("prediction_error_rate", 0.0),
-                int(s["riders"]),
-                int(s["switches"]) if "switches" in s else "-",
-            ]
-            for name, s in results.items()
-        ]
-        print(
-            format_table(
-                [
-                    "predictor", "utilization", "slo_rate", "err_rate",
-                    "riders", "switches",
-                ],
-                rows,
-                title="CORP predictor ablation (all families, same workload)",
-            )
+        _print_summaries(
+            "CORP predictor ablation (all families, same workload)",
+            run_predictor_ablation(n_jobs=args.jobs, seed=args.seed),
+            _VARIANT_COLUMNS + (("switches", "switches", int, "-"),),
+            label="predictor",
         )
-        return 0
-    results = run_ablations(n_jobs=args.jobs, seed=args.seed)
-    rows = [
-        [
-            name,
-            s["overall_utilization"],
-            s["slo_violation_rate"],
-            s.get("prediction_error_rate", 0.0),
-            int(s["riders"]),
-        ]
-        for name, s in results.items()
-    ]
-    print(
-        format_table(
-            ["variant", "utilization", "slo_rate", "err_rate", "riders"],
-            rows,
-            title="CORP ablations",
+    else:
+        _print_summaries(
+            "CORP ablations",
+            run_ablations(n_jobs=args.jobs, seed=args.seed),
+            _VARIANT_COLUMNS,
+            label="variant",
         )
-    )
     return 0
 
 
+@_command("mixed", "mixed short+long workload", "--jobs", "--seed", jobs=200)
 def _cmd_mixed(args: argparse.Namespace) -> int:
     from .experiments.mixed import run_mixed_workload
 
-    results = run_mixed_workload(n_jobs=args.jobs, seed=args.seed)
-    rows = [
-        [
-            m,
-            s["overall_utilization"],
-            s["slo_violation_rate"],
-            s.get("prediction_error_rate", 0.0),
-            int(s["riders"]),
-        ]
-        for m, s in results.items()
-    ]
-    print(
-        format_table(
-            ["method", "utilization", "slo_rate", "err_rate", "riders"],
-            rows,
-            title="Mixed short+long workload",
-        )
+    _print_summaries(
+        "Mixed short+long workload",
+        run_mixed_workload(n_jobs=args.jobs, seed=args.seed),
+        _VARIANT_COLUMNS,
     )
     return 0
 
 
+@_command(
+    "storms", "revocation-storm sweep: all methods at every storm intensity",
+    *_WORKLOAD, "--quick", "--methods", "--workers",
+    _flag("--storm-seed",
+          "seed of the revocation-wave schedule (independent of the workload seed)",
+          type=int, default=0),
+    _flag("--slots", "horizon (slots) the wave schedule covers (default: 400)",
+          type=int, default=400),
+    _flag("--intensities", "storm intensities to sweep (default: 0 0.25 0.5 1)",
+          nargs="+", type=float, metavar="I"),
+    jobs=200,
+)
 def _cmd_storms(args: argparse.Namespace) -> int:
     """Revocation-storm sweep: every method at every storm intensity.
 
@@ -523,13 +596,9 @@ def _cmd_storms(args: argparse.Namespace) -> int:
     increasing intensity, with the per-intensity resilience and
     storm-recovery metrics tabulated for all four methods.
     """
-    from .experiments.scenarios import FAULT_INTENSITIES
-
-    jobs = min(args.jobs, 30) if args.quick else args.jobs
-    intensities = (
-        tuple(args.intensities) if args.intensities else FAULT_INTENSITIES
-    )
-    methods = tuple(args.methods) if args.methods else api.METHOD_ORDER
+    jobs, _, _, _ = _run_inputs(args)
+    intensities = args.intensities or FAULT_INTENSITIES
+    methods = args.methods or api.METHOD_ORDER
     base = api.build_scenario(
         jobs=jobs, testbed=args.testbed, seed=args.seed
     )
@@ -537,56 +606,70 @@ def _cmd_storms(args: argparse.Namespace) -> int:
         base, intensities=intensities, seed=args.storm_seed,
         n_slots=args.slots,
     )
-    results = api.sweep(
-        scenarios=scenarios,
-        methods=methods,
-        workers=args.workers,
-        predictor_cache=api.PredictorCache(),
+    results = iter(
+        api.sweep(
+            scenarios=scenarios,
+            methods=methods,
+            workers=args.workers,
+            predictor_cache=api.PredictorCache(),
+        )
     )
     print(
         f"storm sweep: {jobs} jobs on the {args.testbed} profile, "
         f"storm seed {args.storm_seed}, intensities "
         f"{', '.join(f'{i:g}' for i in intensities)}"
     )
-    for index, intensity in enumerate(intensities):
-        rows = []
-        for m, method in enumerate(methods):
-            summary = results[index * len(methods) + m].summary()
-            rows.append(
-                [
-                    method,
-                    summary["overall_utilization"],
-                    summary["slo_violation_rate"],
-                    int(summary.get("storm_waves", 0)),
-                    int(summary.get("storm_vms_hit", 0)),
-                    summary.get("storm_recovery_slots", 0.0),
-                    int(summary.get("evictions", 0)),
-                    int(summary.get("gave_up", 0)),
-                ]
-            )
-        print()
-        print(
-            format_table(
-                [
-                    "method", "utilization", "slo_rate", "waves",
-                    "vms_hit", "recovery_slots", "evictions", "gave_up",
-                ],
-                rows,
-                title=f"storm intensity {intensity:g}"
-                      + ("" if intensity > 0 else " (fault-free control)"),
-            )
+    labelled = {}
+    for intensity in intensities:
+        # Sweep order is scenario-major: one run per method per intensity.
+        runs = {method: next(results) for method in methods}
+        labelled.update(
+            (f"{method}@{intensity:g}", run) for method, run in runs.items()
         )
-    _warn_truncated(
-        {f"run{idx}": r for idx, r in enumerate(results) if r.truncated}
-    )
+        print()
+        _print_summaries(
+            f"storm intensity {intensity:g}"
+            + ("" if intensity > 0 else " (fault-free control)"),
+            {method: run.summary() for method, run in runs.items()},
+            (
+                _UTILIZATION,
+                _SLO_RATE,
+                ("waves", "storm_waves", int, 0),
+                ("vms_hit", "storm_vms_hit", int, 0),
+                ("recovery_slots", "storm_recovery_slots", None, 0.0),
+                ("evictions", "evictions", int, 0),
+                ("gave_up", "gave_up", int, 0),
+            ),
+        )
+    _warn_truncated(labelled)
     return 0
 
 
+@_command(
+    "check", "run with the runtime invariant checker (or --replay a capture)",
+    *_WORKLOAD, "--quick", "--methods", *_FAULTS, "--events",
+    _flag("--rules",
+          f"invariant rules to evaluate (default: all but 'differential'; "
+          f"choices: {', '.join(ALL_RULES)})",
+          nargs="+", metavar="RULE", choices=ALL_RULES),
+    _flag("--differential",
+          "also diff every slot outcome against the reference "
+          "(pre-vectorization) executor — slower, strongest check",
+          action="store_true"),
+    _flag("--tolerance",
+          "numeric tolerance (default: 1e-6 for invariants, 1e-9 for --replay)",
+          type=float),
+    _flag("--replay",
+          "differential replay: re-run the scenario this capture describes "
+          "and diff per-slot state and placements against it",
+          metavar="PATH"),
+    jobs=50,
+)
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.replay:
         report = api.replay(
             events=args.replay,
-            methods=tuple(args.methods) if args.methods else None,
+            methods=args.methods,
             tolerance=args.tolerance if args.tolerance is not None else 1e-9,
         )
         meta = report.meta
@@ -599,30 +682,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if report.ok:
             print("replay OK: live run reproduced the capture exactly")
             return 0
-        rows = [list(m.as_row().values()) for m in report.mismatches]
-        print(
-            format_table(
-                list(report.mismatches[0].as_row().keys()),
-                rows,
-                title=f"{len(report.mismatches)} replay mismatch(es)"
-                + (" [truncated]" if report.truncated else ""),
-            )
+        _print_rows(
+            f"{len(report.mismatches)} replay mismatch(es)"
+            + (" [truncated]" if report.truncated else ""),
+            report.mismatches,
         )
         return 1
 
-    jobs = min(args.jobs, 30) if args.quick else args.jobs
-    fault_plan = None
-    if args.faults is not None:
-        fault_plan = api.build_fault_plan(
-            seed=args.fault_seed, intensity=args.faults
-        )
+    jobs, fault_plan, _, _ = _run_inputs(args)
     report = api.check_run(
         jobs=jobs,
         testbed=args.testbed,
         seed=args.seed,
-        methods=tuple(args.methods) if args.methods else api.METHOD_ORDER,
+        methods=args.methods or api.METHOD_ORDER,
         fault_plan=fault_plan,
-        rules=tuple(args.rules) if args.rules else None,
+        rules=args.rules,
         tolerance=args.tolerance if args.tolerance is not None else 1e-6,
         differential=args.differential,
         events=args.events,
@@ -640,41 +714,43 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if report.ok:
         print("check OK: no invariant violations")
         return 0
-    rows = [list(v.as_row().values()) for v in report.violations]
-    print(
-        format_table(
-            list(report.violations[0].as_row().keys()),
-            rows,
-            title=f"{report.n_violations} invariant violation(s)",
-        )
+    _print_rows(
+        f"{report.n_violations} invariant violation(s)", report.violations
     )
     return 1
 
 
+@_command(
+    "golden", "compare seeded summaries against the committed golden trace",
+    *_WORKLOAD, "--fault-seed",
+    _flag("--update", "(re)write the golden file instead of comparing against it",
+          action="store_true"),
+    _flag("--dir", "directory of the golden files (default: tests/golden)",
+          default="tests/golden"),
+    # The faulted golden section always runs, so a plain value flag
+    # rather than the shared optional-intensity one.
+    _flag("--faults", "fault intensity of the faulted golden section",
+          type=float, default=goldens.GOLDEN_FAULT_INTENSITY, metavar="INTENSITY"),
+    _flag("--family",
+          "which golden(s) to run: the base comparison, one scenario family, "
+          "or all of them (default)",
+          choices=("all", "base") + goldens.GOLDEN_FAMILIES, default="all"),
+    jobs=goldens.GOLDEN_JOBS, testbed=goldens.GOLDEN_TESTBED,
+    seed=goldens.GOLDEN_SEED, fault_seed=goldens.GOLDEN_FAULT_SEED,
+)
 def _cmd_golden(args: argparse.Namespace) -> int:
-    from .check.golden import (
-        GOLDEN_FAMILIES,
-        compute_family_golden,
-        compute_golden,
-        default_golden_path,
-        diff_golden,
-        family_golden_path,
-        load_golden,
-        write_golden,
-    )
-
     if args.family == "all":
-        targets = ("base",) + GOLDEN_FAMILIES
+        targets = ("base",) + goldens.GOLDEN_FAMILIES
     else:
         targets = (args.family,)
 
     status = 0
     for target in targets:
         if target == "base":
-            path = default_golden_path(
+            path = goldens.default_golden_path(
                 args.dir, jobs=args.jobs, testbed=args.testbed, seed=args.seed
             )
-            fresh = compute_golden(
+            fresh = goldens.compute_golden(
                 jobs=args.jobs,
                 testbed=args.testbed,
                 seed=args.seed,
@@ -682,18 +758,18 @@ def _cmd_golden(args: argparse.Namespace) -> int:
                 fault_seed=args.fault_seed,
             )
         else:
-            path = family_golden_path(
+            path = goldens.family_golden_path(
                 args.dir, family=target, jobs=args.jobs, seed=args.seed
             )
-            fresh = compute_family_golden(
+            fresh = goldens.compute_family_golden(
                 target, jobs=args.jobs, testbed=args.testbed, seed=args.seed
             )
         if args.update:
-            write_golden(path, fresh)
+            goldens.write_golden(path, fresh)
             print(f"wrote {path} (digest {fresh['digest'][:12]})")
             continue
         try:
-            recorded = load_golden(path)
+            recorded = goldens.load_golden(path)
         except FileNotFoundError:
             print(
                 f"error: no golden file at {path}; record one with "
@@ -702,7 +778,7 @@ def _cmd_golden(args: argparse.Namespace) -> int:
             )
             status = max(status, 2)
             continue
-        drift = diff_golden(recorded, fresh)
+        drift = goldens.diff_golden(recorded, fresh)
         if not drift:
             print(f"golden OK: {path} matches (digest {fresh['digest'][:12]})")
             continue
@@ -717,6 +793,18 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     return status
 
 
+@_command(
+    "cache", "manage the on-disk fitted-predictor store",
+    _flag("action",
+          "stats: print the artifact inventory; clear: delete every artifact; "
+          "warm: pre-fit one scenario's predictor into the store (the "
+          "workload flags describe that scenario)",
+          choices=("stats", "clear", "warm")),
+    *_WORKLOAD, "--quick", "--fit-workers",
+    _flag("--dir", "store directory (default: $REPRO_CACHE_DIR or the XDG cache dir)",
+          metavar="DIR"),
+    jobs=200,
+)
 def _cmd_cache(args: argparse.Namespace) -> int:
     store = api.PredictorStore(args.dir or None)
     if args.action == "stats":
@@ -748,7 +836,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     # run with the same (config, history) loads instead of fitting.
     from .core.config import CorpConfig
 
-    jobs = min(args.jobs, 30) if args.quick else args.jobs
+    jobs, _, _, _ = _run_inputs(args)
     scenario = api.build_scenario(
         jobs=jobs, testbed=args.testbed, seed=args.seed
     )
@@ -762,390 +850,33 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+@_command("predictors", "list the registered predictor families --predictor accepts")
 def _cmd_predictors(args: argparse.Namespace) -> int:
-    """List the registered predictor families ``--predictor`` accepts."""
-    rows = [
-        [name, summary]
-        for name, summary in api.predictor_summaries().items()
-    ]
-    print(
-        format_table(
-            ["predictor", "summary"],
-            rows,
-            title="registered predictor families (--predictor NAME)",
-        )
-    )
+    rows = [list(item) for item in api.predictor_summaries().items()]
+    title = "registered predictor families (--predictor NAME)"
+    print(format_table(["predictor", "summary"], rows, title=title))
     return 0
 
 
-def _add_predictor_option(parser: argparse.ArgumentParser) -> None:
-    """The ``--predictor`` flag shared by compare/profile/serve.
-
-    Free-form (not ``choices=``) so third-party registrations work; an
-    unknown name raises the registry's ValueError, which main() turns
-    into the usual one-line error + exit 2.
-    """
-    parser.add_argument(
-        "--predictor", default="corp", metavar="NAME",
-        help="registered forecasting family CORP runs on: corp "
-             "(DNN+HMM, default), quantile, classify, ets, markov, or "
-             "auto (online per-workload selection); see `repro "
-             "predictors`",
-    )
-
-
-def _add_scale_options(parser: argparse.ArgumentParser) -> None:
-    """The hyperscale flags shared by ``compare`` and ``serve``."""
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition the availability index into N VM-pool shards "
-             "(default: 1; results are identical at any shard count — "
-             "sharding bounds per-slot recompute work on 10k+-VM "
-             "clusters)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="records per chunk for streaming trace generation "
-             "(default: 4096)",
-    )
-
-
-def _scale_from_args(args: argparse.Namespace) -> "api.ScaleConfig | None":
-    """Build the ``scale=`` argument from the CLI flags (None = defaults)."""
-    if args.shards is None and args.chunk_size is None:
-        return None
-    kwargs = {}
-    if args.shards is not None:
-        kwargs["shards"] = args.shards
-    if args.chunk_size is not None:
-        kwargs["chunk_size"] = args.chunk_size
-    return api.ScaleConfig(**kwargs)
-
-
-def _add_cache_options(parser: argparse.ArgumentParser) -> None:
-    """The predictor-cache flags shared by ``compare`` and ``profile``."""
-    parser.add_argument(
-        "--store", nargs="?", const="", default=None, metavar="DIR",
-        help="persist fitted predictors to an on-disk store and load "
-             "them back on later runs (bare flag = $REPRO_CACHE_DIR or "
-             "the XDG cache dir)",
-    )
-    parser.add_argument(
-        "--warm-start", action="store_true",
-        help="seed unavoidable refits from the nearest same-config "
-             "stored artifact (requires --store; changes the fitted "
-             "weights, so results differ from a cold fit)",
-    )
-    parser.add_argument(
-        "--fit-workers", type=int, default=0,
-        help="fan the three per-resource DNN/HMM fits across N worker "
-             "processes (0 = serial; results are identical either way)",
-    )
-    parser.add_argument(
-        "--predictor-cache-size", type=int, default=16,
-        help="in-memory LRU bound of the fitted-predictor cache "
-             "(default: 16)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argparse tree for all subcommands."""
+    """Build the argparse tree from ``_SHARED`` and the ``_COMMANDS`` rows."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CORP (CLUSTER 2016) reproduction — experiment CLI",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"repro {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    compare = sub.add_parser("compare", help="run all four schedulers once")
-    compare.add_argument("--jobs", type=int, default=200)
-    compare.add_argument("--testbed", choices=("cluster", "ec2"), default="cluster")
-    compare.add_argument("--seed", type=int, default=7)
-    compare.add_argument(
-        "--workers", type=int, default=0,
-        help="run the four schedulers across N worker processes "
-             "(0 = in-process; results are identical either way)",
-    )
-    compare.add_argument(
-        "--events", metavar="PATH", default=None,
-        help="stream structured decision events (slot, placement, "
-             "preemption, predictor_fit, vm_fail, evict, retry) to a "
-             "JSONL file; with --workers, per-worker shards are merged",
-    )
-    compare.add_argument(
-        "--faults", nargs="?", const=0.3, type=float, default=None,
-        metavar="INTENSITY",
-        help="replay a seeded deterministic fault plan (VM crashes, "
-             "capacity revocations, predictor outages, job failures) of "
-             "the given intensity against every scheduler and report "
-             "resilience metrics (bare flag = 0.3)",
-    )
-    compare.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed of the fault plan (independent of the workload seed)",
-    )
-    compare.add_argument(
-        "--quick", action="store_true",
-        help="cap the job count at 30 (the CI smoke setting)",
-    )
-    from .experiments.scenarios import SCENARIO_FAMILIES
-
-    compare.add_argument(
-        "--scenario", choices=SCENARIO_FAMILIES, default=None,
-        help="run a scenario-zoo family instead of the steady arrival "
-             "mix: pipeline (phased DAG submission), diurnal (day/night "
-             "arrivals with flash crowds) or storm (correlated spot "
-             "revocations at intensity 0.5)",
-    )
-    _add_cache_options(compare)
-    _add_predictor_option(compare)
-    _add_scale_options(compare)
-    compare.set_defaults(func=_cmd_compare)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the asyncio allocation service over a generated workload",
-    )
-    serve.add_argument("--jobs", type=int, default=50)
-    serve.add_argument("--testbed", choices=("cluster", "ec2"), default="cluster")
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--method", choices=api.METHOD_ORDER, default="CORP",
-        help="the scheduler the service runs (default: CORP)",
-    )
-    serve.add_argument(
-        "--show-placements", type=int, default=0, metavar="N",
-        help="echo the first N streamed placement updates",
-    )
-    serve.add_argument(
-        "--events", metavar="PATH", default=None,
-        help="stream structured decision events to a JSONL file",
-    )
-    serve.add_argument(
-        "--faults", nargs="?", const=0.3, type=float, default=None,
-        metavar="INTENSITY",
-        help="replay a seeded deterministic fault plan while jobs "
-             "stream in (bare flag = 0.3)",
-    )
-    serve.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed of the fault plan (independent of the workload seed)",
-    )
-    _add_cache_options(serve)
-    _add_predictor_option(serve)
-    _add_scale_options(serve)
-    serve.set_defaults(func=_cmd_serve)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profiled comparison: per-stage timing table + counters",
-    )
-    profile.add_argument("--jobs", type=int, default=50)
-    profile.add_argument("--testbed", choices=("cluster", "ec2"), default="cluster")
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument(
-        "--out", default="PROFILE_runtime.json",
-        help="JSON report path (default: PROFILE_runtime.json)",
-    )
-    profile.add_argument(
-        "--events", metavar="PATH", default=None,
-        help="also stream decision events to a JSONL file",
-    )
-    _add_cache_options(profile)
-    _add_predictor_option(profile)
-    profile.set_defaults(func=_cmd_profile)
-
-    figure = sub.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("name", choices=FIGURES)
-    figure.add_argument("--testbed", choices=("cluster", "ec2"), default="cluster")
-    figure.add_argument("--seed", type=int, default=7)
-    figure.add_argument(
-        "--svg", metavar="PATH", default=None,
-        help="also render the figure as a standalone SVG chart "
-             "(fig06/fig07/fig09 and their EC2 twins)",
-    )
-    figure.set_defaults(func=_cmd_figure)
-
-    ablations = sub.add_parser("ablations", help="CORP component ablations")
-    ablations.add_argument("--jobs", type=int, default=300)
-    ablations.add_argument("--seed", type=int, default=7)
-    ablations.add_argument(
-        "--predictors", action="store_true",
-        help="ablate the forecasting family instead of the scheduler "
-             "components: one CORP run per registered predictor",
-    )
-    ablations.set_defaults(func=_cmd_ablations)
-
-    mixed = sub.add_parser("mixed", help="mixed short+long workload")
-    mixed.add_argument("--jobs", type=int, default=200)
-    mixed.add_argument("--seed", type=int, default=7)
-    mixed.set_defaults(func=_cmd_mixed)
-
-    storms = sub.add_parser(
-        "storms",
-        help="revocation-storm sweep: all methods at every storm intensity",
-    )
-    storms.add_argument("--jobs", type=int, default=200)
-    storms.add_argument(
-        "--testbed", choices=("cluster", "ec2"), default="cluster"
-    )
-    storms.add_argument("--seed", type=int, default=7)
-    storms.add_argument(
-        "--storm-seed", type=int, default=0,
-        help="seed of the revocation-wave schedule "
-             "(independent of the workload seed)",
-    )
-    storms.add_argument(
-        "--slots", type=int, default=400,
-        help="horizon (slots) the wave schedule covers (default: 400)",
-    )
-    storms.add_argument(
-        "--intensities", nargs="+", type=float, default=None,
-        metavar="I",
-        help="storm intensities to sweep (default: 0 0.25 0.5 1)",
-    )
-    storms.add_argument(
-        "--methods", nargs="+", metavar="METHOD", default=None,
-        help="restrict to a subset of the schedulers (default: all four)",
-    )
-    storms.add_argument(
-        "--workers", type=int, default=0,
-        help="fan the sweep across N worker processes (0 = in-process)",
-    )
-    storms.add_argument(
-        "--quick", action="store_true",
-        help="cap the job count at 30 (the CI smoke setting)",
-    )
-    storms.set_defaults(func=_cmd_storms)
-
-    from .check.rules import ALL_RULES
-
-    check = sub.add_parser(
-        "check",
-        help="run with the runtime invariant checker (or --replay a capture)",
-    )
-    check.add_argument("--jobs", type=int, default=50)
-    check.add_argument("--testbed", choices=("cluster", "ec2"), default="cluster")
-    check.add_argument("--seed", type=int, default=7)
-    check.add_argument(
-        "--methods", nargs="+", metavar="METHOD", default=None,
-        help="restrict to a subset of the schedulers "
-             "(default: all four; for --replay, the captured set)",
-    )
-    check.add_argument(
-        "--faults", nargs="?", const=0.3, type=float, default=None,
-        metavar="INTENSITY",
-        help="check under a seeded fault plan of the given intensity "
-             "(bare flag = 0.3)",
-    )
-    check.add_argument("--fault-seed", type=int, default=0)
-    check.add_argument(
-        "--rules", nargs="+", metavar="RULE", choices=ALL_RULES, default=None,
-        help=f"invariant rules to evaluate (default: all but "
-             f"'differential'; choices: {', '.join(ALL_RULES)})",
-    )
-    check.add_argument(
-        "--differential", action="store_true",
-        help="also diff every slot outcome against the reference "
-             "(pre-vectorization) executor — slower, strongest check",
-    )
-    check.add_argument(
-        "--tolerance", type=float, default=None,
-        help="numeric tolerance (default: 1e-6 for invariants, "
-             "1e-9 for --replay)",
-    )
-    check.add_argument(
-        "--events", metavar="PATH", default=None,
-        help="also capture a replayable JSONL event stream "
-             "(feed it back with --replay)",
-    )
-    check.add_argument(
-        "--replay", metavar="PATH", default=None,
-        help="differential replay: re-run the scenario this capture "
-             "describes and diff per-slot state and placements "
-             "against it",
-    )
-    check.add_argument(
-        "--quick", action="store_true",
-        help="cap the job count at 30 (the CI smoke setting)",
-    )
-    check.set_defaults(func=_cmd_check)
-
-    golden = sub.add_parser(
-        "golden",
-        help="compare seeded summaries against the committed golden trace",
-    )
-    golden.add_argument(
-        "--update", action="store_true",
-        help="(re)write the golden file instead of comparing against it",
-    )
-    golden.add_argument(
-        "--dir", default="tests/golden",
-        help="directory of the golden files (default: tests/golden)",
-    )
-    from .check.golden import (
-        GOLDEN_FAMILIES,
-        GOLDEN_FAULT_INTENSITY,
-        GOLDEN_FAULT_SEED,
-        GOLDEN_JOBS,
-        GOLDEN_SEED,
-        GOLDEN_TESTBED,
-    )
-
-    golden.add_argument("--jobs", type=int, default=GOLDEN_JOBS)
-    golden.add_argument(
-        "--testbed", choices=("cluster", "ec2"), default=GOLDEN_TESTBED
-    )
-    golden.add_argument("--seed", type=int, default=GOLDEN_SEED)
-    golden.add_argument(
-        "--faults", type=float, default=GOLDEN_FAULT_INTENSITY,
-        metavar="INTENSITY",
-        help="fault intensity of the faulted golden section",
-    )
-    golden.add_argument("--fault-seed", type=int, default=GOLDEN_FAULT_SEED)
-    golden.add_argument(
-        "--family",
-        choices=("all", "base") + GOLDEN_FAMILIES,
-        default="all",
-        help="which golden(s) to run: the base comparison, one scenario "
-        "family, or all of them (default)",
-    )
-    golden.set_defaults(func=_cmd_golden)
-
-    cache = sub.add_parser(
-        "cache", help="manage the on-disk fitted-predictor store"
-    )
-    cache.add_argument(
-        "action", choices=("stats", "clear", "warm"),
-        help="stats: print the artifact inventory; clear: delete every "
-             "artifact; warm: pre-fit one scenario's predictor into the "
-             "store",
-    )
-    cache.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="store directory (default: $REPRO_CACHE_DIR or the XDG "
-             "cache dir)",
-    )
-    cache.add_argument("--jobs", type=int, default=200,
-                       help="(warm) scenario size to pre-fit")
-    cache.add_argument("--testbed", choices=("cluster", "ec2"),
-                       default="cluster")
-    cache.add_argument("--seed", type=int, default=7)
-    cache.add_argument("--fit-workers", type=int, default=0,
-                       help="(warm) worker processes for the fit")
-    cache.add_argument(
-        "--quick", action="store_true",
-        help="(warm) cap the job count at 30 (matches compare --quick)",
-    )
-    cache.set_defaults(func=_cmd_cache)
-
-    predictors = sub.add_parser(
-        "predictors",
-        help="list the registered predictor families --predictor accepts",
-    )
-    predictors.set_defaults(func=_cmd_predictors)
+    for name, help, handler, options, defaults in _COMMANDS:
+        cmd = sub.add_parser(name, help=help)
+        for option in options:
+            if isinstance(option, str):
+                option = option, _SHARED[option]
+            flag, kwargs = option
+            dest = flag.lstrip("-").replace("-", "_")
+            if dest in defaults:
+                kwargs = {**kwargs, "default": defaults[dest]}
+            cmd.add_argument(flag, **kwargs)
+        cmd.set_defaults(func=handler)
     return parser
 
 

@@ -13,20 +13,17 @@ from ..core.config import CorpConfig
 from ..experiments.runner import (
     METHOD_ORDER,
     PredictorCache,
-    default_schedulers,
-    run_methods,
-    run_scenario,
+    RunSpec,
     run_specs,
     sweep_specs,
 )
 from ..experiments.scenarios import (
     SCENARIO_FAMILIES,
     Scenario,
-    cluster_scenario,
     diurnal_scenario,
-    ec2_scenario,
     pipeline_scenario,
     storm_scenario,
+    testbed_scenario,
 )
 from ..faults.plan import FaultPlan
 from ..forecast.base import Predictor
@@ -69,16 +66,9 @@ def build_scenario(
     revocation waves at intensity 0.5); ``None`` is the paper's plain
     steady-arrival scenario.
     """
-    builders = {"cluster": cluster_scenario, "ec2": ec2_scenario}
-    try:
-        builder = builders[testbed]
-    except KeyError:
-        raise ValueError(
-            f"unknown testbed {testbed!r} (expected 'cluster' or 'ec2')"
-        ) from None
     if family is None:
-        return builder(jobs, seed=seed)
-    profile = builder(1, seed=seed).profile
+        return testbed_scenario(testbed, jobs, seed=seed)
+    profile = testbed_scenario(testbed, 1, seed=seed).profile
     family_builders = {
         "pipeline": pipeline_scenario,
         "diurnal": diurnal_scenario,
@@ -103,33 +93,11 @@ def _apply_fault_plan(
     return scenario.with_fault_plan(fault_plan)
 
 
-def _apply_scale(scenario: Scenario, scale: ScaleConfig | None) -> Scenario:
-    """Fold an explicit ``scale=`` argument into the scenario.
-
-    ``None`` keeps whatever the scenario's ``sim_config`` already says —
-    the default single-shard config, byte-identical to pre-sharding
-    output.
-    """
-    return scenario.with_scale(scale)
-
-
 def _predictor_name(predictor: "str | Predictor") -> str:
     """The registry-name form of a ``predictor=`` argument (for specs/meta)."""
     if isinstance(predictor, str):
         return predictor
     return predictor.family
-
-
-def _require_named_predictor(
-    predictor: "str | Predictor", workers: int
-) -> None:
-    """Instances carry process-local state; parallel runs need names."""
-    if workers >= 2 and isinstance(predictor, Predictor):
-        raise ValueError(
-            "workers >= 2 with a predictor instance: fitted predictors "
-            "cannot cross process boundaries. Pass the registry name "
-            f"(e.g. predictor={predictor.family!r}) or run with workers=0."
-        )
 
 
 def _parallel_events_path(workers: int) -> str | None:
@@ -232,25 +200,14 @@ def run_one(
     scenario's :class:`~repro.cluster.shards.ScaleConfig` (availability-
     index sharding, streaming chunk size).
     """
-    if method not in METHOD_ORDER:
-        raise ValueError(
-            f"unknown method {method!r} (expected one of {METHOD_ORDER})"
-        )
-    scenario = _apply_fault_plan(scenario, fault_plan)
-    scenario = _apply_scale(scenario, scale)
-    with OBS.span("trace:generate"):
-        trace = scenario.evaluation_trace()
-        history = scenario.history_trace()
-    factories = default_schedulers(
-        corp_config=corp_config,
-        history=history,
-        predictor_cache=predictor_cache,
+    spec = RunSpec(
+        scenario=_apply_fault_plan(scenario, fault_plan).with_scale(scale),
+        method=method,
         seed=seed,
+        corp_config=corp_config,
         predictor=predictor,
     )
-    return run_scenario(
-        scenario, factories[method](), trace=trace, history=history
-    )
+    return run_specs(specs=[spec], predictor_cache=predictor_cache)[0]
 
 
 def compare(
@@ -282,9 +239,11 @@ def compare(
     built_here = scenario is None
     if scenario is None:
         scenario = build_scenario(jobs=jobs, testbed=testbed, seed=seed)
-    scenario = _apply_fault_plan(scenario, fault_plan)
-    scenario = _apply_scale(scenario, scale)
+    scenario = _apply_fault_plan(scenario, fault_plan).with_scale(scale)
     methods = tuple(methods)
+    specs = sweep_specs(
+        scenarios=[scenario], methods=methods, seed=seed, predictor=predictor
+    )
     _emit_run_meta(
         scenario=scenario,
         methods=methods,
@@ -294,29 +253,13 @@ def compare(
         replayable=built_here,
         predictor=_predictor_name(predictor),
     )
-    if workers >= 2:
-        _require_named_predictor(predictor, workers)
-        events_path = _parallel_events_path(workers)
-        specs = sweep_specs(
-            scenarios=[scenario],
-            methods=methods,
-            seed=seed,
-            predictor=predictor,
-        )
-        by_spec = run_specs(
-            specs=specs,
-            workers=workers,
-            predictor_cache=predictor_cache,
-            events_path=events_path,
-        )
-        return {s.method: r for s, r in zip(specs, by_spec)}
-    return run_methods(
-        scenario=scenario,
-        methods=methods,
+    results = run_specs(
+        specs=specs,
+        workers=workers,
         predictor_cache=predictor_cache,
-        seed=seed,
-        predictor=predictor,
+        events_path=_parallel_events_path(workers),
     )
+    return {spec.method: result for spec, result in zip(specs, results)}
 
 
 def sweep(
@@ -344,47 +287,21 @@ def sweep(
     with ``workers >= 2`` — as does a predictor *instance*, which
     cannot cross process boundaries.
     """
-    scenarios = [
-        _apply_scale(_apply_fault_plan(s, fault_plan), scale)
-        for s in scenarios
-    ]
-    _require_named_predictor(predictor, workers)
-    if isinstance(predictor, Predictor):
-        # One shared instance across every run: execute the same
-        # scenario-major order inline (specs carry names, not objects).
-        methods = tuple(methods)
-        results: list[SimulationResult] = []
-        for scn in scenarios:
-            with OBS.span("trace:generate"):
-                trace = scn.evaluation_trace()
-                history = scn.history_trace()
-            factories = default_schedulers(
-                corp_config=corp_config,
-                history=history,
-                predictor_cache=predictor_cache,
-                seed=seed,
-                predictor=predictor,
-            )
-            for method in methods:
-                results.append(
-                    run_scenario(
-                        scn, factories[method](), trace=trace, history=history
-                    )
-                )
-        return results
     specs = sweep_specs(
-        scenarios=scenarios,
+        scenarios=[
+            _apply_fault_plan(s, fault_plan).with_scale(scale)
+            for s in scenarios
+        ],
         methods=methods,
         seed=seed,
         corp_config=corp_config,
         predictor=predictor,
     )
-    events_path = _parallel_events_path(workers)
     return run_specs(
         specs=specs,
         workers=workers,
         predictor_cache=predictor_cache,
-        events_path=events_path,
+        events_path=_parallel_events_path(workers),
     )
 
 

@@ -209,10 +209,6 @@ class VirtualMachine:
         """Allocated-but-unused resource right now (``r − d``, Section II)."""
         return (self.committed() - self.primary_demand()).clip_nonnegative()
 
-    def opportunistic_load(self) -> ResourceVector:
-        """Demand already promised to opportunistic placements."""
-        return self.opportunistic_demand()
-
     # ------------------------------------------------------------------
     # placement management
     # ------------------------------------------------------------------

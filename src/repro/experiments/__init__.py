@@ -18,7 +18,6 @@ from .runner import (
     METHOD_ORDER,
     PredictorCache,
     default_schedulers,
-    run_methods,
     run_scenario,
 )
 from .scenarios import (
@@ -51,7 +50,6 @@ __all__ = [
     "METHOD_ORDER",
     "PredictorCache",
     "default_schedulers",
-    "run_methods",
     "run_scenario",
     "FAULT_INTENSITIES",
     "JOB_COUNTS",

@@ -14,7 +14,7 @@ from typing import Mapping
 from ..core.config import CorpConfig
 from ..core.corp import CorpScheduler
 from .runner import PredictorCache, run_scenario
-from .scenarios import cluster_scenario, ec2_scenario
+from .scenarios import cluster_scenario, testbed_scenario
 
 __all__ = ["ABLATIONS", "run_ablations", "run_predictor_ablation"]
 
@@ -79,8 +79,7 @@ def run_predictor_ablation(
 
     cache = cache if cache is not None else PredictorCache()
     names = predictors if predictors is not None else available_predictors()
-    builders = {"cluster": cluster_scenario, "ec2": ec2_scenario}
-    scenario = builders[testbed](n_jobs, seed=seed)
+    scenario = testbed_scenario(testbed, n_jobs, seed=seed)
     history = scenario.history_trace()
     trace = scenario.evaluation_trace()
     config = CorpConfig(seed=seed)

@@ -28,7 +28,7 @@ from ..core.corp import CorpScheduler
 from ..trace.records import Trace
 from .report import format_series_table, shape_check
 from .runner import METHOD_ORDER, PredictorCache, run_scenario
-from .scenarios import JOB_COUNTS, Scenario, cluster_scenario, ec2_scenario
+from .scenarios import JOB_COUNTS, Scenario, testbed_scenario
 
 __all__ = [
     "FigureResult",
@@ -88,14 +88,6 @@ class FigureResult:
 # ----------------------------------------------------------------------
 # shared machinery
 # ----------------------------------------------------------------------
-def _scenario(testbed: str, n_jobs: int, seed: int) -> Scenario:
-    if testbed == "cluster":
-        return cluster_scenario(n_jobs, seed=seed)
-    if testbed == "ec2":
-        return ec2_scenario(n_jobs, seed=seed)
-    raise ValueError(f"unknown testbed {testbed!r} (use 'cluster' or 'ec2')")
-
-
 def _factories(
     history: Trace,
     cache: PredictorCache,
@@ -162,11 +154,11 @@ def fig06_prediction_error(
         x_values=list(job_counts),
         expected_direction="ascending",
     )
-    history = _scenario(testbed, job_counts[0], seed).history_trace()
+    history = testbed_scenario(testbed, job_counts[0], seed=seed).history_trace()
     for n in job_counts:
         totals = {m: 0.0 for m in METHOD_ORDER}
         for rep in range(repeats):
-            scenario = _scenario(testbed, n, seed + rep)
+            scenario = testbed_scenario(testbed, n, seed=seed + rep)
             trace = scenario.evaluation_trace()
             runs = _run_all(
                 scenario, _factories(history, cache, seed=seed), history, trace
@@ -208,9 +200,9 @@ def fig07_utilization(
             expected_order=tuple(reversed(METHOD_ORDER)),
             expected_direction="ascending",  # DRA smallest ... CORP largest
         )
-    history = _scenario(testbed, job_counts[0], seed).history_trace()
+    history = testbed_scenario(testbed, job_counts[0], seed=seed).history_trace()
     for n in job_counts:
-        scenario = _scenario(testbed, n, seed)
+        scenario = testbed_scenario(testbed, n, seed=seed)
         trace = scenario.evaluation_trace()
         runs = _run_all(scenario, _factories(history, cache, seed=seed), history, trace)
         for method, run in runs.items():
@@ -242,7 +234,7 @@ def fig08_utilization_vs_slo(
     highest.
     """
     cache = cache if cache is not None else PredictorCache()
-    scenario = _scenario(testbed, n_jobs, seed)
+    scenario = testbed_scenario(testbed, n_jobs, seed=seed)
     history = scenario.history_trace()
     trace = scenario.evaluation_trace()
     curves: dict[str, list[tuple[float, float]]] = {m: [] for m in METHOD_ORDER}
@@ -294,7 +286,7 @@ def fig09_slo_vs_confidence(
         x_values=list(levels),
         expected_direction="ascending",
     )
-    scenario = _scenario(testbed, n_jobs, seed)
+    scenario = testbed_scenario(testbed, n_jobs, seed=seed)
     history = scenario.history_trace()
     trace = scenario.evaluation_trace()
     for eta in levels:
@@ -331,7 +323,7 @@ def fig10_overhead(
     its cluster latency (higher RTT).
     """
     cache = cache if cache is not None else PredictorCache()
-    scenario = _scenario(testbed, n_jobs, seed)
+    scenario = testbed_scenario(testbed, n_jobs, seed=seed)
     history = scenario.history_trace()
     trace = scenario.evaluation_trace()
     runs = _run_all(scenario, _factories(history, cache, seed=seed), history, trace)

@@ -20,7 +20,7 @@ import dataclasses
 from ..trace.generator import GoogleTraceGenerator
 from ..trace.records import Trace
 from ..trace.transform import resample_trace
-from .runner import METHOD_ORDER, PredictorCache, default_schedulers, run_scenario
+from .runner import PredictorCache, RunSpec, run_scenario
 from .scenarios import Scenario, cluster_scenario
 
 __all__ = ["mixed_scenario", "run_mixed_workload"]
@@ -82,15 +82,13 @@ def run_mixed_workload(
         scenario.sim_config.slot_duration_s,
         seed=history_cfg.seed,
     )
-    factories = default_schedulers(
-        history=history, predictor_cache=cache, seed=seed
-    )
     out: dict[str, dict[str, float]] = {}
     for name in methods:
-        if name not in METHOD_ORDER:
-            raise ValueError(f"unknown method {name!r}")
+        scheduler = RunSpec(
+            scenario=scenario, method=name, seed=seed
+        ).make_scheduler(cache, history)
         result = run_scenario(
-            scenario, factories[name](), trace=trace, history=history
+            scenario, scheduler, trace=trace, history=history
         )
         summary = result.summary()
         summary["riders"] = float(sum(1 for j in result.jobs if j.opportunistic))

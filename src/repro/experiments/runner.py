@@ -5,11 +5,15 @@ DNN/HMM fit across the many runs of a sweep — the paper trains once on
 the historical Google-trace data and reuses the models.
 
 API convention (finalized in v1.2): the public entry points
-:func:`run_methods`, :func:`run_specs` and :func:`sweep_specs` take
-keyword-only arguments with uniform names (``scenario=``, ``specs=``,
-``scenarios=``, ``predictor_cache=``, ``workers=``).  The v1.1
-deprecation shims (positional forms, the ``cache=`` spelling) are gone:
-those calls now raise :class:`TypeError`.
+:func:`run_specs` and :func:`sweep_specs` take keyword-only arguments
+with uniform names (``specs=``, ``scenarios=``, ``predictor_cache=``,
+``workers=``).  The v1.1 deprecation shims (positional forms, the
+``cache=`` spelling) are gone: those calls now raise :class:`TypeError`.
+
+:func:`run_specs` is the one orchestrator of "scenario x method ->
+result": every :mod:`repro.api` entry point builds :class:`RunSpec`
+lists and executes them here, on top of the :func:`run_scenario`
+single-run primitive.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import os
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..baselines import CloudScaleScheduler, DraScheduler, RccrScheduler
 from ..cluster.scheduler import Scheduler
@@ -39,7 +43,6 @@ __all__ = [
     "PredictorCache",
     "default_schedulers",
     "run_scenario",
-    "run_methods",
     "RunSpec",
     "run_specs",
     "sweep_specs",
@@ -282,43 +285,6 @@ def run_scenario(
     return result
 
 
-def run_methods(
-    *,
-    scenario: Scenario,
-    factories: Mapping[str, SchedulerFactory] | None = None,
-    methods: Iterable[str] = METHOD_ORDER,
-    history: Trace | None = None,
-    predictor_cache: PredictorCache | None = None,
-    seed: int = 0,
-    predictor: "str | Predictor" = "corp",
-) -> dict[str, SimulationResult]:
-    """Run every requested method on the *same* evaluation trace.
-
-    Keyword-only: ``run_methods(scenario=..., predictor_cache=...)``.
-    ``predictor`` names the family CORP forecasts with (baselines are
-    unaffected); only used when ``factories`` is not given.
-    """
-    with OBS.span("trace:generate"):
-        eval_trace = scenario.evaluation_trace()
-        hist_trace = (
-            history if history is not None else scenario.history_trace()
-        )
-    if factories is None:
-        factories = default_schedulers(
-            history=hist_trace,
-            predictor_cache=predictor_cache,
-            seed=seed,
-            predictor=predictor,
-        )
-    results: dict[str, SimulationResult] = {}
-    for name in methods:
-        scheduler = factories[name]()
-        results[name] = run_scenario(
-            scenario, scheduler, trace=eval_trace, history=hist_trace
-        )
-    return results
-
-
 # ----------------------------------------------------------------------
 # Spec-based runner: the unit of work a sweep fans out over.
 # ----------------------------------------------------------------------
@@ -328,9 +294,11 @@ def run_methods(
 class RunSpec:
     """One (scenario, method) run — the schedulable unit of a sweep.
 
-    Specs are plain picklable data: a sweep is a list of them, and the
-    same list can execute serially or across worker processes with
-    bit-identical results (wall-clock ``allocation_latency_s`` aside).
+    Specs are plain picklable data (a :class:`Predictor` instance in
+    ``predictor`` aside): a sweep is a list of them, and the same list
+    can execute serially or across worker processes with bit-identical
+    results (wall-clock ``allocation_latency_s`` aside).  An unknown
+    ``method`` raises :class:`ValueError` at construction.
     """
 
     scenario: Scenario
@@ -338,9 +306,30 @@ class RunSpec:
     seed: int = 0
     #: Optional CORP config override (defaults to ``CorpConfig(seed=seed)``).
     corp_config: CorpConfig | None = None
-    #: Registry family name CORP forecasts with (specs stay picklable,
-    #: so only names — not instances — travel here).
-    predictor: str = "corp"
+    #: The family CORP forecasts with: a registry name, or a
+    #: :class:`Predictor` instance (process-local, so in-process runs
+    #: only — ``run_specs(workers >= 2)`` rejects it).
+    predictor: "str | Predictor" = "corp"
+
+    def __post_init__(self) -> None:
+        if self.method not in METHOD_ORDER:
+            raise ValueError(
+                f"unknown method {self.method!r} "
+                f"(expected one of {METHOD_ORDER})"
+            )
+
+    def make_scheduler(
+        self, cache: PredictorCache | None, history: Trace
+    ) -> Scheduler:
+        """This spec's scheduler, its offline fit shared through ``cache``."""
+        factories = default_schedulers(
+            corp_config=self.corp_config,
+            history=history,
+            predictor_cache=cache,
+            seed=self.seed,
+            predictor=self.predictor,
+        )
+        return factories[self.method]()
 
 
 def sweep_specs(
@@ -349,7 +338,7 @@ def sweep_specs(
     methods: Iterable[str] = METHOD_ORDER,
     seed: int = 0,
     corp_config: CorpConfig | None = None,
-    predictor: str = "corp",
+    predictor: "str | Predictor" = "corp",
 ) -> list[RunSpec]:
     """The full cross product of scenarios × methods, in sweep order.
 
@@ -377,20 +366,14 @@ def _execute_spec(
     history: Trace | None = None,
 ) -> SimulationResult:
     """Run one spec; traces may be passed in to share generation."""
-    if history is not None:
-        hist = history
-    else:
+    if history is None:
         with OBS.span("trace:generate"):
-            hist = spec.scenario.history_trace()
-    factories = default_schedulers(
-        corp_config=spec.corp_config,
-        history=hist,
-        predictor_cache=cache,
-        seed=spec.seed,
-        predictor=spec.predictor,
-    )
+            history = spec.scenario.history_trace()
     return run_scenario(
-        spec.scenario, factories[spec.method](), trace=trace, history=hist
+        spec.scenario,
+        spec.make_scheduler(cache, history),
+        trace=trace,
+        history=history,
     )
 
 
@@ -495,6 +478,14 @@ def run_specs(
             )
         return results
 
+    for spec in specs:
+        if isinstance(spec.predictor, Predictor):
+            raise ValueError(
+                "workers >= 2 with a predictor instance: fitted predictors "
+                "cannot cross process boundaries. Pass the registry name "
+                f"(e.g. predictor={spec.predictor.family!r}) or run with "
+                "workers=0."
+            )
     # Pre-fit every CORP predictor the specs will need; workers receive
     # the fitted models and skip the offline phase entirely.
     hist_by_scenario: dict[int, Trace] = {}

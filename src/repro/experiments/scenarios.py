@@ -30,6 +30,7 @@ __all__ = [
     "Scenario",
     "cluster_scenario",
     "ec2_scenario",
+    "testbed_scenario",
     "pipeline_scenario",
     "diurnal_scenario",
     "storm_scenario",
@@ -259,6 +260,18 @@ def ec2_scenario(
         history_config=_history_config(seed),
         sim_config=SimulationConfig(slo=SloSpec(slack_factor=slo_slack)),
     )
+
+
+def testbed_scenario(testbed: str, n_jobs: int, *, seed: int = 7) -> Scenario:
+    """The paper's scenario for a testbed name (``"cluster"`` or ``"ec2"``)."""
+    builders = {"cluster": cluster_scenario, "ec2": ec2_scenario}
+    try:
+        builder = builders[testbed]
+    except KeyError:
+        raise ValueError(
+            f"unknown testbed {testbed!r} (expected 'cluster' or 'ec2')"
+        ) from None
+    return builder(n_jobs, seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ def sweep(
     """Run ``run(x)`` for each x and collect one metric per method.
 
     ``run`` returns a method-name → :class:`SimulationResult` mapping,
-    e.g. a :func:`repro.experiments.runner.run_methods` closure.
+    e.g. a :func:`repro.api.compare` closure.
     """
     out = SweepResult(x_label=x_label, x_values=list(x_values), metric=metric)
     for x in x_values:

@@ -102,16 +102,9 @@ def takeover_run(
     from ..service.daemon import build_kernel
 
     if scenario is None:
-        from ..experiments.scenarios import cluster_scenario, ec2_scenario
+        from ..experiments.scenarios import testbed_scenario
 
-        builders = {"cluster": cluster_scenario, "ec2": ec2_scenario}
-        try:
-            builder = builders[testbed]
-        except KeyError:
-            raise ValueError(
-                f"unknown testbed {testbed!r} (expected 'cluster' or 'ec2')"
-            ) from None
-        scenario = builder(jobs, seed=seed)
+        scenario = testbed_scenario(testbed, jobs, seed=seed)
     if fault_plan is not None:
         scenario = scenario.with_fault_plan(fault_plan)
 

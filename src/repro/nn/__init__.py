@@ -12,7 +12,6 @@ from .layers import DenseLayer
 from .losses import MAE, MSE, Loss, get_loss, pinball
 from .network import FeedForwardNetwork
 from .optimizers import SGD, Adam, Momentum, Optimizer, get_optimizer
-from .parallel import DataParallelTrainer
 from .scaling import MinMaxScaler
 from .training import TrainingConfig, TrainingHistory, train, train_validation_split
 
@@ -41,7 +40,6 @@ __all__ = [
     "Momentum",
     "Optimizer",
     "get_optimizer",
-    "DataParallelTrainer",
     "MinMaxScaler",
     "TrainingConfig",
     "TrainingHistory",

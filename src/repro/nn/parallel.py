@@ -1,34 +1,16 @@
-"""Data-parallel DNN training — the paper's stated future work.
+"""Process fan-out for independent fits — the paper's stated future work.
 
 Section VI: "In the future, we will further consider designing a
 distributed deep learning training system to reduce the computation
-overhead caused by DNN."  This module implements the standard
-synchronous data-parallel scheme on shared memory:
-
-* the batch is sharded across ``n_workers`` replicas,
-* each replica runs forward/backward on its shard (NumPy's BLAS-backed
-  matmuls release the GIL, so a thread pool gives real parallelism on
-  the heavy layers),
-* gradients are averaged (weighted by shard size — the exact equivalent
-  of the single-worker full-batch gradient) and applied once.
-
-Because the averaged gradient equals the full-batch gradient, training
-is *bitwise-equivalent in expectation* to the sequential path; the
-equivalence is asserted by the test suite.
+overhead caused by DNN."
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
-import numpy as np
-
-from .losses import MSE, Loss
-from .network import FeedForwardNetwork
-from .optimizers import Optimizer, SGD
-
-__all__ = ["DataParallelTrainer", "parallel_map"]
+__all__ = ["parallel_map"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -56,115 +38,3 @@ def parallel_map(
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(fn, task) for task in tasks]
         return [future.result() for future in futures]
-
-
-class _Replica:
-    """A worker-local view sharing the master's parameter arrays.
-
-    Workers never update parameters — they only need private
-    forward/backward *caches*, so each replica owns a private network
-    whose parameter arrays alias the master's (zero-copy).
-    """
-
-    def __init__(self, master: FeedForwardNetwork) -> None:
-        sizes = [master.input_size] + [l.out_features for l in master.layers]
-        self.network = FeedForwardNetwork(sizes)
-        for mine, theirs in zip(self.network.layers, master.layers):
-            mine.activation = theirs.activation
-            mine.weights = theirs.weights  # aliased, read-only use
-            mine.biases = theirs.biases
-
-    def gradients(
-        self, x: np.ndarray, y: np.ndarray, loss: Loss
-    ) -> tuple[list[dict[str, np.ndarray]], float, int]:
-        """Forward/backward on a shard: (per-layer grads, loss, rows)."""
-        pred = self.network.forward(x)
-        value = loss.fn(pred, y)
-        self.network.backward(loss.grad(pred, y))
-        grads = [
-            {k: v.copy() for k, v in layer.gradients().items()}
-            for layer in self.network.layers
-        ]
-        return grads, value, x.shape[0]
-
-
-class DataParallelTrainer:
-    """Synchronous data-parallel gradient steps over a thread pool."""
-
-    def __init__(
-        self,
-        network: FeedForwardNetwork,
-        n_workers: int = 2,
-        *,
-        optimizer: Optimizer | None = None,
-        loss: Loss = MSE,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.network = network
-        self.n_workers = n_workers
-        self.optimizer = optimizer or SGD()
-        self.loss = loss
-        self._replicas = [_Replica(network) for _ in range(n_workers)]
-        self._pool: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-        )
-
-    # ------------------------------------------------------------------
-    def _shard(self, x: np.ndarray, y: np.ndarray):
-        bounds = np.linspace(0, x.shape[0], self.n_workers + 1).astype(int)
-        for i in range(self.n_workers):
-            lo, hi = bounds[i], bounds[i + 1]
-            if hi > lo:
-                yield i, x[lo:hi], y[lo:hi]
-
-    def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
-        """One synchronous data-parallel step; returns the batch loss."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        if y.shape[0] != x.shape[0]:
-            raise ValueError("x and y row counts differ")
-        shards = list(self._shard(x, y))
-        if not shards:
-            raise ValueError("empty batch")
-
-        if self._pool is None or len(shards) == 1:
-            results = [
-                self._replicas[i].gradients(xs, ys, self.loss)
-                for i, xs, ys in shards
-            ]
-        else:
-            futures = [
-                self._pool.submit(self._replicas[i].gradients, xs, ys, self.loss)
-                for i, xs, ys in shards
-            ]
-            results = [f.result() for f in futures]
-
-        # All-reduce: shard-size-weighted average == full-batch gradient.
-        total = sum(n for _, _, n in results)
-        loss_value = sum(v * n for _, v, n in results) / total
-        merged = [
-            {
-                name: sum(g[li][name] * n for g, _, n in results) / total
-                for name in results[0][0][li]
-            }
-            for li in range(len(self.network.layers))
-        ]
-        for li, layer in enumerate(self.network.layers):
-            params = layer.parameters()
-            for name, grad in merged[li].items():
-                self.optimizer.step(f"layer{li}/{name}", params[name], grad)
-        return float(loss_value)
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "DataParallelTrainer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -102,21 +102,17 @@ def build_kernel(
     preloads the scenario's evaluation trace — the batch form the
     standby-takeover drill steps manually.
     """
-    from ..experiments.runner import METHOD_ORDER, default_schedulers
+    from ..experiments.runner import RunSpec
 
-    if method not in METHOD_ORDER:
-        raise ValueError(
-            f"unknown method {method!r} (expected one of {METHOD_ORDER})"
-        )
-    history = scenario.history_trace()
-    factories = default_schedulers(
-        corp_config=corp_config,
-        history=history,
-        predictor_cache=predictor_cache,
+    spec = RunSpec(
+        scenario=scenario,
+        method=method,
         seed=seed,
+        corp_config=corp_config,
         predictor=predictor,
     )
-    scheduler = factories[method]()
+    history = scenario.history_trace()
+    scheduler = spec.make_scheduler(predictor_cache, history)
     sim = ClusterSimulator(
         scenario.profile,
         scheduler,
@@ -378,16 +374,9 @@ def open_service(
     instances and processes.
     """
     if scenario is None:
-        from ..experiments.scenarios import cluster_scenario, ec2_scenario
+        from ..experiments.scenarios import testbed_scenario
 
-        builders = {"cluster": cluster_scenario, "ec2": ec2_scenario}
-        try:
-            builder = builders[testbed]
-        except KeyError:
-            raise ValueError(
-                f"unknown testbed {testbed!r} (expected 'cluster' or 'ec2')"
-            ) from None
-        scenario = builder(jobs, seed=seed)
+        scenario = testbed_scenario(testbed, jobs, seed=seed)
     if fault_plan is not None:
         scenario = scenario.with_fault_plan(fault_plan)
     scenario = scenario.with_scale(scale)

@@ -12,6 +12,7 @@ import textwrap
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro import api
 from repro.cluster.machine import VirtualMachine
@@ -19,6 +20,8 @@ from repro.cluster.profiles import ClusterProfile
 from repro.core.preemption import PreemptionGate
 from repro.core.vm_selection import CandidateSet
 from repro.forecast.confidence import PredictionErrorTracker
+
+pytestmark = pytest.mark.slow
 
 
 def tight_scenario(jobs: int = 20):

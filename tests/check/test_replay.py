@@ -9,6 +9,8 @@ import pytest
 from repro import api
 from repro.check.replay import replay_events
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def capture_path(tmp_path_factory):

@@ -10,7 +10,6 @@ from repro.core.config import CorpConfig
 from repro.experiments.runner import (
     METHOD_ORDER,
     PredictorCache,
-    run_methods,
     run_specs,
     sweep_specs,
 )
@@ -75,6 +74,18 @@ class TestCompare:
         with pytest.raises(TypeError):
             api.compare(50)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_unknown_method_rejected(self, small_scenario, workers):
+        # Used to surface as a raw KeyError from the factory lookup.
+        with pytest.raises(ValueError, match="unknown method 'FOO'.*CORP"):
+            api.compare(
+                scenario=small_scenario, methods=("DRA", "FOO"), workers=workers
+            )
+        with pytest.raises(ValueError, match="unknown method 'FOO'.*CORP"):
+            api.sweep(
+                scenarios=[small_scenario], methods=["FOO"], workers=workers
+            )
+
     def test_memory_sink_with_workers_rejected(self, small_scenario):
         # In-memory sinks cannot receive events from worker processes;
         # v1.2 raises a clear error instead of silently forcing serial.
@@ -127,8 +138,10 @@ class TestRemovedPositionalForms:
     """The v1.1 deprecation shims are gone: positional calls now raise."""
 
     def test_run_methods_positional_raises(self, small_scenario):
+        # runner.run_methods is gone; its replacement, api.compare, is
+        # keyword-only in the same way.
         with pytest.raises(TypeError):
-            run_methods(small_scenario, methods=("DRA",))
+            api.compare(small_scenario, methods=("DRA",))
 
     def test_sweep_specs_positional_raises(self, small_scenario):
         with pytest.raises(TypeError):
@@ -152,7 +165,7 @@ class TestRemovedPositionalForms:
 
     def test_scenario_still_required(self):
         with pytest.raises(TypeError, match="scenario"):
-            run_methods()
+            api.run_one(method="DRA")
 
 
 class TestPredictorCacheLru:
@@ -239,6 +252,7 @@ class TestProfileRun:
         assert not OBS.enabled  # profiling switched back off
 
 
+@pytest.mark.slow
 class TestCliObservability:
     def test_version_flag(self, capsys):
         from repro import __version__

@@ -84,6 +84,7 @@ class TestAblationsSmoke:
             assert "riders" in s
 
 
+@pytest.mark.slow
 class TestMixedSmoke:
     def test_scenario_builder(self):
         scenario = mixed_scenario(50, short_fraction=0.6)
@@ -102,6 +103,7 @@ class TestMixedSmoke:
             run_mixed_workload(n_jobs=10, cache=cache, methods=("Borg",))
 
 
+@pytest.mark.slow
 class TestCli:
     def test_parser_commands(self):
         from repro.__main__ import build_parser
@@ -130,6 +132,23 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["storms", "--quick", "--jobs", "8", "--intensities", "0"],
+            ["check", "--quick", "--jobs", "8"],
+        ],
+        ids=["storms", "check"],
+    )
+    def test_unknown_method_is_a_one_line_error(self, argv, capsys):
+        # Used to escape main() as a raw KeyError traceback.
+        from repro.__main__ import main
+
+        assert main(argv + ["--methods", "FOO"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown method 'FOO'")
+        assert err.count("\n") == 1
 
     def test_workers_parser_option(self):
         from repro.__main__ import build_parser

@@ -187,6 +187,7 @@ class TestPredictorAblation:
             run_predictor_ablation(n_jobs=10, predictors=("bogus",))
 
 
+@pytest.mark.slow
 class TestCliDispatch:
     def test_compare_accepts_predictor_flag(self, capsys):
         from repro.__main__ import main

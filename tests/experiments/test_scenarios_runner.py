@@ -5,18 +5,26 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import api
 from repro.cluster.profiles import ClusterProfile
 from repro.experiments.runner import (
     METHOD_ORDER,
     PredictorCache,
     RunSpec,
     default_schedulers,
-    run_methods,
+    run_scenario,
     run_specs,
     sweep_specs,
 )
 from repro.experiments.scenarios import JOB_COUNTS, cluster_scenario, ec2_scenario
 from repro.core.config import CorpConfig
+
+
+def _behavior(result):
+    """A run's summary minus the wall-clock latency (differs every run)."""
+    summary = result.summary()
+    summary.pop("allocation_latency_s", None)
+    return summary
 
 
 @pytest.fixture(scope="module")
@@ -112,18 +120,15 @@ class TestRunner:
         assert a is not b
 
     def test_run_methods_all_four(self, small_scenario):
+        # Ported from runner.run_methods: api.compare runs every method
+        # on the same trace, in presentation order, off one offline fit.
         cache = PredictorCache()
-        cfg = CorpConfig(n_hidden_layers=1, units_per_layer=8, train_max_epochs=3)
-        history = small_scenario.history_trace()
-        factories = default_schedulers(
-            corp_config=cfg, history=history, predictor_cache=cache
-        )
-        results = run_methods(
-            scenario=small_scenario, factories=factories, history=history
-        )
-        assert set(results) == set(METHOD_ORDER)
-        for result in results.values():
+        results = api.compare(scenario=small_scenario, predictor_cache=cache)
+        assert list(results) == list(METHOD_ORDER)
+        for method, result in results.items():
+            assert result.scheduler_name == method
             assert result.all_done
+        assert (cache.misses, len(cache)) == (1, 1)
 
     def test_cache_shared_across_regenerated_histories(self, small_scenario):
         # Sweeps regenerate the history trace at every point; identical
@@ -148,21 +153,96 @@ class TestRunSpecs:
         assert all(s.scenario is small_scenario for s in specs)
 
     def test_serial_matches_run_methods(self, small_scenario):
+        # The spec runner against the run_scenario primitive it is built
+        # on: hand-made factories, one shared trace pair (what the
+        # removed runner.run_methods did).
         specs = self._specs(small_scenario)
         by_spec = run_specs(specs=specs, predictor_cache=PredictorCache())
+        trace = small_scenario.evaluation_trace()
+        history = small_scenario.history_trace()
         factories = default_schedulers(
             corp_config=self.FAST_CFG,
-            history=small_scenario.history_trace(),
+            history=history,
             predictor_cache=PredictorCache(),
             seed=5,
         )
-        by_methods = run_methods(
-            scenario=small_scenario, factories=factories, seed=5
-        )
         for spec, result in zip(specs, by_spec):
-            a, b = result.summary(), by_methods[spec.method].summary()
-            a.pop("allocation_latency_s"), b.pop("allocation_latency_s")
-            assert a == b
+            direct = run_scenario(
+                small_scenario,
+                factories[spec.method](),
+                trace=trace,
+                history=history,
+            )
+            assert _behavior(result) == _behavior(direct)
+
+    #: Every public way to run "all methods on one scenario", as
+    #: ``(scenario, cache) -> {method: result}``.  All of them build
+    #: RunSpecs and execute through run_specs.
+    ENTRY_POINTS = {
+        "compare": lambda s, cache: api.compare(
+            scenario=s, predictor_cache=cache
+        ),
+        "compare-workers2": lambda s, cache: api.compare(
+            scenario=s, predictor_cache=cache, workers=2
+        ),
+        "run_one": lambda s, cache: {
+            method: api.run_one(
+                scenario=s, method=method, seed=7, predictor_cache=cache
+            )
+            for method in METHOD_ORDER
+        },
+        "sweep": lambda s, cache: dict(zip(METHOD_ORDER, api.sweep(
+            scenarios=[s], seed=7, predictor_cache=cache
+        ))),
+        "sweep-instance": lambda s, cache: dict(zip(METHOD_ORDER, api.sweep(
+            scenarios=[s],
+            seed=7,
+            predictor_cache=cache,
+            predictor=cache.get(CorpConfig(seed=7), s.history_trace()),
+        ))),
+    }
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        scenario = api.build_scenario(jobs=20, seed=7)
+        specs = sweep_specs(scenarios=[scenario], seed=7)
+        results = run_specs(specs=specs, predictor_cache=PredictorCache())
+        return scenario, {
+            spec.method: _behavior(result)
+            for spec, result in zip(specs, results)
+        }
+
+    @pytest.mark.parametrize("form", sorted(ENTRY_POINTS))
+    def test_every_entry_point_is_the_one_path(self, reference, form):
+        scenario, expected = reference
+        cache = PredictorCache()
+        results = self.ENTRY_POINTS[form](scenario, cache)
+        assert list(results) == list(METHOD_ORDER)
+        assert {m: _behavior(r) for m, r in results.items()} == expected
+        # The shared-fit property: one offline fit serves every method
+        # (parallel runs prefit in the parent, so it holds there too).
+        assert cache.misses == 1
+
+    def test_unknown_method_rejected_when_the_spec_is_built(
+        self, small_scenario
+    ):
+        with pytest.raises(ValueError, match="unknown method 'Borg'"):
+            RunSpec(scenario=small_scenario, method="Borg")
+        with pytest.raises(ValueError, match="unknown method 'Borg'"):
+            sweep_specs(scenarios=[small_scenario], methods=("DRA", "Borg"))
+
+    def test_predictor_instance_rejected_across_processes(
+        self, small_scenario
+    ):
+        from repro.forecast.quantile import QuantileHistogramPredictor
+
+        spec = RunSpec(
+            scenario=small_scenario,
+            method="DRA",
+            predictor=QuantileHistogramPredictor(),
+        )
+        with pytest.raises(ValueError, match="process boundaries"):
+            run_specs(specs=[spec, spec], workers=2)
 
     def test_parallel_bit_identical_to_serial(self, small_scenario):
         # The tentpole contract: fanning the same specs over worker

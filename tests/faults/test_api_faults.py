@@ -114,6 +114,7 @@ class TestFaultSweepScenarios:
             assert point.trace_config == small_scenario.trace_config
 
 
+@pytest.mark.slow
 class TestCliFaults:
     def test_compare_faults_quick(self, capsys):
         from repro.__main__ import main

@@ -1,12 +1,11 @@
-"""Data-parallel training: equivalence with the sequential path."""
+"""``parallel_map``: process fan-out equivalent to the serial loop."""
 
 import numpy as np
-import pytest
 
-from repro.nn.losses import MSE, pinball
+from repro.nn.losses import MSE
 from repro.nn.network import FeedForwardNetwork
-from repro.nn.optimizers import SGD, Adam
-from repro.nn.parallel import DataParallelTrainer, parallel_map
+from repro.nn.optimizers import SGD
+from repro.nn.parallel import parallel_map
 
 
 def make_data(n=64, seed=0):
@@ -14,62 +13,6 @@ def make_data(n=64, seed=0):
     x = rng.uniform(size=(n, 4))
     y = x.mean(axis=1, keepdims=True)
     return x, y
-
-
-class TestEquivalence:
-    @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
-    def test_matches_sequential_sgd_step(self, n_workers):
-        """The averaged gradient equals the full-batch gradient, so one
-        data-parallel SGD step equals one sequential SGD step."""
-        x, y = make_data()
-        sequential = FeedForwardNetwork([4, 8, 1], seed=1)
-        parallel = FeedForwardNetwork([4, 8, 1], seed=1)
-        sequential.train_batch(x, y, optimizer=SGD(0.5), loss=MSE)
-        with DataParallelTrainer(parallel, n_workers, optimizer=SGD(0.5)) as trainer:
-            trainer.train_batch(x, y)
-        for a, b in zip(sequential.layers, parallel.layers):
-            np.testing.assert_allclose(a.weights, b.weights, atol=1e-12)
-            np.testing.assert_allclose(a.biases, b.biases, atol=1e-12)
-
-    def test_matches_over_many_steps(self):
-        x, y = make_data(48, seed=3)
-        sequential = FeedForwardNetwork([4, 6, 1], seed=2)
-        parallel = FeedForwardNetwork([4, 6, 1], seed=2)
-        opt_a, opt_b = SGD(0.3), SGD(0.3)
-        with DataParallelTrainer(parallel, 3, optimizer=opt_b) as trainer:
-            for _ in range(20):
-                sequential.train_batch(x, y, optimizer=opt_a)
-                trainer.train_batch(x, y)
-        np.testing.assert_allclose(
-            sequential.layers[0].weights, parallel.layers[0].weights, atol=1e-9
-        )
-
-    def test_loss_matches_sequential(self):
-        x, y = make_data()
-        net_a = FeedForwardNetwork([4, 8, 1], seed=4)
-        net_b = FeedForwardNetwork([4, 8, 1], seed=4)
-        expected = net_a.train_batch(x, y, optimizer=SGD(0.1))
-        with DataParallelTrainer(net_b, 4, optimizer=SGD(0.1)) as trainer:
-            actual = trainer.train_batch(x, y)
-        assert actual == pytest.approx(expected)
-
-    def test_pinball_loss_supported(self):
-        x, y = make_data()
-        net = FeedForwardNetwork([4, 8, 1], seed=5)
-        with DataParallelTrainer(net, 2, loss=pinball(0.35)) as trainer:
-            loss = trainer.train_batch(x, y)
-        assert loss > 0.0
-
-
-class TestTrainingProgress:
-    def test_converges(self):
-        x, y = make_data(256, seed=6)
-        net = FeedForwardNetwork([4, 16, 1], seed=7)
-        with DataParallelTrainer(net, 4, optimizer=Adam(0.01)) as trainer:
-            first = trainer.train_batch(x, y)
-            for _ in range(150):
-                last = trainer.train_batch(x, y)
-        assert last < first * 0.5
 
 
 # Module-level so the process pool can pickle it.
@@ -102,27 +45,3 @@ class TestParallelMap:
         fanned = parallel_map(_train_tiny_net, [0, 1, 2], workers=2)
         for a, b in zip(serial, fanned):
             np.testing.assert_array_equal(a, b)
-
-
-class TestValidation:
-    def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            DataParallelTrainer(FeedForwardNetwork([2, 2, 1]), 0)
-
-    def test_row_mismatch(self):
-        net = FeedForwardNetwork([2, 2, 1])
-        with DataParallelTrainer(net, 2) as trainer:
-            with pytest.raises(ValueError):
-                trainer.train_batch(np.zeros((4, 2)), np.zeros((3, 1)))
-
-    def test_more_workers_than_rows(self):
-        net = FeedForwardNetwork([2, 2, 1], seed=8)
-        with DataParallelTrainer(net, 8) as trainer:
-            loss = trainer.train_batch(np.ones((3, 2)), np.zeros((3, 1)))
-        assert np.isfinite(loss)
-
-    def test_replicas_share_master_parameters(self):
-        net = FeedForwardNetwork([2, 2, 1], seed=9)
-        trainer = DataParallelTrainer(net, 2)
-        assert trainer._replicas[0].network.layers[0].weights is net.layers[0].weights
-        trainer.close()

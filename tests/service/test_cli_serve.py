@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
 
+
+@pytest.mark.slow
 class TestServeCommand:
     def test_parser_options(self):
         from repro.__main__ import build_parser
@@ -57,6 +60,24 @@ class TestTruncationWarning:
         result = api.run_one(scenario=scenario, method="RCCR")
         _warn_truncated({"RCCR": result})
         assert "truncated at max_slots" in capsys.readouterr().err
+
+    def test_storm_runs_labelled_method_at_intensity(
+        self, capsys, monkeypatch, small_scenario
+    ):
+        # `repro storms` used to report a truncated run as "run3".
+        import dataclasses
+
+        from repro import api
+        from repro.__main__ import main
+
+        scenario = dataclasses.replace(
+            small_scenario,
+            sim_config=dataclasses.replace(small_scenario.sim_config, max_slots=3),
+        )
+        monkeypatch.setattr(api, "build_scenario", lambda **_: scenario)
+        argv = ["storms", "--intensities", "0", "0.5", "--methods", "RCCR", "DRA"]
+        assert main(argv) == 0
+        assert "RCCR@0, DRA@0, RCCR@0.5, DRA@0.5 " in capsys.readouterr().err
 
     def test_silent_on_complete_result(self, capsys, small_scenario):
         from repro import api

@@ -27,6 +27,8 @@ from repro.check.golden import (
     load_golden,
 )
 
+pytestmark = pytest.mark.slow
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 #: The metric each family golden must pin — proof the scenario actually
