@@ -62,6 +62,7 @@ import argparse
 import contextlib
 import json
 import sys
+import warnings
 from typing import Callable, Mapping
 
 from . import __version__, api
@@ -119,12 +120,12 @@ _SHARED = dict((
           "per-workload selection); see `repro predictors`",
           default="corp", metavar="NAME"),
     _flag("--shards",
-          "partition the availability index into N VM-pool shards (default: "
-          "1; results are identical at any shard count — sharding bounds "
-          "per-slot recompute work on 10k+-VM clusters)",
+          "deprecated, no effect; removed next release (the availability "
+          "index is flat — results were identical at every shard count)",
           type=int, metavar="N"),
     _flag("--chunk-size",
-          "records per chunk for streaming trace generation (default: 4096)",
+          "deprecated, no effect; removed next release (no command streams "
+          "a trace in chunks)",
           type=int, metavar="N"),
     _flag("--methods",
           "restrict to a subset of the schedulers (default: all four; for "
@@ -192,6 +193,14 @@ def _run_inputs(args: argparse.Namespace) -> tuple:
         for knob in ("shards", "chunk_size")
         if getattr(args, knob, None) is not None
     }
+    if "chunk_size" in knobs:
+        # --shards warns from ScaleConfig itself; chunk_size is still a
+        # live field for library callers, so only the flag is deprecated.
+        warnings.warn(
+            "--chunk-size is deprecated and has no effect; it will be "
+            "removed in v1.10",
+            DeprecationWarning,
+        )
     return jobs, fault_plan, cache, api.ScaleConfig(**knobs) if knobs else None
 
 

@@ -14,10 +14,9 @@ keyword-only entry points plus the observability attachments:
   :func:`predictor_summaries` enumerate the registry;
 * ``scale=`` (v1.7, on :func:`run_one` / :func:`compare` /
   :func:`sweep` / :func:`open_service`) — a typed
-  :class:`~repro.cluster.shards.ScaleConfig` selecting the hyperscale
-  knobs: availability-index shard count and streaming-trace chunk size;
-  the default single-shard config is byte-identical to pre-sharding
-  output;
+  :class:`~repro.cluster.shards.ScaleConfig`: the streaming-trace
+  chunk size, plus ``shards``, a deprecated no-op (the availability
+  index is flat) removed in v1.10;
 * :func:`build_fault_plan` / :func:`inject` — seeded deterministic
   fault schedules and their attachment to scenarios (``fault_plan=`` on
   the entry points is the shorthand);

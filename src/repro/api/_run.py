@@ -197,8 +197,8 @@ def run_one(
     (or passes a prebuilt :class:`~repro.forecast.base.Predictor`
     instance); baselines ignore it.  Unknown names raise
     :class:`ValueError` listing the registry.  ``scale=`` overrides the
-    scenario's :class:`~repro.cluster.shards.ScaleConfig` (availability-
-    index sharding, streaming chunk size).
+    scenario's :class:`~repro.cluster.shards.ScaleConfig` (streaming
+    chunk size; ``shards`` is a deprecated no-op).
     """
     spec = RunSpec(
         scenario=_apply_fault_plan(scenario, fault_plan).with_scale(scale),
@@ -228,10 +228,11 @@ def compare(
     Pass either a prebuilt ``scenario`` or the (``jobs``, ``testbed``,
     ``seed``) triple to build one; ``fault_plan=`` replays a fault
     schedule against every method, ``predictor=`` selects CORP's
-    forecasting family and ``scale=`` sets the hyperscale knobs
-    (availability-index shards, streaming chunk size).  ``workers >= 2`` fans the methods over worker
-    processes — results are bit-identical to serial, and the predictor
-    must then be a registry name (instances are process-local).  With a
+    forecasting family and ``scale=`` sets the scale knobs (streaming
+    chunk size; ``shards`` is a deprecated no-op).  ``workers >= 2``
+    fans the methods over worker processes — results are bit-identical
+    to serial, and the predictor must then be a registry name
+    (instances are process-local).  With a
     path-backed JSONL sink attached, each worker records its events to a
     shard merged (in method order) on join; in-memory sinks and
     profiling cannot cross processes and raise :class:`ValueError`.

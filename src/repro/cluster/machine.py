@@ -83,7 +83,7 @@ class VirtualMachine:
         #: ``max_vm_capacity``) can key their caches on it.
         self.capacity_version = 0
         #: Bumped whenever anything a placement index mirrors changes —
-        #: commitment, effective capacity or liveness.  The sharded
+        #: commitment, effective capacity or liveness.  The persistent
         #: availability index (:mod:`repro.cluster.shards`) compares
         #: these counters to decide which rows to re-read, so every
         #: mutation path below must route through

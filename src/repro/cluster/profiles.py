@@ -91,15 +91,14 @@ class ClusterProfile:
     def hyperscale(
         cls, n_pms: int = 1250, vms_per_pm: int = 8
     ) -> "ClusterProfile":
-        """A 10k-VM datacenter testbed for the sharding layer.
+        """A 10k-VM datacenter testbed.
 
         Defaults to 1250 dense PMs (64 cores / 256 GB / 4 TB, modern
         2-socket boxes) carved into 8 VMs each — 10,000 VMs, two orders
-        of magnitude beyond the paper's testbeds.  Exercised by
-        ``bench_runtime.py --scale`` together with streaming trace
-        generation; pair it with ``ScaleConfig(shards=...)`` so the
-        availability index is shard-partitioned rather than one 10k-row
-        rebuild per slot.
+        of magnitude beyond the paper's testbeds.  Exercised by the
+        ledger's ``hyperscale_stream`` workload together with streaming
+        trace generation; the persistent availability index keeps the
+        per-slot cost at the rows that changed, not a 10k-row rebuild.
         """
         return cls(
             name="hyperscale",

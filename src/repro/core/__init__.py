@@ -14,7 +14,6 @@ from .packing import (
     pack_jobs,
     singleton_entities,
 )
-from .persistence import load_predictor, save_predictor
 from .predictor import CorpPredictor, build_training_set
 from .preemption import PreemptionGate
 from .provisioning import ProvisioningSchedulerBase
@@ -30,8 +29,6 @@ __all__ = [
     "singleton_entities",
     "CorpPredictor",
     "build_training_set",
-    "load_predictor",
-    "save_predictor",
     "PreemptionGate",
     "ProvisioningSchedulerBase",
     "select_most_matched",

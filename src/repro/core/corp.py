@@ -30,6 +30,7 @@ from ..check import CHECK
 from ..cluster.job import Job
 from ..cluster.machine import VirtualMachine
 from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
+from ..cluster.shards import ShardedCandidateIndex
 from ..forecast.base import Predictor
 from ..forecast.confidence import z_value
 from ..obs import OBS
@@ -37,8 +38,8 @@ from ..trace.records import Trace
 from .config import CorpConfig
 from .packing import JobEntity, pack_jobs, singleton_entities
 from .predictor import CorpPredictor
-from .provisioning import CandidatePool, ProvisioningSchedulerBase
-from .vm_selection import select_most_matched, select_random_feasible
+from .provisioning import ProvisioningSchedulerBase
+from .vm_selection import CandidateSet
 
 __all__ = ["CorpScheduler"]
 
@@ -254,24 +255,17 @@ class CorpScheduler(ProvisioningSchedulerBase):
     def choose_vm(
         self,
         demand: ResourceVector,
-        candidates: Sequence[tuple[VirtualMachine, ResourceVector]],
+        candidates: CandidateSet | ShardedCandidateIndex,
     ) -> VirtualMachine | None:
         """Most-matched VM by unused-resource volume (Eq. 22).
 
-        On the scheduler's own path ``candidates`` is a
-        :class:`CandidateSet` (or, at ``scale.shards > 1``, the
-        shard-partitioned index with identical selection semantics) and
-        the choice is one matrix expression per shard; plain pair lists
-        fall back to the scalar reference loop.
+        ``candidates`` is a pool (a :class:`CandidateSet` or the
+        persistent index over one) and the choice is one matrix
+        expression; with volume selection ablated off it is the
+        baselines' uniform-random feasible VM.
         """
         if not self.config.use_volume_selection:
-            if isinstance(candidates, CandidatePool):
-                return candidates.select_random_feasible(demand, self.rng)
-            return select_random_feasible(demand, candidates, self.rng)
-        if isinstance(candidates, CandidatePool):
-            return candidates.select_most_matched(
-                demand, self.sim.max_vm_capacity()
-            )
-        return select_most_matched(
-            demand, candidates, reference=self.sim.max_vm_capacity()
+            return super().choose_vm(demand, candidates)
+        return candidates.select_most_matched(
+            demand, self.sim.max_vm_capacity()
         )

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
 from ..forecast.base import Predictor, window_samples
+from ..hmm.discretize import ThresholdBands
 from ..hmm.fluctuation import FluctuationPredictor
 from ..hmm.model import HiddenMarkovModel
 from ..obs import OBS
@@ -31,6 +32,7 @@ from ..nn.parallel import parallel_map
 from ..nn.training import TrainingConfig, train
 from ..trace.records import Trace
 from .config import CorpConfig
+from .predictor_store import FIT_FIELDS
 
 __all__ = ["CorpPredictor", "build_training_set"]
 
@@ -147,11 +149,7 @@ def _fit_one_resource(task: _ResourceFitTask) -> _ResourceFitResult:
         prior = float(np.quantile(y, q))
 
     # HMM over job-level unused-fraction series.
-    fp = FluctuationPredictor(
-        window=cfg.window_slots,
-        mode=cfg.hmm_mode,  # type: ignore[arg-type]
-        seed=cfg.seed + 101 * (kind + 1),
-    )
+    fp = _unfitted_fluctuation(cfg, kind)
     if task.histories:
         fp.fit(task.histories, init_model=task.warm_model)
     # else: unfitted — corrections disabled
@@ -167,14 +165,21 @@ def _fit_one_resource(task: _ResourceFitTask) -> _ResourceFitResult:
     )
 
 
+def _unfitted_fluctuation(cfg: CorpConfig, kind: int) -> FluctuationPredictor:
+    """Resource ``kind``'s HMM stage as the config alone determines it."""
+    return FluctuationPredictor(
+        window=cfg.window_slots,
+        mode=cfg.hmm_mode,  # type: ignore[arg-type]
+        seed=cfg.seed + 101 * (kind + 1),
+    )
+
+
 @dataclass
 class CorpPredictor(Predictor):
     """Fit-once DNN + HMM predictor over all resource types.
 
     Registered as family ``"corp"`` — the default implementation of the
-    :class:`~repro.forecast.base.Predictor` protocol.  Serialization
-    goes through :mod:`repro.core.persistence` (DNN weights, HMM
-    parameters), not the generic payload path.
+    :class:`~repro.forecast.base.Predictor` protocol.
     """
 
     family = "corp"
@@ -292,6 +297,65 @@ class CorpPredictor(Predictor):
                     **result.info,
                 )
         return self
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_config(cls, config: CorpConfig) -> "CorpPredictor":
+        return cls(config=config)
+
+    def to_payload(self) -> tuple[dict[str, np.ndarray], dict]:
+        """Adds the DNN weights and each fitted HMM to the base payload.
+
+        Of the config only :data:`~repro.core.predictor_store.FIT_FIELDS`
+        is stored — the fields that shape the models; the rest are
+        runtime knobs the scheduler owns.
+        """
+        arrays, meta = super().to_payload()
+        meta["config"] = {name: getattr(self.config, name) for name in FIT_FIELDS}
+        for k in range(NUM_RESOURCES):
+            for li, params in enumerate(self.networks[k].get_weights()):
+                for name, value in params.items():
+                    arrays[f"net{k}/layer{li}/{name}"] = value
+            fp = self.fluctuation[k]
+            if fp.fitted:  # an absent hmm{k}/* block restores as unfitted
+                arrays[f"hmm{k}/A"] = fp.model.transition
+                arrays[f"hmm{k}/B"] = fp.model.emission
+                arrays[f"hmm{k}/pi"] = fp.model.initial
+                arrays[f"hmm{k}/bands"] = np.array(
+                    [fp.bands.minimum, fp.bands.mean, fp.bands.maximum]
+                )
+                arrays[f"hmm{k}/correction_scale"] = np.array(fp.correction_scale)
+        return arrays, meta
+
+    @classmethod
+    def from_payload(
+        cls, arrays: dict[str, np.ndarray], meta: dict, config: object = None
+    ) -> "CorpPredictor":
+        """Bit-identical restore; ``config=None`` rebuilds it from the
+        stored fit fields (runtime knobs at their defaults)."""
+        if config is None:
+            config = CorpConfig(**meta["config"])
+        predictor = cls(config=config)
+        predictor._restore_payload(arrays, meta)
+        for k in range(NUM_RESOURCES):
+            net = FeedForwardNetwork(config.dnn_layer_sizes(), seed=config.seed)
+            net.set_weights([
+                {name: arrays[f"net{k}/layer{li}/{name}"] for name in layer.parameters()}
+                for li, layer in enumerate(net.layers)
+            ])
+            predictor.networks.append(net)
+            fp = _unfitted_fluctuation(config, k)
+            if f"hmm{k}/A" in arrays:
+                fp.model = HiddenMarkovModel(
+                    arrays[f"hmm{k}/A"].copy(),
+                    arrays[f"hmm{k}/B"].copy(),
+                    arrays[f"hmm{k}/pi"].copy(),
+                )
+                lo, mean, hi = (float(v) for v in arrays[f"hmm{k}/bands"])
+                fp.bands = ThresholdBands(minimum=lo, mean=mean, maximum=hi)
+                fp.correction_scale = float(arrays[f"hmm{k}/correction_scale"])
+            predictor.fluctuation.append(fp)
+        return predictor
 
     # ------------------------------------------------------------------
     def _predict_fraction(self, kind: int, util: np.ndarray) -> float:

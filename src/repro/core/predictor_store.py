@@ -4,7 +4,7 @@ The in-process :class:`~repro.experiments.runner.PredictorCache` (PR 1)
 amortizes the offline DNN/HMM fit *within* one process; every fresh CLI
 run, CI job and pool worker still pays the full Eq. 5-8 training cost.
 This store extends the cache across processes: each fitted predictor is
-serialized (via :mod:`repro.core.persistence`) under a file name derived
+serialized (:meth:`Predictor.save_npz`) under a file name derived
 from the *fit fingerprint* — a digest of the history trace's content and
 every config field that shapes the fit — so a second process that would
 train on identical data loads the artifact instead.
@@ -12,13 +12,14 @@ train on identical data loads the artifact instead.
 Layout (one artifact = one npz + one sidecar, both named by fingerprint)::
 
     <root>/
-        <fingerprint>.npz    # DNN weights, HMM (A, B, pi), CI seed
-                             # errors, priors (save_predictor format)
+        <fingerprint>.npz    # the family's save_npz payload (corp: DNN
+                             # weights, HMM (A, B, pi), CI seed errors,
+                             # priors)
         <fingerprint>.json   # store/format version stamp, history
                              # digest, fit config, creation time
 
 Invalidation is purely content-driven: the fingerprint covers
-:data:`STORE_VERSION`, the persistence format version, the history
+:data:`STORE_VERSION`, the payload format version, the history
 digest and :data:`FIT_FIELDS`, so changing any of them changes the file
 name and old artifacts simply stop being found (``repro cache clear``
 reclaims the space).  Writers are concurrency-safe by construction:
@@ -38,9 +39,10 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..forecast.base import PAYLOAD_VERSION
+from ..forecast.registry import predictor_class
 from ..obs import OBS
 from .config import CorpConfig
-from .persistence import _FORMAT_VERSION, load_predictor, save_predictor
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .predictor import CorpPredictor
@@ -56,12 +58,14 @@ __all__ = [
 #: Bumped when stored artifacts become semantically incompatible with
 #: the current fit pipeline; part of the fingerprint, so a bump
 #: invalidates every old artifact without touching the files.
-STORE_VERSION = 1
+#: 2: the CORP family moved from its own archive layout to the
+#: ``save_npz`` payload every family uses.
+STORE_VERSION = 2
 
-#: Every CorpConfig field that shapes the fitted models.  This is the
-#: persistence layer's identity set plus the training-loop knobs
-#: (epoch cap, batch size) — two configs that differ in any of these
-#: may fit different models and must map to different artifacts.
+#: Every CorpConfig field that shapes the fitted models, training-loop
+#: knobs (epoch cap, batch size) included — two configs that differ in
+#: any of these may fit different models and must map to different
+#: artifacts.
 FIT_FIELDS: tuple[str, ...] = (
     "window_slots",
     "input_slots",
@@ -83,7 +87,7 @@ def fit_fingerprint(
 ) -> str:
     """Hex digest identifying one (family, config, history) fit.
 
-    Covers the predictor family, the store and persistence format
+    Covers the predictor family, the store and payload format
     versions, the full :data:`FIT_FIELDS` identity and the history
     trace's content digest — everything that determines the bit pattern
     of a deterministic fit.  The family is part of the key so artifacts
@@ -92,7 +96,7 @@ def fit_fingerprint(
     """
     payload = {
         "store_version": STORE_VERSION,
-        "format_version": _FORMAT_VERSION,
+        "format_version": PAYLOAD_VERSION,
         "family": family,
         "history_digest": history_digest,
         "config": {name: getattr(config, name) for name in FIT_FIELDS},
@@ -145,13 +149,11 @@ class PredictorStore:
     ):
         """The stored predictor for (family, config, history), or None.
 
-        The CORP family round-trips through the legacy
-        :mod:`repro.core.persistence` archive; every other family
-        restores via its class's :meth:`Predictor.load_npz`.  A
-        returned CORP predictor carries the *requested* config object:
-        the archive only serializes the fit-shaping fields, and the
-        fingerprint guarantees those match, so adopting the caller's
-        config restores the runtime knobs too.
+        Restored via the family class's :meth:`Predictor.load_npz`,
+        which is handed the *requested* config object: archives only
+        serialize the fit-shaping fields, and the fingerprint
+        guarantees those match, so adopting the caller's config
+        restores the runtime knobs too.
         """
         fingerprint = fit_fingerprint(config, history_digest, family)
         path = self._npz_path(fingerprint)
@@ -160,15 +162,7 @@ class PredictorStore:
             OBS.count("predictor_store.miss")
             return None
         try:
-            if family == "corp":
-                predictor = load_predictor(path)
-                predictor.config = config
-            else:
-                from ..forecast.registry import predictor_class
-
-                predictor = predictor_class(family).load_npz(
-                    path, config=config
-                )
+            predictor = predictor_class(family).load_npz(path, config=config)
         except Exception:  # corrupt / truncated / stale-format artifact
             self.misses += 1
             OBS.count("predictor_store.miss")
@@ -186,13 +180,11 @@ class PredictorStore:
         """Persist a fitted predictor; returns the artifact path.
 
         The family is taken from the predictor itself and keyed into
-        the fingerprint; CORP uses the legacy archive, every other
-        family its own :meth:`Predictor.save_npz` payload.  Write-to-
-        temp + atomic rename: concurrent writers of the same key race
-        harmlessly (identical content, last rename wins) and readers
-        never observe a partial file.
+        the fingerprint.  Write-to-temp + atomic rename: concurrent
+        writers of the same key race harmlessly (identical content,
+        last rename wins) and readers never observe a partial file.
         """
-        family = getattr(predictor, "family", "corp")
+        family = predictor.family
         fingerprint = fit_fingerprint(config, history_digest, family)
         self.root.mkdir(parents=True, exist_ok=True)
         final = self._npz_path(fingerprint)
@@ -201,17 +193,14 @@ class PredictorStore:
         )
         os.close(fd)
         try:
-            if family == "corp":
-                save_predictor(predictor, tmp)
-            else:
-                predictor.save_npz(tmp)
+            predictor.save_npz(tmp)
             os.replace(tmp, final)
         finally:
             if os.path.exists(tmp):  # pragma: no cover - failed save
                 os.unlink(tmp)
         meta = {
             "store_version": STORE_VERSION,
-            "format_version": _FORMAT_VERSION,
+            "format_version": PAYLOAD_VERSION,
             "family": family,
             "fingerprint": fingerprint,
             "history_digest": history_digest,
@@ -258,7 +247,9 @@ class PredictorStore:
         if best is None:
             return None
         try:
-            donor = load_predictor(self._npz_path(best["fingerprint"]))
+            donor = predictor_class("corp").load_npz(
+                self._npz_path(best["fingerprint"])
+            )
         except Exception:  # pragma: no cover - corrupt donor
             return None
         self.warm_hits += 1

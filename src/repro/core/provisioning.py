@@ -34,12 +34,7 @@ from ..cluster.shards import ShardedCandidateIndex
 from ..obs import OBS
 from .packing import JobEntity, singleton_entities
 from .preemption import PreemptionGate
-from .vm_selection import CandidateSet, select_random_feasible, unused_volume
-
-#: The pool shapes the placement path selects from: the original
-#: single-matrix set or its shard-partitioned hyperscale counterpart
-#: (duck-compatible; see :mod:`repro.cluster.shards`).
-CandidatePool = (CandidateSet, ShardedCandidateIndex)
+from .vm_selection import CandidateSet, unused_volume
 
 __all__ = ["ProvisioningSchedulerBase"]
 
@@ -104,18 +99,13 @@ class ProvisioningSchedulerBase(Scheduler):
         self._window_jobset: dict[int, frozenset[int]] = {}
         self._window_raw_forecast: dict[int, np.ndarray] = {}
         #: Candidate pools the placement path selects from.  The
-        #: primary pool is a *persistent* sharded availability index
+        #: primary pool is a *persistent* availability index
         #: refreshed in place via VM ``state_version`` dirty tracking;
         #: the opportunistic pool is per-window forecast state and is
         #: rebuilt each call (its rows are scheduler bookkeeping, not
         #: VM state a version counter could mirror).
         self._primary_index: ShardedCandidateIndex | None = None
-        self._primary_pool: CandidateSet | ShardedCandidateIndex = CandidateSet(
-            [], np.zeros((0, NUM_RESOURCES))
-        )
-        self._opp_pool: CandidateSet | ShardedCandidateIndex = CandidateSet(
-            [], np.zeros((0, NUM_RESOURCES))
-        )
+        self._opp_pool = CandidateSet([], np.zeros((0, NUM_RESOURCES)))
         #: Running (min, sum, count) of realized availability over the
         #: window's valid slots — the realized counterpart the forecast
         #: is scored against (see ``actual_aggregate``).
@@ -153,18 +143,16 @@ class ProvisioningSchedulerBase(Scheduler):
     def choose_vm(
         self,
         demand: ResourceVector,
-        candidates: Sequence[tuple[VirtualMachine, ResourceVector]],
+        candidates: CandidateSet | ShardedCandidateIndex,
     ) -> VirtualMachine | None:
         """Pick a feasible VM (default: the baselines' uniform random).
 
-        ``candidates`` is a :class:`CandidateSet` (or its sharded
-        counterpart) on the scheduler's own path; overrides that iterate
-        it as ``(vm, availability)`` pairs (the documented shape) keep
+        ``candidates`` is a pool — a :class:`CandidateSet` or the
+        persistent index over one; overrides that iterate it as
+        ``(vm, availability)`` pairs (the documented shape) keep
         working unchanged.
         """
-        if isinstance(candidates, CandidatePool):
-            return candidates.select_random_feasible(demand, self.rng)
-        return select_random_feasible(demand, candidates, self.rng)
+        return candidates.select_random_feasible(demand, self.rng)
 
     def opportunistic_allowed(self) -> bool:
         """Scheme-level switch on reuse for this window (CORP: Eq. 21)."""
@@ -361,9 +349,9 @@ class ProvisioningSchedulerBase(Scheduler):
         :class:`ShardedCandidateIndex` over the cluster's VMs:
         :meth:`~repro.cluster.shards.ShardedCandidateIndex.refresh`
         re-reads only the rows whose VM ``state_version`` moved since
-        the last call, so a slot that touched two shards recomputes two
-        shards rather than rebuilding an ``(n_vms, l)`` matrix from
-        Python attribute reads.  The opportunistic pool (unlocked
+        the last call, so a slot that touched two VMs rewrites two rows
+        rather than rebuilding an ``(n_vms, l)`` matrix from Python
+        attribute reads.  The opportunistic pool (unlocked
         predicted unused) is per-window scheduler bookkeeping and is
         rebuilt each call as before.  Both pools are updated
         incrementally (``consume``) as placements land within the call.
@@ -376,36 +364,19 @@ class ProvisioningSchedulerBase(Scheduler):
             and not self._degraded
             and self.opportunistic_allowed()
         )
-        scale = self.sim.config.scale
         vms = self.sim.vms
         index = self._primary_index
-        if (
-            index is None
-            or index.source_vms is not vms
-            or index.n_shards != scale.shards
-        ):
-            index = self._primary_index = ShardedCandidateIndex.for_vms(
-                vms, shards=scale.shards
-            )
-        touched = index.refresh()
+        if index is None or index.source_vms is not vms:
+            index = self._primary_index = ShardedCandidateIndex.for_vms(vms)
+        rewritten = index.refresh()
         if OBS.enabled:
-            OBS.count("shards.touched", touched)
-            OBS.count("shards.skipped", index.n_shards - touched)
-        self._primary_pool = index
+            OBS.count("index.rows_refreshed", rewritten)
         opp_vms = [
             vm for vm in vms if vm.online and vm.vm_id in self._available_unused
         ]
-        opp_matrix = (
-            np.array([self._available_unused[vm.vm_id] for vm in opp_vms])
-            if opp_vms
-            else np.zeros((0, NUM_RESOURCES))
+        self._opp_pool = CandidateSet(
+            opp_vms, np.array([self._available_unused[vm.vm_id] for vm in opp_vms])
         )
-        if scale.shards > 1:
-            self._opp_pool = ShardedCandidateIndex(
-                opp_vms, opp_matrix, shards=scale.shards
-            )
-        else:
-            self._opp_pool = CandidateSet(opp_vms, opp_matrix)
         for entity in self.make_entities(pending):
             placed.extend(
                 self._place_entity_units(entity, slot, allow_opportunistic)
@@ -445,12 +416,9 @@ class ProvisioningSchedulerBase(Scheduler):
                     placed.append(job)
         return placed
 
-    def _opportunistic_candidates(self) -> "CandidateSet | ShardedCandidateIndex":
-        return self._opp_pool
-
     def _try_opportunistic(self, entity: JobEntity, slot: int) -> bool:
         admission = self.opportunistic_admission_size(entity)
-        candidates = self._opportunistic_candidates()
+        candidates = self._opp_pool
         vm = self.choose_vm(admission, candidates)
         if vm is None:
             return False
@@ -465,7 +433,7 @@ class ProvisioningSchedulerBase(Scheduler):
         return True
 
     def _try_primary(self, entity: JobEntity, slot: int) -> bool:
-        candidates = self._primary_pool
+        candidates = self._primary_index
         vm = self.choose_vm(entity.demand, candidates)
         if vm is None:
             return False
@@ -484,7 +452,7 @@ class ProvisioningSchedulerBase(Scheduler):
         vm: VirtualMachine,
         slot: int,
         opportunistic: bool,
-        candidates: Sequence[tuple[VirtualMachine, ResourceVector]] | None,
+        candidates: CandidateSet | ShardedCandidateIndex | None,
         demand: ResourceVector | None,
     ) -> None:
         """One ``placement`` event per placed job (decision telemetry).
@@ -495,14 +463,8 @@ class ProvisioningSchedulerBase(Scheduler):
         """
         feasible = volume = None
         if candidates is not None and demand is not None:
-            if isinstance(candidates, CandidatePool):
-                feasible = candidates.feasible_count(demand)
-                chosen = candidates.availability(vm)
-            else:
-                feasible = sum(
-                    1 for _, avail in candidates if demand.fits_within(avail)
-                )
-                chosen = next((a for v, a in candidates if v is vm), None)
+            feasible = candidates.feasible_count(demand)
+            chosen = candidates.availability(vm)
             if chosen is not None and self._sim is not None:
                 volume = unused_volume(chosen, self.sim.max_vm_capacity())
         ids = entity.job_ids()
@@ -532,7 +494,7 @@ class ProvisioningSchedulerBase(Scheduler):
         slot: int,
         *,
         opportunistic: bool,
-        candidates: Sequence[tuple[VirtualMachine, ResourceVector]] | None = None,
+        candidates: CandidateSet | ShardedCandidateIndex | None = None,
         demand: ResourceVector | None = None,
     ) -> None:
         # Dispatching an entity to a VM is one remote operation.

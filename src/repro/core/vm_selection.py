@@ -76,7 +76,7 @@ class CandidateSet:
     resolve identically.)
     """
 
-    __slots__ = ("vms", "matrix", "_ids", "_rows")
+    __slots__ = ("vms", "matrix", "online", "_ids", "_rows")
 
     def __init__(
         self, vms: Sequence[VirtualMachine], matrix: np.ndarray
@@ -91,6 +91,10 @@ class CandidateSet:
                 f"{len(self.vms)} VMs x {NUM_RESOURCES} resources"
             )
         self.matrix = matrix.copy()
+        #: Optional liveness lane (one bool per row): a row marked
+        #: False is infeasible for every demand, the all-zero one
+        #: included.  The persistent index shares its lane here.
+        self.online: np.ndarray | None = None
         self._ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
         self._rows = {vm.vm_id: i for i, vm in enumerate(self.vms)}
 
@@ -100,12 +104,10 @@ class CandidateSet:
     ) -> "CandidateSet":
         """Build from a scalar-style candidate list."""
         pairs = list(pairs)
-        vms = [vm for vm, _ in pairs]
-        matrix = (
-            np.array([avail.as_array() for _, avail in pairs])
-            if pairs else np.zeros((0, NUM_RESOURCES))
+        return cls(
+            [vm for vm, _ in pairs],
+            np.array([avail.as_array() for _, avail in pairs]),
         )
-        return cls(vms, matrix)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -137,8 +139,11 @@ class CandidateSet:
 
     # ------------------------------------------------------------------
     def feasible_mask(self, demand: ResourceVector) -> np.ndarray:
-        """Boolean row mask of candidates the demand fits within."""
-        return (demand.as_array() <= self.matrix + _FIT_ATOL).all(axis=1)
+        """Boolean row mask of live candidates the demand fits within."""
+        mask = (demand.as_array() <= self.matrix + _FIT_ATOL).all(axis=1)
+        if self.online is not None:
+            mask &= self.online
+        return mask
 
     def feasible_count(self, demand: ResourceVector) -> int:
         """How many candidates the demand fits within."""

@@ -213,6 +213,17 @@ def cluster_scenario(
     )
 
 
+def _plan_or_control(builder, *, seed: int, n_slots: int, intensity: float):
+    """``builder``'s plan at ``intensity``; exactly 0 is the control point.
+
+    The fault-free control carries no plan at all (not an empty one);
+    any other value reaches the builder, which rejects negatives.
+    """
+    if intensity == 0:
+        return None
+    return builder(seed=seed, n_slots=n_slots, intensity=intensity)
+
+
 def fault_sweep_scenarios(
     base: Scenario,
     *,
@@ -227,21 +238,16 @@ def fault_sweep_scenarios(
     (intensity ``0`` carries no plan — the fault-free control), so the
     sweep isolates the effect of churn on each scheduler.
     """
-    out: list[Scenario] = []
-    for intensity in intensities:
-        plan = (
-            build_fault_plan(seed=seed, n_slots=n_slots, intensity=intensity)
-            if intensity > 0
-            else None
+    return [
+        replace(
+            base,
+            name=f"{base.name}-faults{intensity:g}",
+            fault_plan=_plan_or_control(
+                build_fault_plan, seed=seed, n_slots=n_slots, intensity=intensity
+            ),
         )
-        out.append(
-            replace(
-                base,
-                name=f"{base.name}-faults{intensity:g}",
-                fault_plan=plan,
-            )
-        )
-    return out
+        for intensity in intensities
+    ]
 
 
 def ec2_scenario(
@@ -334,18 +340,10 @@ def storm_scenario(
     mirroring :func:`fault_sweep_scenarios`.
     """
     base = cluster_scenario(n_jobs, seed=seed, profile=profile)
-    plan = (
-        build_revocation_storm(
-            seed=storm_seed, n_slots=n_slots, intensity=intensity
-        )
-        if intensity > 0
-        else None
+    (storm,) = storm_sweep_scenarios(
+        base, intensities=(intensity,), seed=storm_seed, n_slots=n_slots
     )
-    return replace(
-        base,
-        name=f"storm-{intensity:g}-{n_jobs}jobs",
-        fault_plan=plan,
-    )
+    return replace(storm, name=f"storm-{intensity:g}-{n_jobs}jobs")
 
 
 def storm_sweep_scenarios(
@@ -362,20 +360,14 @@ def storm_sweep_scenarios(
     cohorts instead of independent faults (intensity ``0`` carries no
     plan — the fault-free control).
     """
-    out: list[Scenario] = []
-    for intensity in intensities:
-        plan = (
-            build_revocation_storm(
-                seed=seed, n_slots=n_slots, intensity=intensity
-            )
-            if intensity > 0
-            else None
+    return [
+        replace(
+            base,
+            name=f"{base.name}-storm{intensity:g}",
+            fault_plan=_plan_or_control(
+                build_revocation_storm,
+                seed=seed, n_slots=n_slots, intensity=intensity,
+            ),
         )
-        out.append(
-            replace(
-                base,
-                name=f"{base.name}-storm{intensity:g}",
-                fault_plan=plan,
-            )
-        )
-    return out
+        for intensity in intensities
+    ]

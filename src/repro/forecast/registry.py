@@ -139,12 +139,6 @@ def _corp_cls() -> type[Predictor]:
     return CorpPredictor
 
 
-def _corp_factory(config: "CorpConfig") -> Predictor:
-    from ..core.predictor import CorpPredictor
-
-    return CorpPredictor(config=config)
-
-
 def _quantile_cls() -> type[Predictor]:
     from .quantile import QuantileHistogramPredictor
 
@@ -178,7 +172,7 @@ def _auto_cls() -> type[Predictor]:
 register_predictor(
     "corp",
     cls=_corp_cls,
-    factory=_corp_factory,
+    factory=lambda config: _corp_cls().from_config(config),
     summary="DNN+HMM pipeline of the paper (Section III-A) — the default",
 )
 register_predictor(

@@ -2,11 +2,10 @@
 
 NumPy implementation of the paper's DNN: feed-forward evaluation
 (Eq. 5), back-propagation (Eq. 6-7), weight updates (Eq. 8), epoch
-training with validation convergence, and the autoencoder path.
+training with validation convergence.
 """
 
 from .activations import LINEAR, RELU, SIGMOID, TANH, Activation, get_activation
-from .autoencoder import Autoencoder, pretrain_hidden_stack
 from .initializers import get_initializer, he_normal, small_uniform, xavier_uniform
 from .layers import DenseLayer
 from .losses import MAE, MSE, Loss, get_loss, pinball
@@ -22,8 +21,6 @@ __all__ = [
     "TANH",
     "Activation",
     "get_activation",
-    "Autoencoder",
-    "pretrain_hidden_stack",
     "get_initializer",
     "he_normal",
     "small_uniform",

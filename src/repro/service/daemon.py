@@ -366,8 +366,8 @@ def open_service(
     comparing runs.  ``fault_plan=`` attaches a seeded fault schedule
     the service replays while jobs stream in.  ``predictor=`` selects
     the registered forecasting family (or instance) CORP runs on, and
-    ``scale=`` the hyperscale knobs (availability-index shards,
-    streaming chunk size).  The heavy lifting (offline predictor fit)
+    ``scale=`` the scale knobs (streaming chunk size; ``shards`` is a
+    deprecated no-op).  The heavy lifting (offline predictor fit)
     happens on
     ``start``/``__aenter__``, through ``predictor_cache`` when given —
     pass a store-backed cache to share fitted models across service

@@ -292,8 +292,8 @@ class SchedulerKernel:
         Scale note: every VM mutation this tick performs (placements
         landing, completions, fault evictions) bumps the VM's
         ``state_version``, so the next ``place_jobs`` refresh of the
-        persistent sharded availability index recomputes only the
-        shards this slot actually touched.
+        persistent availability index rewrites only the rows this
+        slot actually touched.
         """
         sim = self.sim
 

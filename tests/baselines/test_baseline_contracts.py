@@ -35,9 +35,12 @@ class TestSharedContracts:
         demands' — different seeds must be able to pick different VMs."""
         from repro.cluster.machine import VirtualMachine
         from repro.cluster.resources import ResourceVector
+        from repro.core.vm_selection import CandidateSet
 
         vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(6)]
-        candidates = [(vm, ResourceVector([5, 5, 5])) for vm in vms]
+        candidates = CandidateSet.from_pairs(
+            [(vm, ResourceVector([5, 5, 5])) for vm in vms]
+        )
         demand = ResourceVector([1, 1, 1])
         picks = set()
         for seed in range(12):

@@ -1,14 +1,14 @@
-"""Sharded availability index: exact equivalence with the flat path.
+"""The flat, version-tracked availability index against the scalar oracle.
 
-The contract under test is *bit-identity*: for any shard count
-(including more shards than VMs, which leaves some shards empty),
-:class:`ShardedCandidateIndex` must return the same Eq. 22 winner, the
-same random-feasible choice from the same rng stream position, and the
-same feasibility views as a single :class:`CandidateSet` over the same
-rows — and both must match the scalar reference loop the differential
-checker re-derives placements with.  Capacities and demands are drawn
-from a small grid on purpose so exact volume ties are common and the
-tie-break path is exercised, not just the strict minimum.
+:class:`ShardedCandidateIndex` is one :class:`CandidateSet` matrix kept
+in sync with its VMs (rows, a liveness lane, a version lane).  The
+contract under test is *bit-identity* with the scalar reference loop the
+differential checker re-derives placements with, over the online rows
+only: same Eq. 22 winner (tie-break included), same random-feasible
+choice from the same rng stream position, and rows that always equal a
+freshly built index after any sequence of VM mutations.  Capacities and
+demands are drawn from a small grid on purpose so exact volume ties are
+common and the tie-break path is exercised, not just the strict minimum.
 """
 
 import numpy as np
@@ -16,17 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.job import JobState
 from repro.cluster.resources import ResourceVector
 from repro.cluster.shards import ScaleConfig, ShardedCandidateIndex
 from repro.core.vm_selection import (
     CandidateSet,
     select_most_matched as scalar_select_most_matched,
+    select_random_feasible as scalar_select_random_feasible,
     tie_window,
 )
 
 from .test_machine import make_vm, place, running_job
 
-# Small grids make exact ties likely (same request on several VMs).
+# Small grids make exact ties likely (same request on several VMs).  The
+# demand grid spans the all-zero vector (fits every live row) up to 20,
+# larger than every capacity (fits none).
 _CAP_GRID = (2.0, 4.0, 8.0, 16.0)
 _DEMAND_GRID = (0.0, 1.0, 2.0, 3.0, 5.0, 9.0, 20.0)
 
@@ -34,13 +38,11 @@ capacity_triples = st.tuples(*[st.sampled_from(_CAP_GRID)] * 3)
 demand_triples = st.tuples(*[st.sampled_from(_DEMAND_GRID)] * 3)
 
 
-def _build(caps, shards):
-    vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
-    matrix = np.array(caps, dtype=np.float64)
-    index = ShardedCandidateIndex(vms, matrix.copy(), shards=shards)
-    cset = CandidateSet(vms, matrix.copy())
-    reference = ResourceVector(matrix.max(axis=0))
-    return vms, index, cset, reference
+def _online_pairs(vms):
+    """The scalar oracle's input, read off the VMs (not off the index)."""
+    return [
+        (vm, ResourceVector(vm.unallocated_array())) for vm in vms if vm.online
+    ]
 
 
 class TestScaleConfig:
@@ -61,58 +63,86 @@ class TestScaleConfig:
         with pytest.raises(AttributeError):
             ScaleConfig().shards = 2
 
+    def test_shards_above_one_is_deprecated_everywhere(self):
+        with pytest.warns(DeprecationWarning, match="removed in v1.10"):
+            assert ScaleConfig(shards=8).shards == 8
+        with pytest.warns(DeprecationWarning, match="removed in v1.10"):
+            ShardedCandidateIndex.for_vms([make_vm()], shards=8)
+        with pytest.raises(ValueError):
+            ShardedCandidateIndex.for_vms([make_vm()], shards=0)
+
 
 class TestShardedEquivalence:
     @settings(max_examples=60)
     @given(data=st.data())
     def test_matches_flat_set_and_scalar_oracle(self, data):
-        """Place/consume sequences: every view equals the flat path's."""
+        """Random rows, a random offline subset: every choice is the
+        scalar oracle's over the online rows, consume included."""
         n = data.draw(st.integers(1, 8), label="n_vms")
-        shards = data.draw(st.integers(1, 12), label="shards")
-        caps = data.draw(
-            st.lists(capacity_triples, min_size=n, max_size=n), label="caps"
-        )
-        vms, index, cset, reference = _build(caps, shards)
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        for _ in range(data.draw(st.integers(1, 8), label="n_ops")):
-            demand = ResourceVector(data.draw(demand_triples, label="demand"))
-            assert index.feasible_count(demand) == cset.feasible_count(demand)
-            assert len(index) == len(cset)
-            pick = index.select_most_matched(demand, reference)
-            assert pick is cset.select_most_matched(demand, reference)
-            assert pick is scalar_select_most_matched(
-                demand, list(cset), reference
-            )
-            assert index.min_feasible_volume(demand, reference) == \
-                cset.min_feasible_volume(demand, reference)
-            rng_i = np.random.default_rng(seed)
-            rng_c = np.random.default_rng(seed)
-            assert index.select_random_feasible(demand, rng_i) is \
-                cset.select_random_feasible(demand, rng_c)
-            # Same number of draws consumed: the streams stay aligned.
-            assert rng_i.bit_generator.state == rng_c.bit_generator.state
-            if pick is not None:
-                index.consume(pick, demand.as_array())
-                cset.consume(pick, demand.as_array())
-        for vm in vms:
-            assert index.availability(vm) == cset.availability(vm)
-
-    @settings(max_examples=40)
-    @given(data=st.data())
-    def test_persistent_index_tracks_vm_state(self, data):
-        """refresh() after place/crash/restore/rescale equals a rebuild."""
-        n = data.draw(st.integers(1, 6), label="n_vms")
-        shards = data.draw(st.integers(1, 9), label="shards")
         caps = data.draw(
             st.lists(capacity_triples, min_size=n, max_size=n), label="caps"
         )
         vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
-        index = ShardedCandidateIndex.for_vms(vms, shards=shards)
-        assert index.refresh() <= shards
+        offline = data.draw(
+            st.sets(st.integers(0, n - 1), max_size=n), label="offline"
+        )
+        for i in offline:
+            vms[i].crash()
+        index = ShardedCandidateIndex.for_vms(vms)
+        assert index.refresh() == n
+        # The oracle's rows are tracked by hand from here on: consume()
+        # changes index rows without touching the VMs.
+        pairs = _online_pairs(vms)
+        reference = ResourceVector(np.array(caps).max(axis=0))
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        for _ in range(data.draw(st.integers(1, 8), label="n_ops")):
+            demand = ResourceVector(data.draw(demand_triples, label="demand"))
+            assert len(index) == len(pairs) == n - len(offline)
+            assert list(index) == pairs
+            assert index.feasible_count(demand) == sum(
+                demand.fits_within(avail) for _, avail in pairs
+            )
+            pick = index.select_most_matched(demand, reference)
+            assert pick is scalar_select_most_matched(demand, pairs, reference)
+            assert pick is None or pick.online  # even for the zero demand
+            rng_i = np.random.default_rng(seed)
+            rng_s = np.random.default_rng(seed)
+            drawn = index.select_random_feasible(demand, rng_i)
+            assert drawn is scalar_select_random_feasible(demand, pairs, rng_s)
+            assert drawn is None or drawn.online
+            # Exactly the oracle's one rng.integers draw (none if nothing
+            # fits): the streams stay aligned.
+            assert rng_i.bit_generator.state == rng_s.bit_generator.state
+            if pick is not None:
+                index.consume(pick, demand.as_array())
+                pairs = [
+                    (vm, ResourceVector(
+                        np.clip(avail.as_array() - demand.as_array(), 0.0, None)
+                    ) if vm is pick else avail)
+                    for vm, avail in pairs
+                ]
+        expected = {vm.vm_id: avail for vm, avail in pairs}
+        for vm in vms:
+            assert index.availability(vm) == expected.get(vm.vm_id)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_persistent_index_tracks_vm_state(self, data):
+        """refresh() after place/complete/crash/restore/rescale leaves
+        every row equal to a freshly built index, and is then idle."""
+        n = data.draw(st.integers(1, 6), label="n_vms")
+        caps = data.draw(
+            st.lists(capacity_triples, min_size=n, max_size=n), label="caps"
+        )
+        vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
+        index = ShardedCandidateIndex.for_vms(vms)
+        reference = ResourceVector(np.array(caps).max(axis=0))
         task_id = 0
         for _ in range(data.draw(st.integers(1, 10), label="n_ops")):
             op = data.draw(
-                st.sampled_from(("place", "crash", "restore", "rescale")),
+                st.sampled_from(
+                    ("place", "complete", "crash", "restore", "rescale")
+                ),
                 label="op",
             )
             vm = vms[data.draw(st.integers(0, n - 1), label="vm")]
@@ -124,6 +154,9 @@ class TestShardedEquivalence:
                 task_id += 1
                 if job.requested.fits_within(vm.unallocated()):
                     place(vm, job)
+            elif op == "complete" and vm.placements:
+                vm.placements[0].job.state = JobState.COMPLETED
+                vm.remove_completed()
             elif op == "crash" and vm.online:
                 vm.crash()
             elif op == "restore" and not vm.online:
@@ -133,19 +166,14 @@ class TestShardedEquivalence:
                     data.draw(st.sampled_from((0.25, 0.5, 1.0)), label="s")
                 )
             index.refresh()
-            live = [v for v in vms if v.online]
-            fresh = CandidateSet(
-                live,
-                np.array([v.unallocated_array() for v in live])
-                if live else np.zeros((0, 3)),
-            )
-            reference = ResourceVector(
-                np.array([c for c in caps]).max(axis=0)
-            )
+            assert index.refresh() == 0
+            fresh = ShardedCandidateIndex.for_vms(vms)
+            fresh.refresh()
+            pairs = _online_pairs(vms)
+            assert list(index) == list(fresh) == pairs
             demand = ResourceVector(data.draw(demand_triples, label="demand"))
-            assert len(index) == len(live)
             assert index.select_most_matched(demand, reference) is \
-                fresh.select_most_matched(demand, reference)
+                scalar_select_most_matched(demand, pairs, reference)
             for v in vms:
                 if v.online:
                     assert index.availability(v) == ResourceVector(
@@ -156,19 +184,11 @@ class TestShardedEquivalence:
 
     def test_second_refresh_touches_nothing_when_idle(self):
         vms = [make_vm(vm_id=i) for i in range(6)]
-        index = ShardedCandidateIndex.for_vms(vms, shards=3)
-        assert index.refresh() == 3  # first sync fills every shard
+        index = ShardedCandidateIndex.for_vms(vms)
+        assert index.refresh() == 6  # first sync fills every row
         assert index.refresh() == 0  # nothing moved
         place(vms[0], running_job(request=(1, 1, 1)))
-        assert index.refresh() == 1  # only vm 0's shard resynced
-
-    def test_refresh_requires_tracking_index(self):
-        vms = [make_vm(vm_id=0)]
-        index = ShardedCandidateIndex(
-            vms, np.array([vms[0].unallocated_array()])
-        )
-        with pytest.raises(RuntimeError):
-            index.refresh()
+        assert index.refresh() == 1  # only vm 0's row rewritten
 
 
 class TestTieWindowScaleInvariance:
@@ -206,7 +226,8 @@ class TestTieWindowScaleInvariance:
         assert gap < tie_window(3 * magnitude)  # the relative one ties it
         cset = CandidateSet(vms, matrix.copy())
         assert cset.select_most_matched(demand, reference) is vms[0]
-        index = ShardedCandidateIndex(vms, matrix.copy(), shards=2)
+        index = ShardedCandidateIndex.for_vms(vms)  # rows = capacities
+        index.refresh()
         assert index.select_most_matched(demand, reference) is vms[0]
         assert scalar_select_most_matched(
             demand, list(cset), reference

@@ -1,20 +1,17 @@
-"""Predictor save/load round-trip."""
-
-import dataclasses
+"""CorpPredictor round-trip through the ``save_npz`` / ``load_npz`` payload."""
 
 import numpy as np
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.core.persistence import load_predictor, save_predictor
 from repro.core.predictor import CorpPredictor
 
 
 class TestRoundtrip:
     def test_predictions_identical(self, fitted_predictor, tmp_path):
         path = tmp_path / "predictor.npz"
-        save_predictor(fitted_predictor, path)
-        loaded = load_predictor(path)
+        fitted_predictor.save_npz(path)
+        loaded = CorpPredictor.load_npz(path)
         util = np.full((12, 3), 0.45)
         request = ResourceVector([3, 6, 40])
         original = fitted_predictor.predict_job_unused(util, request)
@@ -25,15 +22,15 @@ class TestRoundtrip:
 
     def test_config_restored(self, fitted_predictor, tmp_path):
         path = tmp_path / "predictor.npz"
-        save_predictor(fitted_predictor, path)
-        loaded = load_predictor(path)
+        fitted_predictor.save_npz(path)
+        loaded = CorpPredictor.load_npz(path)
         assert loaded.config.window_slots == fitted_predictor.config.window_slots
         assert loaded.config.train_quantile == fitted_predictor.config.train_quantile
 
     def test_seed_errors_and_prior_restored(self, fitted_predictor, tmp_path):
         path = tmp_path / "p.npz"
-        save_predictor(fitted_predictor, path)
-        loaded = load_predictor(path)
+        fitted_predictor.save_npz(path)
+        loaded = CorpPredictor.load_npz(path)
         for a, b in zip(fitted_predictor.seed_errors, loaded.seed_errors):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
@@ -42,8 +39,8 @@ class TestRoundtrip:
 
     def test_hmm_restored(self, fitted_predictor, tmp_path):
         path = tmp_path / "p.npz"
-        save_predictor(fitted_predictor, path)
-        loaded = load_predictor(path)
+        fitted_predictor.save_npz(path)
+        loaded = CorpPredictor.load_npz(path)
         for a, b in zip(fitted_predictor.fluctuation, loaded.fluctuation):
             assert a.fitted == b.fitted
             if a.fitted:
@@ -58,8 +55,8 @@ class TestRoundtrip:
         from ..conftest import make_short_trace
 
         path = tmp_path / "p.npz"
-        save_predictor(fitted_predictor, path)
-        loaded = load_predictor(path)
+        fitted_predictor.save_npz(path)
+        loaded = CorpPredictor.load_npz(path)
         scheduler = CorpScheduler(loaded.config, predictor=loaded)
         sim = ClusterSimulator(small_profile, scheduler, SimulationConfig())
         result = sim.run(make_short_trace(n_jobs=15, seed=66), history=history_trace)
@@ -69,17 +66,17 @@ class TestRoundtrip:
 class TestValidation:
     def test_unfitted_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not fitted"):
-            save_predictor(CorpPredictor(), tmp_path / "x.npz")
+            CorpPredictor().save_npz(tmp_path / "x.npz")
 
     def test_bad_format_version(self, fitted_predictor, tmp_path):
         import json
 
         path = tmp_path / "p.npz"
-        save_predictor(fitted_predictor, path)
+        fitted_predictor.save_npz(path)
         data = dict(np.load(path))
         meta = json.loads(bytes(data["_meta"]).decode())
-        meta["format_version"] = 999
+        meta["payload_version"] = 999
         data["_meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **data)
         with pytest.raises(ValueError, match="unsupported"):
-            load_predictor(path)
+            CorpPredictor.load_npz(path)

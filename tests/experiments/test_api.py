@@ -364,14 +364,18 @@ class TestSinkHygiene:
 
 
 class TestScaleConfigThreading:
-    """``scale=`` reaches the simulator and never changes the answer."""
+    """``scale=`` reaches the simulator and never changes the answer.
+
+    ``shards`` is a deprecated no-op: still threaded through, still
+    validated, warns when set above 1.
+    """
 
     def test_sharded_run_matches_default(self, small_scenario):
         base = api.run_one(scenario=small_scenario, method="RCCR")
+        with pytest.warns(DeprecationWarning, match="shards"):
+            scale = api.ScaleConfig(shards=3)
         sharded = api.run_one(
-            scenario=small_scenario,
-            method="RCCR",
-            scale=api.ScaleConfig(shards=3),
+            scenario=small_scenario, method="RCCR", scale=scale
         )
         expect = base.summary()
         got = sharded.summary()
@@ -382,7 +386,9 @@ class TestScaleConfigThreading:
 
     def test_sharded_placements_match_default(self, small_scenario):
         streams = []
-        for scale in (None, api.ScaleConfig(shards=4)):
+        with pytest.warns(DeprecationWarning, match="shards"):
+            sharded = api.ScaleConfig(shards=4)
+        for scale in (None, sharded):
             sink = MemorySink()
             api.attach_sink(sink)
             try:
@@ -401,6 +407,8 @@ class TestScaleConfigThreading:
     def test_scale_is_keyword_only_and_validated(self, small_scenario):
         with pytest.raises(ValueError):
             api.ScaleConfig(shards=0)
-        scenario = small_scenario.with_scale(api.ScaleConfig(shards=2))
+        with pytest.warns(DeprecationWarning, match="shards"):
+            scale = api.ScaleConfig(shards=2)
+        scenario = small_scenario.with_scale(scale)
         assert scenario.sim_config.scale.shards == 2
         assert small_scenario.with_scale(None) is small_scenario

@@ -150,6 +150,24 @@ class TestCli:
         assert err.startswith("error: unknown method 'FOO'")
         assert err.count("\n") == 1
 
+    def test_negative_storm_intensity_is_a_one_line_error(self, capsys):
+        # Used to exit 0 with a fault-free table headed "intensity -1":
+        # the `> 0` control-point guard swallowed the negative value.
+        from repro.__main__ import main
+
+        argv = ["storms", "--quick", "--jobs", "8", "--intensities", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: intensity must be >= 0\n"
+        assert "storm intensity" not in captured.out
+
+    def test_chunk_size_flag_is_deprecated_but_validated(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.warns(DeprecationWarning, match="--chunk-size"):
+            assert main(["compare", "--jobs", "5", "--chunk-size", "0"]) == 2
+        assert capsys.readouterr().err == "error: chunk_size must be >= 1\n"
+
     def test_workers_parser_option(self):
         from repro.__main__ import build_parser
 

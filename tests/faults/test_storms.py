@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import api
-from repro.experiments.scenarios import storm_scenario
+from repro.experiments.scenarios import fault_sweep_scenarios, storm_scenario
 from repro.faults.plan import (
     FaultPlan,
     RevocationWave,
@@ -65,6 +65,15 @@ class TestEmptyCohortWaves:
     def test_intensity_zero_scenario_carries_no_plan(self):
         scenario = storm_scenario(20, intensity=0.0)
         assert scenario.fault_plan is None
+
+    def test_negative_intensity_is_rejected_not_the_control_run(self):
+        base = storm_scenario(20, intensity=0.0)
+        with pytest.raises(ValueError, match="intensity must be >= 0"):
+            storm_scenario(20, intensity=-1)
+        with pytest.raises(ValueError, match="intensity must be >= 0"):
+            api.storm_sweep_scenarios(base, intensities=[-1])
+        with pytest.raises(ValueError, match="intensity must be >= 0"):
+            fault_sweep_scenarios(base, intensities=[0, -0.5])
 
 
 class TestStormBuilder:
