@@ -59,6 +59,8 @@ class RccrScheduler(ProvisioningSchedulerBase):
         self.beta = beta
         self.history_slots = history_slots
         self._z = z_value(confidence_level)
+        #: ``σ̂ · z`` per resource, set once per window (``_begin_window``).
+        self._shift_scale = np.zeros(NUM_RESOURCES)
 
     # ------------------------------------------------------------------
     def prepare(self, history) -> None:
@@ -102,6 +104,7 @@ class RccrScheduler(ProvisioningSchedulerBase):
                 self.gate.trackers[k].seed(
                     arr[:, k] + float(np.std(arr[:, k], ddof=1)) * self._z
                 )
+        self._begin_window()
 
     # ------------------------------------------------------------------
     def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
@@ -121,12 +124,16 @@ class RccrScheduler(ProvisioningSchedulerBase):
             return SimpleExponentialSmoothing(self.alpha)
         return HoltLinear(self.alpha, self.beta)
 
+    def _begin_window(self) -> None:
+        """σ̂ moves only when a window's error samples land, not per VM."""
+        self._shift_scale = self.raw_errors.sigmas() * self._z
+
     def adjust_forecast(self, raw: np.ndarray, vm: VirtualMachine) -> np.ndarray:
         """Lower bound of the confidence interval (the paper's choice).
 
         σ̂ is tracked in commitment-fraction units, hence the rescale.
         """
-        return raw - self.raw_errors.sigmas() * self._z * vm.committed().as_array()
+        return raw - self._shift_scale * vm.committed().as_array()
 
     def opportunistic_allowed(self) -> bool:
         """RCCR has no Eq. 21 preemption gate — reuse is always on."""

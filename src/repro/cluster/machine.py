@@ -25,6 +25,10 @@ from .resources import NUM_RESOURCES, ResourceVector
 
 __all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome"]
 
+#: What an idle VM demands and serves, shared by every idle slot (both
+#: the vector and its history row are read-only).
+_ZERO = ResourceVector.zeros()
+
 
 @dataclass
 class Placement:
@@ -309,14 +313,13 @@ class VirtualMachine:
         if n == 0:
             # Idle VM: nothing demands, nothing is served; unused slack
             # equals the (non-negative) commitment.
-            zero = ResourceVector.zeros()
             self._unused_history.append(self._committed.copy())
-            self._demand_history.append(np.zeros(NUM_RESOURCES))
+            self._demand_history.append(_ZERO.as_array())
             return SlotOutcome(
                 committed=committed,
-                primary_demand=zero,
-                opportunistic_demand=zero,
-                served_demand=zero,
+                primary_demand=_ZERO,
+                opportunistic_demand=_ZERO,
+                served_demand=_ZERO,
                 unused=committed,
             )
 

@@ -79,6 +79,10 @@ class CorpScheduler(ProvisioningSchedulerBase):
         #: the DNN+HMM pipeline remains the default.
         self.predictor = predictor or CorpPredictor(config=self.config)
         self._z = z_value(self.config.confidence_level)
+        #: Eq. 18-19 shift per unit of request (:meth:`_begin_window`) and
+        #: the current refresh's per-VM mean shifts (kept under OBS only).
+        self._job_scale = np.zeros(NUM_RESOURCES)
+        self._shift_means: list[float] = []
 
     # ------------------------------------------------------------------
     def prepare(self, history: Trace) -> None:
@@ -110,6 +114,7 @@ class CorpScheduler(ProvisioningSchedulerBase):
                 # quantile shift the runtime adjustment uses.
                 errors = errors - float(np.quantile(errors, theta_half))
             self.gate.trackers[kind].seed(errors)
+        self._begin_window()
 
     # ------------------------------------------------------------------
     def on_slot_start(self, slot: int) -> None:
@@ -154,20 +159,51 @@ class CorpScheduler(ProvisioningSchedulerBase):
             total += forecast.as_array()
         return total
 
+    def _begin_window(self) -> None:
+        """Eq. 18-19 per-job error scale, once per refresh.
+
+        The scale is the distribution-free analogue of ``σ̂ · z_{θ/2}``:
+        the empirical ``θ/2``-quantile magnitude of the active
+        predictor's job-level validation errors (fractions of the
+        request), which gives one-sided coverage ``1 − θ/2`` even on the
+        left-skewed, burst-driven error distributions short jobs produce
+        (the Gaussian form under-covers there).  Falls back to ``σ̂ · z``
+        when too few samples exist.  It depends on the error history
+        only — recomputed here rather than per VM, and per refresh
+        rather than per run because the ``"auto"`` selector may have
+        just switched the active predictor.
+        """
+        if not self.config.use_confidence_interval:
+            return
+        theta_half = self.config.significance_level / 2.0
+        for k, tracker in enumerate(self.raw_errors.trackers):
+            errors = self.predictor.seed_errors[k]
+            if errors.size >= 20:
+                self._job_scale[k] = max(-float(np.quantile(errors, theta_half)), 0.0)
+            else:
+                self._job_scale[k] = tracker.sigma() * self._z
+
+    def _refresh_forecasts(self) -> None:
+        self._shift_means.clear()
+        super()._refresh_forecasts()
+        if self._shift_means:
+            # One reading per refresh, over the VMs actually adjusted
+            # (per-VM gauge writes would report the last VM polled).
+            OBS.count("forecast.ci_adjusted", len(self._shift_means))
+            OBS.gauge(
+                "forecast.ci_shift_mean",
+                sum(self._shift_means) / len(self._shift_means),
+            )
+
     def adjust_forecast(self, raw: np.ndarray, vm: VirtualMachine) -> np.ndarray:
         """Eq. 19: subtract the CI lower-bound shift per resource.
 
-        The shift is the distribution-free analogue of ``σ̂ · z_{θ/2}``:
-        the empirical ``θ/2``-quantile of the raw forecast errors, which
-        gives one-sided coverage ``1 − θ/2`` even on the left-skewed,
-        burst-driven error distributions short jobs produce (the
-        Gaussian form under-covers there).  Falls back to ``σ̂ · z`` when
-        too few samples exist.  Errors are tracked in commitment
-        fractions, hence the rescale by this VM's commitment.
+        The shift is this window's per-job error scale
+        (:meth:`_begin_window`) times the VM's scale.  Errors are
+        tracked in request fractions, hence the rescale.
         """
         if not self.config.use_confidence_interval:
             return raw
-        theta_half = self.config.significance_level / 2.0
         # Independent per-job errors: the VM-level half-width grows with
         # the root-sum-square of the member requests, not with the
         # commitment itself — consolidation averages errors out.
@@ -175,21 +211,9 @@ class CorpScheduler(ProvisioningSchedulerBase):
         for p in vm.placements:
             if not p.opportunistic:
                 sum_sq += p.job.requested.as_array() ** 2
-        rss = np.sqrt(sum_sq)
-        shift = np.zeros_like(raw)
-        for k, tracker in enumerate(self.raw_errors.trackers):
-            errors = self.predictor.seed_errors[k]
-            if errors.size >= 20:
-                # Per-job error scale: the empirical θ/2-quantile
-                # magnitude of the job-level validation errors
-                # (fractions of the request).
-                job_scale = max(-float(np.quantile(errors, theta_half)), 0.0)
-            else:
-                job_scale = tracker.sigma() * self._z
-            shift[k] = job_scale * rss[k]
+        shift = self._job_scale * np.sqrt(sum_sq)
         if OBS.enabled:
-            OBS.count("forecast.ci_adjusted")
-            OBS.gauge("forecast.ci_shift_mean", float(shift.mean()))
+            self._shift_means.append(float(shift.mean()))
         return raw - shift
 
     def opportunistic_allowed(self) -> bool:

@@ -73,6 +73,11 @@ def _normalized(demand: ResourceVector, reference: ResourceVector | None) -> np.
     return demand.normalized_by(reference).as_array()
 
 
+def _dv(va: np.ndarray, vb: np.ndarray) -> float:
+    mid = 0.5 * (va + vb)
+    return float(np.sum((va - mid) ** 2 + (vb - mid) ** 2))
+
+
 def dominant_resource(
     demand: ResourceVector, reference: ResourceVector | None = None
 ) -> ResourceKind:
@@ -90,10 +95,7 @@ def deviation(
     reference: ResourceVector | None = None,
 ) -> float:
     """The paper's ``DV`` between two demand vectors."""
-    va = _normalized(a, reference)
-    vb = _normalized(b, reference)
-    mid = 0.5 * (va + vb)
-    return float(np.sum((va - mid) ** 2 + (vb - mid) ** 2))
+    return _dv(_normalized(a, reference), _normalized(b, reference))
 
 
 def pack_jobs(
@@ -106,26 +108,27 @@ def pack_jobs(
     from the list": among not-yet-packed jobs with a *different*
     dominant resource, the one maximizing ``DV`` is chosen; with no such
     job, ``J_i`` becomes a singleton entity.  Ties break toward the
-    earlier-listed job for determinism.
+    earlier-listed job for determinism.  Each demand is normalized once
+    per call; ``DV`` and the dominant resource read that row.
     """
     entities: list[JobEntity] = []
     remaining = list(jobs)
-    dominants = {
-        j.job_id: dominant_resource(j.requested, reference) for j in remaining
-    }
+    rows = {j.job_id: _normalized(j.requested, reference) for j in remaining}
+    dominants = {job_id: int(np.argmax(row)) for job_id, row in rows.items()}
     used: set[int] = set()
     for i, job in enumerate(remaining):
         if job.job_id in used:
             continue
         used.add(job.job_id)
+        row, dominant = rows[job.job_id], dominants[job.job_id]
         best: Job | None = None
         best_dv = -1.0
         for other in remaining[i + 1 :]:
             if other.job_id in used:
                 continue
-            if dominants[other.job_id] == dominants[job.job_id]:
+            if dominants[other.job_id] == dominant:
                 continue
-            dv = deviation(job.requested, other.requested, reference)
+            dv = _dv(row, rows[other.job_id])
             if dv > best_dv + 1e-12:
                 best_dv = dv
                 best = other

@@ -218,7 +218,22 @@ class ProvisioningSchedulerBase(Scheduler):
     def on_degraded(self, slot: int) -> None:
         """Subclass hook: drop scheme-specific prediction-derived state."""
 
+    def _begin_window(self) -> None:
+        """Subclass hook: compute what is constant across one refresh.
+
+        Runs once per window, after the previous window's error samples
+        landed and before any VM is forecast (the Eq. 18-19 shift scale
+        is a property of the error history, not of the VM).
+        """
+
     def _refresh_forecasts(self) -> None:
+        """Start a forecast window: poll every online VM, forecast the occupied.
+
+        Each online VM costs one poll and, under opportunistic reuse,
+        gets a pool row; only VMs *with placements* reach
+        ``predict_vm_unused`` / ``adjust_forecast`` — an empty VM has no
+        reservation to find slack in, so its row is zero.
+        """
         # Emit the previous window's samples before starting a new one.
         self._emit_window_samples()
         self._window_forecast.clear()
@@ -227,11 +242,16 @@ class ProvisioningSchedulerBase(Scheduler):
         self._window_jobset.clear()
         self._window_actual.clear()
         self._available_unused.clear()
+        self._begin_window()
         for vm in self.vms:
             if not vm.online:
                 continue  # a crashed VM has no usage to poll
             # Polling a VM's usage history is one remote operation.
             self.latency.charge_comm(1)
+            if not vm.placements:
+                if self.supports_opportunistic:
+                    self._available_unused[vm.vm_id] = np.zeros(NUM_RESOURCES)
+                continue
             raw = np.asarray(self.predict_vm_unused(vm), dtype=np.float64)
             if raw.shape != (NUM_RESOURCES,):
                 raise ValueError("forecast must have one entry per resource")

@@ -95,6 +95,20 @@ class TestCommitmentAccounting:
 
 
 class TestSlotExecution:
+    def test_idle_slot_shares_read_only_zero_rows(self):
+        vm = make_vm()
+        first, second = vm.execute_slot(0), vm.execute_slot(1)
+        assert first.primary_demand is second.served_demand  # one shared zero
+        for row in (first.primary_demand.as_array(), vm._demand_history[-1]):
+            assert not row.flags.writeable
+            assert not row.any()
+        # The histories handed to predictors are still fresh arrays.
+        history = vm.demand_history()
+        history[:] = 1.0
+        vm.unused_history()[:] = 1.0
+        assert not vm.demand_history().any() and not vm.unused_history().any()
+        assert vm._unused_history[0] is not vm._unused_history[1]
+
     def test_primary_gets_full_demand(self):
         vm = make_vm()
         job = running_job(request=(4, 4, 4), util=np.full(6, 0.5))

@@ -164,6 +164,50 @@ class TestPackJobs:
         assert any(e.is_packed for e in norm_entities)
 
 
+def pack_jobs_per_pair(jobs, reference=None):
+    """``pack_jobs`` with ``dominant_resource()`` / ``deviation()`` called
+    per candidate pair, as it stood before the per-call normalization."""
+    entities, used = [], set()
+    for i, job in enumerate(jobs):
+        if job.job_id in used:
+            continue
+        used.add(job.job_id)
+        best, best_dv = None, -1.0
+        for other in jobs[i + 1 :]:
+            if other.job_id in used:
+                continue
+            if dominant_resource(other.requested, reference) == dominant_resource(
+                job.requested, reference
+            ):
+                continue
+            dv = deviation(job.requested, other.requested, reference)
+            if dv > best_dv + 1e-12:
+                best_dv, best = dv, other
+        if best is not None:
+            used.add(best.job_id)
+        entities.append(JobEntity(jobs=(job,) if best is None else (job, best)))
+    return entities
+
+
+# A coarse grid forces exact ties and zero demands into most queues.
+grid = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 7.5])
+requests = st.lists(st.tuples(grid, grid, grid), min_size=0, max_size=14)
+references = st.one_of(
+    st.none(),
+    st.just(ResourceVector([8, 32, 360])),
+    st.just(ResourceVector([8, 0, 360])),  # a resource no VM offers
+)
+
+
+class TestPackJobsMatchesPerPairReference:
+    @given(requests, references)
+    def test_same_entities_in_the_same_order(self, reqs, reference):
+        jobs = [job_with_request(r, task_id=i) for i, r in enumerate(reqs)]
+        got = [e.job_ids() for e in pack_jobs(jobs, reference)]
+        want = [e.job_ids() for e in pack_jobs_per_pair(jobs, reference)]
+        assert got == want
+
+
 class TestSingletonEntities:
     def test_one_entity_per_job(self):
         jobs = [job_with_request((1, 1, 1), task_id=i) for i in range(4)]

@@ -22,9 +22,20 @@ class StubScheduler(ProvisioningSchedulerBase):
         super().__init__(**kw)
         self.fraction = fraction
         self.forecast_calls = 0
+        self.idle_forecasts = 0
+        self.windows = 0
+        self.occupied_at_refresh = 0
+        self.online_at_refresh = 0
+
+    def _begin_window(self) -> None:
+        self.windows += 1
+        online = [vm for vm in self.vms if vm.online]
+        self.online_at_refresh += len(online)
+        self.occupied_at_refresh += sum(1 for vm in online if vm.placements)
 
     def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
         self.forecast_calls += 1
+        self.idle_forecasts += not vm.placements
         return self.fraction * vm.committed().as_array()
 
 
@@ -46,12 +57,22 @@ class TestWindowMechanics:
         result = run_stub(sched)
         n_windows = -(-result.n_slots // 6)
         n_vms = 8
-        assert sched.forecast_calls == n_windows * n_vms
+        assert sched.windows == n_windows
+        # The forecast is asked about every VM with placements and about
+        # no other: the first window finds the cluster empty.
+        assert sched.forecast_calls == sched.occupied_at_refresh
+        assert sched.idle_forecasts == 0
+        assert 0 < sched.forecast_calls <= (n_windows - 1) * n_vms
 
     def test_comm_charged_per_vm_poll(self):
         sched = StubScheduler(window_slots=6)
-        run_stub(sched)
-        assert sched.latency.comm_ops >= sched.forecast_calls
+        result = run_stub(sched)
+        n_windows = -(-result.n_slots // 6)
+        assert sched.online_at_refresh == n_windows * 8
+        assert result.all_done
+        # One poll per online VM per window — idle VMs included — plus
+        # one dispatch per placed (singleton) entity.
+        assert sched.latency.comm_ops == n_windows * 8 + len(result.jobs)
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
