@@ -166,13 +166,13 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
         for vm_id, outcome in outcomes.items():
             demand = outcome.primary_demand.as_array()
             actual_unused = outcome.unused.as_array()
-            forecast = self._window_forecast.get(vm_id)
+            record = self._window.get(vm_id)
             for k in range(NUM_RESOURCES):
                 tracker = self._pad_tracker(vm_id, k)
                 tracker.observe_usage(demand[k])
-                if forecast is not None:
+                if record is not None:
                     # Under-prediction of *usage* == over-prediction of
                     # unused: actual unused below the forecast.
                     tracker.observe_error(
-                        predicted=actual_unused[k], actual=forecast[k]
+                        predicted=actual_unused[k], actual=record.forecast[k]
                     )

@@ -289,28 +289,30 @@ class InvariantChecker:
             # commitment mid-window when a primary completes early — the
             # strict committed-slack bound is checked at refresh time by
             # observe_pools.)
-            pools = getattr(sim.scheduler, "_available_unused", None)
-            if pools:
-                tol = self.tolerance
-                vms = {vm.vm_id: vm for vm in sim.vms}
-                for vm_id, pool in pools.items():
-                    self.checks["capacity"] += 1
-                    vm = vms.get(vm_id)
-                    if vm is None:  # pragma: no cover - defensive
-                        continue
-                    base = vm.base_capacity.as_array()
-                    if np.any(pool < -tol) or np.any(pool > base + tol):
-                        self._report(
-                            "capacity",
-                            f"opportunistic pool {np.asarray(pool).tolist()} "
-                            f"outside [0, nominal capacity "
-                            f"{base.tolist()}]",
-                            slot=slot, scheduler=sim.scheduler.name, vm=vm_id,
-                        )
+            tol = self.tolerance
+            for vm, pool in self._pool_rows(sim.scheduler):
+                self.checks["capacity"] += 1
+                base = vm.base_capacity.as_array()
+                if np.any(pool < -tol) or np.any(pool > base + tol):
+                    self._report(
+                        "capacity",
+                        f"opportunistic pool {pool.tolist()} "
+                        f"outside [0, nominal capacity "
+                        f"{base.tolist()}]",
+                        slot=slot, scheduler=sim.scheduler.name, vm=vm.vm_id,
+                    )
 
     # ------------------------------------------------------------------
     # provisioning hooks
     # ------------------------------------------------------------------
+    @staticmethod
+    def _pool_rows(
+        scheduler: object,
+    ) -> Iterable[tuple["VirtualMachine", np.ndarray]]:
+        """Every row of the window's opportunistic pool, voided ones too."""
+        pool = getattr(scheduler, "_opp_pool", None)
+        return () if pool is None else zip(pool.vms, pool.matrix)
+
     def observe_pools(self, scheduler: object) -> None:
         """At forecast refresh: unlocked pools fit the committed slack.
 
@@ -321,28 +323,21 @@ class InvariantChecker:
         """
         if "capacity" not in self.rules:
             return
-        pools = getattr(scheduler, "_available_unused", None)
-        if not pools:
-            return
         tol = self.tolerance
         sim = getattr(scheduler, "_sim", None)
         slot = sim.current_slot if sim is not None else None
-        vms = {vm.vm_id: vm for vm in getattr(scheduler, "vms", ())}
-        for vm_id, pool in pools.items():
+        for vm, pool in self._pool_rows(scheduler):
             self.checks["capacity"] += 1
-            vm = vms.get(vm_id)
-            if vm is None:  # pragma: no cover - defensive
-                continue
             slack = vm.committed().as_array()
             if np.any(pool < -tol) or np.any(pool > slack + tol):
                 self._report(
                     "capacity",
                     f"refreshed opportunistic pool "
-                    f"{np.asarray(pool).tolist()} exceeds committed "
+                    f"{pool.tolist()} exceeds committed "
                     f"slack {slack.tolist()}",
                     slot=slot,
                     scheduler=getattr(scheduler, "name", None),
-                    vm=vm_id,
+                    vm=vm.vm_id,
                 )
 
     def observe_placement(

@@ -82,10 +82,6 @@ class VirtualMachine:
         self.base_capacity = capacity
         self._effective_capacity = capacity
         self._capacity_scale = 1.0
-        #: Bumped whenever the effective capacity changes, so callers
-        #: that memoize capacity-derived values (e.g. the simulator's
-        #: ``max_vm_capacity``) can key their caches on it.
-        self.capacity_version = 0
         #: Bumped whenever anything a placement index mirrors changes —
         #: commitment, effective capacity or liveness.  The persistent
         #: availability index (:mod:`repro.cluster.shards`) compares
@@ -114,7 +110,6 @@ class VirtualMachine:
         #: Per-slot history of actual unused resource (n_slots, l) rows;
         #: this is the series the predictors train on.
         self._unused_history: list[np.ndarray] = []
-        self._demand_history: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # capacity (revocation-aware)
@@ -144,7 +139,6 @@ class VirtualMachine:
             self._effective_capacity = ResourceVector._wrap(
                 self.base_capacity.as_array() * scale
             )
-        self.capacity_version += 1
         observer = self._capacity_observer
         if observer is not None:
             observer.notice_capacity_change()
@@ -178,7 +172,7 @@ class VirtualMachine:
         """Read-only array view of :meth:`unallocated` (hot-path variant).
 
         The placement path stacks these rows into a
-        :class:`~repro.core.vm_selection.CandidateSet` matrix; going
+        :class:`~repro.cluster.shards.CandidateSet` matrix; going
         through the memoized vector keeps the two views consistent.
         """
         return self.unallocated().as_array()
@@ -273,19 +267,18 @@ class VirtualMachine:
         return None
 
     def crash(self) -> list[Job]:
-        """Take the VM offline, evicting everything and losing histories.
+        """Take the VM offline, evicting everything and losing its history.
 
         A crashed VM executes no slots and accepts no placements; its
-        usage histories are in-memory state and do not survive, so the
+        usage history is in-memory state and does not survive, so the
         predictors start cold after the restart.
         """
         self.online = False
         self._unused_history.clear()
-        self._demand_history.clear()
         return self.evict_all()
 
     def restore(self) -> None:
-        """Bring a crashed VM back online (empty, histories cold)."""
+        """Bring a crashed VM back online (empty, history cold)."""
         self.online = True
         # Liveness is index-mirrored state: bump so persistent indexes
         # re-admit this VM's row (crash() bumped via evict_all()).
@@ -314,7 +307,6 @@ class VirtualMachine:
             # Idle VM: nothing demands, nothing is served; unused slack
             # equals the (non-negative) commitment.
             self._unused_history.append(self._committed.copy())
-            self._demand_history.append(_ZERO.as_array())
             return SlotOutcome(
                 committed=committed,
                 primary_demand=_ZERO,
@@ -369,7 +361,6 @@ class VirtualMachine:
 
         unused = np.maximum(self._committed - primary_demand, 0.0)
         self._unused_history.append(unused)
-        self._demand_history.append(primary_demand + opp_demand)
         return SlotOutcome(
             committed=committed,
             primary_demand=ResourceVector._wrap(primary_demand),
@@ -379,7 +370,7 @@ class VirtualMachine:
         )
 
     # ------------------------------------------------------------------
-    # histories (predictor inputs)
+    # history (predictor input)
     # ------------------------------------------------------------------
     def unused_history(self, last: int | None = None) -> np.ndarray:
         """Per-slot actual unused resource, ``(n, l)`` array.
@@ -391,21 +382,6 @@ class VirtualMachine:
         hist = (
             self._unused_history[-last:] if last is not None and last > 0
             else self._unused_history if last is None
-            else []
-        )
-        if not hist:
-            return np.zeros((0, NUM_RESOURCES))
-        return np.asarray(hist)
-
-    def demand_history(self, last: int | None = None) -> np.ndarray:
-        """Per-slot total demand served on this VM, ``(n, l)`` array.
-
-        Window semantics match :meth:`unused_history` (``last=0`` is an
-        empty window).
-        """
-        hist = (
-            self._demand_history[-last:] if last is not None and last > 0
-            else self._demand_history if last is None
             else []
         )
         if not hist:

@@ -1,22 +1,28 @@
-"""The persistent availability index of the primary placement pool.
+"""The placement pool: ``(vm, availability)`` rows as one matrix.
 
-Rebuilding a :class:`~repro.core.vm_selection.CandidateSet` per call is
-fine at the paper's testbed sizes (≤ 100 VMs); at 10k+ VMs re-reading an
-``(n_vms, l)`` matrix from Python attributes every slot dominates the
-placement path.  :class:`ShardedCandidateIndex` keeps one such matrix
-alive across calls and re-reads only the rows whose VM changed.
+CORP's placement step (Section III-B, Eq. 22) asks one question of one
+kind of object — which feasible VM has the smallest availability volume
+— and :class:`CandidateSet` is that object: an ``(n_vms, l)``
+availability matrix, a liveness lane and a version lane.  The
+schedulers hold two of them: the opportunistic pool, whose rows are one
+window's predicted-unused forecast, and the primary pool, whose rows
+mirror each VM's unallocated capacity.
 
-Dirty tracking is version-based: every :class:`VirtualMachine` bumps a
-``state_version`` counter whenever its commitment, capacity or liveness
-changes (placements landing, completions, crashes, revocations), and
-:meth:`ShardedCandidateIndex.refresh` rewrites only the rows whose
-version moved.
+Rebuilding the primary pool per call is fine at the paper's testbed
+sizes (≤ 100 VMs); at 10k+ VMs re-reading an ``(n_vms, l)`` matrix from
+Python attributes every slot dominates the placement path, so it is
+kept alive across calls and :meth:`CandidateSet.refresh` re-reads only
+the rows whose VM changed.  Dirty tracking is version-based: every
+:class:`VirtualMachine` bumps a ``state_version`` counter whenever its
+commitment, capacity or liveness changes (placements landing,
+completions, crashes, revocations).
 
-The index is *flat*.  Eq. 22 is one global argmin, and on one core a
+The pool is *flat*.  Eq. 22 is one global argmin, and on one core a
 single ``(n_vms, l)`` matrix expression beat every row partitioning
 measured (ledger probe ``index.select_us_10k``: 296 us flat vs 417 us in
-8 partitions), so the partition layer of v1.7 is gone; the class keeps
-its name, and ``shards`` is accepted and ignored, for one release.
+8 partitions), so the partition layer of v1.7 is gone;
+``ShardedCandidateIndex`` survives as a second name for the class, and
+``shards`` is accepted and ignored, for one release.
 """
 
 from __future__ import annotations
@@ -30,7 +36,27 @@ import numpy as np
 from .machine import VirtualMachine
 from .resources import NUM_RESOURCES, ResourceVector
 
-__all__ = ["ScaleConfig", "ShardedCandidateIndex"]
+__all__ = ["ScaleConfig", "CandidateSet", "ShardedCandidateIndex", "tie_window"]
+
+#: Feasibility slack, matching :meth:`ResourceVector.fits_within`.
+_FIT_ATOL = 1e-9
+#: Relative volume tie window (see :func:`tie_window`).
+_TIE_RTOL = 1e-12
+
+
+def tie_window(best: float) -> float:
+    """Width of the volume tie window around ``best``.
+
+    Relative (``1e-12 * |best|``) rather than absolute: volumes scale
+    with ``1/C'``, so an absolute ``1e-12`` window that is a genuine
+    rounding allowance at unit magnitudes becomes either meaninglessly
+    tight or spuriously wide once capacities span hyperscale ranges.  A
+    relative window makes tie-breaking scale-invariant — multiplying
+    every availability row by a constant leaves the chosen VM unchanged.
+    At ``best == 0`` the window is zero and only exact ties resolve by
+    ``vm_id``, which is the deterministic case that matters.
+    """
+    return _TIE_RTOL * abs(best)
 
 
 @dataclass(frozen=True)
@@ -68,43 +94,80 @@ class ScaleConfig:
             raise ValueError("chunk_size must be >= 1")
 
 
-class ShardedCandidateIndex:
-    """A :class:`CandidateSet` kept in sync with its VMs.
+class CandidateSet:
+    """A candidate pool as one ``(n_vms, l)`` availability matrix.
 
-    Rows mirror each VM's unallocated capacity, the ``online`` lane its
-    liveness and the ``versions`` lane the ``state_version`` last read;
-    :meth:`refresh` is the one sync loop.  Liveness is applied in one
-    place — the lane is shared with the set, whose feasibility mask
-    excludes offline rows — so every selector here *is* the
-    ``CandidateSet`` kernel, and the scalar loop in
-    :mod:`repro.core.vm_selection` remains the differential oracle.
+    Feasibility scans, Eq. 22 volume ranking and the baselines'
+    uniform-random choice are single matrix expressions instead of
+    per-VM Python loops, and :meth:`consume` keeps the rows current as
+    placements land, mirroring the incremental ``execute_slot``
+    vectorization of PR 1.
 
-    Iterable as ``(vm, ResourceVector)`` pairs (online rows only), so
-    the invariant checker's scalar re-derivation and custom
-    ``choose_vm`` overrides see exactly the rows a selector may return.
+    Liveness is applied in one place: a row whose ``online`` flag is
+    False is infeasible for every demand, the all-zero one included,
+    and is absent from iteration, ``len`` and :meth:`availability` — a
+    pool *is* its live rows.  A pool built by :meth:`for_vms` mirrors
+    its VMs' unallocated capacity and liveness; :meth:`refresh` is the
+    one sync loop.
+
+    Iteration yields ``(vm, ResourceVector)`` pairs — the exact shape
+    the scalar reference functions, the invariant checker and custom
+    ``choose_vm`` overrides consume — so a ``CandidateSet`` can stand in
+    anywhere a candidate list is expected.  The yielded vectors are
+    snapshots (copies) of the current rows.
+
+    Selection semantics match the scalar loop in
+    :mod:`repro.core.vm_selection`, which remains the differential
+    oracle: smallest Eq. 22 volume over the feasible rows, ties within
+    the scale-invariant :func:`tie_window` broken toward the lowest
+    ``vm_id``.  (The loop applies its tie tolerance pairwise against a
+    running best, which could chain across candidates closer than the
+    window apart without being exactly tied; real capacity data never
+    produces such near-ties, and exact ties — the case that matters for
+    determinism — resolve identically.)
     """
 
-    __slots__ = ("source_vms", "online", "versions", "_set")
+    __slots__ = ("vms", "matrix", "online", "versions", "_ids", "_rows")
 
-    def __init__(self, vms: Sequence[VirtualMachine]) -> None:
-        # Deferred: ``repro.core`` imports ``repro.cluster`` at module
-        # level; importing back at import time would cycle the packages.
-        from ..core.vm_selection import CandidateSet
+    def __init__(
+        self, vms: Sequence[VirtualMachine], matrix: np.ndarray
+    ) -> None:
+        self.vms = list(vms)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.size == 0:
+            matrix = np.zeros((len(self.vms), NUM_RESOURCES))
+        if matrix.shape != (len(self.vms), NUM_RESOURCES):
+            raise ValueError(
+                f"matrix shape {matrix.shape} does not match "
+                f"{len(self.vms)} VMs x {NUM_RESOURCES} resources"
+            )
+        self.matrix = matrix.copy()
+        #: Liveness lane, one bool per row.
+        self.online = np.ones(len(self.vms), dtype=bool)
+        #: ``state_version`` each row was last read at; ``-1`` makes the
+        #: first :meth:`refresh` populate every row.
+        self.versions = np.full(len(self.vms), -1, dtype=np.int64)
+        self._ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
+        self._rows = {vm.vm_id: i for i, vm in enumerate(self.vms)}
 
-        #: The list this index mirrors (identity-compared by the owner).
-        self.source_vms = vms
-        self._set = CandidateSet(vms, np.zeros((len(vms), NUM_RESOURCES)))
-        self.online = self._set.online = np.ones(len(vms), dtype=bool)
-        #: ``-1`` forces the first :meth:`refresh` to populate every row.
-        self.versions = np.full(len(vms), -1, dtype=np.int64)
+    @classmethod
+    def from_pairs(
+        cls, pairs: Sequence[tuple[VirtualMachine, ResourceVector]]
+    ) -> "CandidateSet":
+        """Build from a scalar-style candidate list."""
+        pairs = list(pairs)
+        return cls(
+            [vm for vm, _ in pairs],
+            np.array([avail.as_array() for _, avail in pairs]),
+        )
 
     @classmethod
     def for_vms(
         cls, vms: Sequence[VirtualMachine], *, shards: int = 1
-    ) -> ShardedCandidateIndex:
-        """Index over ``vms``; rows are filled by :meth:`refresh`."""
+    ) -> "CandidateSet":
+        """Pool mirroring ``vms``; rows are filled by :meth:`refresh`."""
         ScaleConfig(shards=shards)  # validates and warns: deprecated knob
-        return cls(vms)
+        return cls(vms, np.zeros((len(vms), NUM_RESOURCES)))
 
     def refresh(self) -> int:
         """Re-read rows whose VM ``state_version`` moved; returns how many.
@@ -115,8 +178,8 @@ class ShardedCandidateIndex:
         rewritten = 0
         versions = self.versions
         online = self.online
-        matrix = self._set.matrix
-        for i, vm in enumerate(self._set.vms):
+        matrix = self.matrix
+        for i, vm in enumerate(self.vms):
             version = vm.state_version
             if version == versions[i]:
                 continue
@@ -126,45 +189,85 @@ class ShardedCandidateIndex:
             rewritten += 1
         return rewritten
 
-    def consume(self, vm: VirtualMachine, amount: np.ndarray) -> None:
-        """Decrement ``vm``'s row by ``amount``, clipping at zero."""
-        self._set.consume(vm, amount)
-
     # ------------------------------------------------------------------
     # pool views (online rows only)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Number of live candidate rows (matches the per-call pools)."""
         return int(self.online.sum())
 
     def __iter__(self) -> Iterator[tuple[VirtualMachine, ResourceVector]]:
         online = self.online
-        for i, pair in enumerate(self._set):
+        for i, vm in enumerate(self.vms):
             if online[i]:
-                yield pair
+                yield vm, ResourceVector(self.matrix[i])
 
     def availability(self, vm: VirtualMachine) -> ResourceVector | None:
         """Current availability row of ``vm`` (None if absent/offline)."""
-        row = self._set._rows.get(vm.vm_id)
+        row = self._rows.get(vm.vm_id)
         if row is None or not self.online[row]:
             return None
-        return ResourceVector(self._set.matrix[row])
+        return ResourceVector(self.matrix[row])
+
+    # ------------------------------------------------------------------
+    def consume(self, vm: VirtualMachine, amount: np.ndarray) -> None:
+        """Decrement ``vm``'s row by ``amount``, clipping at zero.
+
+        Keeps the matrix in sync with a placement that just landed —
+        the incremental update that lets one matrix serve a whole
+        window (or run) instead of being rebuilt per entity.
+        """
+        row = self._rows.get(vm.vm_id)
+        if row is None:  # pragma: no cover - placement outside the pool
+            return
+        np.clip(self.matrix[row] - amount, 0.0, None, out=self.matrix[row])
+
+    # ------------------------------------------------------------------
+    def feasible_mask(self, demand: ResourceVector) -> np.ndarray:
+        """Boolean row mask of live candidates the demand fits within."""
+        mask = (demand.as_array() <= self.matrix + _FIT_ATOL).all(axis=1)
+        mask &= self.online
+        return mask
 
     def feasible_count(self, demand: ResourceVector) -> int:
         """How many live candidates the demand fits within."""
-        return self._set.feasible_count(demand)
+        return int(self.feasible_mask(demand).sum())
 
-    # ------------------------------------------------------------------
-    # selection (the CandidateSet kernels, verbatim)
+    def volumes(self, reference: ResourceVector) -> np.ndarray:
+        """Eq. 22 volume of every row (one matrix-vector product)."""
+        ref = reference.as_array()
+        inv = np.zeros(NUM_RESOURCES)
+        nz = ref > 0
+        inv[nz] = 1.0 / ref[nz]
+        return self.matrix @ inv
+
     # ------------------------------------------------------------------
     def select_most_matched(
         self, demand: ResourceVector, reference: ResourceVector
     ) -> VirtualMachine | None:
-        """Eq. 22 most-matched live VM (lowest ``vm_id`` among ties)."""
-        return self._set.select_most_matched(demand, reference)
+        """Vectorized Eq. 22 most-matched choice (see class docstring)."""
+        mask = self.feasible_mask(demand)
+        if not mask.any():
+            return None
+        volumes = self.volumes(reference)
+        best = volumes[mask].min()
+        tied = mask & (volumes <= best + tie_window(best))
+        (indices,) = np.nonzero(tied)
+        return self.vms[indices[np.argmin(self._ids[indices])]]
 
     def select_random_feasible(
         self, demand: ResourceVector, rng: np.random.Generator
     ) -> VirtualMachine | None:
-        """Uniform-random feasible live VM, one ``rng.integers`` draw."""
-        return self._set.select_random_feasible(demand, rng)
+        """Vectorized uniform-random feasible choice.
+
+        Consumes exactly one ``rng.integers(n_feasible)`` draw — the
+        same stream usage as the scalar loop, so baselines produce
+        identical placements either way.
+        """
+        (indices,) = np.nonzero(self.feasible_mask(demand))
+        if indices.size == 0:
+            return None
+        return self.vms[indices[int(rng.integers(indices.size))]]
+
+
+#: The v1.7 name of the persistent pool; the same class.
+ShardedCandidateIndex = CandidateSet

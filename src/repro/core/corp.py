@@ -30,7 +30,6 @@ from ..check import CHECK
 from ..cluster.job import Job
 from ..cluster.machine import VirtualMachine
 from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
-from ..cluster.shards import ShardedCandidateIndex
 from ..forecast.base import Predictor
 from ..forecast.confidence import z_value
 from ..obs import OBS
@@ -279,14 +278,13 @@ class CorpScheduler(ProvisioningSchedulerBase):
     def choose_vm(
         self,
         demand: ResourceVector,
-        candidates: CandidateSet | ShardedCandidateIndex,
+        candidates: CandidateSet,
     ) -> VirtualMachine | None:
         """Most-matched VM by unused-resource volume (Eq. 22).
 
-        ``candidates`` is a pool (a :class:`CandidateSet` or the
-        persistent index over one) and the choice is one matrix
-        expression; with volume selection ablated off it is the
-        baselines' uniform-random feasible VM.
+        The choice is one matrix expression over the pool; with volume
+        selection ablated off it is the baselines' uniform-random
+        feasible VM.
         """
         if not self.config.use_volume_selection:
             return super().choose_vm(demand, candidates)

@@ -21,6 +21,7 @@ the VM-choice rule.
 from __future__ import annotations
 
 from abc import abstractmethod
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from ..cluster.job import Job
 from ..cluster.machine import Placement, SlotOutcome, VirtualMachine
 from ..cluster.resources import NUM_RESOURCES, ResourceVector
 from ..cluster.scheduler import Scheduler
-from ..cluster.shards import ShardedCandidateIndex
 from ..obs import OBS
 from .packing import JobEntity, singleton_entities
 from .preemption import PreemptionGate
@@ -38,9 +38,48 @@ from .vm_selection import CandidateSet, unused_volume
 
 __all__ = ["ProvisioningSchedulerBase"]
 
+#: The pool row of a VM with no reservation to find slack in.
+_NO_SLACK = np.zeros(NUM_RESOURCES)
+
+
+@dataclass(slots=True)
+class _WindowRecord:
+    """One VM's Eq. 20 tracking state for the current window.
+
+    Error samples are only taken while the primary job set is the one
+    the forecast covered: a completed job frees real capacity (an
+    opportunistic rider is never squeezed by a completion) and a newly
+    placed job was never part of the forecast, so churned windows carry
+    no information about predictor quality.
+    """
+
+    vm: VirtualMachine
+    #: The *adjusted* (conservative) forecast, kept for Eq. 20 error
+    #: tracking and the Fig. 6 log — Eq. 19 redefines the forecast as
+    #: the CI lower bound before Eq. 20's errors are taken, so
+    #: conservatism is part of the tracked prediction (schemes without
+    #: error handling, like DRA, track their raw forecast).
+    forecast: np.ndarray
+    raw_forecast: np.ndarray
+    #: Commitment and primary job set when the forecast was made.
+    committed: np.ndarray
+    jobset: frozenset[int]
+    #: Running min / sum / count of realized availability over the
+    #: window's valid slots — the realized counterpart the forecast is
+    #: scored against (see ``actual_aggregate``).
+    minimum: np.ndarray | None = None
+    total: np.ndarray | None = None
+    slots: int = 0
+
 
 class ProvisioningSchedulerBase(Scheduler):
-    """Window-driven predictive scheduler skeleton."""
+    """Window-driven predictive scheduler skeleton.
+
+    A window's state is written in one place, ``_refresh_forecasts``:
+    a tracking record per forecast VM and the opportunistic pool's
+    rows.  Placement selects from two :class:`CandidateSet` pools — that
+    one, and the run-long mirror of unallocated capacity.
+    """
 
     #: Whether the scheme reallocates predicted-unused resources
     #: opportunistically (CORP and RCCR do; CloudScale and DRA do not).
@@ -78,38 +117,18 @@ class ProvisioningSchedulerBase(Scheduler):
         #: shift back into its own estimate.
         self.raw_errors = PreemptionGate(error_tolerance, probability_threshold)
         self.rng = np.random.default_rng(seed)
-        #: Per-VM predicted unused still available for opportunistic
-        #: placements in the current window (decremented on placement).
-        self._available_unused: dict[int, np.ndarray] = {}
-        #: Per-VM *adjusted* (conservative) forecast of the current
-        #: window, kept for Eq. 20 error tracking and the Fig. 6 log —
-        #: Eq. 19 redefines the forecast as the CI lower bound before
-        #: Eq. 20's errors are taken, so conservatism is part of the
-        #: tracked prediction (schemes without error handling, like DRA,
-        #: track their raw forecast).
-        self._window_forecast: dict[int, np.ndarray] = {}
-        #: Commitment of each VM when its forecast was made, plus the
-        #: primary job set it covered.  Error samples are only taken
-        #: while the job set is unchanged: a completed job frees real
-        #: capacity (an opportunistic rider is never squeezed by a
-        #: completion) and a newly placed job was never part of the
-        #: forecast, so churned windows carry no information about
-        #: predictor quality.
-        self._window_committed: dict[int, np.ndarray] = {}
-        self._window_jobset: dict[int, frozenset[int]] = {}
-        self._window_raw_forecast: dict[int, np.ndarray] = {}
-        #: Candidate pools the placement path selects from.  The
-        #: primary pool is a *persistent* availability index
-        #: refreshed in place via VM ``state_version`` dirty tracking;
-        #: the opportunistic pool is per-window forecast state and is
-        #: rebuilt each call (its rows are scheduler bookkeeping, not
-        #: VM state a version counter could mirror).
-        self._primary_index: ShardedCandidateIndex | None = None
-        self._opp_pool = CandidateSet([], np.zeros((0, NUM_RESOURCES)))
-        #: Running (min, sum, count) of realized availability over the
-        #: window's valid slots — the realized counterpart the forecast
-        #: is scored against (see ``actual_aggregate``).
-        self._window_actual: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        #: ``vm_id`` -> tracking record of every VM forecast this
+        #: window, in refresh order, until its job set churns.
+        self._window: dict[int, _WindowRecord] = {}
+        #: Candidate pools the placement path selects from.  The primary
+        #: pool mirrors the VMs' unallocated capacity for the whole run,
+        #: refreshed in place via ``state_version`` dirty tracking.  The
+        #: opportunistic pool lives for one window: a row per VM polled
+        #: at the refresh — its predicted unused, decremented as riders
+        #: land (scheduler bookkeeping, not VM state a version counter
+        #: could mirror) and voided once its VM is seen offline.
+        self._primary_index: CandidateSet | None = None
+        self._opp_pool = CandidateSet([], ())
         #: True while the prediction service is down (fault injection):
         #: no forecasts, no opportunistic placement — provisioning falls
         #: back to the jobs' requested resources.
@@ -143,14 +162,13 @@ class ProvisioningSchedulerBase(Scheduler):
     def choose_vm(
         self,
         demand: ResourceVector,
-        candidates: CandidateSet | ShardedCandidateIndex,
+        candidates: CandidateSet,
     ) -> VirtualMachine | None:
         """Pick a feasible VM (default: the baselines' uniform random).
 
-        ``candidates`` is a pool — a :class:`CandidateSet` or the
-        persistent index over one; overrides that iterate it as
-        ``(vm, availability)`` pairs (the documented shape) keep
-        working unchanged.
+        ``candidates`` is the pool being placed into; overrides that
+        iterate it as ``(vm, availability)`` pairs (the documented
+        shape) see its live rows.
         """
         return candidates.select_random_feasible(demand, self.rng)
 
@@ -197,6 +215,20 @@ class ProvisioningSchedulerBase(Scheduler):
             return
         if slot % self.window_slots == 0:
             self._refresh_forecasts()
+        else:
+            self._void_offline_rows()
+
+    def _void_offline_rows(self) -> None:
+        """A VM seen offline loses its pool row for the rest of the window.
+
+        The crash evicted every reservation the slack lived in, so the
+        forecast describes nothing that survives the restart.  (A
+        primary that merely completes early keeps its row.)  Runs every
+        tick, so downtime is seen whether or not jobs were pending.
+        """
+        pool = self._opp_pool
+        pool.online[:] = [vm.online for vm in pool.vms]
+        pool.matrix[~pool.online] = 0.0
 
     def _enter_degraded(self, slot: int) -> None:
         """Drop all prediction-derived state for the outage's duration.
@@ -205,12 +237,8 @@ class ProvisioningSchedulerBase(Scheduler):
         realized availability observed during an outage says nothing
         about predictor quality.
         """
-        self._window_forecast.clear()
-        self._window_raw_forecast.clear()
-        self._window_committed.clear()
-        self._window_jobset.clear()
-        self._window_actual.clear()
-        self._available_unused.clear()
+        self._window.clear()
+        self._opp_pool = CandidateSet([], ())
         self.on_degraded(slot)
         OBS.emit("degraded_mode", slot=slot, scheduler=self.name, active=True)
         OBS.count("faults.degraded_mode")
@@ -236,13 +264,10 @@ class ProvisioningSchedulerBase(Scheduler):
         """
         # Emit the previous window's samples before starting a new one.
         self._emit_window_samples()
-        self._window_forecast.clear()
-        self._window_raw_forecast.clear()
-        self._window_committed.clear()
-        self._window_jobset.clear()
-        self._window_actual.clear()
-        self._available_unused.clear()
+        self._window.clear()
         self._begin_window()
+        pool_vms: list[VirtualMachine] = []
+        pool_rows: list[np.ndarray] = []
         for vm in self.vms:
             if not vm.online:
                 continue  # a crashed VM has no usage to poll
@@ -250,7 +275,8 @@ class ProvisioningSchedulerBase(Scheduler):
             self.latency.charge_comm(1)
             if not vm.placements:
                 if self.supports_opportunistic:
-                    self._available_unused[vm.vm_id] = np.zeros(NUM_RESOURCES)
+                    pool_vms.append(vm)
+                    pool_rows.append(_NO_SLACK)
                 continue
             raw = np.asarray(self.predict_vm_unused(vm), dtype=np.float64)
             if raw.shape != (NUM_RESOURCES,):
@@ -260,11 +286,9 @@ class ProvisioningSchedulerBase(Scheduler):
             raw = np.clip(raw, 0.0, committed.as_array())
             adjusted = np.clip(self.adjust_forecast(raw, vm), 0.0, None)
             if committed.any_positive():
-                self._window_forecast[vm.vm_id] = adjusted
-                self._window_raw_forecast[vm.vm_id] = raw
-                self._window_committed[vm.vm_id] = committed.as_array().copy()
-                self._window_jobset[vm.vm_id] = frozenset(
-                    p.job.job_id for p in vm.placements if not p.opportunistic
+                self._window[vm.vm_id] = _WindowRecord(
+                    vm, adjusted, raw, committed.as_array().copy(),
+                    self._primary_jobset(vm),
                 )
             if not self.supports_opportunistic:
                 continue
@@ -273,42 +297,34 @@ class ProvisioningSchedulerBase(Scheduler):
             )
             # Opportunistic capacity can never exceed what is actually
             # committed (the slack lives inside reservations).
-            self._available_unused[vm.vm_id] = np.clip(
-                np.minimum(adjusted, committed_slack), 0.0, None
+            pool_vms.append(vm)
+            pool_rows.append(
+                np.clip(np.minimum(adjusted, committed_slack), 0.0, None)
             )
+        self._opp_pool = CandidateSet(pool_vms, pool_rows)
         if CHECK.enabled:
             CHECK.checker.observe_pools(self)
 
-    def _drop_window_tracking(self, vm_id: int) -> None:
-        for store in (
-            self._window_forecast,
-            self._window_raw_forecast,
-            self._window_committed,
-            self._window_jobset,
-            self._window_actual,
-        ):
-            store.pop(vm_id, None)
-
-    def _realized(self, vm_id: int) -> np.ndarray:
-        """The realized availability aggregate the forecast is scored on."""
-        minimum, total, count = self._window_actual[vm_id]
-        if self.actual_aggregate == "min":
-            return minimum
-        return total / count
-
-    def _emit_one(self, vm_id: int) -> None:
-        committed = self._window_committed[vm_id]
-        scale = np.maximum(committed, 1e-9)
-        actual = self._realized(vm_id)
-        self.gate.record(self._window_forecast[vm_id] / scale, actual / scale)
-        self.raw_errors.record(
-            self._window_raw_forecast[vm_id] / scale, actual / scale
+    @staticmethod
+    def _primary_jobset(vm: VirtualMachine) -> frozenset[int]:
+        return frozenset(
+            p.job.job_id for p in vm.placements if not p.opportunistic
         )
+
+    def _emit_one(self, record: _WindowRecord) -> None:
+        scale = np.maximum(record.committed, 1e-9)
+        # The realized availability aggregate the forecast is scored on.
+        if self.actual_aggregate == "min":
+            actual = record.minimum
+        else:
+            actual = record.total / record.slots
+        self.gate.record(record.forecast / scale, actual / scale)
+        self.raw_errors.record(record.raw_forecast / scale, actual / scale)
         # Fig. 6 log: CPU forecast vs realized unused CPU (the paper's
         # running example resource), commitment fractions.
-        if committed[0] > 1e-9:
+        if record.committed[0] > 1e-9:
             self.prediction_log.add(
-                self._window_forecast[vm_id][0] / scale[0], actual[0] / scale[0]
+                record.forecast[0] / scale[0], actual[0] / scale[0]
             )
 
     def _emit_window_samples(self) -> None:
@@ -319,8 +335,9 @@ class ProvisioningSchedulerBase(Scheduler):
         the VM's commitment so one tolerance ε compares CPU cores and
         storage GBs alike.
         """
-        for vm_id in self._window_actual:
-            self._emit_one(vm_id)
+        for record in self._window.values():
+            if record.slots:
+                self._emit_one(record)
 
     def on_slot_end(self, slot: int, outcomes: dict[int, SlotOutcome]) -> None:
         """Score forecasts against realized availability (Eq. 20)."""
@@ -330,34 +347,25 @@ class ProvisioningSchedulerBase(Scheduler):
         # the sample early and stops tracking — a completed job frees
         # real capacity and a new placement was never in the forecast,
         # so later slots carry no information about predictor quality.
-        jobsets = {
-            vm.vm_id: frozenset(
-                p.job.job_id for p in vm.placements if not p.opportunistic
-            )
-            for vm in self.vms
-            if vm.vm_id in self._window_forecast
-        }
-        for vm_id in list(self._window_forecast):
+        for vm_id, record in list(self._window.items()):
             # A VM absent from the outcomes crashed this slot (its
             # eviction already churned the jobset, but guard anyway).
-            if vm_id not in outcomes or jobsets[vm_id] != self._window_jobset[vm_id]:
-                if vm_id in self._window_actual:
+            if (
+                vm_id not in outcomes
+                or self._primary_jobset(record.vm) != record.jobset
+            ):
+                if record.slots:
                     # Emit the partial-window sample, then stop tracking.
-                    self._emit_one(vm_id)
-                self._drop_window_tracking(vm_id)
+                    self._emit_one(record)
+                del self._window[vm_id]
                 continue
-            actual = (
-                self._window_committed[vm_id]
-                - outcomes[vm_id].primary_demand.as_array()
-            )
-            seen = self._window_actual.get(vm_id)
-            if seen is None:
-                self._window_actual[vm_id] = (actual.copy(), actual.copy(), 1)
+            actual = record.committed - outcomes[vm_id].primary_demand.as_array()
+            if record.slots == 0:
+                record.minimum, record.total = actual, actual.copy()
             else:
-                minimum, total, count = seen
-                np.minimum(minimum, actual, out=minimum)
-                total += actual
-                self._window_actual[vm_id] = (minimum, total, count + 1)
+                np.minimum(record.minimum, actual, out=record.minimum)
+                record.total += actual
+            record.slots += 1
 
     # ------------------------------------------------------------------
     # placement
@@ -365,16 +373,15 @@ class ProvisioningSchedulerBase(Scheduler):
     def place_jobs(self, pending: Sequence[Job], slot: int) -> list[Job]:
         """Place pending jobs entity by entity; returns those placed.
 
-        The primary pool (unallocated capacity) is a *persistent*
-        :class:`ShardedCandidateIndex` over the cluster's VMs:
-        :meth:`~repro.cluster.shards.ShardedCandidateIndex.refresh`
-        re-reads only the rows whose VM ``state_version`` moved since
-        the last call, so a slot that touched two VMs rewrites two rows
-        rather than rebuilding an ``(n_vms, l)`` matrix from Python
-        attribute reads.  The opportunistic pool (unlocked
-        predicted unused) is per-window scheduler bookkeeping and is
-        rebuilt each call as before.  Both pools are updated
-        incrementally (``consume``) as placements land within the call.
+        The primary pool (unallocated capacity) is a run-long
+        :class:`~repro.cluster.shards.CandidateSet` over the cluster's
+        VMs: :meth:`~repro.cluster.shards.CandidateSet.refresh` re-reads
+        only the rows whose VM ``state_version`` moved since the last
+        call, so a slot that touched two VMs rewrites two rows rather
+        than rebuilding an ``(n_vms, l)`` matrix from Python attribute
+        reads.  The opportunistic pool (unlocked predicted unused) is
+        the one the window refresh built.  Both are updated in place
+        (``consume``) as placements land.
         """
         if not pending:
             return []
@@ -384,19 +391,11 @@ class ProvisioningSchedulerBase(Scheduler):
             and not self._degraded
             and self.opportunistic_allowed()
         )
-        vms = self.sim.vms
-        index = self._primary_index
-        if index is None or index.source_vms is not vms:
-            index = self._primary_index = ShardedCandidateIndex.for_vms(vms)
-        rewritten = index.refresh()
+        if self._primary_index is None:
+            self._primary_index = CandidateSet.for_vms(self.sim.vms)
+        rewritten = self._primary_index.refresh()
         if OBS.enabled:
             OBS.count("index.rows_refreshed", rewritten)
-        opp_vms = [
-            vm for vm in vms if vm.online and vm.vm_id in self._available_unused
-        ]
-        self._opp_pool = CandidateSet(
-            opp_vms, np.array([self._available_unused[vm.vm_id] for vm in opp_vms])
-        )
         for entity in self.make_entities(pending):
             placed.extend(
                 self._place_entity_units(entity, slot, allow_opportunistic)
@@ -446,9 +445,6 @@ class ProvisioningSchedulerBase(Scheduler):
             entity, vm, slot, opportunistic=True,
             candidates=candidates, demand=admission,
         )
-        self._available_unused[vm.vm_id] = np.clip(
-            self._available_unused[vm.vm_id] - admission.as_array(), 0.0, None
-        )
         candidates.consume(vm, admission.as_array())
         return True
 
@@ -472,7 +468,7 @@ class ProvisioningSchedulerBase(Scheduler):
         vm: VirtualMachine,
         slot: int,
         opportunistic: bool,
-        candidates: CandidateSet | ShardedCandidateIndex | None,
+        candidates: CandidateSet | None,
         demand: ResourceVector | None,
     ) -> None:
         """One ``placement`` event per placed job (decision telemetry).
@@ -514,7 +510,7 @@ class ProvisioningSchedulerBase(Scheduler):
         slot: int,
         *,
         opportunistic: bool,
-        candidates: CandidateSet | ShardedCandidateIndex | None = None,
+        candidates: CandidateSet | None = None,
         demand: ResourceVector | None = None,
     ) -> None:
         # Dispatching an entity to a VM is one remote operation.

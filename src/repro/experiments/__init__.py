@@ -28,7 +28,6 @@ from .scenarios import (
     ec2_scenario,
     fault_sweep_scenarios,
 )
-from .sweep import SweepResult, average_summaries, sweep
 from .table2 import render_table2, table2_rows
 
 __all__ = [
@@ -61,7 +60,4 @@ __all__ = [
     "save_figure_svg",
     "render_table2",
     "table2_rows",
-    "SweepResult",
-    "average_summaries",
-    "sweep",
 ]

@@ -101,16 +101,6 @@ class FaultInjector:
         return len(self._backoff)
 
     # ------------------------------------------------------------------
-    def begin_slot(self, slot: int, sim: "ClusterSimulator") -> None:
-        """Apply all fault-plan effects due at the top of ``slot``.
-
-        Kept as the one-call form; the event kernel drives the two
-        phases separately (``vm-restored`` then ``fault-due`` events)
-        in exactly this order.
-        """
-        self.restore_phase(slot, sim)
-        self.fault_phase(slot, sim)
-
     def restore_phase(self, slot: int, sim: "ClusterSimulator") -> None:
         """Recovery phase: expired downtimes/revocations end, outages
         clear, and backed-off jobs whose delay elapsed re-enter the

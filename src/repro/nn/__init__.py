@@ -11,7 +11,6 @@ from .layers import DenseLayer
 from .losses import MAE, MSE, Loss, get_loss, pinball
 from .network import FeedForwardNetwork
 from .optimizers import SGD, Adam, Momentum, Optimizer, get_optimizer
-from .scaling import MinMaxScaler
 from .training import TrainingConfig, TrainingHistory, train, train_validation_split
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "Momentum",
     "Optimizer",
     "get_optimizer",
-    "MinMaxScaler",
     "TrainingConfig",
     "TrainingHistory",
     "train",

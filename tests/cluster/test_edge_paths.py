@@ -78,4 +78,4 @@ class TestChurnEmission:
         assert result.n_completed == 1
         assert sched.gate.trackers[0].n_samples >= 1
         # Tracking stopped at the churn: no stale per-VM state remains.
-        assert sched._window_forecast == {}
+        assert sched._window == {}

@@ -85,13 +85,12 @@ def assert_outcomes_match(outcome, snapshot, ref):
 def test_vectorized_matches_reference(seed):
     vec_vm = build_vm(seed)
     ref_vm = build_vm(seed)  # independent twin: jobs mutate as they run
-    ref_unused, ref_demand = [], []
+    ref_unused = []
     for slot in range(N_SLOTS):
         vec_out = vec_vm.execute_slot(slot)
         snapshot, ref = reference_execute_slot(ref_vm, slot)
         assert_outcomes_match(vec_out, snapshot, ref)
         ref_unused.append(ref.unused)
-        ref_demand.append(ref.primary_demand + ref.opportunistic_demand)
         # Per-job effects must agree too: rates, progress, completion.
         for pv, pr in zip(vec_vm.placements, ref_vm.placements):
             assert pv.job.job_id == pr.job.job_id
@@ -104,7 +103,6 @@ def test_vectorized_matches_reference(seed):
         ref_done = {j.record.task_id for j in ref_vm.remove_completed()}
         assert vec_done == ref_done
     np.testing.assert_allclose(vec_vm.unused_history(), ref_unused, rtol=1e-12)
-    np.testing.assert_allclose(vec_vm.demand_history(), ref_demand, rtol=1e-12)
 
 
 def test_empty_vm_fast_path_matches_reference():
@@ -112,10 +110,6 @@ def test_empty_vm_fast_path_matches_reference():
     snapshot, ref = reference_execute_slot(ref_vm, 0)
     assert_outcomes_match(vec_vm.execute_slot(0), snapshot, ref)
     np.testing.assert_array_equal(vec_vm.unused_history(), [ref.unused])
-    np.testing.assert_array_equal(
-        vec_vm.demand_history(),
-        [ref.primary_demand + ref.opportunistic_demand],
-    )
 
 
 def test_max_vm_capacity_cache_matches_uncached():

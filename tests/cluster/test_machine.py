@@ -99,14 +99,12 @@ class TestSlotExecution:
         vm = make_vm()
         first, second = vm.execute_slot(0), vm.execute_slot(1)
         assert first.primary_demand is second.served_demand  # one shared zero
-        for row in (first.primary_demand.as_array(), vm._demand_history[-1]):
-            assert not row.flags.writeable
-            assert not row.any()
-        # The histories handed to predictors are still fresh arrays.
-        history = vm.demand_history()
-        history[:] = 1.0
+        row = first.primary_demand.as_array()
+        assert not row.flags.writeable
+        assert not row.any()
+        # The history handed to predictors is still a fresh array.
         vm.unused_history()[:] = 1.0
-        assert not vm.demand_history().any() and not vm.unused_history().any()
+        assert not vm.unused_history().any()
         assert vm._unused_history[0] is not vm._unused_history[1]
 
     def test_primary_gets_full_demand(self):
@@ -171,12 +169,10 @@ class TestSlotExecution:
         vm.execute_slot(1)
         assert vm.unused_history().shape == (2, 3)
         assert vm.unused_history(last=1).shape == (1, 3)
-        assert vm.demand_history().shape == (2, 3)
 
     def test_empty_vm_histories(self):
         vm = make_vm()
         assert vm.unused_history().shape == (0, 3)
-        assert vm.demand_history().shape == (0, 3)
 
     def test_history_last_zero_is_empty_window(self):
         # Regression: ``last=0`` used to fall through the truthiness
@@ -186,10 +182,8 @@ class TestSlotExecution:
         vm.execute_slot(0)
         vm.execute_slot(1)
         assert vm.unused_history(last=0).shape == (0, 3)
-        assert vm.demand_history(last=0).shape == (0, 3)
         # ``last=None`` (the default) still means "everything".
         assert vm.unused_history(last=None).shape == (2, 3)
-        assert vm.demand_history(last=None).shape == (2, 3)
 
     def test_remove_completed(self):
         vm = make_vm()

@@ -1,8 +1,8 @@
 """The flat, version-tracked availability index against the scalar oracle.
 
-:class:`ShardedCandidateIndex` is one :class:`CandidateSet` matrix kept
-in sync with its VMs (rows, a liveness lane, a version lane).  The
-contract under test is *bit-identity* with the scalar reference loop the
+:class:`ShardedCandidateIndex` is :class:`CandidateSet` under its v1.7
+name: one matrix kept in sync with its VMs (rows, a liveness lane, a
+version lane).  The contract under test is *bit-identity* with the scalar reference loop the
 differential checker re-derives placements with, over the online rows
 only: same Eq. 22 winner (tie-break included), same random-feasible
 choice from the same rng stream position, and rows that always equal a
@@ -10,6 +10,8 @@ freshly built index after any sequence of VM mutations.  Capacities and
 demands are drawn from a small grid on purpose so exact volume ties are
 common and the tie-break path is exercised, not just the strict minimum.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -70,6 +72,28 @@ class TestScaleConfig:
             ShardedCandidateIndex.for_vms([make_vm()], shards=8)
         with pytest.raises(ValueError):
             ShardedCandidateIndex.for_vms([make_vm()], shards=0)
+
+
+class TestOnePoolClass:
+    def test_both_names_are_the_one_class(self):
+        assert ShardedCandidateIndex is CandidateSet
+
+    @pytest.mark.parametrize("target", [
+        f"repro.core.vm_selection:CandidateSet.{attr}"
+        for attr in ("select_most_matched", "select_random_feasible", "consume")
+    ] + [
+        f"repro.cluster.shards:ShardedCandidateIndex.{attr}"
+        for attr in (
+            "select_most_matched", "select_random_feasible", "consume",
+            "refresh", "for_vms",
+        )
+    ])
+    def test_every_dotted_path_the_ledger_names_resolves(self, target):
+        module, _, path = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj)
 
 
 class TestShardedEquivalence:

@@ -129,7 +129,7 @@ class TestOpportunisticPlacement:
         # aggregate pool.
         sched = StubScheduler(fraction=0.5)
         result = run_stub(sched, n_jobs=40)
-        for pool in sched._available_unused.values():
+        for pool in sched._opp_pool.matrix:
             assert np.all(pool >= -1e-9)
 
     def test_all_jobs_placed_eventually(self):

@@ -25,19 +25,33 @@ from repro.cluster.profiles import ClusterProfile
 from repro.cluster.resources import NUM_RESOURCES, ResourceVector
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.corp import CorpScheduler
+from repro.core.provisioning import _WindowRecord
+from repro.core.vm_selection import CandidateSet
 from repro.obs import OBS
 
 from ..cluster.test_job import make_record
 from ..forecast.test_selection import _drive_backtests, _stub_selector
 
-WINDOW_STATE = (
-    "_window_forecast",
-    "_window_raw_forecast",
-    "_window_committed",
-    "_window_jobset",
-    "_window_actual",
-    "_available_unused",
-)
+#: The six per-VM views of one window's state: four fields of the
+#: ``_window`` records, their running actuals, and the pool's rows.
+RECORD_FIELDS = ("forecast", "raw_forecast", "committed", "jobset")
+
+
+def window_state(sched):
+    records = sched._window
+    pool = sched._opp_pool
+    state = {
+        name: {vm_id: getattr(r, name) for vm_id, r in records.items()}
+        for name in RECORD_FIELDS
+    }
+    state["actual"] = {
+        vm_id: (r.minimum, r.total, r.slots)
+        for vm_id, r in records.items()
+        if r.slots
+    }
+    state["pool"] = {vm.vm_id: row for vm, row in zip(pool.vms, pool.matrix)}
+    return state
+
 
 #: idle = never used; vacated = evicted before the refresh (idle, with
 #: history); riders_only = opportunistic placements and no commitment.
@@ -73,8 +87,8 @@ def reference_adjust(sched, raw, vm):
 
 def reference_refresh(sched):
     sched._emit_window_samples()
-    for name in WINDOW_STATE:
-        getattr(sched, name).clear()
+    sched._window.clear()
+    pool = {}
     for vm in sched.vms:
         if not vm.online:
             continue
@@ -84,18 +98,20 @@ def reference_refresh(sched):
         raw = np.clip(raw, 0.0, committed.as_array())
         adjusted = np.clip(reference_adjust(sched, raw, vm), 0.0, None)
         if committed.any_positive():
-            sched._window_forecast[vm.vm_id] = adjusted
-            sched._window_raw_forecast[vm.vm_id] = raw
-            sched._window_committed[vm.vm_id] = committed.as_array().copy()
-            sched._window_jobset[vm.vm_id] = frozenset(
-                p.job.job_id for p in vm.placements if not p.opportunistic
+            sched._window[vm.vm_id] = _WindowRecord(
+                vm=vm,
+                forecast=adjusted,
+                raw_forecast=raw,
+                committed=committed.as_array().copy(),
+                jobset=frozenset(
+                    p.job.job_id for p in vm.placements if not p.opportunistic
+                ),
             )
         if not sched.supports_opportunistic:
             continue
         committed_slack = committed.as_array() - vm.opportunistic_demand().as_array()
-        sched._available_unused[vm.vm_id] = np.clip(
-            np.minimum(adjusted, committed_slack), 0.0, None
-        )
+        pool[vm] = np.clip(np.minimum(adjusted, committed_slack), 0.0, None)
+    sched._opp_pool = CandidateSet(list(pool), list(pool.values()))
     if CHECK.enabled:
         CHECK.checker.observe_pools(sched)
 
@@ -169,7 +185,7 @@ def build_cluster(sched, kinds, seed, warm_slots):
 def observable_state(sched, checker):
     trackers = sched.gate.trackers + sched.raw_errors.trackers
     return {
-        **{name: getattr(sched, name) for name in WINDOW_STATE},
+        **window_state(sched),
         "comm_ops": sched.latency.comm_ops,
         "capacity_checks": checker.checks["capacity"],
         "violations": list(checker.violations),
@@ -219,10 +235,10 @@ class TestRefreshMatchesThePerVmLoop:
         if live.supports_opportunistic:
             # Every online VM keeps a pool row (idle ones all-zero), and
             # the checker looks at each of them.
-            assert list(got["_available_unused"]) == [vm.vm_id for vm in online]
+            assert list(got["pool"]) == [vm.vm_id for vm in online]
             assert got["capacity_checks"] == len(online)
         else:
-            assert got["_available_unused"] == {}
+            assert got["pool"] == {}
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +266,7 @@ class TestErrorScaleIsPerRefresh:
         build_cluster(sched, ["occupied"] * n_vms, seed=n_vms, warm_slots=2)
         predictor.seed_errors.reads = 0
         sched._refresh_forecasts()
-        assert len(sched._window_forecast) == n_vms  # every VM was adjusted
+        assert len(sched._window) == n_vms  # every VM was adjusted
         assert predictor.seed_errors.reads == NUM_RESOURCES
 
     def test_selector_switch_shows_in_the_same_refresh(self):
@@ -271,7 +287,8 @@ class TestErrorScaleIsPerRefresh:
         assert selector.active == "quantile"
         np.testing.assert_allclose(sched._job_scale, 0.4)
         sum_sq = sum(p.job.requested.as_array() ** 2 for p in vm.placements)
-        shift = sched._window_raw_forecast[vm.vm_id] - sched._window_forecast[vm.vm_id]
+        record = sched._window[vm.vm_id]
+        shift = record.raw_forecast - record.forecast
         np.testing.assert_allclose(shift, 0.4 * np.sqrt(sum_sq))
 
 

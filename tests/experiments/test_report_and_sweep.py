@@ -1,9 +1,8 @@
-"""Report tables, shape checks and sweep utilities."""
+"""Report tables and shape checks."""
 
 import pytest
 
 from repro.experiments.report import format_series_table, format_table, shape_check
-from repro.experiments.sweep import SweepResult, average_summaries, sweep
 
 
 class TestFormatTable:
@@ -58,39 +57,3 @@ class TestShapeCheck:
         with pytest.raises(ValueError):
             shape_check({"a": [1]}, ["a"], direction="sideways")
 
-
-class TestSweep:
-    def test_sweep_result_accumulates(self):
-        result = SweepResult(x_label="x", x_values=[1, 2], metric="m")
-        result.add("a", 0.1)
-        result.add("a", 0.2)
-        assert result.series()["a"] == [0.1, 0.2]
-
-    def test_sweep_runs_callable(self):
-        class FakeResult:
-            def __init__(self, v):
-                self.v = v
-
-            def summary(self):
-                return {"metric": self.v}
-
-        out = sweep(
-            "x", [1, 2, 3], "metric",
-            lambda x: {"m1": FakeResult(x), "m2": FakeResult(2 * x)},
-        )
-        assert out.values["m1"] == [1, 2, 3]
-        assert out.values["m2"] == [2, 4, 6]
-
-    def test_average_summaries(self):
-        class FakeResult:
-            def __init__(self, v):
-                self.v = v
-
-            def summary(self):
-                return {"k": self.v}
-
-        assert average_summaries([FakeResult(1.0), FakeResult(3.0)], "k") == 2.0
-
-    def test_average_empty(self):
-        with pytest.raises(ValueError):
-            average_summaries([], "k")

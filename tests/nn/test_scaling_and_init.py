@@ -1,62 +1,9 @@
-"""MinMaxScaler and weight initializers."""
+"""Weight initializers."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.nn.initializers import get_initializer, he_normal, small_uniform, xavier_uniform
-from repro.nn.scaling import MinMaxScaler
-
-
-class TestMinMaxScaler:
-    def test_range_with_margin(self):
-        data = np.array([[0.0], [10.0], [5.0]])
-        scaled = MinMaxScaler(margin=0.05).fit_transform(data)
-        assert scaled.min() == pytest.approx(0.05)
-        assert scaled.max() == pytest.approx(0.95)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(50, 3)) * 10
-        scaler = MinMaxScaler()
-        back = scaler.inverse_transform(scaler.fit_transform(data))
-        np.testing.assert_allclose(back, data, rtol=1e-9, atol=1e-9)
-
-    def test_constant_column(self):
-        data = np.full((10, 2), 3.0)
-        scaled = MinMaxScaler(margin=0.1).fit_transform(data)
-        assert np.all(np.isfinite(scaled))
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            MinMaxScaler().transform(np.zeros((1, 1)))
-        with pytest.raises(RuntimeError):
-            MinMaxScaler().inverse_transform(np.zeros((1, 1)))
-
-    def test_bad_margin(self):
-        with pytest.raises(ValueError):
-            MinMaxScaler(margin=0.5)
-        with pytest.raises(ValueError):
-            MinMaxScaler(margin=-0.1)
-
-    def test_out_of_range_inputs_clipped(self):
-        scaler = MinMaxScaler(margin=0.0).fit(np.array([[0.0], [1.0]]))
-        scaled = scaler.transform(np.array([[5.0], [-5.0]]))
-        assert scaled.max() <= 1.0 and scaled.min() >= 0.0
-
-    def test_fitted_property(self):
-        scaler = MinMaxScaler()
-        assert not scaler.fitted
-        scaler.fit(np.zeros((2, 1)))
-        assert scaler.fitted
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=30))
-    def test_transform_within_margin_band(self, values):
-        data = np.asarray(values)[:, None]
-        scaled = MinMaxScaler(margin=0.05).fit_transform(data)
-        assert scaled.min() >= 0.05 - 1e-9
-        assert scaled.max() <= 0.95 + 1e-9
 
 
 class TestInitializers:
