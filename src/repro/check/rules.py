@@ -440,6 +440,26 @@ class InvariantChecker:
                         job=entity.job_ids()[0],
                     )
 
+    def observe_refusal(
+        self, scheduler: object, entity: "JobEntity", slot: int,
+        candidates: object, demand: object,
+    ) -> None:
+        """An attempt skipped on the pool's refused-demand list must have
+        been futile: the full feasibility scan finds no live row."""
+        if "packing" not in self.rules:
+            return
+        self.checks["packing"] += 1
+        (fits,) = np.nonzero(candidates.feasible_mask(demand))
+        if fits.size:
+            self._report(
+                "packing",
+                f"attempt skipped as refused, but demand "
+                f"{demand.as_array().tolist()} fits the availability "
+                f"{candidates.matrix[fits[0]].tolist()}",
+                slot=slot, scheduler=getattr(scheduler, "name", None),
+                vm=candidates.vms[fits[0]].vm_id, job=entity.job_ids()[0],
+            )
+
     # ------------------------------------------------------------------
     # pipeline-barrier hook
     # ------------------------------------------------------------------

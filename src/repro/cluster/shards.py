@@ -125,9 +125,21 @@ class CandidateSet:
     window apart without being exactly tied; real capacity data never
     produces such near-ties, and exact ties — the case that matters for
     determinism — resolve identically.)
+
+    Between refreshes rows only fall (:meth:`consume` subtracts, an
+    offline row fits nothing), so a demand no live row fits stays
+    infeasible, as does every demand componentwise at least as large.
+    A selector whose feasibility mask comes back empty records the
+    demand in a short Pareto-minimal list and :meth:`refuses` answers
+    from it without a scan; the list asserts that ``feasible_mask`` is
+    all-False for each entry.  :meth:`refresh` clears it when it rewrites
+    a row; whoever raises ``matrix`` or ``online`` by hand (the
+    scheduler's offline sweep, when a VM returns) calls
+    :meth:`forget_refusals`.
     """
 
-    __slots__ = ("vms", "matrix", "online", "versions", "_ids", "_rows")
+    __slots__ = ("vms", "matrix", "online", "versions", "_ids", "_rows",
+                 "_refused")
 
     def __init__(
         self, vms: Sequence[VirtualMachine], matrix: np.ndarray
@@ -149,6 +161,8 @@ class CandidateSet:
         self.versions = np.full(len(self.vms), -1, dtype=np.int64)
         self._ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
         self._rows = {vm.vm_id: i for i, vm in enumerate(self.vms)}
+        #: Pareto-minimal demands a selector found no live row for.
+        self._refused: list[tuple[float, ...]] = []
 
     @classmethod
     def from_pairs(
@@ -187,6 +201,8 @@ class CandidateSet:
             live = online[i] = vm.online
             matrix[i] = vm.unallocated_array() if live else 0.0
             rewritten += 1
+        if rewritten:
+            self.forget_refusals()  # a rewritten row may have risen
         return rewritten
 
     # ------------------------------------------------------------------
@@ -232,6 +248,27 @@ class CandidateSet:
         """How many live candidates the demand fits within."""
         return int(self.feasible_mask(demand).sum())
 
+    def refuses(self, demand: ResourceVector) -> bool:
+        """Whether an earlier empty scan already rules ``demand`` out."""
+        cpu, mem, storage = demand
+        for c, m, s in self._refused:
+            if cpu >= c and mem >= m and storage >= s:
+                return True
+        return False
+
+    def _refuse(self, demand: ResourceVector) -> None:
+        """Record a demand no live row fits, keeping the list minimal."""
+        if not self.refuses(demand):
+            cpu, mem, storage = need = tuple(demand)
+            self._refused = [
+                (c, m, s) for c, m, s in self._refused
+                if not (c >= cpu and m >= mem and s >= storage)
+            ] + [need]
+
+    def forget_refusals(self) -> None:
+        """Drop the refused-demand list: some row rose or came back."""
+        self._refused = []
+
     def volumes(self, reference: ResourceVector) -> np.ndarray:
         """Eq. 22 volume of every row (one matrix-vector product)."""
         ref = reference.as_array()
@@ -247,6 +284,7 @@ class CandidateSet:
         """Vectorized Eq. 22 most-matched choice (see class docstring)."""
         mask = self.feasible_mask(demand)
         if not mask.any():
+            self._refuse(demand)
             return None
         volumes = self.volumes(reference)
         best = volumes[mask].min()
@@ -265,6 +303,7 @@ class CandidateSet:
         """
         (indices,) = np.nonzero(self.feasible_mask(demand))
         if indices.size == 0:
+            self._refuse(demand)
             return None
         return self.vms[indices[int(rng.integers(indices.size))]]
 

@@ -15,8 +15,13 @@ entity on one VM, cutting fragmentation (Fig. 1's motivating example).
 Demands are normalized by a per-resource reference capacity before
 comparison by default — raw units would let the storage axis (hundreds
 of GB) drown out CPU cores in both the dominant-resource test and the
-deviation.  ``normalize=False`` recovers the paper's literal raw-unit
+deviation.  ``reference=None`` recovers the paper's literal raw-unit
 arithmetic (used by the worked-example test of Fig. 5).
+
+:func:`pack_jobs` is the matrix form of the pair scan — under overload
+the queue is hundreds deep and a Python call per pair is quadratic in
+it.  The per-pair transcription on :func:`deviation` and
+:func:`dominant_resource` is the oracle, in ``tests/core/test_packing.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.job import Job
-from ..cluster.resources import ResourceKind, ResourceVector
+from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
 
 __all__ = [
     "JobEntity",
@@ -55,6 +60,8 @@ class JobEntity:
     @property
     def demand(self) -> ResourceVector:
         """Combined allocation request of the member jobs."""
+        if len(self.jobs) == 1:
+            return self.jobs[0].requested  # immutable: nothing to sum
         return ResourceVector.sum(j.requested for j in self.jobs)
 
     @property
@@ -105,38 +112,61 @@ def pack_jobs(
     """Greedy complementary pairing, in arrival order.
 
     CORP "fetches each job J_i, and tries to find its complementary job
-    from the list": among not-yet-packed jobs with a *different*
+    from the list": among later not-yet-packed jobs with a *different*
     dominant resource, the one maximizing ``DV`` is chosen; with no such
-    job, ``J_i`` becomes a singleton entity.  Ties break toward the
-    earlier-listed job for determinism.  Each demand is normalized once
-    per call; ``DV`` and the dominant resource read that row.
+    job, ``J_i`` becomes a singleton entity.  Jobs sharing a ``job_id``
+    are one job to the packer: using any retires them all.
+
+    The queue is normalized into one ``(n, 3)`` matrix and each unpacked
+    job costs one masked row expression.  ``DV`` keeps :func:`deviation`'s
+    arithmetic to the last bit (midpoint form, summed ``k = 0, 1, 2``):
+    the algebraically equal ``||a - b||² / 2`` rounds differently, and a
+    last-place difference can flip a tie.
+
+    Ties break toward the earlier-listed job by a *running* scan — a
+    candidate replaces the best so far only when it beats it by more
+    than ``1e-12`` — which neither ``argmax`` nor "first within ``1e-12``
+    of the maximum" reproduces: ``DV = (0.5, 1.4, 1.6)e-12`` keeps the
+    third candidate (first-in-window: the second), ``(0, 0.6, 1.0)e-12``
+    the first (``argmax``: the third).  So ``argmax`` is taken only when
+    no other candidate lies within ``2e-12`` of the top — nothing before
+    it can block it, nothing after displace it — and otherwise the same
+    scan runs over the ``DV`` values already computed.
     """
+    demands = np.array([j.requested.as_array() for j in jobs]).reshape(
+        -1, NUM_RESOURCES
+    )
+    if reference is not None:
+        ref = reference.as_array()
+        demands = np.divide(
+            demands, ref, out=np.zeros_like(demands), where=ref > 0
+        )
+    dominants = demands.argmax(axis=1)
+    ids = np.array([j.job_id for j in jobs])
+    # Rows before the current one are all retired: ``free`` means "later".
+    free = np.ones(len(jobs), dtype=bool)
     entities: list[JobEntity] = []
-    remaining = list(jobs)
-    rows = {j.job_id: _normalized(j.requested, reference) for j in remaining}
-    dominants = {job_id: int(np.argmax(row)) for job_id, row in rows.items()}
-    used: set[int] = set()
-    for i, job in enumerate(remaining):
-        if job.job_id in used:
+    for row, job in enumerate(jobs):
+        if not free[row]:
             continue
-        used.add(job.job_id)
-        row, dominant = rows[job.job_id], dominants[job.job_id]
-        best: Job | None = None
-        best_dv = -1.0
-        for other in remaining[i + 1 :]:
-            if other.job_id in used:
-                continue
-            if dominants[other.job_id] == dominant:
-                continue
-            dv = _dv(row, rows[other.job_id])
-            if dv > best_dv + 1e-12:
-                best_dv = dv
-                best = other
-        if best is not None:
-            used.add(best.job_id)
-            entities.append(JobEntity(jobs=(job, best)))
-        else:
+        free &= ids != ids[row]
+        (candidates,) = np.nonzero(free & (dominants != dominants[row]))
+        if not candidates.size:
             entities.append(JobEntity(jobs=(job,)))
+            continue
+        mine, theirs = demands[row], demands[candidates]
+        mid = 0.5 * (mine + theirs)
+        sq = (mine - mid) ** 2 + (theirs - mid) ** 2
+        dv = sq[:, 0] + sq[:, 1] + sq[:, 2]
+        best = int(dv.argmax())
+        if np.count_nonzero(dv >= dv[best] - 2e-12) > 1:
+            best_dv = -1.0
+            for k, value in enumerate(dv.tolist()):
+                if value > best_dv + 1e-12:
+                    best_dv, best = value, k
+        partner = candidates[best]
+        free &= ids != ids[partner]
+        entities.append(JobEntity(jobs=(job, jobs[partner])))
     return entities
 
 

@@ -227,8 +227,11 @@ class ProvisioningSchedulerBase(Scheduler):
         tick, so downtime is seen whether or not jobs were pending.
         """
         pool = self._opp_pool
-        pool.online[:] = [vm.online for vm in pool.vms]
-        pool.matrix[~pool.online] = 0.0
+        online = np.array([vm.online for vm in pool.vms], dtype=bool)
+        if (online & ~pool.online).any():
+            pool.forget_refusals()  # a restored VM's zero row fits again
+        pool.online[:] = online
+        pool.matrix[~online] = 0.0
 
     def _enter_degraded(self, slot: int) -> None:
         """Drop all prediction-derived state for the outage's duration.
@@ -436,30 +439,49 @@ class ProvisioningSchedulerBase(Scheduler):
         return placed
 
     def _try_opportunistic(self, entity: JobEntity, slot: int) -> bool:
-        admission = self.opportunistic_admission_size(entity)
-        candidates = self._opp_pool
-        vm = self.choose_vm(admission, candidates)
-        if vm is None:
-            return False
-        self._place_entity(
-            entity, vm, slot, opportunistic=True,
-            candidates=candidates, demand=admission,
+        return self._try(
+            entity, slot, self._opp_pool,
+            self.opportunistic_admission_size(entity), opportunistic=True,
         )
-        candidates.consume(vm, admission.as_array())
-        return True
 
     def _try_primary(self, entity: JobEntity, slot: int) -> bool:
-        candidates = self._primary_index
-        vm = self.choose_vm(entity.demand, candidates)
+        # Consuming the reservation clips at zero, mirroring the VM's
+        # ``max(capacity - committed, 0)``.
+        return self._try(
+            entity, slot, self._primary_index, entity.demand,
+            opportunistic=False,
+        )
+
+    def _try(
+        self,
+        entity: JobEntity,
+        slot: int,
+        candidates: CandidateSet,
+        demand: ResourceVector,
+        *,
+        opportunistic: bool,
+    ) -> bool:
+        """One placement attempt of ``demand`` into ``candidates``.
+
+        A demand the pool already refused (no live row fitted it, or a
+        smaller one, and no row has risen since) fails without asking
+        ``choose_vm`` again: under overload most of the queue is retried
+        every slot against a pool that has only shrunk.
+        """
+        if candidates.refuses(demand):
+            if CHECK.enabled:
+                CHECK.checker.observe_refusal(
+                    self, entity, slot, candidates, demand
+                )
+            return False
+        vm = self.choose_vm(demand, candidates)
         if vm is None:
             return False
         self._place_entity(
-            entity, vm, slot, opportunistic=False,
-            candidates=candidates, demand=entity.demand,
+            entity, vm, slot, opportunistic=opportunistic,
+            candidates=candidates, demand=demand,
         )
-        # The reservation just reduced the VM's unallocated capacity;
-        # the clip-at-zero mirrors ``max(capacity - committed, 0)``.
-        candidates.consume(vm, entity.demand.as_array())
+        candidates.consume(vm, demand.as_array())
         return True
 
     def _emit_placement(

@@ -57,6 +57,31 @@ class TestOverAllocation:
         assert any("exceeds" in v.detail for v in flagged)
 
 
+class TestStaleRefusals:
+    def test_a_list_that_survives_a_rising_row_is_caught(self, monkeypatch):
+        """``refresh()`` that rewrites a row upward but keeps the
+        refused-demand list lets ``_try`` skip attempts a scan would
+        place.  Every skipped attempt is re-scanned under the packing
+        rule; the books stay balanced (jobs only wait), so nothing else
+        may fire."""
+        original = CandidateSet.refresh
+
+        def keeps_the_list(self: CandidateSet) -> int:
+            kept = self._refused
+            rewritten = original(self)
+            self._refused = kept
+            return rewritten
+
+        scenario = tight_scenario(30)
+        healthy = api.check_run(scenario=scenario, methods=("DRA",))
+        assert healthy.ok
+        monkeypatch.setattr(CandidateSet, "refresh", keeps_the_list)
+        report = api.check_run(scenario=scenario, methods=("DRA",))
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"packing"}
+        assert all("skipped as refused" in v.detail for v in report.violations)
+
+
 class TestBogusUnlock:
     def test_gate_bypass_is_caught(self, monkeypatch):
         """An Eq. 21 gate that always unlocks must be contradicted by the

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.job import Job
@@ -165,8 +165,9 @@ class TestPackJobs:
 
 
 def pack_jobs_per_pair(jobs, reference=None):
-    """``pack_jobs`` with ``dominant_resource()`` / ``deviation()`` called
-    per candidate pair, as it stood before the per-call normalization."""
+    """The scalar pair scan ``pack_jobs`` is the matrix form of — the one
+    oracle: ``dominant_resource()`` / ``deviation()`` called per candidate
+    pair, the running ``1e-12`` tie scan, a ``used`` set keyed by id."""
     entities, used = [], set()
     for i, job in enumerate(jobs):
         if job.job_id in used:
@@ -189,23 +190,146 @@ def pack_jobs_per_pair(jobs, reference=None):
     return entities
 
 
+def assert_same_packing(jobs, reference):
+    """Same entities, same order, same member order — by queue position,
+    so that jobs sharing an id stay distinguishable."""
+    position = {id(job): i for i, job in enumerate(jobs)}
+
+    def positions(entities):
+        return [tuple(position[id(j)] for j in e.jobs) for e in entities]
+
+    assert positions(pack_jobs(jobs, reference)) == positions(
+        pack_jobs_per_pair(jobs, reference)
+    )
+
+
+CAPACITY = (8.0, 32.0, 360.0)
 # A coarse grid forces exact ties and zero demands into most queues.
-grid = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 7.5])
+GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 7.5)
+grid = st.sampled_from(GRID)
 requests = st.lists(st.tuples(grid, grid, grid), min_size=0, max_size=14)
 references = st.one_of(
     st.none(),
-    st.just(ResourceVector([8, 32, 360])),
+    st.just(ResourceVector(CAPACITY)),
     st.just(ResourceVector([8, 0, 360])),  # a resource no VM offers
 )
+# Shared values nudged by multiples of 3e-13 *in normalised units*: DV
+# values a few 1e-13 apart, inside and just outside the 1e-12 tie window.
+shared = st.sampled_from((0.25, 0.5, 1.0))
+nudged = st.builds(lambda base, k: base + k * 3e-13, shared, st.integers(-6, 6))
+near_ties = st.lists(st.tuples(nudged, nudged, nudged), max_size=12)
+
+
+def chain_queue(offsets):
+    """A CPU job, then MEM candidates whose ``DV`` to it is
+    ``1 + offset * 1e-12`` (``DV((1,0,0), (0,y,0)) = (1 + y²) / 2``)."""
+    return [(1.0, 0.0, 0.0)] + [(0.0, 1.0 + o * 1e-12, 0.0) for o in offsets]
+
+
+def running_scan(values):
+    best, best_value = None, -1.0
+    for i, value in enumerate(values):
+        if value > best_value + 1e-12:
+            best, best_value = i, value
+    return best
+
+
+def midpoint_dv(queue):
+    first, *rest = (ResourceVector(r) for r in queue)
+    return [deviation(first, other) for other in rest]
+
+
+def algebraic_dv(queue):
+    first, *rest = (np.array(r) for r in queue)
+    return [float(np.sum((first - other) ** 2 / 2)) for other in rest]
+
+
+def first_in_window(values):
+    return next(i for i, v in enumerate(values) if v >= max(values) - 1e-12)
+
+
+#: Queues (a CPU job, then MEM candidates) on which a plausible wrong
+#: tie rule picks another partner than the running scan over the
+#: midpoint ``DV``: name -> (queue, the wrong rule's candidate index).
+RIVAL_RULES = {
+    # The scan keeps the third candidate; the first within 1e-12 of the
+    # maximum is the second.
+    "first-in-window": (
+        chain_queue((0.5, 1.4, 1.6)),
+        lambda q: first_in_window(midpoint_dv(q)),
+    ),
+    # The scan keeps the first candidate; the maximum is the third.
+    "argmax": (
+        chain_queue((0.0, 0.6, 1.0)),
+        lambda q: int(np.argmax(midpoint_dv(q))),
+    ),
+    # The second candidate beats the first by 1e-12 and one rounding:
+    # ||a - b||² / 2 rounds the other way and keeps the first.
+    "algebraic-dv": (
+        [(1.0, 0.45, 0.22), (0.68, 0.95, 0.35), (0.68, 0.950000000002, 0.35)],
+        lambda q: running_scan(algebraic_dv(q)),
+    ),
+}
 
 
 class TestPackJobsMatchesPerPairReference:
     @given(requests, references)
     def test_same_entities_in_the_same_order(self, reqs, reference):
         jobs = [job_with_request(r, task_id=i) for i, r in enumerate(reqs)]
-        got = [e.job_ids() for e in pack_jobs(jobs, reference)]
-        want = [e.job_ids() for e in pack_jobs_per_pair(jobs, reference)]
-        assert got == want
+        assert_same_packing(jobs, reference)
+
+    @given(near_ties, st.booleans())
+    @example(RIVAL_RULES["first-in-window"][0], False)
+    @example(RIVAL_RULES["argmax"][0], False)
+    @example(RIVAL_RULES["algebraic-dv"][0], False)
+    def test_near_ties_follow_the_running_scan(self, normalised, scaled):
+        reference = ResourceVector(CAPACITY) if scaled else None
+        scale = np.array(CAPACITY) if scaled else 1.0
+        jobs = [
+            job_with_request(tuple(np.array(row) * scale), task_id=i)
+            for i, row in enumerate(normalised)
+        ]
+        assert_same_packing(jobs, reference)
+
+    @pytest.mark.parametrize("rule", sorted(RIVAL_RULES))
+    def test_the_examples_tell_the_tie_rules_apart(self, rule):
+        """Each ``@example`` above fails an implementation that pairs by
+        the rival rule: the running scan's partner is not the rival's."""
+        queue, rival = RIVAL_RULES[rule]
+        jobs = [job_with_request(r, task_id=i) for i, r in enumerate(queue)]
+        partner = 1 + running_scan(midpoint_dv(queue))
+        assert partner != 1 + rival(queue)
+        assert pack_jobs_per_pair(jobs)[0].job_ids() == (0, partner)
+        assert pack_jobs(jobs)[0].job_ids() == (0, partner)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(0, 250),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(("continuous", "grid", "nudged")),
+        reference=references,
+        twins=st.booleans(),
+    )
+    def test_deep_queues(self, n, seed, kind, reference, twins):
+        """Queues as deep as the overload path sees: the candidate masks
+        shrink as partners retire, and ids may repeat (``used`` is keyed
+        by id, so pairing one twin retires the other)."""
+        rng = np.random.default_rng(seed)
+        if kind == "continuous":
+            reqs = rng.uniform(0.01, 1.0, (n, 3))
+        elif kind == "grid":
+            reqs = rng.choice(GRID, (n, 3)) / 7.5
+        else:
+            reqs = rng.choice((0.25, 0.5, 1.0), (n, 3)) + 3e-13 * rng.integers(
+                -6, 7, (n, 3)
+            )
+        if reference is not None:
+            reqs = reqs * np.array(CAPACITY)
+        ids = rng.integers(0, max(n // 2, 1), n) if twins else np.arange(n)
+        jobs = [
+            job_with_request(tuple(r), task_id=int(i)) for r, i in zip(reqs, ids)
+        ]
+        assert_same_packing(jobs, reference)
 
 
 class TestSingletonEntities:
