@@ -13,15 +13,14 @@ Run with::
 
 import dataclasses
 
-from repro import ClusterSimulator, CorpConfig, CorpScheduler, cluster_scenario
+from repro import CorpConfig, CorpScheduler, cluster_scenario
 from repro.experiments.report import format_table
-from repro.experiments.runner import PredictorCache
+from repro.experiments.runner import PredictorCache, run_scenario
 
 
 def main() -> None:
     scenario = cluster_scenario(n_jobs=300, seed=7)
     history = scenario.history_trace()
-    trace = scenario.evaluation_trace()
     cache = PredictorCache()
 
     rows = []
@@ -39,8 +38,7 @@ def main() -> None:
             confidence_level=eta,
         )
         scheduler = CorpScheduler(config, predictor=cache.get(config, history))
-        sim = ClusterSimulator(scenario.profile, scheduler, scenario.sim_config)
-        result = sim.run(trace, history=history)
+        result = run_scenario(scenario, scheduler)
         summary = result.summary()
         riders = sum(1 for j in result.jobs if j.opportunistic)
         rows.append(

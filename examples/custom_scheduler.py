@@ -15,14 +15,14 @@ Run with::
 
 import numpy as np
 
-from repro import ClusterSimulator, CorpScheduler, cluster_scenario
+from repro import CorpScheduler, cluster_scenario
 from repro.cluster.machine import VirtualMachine
 from repro.cluster.resources import NUM_RESOURCES, ResourceVector
 from repro.core.packing import JobEntity
 from repro.core.provisioning import ProvisioningSchedulerBase
 from repro.core.vm_selection import select_most_matched
 from repro.experiments.report import format_table
-from repro.experiments.runner import PredictorCache
+from repro.experiments.runner import PredictorCache, run_scenario
 from repro.core.config import CorpConfig
 
 
@@ -72,18 +72,19 @@ class OracleScheduler(ProvisioningSchedulerBase):
 
 def main() -> None:
     scenario = cluster_scenario(n_jobs=300, seed=7)
-    history = scenario.history_trace()
-    trace = scenario.evaluation_trace()
     cache = PredictorCache()
 
     rows = []
     config = CorpConfig(seed=7)
     for scheduler in (
-        CorpScheduler(config, predictor=cache.get(config, history)),
+        CorpScheduler(
+            config, predictor=cache.get(config, scenario.history_trace())
+        ),
         OracleScheduler(),
     ):
-        sim = ClusterSimulator(scenario.profile, scheduler, scenario.sim_config)
-        result = sim.run(trace, history=history)
+        # run_scenario assembles the scenario's cluster, SLO and fault
+        # plan around any scheduler, a hand-written one included.
+        result = run_scenario(scenario, scheduler)
         summary = result.summary()
         riders = sum(1 for j in result.jobs if j.opportunistic)
         rows.append(

@@ -6,6 +6,13 @@ This is the smallest end-to-end use of the public API:
 2. run the CORP scheduler over it,
 3. print the headline metrics of the paper's evaluation.
 
+It is the one example that wires the pieces together by hand —
+``ClusterSimulator(profile, scheduler, config).run(trace, history=)`` —
+to show what they are.  Everything else (``repro.api``, the CLI, the
+other examples) goes through ``run_scenario`` / ``api.run_one``, which
+also attach the scenario's fault plan and family metrics; the by-hand
+form below would silently ignore both.
+
 Run with::
 
     python examples/quickstart.py

@@ -12,8 +12,7 @@ import dataclasses
 from typing import Mapping
 
 from ..core.config import CorpConfig
-from ..core.corp import CorpScheduler
-from .runner import PredictorCache, run_scenario
+from .runner import PredictorCache, RunSpec, run_scenario
 from .scenarios import cluster_scenario, testbed_scenario
 
 __all__ = ["ABLATIONS", "run_ablations", "run_predictor_ablation"]
@@ -46,13 +45,13 @@ def run_ablations(
     cache = cache if cache is not None else PredictorCache()
     variants = variants or ABLATIONS
     scenario = cluster_scenario(n_jobs, seed=seed)
-    history = scenario.history_trace()
-    trace = scenario.evaluation_trace()
     out: dict[str, dict[str, float]] = {}
     for name, overrides in variants.items():
         config = dataclasses.replace(CorpConfig(seed=seed), **overrides)
-        scheduler = CorpScheduler(config, predictor=cache.get(config, history))
-        result = run_scenario(scenario, scheduler, trace=trace, history=history)
+        scheduler = RunSpec(
+            scenario=scenario, method="CORP", seed=seed, corp_config=config
+        ).make_scheduler(cache)
+        result = run_scenario(scenario, scheduler)
         summary = result.summary()
         summary["riders"] = float(sum(1 for j in result.jobs if j.opportunistic))
         out[name] = summary
@@ -80,17 +79,15 @@ def run_predictor_ablation(
     cache = cache if cache is not None else PredictorCache()
     names = predictors if predictors is not None else available_predictors()
     scenario = testbed_scenario(testbed, n_jobs, seed=seed)
-    history = scenario.history_trace()
-    trace = scenario.evaluation_trace()
-    config = CorpConfig(seed=seed)
     out: dict[str, dict[str, float]] = {}
     for name in names:
-        predictor = cache.get(config, history, predictor=name)
-        scheduler = CorpScheduler(config, predictor=predictor)
-        result = run_scenario(scenario, scheduler, trace=trace, history=history)
+        scheduler = RunSpec(
+            scenario=scenario, method="CORP", seed=seed, predictor=name
+        ).make_scheduler(cache)
+        result = run_scenario(scenario, scheduler)
         summary = result.summary()
         summary["riders"] = float(sum(1 for j in result.jobs if j.opportunistic))
-        if hasattr(predictor, "switch_log"):
-            summary["switches"] = float(len(predictor.switch_log))
+        if hasattr(scheduler.predictor, "switch_log"):
+            summary["switches"] = float(len(scheduler.predictor.switch_log))
         out[name] = summary
     return out

@@ -15,19 +15,14 @@ profile, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from ..baselines import CloudScaleScheduler, DraScheduler, RccrScheduler
 from ..cluster.resources import ResourceKind
-from ..cluster.scheduler import Scheduler
 from ..cluster.simulator import SimulationResult
 from ..core.config import CorpConfig
-from ..core.corp import CorpScheduler
 from ..trace.records import Trace
 from .report import format_series_table, shape_check
-from .runner import METHOD_ORDER, PredictorCache, run_scenario
+from .runner import METHOD_ORDER, PredictorCache, default_schedulers, run_scenario
 from .scenarios import JOB_COUNTS, Scenario, testbed_scenario
 
 __all__ = [
@@ -88,42 +83,34 @@ class FigureResult:
 # ----------------------------------------------------------------------
 # shared machinery
 # ----------------------------------------------------------------------
-def _factories(
-    history: Trace,
-    cache: PredictorCache,
-    *,
-    confidence_level: float = 0.9,
-    probability_threshold: float = 0.95,
-    padding_percentile: float = 60.0,
-    dra_headroom: float = 1.45,
-    seed: int = 0,
-) -> dict[str, Callable[[], Scheduler]]:
-    """Method factories with per-method conservatism knobs exposed."""
-    cfg = CorpConfig(
-        confidence_level=confidence_level,
-        probability_threshold=probability_threshold,
-        seed=seed,
-    )
-    return {
-        "CORP": lambda: CorpScheduler(cfg, predictor=cache.get(cfg, history)),
-        "RCCR": lambda: RccrScheduler(
-            confidence_level=confidence_level, seed=seed
-        ),
-        "CloudScale": lambda: CloudScaleScheduler(
-            padding_percentile=padding_percentile, seed=seed
-        ),
-        "DRA": lambda: DraScheduler(headroom=dra_headroom, seed=seed),
-    }
+#: DRA's demand-estimate headroom in Figs. 6 / 7 / 10 (and their EC2
+#: twins) — not ``default_schedulers``' 1.1, which ``repro compare``,
+#: the goldens and the ledger run.  DESIGN.md section 7 lists which
+#: value backs which artefact; the two are not yet reconciled.
+FIGURE_DRA_HEADROOM: float = 1.45
 
 
 def _run_all(
     scenario: Scenario,
-    factories: Mapping[str, Callable[[], Scheduler]],
-    history: Trace,
-    trace: Trace,
+    cache: PredictorCache,
+    *,
+    seed: int,
+    history: Trace | None = None,
+    corp_config: CorpConfig | None = None,
+    **baseline_knobs: float,
 ) -> dict[str, SimulationResult]:
+    """Every method on ``scenario``; the knobs go to :func:`default_schedulers`."""
+    if history is None:
+        history = scenario.history_trace()
+    factories = default_schedulers(
+        corp_config=corp_config,
+        history=history,
+        predictor_cache=cache,
+        seed=seed,
+        **baseline_knobs,
+    )
     return {
-        name: run_scenario(scenario, factories[name](), trace=trace, history=history)
+        name: run_scenario(scenario, factories[name](), history=history)
         for name in METHOD_ORDER
     }
 
@@ -154,14 +141,16 @@ def fig06_prediction_error(
         x_values=list(job_counts),
         expected_direction="ascending",
     )
+    # One fit for every point: repeats vary the workload seed, not the
+    # history the models were trained on.
     history = testbed_scenario(testbed, job_counts[0], seed=seed).history_trace()
     for n in job_counts:
         totals = {m: 0.0 for m in METHOD_ORDER}
         for rep in range(repeats):
             scenario = testbed_scenario(testbed, n, seed=seed + rep)
-            trace = scenario.evaluation_trace()
             runs = _run_all(
-                scenario, _factories(history, cache, seed=seed), history, trace
+                scenario, cache, seed=seed, history=history,
+                dra_headroom=FIGURE_DRA_HEADROOM,
             )
             for method, run in runs.items():
                 rate = run.prediction_error_rate
@@ -200,11 +189,11 @@ def fig07_utilization(
             expected_order=tuple(reversed(METHOD_ORDER)),
             expected_direction="ascending",  # DRA smallest ... CORP largest
         )
-    history = testbed_scenario(testbed, job_counts[0], seed=seed).history_trace()
     for n in job_counts:
         scenario = testbed_scenario(testbed, n, seed=seed)
-        trace = scenario.evaluation_trace()
-        runs = _run_all(scenario, _factories(history, cache, seed=seed), history, trace)
+        runs = _run_all(
+            scenario, cache, seed=seed, dra_headroom=FIGURE_DRA_HEADROOM
+        )
         for method, run in runs.items():
             summary = run.summary()
             for kind in ResourceKind:
@@ -235,21 +224,23 @@ def fig08_utilization_vs_slo(
     """
     cache = cache if cache is not None else PredictorCache()
     scenario = testbed_scenario(testbed, n_jobs, seed=seed)
-    history = scenario.history_trace()
-    trace = scenario.evaluation_trace()
     curves: dict[str, list[tuple[float, float]]] = {m: [] for m in METHOD_ORDER}
     for level in levels:
-        factories = _factories(
-            history,
+        # 0 = conservative, 1 = aggressive, per method:
+        eta = max(0.95 - 0.45 * level, 0.5)
+        runs = _run_all(
+            scenario,
             cache,
-            # 0 = conservative, 1 = aggressive, per method:
-            probability_threshold=0.99 - 0.49 * level,  # CORP P_th sweep
-            confidence_level=max(0.95 - 0.45 * level, 0.5),
+            seed=seed,
+            corp_config=CorpConfig(
+                confidence_level=eta,
+                probability_threshold=0.99 - 0.49 * level,  # CORP P_th sweep
+                seed=seed,
+            ),
+            confidence_level=eta,
             padding_percentile=90.0 - 60.0 * level,
             dra_headroom=1.6 - 0.55 * level,
-            seed=seed,
         )
-        runs = _run_all(scenario, factories, history, trace)
         for method, run in runs.items():
             summary = run.summary()
             curves[method].append(
@@ -287,18 +278,16 @@ def fig09_slo_vs_confidence(
         expected_direction="ascending",
     )
     scenario = testbed_scenario(testbed, n_jobs, seed=seed)
-    history = scenario.history_trace()
-    trace = scenario.evaluation_trace()
     for eta in levels:
-        factories = _factories(
-            history,
+        runs = _run_all(
+            scenario,
             cache,
+            seed=seed,
+            corp_config=CorpConfig(confidence_level=eta, seed=seed),
             confidence_level=eta,
             padding_percentile=40.0 + 55.0 * eta,
             dra_headroom=1.0 + 0.45 * eta,
-            seed=seed,
         )
-        runs = _run_all(scenario, factories, history, trace)
         for method, run in runs.items():
             result.add(method, run.summary()["slo_violation_rate"])
     return result
@@ -324,9 +313,7 @@ def fig10_overhead(
     """
     cache = cache if cache is not None else PredictorCache()
     scenario = testbed_scenario(testbed, n_jobs, seed=seed)
-    history = scenario.history_trace()
-    trace = scenario.evaluation_trace()
-    runs = _run_all(scenario, _factories(history, cache, seed=seed), history, trace)
+    runs = _run_all(scenario, cache, seed=seed, dra_headroom=FIGURE_DRA_HEADROOM)
     return {
         method: run.summary()["allocation_latency_s"]
         for method, run in runs.items()

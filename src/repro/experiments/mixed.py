@@ -50,12 +50,10 @@ def mixed_scenario(
     )
 
 
-def _unfiltered_trace(scenario: Scenario) -> Trace:
-    """The evaluation trace *without* the short-only filter."""
-    cfg = dataclasses.replace(scenario.trace_config, n_jobs=scenario.n_jobs)
-    raw = GoogleTraceGenerator(cfg).generate()
+def _unfiltered(cfg, slot_duration_s: float) -> Trace:
+    """``cfg``'s trace *without* the short-only filter."""
     return resample_trace(
-        raw, scenario.sim_config.slot_duration_s, seed=cfg.seed
+        GoogleTraceGenerator(cfg).generate(), slot_duration_s, seed=cfg.seed
     )
 
 
@@ -75,13 +73,11 @@ def run_mixed_workload(
     """
     cache = cache if cache is not None else PredictorCache()
     scenario = mixed_scenario(n_jobs, seed=seed, short_fraction=short_fraction)
-    trace = _unfiltered_trace(scenario)
-    history_cfg = dataclasses.replace(scenario.history_config)
-    history = resample_trace(
-        GoogleTraceGenerator(history_cfg).generate(),
-        scenario.sim_config.slot_duration_s,
-        seed=history_cfg.seed,
+    slot_s = scenario.sim_config.slot_duration_s
+    trace = _unfiltered(
+        dataclasses.replace(scenario.trace_config, n_jobs=scenario.n_jobs), slot_s
     )
+    history = _unfiltered(scenario.history_config, slot_s)
     out: dict[str, dict[str, float]] = {}
     for name in methods:
         scheduler = RunSpec(

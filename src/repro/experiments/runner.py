@@ -1,5 +1,10 @@
 """Experiment runner: one (scheduler, scenario) pair → metrics.
 
+Assembly has one path: :func:`build_kernel` (the only constructor of a
+simulator from a scenario and caller of ``prepare``), a driver stepping
+the kernel, then :func:`finish_result`.  :func:`run_scenario` is those
+three in a row; :func:`default_schedulers` is the one method table.
+
 Also hosts the :class:`PredictorCache`, which shares CORP's offline
 DNN/HMM fit across the many runs of a sweep — the paper trains once on
 the historical Google-trace data and reuses the models.
@@ -35,6 +40,8 @@ from ..forecast.registry import create_predictor, predictor_class
 from ..obs import OBS
 from ..obs.events import Event, JsonlSink, read_jsonl
 from ..trace.records import Trace
+from ..service.kernel import SchedulerKernel
+from ..trace.workload import build_workload
 from .scenarios import Scenario
 from .workloads.diurnal import flash_crowd_p99_wait
 from .workloads.pipeline import run_pipeline
@@ -42,6 +49,8 @@ from .workloads.pipeline import run_pipeline
 __all__ = [
     "PredictorCache",
     "default_schedulers",
+    "build_kernel",
+    "finish_result",
     "run_scenario",
     "RunSpec",
     "run_specs",
@@ -200,8 +209,11 @@ def default_schedulers(
     predictor_cache: PredictorCache | None = None,
     seed: int = 0,
     predictor: "str | Predictor" = "corp",
+    confidence_level: float = 0.9,
+    padding_percentile: float = 60.0,
+    dra_headroom: float = 1.1,
 ) -> dict[str, SchedulerFactory]:
-    """Factories for the four methods with the paper's default settings.
+    """Factories for the four methods — the one method table.
 
     Passing ``history`` (and optionally a ``predictor_cache``) pre-fits
     CORP's predictor so the expensive offline phase is shared across
@@ -209,6 +221,11 @@ def default_schedulers(
     a registry name (cache-shared) or an already-constructed
     :class:`~repro.forecast.base.Predictor` instance (cache-bypassing;
     fitted here if needed).
+
+    The last three keywords are the baselines' conservatism (RCCR,
+    CloudScale, DRA; CORP's lives in ``corp_config``).  The defaults are
+    what ``repro compare``, the goldens and the ledger run; the figures
+    pass their own.
     """
     cfg = corp_config or CorpConfig(seed=seed)
     if isinstance(predictor, str):
@@ -230,16 +247,82 @@ def default_schedulers(
             fitted = create_predictor(predictor, cfg)
         return CorpScheduler(cfg, predictor=fitted)
 
+    window = cfg.window_slots
     return {
         "CORP": make_corp,
         "RCCR": lambda: RccrScheduler(
-            window_slots=cfg.window_slots, seed=seed
+            window_slots=window, confidence_level=confidence_level, seed=seed
         ),
         "CloudScale": lambda: CloudScaleScheduler(
-            window_slots=cfg.window_slots, seed=seed
+            window_slots=window, padding_percentile=padding_percentile, seed=seed
         ),
-        "DRA": lambda: DraScheduler(window_slots=cfg.window_slots, seed=seed),
+        "DRA": lambda: DraScheduler(
+            window_slots=window, headroom=dra_headroom, seed=seed
+        ),
     }
+
+
+def build_kernel(
+    *,
+    scenario: Scenario,
+    scheduler: Scheduler | None = None,
+    predictor_cache: PredictorCache | None = None,
+    trace: Trace | None = None,
+    history: Trace | None = None,
+    streaming: bool = True,
+    **spec_fields,
+) -> SchedulerKernel:
+    """A prepared kernel for one scenario — the one assembler.
+
+    The only code that builds a :class:`ClusterSimulator` from a
+    scenario (fault plan and ``sim_config`` attached) and runs the
+    scheduler's offline phase.  The scheduler is ``scheduler``, prepared
+    or not, else the one ``RunSpec(scenario, **spec_fields)`` names
+    (``method``, ``seed``, ``corp_config``, ``predictor``), its fit
+    shared through ``predictor_cache``.  ``trace`` / ``history``
+    override the scenario's own traces.
+
+    ``streaming=True`` returns an empty live kernel awaiting
+    :meth:`~SchedulerKernel.submit`; ``streaming=False`` preloads the
+    evaluation trace, which a driver-fed pipeline scenario refuses.
+    """
+    if scenario.pipeline is not None and not streaming:
+        raise ValueError(
+            f"scenario {scenario.name!r} is a pipeline: its phases are "
+            "submitted by run_scenario's driver and cannot be preloaded "
+            "as one batch (streaming=False)"
+        )
+    if history is None:
+        history = scenario.history_trace()
+    if scheduler is None:
+        spec = RunSpec(scenario=scenario, **spec_fields)
+        scheduler = spec.make_scheduler(predictor_cache, history)
+    sim = ClusterSimulator(
+        scenario.profile,
+        scheduler,
+        scenario.sim_config,
+        fault_plan=scenario.fault_plan,
+    )
+    scheduler.prepare(history)
+    if streaming:
+        return SchedulerKernel(sim, streaming=True)
+    if trace is None:
+        trace = scenario.evaluation_trace()
+    return SchedulerKernel.from_workload(
+        sim, build_workload(trace, scenario.sim_config.slot_duration_s)
+    )
+
+
+def finish_result(result: SimulationResult, scenario: Scenario) -> SimulationResult:
+    """Attach the scenario family's metrics — the end of every run path."""
+    if scenario.arrival_pattern is not None:
+        result.extra_metrics = {
+            **(result.extra_metrics or {}),
+            "flash_crowd_p99_wait": flash_crowd_p99_wait(
+                result.jobs, scenario.arrival_pattern
+            ),
+        }
+    return result
 
 
 def run_scenario(
@@ -249,40 +332,26 @@ def run_scenario(
     trace: Trace | None = None,
     history: Trace | None = None,
 ) -> SimulationResult:
-    """Run one scheduler over one scenario.
+    """Run one scheduler over one scenario: assemble, drive, finish.
 
-    ``trace``/``history`` may be passed in to share generation across
-    methods (the paper replays the same trace for every scheme).  The
+    ``trace`` / ``history`` override the scenario's own traces (an
+    unfiltered workload, one history shared across seeds).  The
     scenario's ``fault_plan`` (if any) is replayed against the run.
     """
-    sim = ClusterSimulator(
-        scenario.profile,
-        scheduler,
-        scenario.sim_config,
-        fault_plan=scenario.fault_plan,
+    phased = scenario.pipeline is not None
+    kernel = build_kernel(
+        scenario=scenario, scheduler=scheduler, trace=trace, history=history,
+        streaming=phased,
     )
-    eval_trace = trace if trace is not None else scenario.evaluation_trace()
-    hist_trace = history if history is not None else scenario.history_trace()
     with OBS.span(f"run:{scheduler.name}"):
-        if scenario.pipeline is not None:
-            result = run_pipeline(
-                sim, scenario.pipeline, eval_trace, history=hist_trace
-            )
+        if phased:
+            if trace is None:
+                trace = scenario.evaluation_trace()
+            result = run_pipeline(kernel, scenario.pipeline, trace)
         else:
-            result = sim.run(eval_trace, history=hist_trace)
-    if scenario.arrival_pattern is not None:
-        span = max((r.submit_time_s for r in eval_trace), default=0.0)
-        wait = flash_crowd_p99_wait(
-            result.jobs,
-            scenario.arrival_pattern,
-            span,
-            scenario.sim_config.slot_duration_s,
-        )
-        result.extra_metrics = {
-            **(result.extra_metrics or {}),
-            "flash_crowd_p99_wait": wait,
-        }
-    return result
+            kernel.run_until_blocked()
+            result = kernel.result()
+    return finish_result(result, scenario)
 
 
 # ----------------------------------------------------------------------
@@ -319,9 +388,11 @@ class RunSpec:
             )
 
     def make_scheduler(
-        self, cache: PredictorCache | None, history: Trace
+        self, cache: PredictorCache | None, history: Trace | None = None
     ) -> Scheduler:
         """This spec's scheduler, its offline fit shared through ``cache``."""
+        if history is None:
+            history = self.scenario.history_trace()
         factories = default_schedulers(
             corp_config=self.corp_config,
             history=history,
@@ -358,23 +429,8 @@ def sweep_specs(
     ]
 
 
-def _execute_spec(
-    spec: RunSpec,
-    cache: PredictorCache,
-    *,
-    trace: Trace | None = None,
-    history: Trace | None = None,
-) -> SimulationResult:
-    """Run one spec; traces may be passed in to share generation."""
-    if history is None:
-        with OBS.span("trace:generate"):
-            history = spec.scenario.history_trace()
-    return run_scenario(
-        spec.scenario,
-        spec.make_scheduler(cache, history),
-        trace=trace,
-        history=history,
-    )
+def _execute_spec(spec: RunSpec, cache: PredictorCache) -> SimulationResult:
+    return run_scenario(spec.scenario, spec.make_scheduler(cache))
 
 
 #: Per-process predictor cache for pool workers, seeded by the parent's
@@ -459,24 +515,7 @@ def run_specs(
     """
     shared = predictor_cache if predictor_cache is not None else PredictorCache()
     if workers <= 1:
-        results: list[SimulationResult] = []
-        # Share per-scenario trace generation across that scenario's
-        # methods (scenarios are regenerated deterministically from
-        # their configs, so sharing is a pure optimization).
-        traces: dict[int, tuple[Trace, Trace]] = {}
-        for spec in specs:
-            key = id(spec.scenario)
-            if key not in traces:
-                with OBS.span("trace:generate"):
-                    traces[key] = (
-                        spec.scenario.evaluation_trace(),
-                        spec.scenario.history_trace(),
-                    )
-            trace, hist = traces[key]
-            results.append(
-                _execute_spec(spec, shared, trace=trace, history=hist)
-            )
-        return results
+        return [_execute_spec(spec, shared) for spec in specs]
 
     for spec in specs:
         if isinstance(spec.predictor, Predictor):
@@ -488,15 +527,9 @@ def run_specs(
             )
     # Pre-fit every CORP predictor the specs will need; workers receive
     # the fitted models and skip the offline phase entirely.
-    hist_by_scenario: dict[int, Trace] = {}
     for spec in specs:
-        if spec.method != "CORP":
-            continue
-        key = id(spec.scenario)
-        if key not in hist_by_scenario:
-            hist_by_scenario[key] = spec.scenario.history_trace()
-        cfg = spec.corp_config or CorpConfig(seed=spec.seed)
-        shared.get(cfg, hist_by_scenario[key], predictor=spec.predictor)
+        if spec.method == "CORP":
+            spec.make_scheduler(shared)  # fits through the cache
 
     # Flush the parent's sink before the pool forks: an unflushed stdio
     # buffer is duplicated into every child, and each child's exit would

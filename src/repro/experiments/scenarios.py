@@ -10,6 +10,7 @@ recipe, the SLO spec and the history trace used for the offline
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from ..cluster.shards import ScaleConfig
 from ..cluster.simulator import SimulationConfig
 from ..cluster.slo import SloSpec
 from ..faults.plan import FaultPlan, build_fault_plan, build_revocation_storm
+from ..obs import OBS
 from ..trace.filters import remove_long_lived
 from ..trace.generator import GoogleTraceGenerator, TraceConfig
 from ..trace.records import Trace
@@ -58,6 +60,14 @@ FAULT_INTENSITIES: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0)
 
 #: Scenario-family names the CLI's ``--scenario`` flag accepts.
 SCENARIO_FAMILIES: tuple[str, ...] = ("pipeline", "diurnal", "storm")
+
+#: Traces memoised per kind (evaluation / history), LRU, keyed on the
+#: trace-shaping fields only: copies that differ in name, profile, fault
+#: plan or scale share one immutable object, and a predictor-cache hit
+#: reuses its digest.  A sweep runs one scenario's methods back to back,
+#: so a handful covers every recipe in flight; the bound is for a
+#: long-lived process walking many seeds.
+TRACE_MEMO_SIZE: int = 8
 
 
 @dataclass(frozen=True)
@@ -103,49 +113,65 @@ class Scenario:
         return replace(self, sim_config=replace(self.sim_config, scale=scale))
 
     def evaluation_trace(self) -> Trace:
-        """Generate, filter (short-lived only) and subsample the workload.
+        """The short-lived-only evaluation workload; one shared object per recipe."""
+        with OBS.span("trace:generate"):
+            return _evaluation_trace(
+                self.trace_config, self.n_jobs, self.master_jobs,
+                self.arrival_pattern, self.sim_config.slot_duration_s,
+            )
 
-        Long-lived jobs are removed per Section IV; job count refers to
-        jobs *after* filtering, so the generator is asked for extras.
-        """
-        cfg = self.trace_config
-        master = max(self.master_jobs, self.n_jobs)
-        # Over-generate so the post-filter count is reached exactly.
-        n_raw = max(int(master / max(cfg.short_fraction, 0.05)) + 10, 10)
-        while True:
-            raw = GoogleTraceGenerator(replace(cfg, n_jobs=n_raw)).generate()
-            records = list(remove_long_lived(raw))[:master]
-            if len(records) == master:
-                break
-            if not records:
-                raise RuntimeError(
-                    f"generator produced no short jobs in {n_raw} "
-                    f"(needed {master}); raise short_fraction"
-                )
-            # A seed that draws many long jobs falls short of the fixed
-            # margin: double it and draw again.
-            n_raw = master + 2 * (n_raw - master)
-        if self.n_jobs < master:
-            idx = np.round(np.linspace(0, master - 1, self.n_jobs)).astype(int)
-            records = [records[i] for i in idx]
-        if self.arrival_pattern is not None:
-            # Warp arrivals onto the diurnal clock *before* resampling:
-            # the warp only rewrites submit times, the resample only
-            # rewrites usage series, so the two compose cleanly.
-            records = apply_diurnal(records, self.arrival_pattern)
-        return resample_trace(
-            Trace(records),
-            self.sim_config.slot_duration_s,
-            seed=cfg.seed,
-        )
     def history_trace(self) -> Trace:
-        """Historical trace for the offline (model-fitting) phase."""
-        raw = GoogleTraceGenerator(self.history_config).generate()
-        return resample_trace(
-            remove_long_lived(raw),
-            self.sim_config.slot_duration_s,
-            seed=self.history_config.seed,
-        )
+        """Historical trace for the offline (model-fitting) phase, one per recipe."""
+        with OBS.span("trace:generate"):
+            return _history_trace(
+                self.history_config, self.sim_config.slot_duration_s
+            )
+
+
+@lru_cache(maxsize=TRACE_MEMO_SIZE)
+def _evaluation_trace(
+    cfg: TraceConfig,
+    n_jobs: int,
+    master_jobs: int,
+    arrival_pattern: DiurnalPattern | None,
+    slot_duration_s: float,
+) -> Trace:
+    """Generate, filter (short-lived only) and subsample the workload.
+
+    Long-lived jobs are removed per Section IV; job count refers to
+    jobs *after* filtering, so the generator is asked for extras.
+    """
+    master = max(master_jobs, n_jobs)
+    # Over-generate so the post-filter count is reached exactly.
+    n_raw = max(int(master / max(cfg.short_fraction, 0.05)) + 10, 10)
+    while True:
+        raw = GoogleTraceGenerator(replace(cfg, n_jobs=n_raw)).generate()
+        records = list(remove_long_lived(raw))[:master]
+        if len(records) == master:
+            break
+        if not records:
+            raise RuntimeError(
+                f"generator produced no short jobs in {n_raw} "
+                f"(needed {master}); raise short_fraction"
+            )
+        # A seed that draws many long jobs falls short of the fixed
+        # margin: double it and draw again.
+        n_raw = master + 2 * (n_raw - master)
+    if n_jobs < master:
+        idx = np.round(np.linspace(0, master - 1, n_jobs)).astype(int)
+        records = [records[i] for i in idx]
+    if arrival_pattern is not None:
+        # Warp arrivals onto the diurnal clock *before* resampling:
+        # the warp only rewrites submit times, the resample only
+        # rewrites usage series, so the two compose cleanly.
+        records = apply_diurnal(records, arrival_pattern)
+    return resample_trace(Trace(records), slot_duration_s, seed=cfg.seed)
+
+
+@lru_cache(maxsize=TRACE_MEMO_SIZE)
+def _history_trace(cfg: TraceConfig, slot_duration_s: float) -> Trace:
+    raw = GoogleTraceGenerator(cfg).generate()
+    return resample_trace(remove_long_lived(raw), slot_duration_s, seed=cfg.seed)
 
 
 #: Fluctuation parameters for 10-second sampling.  The paper's trace is

@@ -157,18 +157,15 @@ def apply_diurnal(
     ]
 
 
-def flash_crowd_p99_wait(
-    jobs: Sequence["Job"],
-    pattern: DiurnalPattern,
-    span_s: float,
-    slot_duration_s: float,
-) -> float:
+def flash_crowd_p99_wait(jobs: Sequence["Job"], pattern: DiurnalPattern) -> float:
     """p99 scheduling wait (slots) of jobs arriving in a spike window.
 
     Wait is ``start_slot - submit_slot`` over jobs that did start;
-    membership is judged on the record's (post-warp) submit time.
+    membership is judged on the record's (post-warp) submit time, the
+    span being the jobs' own arrival span (as in :func:`apply_diurnal`).
     Returns ``0.0`` when no spike-window job ever started.
     """
+    span_s = max((job.record.submit_time_s for job in jobs), default=0.0)
     windows = pattern.spike_windows(span_s)
     waits = []
     for job in jobs:

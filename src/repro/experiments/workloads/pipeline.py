@@ -31,7 +31,7 @@ from ...obs import OBS
 from ...service.kernel import SchedulerKernel
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ...cluster.simulator import ClusterSimulator, SimulationResult
+    from ...cluster.simulator import SimulationResult
     from ...trace.records import TaskRecord, Trace
 
 __all__ = ["PipelineSpec", "partition_phases", "run_pipeline"]
@@ -97,20 +97,17 @@ def _drain_phase(kernel: SchedulerKernel) -> None:
 
 
 def run_pipeline(
-    sim: "ClusterSimulator",
-    spec: PipelineSpec,
-    trace: "Trace",
-    *,
-    history: "Trace | None" = None,
+    kernel: SchedulerKernel, spec: PipelineSpec, trace: "Trace"
 ) -> "SimulationResult":
-    """Drive ``trace`` through ``sim`` phase by phase and return metrics.
+    """Drive ``trace`` through ``kernel`` phase by phase and return metrics.
 
-    The scheduler sees each phase as a streaming arrival burst; the
-    result is batch-identical :class:`SimulationResult` form with
+    ``kernel`` is the prepared streaming kernel the assembler
+    (:func:`repro.experiments.runner.build_kernel`) returns.  The
+    scheduler sees each phase as a streaming arrival burst; the result
+    is batch-identical :class:`SimulationResult` form with
     ``pipeline_stall_slots`` attached as an extra metric.
     """
-    sim.scheduler.prepare(history if history is not None else trace)
-    kernel = SchedulerKernel(sim, streaming=True)
+    sim = kernel.sim
     phases = partition_phases(list(trace), spec.n_phases)
     slot_duration = sim.config.slot_duration_s
 

@@ -93,13 +93,15 @@ def takeover_run(
     lets the live side finish as the ground truth, then restores the
     snapshot into a standby kernel and runs *it* to completion.  A
     correct handover yields an empty :attr:`TakeoverReport.divergence`.
+    Both summaries carry the scenario family's metrics; a pipeline
+    scenario raises :class:`ValueError` (driver-fed: no batch kernel).
 
     ``fault_plan=`` makes the drill adversarial: the standby must also
     resume mid-outage fault-injector state (backoffs, revocations,
     downed VMs) to match.
     """
-    # Lazy: keeps repro.faults importable without the service layer.
-    from ..service.daemon import build_kernel
+    # Lazy: experiments.scenarios imports this package for FaultPlan.
+    from ..experiments.runner import build_kernel, finish_result
 
     if scenario is None:
         from ..experiments.scenarios import testbed_scenario
@@ -128,12 +130,12 @@ def takeover_run(
 
     # Ground truth: what the live kernel would have done uninterrupted.
     live.run_until_blocked()
-    live_summary = live.result().summary()
+    live_summary = finish_result(live.result(), scenario).summary()
 
     # Failover: the standby resumes from the replicated state.
     standby = snapshot.restore()
     events_after = standby.run_until_blocked()
-    standby_summary = standby.result().summary()
+    standby_summary = finish_result(standby.result(), scenario).summary()
 
     divergence: dict[str, tuple[float, float]] = {}
     for key in sorted(set(live_summary) | set(standby_summary)):

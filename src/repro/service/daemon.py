@@ -38,10 +38,10 @@ import asyncio
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AsyncIterator, Optional
 
-from ..cluster.simulator import ClusterSimulator, SimulationResult
 from .kernel import SchedulerKernel
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from ..cluster.simulator import SimulationResult
     from ..cluster.shards import ScaleConfig
     from ..core.config import CorpConfig
     from ..experiments.runner import PredictorCache
@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = [
     "PlacementUpdate",
     "SchedulerService",
-    "build_kernel",
     "open_service",
 ]
 
@@ -81,53 +80,6 @@ class PlacementUpdate:
 
 #: Stream-termination sentinel pushed to every subscriber on drain/close.
 _CLOSE = object()
-
-
-def build_kernel(
-    *,
-    scenario: "Scenario",
-    method: str = "CORP",
-    seed: int = 0,
-    corp_config: "CorpConfig | None" = None,
-    predictor_cache: "PredictorCache | None" = None,
-    predictor: "str | Predictor" = "corp",
-    streaming: bool = True,
-) -> SchedulerKernel:
-    """A prepared kernel for one (scenario, method) pair.
-
-    The offline phase (predictor fit) happens here, through the shared
-    cache/store tiers; ``predictor`` selects the registered forecasting
-    family CORP runs on.  ``streaming=True`` returns an empty live
-    kernel awaiting :meth:`~SchedulerKernel.submit`; ``streaming=False``
-    preloads the scenario's evaluation trace — the batch form the
-    standby-takeover drill steps manually.
-    """
-    from ..experiments.runner import RunSpec
-
-    spec = RunSpec(
-        scenario=scenario,
-        method=method,
-        seed=seed,
-        corp_config=corp_config,
-        predictor=predictor,
-    )
-    history = scenario.history_trace()
-    scheduler = spec.make_scheduler(predictor_cache, history)
-    sim = ClusterSimulator(
-        scenario.profile,
-        scheduler,
-        scenario.sim_config,
-        fault_plan=scenario.fault_plan,
-    )
-    scheduler.prepare(history)
-    if streaming:
-        return SchedulerKernel(sim, streaming=True)
-    from ..trace.workload import build_workload
-
-    workload = build_workload(
-        scenario.evaluation_trace(), scenario.sim_config.slot_duration_s
-    )
-    return SchedulerKernel.from_workload(sim, workload)
 
 
 class SchedulerService:
@@ -175,6 +127,9 @@ class SchedulerService:
         """Build the kernel (runs the offline fit) and go live."""
         if self._kernel is not None:
             return self
+        # Deferred: experiments imports this package for the kernel.
+        from ..experiments.runner import build_kernel
+
         self._kernel = build_kernel(
             scenario=self.scenario,
             method=self.method,
@@ -337,9 +292,11 @@ class SchedulerService:
         if self._result is not None:
             return self._result
         await self.pump()
+        from ..experiments.runner import finish_result
+
         kernel = self.kernel
         kernel.finished = True
-        self._result = kernel.result()
+        self._result = finish_result(kernel.result(), self.scenario)
         self._close_streams()
         return self._result
 

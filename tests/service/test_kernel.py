@@ -11,7 +11,7 @@ from repro import api
 from repro.experiments.runner import METHOD_ORDER
 from repro.obs import MemorySink, capture_events
 from repro.service import EventKind, SchedulerKernel
-from repro.service.daemon import build_kernel
+from repro.experiments.runner import build_kernel
 
 #: Wall-clock-only metric, legitimately different between two runs.
 _SKIP = {"allocation_latency_s"}
