@@ -108,10 +108,14 @@ def compute_golden(
     """Run the seeded comparisons and build the golden payload."""
     from .. import api
 
-    fault_free = api.compare(jobs=jobs, testbed=testbed, seed=seed)
+    cache = api.PredictorCache()  # both sections run off one offline fit
+    fault_free = api.compare(
+        jobs=jobs, testbed=testbed, seed=seed, predictor_cache=cache
+    )
     plan = api.build_fault_plan(seed=fault_seed, intensity=fault_intensity)
     faulted = api.compare(
-        jobs=jobs, testbed=testbed, seed=seed, fault_plan=plan
+        jobs=jobs, testbed=testbed, seed=seed, fault_plan=plan,
+        predictor_cache=cache,
     )
     payload: dict = {
         "meta": {

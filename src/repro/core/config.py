@@ -106,6 +106,12 @@ class CorpConfig:
         """``θ = 1 − η``."""
         return 1.0 - self.confidence_level
 
+    @property
+    def quantile(self) -> float:
+        """The conservatism level as a quantile: ``train_quantile``, or
+        the median when the DNN trains with plain MSE."""
+        return 0.5 if self.train_quantile is None else float(self.train_quantile)
+
     def dnn_layer_sizes(self) -> list[int]:
         """Input → h hidden layers of N_n units → scalar output."""
         return (

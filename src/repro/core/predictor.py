@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
+from ..cluster.resources import NUM_RESOURCES, ResourceKind
 from ..forecast.base import Predictor, window_samples
 from ..hmm.discretize import ThresholdBands
 from ..hmm.fluctuation import FluctuationPredictor
@@ -145,8 +145,7 @@ def _fit_one_resource(task: _ResourceFitTask) -> _ResourceFitResult:
     prior = 0.0
     if y.size:
         # Prior at the same conservatism level the DNN trains to.
-        q = cfg.train_quantile if cfg.train_quantile is not None else 0.5
-        prior = float(np.quantile(y, q))
+        prior = float(np.quantile(y, cfg.quantile))
 
     # HMM over job-level unused-fraction series.
     fp = _unfitted_fluctuation(cfg, kind)
@@ -206,7 +205,11 @@ class CorpPredictor(Predictor):
         """Whether :meth:`fit` has produced all per-resource models."""
         return len(self.networks) == NUM_RESOURCES
 
-    def fit(
+    @property
+    def min_history_slots(self) -> int:
+        return self.config.min_history_slots
+
+    def _fit(
         self,
         history: Trace,
         *,
@@ -230,16 +233,6 @@ class CorpPredictor(Predictor):
         :func:`repro.nn.parallel.parallel_map`; results are
         bit-identical to the serial loop.
         """
-        with OBS.span("predictor:fit"):
-            return self._fit(history, warm_start=warm_start, workers=workers)
-
-    def _fit(
-        self,
-        history: Trace,
-        *,
-        warm_start: "CorpPredictor | None" = None,
-        workers: int = 0,
-    ) -> "CorpPredictor":
         cfg = self.config
         donor = warm_start
         if donor is not None and (
@@ -368,30 +361,10 @@ class CorpPredictor(Predictor):
             window = np.concatenate([pad, window])
         return float(self.networks[kind].predict(window[None, :])[0, 0])
 
-    def predict_job_unused(
-        self, util_history: np.ndarray, request: ResourceVector
-    ) -> ResourceVector:
-        """Predicted unused amount of one job at ``t + L``, HMM-corrected.
-
-        ``util_history`` is the job's per-slot utilization ``(n, l)``
-        (fractions of its request).  Jobs with fewer than
-        ``min_history_slots`` observations fall back to the training
-        prior (a discounted mean unused fraction): evidence-free but far
-        closer than predicting zero, which would register as a large
-        under-prediction and poison the Eq. 20 error statistics.
-        """
-        if not self.fitted:
-            raise RuntimeError("predictor not fitted")
+    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
+        """DNN forecast at ``t + L`` per resource, HMM-corrected."""
         cfg = self.config
-        util_history = np.atleast_2d(np.asarray(util_history, dtype=np.float64))
         out = np.zeros(NUM_RESOURCES)
-        if OBS.enabled:
-            OBS.count("predictor.predict")
-        if util_history.shape[0] < cfg.min_history_slots:
-            # Quantile prior: already at the trained conservatism level.
-            if OBS.enabled:
-                OBS.count("predictor.prior_fallback")
-            return ResourceVector(self.prior_unused_fraction * request.as_array())
         for kind in range(NUM_RESOURCES):
             util = util_history[:, kind]
             fraction = self._predict_fraction(kind, util)
@@ -402,5 +375,5 @@ class CorpPredictor(Predictor):
                 fraction += fp.correction(symbol)
                 if OBS.enabled:
                     OBS.count("predictor.hmm_correction")
-            out[kind] = np.clip(fraction, 0.0, 1.0) * request[ResourceKind(kind)]
-        return ResourceVector(out)
+            out[kind] = fraction
+        return out

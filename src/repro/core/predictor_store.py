@@ -59,8 +59,10 @@ __all__ = [
 #: the current fit pipeline; part of the fingerprint, so a bump
 #: invalidates every old artifact without touching the files.
 #: 2: the CORP family moved from its own archive layout to the
-#: ``save_npz`` payload every family uses.
-STORE_VERSION = 2
+#: ``save_npz`` payload every family uses.  3: every family archives
+#: all of its constructor parameters (ETS / Markov gained theirs) and
+#: the quantile family dropped two arrays nothing read.
+STORE_VERSION = 3
 
 #: Every CorpConfig field that shapes the fitted models, training-loop
 #: knobs (epoch cap, batch size) included — two configs that differ in

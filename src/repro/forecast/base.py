@@ -1,26 +1,28 @@
-"""Forecaster and Predictor protocols shared by the prediction stack.
+"""The two forecasting contracts, and the skeleton every family shares.
 
-Two tiers live here:
-
-* :class:`Forecaster` — the original one-dimensional time-series
-  contract (fit a series, forecast ``h`` steps ahead) the baseline
-  predictors (ETS, Markov chain, FFT signature) implement.
+* :class:`Forecaster` — the one-dimensional time-series contract (fit
+  a series, forecast ``h`` steps ahead) the baseline predictors (ETS,
+  Markov chain, FFT signature) implement.
 * :class:`Predictor` — the job-level contract the schedulers consume:
   fit on a historical :class:`~repro.trace.records.Trace`, then map one
   job's utilization history to its predicted *unused* resources
-  (Section III-A's granularity).  CORP's DNN+HMM pipeline, the
-  data-driven quantile predictor (Pace et al.), the classify-then-
-  predict router (Zhu & Fan) and the online selector all implement it,
-  which is what makes them interchangeable behind
-  :mod:`repro.forecast.registry` and the ``predictor=`` knob of the
-  public API.
+  (Section III-A's granularity).  It is a template: the base class owns
+  the per-job forecast (fitted check, young-job prior, clip to the
+  request), the ``predictor:fit`` span, ``from_config`` and the archive
+  round trip; a family writes ``_fit``, ``_unused_fractions`` and names
+  its hyper-parameters and fitted arrays in :attr:`Predictor.PARAMS` /
+  :attr:`Predictor.ARRAYS`.  That is what makes CORP's DNN+HMM, the
+  quantile predictor (Pace et al.), the classify-then-predict router
+  (Zhu & Fan), the lifted ETS / Markov forecasters and the online
+  selector interchangeable behind :mod:`repro.forecast.registry` and
+  the ``predictor=`` knob of the public API.
 
 Capability flags (class attribute :attr:`Predictor.capabilities`)
 declare what the surrounding machinery may do with an implementation:
 
 ``"serialize"``
-    :meth:`Predictor.to_payload` / :meth:`Predictor.from_payload` round
-    trip the fitted state, so the on-disk
+    :meth:`Predictor.save_npz` / :meth:`Predictor.load_npz` round trip
+    the fitted state, so the on-disk
     :class:`~repro.core.predictor_store.PredictorStore` may persist it.
 ``"warm_start"``
     ``fit(..., warm_start=donor)`` seeds training from a previous fit.
@@ -41,8 +43,10 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..obs import OBS
+
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..cluster.resources import ResourceVector
     from ..trace.records import Trace
 
 __all__ = ["Forecaster", "Predictor", "window_samples"]
@@ -129,11 +133,13 @@ def window_samples(
 class Predictor(ABC):
     """Job-level unused-resource predictor — the scheduler's contract.
 
-    Implementations fit once on a historical trace (the offline phase)
-    and then serve per-job forecasts: utilization history in, predicted
-    unused :class:`~repro.cluster.resources.ResourceVector` out.  Two
-    attributes feed the scheduler's error machinery and must be
-    populated by :meth:`fit`:
+    A predictor fits once on a historical trace (the offline phase) and
+    then serves per-job forecasts: utilization history in, predicted
+    unused :class:`~repro.cluster.resources.ResourceVector` out.  A
+    family implements :meth:`_fit` and :meth:`_unused_fractions` and
+    declares :attr:`PARAMS` / :attr:`ARRAYS`; everything else here is
+    shared.  Two attributes feed the scheduler's error machinery and
+    must be populated by :meth:`_fit`:
 
     * :attr:`seed_errors` — per-resource held-out validation errors
       (actual − predicted unused fraction of the request), the
@@ -149,71 +155,82 @@ class Predictor(ABC):
     #: What the surrounding machinery may do with this implementation
     #: (see the module docstring for the flag meanings).
     capabilities: frozenset[str] = frozenset()
+    #: Constructor hyper-parameters, by keyword.  :meth:`from_config`
+    #: fills the ones a ``CorpConfig`` also names; all of them are
+    #: archived and handed back to the constructor on restore.
+    PARAMS: tuple[str, ...] = ()
+    #: Fitted array attributes beyond the two every family has.
+    ARRAYS: tuple[str, ...] = ()
 
     #: Per-resource validation errors in request fractions.
     seed_errors: list[np.ndarray]
     #: Per-resource prior unused fraction of the training data.
     prior_unused_fraction: np.ndarray
+    #: Jobs with fewer observed slots than this get the prior.
+    min_history_slots: int
 
     # ------------------------------------------------------------------
+    @classmethod
+    def from_config(cls, config: object) -> "Predictor":
+        """An unfitted instance from a ``CorpConfig`` (duck-typed).
+
+        Every :attr:`PARAMS` name the config also carries is read from
+        it (``quantile`` is ``CorpConfig.quantile``, the conservatism
+        level); the rest keep their constructor defaults.
+        """
+        return cls(
+            **{
+                name: getattr(config, name)
+                for name in cls.PARAMS
+                if hasattr(config, name)
+            }
+        )
+
     @property
-    @abstractmethod
     def fitted(self) -> bool:
         """Whether :meth:`fit` has produced a servable model."""
+        return len(self.seed_errors) == NUM_RESOURCES
 
-    @abstractmethod
     def fit(self, history: "Trace", **kwargs: object) -> "Predictor":
         """Offline phase: train on a historical trace; returns ``self``."""
+        with OBS.span("predictor:fit"):
+            return self._fit(history, **kwargs)
 
-    @abstractmethod
+    def _fit(self, history: "Trace", **kwargs: object) -> "Predictor":
+        """The family's training: sets :attr:`seed_errors` and
+        :attr:`prior_unused_fraction`, returns ``self``."""
+        raise NotImplementedError
+
     def predict_job_unused(
-        self, util_history: np.ndarray, request: "ResourceVector"
-    ) -> "ResourceVector":
+        self, util_history: np.ndarray, request: ResourceVector
+    ) -> ResourceVector:
         """Predicted unused amount of one job over the next window.
 
         ``util_history`` is the job's per-slot utilization ``(n, l)`` in
         fractions of its request; the return value is in absolute
-        amounts (fraction × request).
+        amounts (fraction × request).  A job younger than
+        :attr:`min_history_slots` gets the training prior: evidence-free
+        but far closer than predicting zero, which would register as a
+        large under-prediction and poison the Eq. 20 error statistics.
         """
+        if not self.fitted:
+            raise RuntimeError("predictor not fitted")
+        util_history = np.atleast_2d(np.asarray(util_history, dtype=np.float64))
+        if OBS.enabled:
+            OBS.count("predictor.predict")
+        req = request.as_array()
+        if util_history.shape[0] < self.min_history_slots:
+            if OBS.enabled:
+                OBS.count("predictor.prior_fallback")
+            return ResourceVector(self.prior_unused_fraction * req)
+        fractions = self._unused_fractions(util_history)
+        return ResourceVector(np.clip(fractions, 0.0, 1.0) * req)
 
-    # ------------------------------------------------------------------
-    # shared error statistics
-    # ------------------------------------------------------------------
-    def validation_rmse(self) -> np.ndarray:
-        """Per-resource RMSE of the seed errors, in request fractions."""
-        return np.array(
-            [
-                float(np.sqrt(np.mean(e**2))) if e.size else 0.0
-                for e in self.seed_errors
-            ]
-        )
-
-    def error_quantile(self, kind: int, q: float) -> float:
-        """Empirical ``q``-quantile of resource ``kind``'s seed errors.
-
-        ``0.0`` when no validation errors exist (an evidence-free fit
-        contributes no shift).
-        """
-        errors = self.seed_errors[int(kind)]
-        if errors.size == 0:
-            return 0.0
-        return float(np.quantile(errors, q))
-
-    def predict_interval(
-        self, kind: int, point: float, confidence: float
-    ) -> tuple[float, float]:
-        """Symmetric CI around a fractional forecast (Eq. 18 analogue).
-
-        The default half-width is ``σ̂ · z`` from the seed-error
-        dispersion; families with a sharper dispersion estimate (the
-        quantile predictor's window spread) override this.
-        """
-        from .confidence import z_value
-
-        errors = self.seed_errors[int(kind)]
-        sigma = float(errors.std()) if errors.size >= 2 else 0.0
-        half = sigma * z_value(confidence)
-        return point - half, point + half
+    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
+        """The family's arithmetic: per-resource unused fraction ``(l,)``
+        forecast from a ``(n, l)`` history of at least
+        :attr:`min_history_slots` slots (the caller clips it)."""
+        raise NotImplementedError
 
     def observe_slot(self, slot: int) -> None:
         """Slot-boundary hook for ``"online_selection"`` predictors."""
@@ -222,11 +239,9 @@ class Predictor(ABC):
     # generic serialization ("serialize" capability)
     # ------------------------------------------------------------------
     def to_payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The fitted state as ``(arrays, meta)`` for :meth:`save_npz`.
-
-        The base payload covers what every family shares (seed errors
-        and priors); families with more state extend both mappings.
-        """
+        """The fitted state as ``(arrays, meta)`` for :meth:`save_npz`:
+        seed errors, priors, :attr:`ARRAYS`, and :attr:`PARAMS` as
+        ``meta["params"]``."""
         if not self.fitted:
             raise ValueError("predictor is not fitted")
         arrays = {
@@ -236,29 +251,31 @@ class Predictor(ABC):
         arrays["prior_unused_fraction"] = np.asarray(
             self.prior_unused_fraction, dtype=np.float64
         )
-        return arrays, {}
+        for name in self.ARRAYS:
+            arrays[name] = getattr(self, name)
+        params = {name: getattr(self, name) for name in self.PARAMS}
+        return arrays, {"params": params}
 
     def _restore_payload(
         self, arrays: dict[str, np.ndarray], meta: dict
     ) -> None:
-        """Adopt the base payload fields (inverse of :meth:`to_payload`)."""
+        """Adopt the archived arrays (inverse of :meth:`to_payload`)."""
         self.seed_errors = []
         k = 0
         while f"seed_errors{k}" in arrays:
             self.seed_errors.append(np.asarray(arrays[f"seed_errors{k}"]).copy())
             k += 1
-        self.prior_unused_fraction = np.asarray(
-            arrays["prior_unused_fraction"]
-        ).copy()
+        for name in ("prior_unused_fraction", *self.ARRAYS):
+            setattr(self, name, np.asarray(arrays[name]).copy())
 
     @classmethod
     def from_payload(
         cls, arrays: dict[str, np.ndarray], meta: dict, config: object = None
     ) -> "Predictor":
         """Rebuild a fitted instance from :meth:`to_payload` output."""
-        raise NotImplementedError(
-            f"{cls.__name__} does not implement payload restore"
-        )
+        predictor = cls(**meta["params"])
+        predictor._restore_payload(arrays, meta)
+        return predictor
 
     def save_npz(self, path: str | Path) -> None:
         """Serialize the fitted state to one ``.npz`` archive."""

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.resources import NUM_RESOURCES
 from ..nn.parallel import parallel_map
 from ..obs import OBS
 from .base import Predictor, window_samples
+from .quantile import recent_unused_quantiles
 
 __all__ = ["ClassifyThenPredictPredictor"]
 
@@ -100,6 +101,11 @@ class ClassifyThenPredictPredictor(Predictor):
 
     family = "classify"
     capabilities = frozenset({"serialize", "parallel_fit"})
+    PARAMS = (
+        "quantile", "input_slots", "window_slots", "prediction_target",
+        "min_history_slots", "n_classes", "seed",
+    )
+    ARRAYS = ("centroids", "feature_mean", "feature_scale", "class_shifts")
 
     quantile: float = 0.5
     input_slots: int = 6
@@ -134,31 +140,11 @@ class ClassifyThenPredictPredictor(Predictor):
         if self.n_classes < 1:
             raise ValueError("n_classes must be >= 1")
 
-    @classmethod
-    def from_config(cls, config) -> "ClassifyThenPredictPredictor":
-        q = config.train_quantile if config.train_quantile is not None else 0.5
-        return cls(
-            quantile=float(q),
-            input_slots=config.input_slots,
-            window_slots=config.window_slots,
-            prediction_target=config.prediction_target,
-            min_history_slots=config.min_history_slots,
-            seed=config.seed,
-        )
-
     # ------------------------------------------------------------------
-    @property
-    def fitted(self) -> bool:
-        return len(self.seed_errors) == NUM_RESOURCES
-
-    def fit(
+    def _fit(
         self, history, *, workers: int = 0, **kwargs: object
     ) -> "ClassifyThenPredictPredictor":
         """Classify the training jobs, then calibrate per class."""
-        with OBS.span("predictor:fit"):
-            return self._fit(history, workers=workers)
-
-    def _fit(self, history, *, workers: int = 0) -> "ClassifyThenPredictPredictor":
         records = [r for r in history if r.n_samples >= 2]
         features = (
             np.array([_job_features(r.utilization_series()) for r in records])
@@ -243,59 +229,15 @@ class ClassifyThenPredictPredictor(Predictor):
         distances = np.linalg.norm(self.centroids - standardized, axis=1)
         return int(distances.argmin())
 
-    def predict_job_unused(
-        self, util_history: np.ndarray, request: ResourceVector
-    ) -> ResourceVector:
+    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
         """Class-routed quantile forecast with the class's calibration."""
-        if not self.fitted:
-            raise RuntimeError("predictor not fitted")
-        util_history = np.atleast_2d(np.asarray(util_history, dtype=np.float64))
-        if OBS.enabled:
-            OBS.count("predictor.predict")
-        req = request.as_array()
-        if util_history.shape[0] < self.min_history_slots:
-            if OBS.enabled:
-                OBS.count("predictor.prior_fallback")
-            return ResourceVector(self.prior_unused_fraction * req)
         class_id = self.classify(util_history)
         shifts = (
             self.class_shifts[class_id]
             if class_id < self.class_shifts.shape[0]
             else np.zeros(NUM_RESOURCES)
         )
-        out = np.zeros(NUM_RESOURCES)
-        for kind in range(NUM_RESOURCES):
-            unused = 1.0 - util_history[-self.input_slots :, kind]
-            fraction = float(np.quantile(unused, self.quantile)) + shifts[kind]
-            out[kind] = np.clip(fraction, 0.0, 1.0) * req[kind]
-        return ResourceVector(out)
-
-    # ------------------------------------------------------------------
-    def to_payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        arrays, meta = super().to_payload()
-        arrays["centroids"] = self.centroids
-        arrays["feature_mean"] = self.feature_mean
-        arrays["feature_scale"] = self.feature_scale
-        arrays["class_shifts"] = self.class_shifts
-        meta["params"] = {
-            "quantile": self.quantile,
-            "input_slots": self.input_slots,
-            "window_slots": self.window_slots,
-            "prediction_target": self.prediction_target,
-            "min_history_slots": self.min_history_slots,
-            "n_classes": self.n_classes,
-            "seed": self.seed,
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_payload(
-        cls, arrays: dict[str, np.ndarray], meta: dict, config: object = None
-    ) -> "ClassifyThenPredictPredictor":
-        predictor = cls(**meta["params"])
-        predictor._restore_payload(arrays, meta)
-        predictor.centroids = np.asarray(arrays["centroids"]).copy()
-        predictor.feature_mean = np.asarray(arrays["feature_mean"]).copy()
-        predictor.feature_scale = np.asarray(arrays["feature_scale"]).copy()
-        predictor.class_shifts = np.asarray(arrays["class_shifts"]).copy()
-        return predictor
+        return (
+            recent_unused_quantiles(util_history, self.input_slots, self.quantile)
+            + shifts
+        )

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
-from ..obs import OBS
+from ..cluster.resources import NUM_RESOURCES
 from .base import Forecaster, Predictor, window_samples
 from .ets import HoltLinear
 from .markov_chain import MarkovChainPredictor
@@ -40,6 +39,8 @@ def _aggregate_path(path: np.ndarray, target: str) -> float:
 class _SeriesJobPredictor(Predictor):
     """Shared plumbing: fit a 1-D forecaster on each job's unused series."""
 
+    PARAMS = ("input_slots", "window_slots", "prediction_target", "min_history_slots")
+
     input_slots: int = 6
     window_slots: int = 6
     prediction_target: str = "window_mean"
@@ -53,20 +54,6 @@ class _SeriesJobPredictor(Predictor):
     def make_forecaster(self) -> Forecaster:
         raise NotImplementedError
 
-    @classmethod
-    def from_config(cls, config) -> "_SeriesJobPredictor":
-        return cls(
-            input_slots=config.input_slots,
-            window_slots=config.window_slots,
-            prediction_target=config.prediction_target,
-            min_history_slots=config.min_history_slots,
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def fitted(self) -> bool:
-        return len(self.seed_errors) == NUM_RESOURCES
-
     def _forecast_fraction(self, unused: np.ndarray) -> float:
         """Fit-and-forecast one unused series over the next window."""
         if np.ptp(unused) < 1e-12:
@@ -78,69 +65,37 @@ class _SeriesJobPredictor(Predictor):
         path = forecaster.forecast_path(self.window_slots)
         return _aggregate_path(path, self.prediction_target)
 
-    def fit(self, history, **kwargs: object) -> "_SeriesJobPredictor":
+    def _fit(self, history, **kwargs: object) -> "_SeriesJobPredictor":
         """Seed errors/priors by backtesting over the training windows."""
-        with OBS.span("predictor:fit"):
-            seed_errors: list[np.ndarray] = []
-            priors = np.zeros(NUM_RESOURCES)
-            for kind in range(NUM_RESOURCES):
-                errors: list[float] = []
-                targets: list[float] = []
-                for window, y, _request in window_samples(
-                    history,
-                    kind,
-                    self.input_slots,
-                    self.window_slots,
-                    target=self.prediction_target,
-                ):
-                    pred = np.clip(self._forecast_fraction(1.0 - window), 0.0, 1.0)
-                    errors.append(y - float(pred))
-                    targets.append(y)
-                seed_errors.append(np.asarray(errors))
-                if targets:
-                    priors[kind] = float(np.mean(targets))
-            self.seed_errors = seed_errors
-            self.prior_unused_fraction = priors
-            return self
-
-    def predict_job_unused(
-        self, util_history: np.ndarray, request: ResourceVector
-    ) -> ResourceVector:
-        if not self.fitted:
-            raise RuntimeError("predictor not fitted")
-        util_history = np.atleast_2d(np.asarray(util_history, dtype=np.float64))
-        if OBS.enabled:
-            OBS.count("predictor.predict")
-        req = request.as_array()
-        if util_history.shape[0] < self.min_history_slots:
-            if OBS.enabled:
-                OBS.count("predictor.prior_fallback")
-            return ResourceVector(self.prior_unused_fraction * req)
-        out = np.zeros(NUM_RESOURCES)
+        seed_errors: list[np.ndarray] = []
+        priors = np.zeros(NUM_RESOURCES)
         for kind in range(NUM_RESOURCES):
-            unused = 1.0 - util_history[-self.input_slots :, kind]
-            fraction = self._forecast_fraction(unused)
-            out[kind] = np.clip(fraction, 0.0, 1.0) * req[kind]
-        return ResourceVector(out)
+            errors: list[float] = []
+            targets: list[float] = []
+            for window, y, _request in window_samples(
+                history,
+                kind,
+                self.input_slots,
+                self.window_slots,
+                target=self.prediction_target,
+            ):
+                pred = np.clip(self._forecast_fraction(1.0 - window), 0.0, 1.0)
+                errors.append(y - float(pred))
+                targets.append(y)
+            seed_errors.append(np.asarray(errors))
+            if targets:
+                priors[kind] = float(np.mean(targets))
+        self.seed_errors = seed_errors
+        self.prior_unused_fraction = priors
+        return self
 
-    # ------------------------------------------------------------------
-    def to_payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        arrays, meta = super().to_payload()
-        meta["params"] = {
-            "input_slots": self.input_slots,
-            "window_slots": self.window_slots,
-            "prediction_target": self.prediction_target,
-            "min_history_slots": self.min_history_slots,
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_payload(
-        cls, arrays: dict[str, np.ndarray], meta: dict, config: object = None
-    ) -> "_SeriesJobPredictor":
-        predictor = cls(**meta["params"])
-        predictor._restore_payload(arrays, meta)
-        return predictor
+    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
+        return np.array(
+            [
+                self._forecast_fraction(1.0 - util_history[-self.input_slots :, kind])
+                for kind in range(NUM_RESOURCES)
+            ]
+        )
 
 
 @dataclass
@@ -149,6 +104,7 @@ class EtsJobPredictor(_SeriesJobPredictor):
 
     family = "ets"
     capabilities = frozenset({"serialize"})
+    PARAMS = _SeriesJobPredictor.PARAMS + ("alpha", "beta")
 
     alpha: float = 0.3
     beta: float = 0.1
@@ -163,6 +119,7 @@ class MarkovJobPredictor(_SeriesJobPredictor):
 
     family = "markov"
     capabilities = frozenset({"serialize"})
+    PARAMS = _SeriesJobPredictor.PARAMS + ("n_bins",)
 
     n_bins: int = 8
 

@@ -1,19 +1,15 @@
-"""Data-driven quantile-histogram predictor (after Pace et al.).
+"""Data-driven empirical-quantile predictor (after Pace et al.).
 
 No model is trained: the forecast of a job's unused fraction over the
 next window is the empirical ``q``-quantile of its *own* recent unused
 observations, calibrated against the historical trace only through the
-seed-error statistics and a per-resource target histogram (a decile
-grid of training-window outcomes) that serves as the prior for jobs too
-young to carry evidence.  The approach is the "data-driven resource
+seed-error statistics and a per-resource prior (the same quantile of
+the training-window outcomes) for jobs too young to carry evidence.
+The approach is the "data-driven resource
 allocation" point in the design space PAPERS.md maps: on short-lived
 jobs, whose utilization carries little exploitable pattern, a
 distribution summary of recent behaviour is competitive with model-
 based prediction at a fraction of the cost.
-
-Confidence intervals come from *window dispersion* — the mean standard
-deviation of the training input windows — rather than from the seed
-errors, the distinguishing trait of the family.
 """
 
 from __future__ import annotations
@@ -22,23 +18,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.resources import NUM_RESOURCES
 from ..obs import OBS
 from .base import Predictor, window_samples
-from .confidence import z_value
 
-__all__ = ["QuantileHistogramPredictor"]
+__all__ = ["QuantileHistogramPredictor", "recent_unused_quantiles"]
 
-#: Decile grid of the per-resource target histogram (plus the extremes).
-_GRID = np.linspace(0.0, 1.0, 11)
+
+def recent_unused_quantiles(
+    util_history: np.ndarray, input_slots: int, q: float
+) -> np.ndarray:
+    """Per-resource ``q``-quantile of the last ``input_slots`` unused
+    observations of a ``(n, l)`` utilization history."""
+    # One np.quantile per column: axis=0 over the block is not shown to
+    # give the same bits.
+    return np.array(
+        [
+            float(np.quantile(1.0 - util_history[-input_slots:, kind], q))
+            for kind in range(NUM_RESOURCES)
+        ]
+    )
 
 
 @dataclass
 class QuantileHistogramPredictor(Predictor):
-    """Per-resource empirical-quantile forecasts with dispersion CIs."""
+    """Per-resource empirical-quantile forecasts."""
 
     family = "quantile"
     capabilities = frozenset({"serialize"})
+    PARAMS = (
+        "quantile", "input_slots", "window_slots", "prediction_target",
+        "min_history_slots",
+    )
 
     #: Quantile level of the forecast (the conservatism knob; mirrors
     #: ``CorpConfig.train_quantile``).
@@ -54,16 +65,6 @@ class QuantileHistogramPredictor(Predictor):
     prior_unused_fraction: np.ndarray = field(
         default_factory=lambda: np.zeros(NUM_RESOURCES)
     )
-    #: Per-resource decile grid of training-window targets — the
-    #: "histogram" the family is named for ``(NUM_RESOURCES, 11)``.
-    target_quantiles: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, _GRID.size))
-    )
-    #: Per-resource mean std of the training input windows — the CI
-    #: half-width source.
-    window_sigma: np.ndarray = field(
-        default_factory=lambda: np.zeros(NUM_RESOURCES)
-    )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.quantile < 1.0:
@@ -71,119 +72,44 @@ class QuantileHistogramPredictor(Predictor):
         if self.input_slots < 1 or self.window_slots < 1:
             raise ValueError("input_slots and window_slots must be >= 1")
 
-    @classmethod
-    def from_config(cls, config) -> "QuantileHistogramPredictor":
-        """Build from a :class:`~repro.core.config.CorpConfig` (duck-typed)."""
-        q = config.train_quantile if config.train_quantile is not None else 0.5
-        return cls(
-            quantile=float(q),
-            input_slots=config.input_slots,
-            window_slots=config.window_slots,
-            prediction_target=config.prediction_target,
-            min_history_slots=config.min_history_slots,
-        )
-
     # ------------------------------------------------------------------
-    @property
-    def fitted(self) -> bool:
-        return len(self.seed_errors) == NUM_RESOURCES
-
-    def fit(self, history, **kwargs: object) -> "QuantileHistogramPredictor":
-        """Collect per-resource error statistics and the target histogram."""
-        with OBS.span("predictor:fit"):
-            seed_errors: list[np.ndarray] = []
-            priors = np.zeros(NUM_RESOURCES)
-            grids = np.zeros((NUM_RESOURCES, _GRID.size))
-            sigmas = np.zeros(NUM_RESOURCES)
-            for kind in range(NUM_RESOURCES):
-                preds: list[float] = []
-                targets: list[float] = []
-                stds: list[float] = []
-                for window, y, _request in window_samples(
-                    history,
-                    kind,
-                    self.input_slots,
-                    self.window_slots,
-                    target=self.prediction_target,
-                ):
-                    unused = 1.0 - window
-                    preds.append(float(np.quantile(unused, self.quantile)))
-                    stds.append(float(unused.std()))
-                    targets.append(y)
-                if targets:
-                    y_arr = np.asarray(targets)
-                    seed_errors.append(y_arr - np.asarray(preds))
-                    priors[kind] = float(np.quantile(y_arr, self.quantile))
-                    grids[kind] = np.quantile(y_arr, _GRID)
-                    sigmas[kind] = float(np.mean(stds))
-                else:
-                    seed_errors.append(np.zeros(0))
-            self.seed_errors = seed_errors
-            self.prior_unused_fraction = priors
-            self.target_quantiles = grids
-            self.window_sigma = sigmas
-            if OBS.enabled:
-                for kind in range(NUM_RESOURCES):
-                    errors = seed_errors[kind]
-                    OBS.emit(
-                        "predictor_fit",
-                        family=self.family,
-                        resource=kind,
-                        n_samples=int(errors.size),
-                        rmse=float(np.sqrt(np.mean(errors**2)))
-                        if errors.size else None,
-                    )
-            return self
-
-    # ------------------------------------------------------------------
-    def predict_job_unused(
-        self, util_history: np.ndarray, request: ResourceVector
-    ) -> ResourceVector:
-        """Empirical quantile of the job's recent unused observations."""
-        if not self.fitted:
-            raise RuntimeError("predictor not fitted")
-        util_history = np.atleast_2d(np.asarray(util_history, dtype=np.float64))
-        if OBS.enabled:
-            OBS.count("predictor.predict")
-        req = request.as_array()
-        if util_history.shape[0] < self.min_history_slots:
-            if OBS.enabled:
-                OBS.count("predictor.prior_fallback")
-            return ResourceVector(self.prior_unused_fraction * req)
-        out = np.zeros(NUM_RESOURCES)
+    def _fit(self, history, **kwargs: object) -> "QuantileHistogramPredictor":
+        """Collect the per-resource error statistics and priors."""
+        seed_errors: list[np.ndarray] = []
+        priors = np.zeros(NUM_RESOURCES)
         for kind in range(NUM_RESOURCES):
-            unused = 1.0 - util_history[-self.input_slots :, kind]
-            fraction = float(np.quantile(unused, self.quantile))
-            out[kind] = np.clip(fraction, 0.0, 1.0) * req[kind]
-        return ResourceVector(out)
+            preds: list[float] = []
+            targets: list[float] = []
+            for window, y, _request in window_samples(
+                history,
+                kind,
+                self.input_slots,
+                self.window_slots,
+                target=self.prediction_target,
+            ):
+                preds.append(float(np.quantile(1.0 - window, self.quantile)))
+                targets.append(y)
+            if targets:
+                y_arr = np.asarray(targets)
+                seed_errors.append(y_arr - np.asarray(preds))
+                priors[kind] = float(np.quantile(y_arr, self.quantile))
+            else:
+                seed_errors.append(np.zeros(0))
+        self.seed_errors = seed_errors
+        self.prior_unused_fraction = priors
+        if OBS.enabled:
+            for kind in range(NUM_RESOURCES):
+                errors = seed_errors[kind]
+                OBS.emit(
+                    "predictor_fit",
+                    family=self.family,
+                    resource=kind,
+                    n_samples=int(errors.size),
+                    rmse=float(np.sqrt(np.mean(errors**2)))
+                    if errors.size else None,
+                )
+        return self
 
-    def predict_interval(
-        self, kind: int, point: float, confidence: float
-    ) -> tuple[float, float]:
-        """CI from window dispersion, not seed-error dispersion."""
-        half = float(self.window_sigma[int(kind)]) * z_value(confidence)
-        return point - half, point + half
-
-    # ------------------------------------------------------------------
-    def to_payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        arrays, meta = super().to_payload()
-        arrays["target_quantiles"] = self.target_quantiles
-        arrays["window_sigma"] = self.window_sigma
-        meta["params"] = {
-            "quantile": self.quantile,
-            "input_slots": self.input_slots,
-            "window_slots": self.window_slots,
-            "prediction_target": self.prediction_target,
-            "min_history_slots": self.min_history_slots,
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_payload(
-        cls, arrays: dict[str, np.ndarray], meta: dict, config: object = None
-    ) -> "QuantileHistogramPredictor":
-        predictor = cls(**meta["params"])
-        predictor._restore_payload(arrays, meta)
-        predictor.target_quantiles = np.asarray(arrays["target_quantiles"]).copy()
-        predictor.window_sigma = np.asarray(arrays["window_sigma"]).copy()
-        return predictor
+    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
+        """Empirical quantile of the job's recent unused observations."""
+        return recent_unused_quantiles(util_history, self.input_slots, self.quantile)

@@ -7,14 +7,14 @@ same implementation.  The registered class's :attr:`family` is
 fingerprinted into every predictor-store key, which is what keeps
 artifacts from different families from ever shadowing each other.
 
-Built-ins (registered on import, constructed lazily so this module
-never imports :mod:`repro.core` at import time — the core package
-imports :mod:`repro.forecast` first):
+Built-ins (registered on import, loaded lazily so this module never
+imports :mod:`repro.core` at import time — the core package imports
+:mod:`repro.forecast` first):
 
 ``"corp"``
     The paper's DNN+HMM pipeline (Section III-A) — the default.
 ``"quantile"``
-    Data-driven empirical-quantile histogram predictor (Pace et al.).
+    Data-driven empirical-quantile predictor (Pace et al.).
 ``"classify"``
     Classify-then-predict router (Zhu & Fan): k-means job classes
     feeding class-specialized sub-predictors.
@@ -29,7 +29,7 @@ imports :mod:`repro.forecast` first):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
 from .base import Predictor
@@ -46,36 +46,23 @@ __all__ = [
     "resolve_predictor",
 ]
 
-
-@dataclass(frozen=True)
-class _Entry:
-    """One registered family: class loader, factory, one-line summary."""
-
-    cls: Callable[[], type[Predictor]]
-    factory: Callable[["CorpConfig"], Predictor]
-    summary: str
-
-
-_REGISTRY: dict[str, _Entry] = {}
+#: ``name -> (class loader, one-line summary)``, in registration order.
+_REGISTRY: dict[str, tuple[Callable[[], type[Predictor]], str]] = {}
 
 
 def register_predictor(
-    name: str,
-    *,
-    cls: Callable[[], type[Predictor]],
-    factory: Callable[["CorpConfig"], Predictor],
-    summary: str = "",
+    name: str, *, cls: Callable[[], type[Predictor]], summary: str = ""
 ) -> None:
     """Register a predictor family under ``name``.
 
     ``cls`` is a zero-argument loader returning the implementation class
-    (lazy, so registrations never trigger heavyweight imports);
-    ``factory`` builds an unfitted instance from a
-    :class:`~repro.core.config.CorpConfig`.
+    (lazy, so registrations never trigger heavyweight imports); its
+    :meth:`~repro.forecast.base.Predictor.from_config` builds the
+    unfitted instances.
     """
     if not name or not name.islower():
         raise ValueError(f"predictor name must be non-empty lowercase: {name!r}")
-    _REGISTRY[name] = _Entry(cls=cls, factory=factory, summary=summary)
+    _REGISTRY[name] = (cls, summary)
 
 
 def available_predictors() -> tuple[str, ...]:
@@ -85,22 +72,19 @@ def available_predictors() -> tuple[str, ...]:
 
 def predictor_summaries() -> dict[str, str]:
     """``name → one-line summary`` for help text and tables."""
-    return {name: entry.summary for name, entry in _REGISTRY.items()}
+    return {name: summary for name, (_cls, summary) in _REGISTRY.items()}
 
 
-def _entry(name: str) -> _Entry:
+def predictor_class(name: str) -> type[Predictor]:
+    """The implementation class registered under ``name``."""
     try:
-        return _REGISTRY[name]
+        loader, _summary = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown predictor {name!r} "
             f"(registered: {', '.join(available_predictors())})"
         ) from None
-
-
-def predictor_class(name: str) -> type[Predictor]:
-    """The implementation class registered under ``name``."""
-    return _entry(name).cls()
+    return loader()
 
 
 def create_predictor(
@@ -111,7 +95,7 @@ def create_predictor(
         from ..core.config import CorpConfig
 
         config = CorpConfig()
-    return _entry(name).factory(config)
+    return predictor_class(name).from_config(config)
 
 
 def resolve_predictor(
@@ -128,82 +112,25 @@ def resolve_predictor(
     )
 
 
-# ----------------------------------------------------------------------
-# built-in families (lazy loaders; see the module docstring)
-# ----------------------------------------------------------------------
+def _lazy(module: str, attr: str) -> Callable[[], type[Predictor]]:
+    """A loader importing ``module`` (relative to this package) on call."""
+    return lambda: getattr(import_module(module, __package__), attr)
 
 
-def _corp_cls() -> type[Predictor]:
-    from ..core.predictor import CorpPredictor
-
-    return CorpPredictor
-
-
-def _quantile_cls() -> type[Predictor]:
-    from .quantile import QuantileHistogramPredictor
-
-    return QuantileHistogramPredictor
-
-
-def _classify_cls() -> type[Predictor]:
-    from .classify import ClassifyThenPredictPredictor
-
-    return ClassifyThenPredictPredictor
-
-
-def _ets_cls() -> type[Predictor]:
-    from .jobwise import EtsJobPredictor
-
-    return EtsJobPredictor
-
-
-def _markov_cls() -> type[Predictor]:
-    from .jobwise import MarkovJobPredictor
-
-    return MarkovJobPredictor
-
-
-def _auto_cls() -> type[Predictor]:
-    from .selection import OnlinePredictorSelector
-
-    return OnlinePredictorSelector
-
-
-register_predictor(
-    "corp",
-    cls=_corp_cls,
-    factory=lambda config: _corp_cls().from_config(config),
-    summary="DNN+HMM pipeline of the paper (Section III-A) — the default",
-)
-register_predictor(
-    "quantile",
-    cls=_quantile_cls,
-    factory=lambda config: _quantile_cls().from_config(config),
-    summary="data-driven empirical-quantile forecasts (Pace et al.)",
-)
-register_predictor(
-    "classify",
-    cls=_classify_cls,
-    factory=lambda config: _classify_cls().from_config(config),
-    summary="k-means job classes routing to class-specialized predictors "
-    "(Zhu & Fan)",
-)
-register_predictor(
-    "ets",
-    cls=_ets_cls,
-    factory=lambda config: _ets_cls().from_config(config),
-    summary="Holt linear-trend exponential smoothing per job series",
-)
-register_predictor(
-    "markov",
-    cls=_markov_cls,
-    factory=lambda config: _markov_cls().from_config(config),
-    summary="discrete-time Markov chain per job series",
-)
-register_predictor(
-    "auto",
-    cls=_auto_cls,
-    factory=lambda config: _auto_cls().from_config(config),
-    summary="online selection over {corp, quantile, classify} on rolling "
-    "Eq. 20 error windows",
-)
+for _name, _module, _attr, _summary in (
+    ("corp", "..core.predictor", "CorpPredictor",
+     "DNN+HMM pipeline of the paper (Section III-A) — the default"),
+    ("quantile", ".quantile", "QuantileHistogramPredictor",
+     "data-driven empirical-quantile forecasts (Pace et al.)"),
+    ("classify", ".classify", "ClassifyThenPredictPredictor",
+     "k-means job classes routing to class-specialized predictors "
+     "(Zhu & Fan)"),
+    ("ets", ".jobwise", "EtsJobPredictor",
+     "Holt linear-trend exponential smoothing per job series"),
+    ("markov", ".jobwise", "MarkovJobPredictor",
+     "discrete-time Markov chain per job series"),
+    ("auto", ".selection", "OnlinePredictorSelector",
+     "online selection over {corp, quantile, classify} on rolling "
+     "Eq. 20 error windows"),
+):
+    register_predictor(_name, cls=_lazy(_module, _attr), summary=_summary)

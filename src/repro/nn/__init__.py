@@ -6,11 +6,11 @@ training with validation convergence.
 """
 
 from .activations import LINEAR, RELU, SIGMOID, TANH, Activation, get_activation
-from .initializers import get_initializer, he_normal, small_uniform, xavier_uniform
+from .initializers import xavier_uniform
 from .layers import DenseLayer
 from .losses import MAE, MSE, Loss, get_loss, pinball
 from .network import FeedForwardNetwork
-from .optimizers import SGD, Adam, Momentum, Optimizer, get_optimizer
+from .optimizers import SGD, Adam, Optimizer
 from .training import TrainingConfig, TrainingHistory, train, train_validation_split
 
 __all__ = [
@@ -20,9 +20,6 @@ __all__ = [
     "TANH",
     "Activation",
     "get_activation",
-    "get_initializer",
-    "he_normal",
-    "small_uniform",
     "xavier_uniform",
     "DenseLayer",
     "MAE",
@@ -33,9 +30,7 @@ __all__ = [
     "FeedForwardNetwork",
     "SGD",
     "Adam",
-    "Momentum",
     "Optimizer",
-    "get_optimizer",
     "TrainingConfig",
     "TrainingHistory",
     "train",

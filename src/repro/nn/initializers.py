@@ -1,44 +1,13 @@
-"""Weight initialization schemes for the DNN layers."""
+"""Weight initialization for the DNN layers."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-__all__ = ["xavier_uniform", "he_normal", "small_uniform", "get_initializer"]
-
-Initializer = Callable[[int, int, np.random.Generator], np.ndarray]
+__all__ = ["xavier_uniform"]
 
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform — the right scale for sigmoid/tanh nets."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-
-def he_normal(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """He normal — suited to ReLU layers (ablation option)."""
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-
-
-def small_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Classic small-uniform init (what 2016-era from-scratch nets used)."""
-    return rng.uniform(-0.1, 0.1, size=(fan_out, fan_in))
-
-
-_REGISTRY: dict[str, Initializer] = {
-    "xavier_uniform": xavier_uniform,
-    "he_normal": he_normal,
-    "small_uniform": small_uniform,
-}
-
-
-def get_initializer(name: str) -> Initializer:
-    """Look an initializer up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown initializer {name!r}; options: {sorted(_REGISTRY)}"
-        ) from None

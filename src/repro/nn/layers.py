@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .activations import Activation, get_activation
-from .initializers import get_initializer
+from .initializers import xavier_uniform
 
 __all__ = ["DenseLayer"]
 
@@ -28,7 +28,6 @@ class DenseLayer:
         out_features: int,
         activation: Activation | str = "sigmoid",
         *,
-        initializer: str = "xavier_uniform",
         rng: np.random.Generator | None = None,
     ) -> None:
         if in_features < 1 or out_features < 1:
@@ -37,7 +36,7 @@ class DenseLayer:
         if isinstance(activation, str):
             activation = get_activation(activation)
         self.activation = activation
-        self.weights = get_initializer(initializer)(in_features, out_features, rng)
+        self.weights = xavier_uniform(in_features, out_features, rng)
         self.biases = np.zeros(out_features)
         # caches populated by forward(), consumed by backward()
         self._input: np.ndarray | None = None

@@ -29,23 +29,12 @@ class FeedForwardNetwork:
     layer_sizes:
         Unit counts including input and output, e.g. ``[6, 50, 50, 50, 50, 1]``
         for the paper's 4×50 hidden stack over a 6-slot input window.
-    hidden_activation:
-        Activation of the hidden layers (paper: sigmoid).
-    output_activation:
-        Activation of the output layer.  ``"sigmoid"`` keeps outputs in
-        ``(0, 1)`` — natural since unused resource is scaled to [0, 1] by
-        the feature scaler; ``"linear"`` gives an unconstrained head.
+
+    Every layer is a sigmoid (the paper's Eq. 5), so outputs stay in
+    ``(0, 1)`` — natural since the targets are fractions of a request.
     """
 
-    def __init__(
-        self,
-        layer_sizes: Sequence[int],
-        *,
-        hidden_activation: str = "sigmoid",
-        output_activation: str = "sigmoid",
-        initializer: str = "xavier_uniform",
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, layer_sizes: Sequence[int], *, seed: int = 0) -> None:
         sizes = list(layer_sizes)
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
@@ -53,17 +42,8 @@ class FeedForwardNetwork:
             raise ValueError("layer sizes must be positive")
         rng = np.random.default_rng(seed)
         self.layers: list[DenseLayer] = []
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            is_last = i == len(sizes) - 2
-            self.layers.append(
-                DenseLayer(
-                    n_in,
-                    n_out,
-                    activation=output_activation if is_last else hidden_activation,
-                    initializer=initializer,
-                    rng=rng,
-                )
-            )
+        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+            self.layers.append(DenseLayer(n_in, n_out, rng=rng))
 
     # ------------------------------------------------------------------
     @property

@@ -1,7 +1,7 @@
 """Parameter-update rules.
 
-The paper uses plain gradient descent with learning rate ``μ`` (Eq. 8);
-momentum and Adam are included for the training-ablation benchmarks.
+The paper uses plain gradient descent with learning rate ``μ`` (Eq. 8),
+the ``train_batch`` default; the CORP predictor trains with Adam.
 Optimizers mutate parameter arrays in place (no reallocation in the
 training hot loop, per the HPC guide's in-place-operations idiom).
 """
@@ -12,7 +12,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Momentum", "Adam", "get_optimizer"]
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer(ABC):
@@ -40,31 +40,8 @@ class SGD(Optimizer):
         param -= self.learning_rate * grad
 
 
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.1, momentum: float = 0.9) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def step(self, param_id: str, param: np.ndarray, grad: np.ndarray) -> None:
-        """Velocity-accumulated update in place."""
-        v = self._velocity.get(param_id)
-        if v is None:
-            v = np.zeros_like(param)
-            self._velocity[param_id] = v
-        v *= self.momentum
-        v -= self.learning_rate * grad
-        param += v
-
-
 class Adam(Optimizer):
-    """Adam (Kingma & Ba 2015) — ablation option."""
+    """Adam (Kingma & Ba 2015) — what the CORP predictor trains with."""
 
     def __init__(
         self,
@@ -98,15 +75,3 @@ class Adam(Optimizer):
         m_hat = m / (1.0 - self.beta1**t)
         v_hat = v / (1.0 - self.beta2**t)
         param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def get_optimizer(name: str, **kwargs) -> Optimizer:
-    """Build an optimizer by name (``sgd``, ``momentum``, ``adam``)."""
-    registry = {"sgd": SGD, "momentum": Momentum, "adam": Adam}
-    try:
-        cls = registry[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown optimizer {name!r}; options: {sorted(registry)}"
-        ) from None
-    return cls(**kwargs)

@@ -77,8 +77,10 @@ class TestCleanRun:
         assert report.n_checks == sum(report.checks.values())
         assert set(report.summaries) == {"DRA", "RCCR"}
 
-    def test_corp_exercises_gate_and_volume(self):
-        report = api.check_run(jobs=12, methods=("CORP",))
+    def test_corp_exercises_gate_and_volume(self, predictor_cache):
+        report = api.check_run(
+            jobs=12, methods=("CORP",), predictor_cache=predictor_cache
+        )
         assert report.ok, report.rows()
         assert report.checks["gate"] > 0
         assert report.checks["volume"] > 0

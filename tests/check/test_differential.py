@@ -98,9 +98,10 @@ class TestUnitDiff:
 
 
 class TestEndToEnd:
-    def test_differential_rule_clean_over_full_run(self):
+    def test_differential_rule_clean_over_full_run(self, predictor_cache):
         report = api.check_run(
-            jobs=10, methods=("CORP", "DRA"), differential=True
+            jobs=10, methods=("CORP", "DRA"), differential=True,
+            predictor_cache=predictor_cache,
         )
         assert report.ok, report.rows()
         assert report.checks["differential"] > 0

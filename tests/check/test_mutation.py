@@ -83,7 +83,7 @@ class TestStaleRefusals:
 
 
 class TestBogusUnlock:
-    def test_gate_bypass_is_caught(self, monkeypatch):
+    def test_gate_bypass_is_caught(self, monkeypatch, predictor_cache):
         """An Eq. 21 gate that always unlocks must be contradicted by the
         tracked evidence the checker re-derives."""
         monkeypatch.setattr(
@@ -94,7 +94,9 @@ class TestBogusUnlock:
             "probability_within",
             lambda self, tolerance: 0.0,
         )
-        report = api.check_run(jobs=12, methods=("CORP",))
+        report = api.check_run(
+            jobs=12, methods=("CORP",), predictor_cache=predictor_cache
+        )
         assert not report.ok
         rules = {v.rule for v in report.violations}
         assert rules == {"gate"}
@@ -139,7 +141,7 @@ class TestBrokenPipelineBarrier:
 
 
 class TestCorruptedVectorSelector:
-    def test_anti_most_matched_is_caught(self, monkeypatch):
+    def test_anti_most_matched_is_caught(self, monkeypatch, predictor_cache):
         """A vectorized selector that picks the *largest*-volume feasible
         VM (Eq. 22 inverted) must be contradicted by the differential
         rule's per-placement scalar re-derivation."""
@@ -153,14 +155,17 @@ class TestCorruptedVectorSelector:
             return self.vms[indices[np.argmax(volumes[indices])]]
 
         monkeypatch.setattr(CandidateSet, "select_most_matched", corrupted)
-        report = api.check_run(jobs=15, methods=("CORP",), differential=True)
+        report = api.check_run(
+            jobs=15, methods=("CORP",), differential=True,
+            predictor_cache=predictor_cache,
+        )
         assert not report.ok
         rules = {v.rule for v in report.violations}
         assert "differential" in rules
         flagged = [v for v in report.violations if v.rule == "differential"]
         assert any("reference selection" in v.detail for v in flagged)
 
-    def test_wrong_tie_break_is_caught(self, monkeypatch):
+    def test_wrong_tie_break_is_caught(self, monkeypatch, predictor_cache):
         """Even a subtle corruption — right volume, wrong tie winner —
         diverges from the reference loop and must be flagged."""
 
@@ -180,7 +185,10 @@ class TestCorruptedVectorSelector:
         monkeypatch.setattr(
             CandidateSet, "select_most_matched", highest_id_on_ties
         )
-        report = api.check_run(jobs=15, methods=("CORP",), differential=True)
+        report = api.check_run(
+            jobs=15, methods=("CORP",), differential=True,
+            predictor_cache=predictor_cache,
+        )
         rules = {v.rule for v in report.violations}
         # The 1e-9 tie window is far looser than the reference's 1e-12:
         # near-ties flip to the highest id and the differential rule
@@ -212,14 +220,13 @@ class TestUnscaledOpportunists:
         ),
     )
 
-    def test_only_the_differential_rule_catches_it(self, monkeypatch):
+    def test_only_the_differential_rule_catches_it(self, monkeypatch, predictor_cache):
         from repro.cluster import machine
 
-        cache = api.PredictorCache()
         scenario = tight_scenario(30)
         healthy = api.check_run(
             scenario=scenario, methods=("CORP",), differential=True,
-            predictor_cache=cache,
+            predictor_cache=predictor_cache,
         )
         assert healthy.ok
         assert healthy.checks.get("differential", 0) > 0
@@ -235,7 +242,7 @@ class TestUnscaledOpportunists:
         )
         report = api.check_run(
             scenario=scenario, methods=("CORP",), differential=True,
-            predictor_cache=cache,
+            predictor_cache=predictor_cache,
         )
         assert not report.ok
         assert {v.rule for v in report.violations} == {"differential"}

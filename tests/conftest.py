@@ -27,6 +27,7 @@ from repro.cluster.profiles import ClusterProfile
 from repro.cluster.resources import ResourceVector
 from repro.core.config import CorpConfig
 from repro.core.predictor import CorpPredictor
+from repro.experiments.runner import PredictorCache
 from repro.trace.filters import remove_long_lived
 from repro.trace.generator import GoogleTraceGenerator, TraceConfig
 from repro.trace.records import Trace
@@ -86,6 +87,17 @@ def fast_corp_config() -> CorpConfig:
 def fitted_predictor(fast_corp_config, history_trace) -> CorpPredictor:
     """One fitted CORP predictor shared by every test that needs it."""
     return CorpPredictor(config=fast_corp_config).fit(history_trace)
+
+
+@pytest.fixture(scope="session")
+def predictor_cache() -> PredictorCache:
+    """One cache of fitted predictors for the whole session.
+
+    For tests that need *a* fit, not to observe one: most end-to-end
+    modules train the same default-config DNN on the same seed-7
+    history.  Tests that assert on hit / miss counters build their own.
+    """
+    return PredictorCache(maxsize=64)
 
 
 @pytest.fixture()

@@ -144,7 +144,9 @@ class TestCorpPredictor:
         assert pred_idle.cpu > pred_busy.cpu
 
     def test_validation_rmse_reasonable(self, fitted_predictor):
-        rmse = fitted_predictor.validation_rmse()
+        rmse = np.array(
+            [float(np.sqrt(np.mean(e**2))) for e in fitted_predictor.seed_errors]
+        )
         assert rmse.shape == (NUM_RESOURCES,)
         assert np.all(rmse >= 0) and np.all(rmse < 0.6)  # request fractions
 

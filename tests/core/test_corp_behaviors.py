@@ -120,13 +120,11 @@ class TestRiderAccounting:
 
 
 class TestRepeatsParameter:
-    def test_fig06_repeats_average(self):
+    def test_fig06_repeats_average(self, predictor_cache):
         from repro.experiments.figures import fig06_prediction_error
-        from repro.experiments.runner import PredictorCache
 
-        cache = PredictorCache()
         result = fig06_prediction_error(
-            job_counts=(20,), repeats=2, cache=cache
+            job_counts=(20,), repeats=2, cache=predictor_cache
         )
         assert all(len(v) == 1 for v in result.series.values())
 

@@ -221,7 +221,7 @@ class TestFamilyIsolation:
         for a, b in zip(fitted_quantile.seed_errors, loaded.seed_errors):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
-            fitted_quantile.window_sigma, loaded.window_sigma
+            fitted_quantile.prior_unused_fraction, loaded.prior_unused_fraction
         )
 
     def test_families_never_cross_load(

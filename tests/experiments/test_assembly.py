@@ -21,7 +21,6 @@ from repro.core.config import CorpConfig
 from repro.experiments import scenarios
 from repro.experiments.runner import (
     METHOD_ORDER,
-    PredictorCache,
     RunSpec,
     build_kernel,
     finish_result,
@@ -60,12 +59,6 @@ def _scenario(family):
     return FAMILIES[family](JOBS, seed=SEED, profile=PROFILE)
 
 
-@pytest.fixture(scope="module")
-def cache():
-    """One fit for the whole module: every scenario shares the history."""
-    return PredictorCache()
-
-
 def _comparable(summary):
     return {k: v for k, v in summary.items() if k not in WALL_CLOCK_KEYS}
 
@@ -92,9 +85,11 @@ def _drained(**kwargs):
 class TestParity:
     @pytest.mark.parametrize("method", METHOD_ORDER)
     @pytest.mark.parametrize("family", ["plain", "diurnal", "storm"])
-    def test_batch_kernel_and_daemon_match_run_one(self, family, method, cache):
+    def test_batch_kernel_and_daemon_match_run_one(
+        self, family, method, predictor_cache
+    ):
         scenario = _scenario(family)
-        kwargs = _run_kwargs(scenario, method, cache)
+        kwargs = _run_kwargs(scenario, method, predictor_cache)
         expected = _comparable(api.run_one(**kwargs).summary())
 
         kernel = build_kernel(**kwargs, streaming=False)
@@ -105,12 +100,12 @@ class TestParity:
         assert _comparable(_drained(**kwargs).summary()) == expected
 
     @pytest.mark.parametrize("method", METHOD_ORDER)
-    def test_pipeline_run_scenario_matches_run_one(self, method, cache):
+    def test_pipeline_run_scenario_matches_run_one(self, method, predictor_cache):
         scenario = _scenario("pipeline")
-        expected = api.run_one(**_run_kwargs(scenario, method, cache))
+        expected = api.run_one(**_run_kwargs(scenario, method, predictor_cache))
         scheduler = RunSpec(
             scenario=scenario, method=method, seed=SEED, corp_config=TINY
-        ).make_scheduler(cache)
+        ).make_scheduler(predictor_cache)
         by_hand = run_scenario(scenario, scheduler)
         assert "pipeline_stall_slots" in expected.summary()
         assert _comparable(by_hand.summary()) == _comparable(expected.summary())

@@ -15,12 +15,12 @@ from repro.experiments.figures import (
     fig10_overhead,
 )
 from repro.experiments.mixed import mixed_scenario, run_mixed_workload
-from repro.experiments.runner import METHOD_ORDER, PredictorCache
+from repro.experiments.runner import METHOD_ORDER
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return PredictorCache()
+def cache(predictor_cache):
+    return predictor_cache
 
 
 class TestFigureResult:

@@ -203,10 +203,10 @@ class TestRunSpecs:
     }
 
     @pytest.fixture(scope="class")
-    def reference(self):
+    def reference(self, predictor_cache):
         scenario = api.build_scenario(jobs=20, seed=7)
         specs = sweep_specs(scenarios=[scenario], seed=7)
-        results = run_specs(specs=specs, predictor_cache=PredictorCache())
+        results = run_specs(specs=specs, predictor_cache=predictor_cache)
         return scenario, {
             spec.method: _behavior(result)
             for spec, result in zip(specs, results)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.cluster.resources import NUM_RESOURCES, ResourceVector
 from repro.core.config import CorpConfig
-from repro.forecast.confidence import z_value
 from repro.forecast.quantile import QuantileHistogramPredictor
 
 
@@ -56,16 +55,13 @@ class TestFit:
         assert fitted.prior_unused_fraction.shape == (NUM_RESOURCES,)
         assert np.all(fitted.prior_unused_fraction >= 0.0)
         assert np.all(fitted.prior_unused_fraction <= 1.0)
-        assert fitted.target_quantiles.shape == (NUM_RESOURCES, 11)
-        # Decile grids are non-decreasing by construction.
-        assert np.all(np.diff(fitted.target_quantiles, axis=1) >= -1e-12)
 
     def test_fit_is_deterministic(self, history_trace, fitted):
         again = QuantileHistogramPredictor().fit(history_trace)
         for a, b in zip(fitted.seed_errors, again.seed_errors):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
-            fitted.window_sigma, again.window_sigma
+            fitted.prior_unused_fraction, again.prior_unused_fraction
         )
 
 
@@ -92,12 +88,6 @@ class TestPredict:
         got = fitted.predict_job_unused(util, request).as_array()
         assert np.all(got >= 0.0) and np.all(got <= 3.0)
 
-    def test_interval_uses_window_dispersion(self, fitted):
-        lo, hi = fitted.predict_interval(0, 0.5, 0.95)
-        half = float(fitted.window_sigma[0]) * z_value(0.95)
-        assert hi - lo == pytest.approx(2 * half)
-        assert (lo + hi) / 2 == pytest.approx(0.5)
-
 
 class TestSerialization:
     def test_npz_round_trip_is_exact(self, fitted, tmp_path):
@@ -109,10 +99,7 @@ class TestSerialization:
         for a, b in zip(fitted.seed_errors, loaded.seed_errors):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
-            fitted.target_quantiles, loaded.target_quantiles
-        )
-        np.testing.assert_array_equal(
-            fitted.window_sigma, loaded.window_sigma
+            fitted.prior_unused_fraction, loaded.prior_unused_fraction
         )
         util = np.full((8, NUM_RESOURCES), 0.4)
         request = ResourceVector.full(1.0)

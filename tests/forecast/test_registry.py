@@ -89,7 +89,6 @@ class TestRegister:
         register_predictor(
             "dummyfam",
             cls=lambda: Dummy,
-            factory=lambda config: Dummy.from_config(config),
             summary="test-only",
         )
         try:
@@ -103,14 +102,6 @@ class TestRegister:
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError, match="lowercase"):
-            register_predictor(
-                "Not Valid",
-                cls=lambda: QuantileHistogramPredictor,
-                factory=lambda config: QuantileHistogramPredictor(),
-            )
+            register_predictor("Not Valid", cls=lambda: QuantileHistogramPredictor)
         with pytest.raises(ValueError, match="lowercase"):
-            register_predictor(
-                "",
-                cls=lambda: QuantileHistogramPredictor,
-                factory=lambda config: QuantileHistogramPredictor(),
-            )
+            register_predictor("", cls=lambda: QuantileHistogramPredictor)

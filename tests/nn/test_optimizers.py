@@ -1,9 +1,9 @@
-"""SGD / Momentum / Adam update rules."""
+"""SGD / Adam update rules."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optimizers import SGD, Adam, Momentum, get_optimizer
+from repro.nn.optimizers import SGD, Adam
 
 
 class TestSgd:
@@ -23,27 +23,6 @@ class TestSgd:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             SGD(0.0)
-
-
-class TestMomentum:
-    def test_accumulates_velocity(self):
-        opt = Momentum(0.1, momentum=0.9)
-        param = np.zeros(1)
-        for _ in range(3):
-            opt.step("p", param, np.array([1.0]))
-        # steps: -0.1, then -0.19, then -0.271
-        assert param[0] == pytest.approx(-(0.1 + 0.19 + 0.271))
-
-    def test_separate_state_per_param(self):
-        opt = Momentum(0.1, momentum=0.9)
-        a, b = np.zeros(1), np.zeros(1)
-        opt.step("a", a, np.array([1.0]))
-        opt.step("b", b, np.array([1.0]))
-        assert a[0] == b[0]  # independent velocities
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            Momentum(0.1, momentum=1.0)
 
 
 class TestAdam:
@@ -70,17 +49,3 @@ class TestAdam:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             Adam(learning_rate=0.0)
-
-
-class TestRegistry:
-    def test_lookup(self):
-        assert isinstance(get_optimizer("sgd"), SGD)
-        assert isinstance(get_optimizer("momentum"), Momentum)
-        assert isinstance(get_optimizer("adam", learning_rate=0.5), Adam)
-
-    def test_kwargs_forwarded(self):
-        assert get_optimizer("sgd", learning_rate=0.7).learning_rate == 0.7
-
-    def test_unknown(self):
-        with pytest.raises(KeyError):
-            get_optimizer("rmsprop")

@@ -1,15 +1,14 @@
 """Shared fixtures for the service layer: one tiny scenario + warm cache.
 
 Every test here runs real simulations, so the scenario is small (20
-jobs on a 4-PM cluster) and all CORP runs share one
-:class:`PredictorCache` — the DNN/HMM fit happens once per module.
+jobs on a 4-PM cluster) and all CORP runs share the session's
+``predictor_cache`` — the DNN/HMM fit happens once.
 """
 
 import pytest
 
 from repro.cluster.profiles import ClusterProfile
 from repro.core.config import CorpConfig
-from repro.experiments.runner import PredictorCache
 from repro.experiments.scenarios import cluster_scenario
 from repro.obs import OBS
 
@@ -33,8 +32,3 @@ def tiny_corp_config():
     return CorpConfig(
         n_hidden_layers=1, units_per_layer=8, train_max_epochs=2, seed=3
     )
-
-
-@pytest.fixture(scope="package")
-def shared_cache():
-    return PredictorCache()

@@ -32,7 +32,7 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("method", METHOD_ORDER)
     @pytest.mark.parametrize("intensity", [None, 0.5])
     def test_manual_drive_matches_batch_run(
-        self, small_scenario, tiny_corp_config, shared_cache, method, intensity
+        self, small_scenario, tiny_corp_config, predictor_cache, method, intensity
     ):
         plan = None
         if intensity is not None:
@@ -42,13 +42,13 @@ class TestBatchEquivalence:
             scenario=scenario,
             method=method,
             corp_config=tiny_corp_config,
-            predictor_cache=shared_cache,
+            predictor_cache=predictor_cache,
         )
         kernel = build_kernel(
             scenario=scenario,
             method=method,
             corp_config=tiny_corp_config,
-            predictor_cache=shared_cache,
+            predictor_cache=predictor_cache,
             streaming=False,
         )
         while kernel.advance() is not None:

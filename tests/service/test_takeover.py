@@ -20,13 +20,13 @@ class TestTakeoverDeterminism:
         assert report.standby_summary
 
     def test_corp_standby_matches_live(
-        self, small_scenario, tiny_corp_config, shared_cache
+        self, small_scenario, tiny_corp_config, predictor_cache
     ):
         report = takeover_run(
             scenario=small_scenario,
             method="CORP",
             corp_config=tiny_corp_config,
-            predictor_cache=shared_cache,
+            predictor_cache=predictor_cache,
         )
         assert report.ok, report.divergence
 
