@@ -23,11 +23,15 @@ import numpy as np
 from .job import Job, JobState
 from .resources import NUM_RESOURCES, ResourceVector
 
-__all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome"]
+__all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome",
+           "IDLE_OUTCOME"]
 
 #: What an idle VM demands and serves, shared by every idle slot (both
 #: the vector and its history row are read-only).
 _ZERO = ResourceVector.zeros()
+#: ``_committed.tolist()`` of a VM holding no commitment (a list compare
+#: costs a sixth of ``ndarray.any()`` on three floats).
+_UNCOMMITTED = [0.0] * NUM_RESOURCES
 
 
 @dataclass
@@ -70,6 +74,11 @@ class SlotOutcome:
     unused: ResourceVector  # committed - primary demand, clipped at 0
 
 
+#: A slot on a :attr:`~VirtualMachine.quiescent` VM.  The kernel stores
+#: this one object for such a VM instead of executing it.
+IDLE_OUTCOME = SlotOutcome(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+
+
 class VirtualMachine:
     """One VM: capacity, placements, commitment and usage history."""
 
@@ -102,6 +111,8 @@ class VirtualMachine:
         # Incrementally maintained commitment total — committed() sits on
         # the scheduler's hottest path (feasibility scans over all VMs).
         self._committed = np.zeros(NUM_RESOURCES)
+        # Any component non-zero, float residue of released reservations too.
+        self._holds_commitment = False
         # Commitment changes only when placements come and go, but the
         # derived vectors are read on every feasibility scan — memoize
         # them and invalidate on placement churn.
@@ -110,6 +121,9 @@ class VirtualMachine:
         #: Per-slot history of actual unused resource (n_slots, l) rows;
         #: this is the series the predictors train on.
         self._unused_history: list[np.ndarray] = []
+        #: Slots the caller skipped while :attr:`quiescent` (``+= 1`` each):
+        #: zero history rows, written before the next real row or any read.
+        self.pending_idle_slots = 0
 
     # ------------------------------------------------------------------
     # capacity (revocation-aware)
@@ -150,7 +164,20 @@ class VirtualMachine:
     def _invalidate_commitment(self) -> None:
         self._committed_vec = None
         self._unallocated_vec = None
+        self._holds_commitment = self._committed.tolist() != _UNCOMMITTED
         self.state_version += 1
+
+    @property
+    def quiescent(self) -> bool:
+        """Online, no placement of either class, commitment exactly zero.
+
+        Such a slot's outcome is :data:`IDLE_OUTCOME` and its history row
+        zero, so a caller may bump :attr:`pending_idle_slots` instead of
+        calling :meth:`execute_slot`.  Riders move no commitment, hence
+        the ``placements`` test; float residue left in the commitment is
+        what :meth:`unallocated` reports, so such a VM is still executed.
+        """
+        return self.online and not self.placements and not self._holds_commitment
 
     def committed(self) -> ResourceVector:
         """Total primary reservations currently held on this VM."""
@@ -275,6 +302,7 @@ class VirtualMachine:
         """
         self.online = False
         self._unused_history.clear()
+        self.pending_idle_slots = 0
         return self.evict_all()
 
     def restore(self) -> None:
@@ -300,6 +328,8 @@ class VirtualMachine:
         property-tested against
         :func:`repro.check.differential.reference_outcome`).
         """
+        if self.pending_idle_slots:
+            self._write_idle_rows()
         committed = self.committed()
         placements = self.placements
         n = len(placements)
@@ -372,6 +402,11 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     # history (predictor input)
     # ------------------------------------------------------------------
+    def _write_idle_rows(self) -> None:
+        """Append the skipped slots' rows (the shared read-only zero row)."""
+        self._unused_history.extend([_ZERO.as_array()] * self.pending_idle_slots)
+        self.pending_idle_slots = 0
+
     def unused_history(self, last: int | None = None) -> np.ndarray:
         """Per-slot actual unused resource, ``(n, l)`` array.
 
@@ -379,6 +414,7 @@ class VirtualMachine:
         empty window, not the full history (``0`` is falsy, so a
         truthiness check here would silently return everything).
         """
+        self._write_idle_rows()
         hist = (
             self._unused_history[-last:] if last is not None and last > 0
             else self._unused_history if last is None

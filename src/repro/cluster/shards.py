@@ -157,8 +157,9 @@ class CandidateSet:
         #: Liveness lane, one bool per row.
         self.online = np.ones(len(self.vms), dtype=bool)
         #: ``state_version`` each row was last read at; ``-1`` makes the
-        #: first :meth:`refresh` populate every row.
-        self.versions = np.full(len(self.vms), -1, dtype=np.int64)
+        #: first :meth:`refresh` populate every row.  A list, so the sweep
+        #: compares Python ints and boxes no numpy scalar per unchanged VM.
+        self.versions = [-1] * len(self.vms)
         self._ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
         self._rows = {vm.vm_id: i for i, vm in enumerate(self.vms)}
         #: Pareto-minimal demands a selector found no live row for.

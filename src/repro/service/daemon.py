@@ -200,10 +200,12 @@ class SchedulerService:
     # placement streaming
     # ------------------------------------------------------------------
     def _emit_placements(self, slot: int, placed: list) -> None:
-        vm_by_job: dict[int, int] = {}
-        for vm in self.kernel.sim.vms:
-            for placement in vm.placements:
-                vm_by_job[placement.job.job_id] = vm.vm_id
+        placed_ids = {job.job_id for job in placed}
+        vm_by_job = {
+            p.job.job_id: vm.vm_id
+            for vm in self.kernel.sim.vms if vm.placements  # empty: one test
+            for p in vm.placements if p.job.job_id in placed_ids
+        }
         for job in placed:
             update = PlacementUpdate(
                 slot=slot,

@@ -47,6 +47,7 @@ import numpy as np
 
 from ..check import CHECK
 from ..cluster.job import Job, JobState
+from ..cluster.machine import IDLE_OUTCOME
 from ..cluster.resources import NUM_RESOURCES
 from ..obs import OBS
 
@@ -310,26 +311,34 @@ class SchedulerKernel:
             if self.on_placements is not None:
                 self.on_placements(slot, list(placed))
 
-        # execute the slot on every VM (accumulated as flat arrays —
-        # per-VM ResourceVector sums dominated this loop)
+        # execute the slot on every VM that holds something (accumulated as
+        # flat arrays — per-VM ResourceVector sums dominated this loop); a
+        # quiescent VM's slot is a count: a zero row, nothing for the totals
         outcomes: dict[int, "SlotOutcome"] = {}
         total_demand = np.zeros(NUM_RESOURCES)
         total_committed = np.zeros(NUM_RESOURCES)
+        checker = CHECK.checker if CHECK.enabled else None
+        snapshot = None
+        executed = 0
         for vm in sim.vms:
             if not vm.online:
                 continue
-            snapshot = (
-                CHECK.checker.before_execute(vm) if CHECK.enabled else None
-            )
-            outcome = vm.execute_slot(slot)
-            if CHECK.enabled:
-                CHECK.checker.after_execute(
+            if checker is not None:
+                snapshot = checker.before_execute(vm)
+            if vm.quiescent:
+                vm.pending_idle_slots += 1
+                outcome = IDLE_OUTCOME
+            else:
+                outcome = vm.execute_slot(slot)
+                executed += 1
+                total_demand += outcome.served_demand.as_array()
+                total_committed += outcome.committed.as_array()
+            if checker is not None:
+                checker.after_execute(
                     vm, slot, outcome, snapshot,
                     scheduler=sim.scheduler.name,
                 )
             outcomes[vm.vm_id] = outcome
-            total_demand += outcome.served_demand.as_array()
-            total_committed += outcome.committed.as_array()
         sim.metrics.record_arrays(total_demand, total_committed)
 
         # completions — VMs with no placements cannot have completed
@@ -368,6 +377,8 @@ class SchedulerKernel:
                 rejected=len(sim.rejected),
             )
             OBS.count("sim.slots")
+            OBS.count("sim.vm_slots_executed", executed)
+            OBS.count("sim.vm_slots_skipped", len(outcomes) - executed)
 
         self.executed_slots = slot + 1
         self.next_slot = slot + 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import textwrap
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,13 @@ from repro.core.vm_selection import CandidateSet
 from repro.forecast.confidence import PredictionErrorTracker
 
 pytestmark = pytest.mark.slow
+
+
+def print_rule_row(mutant: str, report) -> None:
+    """One row of the rule x mutant table: violations per rule (``-s``)."""
+    fired = Counter(v.rule for v in report.violations)
+    cells = "  ".join(f"{rule}:{fired[rule]}" for rule in report.checks)
+    print(f"\n{mutant:<28}{cells}")
 
 
 def tight_scenario(jobs: int = 20):
@@ -48,6 +56,7 @@ class TestOverAllocation:
 
         monkeypatch.setattr(VirtualMachine, "unallocated", bogus_unallocated)
         report = api.check_run(scenario=tight_scenario(), methods=("DRA",))
+        print_rule_row("ignored-commitments", report)
         assert not report.ok
         rules = {v.rule for v in report.violations}
         assert "packing" in rules
@@ -77,6 +86,7 @@ class TestStaleRefusals:
         assert healthy.ok
         monkeypatch.setattr(CandidateSet, "refresh", keeps_the_list)
         report = api.check_run(scenario=scenario, methods=("DRA",))
+        print_rule_row("stale-refusals", report)
         assert not report.ok
         assert {v.rule for v in report.violations} == {"packing"}
         assert all("skipped as refused" in v.detail for v in report.violations)
@@ -97,6 +107,7 @@ class TestBogusUnlock:
         report = api.check_run(
             jobs=12, methods=("CORP",), predictor_cache=predictor_cache
         )
+        print_rule_row("gate-bypass", report)
         assert not report.ok
         rules = {v.rule for v in report.violations}
         assert rules == {"gate"}
@@ -123,6 +134,7 @@ class TestBrokenPipelineBarrier:
         monkeypatch.setattr(pipeline_mod, "_drain_phase", leaky_drain)
         scenario = pipeline_scenario(18, n_phases=3)
         report = api.check_run(scenario=scenario, methods=("DRA",))
+        print_rule_row("leaky-barrier", report)
         assert not report.ok
         rules = {v.rule for v in report.violations}
         assert rules == {"pipeline"}
@@ -159,6 +171,7 @@ class TestCorruptedVectorSelector:
             jobs=15, methods=("CORP",), differential=True,
             predictor_cache=predictor_cache,
         )
+        print_rule_row("anti-most-matched", report)
         assert not report.ok
         rules = {v.rule for v in report.violations}
         assert "differential" in rules
@@ -189,6 +202,7 @@ class TestCorruptedVectorSelector:
             jobs=15, methods=("CORP",), differential=True,
             predictor_cache=predictor_cache,
         )
+        print_rule_row("wrong-tie-break", report)
         rules = {v.rule for v in report.violations}
         # The 1e-9 tie window is far looser than the reference's 1e-12:
         # near-ties flip to the highest id and the differential rule
@@ -244,6 +258,59 @@ class TestUnscaledOpportunists:
             scenario=scenario, methods=("CORP",), differential=True,
             predictor_cache=predictor_cache,
         )
+        print_rule_row("unscaled-opportunists", report)
         assert not report.ok
         assert {v.rule for v in report.violations} == {"differential"}
         assert any("reference" in v.detail for v in report.violations)
+
+
+class TestRidersNotQuiescent:
+    """The kernel skips a quiescent VM instead of executing it."""
+
+    def test_skipping_a_riders_only_vm_is_caught_twice(
+        self, monkeypatch, predictor_cache
+    ):
+        """A quiescence test that looks at commitment alone (riders move
+        none) skips a VM whose primaries completed before its riders.
+        The checker still sees every skipped VM: the differential rule
+        contradicts the idle outcome with the riders' demand.  The books
+        balance and nothing over-commits — the riders just never run —
+        so no other rule fires, and the lazy-history property test kills
+        the same mutant at the VM (``rate_history`` stops growing)."""
+        from ..cluster.test_idle_history import test_reads_equal_the_eager_list
+
+        def ignores_riders(vm: VirtualMachine) -> bool:
+            return (
+                vm.online
+                and all(p.opportunistic for p in vm.placements)
+                and not vm._holds_commitment
+            )
+
+        # 40 jobs: several riders outlive their primaries.  A stuck rider
+        # never drains, so the horizon is capped well past the healthy
+        # run's 35 slots instead of running to the default max_slots.
+        scenario = api.build_scenario(jobs=40)
+        scenario = replace(
+            scenario, sim_config=replace(scenario.sim_config, max_slots=60)
+        )
+        healthy = api.check_run(
+            scenario=scenario, methods=("CORP",), differential=True,
+            predictor_cache=predictor_cache,
+        )
+        assert healthy.ok
+        monkeypatch.setattr(
+            VirtualMachine, "quiescent", property(ignores_riders)
+        )
+        report = api.check_run(
+            scenario=scenario, methods=("CORP",), differential=True,
+            predictor_cache=predictor_cache,
+        )
+        print_rule_row("riders-ignored", report)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"differential"}
+        assert any(
+            v.detail.startswith("opportunistic_demand")
+            for v in report.violations
+        )
+        with pytest.raises(AssertionError):
+            test_reads_equal_the_eager_list()

@@ -102,10 +102,14 @@ class TestSlotExecution:
         row = first.primary_demand.as_array()
         assert not row.flags.writeable
         assert not row.any()
-        # The history handed to predictors is still a fresh array.
-        vm.unused_history()[:] = 1.0
-        assert not vm.unused_history().any()
-        assert vm._unused_history[0] is not vm._unused_history[1]
+        # The history handed to predictors is a fresh, writable array per
+        # read, for executed and for skipped (pending) slots alike.
+        vm.pending_idle_slots += 2
+        history = vm.unused_history()
+        history[:] = 1.0
+        again = vm.unused_history()
+        assert again is not history and again.shape == (4, 3)
+        assert not again.any()
 
     def test_primary_gets_full_demand(self):
         vm = make_vm()

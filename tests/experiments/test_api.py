@@ -248,7 +248,15 @@ class TestProfileRun:
         assert "trace:generate" in stages
         assert "run:DRA" in stages and "run:RCCR" in stages
         assert report["total_s"] > 0
-        assert report["counters"]["sim.slots"] > 0
+        counters = report["counters"]
+        assert counters["sim.slots"] > 0
+        # Every online VM's slot is executed or skipped (no faults here).
+        n_vms = api.build_scenario(jobs=10).profile.n_vms
+        assert counters["sim.vm_slots_skipped"] > 0
+        assert (
+            counters["sim.vm_slots_executed"] + counters["sim.vm_slots_skipped"]
+            == counters["sim.slots"] * n_vms
+        )
         assert not OBS.enabled  # profiling switched back off
 
 
