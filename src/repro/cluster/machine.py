@@ -119,7 +119,8 @@ class VirtualMachine:
         self._committed_vec: ResourceVector | None = None
         self._unallocated_vec: ResourceVector | None = None
         #: Per-slot history of actual unused resource (n_slots, l) rows;
-        #: this is the series the predictors train on.
+        #: this is the series the predictors train on.  Every row is a
+        #: read-only array, never written in place: snapshots share rows.
         self._unused_history: list[np.ndarray] = []
         #: Slots the caller skipped while :attr:`quiescent` (``+= 1`` each):
         #: zero history rows, written before the next real row or any read.
@@ -336,7 +337,7 @@ class VirtualMachine:
         if n == 0:
             # Idle VM: nothing demands, nothing is served; unused slack
             # equals the (non-negative) commitment.
-            self._unused_history.append(self._committed.copy())
+            self._unused_history.append(committed.as_array())
             return SlotOutcome(
                 committed=committed,
                 primary_demand=_ZERO,
@@ -389,14 +390,14 @@ class VirtualMachine:
         for i, p in enumerate(placements):
             p.job.advance(rates[i], slot)
 
-        unused = np.maximum(self._committed - primary_demand, 0.0)
-        self._unused_history.append(unused)
+        unused = ResourceVector._wrap(np.maximum(self._committed - primary_demand, 0.0))
+        self._unused_history.append(unused.as_array())
         return SlotOutcome(
             committed=committed,
             primary_demand=ResourceVector._wrap(primary_demand),
             opportunistic_demand=ResourceVector._wrap(opp_demand),
             served_demand=ResourceVector._wrap(served),
-            unused=ResourceVector._wrap(unused),
+            unused=unused,
         )
 
     # ------------------------------------------------------------------

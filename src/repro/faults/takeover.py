@@ -4,15 +4,17 @@ The scenario the event kernel makes testable: a *live* kernel schedules
 the workload while a *standby* holds a :class:`~repro.service.kernel.KernelSnapshot`
 taken mid-run.  The live scheduler then "crashes" (we simply stop
 consuming it) and the standby resumes from the snapshot — restore,
-re-arm, run to completion.  Because kernel state is deep-copied and
-every event source is deterministic, the standby must finish the run
-with *exactly* the summary the live kernel would have produced; the
-drill runs both sides and reports any divergence.
+re-arm, run to completion.  The snapshot copies the live state and
+shares only what nothing writes again (finished jobs, trace records, VM
+history rows, SLO outcomes), and every event source is deterministic,
+so the standby must finish the run with *exactly* the summary and
+per-job outcomes the live kernel would have produced; the drill runs
+both sides and reports any divergence.
 
 This mirrors the leader-election handover of HA scheduler pairs
 (active/standby cloud managers): the snapshot is the replicated state,
-the takeover slot is the failover point, and summary equality is the
-"no decisions lost or repeated" guarantee.
+the takeover slot is the failover point, and summary plus per-job
+equality is the "no decisions lost or repeated" guarantee.
 
 Wall-clock metrics (``allocation_latency_s``) are excluded from the
 comparison — both sides redo real scheduling work, so their timers
@@ -50,7 +52,8 @@ class TakeoverReport:
     live_summary: dict[str, float]
     standby_summary: dict[str, float]
     #: ``key -> (live, standby)`` for every differing non-wall-clock
-    #: metric; empty when the handover was perfectly deterministic.
+    #: metric, plus ``jobs_differing -> (0, n)`` when ``n`` jobs ended
+    #: differently; empty when the handover was perfectly deterministic.
     divergence: dict[str, tuple[float, float]]
 
     @property
@@ -145,6 +148,17 @@ def takeover_run(
         standby_value = standby_summary.get(key, float("nan"))
         if live_value != standby_value:
             divergence[key] = (live_value, standby_value)
+    # Equal totals can hide jobs that ran at different slots.
+    live_jobs, standby_jobs = (
+        {j.job_id: (j.state, j.start_slot, j.completion_slot, j.evictions,
+                    j.retries, j.opportunistic) for j in kernel.result().jobs}
+        for kernel in (live, standby)
+    )
+    differing = sum(
+        live_jobs.get(i) != standby_jobs.get(i) for i in live_jobs.keys() | standby_jobs.keys()
+    )
+    if differing:
+        divergence["jobs_differing"] = (0, differing)
 
     return TakeoverReport(
         method=method,

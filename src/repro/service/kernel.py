@@ -41,6 +41,7 @@ import copy
 import heapq
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -86,15 +87,37 @@ class KernelEvent:
     record: "TaskRecord | None" = None
 
 
+def _shared_memo(kernel: "SchedulerKernel") -> dict[int, object]:
+    """A ``copy.deepcopy`` memo mapping what nothing writes again to itself.
+
+    Terminal jobs (``advance`` / ``requeue`` / ``fail_permanently`` raise
+    from a terminal state; rejected jobs never leave their list), every
+    ``TaskRecord`` (frozen, read-only usage), every VM history row
+    (read-only) and every ``SloTracker.outcomes`` tuple.
+    """
+    sim = kernel.sim
+    terminal = sim.completed + sim.failed + sim.rejected
+    backlog = [] if sim.faults is None else sim.faults.backlog_jobs()
+    shared = chain(
+        terminal,
+        (job.record for job in chain(terminal, sim.pending, sim.running, backlog)),
+        (record for *_, record in kernel._queue if record is not None),
+        (row for vm in sim.vms for row in vm._unused_history),
+        sim.slo_tracker.outcomes.values(),
+    )
+    return {id(obj): obj for obj in shared}
+
+
 @dataclass(frozen=True)
 class KernelSnapshot:
-    """A deep, self-contained copy of a kernel mid-run.
+    """An independent copy of a kernel's live state mid-run.
 
-    Restoring yields an independent standby kernel that resumes from
-    the captured event-queue position with its own copy of every VM,
-    job, scheduler and fault-injector state — the live kernel can keep
-    running (or crash) without affecting it.  Restores are repeatable:
-    each call hands out a fresh copy.
+    Restoring yields a standby kernel that resumes from the captured
+    event-queue position with its own copy of every in-flight job, VM,
+    scheduler and fault-injector state — the live kernel can keep
+    running (or crash) without affecting it.  What never changes again
+    is shared, not copied (:func:`_shared_memo` says why each is safe).
+    Restores are repeatable: each call hands out a fresh copy.
     """
 
     taken_at_slot: int
@@ -102,7 +125,7 @@ class KernelSnapshot:
 
     def restore(self) -> "SchedulerKernel":
         """An independent kernel resuming from this snapshot."""
-        return copy.deepcopy(self._kernel)
+        return copy.deepcopy(self._kernel, _shared_memo(self._kernel))
 
 
 class SchedulerKernel:
@@ -426,10 +449,11 @@ class SchedulerKernel:
     def snapshot(self) -> KernelSnapshot:
         """Freeze the whole kernel (queue, simulator, scheduler, faults).
 
-        The copy is deep and independent — the pattern behind HA
-        scheduler pairs: a standby holding a snapshot can take over
-        mid-run and finish the workload exactly as the live kernel
-        would have (:mod:`repro.faults.takeover` is the drill).
+        An independent copy of the live state that shares the finished
+        history (:class:`KernelSnapshot`) — the pattern behind HA scheduler pairs:
+        a standby holding a snapshot can take over mid-run and finish the
+        workload exactly as the live kernel would have
+        (:mod:`repro.faults.takeover` is the drill).
 
         The ``on_placements`` hook belongs to whoever attached it (the
         daemon's is a bound method reaching its asyncio state, which
@@ -438,7 +462,7 @@ class SchedulerKernel:
         """
         hook, self.on_placements = self.on_placements, None
         try:
-            frozen = copy.deepcopy(self)
+            frozen = copy.deepcopy(self, _shared_memo(self))
         finally:
             self.on_placements = hook
         return KernelSnapshot(taken_at_slot=self.next_slot, _kernel=frozen)

@@ -9,6 +9,10 @@ import numpy as np
 from repro import ClusterProfile, api, cluster_scenario
 from repro.experiments.runner import build_kernel
 from repro.faults.takeover import TakeoverReport, takeover_run
+from repro.service import kernel as kernel_module
+from repro.service.kernel import KernelSnapshot
+
+from .test_snapshot_sharing import assert_shares_only_unchanging, churned_kernel
 
 
 class TestTakeoverDeterminism:
@@ -91,6 +95,60 @@ class TestPendingIdleRows:
             history = kept.unused_history()
             assert np.array_equal(history, origin.unused_history())
             assert len(ran.unused_history()) > len(history)
+
+
+class TestPerJobComparison:
+    def test_equal_totals_with_a_differing_job_diverge(
+        self, small_scenario, monkeypatch
+    ):
+        # A standby that differs from the live run in one job only: no
+        # summary key reads a job's ``opportunistic`` flag, so the
+        # summaries agree and only the per-job comparison can tell.
+        restore = KernelSnapshot.restore
+
+        def perturbed(snapshot):
+            standby = restore(snapshot)
+            standby.sim.running[0].opportunistic ^= True
+            return standby
+
+        monkeypatch.setattr(KernelSnapshot, "restore", perturbed)
+        report = takeover_run(scenario=small_scenario, method="DRA")
+        assert report.divergence == {"jobs_differing": (0, 1)}
+        assert not report.ok
+
+
+class TestLeakyMemoIsCaught:
+    """Negative control: a memo that also shares the running jobs.
+
+    That is the bug cheap snapshots could introduce.  The live kernel
+    finishes the shared jobs before the standby resumes, so the standby
+    re-advances a job that is no longer running and raises before either
+    the summary or the per-job comparison is reached: the summary-only
+    drill caught this bug on its own, by failing loudly.
+    """
+
+    @pytest.fixture()
+    def leaky(self, monkeypatch):
+        honest = kernel_module._shared_memo
+
+        def leaky_memo(kernel):
+            memo = honest(kernel)
+            memo.update((id(job), job) for job in kernel.sim.running)
+            return memo
+
+        monkeypatch.setattr(kernel_module, "_shared_memo", leaky_memo)
+
+    def test_drill_fails_under_faults(self, small_scenario, leaky):
+        plan = api.build_fault_plan(seed=0, intensity=0.5)
+        with pytest.raises(RuntimeError, match="is not running"):
+            takeover_run(scenario=small_scenario, method="RCCR", fault_plan=plan)
+
+    def test_sharing_fence_fails(
+        self, small_scenario, tiny_corp_config, predictor_cache, leaky
+    ):
+        live = churned_kernel(small_scenario, tiny_corp_config, predictor_cache)
+        with pytest.raises(AssertionError, match="shared mutable state"):
+            assert_shares_only_unchanging(live, live.snapshot().restore())
 
 
 class TestTakeoverReport:
