@@ -137,7 +137,12 @@ class CorpScheduler(ProvisioningSchedulerBase):
     # forecasting hooks
     # ------------------------------------------------------------------
     def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        """Sum of per-primary-job DNN+HMM forecasts on this VM.
+        """Sum of per-primary-job DNN+HMM forecasts on this VM."""
+        return self.predict_vms_unused([vm])[0]
+
+    def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
+        """Per VM, the sum of its primary jobs' forecasts, all of them
+        from one predictor call.
 
         Each prediction consumes the *per-job* utilization history — one
         extra telemetry fetch per job, where the baselines poll only the
@@ -146,17 +151,19 @@ class CorpScheduler(ProvisioningSchedulerBase):
         structure ... obtains accuracy at the expense of computation
         overhead").
         """
-        total = np.zeros(NUM_RESOURCES)
-        for placement in vm.placements:
-            if placement.opportunistic:
-                continue
-            job = placement.job
-            self.latency.charge_comm(1)  # per-job usage-history fetch
-            forecast = self.predictor.predict_job_unused(
-                job.utilization_history(), job.requested
-            )
-            total += forecast.as_array()
-        return total
+        jobs_of = [[p.job for p in vm.placements if not p.opportunistic] for vm in vms]
+        jobs = [job for vm_jobs in jobs_of for job in vm_jobs]
+        self.latency.charge_comm(len(jobs))  # per-job usage-history fetch
+        forecasts = iter(self.predictor.predict_jobs_unused(
+            [job.utilization_history() for job in jobs], [job.requested for job in jobs]
+        ))
+        totals = []
+        for vm_jobs in jobs_of:
+            total = np.zeros(NUM_RESOURCES)
+            for _ in vm_jobs:  # a running sum in placement order
+                total += next(forecasts)
+            totals.append(total)
+        return totals
 
     def _begin_window(self) -> None:
         """Eq. 18-19 per-job error scale, once per refresh.

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..cluster.resources import NUM_RESOURCES, ResourceKind
 from ..forecast.base import Predictor, window_samples
-from ..hmm.discretize import ThresholdBands
+from ..hmm.discretize import CENTER, PEAK, VALLEY, ThresholdBands
 from ..hmm.fluctuation import FluctuationPredictor
 from ..hmm.model import HiddenMarkovModel
 from ..obs import OBS
@@ -351,29 +351,28 @@ class CorpPredictor(Predictor):
         return predictor
 
     # ------------------------------------------------------------------
-    def _predict_fraction(self, kind: int, util: np.ndarray) -> float:
-        """DNN unused-fraction forecast from a (possibly short) history."""
+    def _unused_fractions(self, histories: list[np.ndarray]) -> np.ndarray:
+        """DNN forecast at ``t + L`` per job and resource, HMM-corrected:
+        per resource one network pass and one HMM decode over all jobs."""
         cfg = self.config
-        window = util[-cfg.input_slots :]
-        if window.size < cfg.input_slots:
-            # Left-pad young jobs with their earliest observed utilization.
-            pad = np.full(cfg.input_slots - window.size, window[0])
-            window = np.concatenate([pad, window])
-        return float(self.networks[kind].predict(window[None, :])[0, 0])
-
-    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
-        """DNN forecast at ``t + L`` per resource, HMM-corrected."""
-        cfg = self.config
-        out = np.zeros(NUM_RESOURCES)
+        width = cfg.input_slots
+        windows = np.empty((NUM_RESOURCES, len(histories), width))
+        for i, util in enumerate(histories):
+            # Young jobs are left-padded with their earliest observation.
+            tail = util[-width:].T
+            windows[:, i, width - tail.shape[1] :] = tail
+            windows[:, i, : width - tail.shape[1]] = tail[:, :1]
+        out = np.empty((len(histories), NUM_RESOURCES))
         for kind in range(NUM_RESOURCES):
-            util = util_history[:, kind]
-            fraction = self._predict_fraction(kind, util)
-            if cfg.use_hmm_correction and self.fluctuation[kind].fitted:
-                fp = self.fluctuation[kind]
-                recent_unused = 1.0 - util[-3 * cfg.window_slots :]
-                symbol = fp.predict_next_symbol(recent_unused)
-                fraction += fp.correction(symbol)
+            out[:, kind] = self.networks[kind].predict_rows(windows[kind])[:, 0]
+            fp = self.fluctuation[kind]
+            if cfg.use_hmm_correction and fp.fitted:
+                symbols = fp.predict_next_symbols(
+                    [1.0 - util[-3 * cfg.window_slots :, kind] for util in histories]
+                )
+                # Indexed by symbol: PEAK, CENTER, VALLEY are 0, 1, 2.
+                shifts = np.array([fp.correction(s) for s in (PEAK, CENTER, VALLEY)])
+                out[:, kind] += shifts[symbols]
                 if OBS.enabled:
-                    OBS.count("predictor.hmm_correction")
-            out[kind] = fraction
+                    OBS.count("predictor.hmm_correction", len(histories))
         return out

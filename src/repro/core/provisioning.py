@@ -151,6 +151,10 @@ class ProvisioningSchedulerBase(Scheduler):
     def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
         """Raw forecast of the VM's unused resources for the next window."""
 
+    def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
+        """Raw forecasts of several VMs, in order (default: one each)."""
+        return [self.predict_vm_unused(vm) for vm in vms]
+
     def adjust_forecast(self, raw: np.ndarray, vm: VirtualMachine) -> np.ndarray:
         """Conservative adjustment (default: none)."""
         return raw
@@ -262,26 +266,28 @@ class ProvisioningSchedulerBase(Scheduler):
 
         Each online VM costs one poll and, under opportunistic reuse,
         gets a pool row; only VMs *with placements* reach
-        ``predict_vm_unused`` / ``adjust_forecast`` — an empty VM has no
-        reservation to find slack in, so its row is zero.
+        ``predict_vms_unused`` (one call for all of them) and
+        ``adjust_forecast`` — an empty VM has no reservation to find
+        slack in, so its row is zero.
         """
         # Emit the previous window's samples before starting a new one.
         self._emit_window_samples()
         self._window.clear()
         self._begin_window()
+        polled = [vm for vm in self.vms if vm.online]  # a crashed VM has no usage
+        # Polling a VM's usage history is one remote operation.
+        self.latency.charge_comm(len(polled))
+        occupied = [vm for vm in polled if vm.placements]
+        forecasts = iter(self.predict_vms_unused(occupied))
         pool_vms: list[VirtualMachine] = []
         pool_rows: list[np.ndarray] = []
-        for vm in self.vms:
-            if not vm.online:
-                continue  # a crashed VM has no usage to poll
-            # Polling a VM's usage history is one remote operation.
-            self.latency.charge_comm(1)
+        for vm in polled:
             if not vm.placements:
                 if self.supports_opportunistic:
                     pool_vms.append(vm)
                     pool_rows.append(_NO_SLACK)
                 continue
-            raw = np.asarray(self.predict_vm_unused(vm), dtype=np.float64)
+            raw = np.asarray(next(forecasts), dtype=np.float64)
             if raw.shape != (NUM_RESOURCES,):
                 raise ValueError("forecast must have one entry per resource")
             committed = vm.committed()

@@ -4,11 +4,11 @@
   a series, forecast ``h`` steps ahead) the baseline predictors (ETS,
   Markov chain, FFT signature) implement.
 * :class:`Predictor` — the job-level contract the schedulers consume:
-  fit on a historical :class:`~repro.trace.records.Trace`, then map one
+  fit on a historical :class:`~repro.trace.records.Trace`, then map each
   job's utilization history to its predicted *unused* resources
   (Section III-A's granularity).  It is a template: the base class owns
-  the per-job forecast (fitted check, young-job prior, clip to the
-  request), the ``predictor:fit`` span, ``from_config`` and the archive
+  the batched per-job forecast (fitted check, young-job prior, clip to
+  the request), the ``predictor:fit`` span, ``from_config`` and the archive
   round trip; a family writes ``_fit``, ``_unused_fractions`` and names
   its hyper-parameters and fitted arrays in :attr:`Predictor.PARAMS` /
   :attr:`Predictor.ARRAYS`.  That is what makes CORP's DNN+HMM, the
@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -201,35 +201,47 @@ class Predictor(ABC):
         :attr:`prior_unused_fraction`, returns ``self``."""
         raise NotImplementedError
 
-    def predict_job_unused(
-        self, util_history: np.ndarray, request: ResourceVector
-    ) -> ResourceVector:
-        """Predicted unused amount of one job over the next window.
+    def predict_jobs_unused(
+        self, histories: Sequence[np.ndarray], requests: Sequence[ResourceVector]
+    ) -> np.ndarray:
+        """Predicted unused amounts ``(n, l)`` of ``n`` jobs over the next window.
 
-        ``util_history`` is the job's per-slot utilization ``(n, l)`` in
-        fractions of its request; the return value is in absolute
-        amounts (fraction × request).  A job younger than
+        ``histories[i]`` is job ``i``'s per-slot utilization ``(slots, l)``
+        in fractions of its request; row ``i`` is in absolute amounts
+        (fraction × request).  A job younger than
         :attr:`min_history_slots` gets the training prior: evidence-free
         but far closer than predicting zero, which would register as a
         large under-prediction and poison the Eq. 20 error statistics.
+        The rest go to the family in one :meth:`_unused_fractions` call.
         """
         if not self.fitted:
             raise RuntimeError("predictor not fitted")
-        util_history = np.atleast_2d(np.asarray(util_history, dtype=np.float64))
-        if OBS.enabled:
-            OBS.count("predictor.predict")
-        req = request.as_array()
-        if util_history.shape[0] < self.min_history_slots:
-            if OBS.enabled:
-                OBS.count("predictor.prior_fallback")
-            return ResourceVector(self.prior_unused_fraction * req)
-        fractions = self._unused_fractions(util_history)
-        return ResourceVector(np.clip(fractions, 0.0, 1.0) * req)
+        histories = [np.atleast_2d(np.asarray(h, dtype=np.float64)) for h in histories]
+        n = len(histories)
+        grown = [i for i, h in enumerate(histories) if h.shape[0] >= self.min_history_slots]
+        if OBS.enabled and n:
+            OBS.count("predictor.predict", n)
+            if len(grown) < n:
+                OBS.count("predictor.prior_fallback", n - len(grown))
+        fractions = np.tile(self.prior_unused_fraction, (n, 1))
+        if grown:
+            fractions[grown] = np.clip(
+                self._unused_fractions([histories[i] for i in grown]), 0.0, 1.0
+            )
+        reqs = np.array([r.as_array() for r in requests]).reshape(n, NUM_RESOURCES)
+        return fractions * reqs
 
-    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
-        """The family's arithmetic: per-resource unused fraction ``(l,)``
-        forecast from a ``(n, l)`` history of at least
-        :attr:`min_history_slots` slots (the caller clips it)."""
+    def predict_job_unused(
+        self, util_history: np.ndarray, request: ResourceVector
+    ) -> ResourceVector:
+        """Predicted unused amount of one job: the ``n = 1`` case of
+        :meth:`predict_jobs_unused`."""
+        return ResourceVector(self.predict_jobs_unused([util_history], [request])[0])
+
+    def _unused_fractions(self, histories: list[np.ndarray]) -> np.ndarray:
+        """The family's arithmetic: the ``(n, l)`` unused fractions
+        forecast from ``n`` histories of at least
+        :attr:`min_history_slots` slots each (the caller clips them)."""
         raise NotImplementedError
 
     def observe_slot(self, slot: int) -> None:

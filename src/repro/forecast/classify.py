@@ -229,15 +229,17 @@ class ClassifyThenPredictPredictor(Predictor):
         distances = np.linalg.norm(self.centroids - standardized, axis=1)
         return int(distances.argmin())
 
-    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
-        """Class-routed quantile forecast with the class's calibration."""
-        class_id = self.classify(util_history)
-        shifts = (
-            self.class_shifts[class_id]
-            if class_id < self.class_shifts.shape[0]
-            else np.zeros(NUM_RESOURCES)
-        )
-        return (
-            recent_unused_quantiles(util_history, self.input_slots, self.quantile)
-            + shifts
-        )
+    def _unused_fractions(self, histories: list[np.ndarray]) -> np.ndarray:
+        """Class-routed quantile forecasts with each class's calibration."""
+        out = []
+        for util in histories:
+            class_id = self.classify(util)
+            shifts = (
+                self.class_shifts[class_id]
+                if class_id < self.class_shifts.shape[0]
+                else np.zeros(NUM_RESOURCES)
+            )
+            out.append(
+                recent_unused_quantiles(util, self.input_slots, self.quantile) + shifts
+            )
+        return np.array(out)

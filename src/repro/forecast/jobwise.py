@@ -89,13 +89,14 @@ class _SeriesJobPredictor(Predictor):
         self.prior_unused_fraction = priors
         return self
 
-    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
-        return np.array(
+    def _unused_fractions(self, histories: list[np.ndarray]) -> np.ndarray:
+        return np.array([
             [
-                self._forecast_fraction(1.0 - util_history[-self.input_slots :, kind])
+                self._forecast_fraction(1.0 - util[-self.input_slots :, kind])
                 for kind in range(NUM_RESOURCES)
             ]
-        )
+            for util in histories
+        ])
 
 
 @dataclass

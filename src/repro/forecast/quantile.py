@@ -110,6 +110,9 @@ class QuantileHistogramPredictor(Predictor):
                 )
         return self
 
-    def _unused_fractions(self, util_history: np.ndarray) -> np.ndarray:
-        """Empirical quantile of the job's recent unused observations."""
-        return recent_unused_quantiles(util_history, self.input_slots, self.quantile)
+    def _unused_fractions(self, histories: list[np.ndarray]) -> np.ndarray:
+        """Empirical quantile of each job's recent unused observations."""
+        return np.array([
+            recent_unused_quantiles(util, self.input_slots, self.quantile)
+            for util in histories
+        ])

@@ -208,18 +208,18 @@ class OnlinePredictorSelector(Predictor):
                     pred[kind] / req[kind], actual[kind]
                 )
 
-    def predict_job_unused(
-        self, util_history: np.ndarray, request: ResourceVector
-    ) -> ResourceVector:
-        """Backtest all candidates, answer with the active one."""
+    def predict_jobs_unused(
+        self, histories: Sequence[np.ndarray], requests: Sequence[ResourceVector]
+    ) -> np.ndarray:
+        """Backtest all candidates job by job, in order; answer with the
+        active one (one batch: a backtest never switches it)."""
         if not self.fitted:
             raise RuntimeError("predictor not fitted")
-        util_history = np.atleast_2d(np.asarray(util_history, dtype=np.float64))
-        if util_history.shape[0] > self.config.window_slots:
-            self._backtest(util_history, request)
-        return self._active_predictor().predict_job_unused(
-            util_history, request
-        )
+        histories = [np.atleast_2d(np.asarray(h, dtype=np.float64)) for h in histories]
+        for util_history, request in zip(histories, requests):
+            if util_history.shape[0] > self.config.window_slots:
+                self._backtest(util_history, request)
+        return self._active_predictor().predict_jobs_unused(histories, requests)
 
     # ------------------------------------------------------------------
     def error_rate(self, name: str) -> float:

@@ -31,25 +31,12 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .baum_welch import BaumWelchConfig, baum_welch
-from .discretize import CENTER, PEAK, VALLEY, ThresholdBands, windowed_observations
+from .discretize import CENTER, PEAK, VALLEY, ThresholdBands
 from .model import HiddenMarkovModel, default_fluctuation_model
-from .viterbi import viterbi
 
 __all__ = ["FluctuationPredictor", "SymbolizeMode"]
 
 SymbolizeMode = Literal["range", "level"]
-
-
-def _level_observations(
-    series: np.ndarray, window: int, bands: ThresholdBands
-) -> np.ndarray:
-    """Symbolize each window's mean level (the ``"level"`` mode)."""
-    s = np.asarray(series, dtype=np.float64).ravel()
-    n_windows = s.size // window
-    if n_windows == 0:
-        return np.zeros(0, dtype=np.int64)
-    means = s[: n_windows * window].reshape(n_windows, window).mean(axis=1)
-    return bands.symbolize_many(means)
 
 
 @dataclass
@@ -80,11 +67,13 @@ class FluctuationPredictor:
         """Whether both the HMM and the bands have been fitted."""
         return self.model is not None and self.bands is not None
 
-    def _observe(self, series: np.ndarray) -> np.ndarray:
+    def _symbols(self, windows: np.ndarray) -> np.ndarray:
+        """One symbol per ``window``-slot row of ``(..., n_windows,
+        window)`` blocks: the row's range (``"range"``) or mean level."""
         assert self.bands is not None
         if self.mode == "range":
-            return windowed_observations(series, self.window, self.bands)
-        return _level_observations(series, self.window, self.bands)
+            return self.bands.symbolize_many(windows.max(-1) - windows.min(-1))
+        return self.bands.symbolize_many(windows.mean(axis=-1))
 
     # ------------------------------------------------------------------
     def fit(
@@ -113,9 +102,10 @@ class FluctuationPredictor:
         pooled = np.concatenate(series_list)
         self.bands = ThresholdBands.from_history(pooled)
         self.correction_scale = self._windowed_correction_scale(series_list)
-        sequences = [
+        w = self.window
+        sequences = [  # the symbols of each series' full windows
             obs for s in series_list
-            if (obs := self._observe(s)).size >= 2
+            if (obs := self._symbols(s[: s.size // w * w].reshape(-1, w))).size >= 2
         ]
         if init_model is not None:
             self.model = HiddenMarkovModel(
@@ -148,20 +138,45 @@ class FluctuationPredictor:
 
     # ------------------------------------------------------------------
     def predict_next_symbol(self, recent: np.ndarray) -> int:
-        """Predict the next window's symbol from a recent unused series.
+        """The next window's symbol from one recent unused series: the
+        ``n = 1`` case of :meth:`predict_next_symbols`."""
+        return int(self.predict_next_symbols([np.asarray(recent).ravel()])[0])
 
-        Decodes the recent observations with Viterbi, takes the last
-        decoded state ``q*_L`` and applies Eq. 17.  With no usable recent
-        observations, returns CENTER (no correction applied).
+    def predict_next_symbols(self, recents: Sequence[np.ndarray]) -> np.ndarray:
+        """Predict each series' next window symbol (CENTER, no correction,
+        without a full window): the last Viterbi state ``q*_L`` of its
+        observations, through Eq. 17.
+
+        Series with equally many windows decode as one max-product
+        forward pass, ``log A / B / π`` taken once.  Max and add per
+        element are the floats Viterbi computes, and both arg-maxes take
+        the first maximum, so ``q*_L`` is ``viterbi(...).states[-1]``.
         """
         if not self.fitted:
             raise RuntimeError("predictor not fitted")
         assert self.model is not None
-        obs = self._observe(np.asarray(recent, dtype=np.float64))
-        if obs.size == 0:
-            return CENTER
-        path = viterbi(self.model, obs)
-        return int(self.next_symbol_distribution(int(path.states[-1])).argmax())
+        with np.errstate(divide="ignore"):
+            log_a = np.log(self.model.transition)
+            log_b = np.log(self.model.emission)
+            log_pi = np.log(self.model.initial)
+        # Eq. 17's arg-max per last state ``s``, one ``A[s] @ B`` each.
+        n_states = self.model.n_states
+        next_symbol = np.array([self.next_symbol_distribution(s).argmax() for s in range(n_states)])
+        symbols = np.full(len(recents), CENTER, dtype=np.int64)
+        by_windows: dict[int, list[int]] = {}
+        for i, recent in enumerate(recents):
+            by_windows.setdefault(len(recent) // self.window, []).append(i)
+        for n_windows, rows in by_windows.items():
+            if n_windows == 0:
+                continue  # no full window: no evidence, no correction
+            span = n_windows * self.window
+            block = np.array([recents[i][:span] for i in rows], dtype=np.float64)
+            obs = self._symbols(block.reshape(len(rows), n_windows, self.window))
+            delta = log_pi + log_b[:, obs[:, 0]].T
+            for t in range(1, n_windows):
+                delta = (delta[:, :, None] + log_a).max(axis=1) + log_b[:, obs[:, t]].T
+            symbols[rows] = next_symbol[delta.argmax(axis=1)]
+        return symbols
 
     def next_symbol_distribution(self, last_state: int) -> np.ndarray:
         """Eq. 17's ``E_{P_{T+1}}(k)`` given the last decoded state."""

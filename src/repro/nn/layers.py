@@ -58,11 +58,11 @@ class DenseLayer:
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, *, train: bool = True) -> np.ndarray:
-        """Feed-forward evaluation (Eq. 5) for a ``(batch, in)`` input."""
+        """Feed-forward evaluation (Eq. 5) for a ``(..., in)`` input."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.in_features:
+        if x.shape[-1] != self.in_features:
             raise ValueError(
-                f"expected input width {self.in_features}, got {x.shape[1]}"
+                f"expected input width {self.in_features}, got {x.shape[-1]}"
             )
         z = x @ self.weights.T + self.biases
         g = self.activation(z)

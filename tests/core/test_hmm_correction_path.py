@@ -24,8 +24,8 @@ class StubFluctuation:
         self.scale = scale
         self.fitted = True
 
-    def predict_next_symbol(self, recent):
-        return self.symbol
+    def predict_next_symbols(self, recents):
+        return np.full(len(recents), self.symbol)
 
     def correction(self, symbol):
         if symbol == PEAK:

@@ -1,9 +1,11 @@
 """A window refresh does the per-VM loop's work minus the redundant part.
 
 ``reference_refresh`` is the loop as it stood when every online VM went
-through predict -> clip -> adjust -> clip and CORP / RCCR recomputed
-their error scale per VM.  The live ``_refresh_forecasts`` must leave
-the same state behind, array for array.
+through predict -> clip -> adjust -> clip, CORP forecast a VM with one
+``predict_job_unused`` call per primary job, and CORP / RCCR recomputed
+their error scale per VM.  The live ``_refresh_forecasts`` (one
+``predict_vms_unused`` call, CORP's a single predictor batch) must leave
+the same state behind, array for array, count for count.
 """
 
 import copy
@@ -27,6 +29,8 @@ from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.corp import CorpScheduler
 from repro.core.provisioning import _WindowRecord
 from repro.core.vm_selection import CandidateSet
+from repro.forecast import create_predictor
+from repro.forecast.selection import OnlinePredictorSelector
 from repro.obs import OBS
 
 from ..cluster.test_job import make_record
@@ -85,6 +89,22 @@ def reference_adjust(sched, raw, vm):
     return sched.adjust_forecast(raw, vm)
 
 
+def reference_predict(sched, vm):
+    if isinstance(sched, CorpScheduler):
+        total = np.zeros(NUM_RESOURCES)
+        for placement in vm.placements:
+            if placement.opportunistic:
+                continue
+            job = placement.job
+            sched.latency.charge_comm(1)
+            forecast = sched.predictor.predict_job_unused(
+                job.utilization_history(), job.requested
+            )
+            total += forecast.as_array()
+        return total
+    return sched.predict_vm_unused(vm)
+
+
 def reference_refresh(sched):
     sched._emit_window_samples()
     sched._window.clear()
@@ -93,7 +113,7 @@ def reference_refresh(sched):
         if not vm.online:
             continue
         sched.latency.charge_comm(1)
-        raw = np.asarray(sched.predict_vm_unused(vm), dtype=np.float64)
+        raw = np.asarray(reference_predict(sched, vm), dtype=np.float64)
         committed = vm.committed()
         raw = np.clip(raw, 0.0, committed.as_array())
         adjusted = np.clip(reference_adjust(sched, raw, vm), 0.0, None)
@@ -124,9 +144,16 @@ def prepared(fast_corp_config, fitted_predictor, history_trace):
     """One prepared (unbound) scheduler per method; examples deep-copy it."""
     few = copy.copy(fitted_predictor)
     few.seed_errors = [e[:10] for e in fitted_predictor.seed_errors]
+    selector = OnlinePredictorSelector(config=fast_corp_config)
+    selector.fit(
+        history_trace,
+        fit_candidate=lambda name: fitted_predictor if name == "corp"
+        else create_predictor(name, fast_corp_config).fit(history_trace),
+    )
     schedulers = {
         "CORP": CorpScheduler(fast_corp_config, predictor=fitted_predictor),
         "CORP-few-errors": CorpScheduler(fast_corp_config, predictor=few),
+        "CORP-auto": CorpScheduler(fast_corp_config, predictor=selector),
         "RCCR": RccrScheduler(seed=3),
         "CloudScale": CloudScaleScheduler(seed=3),
         "DRA": DraScheduler(seed=3),
@@ -191,6 +218,13 @@ def observable_state(sched, checker):
         "violations": list(checker.violations),
         "error_samples": [list(t._errors) for t in trackers],
         "prediction_log": (sched.prediction_log.predicted, sched.prediction_log.actual),
+        # The "auto" selector's backtests, in the order they landed.
+        "selector": {
+            name: [list(t._errors) for t in trackers]
+            for name, trackers in getattr(
+                getattr(sched, "predictor", None), "_trackers", {}
+            ).items()
+        },
     }
 
 
@@ -208,10 +242,15 @@ def assert_same(got, want):
                 assert value == want[name][vm_id], (name, vm_id)
 
 
+METHODS = ["CORP", "CORP-few-errors", "CORP-auto", "RCCR", "CloudScale", "DRA"]
+#: The forecast counters ``Predictor.predict_jobs_unused`` bumps.
+PREDICTOR_COUNTERS = (
+    "predictor.predict", "predictor.prior_fallback", "predictor.hmm_correction",
+)
+
+
 class TestRefreshMatchesThePerVmLoop:
-    @pytest.mark.parametrize(
-        "method", ["CORP", "CORP-few-errors", "RCCR", "CloudScale", "DRA"]
-    )
+    @pytest.mark.parametrize("method", METHODS)
     @settings(max_examples=25)
     @given(
         kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=7),
@@ -239,6 +278,31 @@ class TestRefreshMatchesThePerVmLoop:
             assert got["capacity_checks"] == len(online)
         else:
             assert got["pool"] == {}
+
+    @pytest.mark.parametrize("method", ["CORP", "CORP-auto"])
+    @settings(max_examples=10)
+    @given(
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=7),
+        seed=st.integers(0, 2**16),
+        warm_slots=st.integers(1, 8),
+    )
+    def test_same_predictor_counters_with_obs_on(
+        self, prepared, method, kinds, seed, warm_slots
+    ):
+        live = copy.deepcopy(prepared[method])
+        build_cluster(live, kinds, seed, warm_slots)
+        reference = copy.deepcopy(live)
+        counts = []
+        for refresh in (live._refresh_forecasts, lambda: reference_refresh(reference)):
+            obs.reset()  # counters are process-global
+            obs.enable_profiling()
+            try:
+                refresh()
+                counts.append({name: OBS.counters.get(name) for name in PREDICTOR_COUNTERS})
+            finally:
+                obs.reset()
+        assert counts[0] == counts[1]
+        assert_same(window_state(live), window_state(reference))
 
 
 # ----------------------------------------------------------------------

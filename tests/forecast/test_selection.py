@@ -20,6 +20,8 @@ class _StubPredictor(Predictor):
     family = "stub"
     capabilities = frozenset()
 
+    min_history_slots = 0
+
     def __init__(self, fraction: float, seed_delta: float, n_seed: int = 10):
         self.fraction = fraction
         self.seed_errors = [
@@ -27,15 +29,11 @@ class _StubPredictor(Predictor):
         ]
         self.prior_unused_fraction = np.full(NUM_RESOURCES, fraction)
 
-    @property
-    def fitted(self) -> bool:
-        return True
-
     def fit(self, history, **kwargs):
         return self
 
-    def predict_job_unused(self, util_history, request):
-        return ResourceVector(self.fraction * request.as_array())
+    def _unused_fractions(self, histories):
+        return np.full((len(histories), NUM_RESOURCES), self.fraction)
 
 
 def _stub_selector(**overrides):
