@@ -69,7 +69,8 @@ def capture_snapshot(vm: "VirtualMachine") -> SlotSnapshot:
     """Copy everything ``execute_slot`` will read (demands, caps, capacity)."""
     placements = vm.placements
     n = len(placements)
-    n_resources = len(vm._committed)
+    committed = vm.committed().as_array()
+    n_resources = len(committed)
     demands = np.empty((n, n_resources))
     caps = np.empty((n, n_resources))
     opportunistic = np.zeros(n, dtype=bool)
@@ -80,7 +81,7 @@ def capture_snapshot(vm: "VirtualMachine") -> SlotSnapshot:
     return SlotSnapshot(
         vm_id=vm.vm_id,
         capacity=vm.capacity.as_array().copy(),
-        committed=vm._committed.copy(),
+        committed=committed,
         demands=demands,
         caps=caps,
         opportunistic=opportunistic,

@@ -203,7 +203,7 @@ class InvariantChecker:
         tol = self.tolerance
         if "capacity" in self.rules:
             self.checks["capacity"] += 1
-            committed = vm._committed
+            committed = vm.committed().as_array()
             recomputed = vm.reserved_total()
             if np.any(np.abs(committed - recomputed) > tol):
                 self._report(

@@ -16,7 +16,7 @@ classes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,14 +24,58 @@ from .job import Job, JobState
 from .resources import NUM_RESOURCES, ResourceVector
 
 __all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome",
-           "IDLE_OUTCOME"]
+           "IDLE_OUTCOME", "ClusterLanes"]
 
 #: What an idle VM demands and serves, shared by every idle slot (both
 #: the vector and its history row are read-only).
 _ZERO = ResourceVector.zeros()
-#: ``_committed.tolist()`` of a VM holding no commitment (a list compare
-#: costs a sixth of ``ndarray.any()`` on three floats).
-_UNCOMMITTED = [0.0] * NUM_RESOURCES
+
+
+class ClusterLanes:
+    """The mutable state of a cluster's VMs, one row per VM.
+
+    ``capacity`` is the effective capacity (nominal, shrunk by any
+    revocation in force), ``committed`` the primary reservations held
+    and ``online`` the liveness; ``capacity_changes`` counts capacity
+    writes, so a memo of anything derived from ``capacity`` revalidates
+    in O(1).  A :class:`VirtualMachine` is a ``(lanes, row)`` handle
+    that indexes these arrays on every access and stores no view of
+    them (``copy.deepcopy`` would turn a view into a detached copy).
+    """
+
+    __slots__ = ("capacity", "committed", "online", "capacity_changes")
+
+    def __init__(self, capacity: np.ndarray) -> None:
+        self.capacity = np.array(capacity, dtype=np.float64).reshape(-1, NUM_RESOURCES)
+        self.committed = np.zeros_like(self.capacity)
+        self.online = np.ones(len(self.capacity), dtype=bool)
+        self.capacity_changes = 0
+
+    def unallocated(self, rows: int | slice = slice(None)) -> np.ndarray:
+        """``max(capacity - committed, 0)`` of ``rows`` (default: all)."""
+        return np.maximum(self.capacity[rows] - self.committed[rows], 0.0)
+
+    @classmethod
+    def of(cls, vms: Sequence["VirtualMachine"]) -> "ClusterLanes":
+        """The lanes whose rows are ``vms``, in order.
+
+        Idempotent: VMs that already are rows ``0..n-1`` of one set keep
+        it.  Any other list is copied into a fresh set, each VM re-pointed
+        at its new row (a row it leaves in a larger set goes stale).
+        """
+        lanes = vms[0]._lanes if vms else None
+        if lanes is not None and len(lanes.online) == len(vms) and all(
+            vm._lanes is lanes and vm._row == row for row, vm in enumerate(vms)
+        ):
+            return lanes
+        lanes = cls(np.zeros((len(vms), NUM_RESOURCES)))
+        for row, vm in enumerate(vms):
+            old, i = vm._lanes, vm._row
+            lanes.capacity[row] = old.capacity[i]
+            lanes.committed[row] = old.committed[i]
+            lanes.online[row] = old.online[i]
+            vm._lanes, vm._row = lanes, row
+        return lanes
 
 
 @dataclass
@@ -80,7 +124,12 @@ IDLE_OUTCOME = SlotOutcome(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 
 
 class VirtualMachine:
-    """One VM: capacity, placements, commitment and usage history."""
+    """One VM: placements and usage history, plus its row of the lanes.
+
+    Capacity, commitment and liveness live in a :class:`ClusterLanes`
+    row (a one-row set until a cluster adopts the VM); every mutation
+    below writes that row and nothing else.
+    """
 
     def __init__(self, vm_id: int, capacity: ResourceVector, pm_id: int = 0) -> None:
         if not capacity.is_nonnegative() or not capacity.any_positive():
@@ -89,35 +138,10 @@ class VirtualMachine:
         #: Nominal (provisioned) capacity; ``capacity`` reflects any
         #: transient revocation currently in force.
         self.base_capacity = capacity
-        self._effective_capacity = capacity
-        self._capacity_scale = 1.0
-        #: Bumped whenever anything a placement index mirrors changes —
-        #: commitment, effective capacity or liveness.  The persistent
-        #: availability index (:mod:`repro.cluster.shards`) compares
-        #: these counters to decide which rows to re-read, so every
-        #: mutation path below must route through
-        #: :meth:`_invalidate_commitment` (or bump explicitly, as
-        #: :meth:`restore` does).
-        self.state_version = 0
-        #: Set by the owning simulator; notified (``notice_capacity_change``)
-        #: whenever the effective capacity changes so its Eq. 22 reference
-        #: cache can revalidate in O(1) rather than scanning all VMs.
-        self._capacity_observer: object | None = None
-        #: False while the VM is crashed (fault injection): it accepts
-        #: no placements and executes no slots until restored.
-        self.online = True
+        self._lanes = ClusterLanes(capacity.as_array())
+        self._row = 0
         self.pm_id = pm_id
         self.placements: list[Placement] = []
-        # Incrementally maintained commitment total — committed() sits on
-        # the scheduler's hottest path (feasibility scans over all VMs).
-        self._committed = np.zeros(NUM_RESOURCES)
-        # Any component non-zero, float residue of released reservations too.
-        self._holds_commitment = False
-        # Commitment changes only when placements come and go, but the
-        # derived vectors are read on every feasibility scan — memoize
-        # them and invalidate on placement churn.
-        self._committed_vec: ResourceVector | None = None
-        self._unallocated_vec: ResourceVector | None = None
         #: Per-slot history of actual unused resource (n_slots, l) rows;
         #: this is the series the predictors train on.  Every row is a
         #: read-only array, never written in place: snapshots share rows.
@@ -130,9 +154,14 @@ class VirtualMachine:
     # capacity (revocation-aware)
     # ------------------------------------------------------------------
     @property
+    def online(self) -> bool:
+        """False while crashed (fault injection): no placements, no slots."""
+        return bool(self._lanes.online[self._row])
+
+    @property
     def capacity(self) -> ResourceVector:
         """Effective capacity: nominal, shrunk by any active revocation."""
-        return self._effective_capacity
+        return ResourceVector._wrap(self._lanes.capacity[self._row].copy())
 
     def set_capacity_scale(self, scale: float) -> None:
         """Transiently scale the effective capacity (fault injection).
@@ -145,29 +174,12 @@ class VirtualMachine:
         scale = float(scale)
         if not 0.0 < scale <= 1.0:
             raise ValueError("capacity scale must be in (0, 1]")
-        if scale == self._capacity_scale:
-            return
-        self._capacity_scale = scale
-        if scale == 1.0:
-            self._effective_capacity = self.base_capacity
-        else:
-            self._effective_capacity = ResourceVector._wrap(
-                self.base_capacity.as_array() * scale
-            )
-        observer = self._capacity_observer
-        if observer is not None:
-            observer.notice_capacity_change()
-        self._invalidate_commitment()
+        self._lanes.capacity[self._row] = self.base_capacity.as_array() * scale
+        self._lanes.capacity_changes += 1
 
     # ------------------------------------------------------------------
     # commitment accounting
     # ------------------------------------------------------------------
-    def _invalidate_commitment(self) -> None:
-        self._committed_vec = None
-        self._unallocated_vec = None
-        self._holds_commitment = self._committed.tolist() != _UNCOMMITTED
-        self.state_version += 1
-
     @property
     def quiescent(self) -> bool:
         """Online, no placement of either class, commitment exactly zero.
@@ -178,38 +190,34 @@ class VirtualMachine:
         the ``placements`` test; float residue left in the commitment is
         what :meth:`unallocated` reports, so such a VM is still executed.
         """
-        return self.online and not self.placements and not self._holds_commitment
+        lanes, row = self._lanes, self._row
+        return self._quiescent(
+            self, bool(lanes.online[row]), bool(lanes.committed[row].any())
+        )
+
+    @staticmethod
+    def _quiescent(vm: "VirtualMachine", online: bool, holds: bool) -> bool:
+        """The :attr:`quiescent` rule given ``vm``'s lane readings, so a
+        sweep over the cluster reads each lane once for every VM."""
+        return online and not holds and not vm.placements
 
     def committed(self) -> ResourceVector:
         """Total primary reservations currently held on this VM."""
-        vec = self._committed_vec
-        if vec is None:
-            vec = self._committed_vec = ResourceVector(self._committed)
-        return vec
+        return ResourceVector._wrap(self._lanes.committed[self._row].copy())
 
     def unallocated(self) -> ResourceVector:
         """Capacity not yet committed to any primary reservation."""
-        vec = self._unallocated_vec
-        if vec is None:
-            vec = self._unallocated_vec = ResourceVector._wrap(
-                np.maximum(self.capacity.as_array() - self._committed, 0.0)
-            )
-        return vec
+        return ResourceVector._wrap(self._lanes.unallocated(self._row))
 
     def unallocated_array(self) -> np.ndarray:
-        """Read-only array view of :meth:`unallocated` (hot-path variant).
-
-        The placement path stacks these rows into a
-        :class:`~repro.cluster.shards.CandidateSet` matrix; going
-        through the memoized vector keeps the two views consistent.
-        """
+        """Read-only array of :meth:`unallocated`."""
         return self.unallocated().as_array()
 
     def reserved_total(self) -> np.ndarray:
         """Σ reserved over primary placements, recomputed from scratch.
 
         Deliberately independent of the incrementally maintained
-        ``_committed`` total: the invariant checker
+        committed lane: the invariant checker
         (:mod:`repro.check`) diffs the two to catch accounting drift,
         so this must not share that bookkeeping.
         """
@@ -253,19 +261,18 @@ class VirtualMachine:
             )
         self.placements.append(placement)
         if not placement.opportunistic:
-            self._committed += placement.reserved.as_array()
-            self._invalidate_commitment()
+            self._lanes.committed[self._row] += placement.reserved.as_array()
 
     def remove_completed(self) -> list[Job]:
         """Drop placements whose jobs completed; return those jobs."""
         done = [p.job for p in self.placements if p.job.state is JobState.COMPLETED]
         if not done:
             return done
+        committed = self._lanes.committed[self._row]
         for p in self.placements:
             if p.job.state is JobState.COMPLETED and not p.opportunistic:
-                self._committed -= p.reserved.as_array()
-        np.maximum(self._committed, 0.0, out=self._committed)  # float drift
-        self._invalidate_commitment()
+                committed -= p.reserved.as_array()
+        np.maximum(committed, 0.0, out=committed)  # float drift
         self.placements = [
             p for p in self.placements if p.job.state is not JobState.COMPLETED
         ]
@@ -278,8 +285,7 @@ class VirtualMachine:
         """Drop every placement, releasing all commitment; return the jobs."""
         jobs = [p.job for p in self.placements]
         self.placements = []
-        self._committed[:] = 0.0
-        self._invalidate_commitment()
+        self._lanes.committed[self._row] = 0.0
         return jobs
 
     def evict_job(self, job_id: int) -> Optional[Job]:
@@ -288,9 +294,9 @@ class VirtualMachine:
             if p.job.job_id == job_id:
                 del self.placements[i]
                 if not p.opportunistic:
-                    self._committed -= p.reserved.as_array()
-                    np.maximum(self._committed, 0.0, out=self._committed)
-                self._invalidate_commitment()
+                    committed = self._lanes.committed[self._row]
+                    committed -= p.reserved.as_array()
+                    np.maximum(committed, 0.0, out=committed)
                 return p.job
         return None
 
@@ -301,17 +307,14 @@ class VirtualMachine:
         usage history is in-memory state and does not survive, so the
         predictors start cold after the restart.
         """
-        self.online = False
+        self._lanes.online[self._row] = False
         self._unused_history.clear()
         self.pending_idle_slots = 0
         return self.evict_all()
 
     def restore(self) -> None:
         """Bring a crashed VM back online (empty, history cold)."""
-        self.online = True
-        # Liveness is index-mirrored state: bump so persistent indexes
-        # re-admit this VM's row (crash() bumped via evict_all()).
-        self.state_version += 1
+        self._lanes.online[self._row] = True
 
     # ------------------------------------------------------------------
     # slot execution
@@ -346,7 +349,7 @@ class VirtualMachine:
                 unused=committed,
             )
 
-        cap_arr = self.capacity.as_array()
+        cap_arr = self._lanes.capacity[self._row]
         demands = np.empty((n, NUM_RESOURCES))
         caps = np.empty((n, NUM_RESOURCES))
         opp = np.zeros(n, dtype=bool)
@@ -390,7 +393,9 @@ class VirtualMachine:
         for i, p in enumerate(placements):
             p.job.advance(rates[i], slot)
 
-        unused = ResourceVector._wrap(np.maximum(self._committed - primary_demand, 0.0))
+        unused = ResourceVector._wrap(
+            np.maximum(committed.as_array() - primary_demand, 0.0)
+        )
         self._unused_history.append(unused.as_array())
         return SlotOutcome(
             committed=committed,
@@ -446,8 +451,9 @@ class PhysicalMachine:
         self.vms: list[VirtualMachine] = []
 
     def add_vm(self, vm: VirtualMachine) -> None:
-        """Host a VM, enforcing the PM capacity envelope."""
-        total = ResourceVector.sum(v.capacity for v in self.vms) + vm.capacity
+        """Host a VM, enforcing the PM capacity envelope on nominal
+        capacities (a revoked VM frees nothing: its revocation ends)."""
+        total = ResourceVector.sum(v.base_capacity for v in self.vms) + vm.base_capacity
         if not total.fits_within(self.capacity):
             raise ValueError(
                 f"PM {self.pm_id} capacity {self.capacity} exceeded by VM set {total}"
@@ -458,7 +464,7 @@ class PhysicalMachine:
     def free_capacity(self) -> ResourceVector:
         """PM capacity not yet carved into VMs."""
         return (
-            self.capacity - ResourceVector.sum(v.capacity for v in self.vms)
+            self.capacity - ResourceVector.sum(v.base_capacity for v in self.vms)
         ).clip_nonnegative()
 
     def __repr__(self) -> str:

@@ -3,19 +3,16 @@
 CORP's placement step (Section III-B, Eq. 22) asks one question of one
 kind of object — which feasible VM has the smallest availability volume
 — and :class:`CandidateSet` is that object: an ``(n_vms, l)``
-availability matrix, a liveness lane and a version lane.  The
-schedulers hold two of them: the opportunistic pool, whose rows are one
-window's predicted-unused forecast, and the primary pool, whose rows
-mirror each VM's unallocated capacity.
+availability matrix and a liveness lane.  The schedulers hold two of
+them: the opportunistic pool, whose rows are one window's
+predicted-unused forecast, and the primary pool, whose rows are each
+VM's unallocated capacity.
 
-Rebuilding the primary pool per call is fine at the paper's testbed
-sizes (≤ 100 VMs); at 10k+ VMs re-reading an ``(n_vms, l)`` matrix from
-Python attributes every slot dominates the placement path, so it is
-kept alive across calls and :meth:`CandidateSet.refresh` re-reads only
-the rows whose VM changed.  Dirty tracking is version-based: every
-:class:`VirtualMachine` bumps a ``state_version`` counter whenever its
-commitment, capacity or liveness changes (placements landing,
-completions, crashes, revocations).
+The primary pool lives for the run.  It reads the cluster's
+:class:`~repro.cluster.machine.ClusterLanes` — the one copy of every
+VM's capacity, commitment and liveness — so :meth:`CandidateSet.refresh`
+is one matrix expression over the lanes rather than a walk over 10k+
+VM objects.
 
 The pool is *flat*.  Eq. 22 is one global argmin, and on one core a
 single ``(n_vms, l)`` matrix expression beat every row partitioning
@@ -33,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .machine import VirtualMachine
+from .machine import ClusterLanes, VirtualMachine
 from .resources import NUM_RESOURCES, ResourceVector
 
 __all__ = ["ScaleConfig", "CandidateSet", "ShardedCandidateIndex", "tie_window"]
@@ -106,9 +103,9 @@ class CandidateSet:
     Liveness is applied in one place: a row whose ``online`` flag is
     False is infeasible for every demand, the all-zero one included,
     and is absent from iteration, ``len`` and :meth:`availability` — a
-    pool *is* its live rows.  A pool built by :meth:`for_vms` mirrors
-    its VMs' unallocated capacity and liveness; :meth:`refresh` is the
-    one sync loop.
+    pool *is* its live rows.  A pool built by :meth:`for_vms` reads its
+    VMs' unallocated capacity and liveness off their lanes in
+    :meth:`refresh`.
 
     Iteration yields ``(vm, ResourceVector)`` pairs — the exact shape
     the scalar reference functions, the invariant checker and custom
@@ -138,7 +135,7 @@ class CandidateSet:
     :meth:`forget_refusals`.
     """
 
-    __slots__ = ("vms", "matrix", "online", "versions", "_ids", "_rows",
+    __slots__ = ("vms", "matrix", "online", "lanes", "_ids", "_rows",
                  "_refused")
 
     def __init__(
@@ -156,10 +153,8 @@ class CandidateSet:
         self.matrix = matrix.copy()
         #: Liveness lane, one bool per row.
         self.online = np.ones(len(self.vms), dtype=bool)
-        #: ``state_version`` each row was last read at; ``-1`` makes the
-        #: first :meth:`refresh` populate every row.  A list, so the sweep
-        #: compares Python ints and boxes no numpy scalar per unchanged VM.
-        self.versions = [-1] * len(self.vms)
+        #: The cluster lanes :meth:`refresh` reads (:meth:`for_vms` only).
+        self.lanes: ClusterLanes | None = None
         self._ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
         self._rows = {vm.vm_id: i for i, vm in enumerate(self.vms)}
         #: Pareto-minimal demands a selector found no live row for.
@@ -180,29 +175,27 @@ class CandidateSet:
     def for_vms(
         cls, vms: Sequence[VirtualMachine], *, shards: int = 1
     ) -> "CandidateSet":
-        """Pool mirroring ``vms``; rows are filled by :meth:`refresh`."""
+        """Pool over ``vms``' lanes (adopted if not yet one set's rows);
+        rows are filled by :meth:`refresh`."""
         ScaleConfig(shards=shards)  # validates and warns: deprecated knob
-        return cls(vms, np.zeros((len(vms), NUM_RESOURCES)))
+        pool = cls(vms, np.zeros((len(vms), NUM_RESOURCES)))
+        pool.lanes = ClusterLanes.of(pool.vms)
+        return pool
 
     def refresh(self) -> int:
-        """Re-read rows whose VM ``state_version`` moved; returns how many.
+        """Re-read every row off the lanes; returns how many changed.
 
-        The integer sweep is the dirty check; matrix writes — the
-        expensive part — happen only for rows that actually changed.
+        Live rows are ``max(capacity - committed, 0)``, offline rows
+        zero.  Any changed row clears the refused-demand list.
         """
-        rewritten = 0
-        versions = self.versions
-        online = self.online
-        matrix = self.matrix
-        for i, vm in enumerate(self.vms):
-            version = vm.state_version
-            if version == versions[i]:
-                continue
-            versions[i] = version
-            live = online[i] = vm.online
-            matrix[i] = vm.unallocated_array() if live else 0.0
-            rewritten += 1
+        live = self.lanes.online
+        fresh = self.lanes.unallocated()
+        fresh[~live] = 0.0
+        changed = (fresh != self.matrix).any(axis=1) | (live != self.online)
+        rewritten = int(np.count_nonzero(changed))
         if rewritten:
+            self.matrix[:] = fresh
+            self.online[:] = live
             self.forget_refusals()  # a rewritten row may have risen
         return rewritten
 

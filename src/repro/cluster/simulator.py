@@ -17,13 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from .job import Job
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a trace<->cluster import cycle
     from ..faults.injector import FaultInjector
     from ..faults.plan import FaultPlan
     from ..trace.records import Trace
-from .machine import PhysicalMachine, VirtualMachine
+from .machine import ClusterLanes, PhysicalMachine, VirtualMachine
 from .metrics import MetricsRecorder
 from .profiles import ClusterProfile
 from .resources import ResourceVector
@@ -49,9 +51,8 @@ class SimulationConfig:
     drain:
         Keep simulating after the last arrival until all jobs finish.
     scale:
-        Hyperscale knobs (availability-index sharding, streaming chunk
-        size); the default single-shard config reproduces pre-sharding
-        output byte-identically.
+        Deprecated knobs (``shards`` has no effect; ``chunk_size`` is
+        read by trace-streaming callers only), removed in v1.10.
     """
 
     slot_duration_s: float = 10.0
@@ -141,6 +142,8 @@ class ClusterSimulator:
         self.pms: list[PhysicalMachine]
         self.vms: list[VirtualMachine]
         self.pms, self.vms = profile.build()
+        #: The cluster's VM state; ``vms[i]`` is row ``i``.
+        self.lanes = ClusterLanes.of(self.vms)
         self.metrics = MetricsRecorder()
         self.slo_tracker = SloTracker(spec=self.config.slo)
         self.pending: list[Job] = []
@@ -149,13 +152,6 @@ class ClusterSimulator:
         self.completed: list[Job] = []
         self.failed: list[Job] = []
         self.current_slot: int = 0
-        # Capacity-cache epoch: bumped by VMs (via the observer hook)
-        # whenever any effective capacity changes, so ``max_vm_capacity``
-        # revalidates in O(1) instead of scanning 10k+ capacity versions
-        # per admitted job.
-        self._capacity_epoch: int = 0
-        for vm in self.vms:
-            vm._capacity_observer = self
         self._max_capacity_cache: tuple[int, ResourceVector] | None = None
         # An empty plan builds no injector: the fault layer then adds
         # zero work (and zero behavioural difference) to the slot loop.
@@ -172,24 +168,19 @@ class ClusterSimulator:
         return self.faults is None or self.faults.predictor_available
 
     # ------------------------------------------------------------------
-    def notice_capacity_change(self) -> None:
-        """Observer hook VMs call when their effective capacity changes."""
-        self._capacity_epoch += 1
-
     def max_vm_capacity(self) -> ResourceVector:
         """Elementwise max capacity across VMs (the ``C'`` of Eq. 22).
 
-        Memoized: the simulator consults it for every arriving job (and
-        CORP for every selection) but capacity only changes when a fault
-        revokes/restores it, so the cache is keyed on a capacity epoch
-        the VMs bump through the observer hook — an O(1) check where the
-        previous per-VM version scan cost O(n_vms) per admitted job.
+        Memoized on the lanes' capacity-change counter: it is read for
+        every arriving job (and by CORP for every selection), but
+        capacity only changes when a fault revokes or restores it.
         """
+        changes = self.lanes.capacity_changes
         cached = self._max_capacity_cache
-        if cached is not None and cached[0] == self._capacity_epoch:
+        if cached is not None and cached[0] == changes:
             return cached[1]
-        value = ResourceVector.elementwise_max(vm.capacity for vm in self.vms)
-        self._max_capacity_cache = (self._capacity_epoch, value)
+        value = ResourceVector._wrap(np.maximum(self.lanes.capacity.max(axis=0), 0.0))
+        self._max_capacity_cache = (changes, value)
         return value
 
     def _admit(self, job: Job) -> bool:

@@ -121,12 +121,11 @@ class ProvisioningSchedulerBase(Scheduler):
         #: window, in refresh order, until its job set churns.
         self._window: dict[int, _WindowRecord] = {}
         #: Candidate pools the placement path selects from.  The primary
-        #: pool mirrors the VMs' unallocated capacity for the whole run,
-        #: refreshed in place via ``state_version`` dirty tracking.  The
-        #: opportunistic pool lives for one window: a row per VM polled
-        #: at the refresh — its predicted unused, decremented as riders
-        #: land (scheduler bookkeeping, not VM state a version counter
-        #: could mirror) and voided once its VM is seen offline.
+        #: pool reads the VMs' unallocated capacity off the cluster lanes
+        #: for the whole run.  The opportunistic pool lives for one
+        #: window: a row per VM polled at the refresh — its predicted
+        #: unused, decremented as riders land (scheduler bookkeeping, not
+        #: VM state) and voided once its VM is seen offline.
         self._primary_index: CandidateSet | None = None
         self._opp_pool = CandidateSet([], ())
         #: True while the prediction service is down (fault injection):
@@ -231,7 +230,7 @@ class ProvisioningSchedulerBase(Scheduler):
         tick, so downtime is seen whether or not jobs were pending.
         """
         pool = self._opp_pool
-        online = np.array([vm.online for vm in pool.vms], dtype=bool)
+        online = self.sim.lanes.online[[vm._row for vm in pool.vms]]
         if (online & ~pool.online).any():
             pool.forget_refusals()  # a restored VM's zero row fits again
         pool.online[:] = online
@@ -274,7 +273,8 @@ class ProvisioningSchedulerBase(Scheduler):
         self._emit_window_samples()
         self._window.clear()
         self._begin_window()
-        polled = [vm for vm in self.vms if vm.online]  # a crashed VM has no usage
+        # A crashed VM has no usage to poll.
+        polled = [self.vms[row] for row in np.flatnonzero(self.sim.lanes.online)]
         # Polling a VM's usage history is one remote operation.
         self.latency.charge_comm(len(polled))
         occupied = [vm for vm in polled if vm.placements]
@@ -385,12 +385,10 @@ class ProvisioningSchedulerBase(Scheduler):
         The primary pool (unallocated capacity) is a run-long
         :class:`~repro.cluster.shards.CandidateSet` over the cluster's
         VMs: :meth:`~repro.cluster.shards.CandidateSet.refresh` re-reads
-        only the rows whose VM ``state_version`` moved since the last
-        call, so a slot that touched two VMs rewrites two rows rather
-        than rebuilding an ``(n_vms, l)`` matrix from Python attribute
-        reads.  The opportunistic pool (unlocked predicted unused) is
-        the one the window refresh built.  Both are updated in place
-        (``consume``) as placements land.
+        it off the cluster lanes in one matrix expression, with no
+        per-VM attribute reads.  The opportunistic pool (unlocked
+        predicted unused) is the one the window refresh built.  Both
+        are updated in place (``consume``) as placements land.
         """
         if not pending:
             return []

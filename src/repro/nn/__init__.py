@@ -5,27 +5,24 @@ NumPy implementation of the paper's DNN: feed-forward evaluation
 training with validation convergence.
 """
 
-from .activations import LINEAR, RELU, SIGMOID, TANH, Activation, get_activation
+from .activations import LINEAR, SIGMOID, TANH, Activation, get_activation
 from .initializers import xavier_uniform
 from .layers import DenseLayer
-from .losses import MAE, MSE, Loss, get_loss, pinball
+from .losses import MSE, Loss, pinball
 from .network import FeedForwardNetwork
 from .optimizers import SGD, Adam, Optimizer
 from .training import TrainingConfig, TrainingHistory, train, train_validation_split
 
 __all__ = [
     "LINEAR",
-    "RELU",
     "SIGMOID",
     "TANH",
     "Activation",
     "get_activation",
     "xavier_uniform",
     "DenseLayer",
-    "MAE",
     "MSE",
     "Loss",
-    "get_loss",
     "pinball",
     "FeedForwardNetwork",
     "SGD",

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Activation", "SIGMOID", "TANH", "RELU", "LINEAR", "get_activation"]
+__all__ = ["Activation", "SIGMOID", "TANH", "LINEAR", "get_activation"]
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,6 @@ def _tanh_deriv(g: np.ndarray) -> np.ndarray:
     return 1.0 - g * g
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def _relu_deriv(g: np.ndarray) -> np.ndarray:
-    return (g > 0.0).astype(np.float64)
-
-
 def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
@@ -74,11 +66,10 @@ def _identity_deriv(g: np.ndarray) -> np.ndarray:
 
 SIGMOID = Activation("sigmoid", _sigmoid, _sigmoid_deriv)
 TANH = Activation("tanh", _tanh, _tanh_deriv)
-RELU = Activation("relu", _relu, _relu_deriv)
 LINEAR = Activation("linear", _identity, _identity_deriv)
 
 _REGISTRY: dict[str, Activation] = {
-    a.name: a for a in (SIGMOID, TANH, RELU, LINEAR)
+    a.name: a for a in (SIGMOID, TANH, LINEAR)
 }
 
 

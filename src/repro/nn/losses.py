@@ -1,8 +1,7 @@
 """Loss functions and their gradients for DNN training.
 
 The paper's back-propagation starts from the output-layer error term
-``E_i = (t_i − g_i) · F'(g_i)`` (Eq. 6), i.e. squared-error loss; MAE is
-provided for evaluation reporting.
+``E_i = (t_i − g_i) · F'(g_i)`` (Eq. 6), i.e. squared-error loss.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Loss", "MSE", "MAE", "pinball", "get_loss"]
+__all__ = ["Loss", "MSE", "pinball"]
 
 
 @dataclass(frozen=True)
@@ -36,16 +35,7 @@ def _mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return pred - target
 
 
-def _mae(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean(np.abs(pred - target)))
-
-
-def _mae_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return np.sign(pred - target)
-
-
 MSE = Loss("mse", _mse, _mse_grad)
-MAE = Loss("mae", _mae, _mae_grad)
 
 
 def pinball(tau: float) -> Loss:
@@ -69,13 +59,3 @@ def pinball(tau: float) -> Loss:
 
     return Loss(f"pinball_{tau:g}", fn, grad)
 
-
-_REGISTRY = {loss.name: loss for loss in (MSE, MAE)}
-
-
-def get_loss(name: str) -> Loss:
-    """Look a loss up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown loss {name!r}; options: {sorted(_REGISTRY)}") from None

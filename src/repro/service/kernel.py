@@ -48,7 +48,7 @@ import numpy as np
 
 from ..check import CHECK
 from ..cluster.job import Job, JobState
-from ..cluster.machine import IDLE_OUTCOME
+from ..cluster.machine import IDLE_OUTCOME, VirtualMachine
 from ..cluster.resources import NUM_RESOURCES
 from ..obs import OBS
 
@@ -313,11 +313,10 @@ class SchedulerKernel:
     def _run_tick(self, slot: int) -> None:
         """The slot pipeline (old loop steps 2-5, verbatim semantics).
 
-        Scale note: every VM mutation this tick performs (placements
-        landing, completions, fault evictions) bumps the VM's
-        ``state_version``, so the next ``place_jobs`` refresh of the
-        persistent availability index rewrites only the rows this
-        slot actually touched.
+        Scale note: every VM mutation (placements landing, completions,
+        fault evictions) writes the cluster lanes, which the next
+        ``place_jobs`` refresh of the primary pool reads in one matrix
+        expression.
         """
         sim = self.sim
 
@@ -336,19 +335,25 @@ class SchedulerKernel:
 
         # execute the slot on every VM that holds something (accumulated as
         # flat arrays — per-VM ResourceVector sums dominated this loop); a
-        # quiescent VM's slot is a count: a zero row, nothing for the totals
+        # quiescent VM's slot is a count: a zero row, nothing for the totals.
+        # Liveness and commitment are read off the lanes once: nothing in
+        # the loop crashes a VM or moves a commitment.
+        lanes = sim.lanes
+        quiescent = VirtualMachine._quiescent
         outcomes: dict[int, "SlotOutcome"] = {}
         total_demand = np.zeros(NUM_RESOURCES)
         total_committed = np.zeros(NUM_RESOURCES)
         checker = CHECK.checker if CHECK.enabled else None
         snapshot = None
         executed = 0
-        for vm in sim.vms:
-            if not vm.online:
+        for vm, live, holds in zip(
+            sim.vms, lanes.online.tolist(), lanes.committed.any(axis=1).tolist()
+        ):
+            if not live:
                 continue
             if checker is not None:
                 snapshot = checker.before_execute(vm)
-            if vm.quiescent:
+            if quiescent(vm, live, holds):
                 vm.pending_idle_slots += 1
                 outcome = IDLE_OUTCOME
             else:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.cluster.machine import VirtualMachine
+from repro.cluster.machine import ClusterLanes, VirtualMachine
 from repro.cluster.profiles import ClusterProfile
 from repro.core.preemption import PreemptionGate
 from repro.core.vm_selection import CandidateSet
@@ -43,18 +43,20 @@ def tight_scenario(jobs: int = 20):
 
 class TestOverAllocation:
     def test_ignored_commitments_are_caught(self, monkeypatch):
-        """A VM that forgets its commitments admits infeasible primaries.
+        """Lanes that forget their commitments admit infeasible primaries.
 
-        Patching ``unallocated`` to hand out the full capacity disables
-        both candidate filtering and ``add_placement``'s guard, so the
-        scheduler over-commits.  The packing rule recomputes the free
-        capacity from the placement list itself and must flag it.
+        ``ClusterLanes.unallocated`` is what the primary pool's refresh
+        and ``add_placement``'s guard (through ``VirtualMachine.
+        unallocated``) both read; handing out the full capacity there
+        disables both, so the scheduler over-commits.  The packing rule
+        recomputes the free capacity from the placement list itself and
+        must flag it.
         """
 
-        def bogus_unallocated(self: VirtualMachine):
-            return self.capacity  # ignores self._committed entirely
+        def bogus_unallocated(self: ClusterLanes, rows=slice(None)):
+            return self.capacity[rows].copy()  # ignores the committed lane
 
-        monkeypatch.setattr(VirtualMachine, "unallocated", bogus_unallocated)
+        monkeypatch.setattr(ClusterLanes, "unallocated", bogus_unallocated)
         report = api.check_run(scenario=tight_scenario(), methods=("DRA",))
         print_rule_row("ignored-commitments", report)
         assert not report.ok
@@ -64,6 +66,40 @@ class TestOverAllocation:
         assert rules <= {"packing", "capacity"}
         flagged = [v for v in report.violations if v.rule == "packing"]
         assert any("exceeds" in v.detail for v in flagged)
+
+
+class TestLeakedCommitment:
+    def test_only_the_capacity_rule_catches_it(self, monkeypatch):
+        """An ``evict_job`` that drops the placement but leaves its
+        reservation on the committed lane.  The VM only looks fuller, so
+        nothing over-commits (packing) and every job is still accounted
+        for (jobs): only the capacity rule's recount of the reservations
+        sees the drift."""
+        from repro.faults.plan import FaultPlan, JobFailure, RetryPolicy
+
+        def leaky_evict_job(self: VirtualMachine, job_id: int):
+            for i, p in enumerate(self.placements):
+                if p.job.job_id == job_id:
+                    del self.placements[i]
+                    return p.job
+            return None
+
+        plan = FaultPlan(
+            events=tuple(
+                JobFailure(slot=slot, vm_index=vm)
+                for slot in range(2, 12, 3) for vm in range(4)
+            ),
+            retry=RetryPolicy(max_retries=3, backoff_base_slots=1),
+        )
+        scenario = tight_scenario(30).with_fault_plan(plan)
+        healthy = api.check_run(scenario=scenario, methods=("DRA",))
+        assert healthy.ok
+        monkeypatch.setattr(VirtualMachine, "evict_job", leaky_evict_job)
+        report = api.check_run(scenario=scenario, methods=("DRA",))
+        print_rule_row("leaked-commitment", report)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"capacity"}
+        assert any("commitment drift" in v.detail for v in report.violations)
 
 
 class TestStaleRefusals:
@@ -279,11 +315,9 @@ class TestRidersNotQuiescent:
         the same mutant at the VM (``rate_history`` stops growing)."""
         from ..cluster.test_idle_history import test_reads_equal_the_eager_list
 
-        def ignores_riders(vm: VirtualMachine) -> bool:
-            return (
-                vm.online
-                and all(p.opportunistic for p in vm.placements)
-                and not vm._holds_commitment
+        def ignores_riders(vm: VirtualMachine, online: bool, holds: bool) -> bool:
+            return online and not holds and all(
+                p.opportunistic for p in vm.placements
             )
 
         # 40 jobs: several riders outlive their primaries.  A stuck rider
@@ -299,7 +333,7 @@ class TestRidersNotQuiescent:
         )
         assert healthy.ok
         monkeypatch.setattr(
-            VirtualMachine, "quiescent", property(ignores_riders)
+            VirtualMachine, "_quiescent", staticmethod(ignores_riders)
         )
         report = api.check_run(
             scenario=scenario, methods=("CORP",), differential=True,

@@ -239,6 +239,18 @@ class TestPhysicalMachine:
         with pytest.raises(ValueError):
             pm.add_vm(make_vm(capacity=(1, 1, 1), vm_id=1))
 
+    def test_a_revoked_vm_frees_no_pm_capacity(self):
+        """VMs carve their nominal capacity: a revocation ends, so the
+        capacity it withholds is not the PM's to hand out."""
+        pm = PhysicalMachine(0, ResourceVector([16, 64, 720]))
+        revoked = make_vm(capacity=(8, 32, 360), vm_id=0)
+        pm.add_vm(revoked)
+        pm.add_vm(make_vm(capacity=(8, 32, 360), vm_id=1))
+        revoked.set_capacity_scale(0.5)
+        assert pm.free_capacity() == ResourceVector.zeros()
+        with pytest.raises(ValueError):
+            pm.add_vm(make_vm(capacity=(4, 16, 180), vm_id=2))
+
     def test_add_vm_sets_pm_id(self):
         pm = PhysicalMachine(7, ResourceVector([16, 64, 720]))
         vm = make_vm()

@@ -11,6 +11,7 @@ demands are drawn from a small grid on purpose so exact volume ties are
 common and the tie-break path is exercised, not just the strict minimum.
 """
 
+import copy
 import importlib
 
 import numpy as np
@@ -153,7 +154,9 @@ class TestShardedEquivalence:
     @given(data=st.data())
     def test_persistent_index_tracks_vm_state(self, data):
         """refresh() after place/complete/crash/restore/rescale leaves
-        every row equal to a freshly built index, and is then idle."""
+        every row equal to a freshly built index, and is then idle.  A
+        ``deepcopy`` of VMs and index together carries on as one: the
+        copies' mutations reach the copied index."""
         n = data.draw(st.integers(1, 6), label="n_vms")
         caps = data.draw(
             st.lists(capacity_triples, min_size=n, max_size=n), label="caps"
@@ -165,7 +168,8 @@ class TestShardedEquivalence:
         for _ in range(data.draw(st.integers(1, 10), label="n_ops")):
             op = data.draw(
                 st.sampled_from(
-                    ("place", "complete", "crash", "restore", "rescale")
+                    ("place", "complete", "crash", "restore", "rescale",
+                     "deepcopy")
                 ),
                 label="op",
             )
@@ -189,6 +193,8 @@ class TestShardedEquivalence:
                 vm.set_capacity_scale(
                     data.draw(st.sampled_from((0.25, 0.5, 1.0)), label="s")
                 )
+            elif op == "deepcopy":
+                vms, index = copy.deepcopy((vms, index))
             index.refresh()
             assert index.refresh() == 0
             fresh = ShardedCandidateIndex.for_vms(vms)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nn.activations import LINEAR, RELU, SIGMOID, TANH, get_activation
+from repro.nn.activations import LINEAR, SIGMOID, TANH, get_activation
 
 floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -55,17 +55,6 @@ class TestTanh:
         np.testing.assert_allclose(analytic, numeric, atol=1e-4)
 
 
-class TestRelu:
-    def test_values(self):
-        np.testing.assert_array_equal(
-            RELU(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0]
-        )
-
-    def test_derivative(self):
-        g = RELU(np.array([-2.0, 3.0]))
-        np.testing.assert_array_equal(RELU.deriv(g), [0.0, 1.0])
-
-
 class TestLinear:
     def test_identity(self):
         x = np.array([-1.5, 2.0])
@@ -74,7 +63,7 @@ class TestLinear:
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("name", ["sigmoid", "tanh", "relu", "linear"])
+    @pytest.mark.parametrize("name", ["sigmoid", "tanh", "linear"])
     def test_lookup(self, name):
         assert get_activation(name).name == name
 

@@ -161,6 +161,11 @@ class TestSharedObjects:
                 (sched._opp_pool, origin._opp_pool),
                 (sched.rng, origin.rng),
                 (copy.sim.faults, live.sim.faults),
+                (copy.sim.lanes, live.sim.lanes),
+                *(
+                    (getattr(copy.sim.lanes, lane), getattr(live.sim.lanes, lane))
+                    for lane in ("capacity", "committed", "online")
+                ),
             ]
             assert all(a is not b for a, b in pairs)
             assert any(vm.placements for vm in live.sim.vms)
@@ -175,6 +180,37 @@ class TestSharedObjects:
             for row in rows:
                 with pytest.raises(ValueError, match="read-only"):
                     row[0] = 1.0
+
+
+class TestLanesAlias:
+    def test_a_placement_on_a_restored_vm_reaches_only_its_kernel(self, live):
+        """A restored kernel's VMs and primary pool read one lane set of
+        their own: a VM that kept a view of a lane row would write a
+        detached copy after ``deepcopy``, and its pool would not see it."""
+        from repro.cluster.machine import Placement
+
+        snapshot = live.snapshot()
+        kernels = (live, snapshot.restore(), snapshot.restore())
+        pools = [kernel.sim.scheduler._primary_index for kernel in kernels]
+        for pool in pools:
+            pool.refresh()
+        before = [pool.matrix.copy() for pool in pools]
+        restored = kernels[1].sim
+        row, vm = next(
+            (row, vm) for row, vm in enumerate(restored.vms)
+            if vm.online and vm.unallocated().any_positive()
+        )
+        assert vm._lanes is restored.lanes is pools[1].lanes
+        vm.add_placement(Placement(
+            job=restored.pending[0], vm=vm, reserved=vm.unallocated() * 0.5,
+            opportunistic=False,
+        ))
+        assert pools[1].refresh() == 1
+        assert np.array_equal(pools[1].matrix[row], vm.unallocated_array())
+        assert not np.array_equal(pools[1].matrix[row], before[1][row])
+        for i in (0, 2):
+            assert pools[i].refresh() == 0
+            assert np.array_equal(pools[i].matrix, before[i])
 
 
 class TestRunsDoNotReachAcross:
