@@ -164,15 +164,13 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
         super().on_slot_end(slot, outcomes)
         # Feed the padding trackers with per-slot usage and forecast errors.
         for vm_id, outcome in outcomes.items():
-            demand = outcome.primary_demand.as_array()
-            actual_unused = outcome.unused.as_array()
             record = self._window.get(vm_id)
             for k in range(NUM_RESOURCES):
                 tracker = self._pad_tracker(vm_id, k)
-                tracker.observe_usage(demand[k])
+                tracker.observe_usage(outcome.primary_demand[k])
                 if record is not None:
                     # Under-prediction of *usage* == over-prediction of
                     # unused: actual unused below the forecast.
                     tracker.observe_error(
-                        predicted=actual_unused[k], actual=record.forecast[k]
+                        predicted=outcome.unused[k], actual=record.forecast[k]
                     )

@@ -121,7 +121,7 @@ class DraScheduler(ProvisioningSchedulerBase):
                 ]
             )
             shares = np.array([self._share_of(p.job) for p in placements])
-            capacity = vm.capacity.as_array()
+            capacity = vm.capacity
             total = targets.sum(axis=0)
             caps = targets.copy()
             for k in range(NUM_RESOURCES):
@@ -145,5 +145,5 @@ class DraScheduler(ProvisioningSchedulerBase):
         for p in vm.placements:
             if not p.opportunistic:
                 total_estimate += self._demand_estimate(p.job)
-        unused = vm.committed().as_array() - total_estimate
+        unused = vm.committed() - total_estimate
         return np.clip(unused, 0.0, None)

@@ -133,7 +133,7 @@ class RccrScheduler(ProvisioningSchedulerBase):
 
         σ̂ is tracked in commitment-fraction units, hence the rescale.
         """
-        return raw - self._shift_scale * vm.committed().as_array()
+        return raw - self._shift_scale * vm.committed()
 
     def opportunistic_allowed(self) -> bool:
         """RCCR has no Eq. 21 preemption gate — reuse is always on."""

@@ -69,18 +69,18 @@ def capture_snapshot(vm: "VirtualMachine") -> SlotSnapshot:
     """Copy everything ``execute_slot`` will read (demands, caps, capacity)."""
     placements = vm.placements
     n = len(placements)
-    committed = vm.committed().as_array()
+    committed = vm.committed()
     n_resources = len(committed)
     demands = np.empty((n, n_resources))
     caps = np.empty((n, n_resources))
     opportunistic = np.zeros(n, dtype=bool)
     for i, p in enumerate(placements):
-        demands[i] = p.job.demand_array()
-        caps[i] = p.effective_cap_array()
+        demands[i] = p.job.demand()
+        caps[i] = p.effective_cap()
         opportunistic[i] = p.opportunistic
     return SlotSnapshot(
         vm_id=vm.vm_id,
-        capacity=vm.capacity.as_array().copy(),
+        capacity=vm.capacity,
         committed=committed,
         demands=demands,
         caps=caps,
@@ -186,10 +186,9 @@ def diff_outcome(
         ("unused", outcome.unused, ref.unused),
     )
     for name, got, want in pairs:
-        got_arr = got.as_array()
-        if not np.allclose(got_arr, want, atol=atol, rtol=atol):
+        if not np.allclose(got, want, atol=atol, rtol=atol):
             details.append(
-                f"{name}: vectorized {got_arr.tolist()} != reference "
+                f"{name}: vectorized {got.tolist()} != reference "
                 f"{np.asarray(want).tolist()}"
             )
     for i, p in enumerate(vm.placements):

@@ -203,7 +203,7 @@ class InvariantChecker:
         tol = self.tolerance
         if "capacity" in self.rules:
             self.checks["capacity"] += 1
-            committed = vm.committed().as_array()
+            committed = vm.committed()
             recomputed = vm.reserved_total()
             if np.any(np.abs(committed - recomputed) > tol):
                 self._report(
@@ -220,8 +220,8 @@ class InvariantChecker:
                     f"capacity {base.tolist()}",
                     slot=slot, scheduler=scheduler, vm=vm.vm_id,
                 )
-            cap = vm.capacity.as_array()
-            served = outcome.served_demand.as_array()
+            cap = vm.capacity
+            served = outcome.served_demand
             if np.any(served > cap + tol):
                 self._report(
                     "capacity",
@@ -230,13 +230,12 @@ class InvariantChecker:
                     slot=slot, scheduler=scheduler, vm=vm.vm_id,
                 )
             expected_unused = np.maximum(
-                outcome.committed.as_array() - outcome.primary_demand.as_array(),
-                0.0,
+                outcome.committed - outcome.primary_demand, 0.0
             )
-            if np.any(np.abs(outcome.unused.as_array() - expected_unused) > tol):
+            if np.any(np.abs(outcome.unused - expected_unused) > tol):
                 self._report(
                     "capacity",
-                    f"unused {outcome.unused.as_array().tolist()} != "
+                    f"unused {outcome.unused.tolist()} != "
                     f"max(committed - primary demand, 0) "
                     f"{expected_unused.tolist()}",
                     slot=slot, scheduler=scheduler, vm=vm.vm_id,
@@ -328,7 +327,7 @@ class InvariantChecker:
         slot = sim.current_slot if sim is not None else None
         for vm, pool in self._pool_rows(scheduler):
             self.checks["capacity"] += 1
-            slack = vm.committed().as_array()
+            slack = vm.committed()
             if np.any(pool < -tol) or np.any(pool > slack + tol):
                 self._report(
                     "capacity",
@@ -376,7 +375,7 @@ class InvariantChecker:
                 # placement list itself — an over-allocation that fooled
                 # the (possibly corrupted) incremental accounting cannot
                 # fool this.
-                free = vm.capacity.as_array() - vm.reserved_total()
+                free = vm.capacity - vm.reserved_total()
                 need = entity.demand.as_array()
                 if np.any(need > free + self.tolerance):
                     self._report(

@@ -78,12 +78,6 @@ class Job:
     #: Per-slot demand vectors observed while running — the utilization
     #: history the predictors consume.
     demand_log: list[np.ndarray] = field(default_factory=list)
-    #: Memoized ``(sample_index, demand vector)`` pair — demand is read
-    #: several times per slot (grant computation, rate computation,
-    #: scheduler scans) but only changes when progress crosses a sample.
-    _demand_cache: Optional[tuple[int, ResourceVector]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.nominal_slots = max(
@@ -101,26 +95,16 @@ class Job:
         """The job's allocation request ``r_i`` (from the trace)."""
         return self.record.requested
 
-    def demand(self) -> ResourceVector:
+    def demand(self) -> np.ndarray:
         """Current-slot demand ``d_i``, indexed by work progress.
 
         Demand follows the trace's usage series at the position the job
         has *worked up to*, so a slowed job replays its demand curve more
-        slowly rather than skipping ahead.
+        slowly rather than skipping ahead.  The row is a read-only view
+        of the record's usage series.
         """
-        idx = min(int(self.progress), self.record.n_samples - 1)
-        cache = self._demand_cache
-        if cache is not None and cache[0] == idx:
-            return cache[1]
-        # The usage row is an immutable view of the record's read-only
-        # series, so it can be adopted without a defensive copy.
-        vec = ResourceVector._wrap(self.record.usage[idx])
-        self._demand_cache = (idx, vec)
-        return vec
-
-    def demand_array(self) -> np.ndarray:
-        """Raw read-only view of the current demand (hot-path variant)."""
-        return self.demand().as_array()
+        usage = self.record.usage
+        return usage[min(int(self.progress), len(usage) - 1)]
 
     # ------------------------------------------------------------------
     def start(self, slot: int, *, opportunistic: bool) -> None:
@@ -141,7 +125,7 @@ class Job:
             raise RuntimeError(f"job {self.job_id} is not running")
         rate = min(max(float(rate), 0.0), 1.0)
         self.rate_history.append(rate)
-        self.demand_log.append(self.demand_array().copy())
+        self.demand_log.append(self.demand().copy())
         self.progress += rate
         if self.progress >= self.nominal_slots - 1e-9:
             self.progress = float(self.nominal_slots)
@@ -162,7 +146,6 @@ class Job:
         self.start_slot = None
         self.opportunistic = False
         self.progress = 0.0
-        self._demand_cache = None
         if self.first_fault_slot is None:
             self.first_fault_slot = slot
 
@@ -196,22 +179,6 @@ class Job:
         if self.completion_slot is None:
             return None
         return self.completion_slot - self.submit_slot + 1
-
-    def compute_rate(self, granted: ResourceVector) -> float:
-        """Execution rate given a granted resource vector.
-
-        The rate is the *minimum* over resource types of
-        ``granted_k / demand_k`` (capped at 1): a job starved on any one
-        resource it needs runs at that resource's fraction.  Resources
-        the job does not currently demand impose no constraint.
-        """
-        d = self.demand().as_array()
-        g = granted.as_array()
-        needed = d > 1e-12
-        if not needed.any():
-            return 1.0
-        ratios = g[needed] / d[needed]
-        return float(np.clip(ratios.min(), 0.0, 1.0))
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,7 @@ classes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,9 +26,10 @@ from .resources import NUM_RESOURCES, ResourceVector
 __all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome",
            "IDLE_OUTCOME", "ClusterLanes"]
 
-#: What an idle VM demands and serves, shared by every idle slot (both
-#: the vector and its history row are read-only).
-_ZERO = ResourceVector.zeros()
+#: What an idle VM demands and serves: one read-only row, shared by every
+#: idle slot's outcome and history.
+_ZERO = np.zeros(NUM_RESOURCES)
+_ZERO.setflags(write=False)
 
 
 class ClusterLanes:
@@ -94,28 +95,28 @@ class Placement:
     opportunistic: bool
     granted_cap: Optional[ResourceVector] = None
 
-    def effective_cap(self) -> ResourceVector:
+    def effective_cap(self) -> np.ndarray:
         """The ceiling applied to this placement's grant each slot."""
         if self.granted_cap is not None:
-            return self.granted_cap
+            return self.granted_cap.as_array()
         if self.opportunistic:
-            return self.job.requested
-        return self.reserved
-
-    def effective_cap_array(self) -> np.ndarray:
-        """Raw read-only view of :meth:`effective_cap` (hot-path variant)."""
-        return self.effective_cap().as_array()
+            return self.job.requested.as_array()
+        return self.reserved.as_array()
 
 
 @dataclass(frozen=True)
 class SlotOutcome:
-    """What one VM did during one executed slot (for metrics/predictors)."""
+    """What one VM did in one executed slot, as read-only ``(l,)`` rows."""
 
-    committed: ResourceVector
-    primary_demand: ResourceVector
-    opportunistic_demand: ResourceVector
-    served_demand: ResourceVector
-    unused: ResourceVector  # committed - primary demand, clipped at 0
+    committed: np.ndarray
+    primary_demand: np.ndarray
+    opportunistic_demand: np.ndarray
+    served_demand: np.ndarray
+    unused: np.ndarray  # committed - primary demand, clipped at 0
+
+    def __post_init__(self) -> None:
+        for row in vars(self).values():
+            row.setflags(write=False)  # history rows are shared by snapshots
 
 
 #: A slot on a :attr:`~VirtualMachine.quiescent` VM.  The kernel stores
@@ -159,9 +160,9 @@ class VirtualMachine:
         return bool(self._lanes.online[self._row])
 
     @property
-    def capacity(self) -> ResourceVector:
+    def capacity(self) -> np.ndarray:
         """Effective capacity: nominal, shrunk by any active revocation."""
-        return ResourceVector._wrap(self._lanes.capacity[self._row].copy())
+        return self._lanes.capacity[self._row].copy()
 
     def set_capacity_scale(self, scale: float) -> None:
         """Transiently scale the effective capacity (fault injection).
@@ -201,17 +202,13 @@ class VirtualMachine:
         sweep over the cluster reads each lane once for every VM."""
         return online and not holds and not vm.placements
 
-    def committed(self) -> ResourceVector:
+    def committed(self) -> np.ndarray:
         """Total primary reservations currently held on this VM."""
-        return ResourceVector._wrap(self._lanes.committed[self._row].copy())
+        return self._lanes.committed[self._row].copy()
 
-    def unallocated(self) -> ResourceVector:
+    def unallocated(self) -> np.ndarray:
         """Capacity not yet committed to any primary reservation."""
-        return ResourceVector._wrap(self._lanes.unallocated(self._row))
-
-    def unallocated_array(self) -> np.ndarray:
-        """Read-only array of :meth:`unallocated`."""
-        return self.unallocated().as_array()
+        return self._lanes.unallocated(self._row)
 
     def reserved_total(self) -> np.ndarray:
         """Σ reserved over primary placements, recomputed from scratch.
@@ -227,28 +224,17 @@ class VirtualMachine:
                 total += p.reserved.as_array()
         return total
 
-    def primary_demand(self) -> ResourceVector:
-        """Current total demand of the primary placements."""
-        return ResourceVector.sum(
-            p.job.demand() for p in self.placements if not p.opportunistic
-        )
-
-    def opportunistic_demand(self) -> ResourceVector:
+    def opportunistic_demand(self) -> np.ndarray:
         """Current total demand of the opportunistic placements."""
-        return ResourceVector.sum(
-            p.job.demand() for p in self.placements if p.opportunistic
-        )
-
-    def actual_unused(self) -> ResourceVector:
-        """Allocated-but-unused resource right now (``r − d``, Section II)."""
-        return (self.committed() - self.primary_demand()).clip_nonnegative()
+        riders = (p.job.demand() for p in self.placements if p.opportunistic)
+        return sum(riders, np.zeros(NUM_RESOURCES))
 
     # ------------------------------------------------------------------
     # placement management
     # ------------------------------------------------------------------
     def can_reserve(self, amount: ResourceVector) -> bool:
-        """Does ``amount`` fit in the unallocated capacity?"""
-        return amount.fits_within(self.unallocated())
+        """Does ``amount`` fit in the unallocated capacity (within 1e-9)?"""
+        return bool((amount.as_array() <= self.unallocated() + 1e-9).all())
 
     def add_placement(self, placement: Placement) -> None:
         """Attach a placement, enforcing the reservation capacity check."""
@@ -257,7 +243,7 @@ class VirtualMachine:
         if not placement.opportunistic and not self.can_reserve(placement.reserved):
             raise ValueError(
                 f"VM {self.vm_id} cannot reserve {placement.reserved} "
-                f"(unallocated {self.unallocated()})"
+                f"(unallocated {self.unallocated().tolist()})"
             )
         self.placements.append(placement)
         if not placement.opportunistic:
@@ -340,22 +326,16 @@ class VirtualMachine:
         if n == 0:
             # Idle VM: nothing demands, nothing is served; unused slack
             # equals the (non-negative) commitment.
-            self._unused_history.append(committed.as_array())
-            return SlotOutcome(
-                committed=committed,
-                primary_demand=_ZERO,
-                opportunistic_demand=_ZERO,
-                served_demand=_ZERO,
-                unused=committed,
-            )
+            self._unused_history.append(committed)
+            return SlotOutcome(committed, _ZERO, _ZERO, _ZERO, committed)
 
         cap_arr = self._lanes.capacity[self._row]
         demands = np.empty((n, NUM_RESOURCES))
         caps = np.empty((n, NUM_RESOURCES))
         opp = np.zeros(n, dtype=bool)
         for i, p in enumerate(placements):
-            demands[i] = p.job.demand_array()
-            caps[i] = p.effective_cap_array()
+            demands[i] = p.job.demand()
+            caps[i] = p.effective_cap()
             opp[i] = p.opportunistic
         prim = ~opp
         grants = np.minimum(demands, caps)
@@ -393,24 +373,16 @@ class VirtualMachine:
         for i, p in enumerate(placements):
             p.job.advance(rates[i], slot)
 
-        unused = ResourceVector._wrap(
-            np.maximum(committed.as_array() - primary_demand, 0.0)
-        )
-        self._unused_history.append(unused.as_array())
-        return SlotOutcome(
-            committed=committed,
-            primary_demand=ResourceVector._wrap(primary_demand),
-            opportunistic_demand=ResourceVector._wrap(opp_demand),
-            served_demand=ResourceVector._wrap(served),
-            unused=unused,
-        )
+        unused = np.maximum(committed - primary_demand, 0.0)
+        self._unused_history.append(unused)
+        return SlotOutcome(committed, primary_demand, opp_demand, served, unused)
 
     # ------------------------------------------------------------------
     # history (predictor input)
     # ------------------------------------------------------------------
     def _write_idle_rows(self) -> None:
         """Append the skipped slots' rows (the shared read-only zero row)."""
-        self._unused_history.extend([_ZERO.as_array()] * self.pending_idle_slots)
+        self._unused_history.extend([_ZERO] * self.pending_idle_slots)
         self.pending_idle_slots = 0
 
     def unused_history(self, last: int | None = None) -> np.ndarray:

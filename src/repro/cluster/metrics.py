@@ -100,16 +100,11 @@ class MetricsRecorder:
     _demand: list[np.ndarray] = field(default_factory=list)
     _committed: list[np.ndarray] = field(default_factory=list)
 
-    def record(self, demand: ResourceVector, committed: ResourceVector) -> None:
-        """Record one slot's cluster-wide served demand and commitment."""
-        self._demand.append(demand.as_array().copy())
-        self._committed.append(committed.as_array().copy())
+    def record(self, demand: np.ndarray, committed: np.ndarray) -> None:
+        """Record one slot's cluster-wide served demand and commitment.
 
-    def record_arrays(self, demand: np.ndarray, committed: np.ndarray) -> None:
-        """Hot-path variant of :meth:`record` that *adopts* the arrays.
-
-        The caller hands over ownership of freshly computed buffers, so
-        no defensive copy is taken.
+        The rows are *adopted*, not copied: the caller hands over rows
+        it no longer writes (the kernel's fresh per-tick totals).
         """
         self._demand.append(demand)
         self._committed.append(committed)

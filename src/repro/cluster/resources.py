@@ -1,10 +1,13 @@
 """Multi-resource vectors for the cloud simulator.
 
 The paper models ``l`` resource types per VM (Section II); the evaluation
-uses ``l = 3``: CPU, memory and storage (Table II).  All per-job demands,
-per-VM capacities, allocations and predictions in this package are
-:class:`ResourceVector` instances — thin, immutable wrappers around a
-float64 NumPy array so that the arithmetic stays vectorized.
+uses ``l = 3``: CPU, memory and storage (Table II).  A
+:class:`ResourceVector` — a thin, immutable wrapper around a float64
+NumPy array — is the value type of what a caller writes down: trace
+requests, nominal VM capacities, reservations and grant caps, packing
+demands and pool queries.  What the simulator reads back from its own
+state (capacity, commitment, demand, slot outcomes) is a plain ``(l,)``
+float row.
 """
 
 from __future__ import annotations
@@ -189,7 +192,9 @@ class ResourceVector:
         return bool(np.array_equal(self._v, other._v))
 
     def __hash__(self) -> int:
-        return hash(self._v.tobytes())
+        # Hash the floats, not the bytes: ``==`` holds ``0.0 == -0.0``, and
+        # Python's float hash maps both signed zeros together.
+        return hash(self._tuple())
 
     def fits_within(self, capacity: "ResourceVector", *, atol: float = 1e-9) -> bool:
         """True iff every component is ``<=`` the capacity's (within atol).

@@ -292,18 +292,15 @@ class ProvisioningSchedulerBase(Scheduler):
                 raise ValueError("forecast must have one entry per resource")
             committed = vm.committed()
             # No forecast can exceed the commitment it is slack of.
-            raw = np.clip(raw, 0.0, committed.as_array())
+            raw = np.clip(raw, 0.0, committed)
             adjusted = np.clip(self.adjust_forecast(raw, vm), 0.0, None)
-            if committed.any_positive():
+            if (committed > 1e-9).any():
                 self._window[vm.vm_id] = _WindowRecord(
-                    vm, adjusted, raw, committed.as_array().copy(),
-                    self._primary_jobset(vm),
+                    vm, adjusted, raw, committed, self._primary_jobset(vm),
                 )
             if not self.supports_opportunistic:
                 continue
-            committed_slack = (
-                committed.as_array() - vm.opportunistic_demand().as_array()
-            )
+            committed_slack = committed - vm.opportunistic_demand()
             # Opportunistic capacity can never exceed what is actually
             # committed (the slack lives inside reservations).
             pool_vms.append(vm)
@@ -368,7 +365,7 @@ class ProvisioningSchedulerBase(Scheduler):
                     self._emit_one(record)
                 del self._window[vm_id]
                 continue
-            actual = record.committed - outcomes[vm_id].primary_demand.as_array()
+            actual = record.committed - outcomes[vm_id].primary_demand
             if record.slots == 0:
                 record.minimum, record.total = actual, actual.copy()
             else:

@@ -333,8 +333,8 @@ class SchedulerKernel:
             if self.on_placements is not None:
                 self.on_placements(slot, list(placed))
 
-        # execute the slot on every VM that holds something (accumulated as
-        # flat arrays — per-VM ResourceVector sums dominated this loop); a
+        # execute the slot on every VM that holds something, summing the
+        # outcome rows into two fresh totals the recorder adopts; a
         # quiescent VM's slot is a count: a zero row, nothing for the totals.
         # Liveness and commitment are read off the lanes once: nothing in
         # the loop crashes a VM or moves a commitment.
@@ -359,15 +359,15 @@ class SchedulerKernel:
             else:
                 outcome = vm.execute_slot(slot)
                 executed += 1
-                total_demand += outcome.served_demand.as_array()
-                total_committed += outcome.committed.as_array()
+                total_demand += outcome.served_demand
+                total_committed += outcome.committed
             if checker is not None:
                 checker.after_execute(
                     vm, slot, outcome, snapshot,
                     scheduler=sim.scheduler.name,
                 )
             outcomes[vm.vm_id] = outcome
-        sim.metrics.record_arrays(total_demand, total_committed)
+        sim.metrics.record(total_demand, total_committed)
 
         # completions — VMs with no placements cannot have completed
         # anything; skipping them keeps this sweep proportional to the

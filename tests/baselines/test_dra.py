@@ -97,7 +97,7 @@ class TestRedistribution:
         caps = np.array(
             [p.granted_cap.as_array() for p in vm.placements]
         )
-        assert np.all(caps.sum(axis=0) <= vm.capacity.as_array() + 1e-6)
+        assert np.all(caps.sum(axis=0) <= vm.capacity + 1e-6)
 
     def test_higher_headroom_fewer_squeezes(self):
         tight, _ = run_dra(n_jobs=30, seed=72, headroom=1.0)

@@ -72,9 +72,7 @@ class TestUnitDiff:
         outcome = vm.execute_slot(0)
         corrupted = replace(
             outcome,
-            served_demand=ResourceVector(
-                outcome.served_demand.as_array() + 0.5
-            ),
+            served_demand=outcome.served_demand + 0.5,
         )
         details = diff_outcome(snapshot, corrupted, vm)
         assert len(details) == 1
@@ -84,7 +82,7 @@ class TestUnitDiff:
         vm = make_vm_with_jobs([0.95, 0.95, 0.95], [0.9])
         ref = reference_outcome(capture_snapshot(vm))
         assert np.all(
-            ref.served_demand <= vm.capacity.as_array() + 1e-9
+            ref.served_demand <= vm.capacity + 1e-9
         )
         assert np.all((ref.rates >= 0.0) & (ref.rates <= 1.0))
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.check.rules import ALL_RULES
 from repro.cluster.machine import ClusterLanes, VirtualMachine
 from repro.cluster.profiles import ClusterProfile
 from repro.core.preemption import PreemptionGate
@@ -100,6 +101,39 @@ class TestLeakedCommitment:
         assert not report.ok
         assert {v.rule for v in report.violations} == {"capacity"}
         assert any("commitment drift" in v.detail for v in report.violations)
+
+
+class TestSilentGiveUp:
+    def test_only_the_jobs_rule_catches_it(self, monkeypatch):
+        """A ``_give_up`` that fails the job but never files it under
+        ``sim.failed``.  The job leaves the queue and its VM cleanly, so
+        no VM's books or pool move: only the job-conservation recount
+        misses it."""
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, JobFailure, RetryPolicy
+
+        original = FaultInjector._give_up
+
+        def forgets_the_failure(self, job, slot, sim):
+            original(self, job, slot, sim)
+            assert sim.failed.pop() is job  # as if never appended
+
+        plan = FaultPlan(
+            events=tuple(
+                JobFailure(slot=slot, vm_index=vm)
+                for slot in range(2, 12, 3) for vm in range(4)
+            ),
+            retry=RetryPolicy(max_retries=0),
+        )
+        scenario = tight_scenario(30).with_fault_plan(plan)
+        healthy = api.check_run(scenario=scenario, methods=("DRA",))
+        assert healthy.ok
+        monkeypatch.setattr(FaultInjector, "_give_up", forgets_the_failure)
+        report = api.check_run(scenario=scenario, methods=("DRA",))
+        print_rule_row("silent-give-up", report)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"jobs"}
+        assert all("job conservation" in v.detail for v in report.violations)
 
 
 class TestStaleRefusals:
@@ -188,21 +222,41 @@ class TestBrokenPipelineBarrier:
         assert report.checks.get("pipeline", 0) >= 3
 
 
+def _anti_most_matched(self: CandidateSet, demand, reference):
+    """Eq. 22 inverted: the *largest*-volume feasible VM."""
+    mask = self.feasible_mask(demand)
+    if not mask.any():
+        return None
+    indices = np.flatnonzero(mask)
+    volumes = self.volumes(reference)
+    return self.vms[indices[np.argmax(volumes[indices])]]
+
+
 class TestCorruptedVectorSelector:
+    def test_only_the_volume_rule_catches_it_by_default(
+        self, monkeypatch, predictor_cache
+    ):
+        """Without the differential re-derivation, the inverted selector
+        still places every entity feasibly and keeps the books: only
+        Eq. 22's optimality check over the offered set objects."""
+        monkeypatch.setattr(
+            CandidateSet, "select_most_matched", _anti_most_matched
+        )
+        report = api.check_run(
+            jobs=15, methods=("CORP",), predictor_cache=predictor_cache,
+        )
+        print_rule_row("anti-most-matched-volume", report)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"volume"}
+        assert all("Eq. 22" in v.detail for v in report.violations)
+
     def test_anti_most_matched_is_caught(self, monkeypatch, predictor_cache):
         """A vectorized selector that picks the *largest*-volume feasible
         VM (Eq. 22 inverted) must be contradicted by the differential
         rule's per-placement scalar re-derivation."""
-
-        def corrupted(self: CandidateSet, demand, reference):
-            mask = self.feasible_mask(demand)
-            if not mask.any():
-                return None
-            indices = np.flatnonzero(mask)
-            volumes = self.volumes(reference)
-            return self.vms[indices[np.argmax(volumes[indices])]]
-
-        monkeypatch.setattr(CandidateSet, "select_most_matched", corrupted)
+        monkeypatch.setattr(
+            CandidateSet, "select_most_matched", _anti_most_matched
+        )
         report = api.check_run(
             jobs=15, methods=("CORP",), differential=True,
             predictor_cache=predictor_cache,
@@ -348,3 +402,22 @@ class TestRidersNotQuiescent:
         )
         with pytest.raises(AssertionError):
             test_reads_equal_the_eager_list()
+
+
+#: The adequacy half of the rule x mutant table: for every rule, a
+#: mutant that it alone catches (each test asserts the violated rule set
+#: is exactly that rule).  A rule added to ``ALL_RULES`` without one
+#: fails the test below.
+EXCLUSIVE_MUTANTS = {
+    "capacity": TestLeakedCommitment.test_only_the_capacity_rule_catches_it,
+    "jobs": TestSilentGiveUp.test_only_the_jobs_rule_catches_it,
+    "gate": TestBogusUnlock.test_gate_bypass_is_caught,
+    "packing": TestStaleRefusals.test_a_list_that_survives_a_rising_row_is_caught,
+    "volume": TestCorruptedVectorSelector.test_only_the_volume_rule_catches_it_by_default,
+    "pipeline": TestBrokenPipelineBarrier.test_partial_drain_is_caught,
+    "differential": TestUnscaledOpportunists.test_only_the_differential_rule_catches_it,
+}
+
+
+def test_every_rule_has_an_exclusive_mutant():
+    assert set(EXCLUSIVE_MUTANTS) == set(ALL_RULES)

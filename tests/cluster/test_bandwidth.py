@@ -66,10 +66,10 @@ class TestLiveSimulation:
         sim = ClusterSimulator(small_profile, GreedyScheduler(), SimulationConfig())
         model = BandwidthModel()
         checks = []
-        orig = sim.metrics.record_arrays
+        orig = sim.metrics.record
         def patched(d, c):
             checks.append(model.is_bottleneck(sim.pms))
             orig(d, c)
-        sim.metrics.record_arrays = patched
+        sim.metrics.record = patched
         sim.run(make_short_trace(n_jobs=25, seed=77))
         assert checks and not any(checks)

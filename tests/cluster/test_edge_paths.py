@@ -41,7 +41,7 @@ class TestPrimaryOverCapacityScaling:
             jobs.append(job)
         outcome = vm.execute_slot(0)
         # 3 jobs x 4 cores demand = 12 > 8 capacity: grants scaled.
-        assert outcome.served_demand.cpu <= vm.capacity.cpu + 1e-6
+        assert outcome.served_demand[0] <= vm.capacity[0] + 1e-6
         assert all(j.rate_history[0] < 1.0 for j in jobs)
 
 

@@ -73,7 +73,7 @@ def assert_outcomes_match(outcome, snapshot, ref):
         ("unused", ref.unused),
     ):
         np.testing.assert_allclose(
-            getattr(outcome, field).as_array(),
+            getattr(outcome, field),
             want,
             rtol=1e-12,
             atol=1e-12,
@@ -121,9 +121,9 @@ def test_max_vm_capacity_cache_matches_uncached():
     sim = ClusterSimulator(
         ClusterProfile.palmetto(n_pms=2, vms_per_pm=2), GreedyScheduler()
     )
-    uncached = ResourceVector.elementwise_max(vm.capacity for vm in sim.vms)
+    uncached = ResourceVector(np.max([vm.capacity for vm in sim.vms], axis=0))
     assert sim.max_vm_capacity() == uncached
     # Second read hits the memo; a changed VM set invalidates it.
     assert sim.max_vm_capacity() == uncached
     sim.vms = sim.vms[:1]
-    assert sim.max_vm_capacity() == sim.vms[0].capacity
+    assert sim.max_vm_capacity() == ResourceVector(sim.vms[0].capacity)

@@ -29,9 +29,9 @@ _LASTS = (None, 0, 1, 30)
 def eager_row(vm: VirtualMachine) -> np.ndarray:
     """The history row one slot appends: ``max(committed - demand, 0)``."""
     demands = np.array(
-        [p.job.demand_array() for p in vm.placements if not p.opportunistic]
+        [p.job.demand() for p in vm.placements if not p.opportunistic]
     ).reshape(-1, NUM_RESOURCES)
-    return np.maximum(vm.committed().as_array() - demands.sum(axis=0), 0.0)
+    return np.maximum(vm.committed() - demands.sum(axis=0), 0.0)
 
 
 def kernel_slot(vm: VirtualMachine, slot: int):
@@ -168,11 +168,11 @@ class TestIdleStretches:
         place(vm, second)
         vm.evict_job(first.job_id)
         vm.evict_job(second.job_id)
-        residue = vm.committed().as_array()
+        residue = vm.committed()
         assert residue.any() and not vm.placements
         assert not vm.quiescent
         outcome = kernel_slot(vm, 0)
-        assert outcome.committed == vm.committed()
+        np.testing.assert_array_equal(outcome.committed, vm.committed())
         np.testing.assert_array_equal(vm.unused_history(), [residue])
         # A crash zeroes the commitment exactly: quiescent once restored.
         vm.crash()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check.differential import SlotSnapshot, reference_outcome
 from repro.cluster.job import Job, JobState
 from repro.cluster.resources import ResourceVector
 from repro.trace.records import TaskRecord
@@ -102,9 +103,9 @@ class TestDemand:
         util = np.array([0.1, 0.5, 0.9])
         job = make_job(duration_s=30, util=util, request=(10, 10, 10))
         job.start(0, opportunistic=False)
-        assert job.demand().cpu == pytest.approx(1.0)
+        assert job.demand()[0] == pytest.approx(1.0)
         job.advance(1.0, 0)
-        assert job.demand().cpu == pytest.approx(5.0)
+        assert job.demand()[0] == pytest.approx(5.0)
 
     def test_slowed_job_replays_demand_curve(self):
         util = np.array([0.1, 0.5, 0.9])
@@ -112,15 +113,15 @@ class TestDemand:
         job.start(0, opportunistic=False)
         job.advance(0.5, 0)
         # progress 0.5 -> still on the first sample
-        assert job.demand().cpu == pytest.approx(1.0)
+        assert job.demand()[0] == pytest.approx(1.0)
         job.advance(0.5, 1)
-        assert job.demand().cpu == pytest.approx(5.0)
+        assert job.demand()[0] == pytest.approx(5.0)
 
     def test_demand_clamps_to_last_sample(self):
         util = np.array([0.2, 0.4])
         job = make_job(duration_s=20, util=util, request=(10, 10, 10))
         job.progress = 99.0  # past the end
-        assert job.demand().cpu == pytest.approx(4.0)
+        assert job.demand()[0] == pytest.approx(4.0)
 
     def test_demand_log_recorded_per_slot(self):
         job = make_job(duration_s=30)
@@ -149,32 +150,43 @@ class TestDemand:
         assert np.all(hist[:, 1] == 0.0)
 
 
+def rate(job: Job, granted) -> float:
+    """``job``'s rate alone on a roomy VM whose grant cap is ``granted``,
+    by the one scalar statement of the rate rule (the slot oracle)."""
+    cap = np.asarray(granted, dtype=np.float64)
+    snapshot = SlotSnapshot(
+        vm_id=0, capacity=np.full(3, 1e9), committed=cap,
+        demands=job.demand()[None, :], caps=cap[None, :],
+        opportunistic=np.zeros(1, dtype=bool), job_ids=(job.job_id,),
+    )
+    return float(reference_outcome(snapshot).rates[0])
+
+
 class TestComputeRate:
     def test_full_grant_full_rate(self):
         job = make_job(util=np.full(6, 0.5), request=(10, 10, 10))
-        assert job.compute_rate(ResourceVector([5, 5, 5])) == pytest.approx(1.0)
+        assert rate(job, [5, 5, 5]) == pytest.approx(1.0)
 
     def test_min_across_resources(self):
         job = make_job(util=np.full(6, 0.5), request=(10, 10, 10))
         # demand 5 each; grant cpu only half
-        assert job.compute_rate(ResourceVector([2.5, 5, 5])) == pytest.approx(0.5)
+        assert rate(job, [2.5, 5, 5]) == pytest.approx(0.5)
 
     def test_zero_demand_resource_ignored(self):
         job = make_job(util=np.full(6, 0.5), request=(10, 0, 10))
-        rate = job.compute_rate(ResourceVector([5, 0, 5]))
-        assert rate == pytest.approx(1.0)
+        assert rate(job, [5, 0, 5]) == pytest.approx(1.0)
 
     def test_no_demand_at_all_runs_full_speed(self):
         job = make_job(util=np.zeros(6), request=(10, 10, 10))
-        assert job.compute_rate(ResourceVector.zeros()) == pytest.approx(1.0)
+        assert rate(job, [0, 0, 0]) == pytest.approx(1.0)
 
     def test_zero_grant_stalls(self):
         job = make_job(util=np.full(6, 0.5), request=(10, 10, 10))
-        assert job.compute_rate(ResourceVector.zeros()) == 0.0
+        assert rate(job, [0, 0, 0]) == 0.0
 
     def test_overgrant_capped_at_one(self):
         job = make_job(util=np.full(6, 0.2), request=(10, 10, 10))
-        assert job.compute_rate(ResourceVector([100, 100, 100])) == 1.0
+        assert rate(job, [100, 100, 100]) == 1.0
 
 
 class TestRepr:

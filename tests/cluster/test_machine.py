@@ -50,19 +50,19 @@ class TestVmConstruction:
 class TestCommitmentAccounting:
     def test_empty_vm(self):
         vm = make_vm()
-        assert vm.committed() == ResourceVector.zeros()
-        assert vm.unallocated() == vm.capacity
+        np.testing.assert_array_equal(vm.committed(), [0, 0, 0])
+        np.testing.assert_array_equal(vm.unallocated(), vm.capacity)
 
     def test_primary_commits(self):
         vm = make_vm()
         place(vm, running_job(request=(2, 4, 10)))
-        assert vm.committed() == ResourceVector([2, 4, 10])
-        assert vm.unallocated() == ResourceVector([6, 28, 350])
+        np.testing.assert_array_equal(vm.committed(), [2, 4, 10])
+        np.testing.assert_array_equal(vm.unallocated(), [6, 28, 350])
 
     def test_opportunistic_does_not_commit(self):
         vm = make_vm()
         place(vm, running_job(), opportunistic=True)
-        assert vm.committed() == ResourceVector.zeros()
+        np.testing.assert_array_equal(vm.committed(), [0, 0, 0])
 
     def test_can_reserve_respects_unallocated(self):
         vm = make_vm(capacity=(4, 8, 20))
@@ -88,10 +88,11 @@ class TestCommitmentAccounting:
             )
 
     def test_actual_unused(self):
+        """The history row a slot appends is ``r − d`` (Section II)."""
         vm = make_vm(capacity=(10, 10, 10))
         place(vm, running_job(request=(10, 10, 10), util=np.full(6, 0.4)))
-        unused = vm.actual_unused()
-        np.testing.assert_allclose(unused.as_array(), [6, 6, 6])
+        vm.execute_slot(0)
+        np.testing.assert_allclose(vm.unused_history(), [[6, 6, 6]])
 
 
 class TestSlotExecution:
@@ -99,7 +100,7 @@ class TestSlotExecution:
         vm = make_vm()
         first, second = vm.execute_slot(0), vm.execute_slot(1)
         assert first.primary_demand is second.served_demand  # one shared zero
-        row = first.primary_demand.as_array()
+        row = first.primary_demand
         assert not row.flags.writeable
         assert not row.any()
         # The history handed to predictors is a fresh, writable array per
@@ -117,7 +118,7 @@ class TestSlotExecution:
         place(vm, job)
         outcome = vm.execute_slot(0)
         assert job.rate_history[-1] == pytest.approx(1.0)
-        np.testing.assert_allclose(outcome.primary_demand.as_array(), [2, 2, 2])
+        np.testing.assert_allclose(outcome.primary_demand, [2, 2, 2])
 
     def test_granted_cap_squeezes_primary(self):
         vm = make_vm()
@@ -164,7 +165,7 @@ class TestSlotExecution:
         vm = make_vm()
         place(vm, running_job(request=(8, 8, 8), util=np.full(6, 0.25)))
         outcome = vm.execute_slot(0)
-        np.testing.assert_allclose(outcome.unused.as_array(), [6, 6, 6])
+        np.testing.assert_allclose(outcome.unused, [6, 6, 6])
 
     def test_history_accumulates(self):
         vm = make_vm()
@@ -208,21 +209,63 @@ class TestSlotExecution:
         assert len(vm.placements) == 1
 
 
+class TestSlotSpeaksRows:
+    def test_a_vm_slot_builds_no_resource_vector(self, monkeypatch):
+        """A slot is arithmetic on rows: executing it, recording its
+        totals and scoring it in the base ``on_slot_end`` wrap nothing.
+        The VM is revoked to half capacity and holds over-demanding
+        primaries, one under a DRA-style ``granted_cap``, and riders, so
+        every branch of the grant arithmetic runs."""
+        from repro.baselines.dra import DraScheduler
+        from repro.cluster.metrics import MetricsRecorder
+        from repro.core.provisioning import _WindowRecord
+
+        vm = make_vm(capacity=(8, 16, 100))
+        place(vm, running_job(request=(4, 8, 50), util=np.full(6, 0.9), task_id=1))
+        place(vm, running_job(request=(2, 4, 20), util=np.full(6, 0.8), task_id=2),
+              cap=ResourceVector([1, 2, 10]))
+        for task_id in (3, 4):
+            place(vm, running_job(request=(3, 3, 3), util=np.full(6, 0.5),
+                                  task_id=task_id), opportunistic=True)
+        vm.set_capacity_scale(0.5)
+        scheduler = DraScheduler()
+        scheduler._window[vm.vm_id] = _WindowRecord(
+            vm, np.zeros(3), np.zeros(3), vm.committed(),
+            scheduler._primary_jobset(vm),
+        )
+        recorder = MetricsRecorder()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a VM-slot built a ResourceVector")
+
+        monkeypatch.setattr(ResourceVector, "_wrap", classmethod(refuse))
+        monkeypatch.setattr(ResourceVector, "__init__", refuse)
+        for slot in range(3):
+            outcome = vm.execute_slot(slot)
+            recorder.record(outcome.served_demand.copy(), outcome.committed.copy())
+            scheduler.on_slot_end(slot, {vm.vm_id: outcome})
+            vm.remove_completed()
+        monkeypatch.undo()
+        assert recorder.n_slots == 3
+        assert scheduler._window[vm.vm_id].slots == 3
+        assert min(p.job.rate_history[-1] for p in vm.placements) < 0.5
+
+
 class TestPlacementCaps:
     def test_effective_cap_primary_defaults_to_reservation(self):
         vm = make_vm()
         p = place(vm, running_job(request=(2, 4, 10)))
-        assert p.effective_cap() == ResourceVector([2, 4, 10])
+        np.testing.assert_array_equal(p.effective_cap(), [2, 4, 10])
 
     def test_effective_cap_opportunistic_defaults_to_request(self):
         vm = make_vm()
         p = place(vm, running_job(request=(2, 4, 10)), opportunistic=True)
-        assert p.effective_cap() == ResourceVector([2, 4, 10])
+        np.testing.assert_array_equal(p.effective_cap(), [2, 4, 10])
 
     def test_effective_cap_explicit(self):
         vm = make_vm()
         p = place(vm, running_job(), cap=ResourceVector([1, 1, 1]))
-        assert p.effective_cap() == ResourceVector([1, 1, 1])
+        np.testing.assert_array_equal(p.effective_cap(), [1, 1, 1])
 
 
 class TestPhysicalMachine:

@@ -18,6 +18,11 @@ pos = st.floats(min_value=0.01, max_value=1e4, allow_nan=False)
 vectors = st.builds(lambda a, b, c: ResourceVector([a, b, c]), pos, pos, pos)
 
 
+def row(*values: float) -> np.ndarray:
+    """A cluster-total row, as the kernel hands it to the recorder."""
+    return np.array(values, dtype=np.float64)
+
+
 class TestPointMetrics:
     def test_utilization_basic(self):
         u = utilization(ResourceVector([1, 2, 3]), ResourceVector([2, 4, 6]))
@@ -118,67 +123,57 @@ class TestRecorder:
 
     def test_single_slot(self):
         rec = MetricsRecorder()
-        rec.record(ResourceVector([1, 1, 1]), ResourceVector([2, 2, 2]))
+        rec.record(row(1, 1, 1), row(2, 2, 2))
         assert rec.mean_overall_utilization() == pytest.approx(0.5)
 
     def test_idle_slots_excluded_from_mean(self):
         rec = MetricsRecorder()
-        rec.record(ResourceVector.zeros(), ResourceVector.zeros())  # idle
-        rec.record(ResourceVector([1, 1, 1]), ResourceVector([2, 2, 2]))
+        rec.record(row(0, 0, 0), row(0, 0, 0))  # idle
+        rec.record(row(1, 1, 1), row(2, 2, 2))
         assert rec.mean_overall_utilization() == pytest.approx(0.5)
 
     def test_all_idle_run(self):
         rec = MetricsRecorder()
-        rec.record(ResourceVector.zeros(), ResourceVector.zeros())
+        rec.record(row(0, 0, 0), row(0, 0, 0))
         assert rec.mean_overall_utilization() == 0.0
         assert rec.mean_utilization(ResourceKind.CPU) == 0.0
 
     def test_per_resource_means(self):
         rec = MetricsRecorder()
-        rec.record(ResourceVector([1, 2, 0]), ResourceVector([2, 2, 4]))
+        rec.record(row(1, 2, 0), row(2, 2, 4))
         assert rec.mean_utilization(ResourceKind.CPU) == pytest.approx(0.5)
         assert rec.mean_utilization(ResourceKind.MEM) == pytest.approx(1.0)
         assert rec.mean_utilization(ResourceKind.STORAGE) == pytest.approx(0.0)
 
     def test_utilization_by_resource_keys(self):
         rec = MetricsRecorder()
-        rec.record(ResourceVector([1, 1, 1]), ResourceVector([2, 2, 2]))
+        rec.record(row(1, 1, 1), row(2, 2, 2))
         by = rec.utilization_by_resource()
         assert set(by) == set(ResourceKind)
 
     def test_mean_over_slots(self):
         rec = MetricsRecorder()
-        rec.record(ResourceVector([1, 1, 1]), ResourceVector([2, 2, 2]))  # 0.5
-        rec.record(ResourceVector([2, 2, 2]), ResourceVector([2, 2, 2]))  # 1.0
+        rec.record(row(1, 1, 1), row(2, 2, 2))  # 0.5
+        rec.record(row(2, 2, 2), row(2, 2, 2))  # 1.0
         assert rec.mean_overall_utilization() == pytest.approx(0.75)
 
     def test_wastage_is_one_minus_mean(self):
         rec = MetricsRecorder()
-        rec.record(ResourceVector([1, 1, 1]), ResourceVector([4, 4, 4]))
+        rec.record(row(1, 1, 1), row(4, 4, 4))
         assert rec.mean_overall_wastage() == pytest.approx(0.75)
 
     def test_per_slot_series_shapes(self):
         rec = MetricsRecorder()
         for _ in range(5):
-            rec.record(ResourceVector([1, 1, 1]), ResourceVector([2, 2, 2]))
+            rec.record(row(1, 1, 1), row(2, 2, 2))
         assert rec.per_slot_utilization().shape == (5, 3)
         assert rec.per_slot_overall().shape == (5,)
 
-    def test_record_arrays_matches_record(self):
-        # The array-based fast path the simulator uses must agree with
-        # the ResourceVector entry point exactly.
-        a, b = MetricsRecorder(), MetricsRecorder()
-        a.record(ResourceVector([1, 2, 3]), ResourceVector([4, 4, 4]))
-        b.record_arrays(np.array([1.0, 2.0, 3.0]), np.array([4.0, 4.0, 4.0]))
-        np.testing.assert_array_equal(
-            a.per_slot_utilization(), b.per_slot_utilization()
-        )
-        np.testing.assert_array_equal(a.per_slot_overall(), b.per_slot_overall())
-
-    def test_recorder_copies_inputs(self):
+    def test_recorder_adopts_rows(self):
+        # The kernel hands over fresh per-tick totals it never writes
+        # again, so the recorder keeps them without a copy.
         rec = MetricsRecorder()
-        demand = ResourceVector([1, 1, 1])
-        rec.record(demand, ResourceVector([2, 2, 2]))
-        # The recorder keeps its own arrays; the originals stay immutable
-        # anyway, so recorded values must equal the originals later.
+        demand, committed = row(1, 1, 1), row(2, 2, 2)
+        rec.record(demand, committed)
+        assert rec._demand[0] is demand and rec._committed[0] is committed
         assert rec.per_slot_utilization()[0, 0] == pytest.approx(0.5)

@@ -206,6 +206,13 @@ class TestEqualityHash:
         a, b = ResourceVector([1, 2, 3]), ResourceVector([1, 2, 3])
         assert a == b and hash(a) == hash(b)
 
+    def test_signed_zeros_hash_alike(self):
+        """``==`` treats ``0.0`` and ``-0.0`` as equal, so ``hash`` must
+        too: hashing the raw bytes kept both in one set."""
+        a, b = ResourceVector([0.0, 1, 2]), ResourceVector([-0.0, 1, 2])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_neq(self):
         assert ResourceVector([1, 2, 3]) != ResourceVector([1, 2, 4])
 

@@ -44,7 +44,7 @@ demand_triples = st.tuples(*[st.sampled_from(_DEMAND_GRID)] * 3)
 def _online_pairs(vms):
     """The scalar oracle's input, read off the VMs (not off the index)."""
     return [
-        (vm, ResourceVector(vm.unallocated_array())) for vm in vms if vm.online
+        (vm, ResourceVector(vm.unallocated())) for vm in vms if vm.online
     ]
 
 
@@ -180,7 +180,7 @@ class TestShardedEquivalence:
                     task_id=task_id,
                 )
                 task_id += 1
-                if job.requested.fits_within(vm.unallocated()):
+                if vm.can_reserve(job.requested):
                     place(vm, job)
             elif op == "complete" and vm.placements:
                 vm.placements[0].job.state = JobState.COMPLETED
@@ -207,7 +207,7 @@ class TestShardedEquivalence:
             for v in vms:
                 if v.online:
                     assert index.availability(v) == ResourceVector(
-                        v.unallocated_array()
+                        v.unallocated()
                     )
                 else:
                     assert index.availability(v) is None

@@ -36,7 +36,7 @@ class StubScheduler(ProvisioningSchedulerBase):
     def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
         self.forecast_calls += 1
         self.idle_forecasts += not vm.placements
-        return self.fraction * vm.committed().as_array()
+        return self.fraction * vm.committed()
 
 
 class NoReuseStub(StubScheduler):

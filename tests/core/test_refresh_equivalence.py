@@ -85,7 +85,7 @@ def reference_adjust(sched, raw, vm):
             shift[k] = job_scale * rss[k]
         return raw - shift
     if isinstance(sched, RccrScheduler):
-        return raw - sched.raw_errors.sigmas() * sched._z * vm.committed().as_array()
+        return raw - sched.raw_errors.sigmas() * sched._z * vm.committed()
     return sched.adjust_forecast(raw, vm)
 
 
@@ -115,21 +115,21 @@ def reference_refresh(sched):
         sched.latency.charge_comm(1)
         raw = np.asarray(reference_predict(sched, vm), dtype=np.float64)
         committed = vm.committed()
-        raw = np.clip(raw, 0.0, committed.as_array())
+        raw = np.clip(raw, 0.0, committed)
         adjusted = np.clip(reference_adjust(sched, raw, vm), 0.0, None)
-        if committed.any_positive():
+        if (committed > 1e-9).any():
             sched._window[vm.vm_id] = _WindowRecord(
                 vm=vm,
                 forecast=adjusted,
                 raw_forecast=raw,
-                committed=committed.as_array().copy(),
+                committed=committed,
                 jobset=frozenset(
                     p.job.job_id for p in vm.placements if not p.opportunistic
                 ),
             )
         if not sched.supports_opportunistic:
             continue
-        committed_slack = committed.as_array() - vm.opportunistic_demand().as_array()
+        committed_slack = committed - vm.opportunistic_demand()
         pool[vm] = np.clip(np.minimum(adjusted, committed_slack), 0.0, None)
     sched._opp_pool = CandidateSet(list(pool), list(pool.values()))
     if CHECK.enabled:

@@ -6,6 +6,7 @@ compares.  Structural assertions only — job conservation, counter
 consistency, terminal states — so the tests stay robust at test sizes.
 """
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -172,7 +173,7 @@ class TestCapacityRevocation:
         assert result.all_done
         assert result.resilience["capacity_revocations"] == float(N_VMS)
         for vm in sim.vms:
-            assert vm.capacity == vm.base_capacity  # scale back to 1.0
+            assert np.array_equal(vm.capacity, vm.base_capacity.as_array())  # scale back to 1.0
 
 
 class TestPredictorOutage:

@@ -20,6 +20,7 @@ from types import BuiltinFunctionType, FunctionType, ModuleType
 import numpy as np
 import pytest
 
+from repro.cluster.resources import ResourceVector
 from repro.experiments.runner import build_kernel
 from repro.faults.plan import FaultPlan, JobFailure, RetryPolicy, RevocationWave, VmCrash
 
@@ -198,15 +199,16 @@ class TestLanesAlias:
         restored = kernels[1].sim
         row, vm = next(
             (row, vm) for row, vm in enumerate(restored.vms)
-            if vm.online and vm.unallocated().any_positive()
+            if vm.online and (vm.unallocated() > 1e-9).any()
         )
         assert vm._lanes is restored.lanes is pools[1].lanes
         vm.add_placement(Placement(
-            job=restored.pending[0], vm=vm, reserved=vm.unallocated() * 0.5,
+            job=restored.pending[0], vm=vm,
+            reserved=ResourceVector(vm.unallocated() * 0.5),
             opportunistic=False,
         ))
         assert pools[1].refresh() == 1
-        assert np.array_equal(pools[1].matrix[row], vm.unallocated_array())
+        assert np.array_equal(pools[1].matrix[row], vm.unallocated())
         assert not np.array_equal(pools[1].matrix[row], before[1][row])
         for i in (0, 2):
             assert pools[i].refresh() == 0

@@ -193,9 +193,9 @@ class TestVmExecutionProperties:
             job.start(0, opportunistic=True)
         outcome = vm.execute_slot(0)
         assert np.all(
-            outcome.served_demand.as_array() <= vm.capacity.as_array() + 1e-6
+            outcome.served_demand <= vm.capacity + 1e-6
         )
-        assert outcome.committed.fits_within(vm.capacity)
+        assert np.all(outcome.committed <= vm.capacity + 1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.1, 1.0))
