@@ -96,9 +96,13 @@ def _diff_streams(
     tolerance: float,
     out: list[ReplayMismatch],
     limit: int,
-) -> int:
-    """Diff two event streams in order; returns records compared."""
+) -> tuple[int, bool]:
+    """Diff two event streams in order, keeping at most ``limit``
+    mismatches in ``out``; returns the records compared and whether a
+    mismatch was dropped at the cap."""
     if len(captured) != len(live):
+        if len(out) >= limit:
+            return 0, True
         out.append(
             ReplayMismatch(
                 kind="stream",
@@ -113,23 +117,22 @@ def _diff_streams(
         compared += 1
         keys = (set(want) | set(got)) - {"event"}
         for key in sorted(keys):
+            if _values_match(want.get(key), got.get(key), tolerance):
+                continue
             if len(out) >= limit:
-                return compared
-            if not _values_match(want.get(key), got.get(key), tolerance):
-                out.append(
-                    ReplayMismatch(
-                        kind=kind,
-                        index=index,
-                        field=key,
-                        captured=want.get(key),
-                        live=got.get(key),
-                        slot=want.get("slot", got.get("slot")),
-                        scheduler=want.get(
-                            "scheduler", got.get("scheduler")
-                        ),
-                    )
+                return compared, True
+            out.append(
+                ReplayMismatch(
+                    kind=kind,
+                    index=index,
+                    field=key,
+                    captured=want.get(key),
+                    live=got.get(key),
+                    slot=want.get("slot", got.get("slot")),
+                    scheduler=want.get("scheduler", got.get("scheduler")),
                 )
-    return compared
+            )
+    return compared, False
 
 
 def _rebuild_fault_plan(meta: dict):
@@ -227,8 +230,9 @@ def replay_events(
     live_by_name = events_by_name(live_records)
     mismatches: list[ReplayMismatch] = []
     n_compared = 0
+    truncated = False
     for name in COMPARED_EVENTS:
-        n_compared += _diff_streams(
+        compared, dropped = _diff_streams(
             name,
             select(captured_by_name.get(name, ()), name),
             select(live_by_name.get(name, ()), name),
@@ -236,9 +240,11 @@ def replay_events(
             mismatches,
             max_mismatches,
         )
+        n_compared += compared
+        truncated = truncated or dropped
     return ReplayReport(
         meta=meta,
         n_compared=n_compared,
         mismatches=mismatches,
-        truncated=len(mismatches) >= max_mismatches,
+        truncated=truncated,
     )

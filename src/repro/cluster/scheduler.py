@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..trace.records import Trace
     from .simulator import ClusterSimulator
 
-__all__ = ["Scheduler", "LatencyMeter", "PredictionLog"]
+__all__ = ["Scheduler", "LatencyMeter", "PredictionLog", "share_within"]
 
 
 @dataclass
@@ -77,6 +77,21 @@ class LatencyMeter:
         return self.compute_s + self.comm_s
 
 
+def share_within(deltas: Sequence[float], tolerance: float) -> float:
+    """Share of errors ``δ`` in ``[0, ε)``: conservative and close.
+
+    The one statement of the band that Fig. 6's error rate and Eq. 21's
+    ``Pr(0 ≤ δ < ε)`` both count.  ``NaN`` on no samples: an unmeasured
+    predictor is neither perfect nor hopeless.
+    """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    e = np.asarray(deltas, dtype=np.float64)
+    if not e.size:
+        return float("nan")
+    return float(np.logical_and(e >= 0.0, e < tolerance).mean())
+
+
 @dataclass
 class PredictionLog:
     """Per-window unused-resource prediction errors (Eq. 20 samples).
@@ -111,13 +126,7 @@ class PredictionLog:
         predictor that never predicted must not score as *perfect*
         (``0.0``) in the Fig. 6 comparison.
         """
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if not self.predicted:
-            return float("nan")
-        err = self.errors()
-        correct = np.logical_and(err >= 0.0, err < tolerance)
-        return float(1.0 - correct.mean())
+        return 1.0 - share_within(self.errors(), tolerance)
 
     def rmse(self) -> float:
         """Root-mean-square of the δ samples."""

@@ -27,13 +27,7 @@ class PreemptionGate:
     the δ samples (Eq. 20); :meth:`unlocked` evaluates the gate.
     """
 
-    def __init__(
-        self,
-        error_tolerance: float,
-        probability_threshold: float,
-        *,
-        window: int = 200,
-    ) -> None:
+    def __init__(self, error_tolerance: float, probability_threshold: float) -> None:
         if error_tolerance <= 0:
             raise ValueError("error_tolerance must be positive")
         if not 0.0 < probability_threshold <= 1.0:
@@ -41,7 +35,7 @@ class PreemptionGate:
         self.error_tolerance = error_tolerance
         self.probability_threshold = probability_threshold
         self.trackers: list[PredictionErrorTracker] = [
-            PredictionErrorTracker(window=window) for _ in range(NUM_RESOURCES)
+            PredictionErrorTracker() for _ in range(NUM_RESOURCES)
         ]
 
     # ------------------------------------------------------------------
@@ -53,10 +47,6 @@ class PreemptionGate:
             raise ValueError("predicted/actual must have one entry per resource")
         for k in range(NUM_RESOURCES):
             self.trackers[k].record(p[k], a[k])
-
-    def tracker(self, kind: ResourceKind) -> PredictionErrorTracker:
-        """The δ tracker of one resource type."""
-        return self.trackers[int(kind)]
 
     # ------------------------------------------------------------------
     def probability(self, kind: ResourceKind) -> float:

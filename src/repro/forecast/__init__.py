@@ -1,8 +1,8 @@
 """Time-series forecasting substrate and the pluggable predictor zoo.
 
 ETS (RCCR), FFT-signature + Markov chain + adaptive padding
-(CloudScale), plus the confidence-interval machinery of Eq. 18-21 that
-CORP and RCCR share.
+(CloudScale), plus the error windows of Eq. 18-21 that CORP and RCCR
+share.
 
 Since v1.6 the package also hosts the job-level
 :class:`~repro.forecast.base.Predictor` protocol and its registry
@@ -15,8 +15,7 @@ name-keyed, interchangeable implementations behind the public API's
 
 from .base import Forecaster, Predictor, window_samples
 from .classify import ClassifyThenPredictPredictor
-from .confidence import ConfidenceInterval, PredictionErrorTracker, z_value
-from .errors import mae, mean_error, prediction_error_rate, rmse
+from .confidence import PredictionErrorTracker, z_value
 from .ets import HoltLinear, SimpleExponentialSmoothing
 from .fft_signature import FftSignaturePredictor
 from .jobwise import EtsJobPredictor, MarkovJobPredictor
@@ -37,13 +36,8 @@ __all__ = [
     "Forecaster",
     "Predictor",
     "window_samples",
-    "ConfidenceInterval",
     "PredictionErrorTracker",
     "z_value",
-    "mae",
-    "mean_error",
-    "prediction_error_rate",
-    "rmse",
     "HoltLinear",
     "SimpleExponentialSmoothing",
     "FftSignaturePredictor",

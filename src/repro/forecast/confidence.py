@@ -1,22 +1,25 @@
-"""Confidence-interval machinery (paper Eq. 18-20).
+"""Prediction-error windows (paper Eq. 18-21).
 
 The predicted unused resource is turned into a conservative estimate by
 subtracting ``σ̂ · z_{θ/2}`` — the lower bound of the confidence interval
 — "because the underestimation of the unused resource makes it
 conservative in reallocating allocated resources, thus avoiding SLO
 violations" (Eq. 19).  ``σ̂`` is the standard deviation of the
-prediction-error samples collected per Eq. 20.
+prediction-error samples collected per Eq. 20.  The shift itself is
+applied where the schedulers forecast (CORP's ``adjust_forecast``,
+RCCR's ``_shift_scale``); this module supplies ``z`` and the windows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
-__all__ = ["z_value", "ConfidenceInterval", "PredictionErrorTracker"]
+from ..cluster.scheduler import share_within
+
+__all__ = ["z_value", "PredictionErrorTracker"]
 
 
 def z_value(confidence_level: float) -> float:
@@ -28,34 +31,12 @@ def z_value(confidence_level: float) -> float:
     if not 0.0 < confidence_level < 1.0:
         raise ValueError("confidence_level must be in (0, 1)")
     theta = 1.0 - confidence_level
-    return float(stats.norm.ppf(1.0 - theta / 2.0))
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """The interval of Eq. 18: ``[û − σ̂ z, û + σ̂ z]``."""
-
-    center: float
-    half_width: float
-
-    @property
-    def lower(self) -> float:
-        """Lower bound ``û − σ̂·z`` (what Eq. 19 allocates against)."""
-        return self.center - self.half_width
-
-    @property
-    def upper(self) -> float:
-        """Upper bound ``û + σ̂·z``."""
-        return self.center + self.half_width
-
-    def contains(self, value: float) -> bool:
-        """Whether ``value`` lies inside the interval (inclusive)."""
-        return self.lower <= value <= self.upper
+    return NormalDist().inv_cdf(1.0 - theta / 2.0)
 
 
 class PredictionErrorTracker:
-    """Collects per-slot prediction errors (Eq. 20) and derives σ̂ and
-    the preemption probability of Eq. 21.
+    """Collects prediction errors (Eq. 20) and derives σ̂ and the
+    preemption probability of Eq. 21.
 
     Errors are ``δ = actual − predicted`` of the unused amount: positive
     δ means the forecast was conservative.  ``Pr(0 ≤ δ < ε)`` is
@@ -80,11 +61,6 @@ class PredictionErrorTracker:
         for delta in np.asarray(deltas, dtype=np.float64).ravel():
             self._errors.append(float(delta))
 
-    def record_window(self, predicted: float, actuals: np.ndarray) -> None:
-        """Eq. 20: one error sample per slot of the prediction window."""
-        for actual in np.asarray(actuals, dtype=np.float64).ravel():
-            self.record(predicted, float(actual))
-
     # ------------------------------------------------------------------
     @property
     def n_samples(self) -> int:
@@ -97,35 +73,6 @@ class PredictionErrorTracker:
             return 0.0
         return float(np.std(np.asarray(self._errors), ddof=1))
 
-    def quantile(self, q: float) -> float:
-        """Empirical ``q``-quantile of the error window.
-
-        The distribution-free analogue of the ``z_{θ/2}`` percentile:
-        shifting a forecast down by ``−quantile(θ/2)`` gives one-sided
-        coverage ``1 − θ/2`` without assuming Gaussian errors — which
-        matters because burst-driven errors are left-skewed.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if not self._errors:
-            return 0.0
-        return float(np.quantile(np.asarray(self._errors), q))
-
-    def interval(self, prediction: float, confidence_level: float) -> ConfidenceInterval:
-        """Eq. 18 around a point prediction."""
-        return ConfidenceInterval(
-            center=float(prediction),
-            half_width=self.sigma() * z_value(confidence_level),
-        )
-
-    def conservative(self, prediction: float, confidence_level: float) -> float:
-        """Eq. 19: the interval's lower bound, floored at zero.
-
-        The floor reflects that a negative amount of unused resource is
-        meaningless for allocation.
-        """
-        return max(self.interval(prediction, confidence_level).lower, 0.0)
-
     def probability_within(self, tolerance: float) -> float:
         """Empirical ``Pr(0 ≤ δ < ε)`` over the error window (Eq. 21 input).
 
@@ -136,9 +83,4 @@ class PredictionErrorTracker:
         check ``n_samples`` first and stay locked, which preserves the
         conservative no-evidence stance.
         """
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if not self._errors:
-            return float("nan")
-        e = np.asarray(self._errors)
-        return float(np.logical_and(e >= 0.0, e < tolerance).mean())
+        return share_within(self._errors, tolerance)

@@ -30,14 +30,7 @@ def recent_unused_quantiles(
 ) -> np.ndarray:
     """Per-resource ``q``-quantile of the last ``input_slots`` unused
     observations of a ``(n, l)`` utilization history."""
-    # One np.quantile per column: axis=0 over the block is not shown to
-    # give the same bits.
-    return np.array(
-        [
-            float(np.quantile(1.0 - util_history[-input_slots:, kind], q))
-            for kind in range(NUM_RESOURCES)
-        ]
-    )
+    return np.quantile(1.0 - util_history[-input_slots:], q, axis=0)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.scheduler import share_within
 from ..obs import OBS
 from .base import Predictor
 from .confidence import PredictionErrorTracker
@@ -144,14 +145,11 @@ class OnlinePredictorSelector(Predictor):
         return self
 
     def _seed_error_rate(self, name: str) -> float:
-        tolerance = self.config.error_tolerance
-        rates = []
-        for errors in self._candidates[name].seed_errors:
-            e = np.asarray(errors)
-            if e.size:
-                rates.append(
-                    1.0 - float(np.logical_and(e >= 0.0, e < tolerance).mean())
-                )
+        rates = [
+            1.0 - share_within(errors, self.config.error_tolerance)
+            for errors in self._candidates[name].seed_errors
+            if len(errors)
+        ]
         return float(np.mean(rates)) if rates else 1.0
 
     def reset(self) -> None:
@@ -166,10 +164,7 @@ class OnlinePredictorSelector(Predictor):
         self.switch_log = []
         self._trackers = {}
         for name in self.candidate_names:
-            trackers = [
-                PredictionErrorTracker(window=200)
-                for _ in range(NUM_RESOURCES)
-            ]
+            trackers = [PredictionErrorTracker() for _ in range(NUM_RESOURCES)]
             for kind, errors in enumerate(self._candidates[name].seed_errors):
                 trackers[kind].seed(np.asarray(errors)[-_SEED_DEPTH:])
             self._trackers[name] = trackers

@@ -81,6 +81,10 @@ class PlacementUpdate:
 #: Stream-termination sentinel pushed to every subscriber on drain/close.
 _CLOSE = object()
 
+#: Kernel events :meth:`SchedulerService.pump` processes between yields
+#: to the event loop (where subscribers receive streamed placements).
+YIELD_EVERY = 32
+
 
 class SchedulerService:
     """``submit(job)`` / ``placements()`` / ``drain()`` over a live kernel.
@@ -99,10 +103,7 @@ class SchedulerService:
         predictor_cache: "PredictorCache | None" = None,
         predictor: "str | Predictor" = "corp",
         auto_advance: bool = False,
-        yield_every: int = 32,
     ) -> None:
-        if yield_every < 1:
-            raise ValueError("yield_every must be >= 1")
         self.scenario = scenario
         self.method = method
         self._seed = seed
@@ -110,7 +111,6 @@ class SchedulerService:
         self._predictor_cache = predictor_cache
         self._predictor = predictor
         self._auto_advance = auto_advance
-        self._yield_every = yield_every
         self._kernel: SchedulerKernel | None = None
         self._subscribers: list[asyncio.Queue] = []
         self._updates: list[PlacementUpdate] = []
@@ -273,7 +273,7 @@ class SchedulerService:
                 if event is None:
                     break
                 n += 1
-                if n % self._yield_every == 0:
+                if n % YIELD_EVERY == 0:
                     await asyncio.sleep(0)
         if n:
             await asyncio.sleep(0)

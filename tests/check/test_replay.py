@@ -64,6 +64,37 @@ class TestDriftDetection:
             for m in report.mismatches
         )
 
+    @pytest.mark.parametrize(
+        "corrupted, drop_placement, truncated",
+        [(1, False, False), (2, False, True), (1, True, True)],
+        ids=["one-mismatch-fits", "second-dropped", "count-mismatch-capped"],
+    )
+    def test_truncated_only_when_a_mismatch_is_dropped(
+        self, capture_path, tmp_path, corrupted, drop_placement, truncated
+    ):
+        """With a cap of one, a lone mismatch is complete; a second one
+        (a field or a stream count) is dropped and flagged."""
+        state = {"slots": 0, "dropped": False}
+
+        def corrupt(record):
+            if record.get("event") == "slot" and state["slots"] < corrupted:
+                state["slots"] += 1
+                record["running"] = record.get("running", 0) + 1
+            if (
+                drop_placement
+                and record.get("event") == "placement"
+                and not state["dropped"]
+            ):
+                state["dropped"] = True
+                return None
+            return record
+
+        path = rewrite(capture_path, tmp_path, corrupt)
+        report = replay_events(events=path, max_mismatches=1)
+        assert len(report.mismatches) == 1
+        assert report.truncated is truncated
+        assert not report.ok
+
     def test_dropped_record_reported_as_stream_mismatch(
         self, capture_path, tmp_path
     ):

@@ -33,7 +33,7 @@ class TestRecording:
         gate = make_gate()
         gate.record(np.zeros(3), np.ones(3))
         for kind in ResourceKind:
-            assert gate.tracker(kind).n_samples == 1
+            assert gate.trackers[kind].n_samples == 1
 
     def test_sigmas_vector(self):
         gate = make_gate()

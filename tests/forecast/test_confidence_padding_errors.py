@@ -1,24 +1,37 @@
-"""Confidence machinery (Eq. 18-21), adaptive padding and error metrics."""
+"""Confidence machinery (Eq. 18-21), adaptive padding and the error band."""
+
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.forecast.confidence import (
-    ConfidenceInterval,
-    PredictionErrorTracker,
-    z_value,
-)
-from repro.forecast.errors import mae, mean_error, prediction_error_rate, rmse
+import repro
+from repro.cluster.scheduler import PredictionLog, share_within
+from repro.core.config import CorpConfig
+from repro.forecast.confidence import PredictionErrorTracker, z_value
 from repro.forecast.padding import AdaptivePadding
+from repro.forecast.selection import OnlinePredictorSelector
+
+#: ``scipy.stats.norm.ppf(1 - (1 - η) / 2)`` (scipy 1.17.1), transcribed.
+SCIPY_Z = {
+    0.5: 0.6744897501960817,
+    0.6: 0.8416212335729143,
+    0.7: 1.0364333894937898,
+    0.8: 1.2815515655446004,
+    0.9: 1.6448536269514722,
+    0.95: 1.959963984540054,
+}
 
 
 class TestZValue:
     def test_known_quantiles(self):
-        assert z_value(0.9) == pytest.approx(1.6449, abs=1e-3)
-        assert z_value(0.95) == pytest.approx(1.9600, abs=1e-3)
-        assert z_value(0.5) == pytest.approx(0.6745, abs=1e-3)
+        for eta, z in SCIPY_Z.items():
+            assert z_value(eta) == pytest.approx(z, rel=1e-15), eta
 
     def test_monotone_in_confidence(self):
         assert z_value(0.9) > z_value(0.8) > z_value(0.5)
@@ -28,16 +41,20 @@ class TestZValue:
             with pytest.raises(ValueError):
                 z_value(eta)
 
-
-class TestConfidenceInterval:
-    def test_bounds(self):
-        ci = ConfidenceInterval(center=10.0, half_width=2.0)
-        assert ci.lower == 8.0 and ci.upper == 12.0
-
-    def test_contains(self):
-        ci = ConfidenceInterval(center=0.0, half_width=1.0)
-        assert ci.contains(0.0) and ci.contains(1.0) and ci.contains(-1.0)
-        assert not ci.contains(1.5)
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestErrorTracker:
@@ -62,22 +79,7 @@ class TestErrorTracker:
         for v in (1.0, 2.0, 3.0, 10.0):
             tracker.record(0.0, v)
         assert tracker.n_samples == 3
-        assert max(tracker.errors() if hasattr(tracker, "errors") else [10.0]) or True
-        assert tracker.quantile(1.0) == 10.0
-
-    def test_conservative_is_lower_bound_floored(self):
-        tracker = PredictionErrorTracker()
-        for v in (-1.0, 1.0, -1.0, 1.0):
-            tracker.record(0.0, v)
-        adjusted = tracker.conservative(prediction=0.5, confidence_level=0.9)
-        assert adjusted == 0.0  # lower bound negative -> floored
-
-    def test_interval_uses_sigma_z(self):
-        tracker = PredictionErrorTracker()
-        for v in (-2.0, 2.0, -2.0, 2.0):
-            tracker.record(0.0, v)
-        ci = tracker.interval(10.0, 0.9)
-        assert ci.half_width == pytest.approx(tracker.sigma() * z_value(0.9))
+        assert tracker.sigma() == pytest.approx(np.std([2.0, 3.0, 10.0], ddof=1))
 
     def test_probability_within(self):
         tracker = PredictionErrorTracker()
@@ -97,21 +99,6 @@ class TestErrorTracker:
         tracker = PredictionErrorTracker()
         tracker.seed(np.array([0.1, 0.2, 0.3]))
         assert tracker.n_samples == 3
-
-    def test_quantile(self):
-        tracker = PredictionErrorTracker()
-        tracker.seed(np.linspace(0, 1, 101))
-        assert tracker.quantile(0.05) == pytest.approx(0.05, abs=0.01)
-        with pytest.raises(ValueError):
-            tracker.quantile(1.5)
-
-    def test_quantile_empty(self):
-        assert PredictionErrorTracker().quantile(0.5) == 0.0
-
-    def test_record_window(self):
-        tracker = PredictionErrorTracker()
-        tracker.record_window(1.0, np.array([1.2, 1.4]))
-        assert tracker.n_samples == 2
 
 
 class TestAdaptivePadding:
@@ -153,31 +140,61 @@ class TestAdaptivePadding:
 
 class TestErrorMetrics:
     def test_prediction_error_rate_band(self):
-        predicted = np.array([1.0, 1.0, 1.0, 1.0])
-        actual = np.array([1.1, 0.9, 1.6, 1.0])
         # errors: 0.1 ok, -0.1 bad, 0.6 bad, 0.0 ok with eps 0.5
-        assert prediction_error_rate(predicted, actual, 0.5) == pytest.approx(0.5)
+        assert share_within([0.1, -0.1, 0.6, 0.0], 0.5) == pytest.approx(0.5)
 
     def test_error_rate_validation(self):
         with pytest.raises(ValueError):
-            prediction_error_rate(np.ones(2), np.ones(2), 0.0)
+            share_within([1.0, 1.0], 0.0)
         with pytest.raises(ValueError):
-            prediction_error_rate(np.ones(2), np.ones(3), 0.5)
-        with pytest.raises(ValueError):
-            prediction_error_rate(np.array([]), np.array([]), 0.5)
-
-    def test_rmse_mae(self):
-        predicted = np.zeros(2)
-        actual = np.array([3.0, -4.0])
-        assert rmse(predicted, actual) == pytest.approx(np.sqrt(12.5))
-        assert mae(predicted, actual) == pytest.approx(3.5)
-
-    def test_mean_error_sign(self):
-        assert mean_error(np.zeros(2), np.array([1.0, 3.0])) == pytest.approx(2.0)
+            share_within([1.0], -0.5)
+        assert np.isnan(share_within([], 0.5))
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=20))
     def test_error_rate_in_unit_interval(self, deltas):
-        predicted = np.zeros(len(deltas))
-        actual = np.asarray(deltas)
-        rate = prediction_error_rate(predicted, actual, 0.5)
-        assert 0.0 <= rate <= 1.0
+        assert 0.0 <= share_within(deltas, 0.5) <= 1.0
+
+
+def _log_error_rate(deltas, tolerance):
+    log = PredictionLog()
+    for delta in deltas:
+        log.add(predicted=0.0, actual=delta)
+    return log.error_rate(tolerance)
+
+
+def _tracker_error_rate(deltas, tolerance):
+    tracker = PredictionErrorTracker()
+    tracker.seed(np.asarray(deltas, dtype=np.float64))
+    return 1.0 - tracker.probability_within(tolerance)
+
+
+def _selector_error_rate(deltas, tolerance):
+    selector = OnlinePredictorSelector(
+        config=CorpConfig(error_tolerance=tolerance), candidates=("stub",)
+    )
+    selector._candidates["stub"] = SimpleNamespace(
+        seed_errors=[np.asarray(deltas, dtype=np.float64)]
+    )
+    return selector._seed_error_rate("stub")
+
+
+#: Fig. 6's error rate, Eq. 21's gate probability and the selector's
+#: initial ranking, each as an error rate over the same δ samples.
+ERROR_RATES = {
+    "prediction_log": _log_error_rate,
+    "tracker": _tracker_error_rate,
+    "selector": _selector_error_rate,
+}
+
+
+class TestOneBand:
+    @pytest.mark.parametrize("error_rate", ERROR_RATES.values(), ids=ERROR_RATES.keys())
+    def test_band_boundaries(self, error_rate):
+        assert error_rate([0.0], 0.5) == 0.0  # δ = 0 is conservative and close
+        assert error_rate([0.5], 0.5) == 1.0  # δ = ε is outside [0, ε)
+        assert error_rate([-1e-12], 0.5) == 1.0  # any over-prediction is wrong
+
+    @given(st.lists(st.floats(-5, 5), min_size=1, max_size=50))
+    def test_callers_agree(self, deltas):
+        rates = {name: rate(deltas, 0.5) for name, rate in ERROR_RATES.items()}
+        assert len(set(rates.values())) == 1, rates
