@@ -2,8 +2,8 @@
 
 :func:`reference_outcome` is the one scalar reference for the slot
 semantics of Section III (primaries served out of their reservation,
-opportunists sharing what is left).  The vectorized
-:meth:`~repro.cluster.machine.VirtualMachine.execute_slot` is
+opportunists sharing what is left).  The batched
+:func:`~repro.cluster.machine.execute_slots` is
 property-tested against it on randomized placements
 (``tests/cluster/test_execute_slot_property.py``), and the same function
 is a runtime tool: snapshot a VM just before it executes a slot,
@@ -43,7 +43,7 @@ DIFF_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class SlotSnapshot:
-    """A VM's execution inputs, captured just before ``execute_slot``."""
+    """A VM's execution inputs, captured just before its slot executes."""
 
     vm_id: int
     capacity: np.ndarray       # effective (revocation-aware) capacity
@@ -66,25 +66,16 @@ class ReferenceOutcome:
 
 
 def capture_snapshot(vm: "VirtualMachine") -> SlotSnapshot:
-    """Copy everything ``execute_slot`` will read (demands, caps, capacity)."""
+    """Copy everything a slot will read (demands, caps, capacity)."""
     placements = vm.placements
-    n = len(placements)
     committed = vm.committed()
-    n_resources = len(committed)
-    demands = np.empty((n, n_resources))
-    caps = np.empty((n, n_resources))
-    opportunistic = np.zeros(n, dtype=bool)
-    for i, p in enumerate(placements):
-        demands[i] = p.job.demand()
-        caps[i] = p.effective_cap()
-        opportunistic[i] = p.opportunistic
     return SlotSnapshot(
         vm_id=vm.vm_id,
         capacity=vm.capacity,
         committed=committed,
-        demands=demands,
-        caps=caps,
-        opportunistic=opportunistic,
+        demands=np.array([p.job.demand() for p in placements]).reshape(-1, len(committed)),
+        caps=np.array([p.effective_cap() for p in placements]).reshape(-1, len(committed)),
+        opportunistic=np.array([p.opportunistic for p in placements], dtype=bool),
         job_ids=tuple(p.job.job_id for p in placements),
     )
 
@@ -172,7 +163,7 @@ def diff_outcome(
     """Human-readable divergences between reference and vectorized paths."""
     details: list[str] = []
     if tuple(p.job.job_id for p in vm.placements) != snapshot.job_ids:
-        # execute_slot never edits the placement list; a mismatch means
+        # a slot never edits the placement list; a mismatch means
         # the snapshot and outcome describe different states.
         return [
             f"placement list changed during execution on VM {snapshot.vm_id}"

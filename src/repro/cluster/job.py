@@ -115,17 +115,18 @@ class Job:
         self.start_slot = slot
         self.opportunistic = opportunistic
 
-    def advance(self, rate: float, slot: int) -> None:
+    def advance(self, rate: float, slot: int, demand: np.ndarray | None = None) -> None:
         """Progress the job by one slot at the given rate ``in [0, 1]``.
 
         ``rate = 1`` is full speed; ``rate = 0.5`` means the slot only
-        completed half a slot's worth of work.
+        completed half a slot's worth of work.  ``demand`` is this slot's
+        :meth:`demand` row if the caller read it; the log keeps the row.
         """
         if self.state is not JobState.RUNNING:
             raise RuntimeError(f"job {self.job_id} is not running")
         rate = min(max(float(rate), 0.0), 1.0)
         self.rate_history.append(rate)
-        self.demand_log.append(self.demand().copy())
+        self.demand_log.append(self.demand() if demand is None else demand)
         self.progress += rate
         if self.progress >= self.nominal_slots - 1e-9:
             self.progress = float(self.nominal_slots)

@@ -24,7 +24,7 @@ from .job import Job, JobState
 from .resources import NUM_RESOURCES, ResourceVector
 
 __all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome",
-           "IDLE_OUTCOME", "ClusterLanes"]
+           "IDLE_OUTCOME", "ClusterLanes", "execute_slots"]
 
 #: What an idle VM demands and serves: one read-only row, shared by every
 #: idle slot's outcome and history.
@@ -114,10 +114,6 @@ class SlotOutcome:
     served_demand: np.ndarray
     unused: np.ndarray  # committed - primary demand, clipped at 0
 
-    def __post_init__(self) -> None:
-        for row in vars(self).values():
-            row.setflags(write=False)  # history rows are shared by snapshots
-
 
 #: A slot on a :attr:`~VirtualMachine.quiescent` VM.  The kernel stores
 #: this one object for such a VM instead of executing it.
@@ -169,7 +165,7 @@ class VirtualMachine:
 
         ``scale=1.0`` restores the nominal capacity.  Commitments are
         *not* returned: while revoked, committed reservations may exceed
-        what the VM can physically serve, and ``execute_slot``'s
+        what the VM can physically serve, and :func:`execute_slots`'
         capacity clamp squeezes the placements — riders first.
         """
         scale = float(scale)
@@ -187,14 +183,11 @@ class VirtualMachine:
 
         Such a slot's outcome is :data:`IDLE_OUTCOME` and its history row
         zero, so a caller may bump :attr:`pending_idle_slots` instead of
-        calling :meth:`execute_slot`.  Riders move no commitment, hence
+        executing it.  Riders move no commitment, hence
         the ``placements`` test; float residue left in the commitment is
         what :meth:`unallocated` reports, so such a VM is still executed.
         """
-        lanes, row = self._lanes, self._row
-        return self._quiescent(
-            self, bool(lanes.online[row]), bool(lanes.committed[row].any())
-        )
+        return self._quiescent(self, self.online, bool(self._lanes.committed[self._row].any()))
 
     @staticmethod
     def _quiescent(vm: "VirtualMachine", online: bool, holds: bool) -> bool:
@@ -306,76 +299,8 @@ class VirtualMachine:
     # slot execution
     # ------------------------------------------------------------------
     def execute_slot(self, slot: int) -> SlotOutcome:
-        """Serve one slot: grant resources, advance jobs, record history.
-
-        Primaries are served first, each up to ``min(demand, cap)``;
-        whatever physical capacity remains is shared by opportunistic
-        placements proportionally to their demand (they are squeezed
-        first — they hold no commitment).
-
-        Demands, caps and grants are handled as ``(n_placements, l)``
-        arrays; the per-placement reference semantics are preserved (and
-        property-tested against
-        :func:`repro.check.differential.reference_outcome`).
-        """
-        if self.pending_idle_slots:
-            self._write_idle_rows()
-        committed = self.committed()
-        placements = self.placements
-        n = len(placements)
-        if n == 0:
-            # Idle VM: nothing demands, nothing is served; unused slack
-            # equals the (non-negative) commitment.
-            self._unused_history.append(committed)
-            return SlotOutcome(committed, _ZERO, _ZERO, _ZERO, committed)
-
-        cap_arr = self._lanes.capacity[self._row]
-        demands = np.empty((n, NUM_RESOURCES))
-        caps = np.empty((n, NUM_RESOURCES))
-        opp = np.zeros(n, dtype=bool)
-        for i, p in enumerate(placements):
-            demands[i] = p.job.demand()
-            caps[i] = p.effective_cap()
-            opp[i] = p.opportunistic
-        prim = ~opp
-        grants = np.minimum(demands, caps)
-
-        # --- primaries ---------------------------------------------------
-        primary_demand = demands[prim].sum(axis=0)
-        primary_granted = grants[prim].sum(axis=0)
-        # Physical sanity: primaries cannot collectively exceed capacity.
-        over = primary_granted > cap_arr + 1e-9
-        if over.any():
-            scale = np.ones(NUM_RESOURCES)
-            scale[over] = cap_arr[over] / primary_granted[over]
-            grants[prim] *= scale
-            primary_granted = np.minimum(primary_granted, cap_arr)
-
-        # --- opportunists -------------------------------------------------
-        opp_demand = demands[opp].sum(axis=0)
-        if opp.any():
-            remaining = np.maximum(cap_arr - primary_granted, 0.0)
-            scale = np.ones(NUM_RESOURCES)
-            tight = opp_demand > remaining + 1e-12
-            scale[tight] = np.where(
-                opp_demand[tight] > 0, remaining[tight] / opp_demand[tight], 0.0
-            )
-            grants[opp] = np.minimum(demands[opp] * scale, caps[opp])
-
-        # --- advance ------------------------------------------------------
-        # Execution rate: min over demanded resources of granted/demand,
-        # clipped to [0, 1]; a job with no current demand runs at full
-        # speed (rows with no demanded resource reduce over +inf).
-        needed = demands > 1e-12
-        ratios = np.where(needed, grants / np.where(needed, demands, 1.0), np.inf)
-        rates = np.clip(ratios.min(axis=1), 0.0, 1.0)
-        served = np.minimum(grants, demands).sum(axis=0)
-        for i, p in enumerate(placements):
-            p.job.advance(rates[i], slot)
-
-        unused = np.maximum(committed - primary_demand, 0.0)
-        self._unused_history.append(unused)
-        return SlotOutcome(committed, primary_demand, opp_demand, served, unused)
+        """Serve one slot on this VM: :func:`execute_slots` of one VM."""
+        return execute_slots([self], slot)[0]
 
     # ------------------------------------------------------------------
     # history (predictor input)
@@ -407,6 +332,90 @@ class VirtualMachine:
             f"VirtualMachine(id={self.vm_id}, capacity={self.capacity}, "
             f"jobs={len(self.placements)})"
         )
+
+
+def _rows(rows: list) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(-1, NUM_RESOURCES)
+
+
+def _segment_sums(rows: np.ndarray, owner: np.ndarray, m: int) -> np.ndarray:
+    """Per-VM sums of ``rows``, each VM's rows added in order, as its
+    ``.sum(axis=0)`` does (``np.add.reduceat`` would sum pairwise)."""
+    sums = np.zeros((m, NUM_RESOURCES))
+    np.add.at(sums, owner, rows)
+    return sums
+
+
+def execute_slots(vms: Sequence[VirtualMachine], slot: int) -> list[SlotOutcome]:
+    """Serve one slot on every VM of ``vms``: grant, advance jobs, record.
+
+    On each VM primaries are served first, each up to ``min(demand,
+    cap)``, scaled back together where they exceed the capacity; riders
+    share what is left in proportion to their demand (they hold no
+    commitment, so they are squeezed first); every job advances at
+    ``min(granted / demand)``.  All placements are rows of one batch and
+    ``owner`` maps a row to its VM, so a VM's outcome is bit-identical
+    whatever shares its batch; it is property-tested against
+    :func:`repro.check.differential.reference_outcome`.
+    """
+    m = len(vms)
+    for vm in vms:
+        if vm.pending_idle_slots:
+            vm._write_idle_rows()
+    placements = [p for vm in vms for p in vm.placements]
+    counts = [len(vm.placements) for vm in vms]
+    owner = np.repeat(np.arange(m), counts)
+    jobs = [p.job for p in placements]
+    demand_rows = [job.demand() for job in jobs]
+    demands = _rows(demand_rows)
+    caps = _rows([p.effective_cap() for p in placements])
+    opp = np.array([p.opportunistic for p in placements], dtype=bool)[:, None]
+    capacity = _rows([vm._lanes.capacity[vm._row] for vm in vms])
+    committed = _rows([vm._lanes.committed[vm._row] for vm in vms])
+    grants = np.minimum(demands, caps)
+
+    # --- primaries ---------------------------------------------------
+    primary_demand = _segment_sums(np.where(opp, 0.0, demands), owner, m)
+    primary_granted = _segment_sums(np.where(opp, 0.0, grants), owner, m)
+    # Physical sanity: primaries cannot collectively exceed capacity;
+    # a VM within 1e-9 of it keeps its unclipped sum.
+    over = primary_granted > capacity + 1e-9
+    scale = np.divide(capacity, primary_granted, out=np.ones_like(capacity), where=over)
+    grants *= scale[owner]  # riders' rows are replaced below
+    clipped = np.minimum(primary_granted, capacity)
+    primary_granted = np.where(over.any(axis=1, keepdims=True), clipped, primary_granted)
+
+    # --- opportunists -------------------------------------------------
+    opp_demand = _segment_sums(np.where(opp, demands, 0.0), owner, m)
+    remaining = np.maximum(capacity - primary_granted, 0.0)
+    tight = opp_demand > remaining + 1e-12
+    squeeze = np.divide(remaining, opp_demand, out=np.ones_like(capacity), where=tight)
+    grants = np.where(opp, np.minimum(demands * squeeze[owner], caps), grants)
+
+    # --- advance ------------------------------------------------------
+    # Execution rate: min over demanded resources of granted/demand,
+    # clipped to [0, 1]; a job with no current demand runs at full
+    # speed (rows with no demanded resource reduce over +inf).
+    needed = demands > 1e-12
+    ratios = np.where(needed, grants / np.where(needed, demands, 1.0), np.inf)
+    rates = np.clip(ratios.min(axis=1), 0.0, 1.0)
+    served = _segment_sums(np.minimum(grants, demands), owner, m)
+    for job, demand, rate in zip(jobs, demand_rows, rates.tolist()):
+        job.advance(rate, slot, demand)
+
+    unused = np.maximum(committed - primary_demand, 0.0)
+    rows = (committed, primary_demand, opp_demand, served, unused)
+    for batch in rows:
+        batch.setflags(write=False)  # history rows are shared by snapshots
+    outcomes = []
+    for j, vm in enumerate(vms):
+        if counts[j]:
+            outcome = SlotOutcome(*(batch[j] for batch in rows))
+        else:  # nothing demanded or served: the slack is the commitment
+            outcome = SlotOutcome(committed[j], _ZERO, _ZERO, _ZERO, committed[j])
+        vm._unused_history.append(outcome.unused)
+        outcomes.append(outcome)
+    return outcomes
 
 
 class PhysicalMachine:

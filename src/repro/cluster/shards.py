@@ -97,8 +97,7 @@ class CandidateSet:
     Feasibility scans, Eq. 22 volume ranking and the baselines'
     uniform-random choice are single matrix expressions instead of
     per-VM Python loops, and :meth:`consume` keeps the rows current as
-    placements land, mirroring the incremental ``execute_slot``
-    vectorization of PR 1.
+    placements land.
 
     Liveness is applied in one place: a row whose ``online`` flag is
     False is infeasible for every demand, the all-zero one included,

@@ -153,6 +153,9 @@ class ClusterSimulator:
         self.failed: list[Job] = []
         self.current_slot: int = 0
         self._max_capacity_cache: tuple[int, ResourceVector] | None = None
+        #: Max *nominal* VM capacity: admission outlasts any revocation.
+        nominal = [vm.base_capacity.as_array() for vm in self.vms]
+        self._admission_limit = ResourceVector(np.max(nominal, axis=0))
         # An empty plan builds no injector: the fault layer then adds
         # zero work (and zero behavioural difference) to the slot loop.
         self.faults: "FaultInjector | None" = None
@@ -184,9 +187,9 @@ class ClusterSimulator:
         return value
 
     def _admit(self, job: Job) -> bool:
-        """Reject jobs no VM could ever host (prevents starved queues)."""
-        biggest = self.max_vm_capacity()
-        return job.requested.fits_within(biggest)
+        """Reject jobs no VM could ever host (prevents starved queues);
+        a job that fits once a revocation ends waits for it instead."""
+        return job.requested.fits_within(self._admission_limit)
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace, *, history: Trace | None = None) -> SimulationResult:

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..check import CHECK
 from ..cluster.job import Job, JobState
-from ..cluster.machine import IDLE_OUTCOME, VirtualMachine
+from ..cluster.machine import IDLE_OUTCOME, VirtualMachine, execute_slots
 from ..cluster.resources import NUM_RESOURCES
 from ..obs import OBS
 
@@ -333,48 +333,42 @@ class SchedulerKernel:
             if self.on_placements is not None:
                 self.on_placements(slot, list(placed))
 
-        # execute the slot on every VM that holds something, summing the
+        # execute every VM that holds something as one batch, summing the
         # outcome rows into two fresh totals the recorder adopts; a
-        # quiescent VM's slot is a count: a zero row, nothing for the totals.
-        # Liveness and commitment are read off the lanes once: nothing in
-        # the loop crashes a VM or moves a commitment.
+        # quiescent VM's slot is a count (a zero row).  One sweep reads
+        # liveness and commitment off the lanes; the checker snapshots
+        # every live VM before the batch and checks each after it.
         lanes = sim.lanes
         quiescent = VirtualMachine._quiescent
-        outcomes: dict[int, "SlotOutcome"] = {}
-        total_demand = np.zeros(NUM_RESOURCES)
-        total_committed = np.zeros(NUM_RESOURCES)
         checker = CHECK.checker if CHECK.enabled else None
-        snapshot = None
-        executed = 0
+        outcomes: dict[int, "SlotOutcome"] = {}
+        runnable: list[VirtualMachine] = []
+        snapshots = []
         for vm, live, holds in zip(
             sim.vms, lanes.online.tolist(), lanes.committed.any(axis=1).tolist()
         ):
             if not live:
                 continue
             if checker is not None:
-                snapshot = checker.before_execute(vm)
+                snapshots.append((vm, checker.before_execute(vm)))
+            outcomes[vm.vm_id] = IDLE_OUTCOME
             if quiescent(vm, live, holds):
                 vm.pending_idle_slots += 1
-                outcome = IDLE_OUTCOME
             else:
-                outcome = vm.execute_slot(slot)
-                executed += 1
-                total_demand += outcome.served_demand
-                total_committed += outcome.committed
-            if checker is not None:
-                checker.after_execute(
-                    vm, slot, outcome, snapshot,
-                    scheduler=sim.scheduler.name,
-                )
+                runnable.append(vm)
+        total_demand, total_committed = np.zeros(NUM_RESOURCES), np.zeros(NUM_RESOURCES)
+        for vm, outcome in zip(runnable, execute_slots(runnable, slot)):
             outcomes[vm.vm_id] = outcome
+            total_demand += outcome.served_demand
+            total_committed += outcome.committed
+        for vm, snapshot in snapshots:
+            checker.after_execute(
+                vm, slot, outcomes[vm.vm_id], snapshot, scheduler=sim.scheduler.name
+            )
         sim.metrics.record(total_demand, total_committed)
 
-        # completions — VMs with no placements cannot have completed
-        # anything; skipping them keeps this sweep proportional to the
-        # occupied VMs rather than the cluster size (10k+ at hyperscale).
-        for vm in sim.vms:
-            if not vm.placements:
-                continue
+        # completions: only a VM in the batch can have completed a job
+        for vm in runnable:
             for job in vm.remove_completed():
                 sim.slo_tracker.record(job)
                 sim.completed.append(job)
@@ -405,8 +399,8 @@ class SchedulerKernel:
                 rejected=len(sim.rejected),
             )
             OBS.count("sim.slots")
-            OBS.count("sim.vm_slots_executed", executed)
-            OBS.count("sim.vm_slots_skipped", len(outcomes) - executed)
+            OBS.count("sim.vm_slots_executed", len(runnable))
+            OBS.count("sim.vm_slots_skipped", len(outcomes) - len(runnable))
 
         self.executed_slots = slot + 1
         self.next_slot = slot + 1

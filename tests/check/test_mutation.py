@@ -8,7 +8,6 @@ bug produces — the checker's own regression test.
 from __future__ import annotations
 
 import inspect
-import textwrap
 from collections import Counter
 from dataclasses import replace
 
@@ -305,7 +304,7 @@ class TestUnscaledOpportunists:
     """The surviving slot-execution oracle is independent of the
     vectorized path: mutate one and the other contradicts it."""
 
-    #: (original line, mutated line) of ``VirtualMachine.execute_slot``.
+    #: (original line, mutated line) of ``machine.execute_slots``.
     #: The first skips the opportunists' scale-back to the capacity the
     #: primaries left.  On its own that also trips the ``capacity`` rule
     #: (served demand exceeds the VM), so the second clips the served
@@ -314,13 +313,13 @@ class TestUnscaledOpportunists:
     #: can carry them — visible only in the per-job reference rates.
     MUTATIONS = (
         (
-            "grants[opp] = np.minimum(demands[opp] * scale, caps[opp])",
-            "grants[opp] = np.minimum(demands[opp], caps[opp])",
+            "grants = np.where(opp, np.minimum(demands * squeeze[owner], caps), grants)",
+            "grants = np.where(opp, np.minimum(demands, caps), grants)",
         ),
         (
-            "served = np.minimum(grants, demands).sum(axis=0)",
+            "served = _segment_sums(np.minimum(grants, demands), owner, m)",
             "served = np.minimum("
-            "np.minimum(grants, demands).sum(axis=0), cap_arr)",
+            "_segment_sums(np.minimum(grants, demands), owner, m), capacity)",
         ),
     )
 
@@ -335,14 +334,17 @@ class TestUnscaledOpportunists:
         assert healthy.ok
         assert healthy.checks.get("differential", 0) > 0
 
-        source = textwrap.dedent(inspect.getsource(VirtualMachine.execute_slot))
+        source = inspect.getsource(machine.execute_slots)
         for original, mutated in self.MUTATIONS:
             assert source.count(original) == 1, original
             source = source.replace(original, mutated)
         namespace: dict = {}
         exec(source, vars(machine), namespace)
+        # The tick calls the name it imported; one-VM calls go through
+        # the module's.
+        monkeypatch.setattr(machine, "execute_slots", namespace["execute_slots"])
         monkeypatch.setattr(
-            VirtualMachine, "execute_slot", namespace["execute_slot"]
+            "repro.service.kernel.execute_slots", namespace["execute_slots"]
         )
         report = api.check_run(
             scenario=scenario, methods=("CORP",), differential=True,

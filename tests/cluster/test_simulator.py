@@ -122,6 +122,25 @@ class TestAdmission:
         sim = ClusterSimulator(profile, GreedyScheduler())
         assert sim.max_vm_capacity() == profile.vm_capacity
 
+    def test_a_revocation_in_force_rejects_nothing_for_good(self, profile):
+        """Admission is judged on nominal capacities: a job that fits a
+        VM once a revocation ends waits for it instead of being rejected."""
+        from repro.service.kernel import SchedulerKernel
+
+        sim = ClusterSimulator(profile, GreedyScheduler())
+        kernel = SchedulerKernel(sim, streaming=True)
+        for vm in sim.vms:
+            vm.set_capacity_scale(0.5)
+        request = profile.vm_capacity.as_array() * 0.8
+        kernel.submit(make_record(request=tuple(request), duration_s=30.0))
+        kernel.advance()  # the submission
+        kernel.advance()  # a tick under the revocation: no VM can host it
+        assert not sim.rejected and len(sim.pending) == 1
+        for vm in sim.vms:
+            vm.set_capacity_scale(1.0)
+        kernel.run_until_blocked()
+        assert [job.state for job in sim.completed] == [JobState.COMPLETED]
+
 
 class TestQueueing:
     def test_saturated_cluster_queues_jobs(self):

@@ -7,7 +7,8 @@ suite separately pins that the batch path itself never drifted).
 
 import pytest
 
-from repro import api
+from repro import ClusterProfile, api, cluster_scenario
+from repro.cluster.machine import VirtualMachine
 from repro.experiments.runner import METHOD_ORDER
 from repro.obs import MemorySink, capture_events
 from repro.service import EventKind, SchedulerKernel
@@ -196,3 +197,51 @@ class TestSnapshot:
         a = {k: v for k, v in first.result().summary().items() if k not in skip}
         b = {k: v for k, v in second.result().summary().items() if k not in skip}
         assert a == b
+
+
+class TestOneBatchPerTick:
+    """A tick executes its runnable VMs in one ``execute_slots`` call."""
+
+    @pytest.mark.parametrize("method", METHOD_ORDER)
+    @pytest.mark.parametrize("intensity", [None, 0.5])
+    def test_the_tick_never_executes_one_vm(
+        self, small_scenario, tiny_corp_config, predictor_cache, monkeypatch,
+        method, intensity,
+    ):
+        def refuse(vm, slot):
+            raise AssertionError("the tick executed a VM on its own")
+
+        monkeypatch.setattr(VirtualMachine, "execute_slot", refuse)
+        plan = None
+        if intensity is not None:
+            plan = api.build_fault_plan(seed=0, intensity=intensity)
+        result = api.run_one(
+            scenario=small_scenario.with_fault_plan(plan),
+            method=method,
+            corp_config=tiny_corp_config,
+            predictor_cache=predictor_cache,
+        )
+        assert result.n_completed > 0
+
+    def test_idle_vms_stay_out_of_the_batch(self, predictor_cache, monkeypatch):
+        """200 VMs, 24 jobs: most VMs are quiescent at every tick.  No
+        quiescent VM is handed to ``execute_slots``, and the VM rows it
+        gets add up to the VM-slots executed before the batch existed
+        (``sim.vm_slots_executed`` of the last per-VM tick), one call a
+        tick."""
+        from repro.cluster.machine import execute_slots
+
+        batched: list[int] = []
+
+        def counting(vms, slot):
+            assert not any(vm.quiescent for vm in vms)
+            batched.append(len(vms))
+            return execute_slots(vms, slot)
+
+        monkeypatch.setattr("repro.service.kernel.execute_slots", counting)
+        scenario = cluster_scenario(
+            24, seed=7, profile=ClusterProfile.hyperscale(n_pms=25)
+        )
+        results = api.compare(scenario=scenario, predictor_cache=predictor_cache)
+        assert len(batched) == sum(r.n_slots for r in results.values())
+        assert sum(batched) == 750
