@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forward_backward import forward_backward
+from .forward_backward import forward_backward_block
 from .model import HiddenMarkovModel
 
 __all__ = ["BaumWelchConfig", "BaumWelchResult", "baum_welch"]
@@ -54,50 +54,63 @@ class BaumWelchResult:
         return len(self.log_likelihoods)
 
 
+def _length_blocks(sequences: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(positions, (n, T) block)`` per distinct sequence length; the
+    positions are the block rows' indices in ``sequences``."""
+    by_length: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_length.setdefault(seq.size, []).append(i)
+    return [(np.array(rows), np.stack([sequences[i] for i in rows])) for rows in by_length.values()]
+
+
 def _em_step(
     model: HiddenMarkovModel,
     sequences: Sequence[np.ndarray],
+    blocks: list[tuple[np.ndarray, np.ndarray]],
     smoothing: float,
 ) -> tuple[HiddenMarkovModel, float]:
-    """One EM iteration over all sequences; returns (new model, total LL)."""
-    H = model.n_states
-    M = model.n_symbols
-    A = model.transition
-    B = model.emission
+    """One EM iteration over all sequences; returns (new model, total LL).
 
-    trans_num = np.full((H, H), smoothing)
+    One :func:`forward_backward_block` per length block of
+    :func:`_length_blocks`.  Each sequence's statistics are a row, added
+    in input order by ``np.add.at`` (unbuffered, sequential): the floats
+    of visiting the sequences one at a time."""
+    H, M = model.n_states, model.n_symbols
+    A, B = model.transition, model.emission
+    # Per sequence: log-likelihood, γ_0, Σ_{t<T} γ_t, Σ_t γ_t, Σ_t ξ_t.
+    rows = np.empty((len(sequences), 1 + 3 * H + H * H))
+    gammas: list[np.ndarray] = [np.empty(0)] * len(sequences)
+    for positions, obs in blocks:
+        alpha, beta, gamma, scales = forward_backward_block(model, obs)
+        # ξ_t(i, j) ∝ α_t(i) A_ij B_j(O_{t+1}) β_{t+1}(j); its sum over t
+        # is one einsum (zero for a one-symbol sequence).
+        b_next = B[:, obs[:, 1:]].transpose(1, 2, 0)  # (n, T-1, H)
+        weighted = beta[:, 1:] * b_next / scales[:, 1:, None]
+        xi = A * np.einsum("nti,ntj->nij", alpha[:, :-1], weighted)
+        rows[positions] = np.concatenate([
+            np.log(scales).sum(axis=1)[:, None], gamma[:, 0],
+            gamma[:, :-1].sum(axis=1), gamma.sum(axis=1), xi.reshape(len(obs), -1),
+        ], axis=1)
+        for row, position in enumerate(positions):
+            gammas[position] = gamma[row]
+
+    acc = np.repeat([0.0, smoothing, smoothing * H, smoothing * M, smoothing], [1, H, H, H, H * H])
+    np.add.at(acc[None], np.zeros(len(rows), dtype=np.intp), rows)
+    total_ll, pi_acc, gamma_sum_not_last, gamma_sum_all, trans_num = np.split(
+        acc, np.cumsum([1, H, H, H])
+    )
     emit_num = np.full((H, M), smoothing)
-    gamma_sum_not_last = np.full(H, smoothing * H)
-    gamma_sum_all = np.full(H, smoothing * M)
-    pi_acc = np.full(H, smoothing)
-    total_ll = 0.0
+    # emit_num[j, k] += Σ_{t: O_t=k} γ_t(j), sequence after sequence
+    np.add.at(emit_num.T, np.concatenate(sequences), np.concatenate(gammas))
 
-    for seq in sequences:
-        obs = model.validate_observations(seq)
-        fb = forward_backward(model, obs)
-        total_ll += fb.log_likelihood
-        T = obs.size
-        gamma = fb.gamma
-        pi_acc += gamma[0]
-        if T > 1:
-            # ξ_t(i, j) ∝ α_t(i) A_ij B_j(O_{t+1}) β_{t+1}(j); accumulate
-            # its sum over t with one einsum instead of a Python loop.
-            b_next = B[:, obs[1:]].T          # (T-1, H)
-            weighted = fb.beta[1:] * b_next / fb.scales[1:, None]
-            trans_num += A * np.einsum("ti,tj->ij", fb.alpha[:-1], weighted)
-            gamma_sum_not_last += gamma[:-1].sum(axis=0)
-        gamma_sum_all += gamma.sum(axis=0)
-        np.add.at(emit_num.T, obs, gamma)  # emit_num[j, k] += Σ_{t: O_t=k} γ_t(j)
-
-    n_seq = len(sequences)
-    new_A = trans_num / gamma_sum_not_last[:, None]
+    new_A = trans_num.reshape(H, H) / gamma_sum_not_last[:, None]
     new_B = emit_num / gamma_sum_all[:, None]
-    new_pi = pi_acc / (n_seq + smoothing * H)
+    new_pi = pi_acc / (len(sequences) + smoothing * H)
     # Renormalize against accumulated smoothing drift.
     new_A /= new_A.sum(axis=1, keepdims=True)
     new_B /= new_B.sum(axis=1, keepdims=True)
     new_pi /= new_pi.sum()
-    return HiddenMarkovModel(new_A, new_B, new_pi), total_ll
+    return HiddenMarkovModel(new_A, new_B, new_pi), float(total_ll[0])
 
 
 def baum_welch(
@@ -114,14 +127,16 @@ def baum_welch(
     cfg = config or BaumWelchConfig()
     if isinstance(sequences, np.ndarray) and sequences.ndim == 1:
         sequences = [sequences]
-    sequences = [np.asarray(s, dtype=np.int64) for s in sequences]
+    # Validated once: EM keeps the model's symbol count.
+    sequences = [model.validate_observations(s) for s in sequences]
     if not sequences:
         raise ValueError("need at least one observation sequence")
+    blocks = _length_blocks(sequences)
 
     result = BaumWelchResult(model=model.copy())
     previous_ll = -np.inf
     for _ in range(cfg.max_iterations):
-        new_model, ll = _em_step(result.model, sequences, cfg.smoothing)
+        new_model, ll = _em_step(result.model, sequences, blocks, cfg.smoothing)
         result.log_likelihoods.append(ll)
         result.model = new_model
         if ll - previous_ll < cfg.tolerance and np.isfinite(previous_ll):

@@ -93,8 +93,8 @@ class ThresholdBands:
         """Vectorized :meth:`symbolize` over an array."""
         v = np.asarray(values, dtype=np.float64)
         out = np.full(v.shape, CENTER, dtype=np.int64)
-        out[v <= self.lower_threshold] = VALLEY
         out[v >= self.upper_threshold] = PEAK
+        out[v <= self.lower_threshold] = VALLEY  # wins at t_1 == t_2, as in symbolize
         return out
 
 

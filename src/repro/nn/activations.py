@@ -34,14 +34,10 @@ class Activation:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Numerically stable piecewise form: exp only ever sees non-positive
-    # arguments, so no overflow warnings on large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Stable piecewise form, 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
+    # below: exp only sees -|x|, so no overflow warnings on large |x|.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _sigmoid_deriv(g: np.ndarray) -> np.ndarray:

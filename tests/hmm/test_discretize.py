@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.hmm.discretize import (
@@ -67,8 +67,18 @@ class TestSymbolize:
         assert bands.symbolize(8.0) == PEAK  # inclusive upper
         assert bands.symbolize(11.0) == PEAK
 
-    def test_vectorized_matches_scalar(self, bands):
-        values = np.array([1.0, 2.0, 5.0, 8.0, 11.0])
+    @example(stats=[0.3, 0.3, 0.3], values=[0.3])  # t_1 == t_2: VALLEY
+    @given(
+        stats=st.lists(
+            st.one_of(st.floats(-100, 100), st.sampled_from([0.0, 1.0])),
+            min_size=3, max_size=3,
+        ),
+        values=st.lists(st.floats(-200, 200), max_size=20),
+    )
+    def test_vectorized_matches_scalar(self, stats, values):
+        bands = ThresholdBands(*sorted(stats))  # equal stats: degenerate bands
+        # The thresholds themselves are the values a rule can split on.
+        values = np.array(values + [bands.lower_threshold, bands.upper_threshold, bands.minimum])
         expected = [bands.symbolize(v) for v in values]
         np.testing.assert_array_equal(bands.symbolize_many(values), expected)
 

@@ -10,6 +10,16 @@ from repro.nn.activations import LINEAR, SIGMOID, TANH, get_activation
 floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
+def masked_sigmoid(x):
+    """The boolean-mask form ``SIGMOID`` replaced, kept as its oracle."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestSigmoid:
     def test_midpoint(self):
         assert SIGMOID(np.array([0.0]))[0] == pytest.approx(0.5)
@@ -27,6 +37,18 @@ class TestSigmoid:
         y = SIGMOID(np.array([-1e6, 1e6]))
         assert y[0] == pytest.approx(0.0)
         assert y[1] == pytest.approx(1.0)
+
+    @given(st.lists(
+        st.one_of(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+        ),
+        min_size=1, max_size=64,
+    ))
+    def test_same_floats_as_the_masked_form(self, values):
+        x = np.array(values)
+        with np.errstate(over="raise"):  # exp never sees a positive argument
+            assert SIGMOID(x).tobytes() == masked_sigmoid(x).tobytes()
 
     def test_derivative_formula(self):
         g = SIGMOID(np.array([0.3]))
