@@ -105,7 +105,7 @@ _SHARED = dict((
           "results differ from a cold fit)",
           action="store_true"),
     _flag("--fit-workers",
-          "fan the three per-resource DNN/HMM fits across N worker "
+          "fan the three per-resource HMM fits across N worker "
           "processes (0 = serial; results are identical either way)",
           type=int, default=0),
     _flag("--predictor-cache-size",

@@ -29,13 +29,14 @@ conservative unused-side schemes).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..cluster.machine import SlotOutcome, VirtualMachine
 from ..cluster.resources import NUM_RESOURCES, ResourceVector
 from ..core.provisioning import ProvisioningSchedulerBase
-from ..forecast.fft_signature import FftSignaturePredictor
-from ..forecast.markov_chain import MarkovChainPredictor
+from ..forecast.kernels import by_length, fft_signature, markov_forecast
 from ..forecast.padding import AdaptivePadding
 
 __all__ = ["CloudScaleScheduler"]
@@ -88,13 +89,22 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
         return tracker
 
     # ------------------------------------------------------------------
-    def _predict_series(self, series: np.ndarray) -> float:
-        """One-series forecast: FFT signature, Markov-chain fallback."""
-        fft = FftSignaturePredictor(self.signature_threshold).fit(series)
-        if fft.has_signature:
-            return max(fft.forecast(self.window_slots), 0.0)
-        markov = MarkovChainPredictor(self.n_bins).fit(series)
-        return max(markov.forecast(self.window_slots), 0.0)
+    def _forecast(self, block: np.ndarray, *, signature: bool = True) -> np.ndarray:
+        """``window_slots``-ahead forecasts of an ``(m, T, l)`` block of
+        usage series, floored at zero: the FFT signature, and the Markov
+        chain for series without one (all of them when ``signature`` is
+        off)."""
+        m, length, kinds = block.shape
+        series = np.ascontiguousarray(block.transpose(0, 2, 1)).reshape(m * kinds, length)
+        forecast = np.full(m * kinds, np.nan)
+        if signature:
+            forecast = fft_signature(series, self.window_slots, self.signature_threshold)
+        chain = np.isnan(forecast)
+        if chain.any():
+            forecast[chain] = markov_forecast(
+                series[chain], (self.window_slots,), self.n_bins
+            )[:, 0]
+        return np.where(forecast < 0.0, 0.0, forecast).reshape(m, kinds)
 
     def on_slot_start(self, slot: int) -> None:
         """Window refresh plus the periodic per-job cap recomputation."""
@@ -116,37 +126,42 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
         Jobs with less than two observed slots keep their full request —
         CloudScale has no basis to scale them yet.
         """
+        capped = []
         for vm in self.vms:
             for placement in vm.placements:
-                job = placement.job
-                log = job.demand_log[-self.history_slots :]
+                log = placement.job.demand_log[-self.history_slots :]
                 if len(log) < 2:
                     placement.granted_cap = None
-                    continue
-                history = np.asarray(log)
-                cap = np.empty(NUM_RESOURCES)
-                for k in range(NUM_RESOURCES):
-                    # Per-job series are short-lived and never carry a
-                    # periodic signature; PRESS's state-based (Markov)
-                    # path is the operative one here.
-                    markov = MarkovChainPredictor(self.n_bins).fit(history[:, k])
-                    predicted = max(markov.forecast(self.window_slots), 0.0)
-                    pad = self._pad_tracker(vm.vm_id, k).pad()
-                    cap[k] = predicted + pad
-                placement.granted_cap = ResourceVector(
-                    np.minimum(cap, job.requested.as_array())
-                )
+                else:
+                    capped.append((vm.vm_id, placement, log))
+        predicted = np.empty((len(capped), NUM_RESOURCES))
+        for rows in by_length([log for _, _, log in capped]).values():
+            # Per-job series are short-lived and never carry a periodic
+            # signature; PRESS's state-based (Markov) path is the
+            # operative one here.
+            predicted[rows] = self._forecast(
+                np.array([capped[i][2] for i in rows]), signature=False
+            )
+        for (vm_id, placement, _), demand in zip(capped, predicted):
+            pads = [self._pad_tracker(vm_id, k).pad() for k in range(NUM_RESOURCES)]
+            placement.granted_cap = ResourceVector(
+                np.minimum(demand + pads, placement.job.requested.as_array())
+            )
 
     # ------------------------------------------------------------------
     def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        """FFT signature per resource; Markov-chain fallback when none."""
-        history = vm.unused_history(last=self.history_slots)
-        out = np.zeros(NUM_RESOURCES)
-        if history.shape[0] < 2:
-            return out
-        for k in range(NUM_RESOURCES):
-            out[k] = self._predict_series(history[:, k])
-        return out
+        """One VM's forecast: the ``n = 1`` case of :meth:`predict_vms_unused`."""
+        return self.predict_vms_unused([vm])[0]
+
+    def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
+        """FFT signature per VM and resource, Markov-chain fallback where
+        none; one kernel call each per history length."""
+        histories = [vm.unused_history(last=self.history_slots) for vm in vms]
+        out = np.zeros((len(vms), NUM_RESOURCES))
+        for length, rows in by_length(histories).items():
+            if length >= 2:
+                out[rows] = self._forecast(np.array([histories[i] for i in rows]))
+        return list(out)
 
     def adjust_forecast(self, raw: np.ndarray, vm: VirtualMachine) -> np.ndarray:
         """Adaptive padding: shave the pad off the unused forecast.

@@ -15,13 +15,15 @@ predicted-unused resources).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..cluster.machine import VirtualMachine
 from ..cluster.resources import NUM_RESOURCES
 from ..core.provisioning import ProvisioningSchedulerBase
 from ..forecast.confidence import z_value
-from ..forecast.ets import HoltLinear, SimpleExponentialSmoothing
+from ..forecast.kernels import by_length, holt_path, ses_level
 
 __all__ = ["RccrScheduler"]
 
@@ -75,24 +77,23 @@ class RccrScheduler(ProvisioningSchedulerBase):
         commitment-fraction scale the runtime trackers use).
         """
         horizon = self.window_slots
-        samples: list[np.ndarray] = []
+        heads: list[np.ndarray] = []  # the history a forecast sees
+        tails: list[np.ndarray] = []  # the window it is scored on
         for record in history:
-            series = 1.0 - record.utilization_series()
-            n = series.shape[0]
+            n = record.n_samples
             if n < 2 * horizon + 2:
                 continue
+            series = 1.0 - record.utilization_series()
             for split in range(horizon + 2, n - horizon, horizon):
-                errs = np.empty(series.shape[1])
-                for k in range(series.shape[1]):
-                    ets = self._make_forecaster().fit(series[:split, k])
-                    forecast = max(ets.forecast(horizon), 0.0)
-                    actual = series[split : split + horizon, k].mean()
-                    errs[k] = actual - forecast
-                samples.append(errs)
-            if len(samples) >= 150:
+                heads.append(series[:split])
+                tails.append(series[split : split + horizon])
+            if len(heads) >= 150:
                 break
-        if samples:
-            arr = np.asarray(samples)
+        if heads:
+            forecasts = np.empty((len(heads), NUM_RESOURCES))
+            for rows in by_length(heads).values():
+                forecasts[rows] = self._forecast(np.array([heads[i] for i in rows]))
+            arr = np.array([tail.T for tail in tails]).mean(axis=2) - forecasts
             # Pair-average to approximate VM granularity, where ~2 jobs'
             # independent errors partially cancel (same reasoning as
             # CORP's seeding; job-level tails would inflate σ̂).
@@ -101,28 +102,40 @@ class RccrScheduler(ProvisioningSchedulerBase):
                 arr = 0.5 * (arr[:half:2] + arr[1:half:2])
             for k in range(arr.shape[1]):
                 self.raw_errors.trackers[k].seed(arr[:, k])
-                self.gate.trackers[k].seed(
-                    arr[:, k] + float(np.std(arr[:, k], ddof=1)) * self._z
-                )
+                # σ̂ of fewer than two samples is 0, as the trackers' own
+                # ``sigma()`` has it: no CI shift to add.
+                shift = 0.0
+                if arr.shape[0] >= 2:
+                    shift = float(np.std(arr[:, k], ddof=1)) * self._z
+                self.gate.trackers[k].seed(arr[:, k] + shift)
         self._begin_window()
 
     # ------------------------------------------------------------------
     def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        """Holt ETS per resource over the VM's recent unused history."""
-        history = vm.unused_history(last=self.history_slots)
-        out = np.zeros(NUM_RESOURCES)
-        if history.shape[0] < 2:
-            return out  # no history yet: predict no reusable slack
-        for k in range(NUM_RESOURCES):
-            ets = self._make_forecaster().fit(history[:, k])
-            out[k] = max(ets.forecast(self.window_slots), 0.0)
-        return out
+        """One VM's forecast: the ``n = 1`` case of :meth:`predict_vms_unused`."""
+        return self.predict_vms_unused([vm])[0]
 
-    def _make_forecaster(self):
-        """Simple ES when ``beta == 0``, Holt's linear trend otherwise."""
+    def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
+        """ETS per VM and resource over the recent unused history, one
+        kernel call per history length."""
+        histories = [vm.unused_history(last=self.history_slots) for vm in vms]
+        out = np.zeros((len(vms), NUM_RESOURCES))
+        for length, rows in by_length(histories).items():
+            if length >= 2:  # no history yet: predict no reusable slack
+                out[rows] = self._forecast(np.array([histories[i] for i in rows]))
+        return list(out)
+
+    def _forecast(self, block: np.ndarray) -> np.ndarray:
+        """``window_slots``-ahead forecasts of an ``(m, T, l)`` block of
+        unused histories, floored at zero: simple ES when ``beta == 0``,
+        Holt's linear trend otherwise."""
+        m, length, kinds = block.shape
+        series = np.ascontiguousarray(block.transpose(0, 2, 1)).reshape(m * kinds, length)
         if self.beta <= 0.0:
-            return SimpleExponentialSmoothing(self.alpha)
-        return HoltLinear(self.alpha, self.beta)
+            forecast = ses_level(series, self.alpha)
+        else:
+            forecast = holt_path(series, self.alpha, self.beta, self.window_slots)[:, -1]
+        return np.where(forecast < 0.0, 0.0, forecast).reshape(m, kinds)
 
     def _begin_window(self) -> None:
         """σ̂ moves only when a window's error samples land, not per VM."""

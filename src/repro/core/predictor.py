@@ -80,88 +80,28 @@ def build_training_set(
 
 
 @dataclass(frozen=True)
-class _ResourceFitTask:
-    """Everything one resource type's fit needs — plain picklable data.
+class _HmmFitTask:
+    """What one resource type's HMM fit needs — plain picklable data.
 
-    Per-resource seeds (net init ``seed + kind``, training shuffle
-    ``seed + 17·(kind+1)``, HMM ``seed + 101·(kind+1)``) make the three
-    fits fully independent, which is what lets :func:`parallel_map` fan
-    them across worker processes bit-identically to the serial loop.
+    Per-resource seeds (HMM ``seed + 101·(kind+1)``) make the three fits
+    independent, which is what lets :func:`parallel_map` fan them across
+    worker processes bit-identically to the serial loop.
     """
 
     config: CorpConfig
     kind: int
-    x: np.ndarray
-    y: np.ndarray
     histories: tuple[np.ndarray, ...]
-    warm_weights: list | None = None
     warm_model: HiddenMarkovModel | None = None
 
 
-@dataclass
-class _ResourceFitResult:
-    """One resource type's fitted models plus telemetry for the parent."""
-
-    net: FeedForwardNetwork
-    fluctuation: FluctuationPredictor
-    seed_errors: np.ndarray
-    prior: float
-    info: dict
-
-
-def _fit_one_resource(task: _ResourceFitTask) -> _ResourceFitResult:
-    """Fit one resource type's DNN + HMM (module-level: pool-callable)."""
-    cfg = task.config
-    kind = task.kind
-    x, y = task.x, task.y
-    net = FeedForwardNetwork(cfg.dnn_layer_sizes(), seed=cfg.seed + kind)
-    if task.warm_weights is not None:
-        # Warm start: begin from the donor's converged weights; the
-        # validation-convergence early stop then spends epochs only on
-        # what the shifted training window actually changed.
-        net.set_weights(task.warm_weights)
-    loss = MSE if cfg.train_quantile is None else pinball(cfg.train_quantile)
-    training = None
-    if x.shape[0] >= 8:
-        training = train(
-            net,
-            x,
-            y,
-            TrainingConfig(
-                max_epochs=cfg.train_max_epochs,
-                batch_size=cfg.train_batch_size,
-                patience=8,
-                seed=cfg.seed + 17 * (kind + 1),
-            ),
-            optimizer=Adam(0.01),
-            loss=loss,
-        )
-        pred = net.predict(x).ravel()
-        # Fraction-of-request errors: the same commitment-fraction
-        # units the scheduler's Eq. 20 trackers use.
-        seed_errors = y.ravel() - pred
-    else:
-        seed_errors = np.zeros(0)
-    prior = 0.0
-    if y.size:
-        # Prior at the same conservatism level the DNN trains to.
-        prior = float(np.quantile(y, cfg.quantile))
-
-    # HMM over job-level unused-fraction series.
-    fp = _unfitted_fluctuation(cfg, kind)
+def _fit_fluctuation(task: _HmmFitTask) -> FluctuationPredictor:
+    """Fit one resource type's HMM over job-level unused-fraction series
+    (module-level: pool-callable); unfitted without series, which
+    disables its corrections."""
+    fp = _unfitted_fluctuation(task.config, task.kind)
     if task.histories:
         fp.fit(task.histories, init_model=task.warm_model)
-    # else: unfitted — corrections disabled
-    info = {
-        "n_samples": int(x.shape[0]),
-        "epochs": training.n_epochs if training else 0,
-        "stopped_early": bool(training.stopped_early) if training else False,
-        "val_loss": float(training.final_val_loss) if training else None,
-        "warm_start": task.warm_weights is not None,
-    }
-    return _ResourceFitResult(
-        net=net, fluctuation=fp, seed_errors=seed_errors, prior=prior, info=info
-    )
+    return fp
 
 
 def _unfitted_fluctuation(cfg: CorpConfig, kind: int) -> FluctuationPredictor:
@@ -218,6 +158,12 @@ class CorpPredictor(Predictor):
     ) -> "CorpPredictor":
         """Offline phase: train one DNN and one HMM per resource type.
 
+        The three DNNs train as one stack (:func:`repro.nn.training.
+        train`), each with its own seeds (net init ``seed + kind``,
+        split and shuffle ``seed + 17·(kind+1)``) and early stop, and
+        bit-identical to training them one at a time; a resource with
+        fewer than 8 samples keeps its initial weights.
+
         ``warm_start`` seeds each resource's DNN weights and HMM
         parameters from a previously fitted predictor (typically the
         nearest artifact in a :class:`~repro.core.predictor_store.
@@ -228,7 +174,7 @@ class CorpPredictor(Predictor):
         different weights than cold fits, so warm starting is strictly
         opt-in.
 
-        ``workers >= 2`` fans the per-resource fits (independent by
+        ``workers >= 2`` fans the per-resource HMM fits (independent by
         per-resource seeding) across worker processes via
         :func:`repro.nn.parallel.parallel_map`; results are
         bit-identical to the serial loop.
@@ -240,54 +186,76 @@ class CorpPredictor(Predictor):
             or donor.config.dnn_layer_sizes() != cfg.dnn_layer_sizes()
         ):
             donor = None
-        tasks: list[_ResourceFitTask] = []
-        for kind in ResourceKind:
-            x, y, _reqs = build_training_set(
-                history,
-                kind,
-                cfg.input_slots,
-                cfg.window_slots,
+        samples = [
+            build_training_set(
+                history, kind, cfg.input_slots, cfg.window_slots,
                 target=cfg.prediction_target,
-            )
-            histories = tuple(
-                1.0 - r.utilization_series()[:, int(kind)]
-                for r in history
-                if r.n_samples >= 2 * cfg.window_slots
-            )
-            warm_weights = warm_model = None
+            )[:2]
+            for kind in ResourceKind
+        ]
+        # The HMMs learn from jobs long enough to show whole windows.
+        series = [
+            r.utilization_series() for r in history if r.n_samples >= 2 * cfg.window_slots
+        ]
+        networks: list[FeedForwardNetwork] = []
+        tasks: list[_HmmFitTask] = []
+        for kind in ResourceKind:
+            net = FeedForwardNetwork(cfg.dnn_layer_sizes(), seed=cfg.seed + kind)
+            warm_model = None
             if donor is not None:
-                warm_weights = donor.networks[int(kind)].get_weights()
+                net.set_weights(donor.networks[int(kind)].get_weights())
                 donor_fp = donor.fluctuation[int(kind)]
                 if donor_fp.fitted:
                     warm_model = donor_fp.model
-            tasks.append(
-                _ResourceFitTask(
-                    config=cfg,
-                    kind=int(kind),
-                    x=x,
-                    y=y,
-                    histories=histories,
-                    warm_weights=warm_weights,
-                    warm_model=warm_model,
-                )
-            )
+            networks.append(net)
+            histories = tuple(1.0 - util[:, int(kind)] for util in series)
+            tasks.append(_HmmFitTask(cfg, int(kind), histories, warm_model))
         if donor is not None:
             OBS.count("predictor.warm_start")
-        results = parallel_map(_fit_one_resource, tasks, workers=workers)
-        self.networks = [r.net for r in results]
-        self.fluctuation = [r.fluctuation for r in results]
-        self.seed_errors = [r.seed_errors for r in results]
-        self.prior_unused_fraction = np.array([r.prior for r in results])
+        trained = [k for k, (x, _y) in enumerate(samples) if x.shape[0] >= 8]
+        training = dict(zip(trained, train(
+            [networks[k] for k in trained],
+            [samples[k][0] for k in trained],
+            [samples[k][1] for k in trained],
+            [
+                TrainingConfig(
+                    max_epochs=cfg.train_max_epochs,
+                    batch_size=cfg.train_batch_size,
+                    patience=8,
+                    seed=cfg.seed + 17 * (k + 1),
+                )
+                for k in trained
+            ],
+            optimizer=Adam(0.01),
+            loss=MSE if cfg.train_quantile is None else pinball(cfg.train_quantile),
+        )))
+        self.networks = networks
+        self.fluctuation = parallel_map(_fit_fluctuation, tasks, workers=workers)
+        # Fraction-of-request errors: the same commitment-fraction units
+        # the scheduler's Eq. 20 trackers use.
+        self.seed_errors = [
+            y.ravel() - self.networks[k].predict(x).ravel() if k in training else np.zeros(0)
+            for k, (x, y) in enumerate(samples)
+        ]
+        # Prior at the same conservatism level the DNN trains to.
+        self.prior_unused_fraction = np.array([
+            float(np.quantile(y, cfg.quantile)) if y.size else 0.0 for _x, y in samples
+        ])
         if OBS.enabled:
-            for kind, result in zip(ResourceKind, results):
-                errors = result.seed_errors
+            for kind, (x, _y) in zip(ResourceKind, samples):
+                errors = self.seed_errors[kind]
+                run = training.get(int(kind))
                 OBS.emit(
                     "predictor_fit",
                     resource=kind.label.lower(),
                     rmse=float(np.sqrt(np.mean(errors**2)))
                     if errors.size else None,
-                    hmm_fitted=bool(result.fluctuation.fitted),
-                    **result.info,
+                    hmm_fitted=bool(self.fluctuation[kind].fitted),
+                    n_samples=int(x.shape[0]),
+                    epochs=run.n_epochs if run else 0,
+                    stopped_early=bool(run.stopped_early) if run else False,
+                    val_loss=float(run.final_val_loss) if run else None,
+                    warm_start=donor is not None,
                 )
         return self
 

@@ -88,7 +88,7 @@ class PredictorCache:
     fitting, and fresh fits are persisted back.  ``warm_start=True``
     additionally seeds unavoidable fits from the nearest stored artifact
     of the same config (opt-in — warm-started weights differ from cold
-    ones); ``fit_workers >= 2`` fans the per-resource fits across
+    ones); ``fit_workers >= 2`` fans the per-resource HMM fits across
     processes (bit-identical to serial).
     """
 

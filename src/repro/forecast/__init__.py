@@ -1,8 +1,9 @@
 """Time-series forecasting substrate and the pluggable predictor zoo.
 
-ETS (RCCR), FFT-signature + Markov chain + adaptive padding
-(CloudScale), plus the error windows of Eq. 18-21 that CORP and RCCR
-share.
+ETS (RCCR) and FFT-signature + Markov chain (CloudScale) as array
+kernels over blocks of equal-length series (:mod:`.kernels`), adaptive
+padding (CloudScale), plus the error windows of Eq. 18-21 that CORP and
+RCCR share.
 
 Since v1.6 the package also hosts the job-level
 :class:`~repro.forecast.base.Predictor` protocol and its registry
@@ -13,13 +14,10 @@ name-keyed, interchangeable implementations behind the public API's
 ``predictor=`` knob.
 """
 
-from .base import Forecaster, Predictor, window_samples
+from .base import Predictor, window_samples
 from .classify import ClassifyThenPredictPredictor
 from .confidence import PredictionErrorTracker, z_value
-from .ets import HoltLinear, SimpleExponentialSmoothing
-from .fft_signature import FftSignaturePredictor
 from .jobwise import EtsJobPredictor, MarkovJobPredictor
-from .markov_chain import MarkovChainPredictor
 from .padding import AdaptivePadding
 from .quantile import QuantileHistogramPredictor
 from .registry import (
@@ -33,15 +31,10 @@ from .registry import (
 from .selection import OnlinePredictorSelector
 
 __all__ = [
-    "Forecaster",
     "Predictor",
     "window_samples",
     "PredictionErrorTracker",
     "z_value",
-    "HoltLinear",
-    "SimpleExponentialSmoothing",
-    "FftSignaturePredictor",
-    "MarkovChainPredictor",
     "AdaptivePadding",
     "QuantileHistogramPredictor",
     "ClassifyThenPredictPredictor",

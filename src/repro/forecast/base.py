@@ -1,21 +1,18 @@
-"""The two forecasting contracts, and the skeleton every family shares.
+"""The job-level forecasting contract, and the skeleton every family shares.
 
-* :class:`Forecaster` — the one-dimensional time-series contract (fit
-  a series, forecast ``h`` steps ahead) the baseline predictors (ETS,
-  Markov chain, FFT signature) implement.
-* :class:`Predictor` — the job-level contract the schedulers consume:
-  fit on a historical :class:`~repro.trace.records.Trace`, then map each
-  job's utilization history to its predicted *unused* resources
-  (Section III-A's granularity).  It is a template: the base class owns
-  the batched per-job forecast (fitted check, young-job prior, clip to
-  the request), the ``predictor:fit`` span, ``from_config`` and the archive
-  round trip; a family writes ``_fit``, ``_unused_fractions`` and names
-  its hyper-parameters and fitted arrays in :attr:`Predictor.PARAMS` /
-  :attr:`Predictor.ARRAYS`.  That is what makes CORP's DNN+HMM, the
-  quantile predictor (Pace et al.), the classify-then-predict router
-  (Zhu & Fan), the lifted ETS / Markov forecasters and the online
-  selector interchangeable behind :mod:`repro.forecast.registry` and
-  the ``predictor=`` knob of the public API.
+:class:`Predictor` is the contract the schedulers consume: fit on a
+historical :class:`~repro.trace.records.Trace`, then map each job's
+utilization history to its predicted *unused* resources (Section
+III-A's granularity).  It is a template: the base class owns the
+batched per-job forecast (fitted check, young-job prior, clip to the
+request), the ``predictor:fit`` span, ``from_config`` and the archive
+round trip; a family writes ``_fit``, ``_unused_fractions`` and names
+its hyper-parameters and fitted arrays in :attr:`Predictor.PARAMS` /
+:attr:`Predictor.ARRAYS`.  That is what makes CORP's DNN+HMM, the
+quantile predictor (Pace et al.), the classify-then-predict router
+(Zhu & Fan), the lifted ETS / Markov kernels and the online selector
+interchangeable behind :mod:`repro.forecast.registry` and the
+``predictor=`` knob of the public API.
 
 Capability flags (class attribute :attr:`Predictor.capabilities`)
 declare what the surrounding machinery may do with an implementation:
@@ -37,7 +34,7 @@ declare what the surrounding machinery may do with an implementation:
 from __future__ import annotations
 
 import json
-from abc import ABC, abstractmethod
+from abc import ABC
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -49,42 +46,11 @@ from ..obs import OBS
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..trace.records import Trace
 
-__all__ = ["Forecaster", "Predictor", "window_samples"]
+__all__ = ["Predictor", "window_samples"]
 
 #: Format stamp of the generic ``save_npz`` payload archives (bumped on
 #: incompatible layout changes; checked on load).
 PAYLOAD_VERSION = 1
-
-
-class Forecaster(ABC):
-    """One-dimensional time-series forecaster.
-
-    Implementations are *online*: feed the history (or update
-    incrementally) and ask for a forecast ``horizon`` steps ahead.
-    """
-
-    @abstractmethod
-    def fit(self, series: np.ndarray) -> "Forecaster":
-        """Fit/refit on a full 1-D history."""
-
-    @abstractmethod
-    def forecast(self, horizon: int = 1) -> float:
-        """Point forecast ``horizon`` steps past the end of the history."""
-
-    def forecast_path(self, horizon: int) -> np.ndarray:
-        """Forecasts for steps ``1..horizon`` (default: repeat point calls)."""
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        return np.array([self.forecast(h) for h in range(1, horizon + 1)])
-
-    @staticmethod
-    def _validate(series: np.ndarray) -> np.ndarray:
-        s = np.asarray(series, dtype=np.float64).ravel()
-        if s.size == 0:
-            raise ValueError("series is empty")
-        if np.any(~np.isfinite(s)):
-            raise ValueError("series contains non-finite values")
-        return s
 
 
 def window_samples(

@@ -36,8 +36,10 @@ class Activation:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Stable piecewise form, 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
     # below: exp only sees -|x|, so no overflow warnings on large |x|.
+    # The numerator is max(e, [x >= 0]): e <= 1, so 1.0 where x >= 0 and
+    # e elsewhere (NaN stays NaN) — np.where's floats, without its select.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _sigmoid_deriv(g: np.ndarray) -> np.ndarray:

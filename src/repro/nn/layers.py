@@ -7,6 +7,10 @@
 
 Everything is batched: activations are ``(batch, units)`` arrays and the
 weight gradient is the batch-mean of the paper's per-input outer product.
+A layer may also hold a stack of ``K`` networks' parameters, weights
+``(K, out, in)`` and biases ``(K, out)`` against ``(K, batch, units)``
+activations (:func:`repro.nn.training.train` runs one): every matrix
+product then runs per item through the BLAS call the single layer makes.
 """
 
 from __future__ import annotations
@@ -49,12 +53,12 @@ class DenseLayer:
     @property
     def in_features(self) -> int:
         """Input width ``c`` of the layer."""
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_features(self) -> int:
         """Number of neurons in the layer."""
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, *, train: bool = True) -> np.ndarray:
@@ -64,7 +68,7 @@ class DenseLayer:
             raise ValueError(
                 f"expected input width {self.in_features}, got {x.shape[-1]}"
             )
-        z = x @ self.weights.T + self.biases
+        z = x @ self.weights.swapaxes(-1, -2) + self.biases[..., None, :]
         g = self.activation(z)
         if train:
             self._input = x
@@ -81,11 +85,11 @@ class DenseLayer:
         if self._input is None or self._output is None:
             raise RuntimeError("backward() before forward(train=True)")
         grad_output = np.atleast_2d(grad_output)
-        batch = grad_output.shape[0]
+        batch = grad_output.shape[-2]
         error = grad_output * self.activation.deriv(self._output)  # E (Eq. 6/7)
         # Eq. 8's per-input outer product E_i · g_j, averaged over the batch.
-        self.grad_weights = error.T @ self._input / batch
-        self.grad_biases = error.mean(axis=0)
+        self.grad_weights = error.swapaxes(-1, -2) @ self._input / batch
+        self.grad_biases = error.sum(axis=-2) / batch  # the batch mean
         return error @ self.weights
 
     def parameters(self) -> dict[str, np.ndarray]:

@@ -5,7 +5,8 @@ layers of ``N_n = 50`` units) and trains it with the three steps of
 Section III-A.1a — feed-forward evaluation (Eq. 5), back-propagation
 (Eq. 6-7) and weight updates (Eq. 8) — repeated over epochs until a
 held-out validation error converges (the loop lives in
-:mod:`repro.nn.training`).
+:mod:`repro.nn.training`, which trains several networks as one stack of
+layers).
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .layers import DenseLayer
-from .losses import MSE, Loss
-from .optimizers import SGD, Optimizer
 
 __all__ = ["FeedForwardNetwork"]
 
@@ -96,39 +95,6 @@ class FeedForwardNetwork:
         grad = grad_output
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-
-    def apply_gradients(self, optimizer: Optimizer) -> None:
-        """Let the optimizer consume each layer's cached gradients (Eq. 8)."""
-        for idx, layer in enumerate(self.layers):
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name in params:
-                optimizer.step(f"layer{idx}/{name}", params[name], grads[name])
-
-    # ------------------------------------------------------------------
-    def train_batch(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        *,
-        optimizer: Optimizer | None = None,
-        loss: Loss = MSE,
-    ) -> float:
-        """One forward/backward/update cycle over a batch; returns the loss."""
-        optimizer = optimizer or SGD()
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        pred = self.forward(x)
-        if pred.shape != y.shape:
-            raise ValueError(f"target shape {y.shape} != prediction {pred.shape}")
-        value = loss.fn(pred, y)
-        self.backward(loss.grad(pred, y))
-        self.apply_gradients(optimizer)
-        return value
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray, *, loss: Loss = MSE) -> float:
-        """Loss on a held-out set (no parameter updates)."""
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        return loss.fn(self.predict(x), y)
 
     # ------------------------------------------------------------------
     def get_weights(self) -> list[dict[str, np.ndarray]]:

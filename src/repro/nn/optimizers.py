@@ -1,14 +1,17 @@
 """Parameter-update rules.
 
-The paper uses plain gradient descent with learning rate ``μ`` (Eq. 8),
-the ``train_batch`` default; the CORP predictor trains with Adam.
-Optimizers mutate parameter arrays in place (no reallocation in the
-training hot loop, per the HPC guide's in-place-operations idiom).
+The paper uses plain gradient descent with learning rate ``μ`` (Eq. 8);
+the CORP predictor trains with Adam.  An optimizer updates one
+``(K, P)`` buffer in place, row ``k`` the flat parameters of network
+``k`` of a stack that trains in lockstep; every rule is elementwise, so
+a row moves exactly as that network alone would.  A network that stops
+early leaves the stack through :meth:`Optimizer.keep`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 import numpy as np
 
@@ -16,15 +19,14 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer(ABC):
-    """Updates named parameter arrays given equally named gradients."""
+    """Updates a parameter buffer given an equally shaped gradient."""
 
     @abstractmethod
-    def step(self, param_id: str, param: np.ndarray, grad: np.ndarray) -> None:
-        """Apply one update in place.
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Apply one update to ``params`` in place."""
 
-        ``param_id`` must be unique per parameter array (e.g.
-        ``"layer3/weights"``) so stateful optimizers keep separate slots.
-        """
+    def keep(self, rows: Sequence[int]) -> None:
+        """Keep the state of stack rows ``rows`` only, in that order."""
 
 
 class SGD(Optimizer):
@@ -35,9 +37,9 @@ class SGD(Optimizer):
             raise ValueError("learning_rate must be positive")
         self.learning_rate = learning_rate
 
-    def step(self, param_id: str, param: np.ndarray, grad: np.ndarray) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """``param ← param − μ · grad`` in place."""
-        param -= self.learning_rate * grad
+        params -= self.learning_rate * grads
 
 
 class Adam(Optimizer):
@@ -58,20 +60,37 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
+        self._t = 0
 
-    def step(self, param_id: str, param: np.ndarray, grad: np.ndarray) -> None:
-        """Bias-corrected adaptive-moment update in place."""
-        m = self._m.setdefault(param_id, np.zeros_like(param))
-        v = self._v.setdefault(param_id, np.zeros_like(param))
-        t = self._t.get(param_id, 0) + 1
-        self._t[param_id] = t
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Bias-corrected adaptive-moment update in place.
+
+        ``param −= μ · m̂ / (√v̂ + ε)`` with ``m̂ = m / (1 − β₁ᵗ)`` and
+        ``v̂ = v / (1 − β₂ᵗ)``, each operation into a scratch buffer, in
+        the order the expression evaluates.
+        """
+        if self._m is None or self._v is None:
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
+        m, v = self._m, self._v
+        a, b = np.empty_like(params), np.empty_like(params)
+        self._t += 1
+        t = self._t
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        m += np.multiply(grads, 1.0 - self.beta1, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(grads, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, grads, out=a)
+        np.divide(m, 1.0 - self.beta1**t, out=a)
+        a *= self.learning_rate
+        np.sqrt(np.divide(v, 1.0 - self.beta2**t, out=b), out=b)
+        b += self.eps
+        params -= np.divide(a, b, out=a)
+
+    def keep(self, rows: Sequence[int]) -> None:
+        """Drop the moments of networks that left the stack."""
+        if self._m is not None and self._v is not None:
+            self._m = self._m[rows]
+            self._v = self._v[rows]

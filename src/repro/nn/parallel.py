@@ -21,7 +21,7 @@ def parallel_map(
 ) -> list[_R]:
     """Order-preserving map over independent tasks.
 
-    The fan-out seam for the per-resource DNN/HMM fits (paper Section
+    The fan-out seam for the per-resource HMM fits (paper Section
     VI's "distributed deep learning training" future work, restricted
     to what actually helps here): each task carries its own seeds and
     shares no state, so running them in worker *processes* is

@@ -4,12 +4,15 @@ Section III-A.1a: "the training continues for multiple training epochs,
 processing the training data set each time, until the validation set
 error converges to a low value."  :func:`train` implements exactly that:
 shuffled mini-batch epochs, a held-out validation split, and early stop
-when the validation loss stops improving (with best-weights restore).
+when the validation loss stops improving (with best-weights restore),
+for several networks at once (CORP trains one per resource type).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -81,67 +84,170 @@ def train_validation_split(
     return x[train_idx], y[train_idx], x[val_idx], y[val_idx]
 
 
-def train(
-    network: FeedForwardNetwork,
-    x: np.ndarray,
-    y: np.ndarray,
-    config: TrainingConfig | None = None,
-    *,
-    optimizer: Optimizer | None = None,
-    loss: Loss = MSE,
-) -> TrainingHistory:
-    """Train ``network`` on ``(x, y)`` with validation-based early stop.
-
-    Returns the :class:`TrainingHistory`; the network is left holding the
-    weights of its best validation epoch.
-    """
-    cfg = config or TrainingConfig()
-    optimizer = optimizer or SGD()
-    rng = np.random.default_rng(cfg.seed)
+def _split(
+    x: np.ndarray, y: np.ndarray, cfg: TrainingConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One network's training and validation sets (both the whole data
+    when there is too little to hold any out)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if y.shape[0] != x.shape[0]:
         raise ValueError("x and y row counts differ")
-
     if cfg.validation_fraction > 0.0 and x.shape[0] >= 5:
         x_tr, y_tr, x_val, y_val = train_validation_split(
             x, y, cfg.validation_fraction, rng
         )
         if x_val.shape[0] == 0:
             x_val, y_val = x_tr, y_tr
-    else:
-        x_tr, y_tr = x, y
-        x_val, y_val = x, y
+        return x_tr, y_tr, x_val, y_val
+    return x, y, x, y
 
-    history = TrainingHistory()
-    best_val = float("inf")
-    best_weights = network.get_weights()
-    stale = 0
-    n = x_tr.shape[0]
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        epoch_loss = 0.0
+
+class _Stack:
+    """``K`` networks of one architecture as one network of stacked layers.
+
+    The parameters live in one ``(K, P)`` buffer, row ``k`` network
+    ``k``'s weights and biases layer by layer; each layer of :attr:`net`
+    holds ``(K, out, in)`` / ``(K, out)`` views into it.
+    """
+
+    def __init__(self, networks: Sequence[FeedForwardNetwork]) -> None:
+        def shapes(net: FeedForwardNetwork) -> list[list[tuple[int, ...]]]:
+            return [[p.shape for p in layer.parameters().values()] for layer in net.layers]
+
+        template = networks[0]
+        self.shapes = shapes(template)
+        if any(shapes(net) != self.shapes for net in networks):
+            raise ValueError("stacked networks must share one architecture")
+        self.net = copy.copy(template)
+        self.net.layers = [copy.copy(layer) for layer in template.layers]
+        self.adopt(np.stack([
+            np.concatenate([p.ravel() for layer in net.layers for p in layer.parameters().values()])
+            for net in networks
+        ]))
+
+    def adopt(self, params: np.ndarray) -> None:
+        """Make ``params`` the buffer the stacked layers view."""
+        self.params = params
+        offset = 0
+        for layer, shapes in zip(self.net.layers, self.shapes):
+            views = []
+            for shape in shapes:
+                size = int(np.prod(shape))
+                views.append(params[:, offset : offset + size].reshape(-1, *shape))
+                offset += size
+            layer.weights, layer.biases = views
+
+    def grads(self) -> np.ndarray:
+        """The last backward pass's gradients, laid out as :attr:`params`."""
+        k = len(self.params)
+        return np.concatenate(
+            [g.reshape(k, -1) for layer in self.net.layers for g in layer.gradients().values()],
+            axis=1,
+        )
+
+    @staticmethod
+    def write(network: FeedForwardNetwork, row: np.ndarray) -> None:
+        """Copy one buffer row back into ``network``'s own arrays."""
+        offset = 0
+        for layer in network.layers:
+            for value in layer.parameters().values():
+                value[...] = row[offset : offset + value.size].reshape(value.shape)
+                offset += value.size
+
+
+def train(
+    networks: Sequence[FeedForwardNetwork],
+    x: Sequence[np.ndarray],
+    y: Sequence[np.ndarray],
+    configs: Sequence[TrainingConfig] | None = None,
+    *,
+    optimizer: Optimizer | None = None,
+    loss: Loss = MSE,
+) -> list[TrainingHistory]:
+    """Train ``networks[k]`` on ``(x[k], y[k])`` under ``configs[k]``, all
+    in lockstep, each with validation-based early stop.
+
+    The networks share an architecture, a data shape and the batching
+    knobs (``batch_size``, ``validation_fraction``); each keeps its own
+    split and shuffle stream (``configs[k].seed``), its own early stop
+    and its own best weights, and leaves the stack when it stops.  A
+    step runs every remaining network's batch as one stacked pass and
+    one optimizer update of the shared ``(K, P)`` buffer, so each
+    network ends with the bits it reaches trained alone.  Returns one
+    :class:`TrainingHistory` per network; each network is left holding
+    the weights of its best validation epoch.
+    """
+    networks = list(networks)
+    configs = list(configs) if configs is not None else [TrainingConfig()] * len(networks)
+    if not len(x) == len(y) == len(configs) == len(networks):
+        raise ValueError("one x, y and config per network")
+    if not networks:
+        return []
+    if len({(c.batch_size, c.validation_fraction) for c in configs}) > 1:
+        raise ValueError("stacked networks must share batch_size and validation_fraction")
+    optimizer = optimizer or SGD()
+    rngs = [np.random.default_rng(cfg.seed) for cfg in configs]
+    splits = [_split(xk, yk, cfg, rng) for xk, yk, cfg, rng in zip(x, y, configs, rngs)]
+    if len({tuple(part.shape for part in split) for split in splits}) > 1:
+        raise ValueError("stacked networks need equally shaped data")
+    x_tr, y_tr, x_val, y_val = (np.stack(part) for part in zip(*splits))
+
+    stack = _Stack(networks)
+    histories = [TrainingHistory() for _ in networks]
+    best_val = [float("inf")] * len(networks)
+    best = list(stack.params.copy())
+    stale = [0] * len(networks)
+    active = list(range(len(networks)))  # network of each stack row
+    n = x_tr.shape[1]
+    batch_size = configs[0].batch_size
+    for epoch in range(max(cfg.max_epochs for cfg in configs)):
+        orders = np.array([
+            rngs[k].permutation(n) if configs[k].shuffle else np.arange(n) for k in active
+        ])
+        rows = np.array(active)[:, None]
+        epoch_loss = [0.0] * len(active)
         n_batches = 0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            epoch_loss += network.train_batch(
-                x_tr[batch], y_tr[batch], optimizer=optimizer, loss=loss
-            )
+        for start in range(0, n, batch_size):
+            batch = orders[:, start : start + batch_size]
+            targets = y_tr[rows, batch]
+            pred = stack.net.forward(x_tr[rows, batch])
+            if pred.shape != targets.shape:
+                raise ValueError(
+                    f"target shape {targets.shape[1:]} != prediction {pred.shape[1:]}"
+                )
+            for i in range(len(active)):
+                epoch_loss[i] += loss.fn(pred[i], targets[i])
+            stack.net.backward(loss.grad(pred, targets))
+            optimizer.step(stack.params, stack.grads())
             n_batches += 1
-        history.train_loss.append(epoch_loss / max(n_batches, 1))
-        val = network.evaluate(x_val, y_val, loss=loss)
-        history.val_loss.append(val)
-        if val < best_val - cfg.min_delta:
-            best_val = val
-            best_weights = network.get_weights()
-            history.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                history.stopped_early = True
+        val_pred = stack.net.predict(x_val[active])
+        keep = []
+        for i, k in enumerate(active):
+            history, cfg = histories[k], configs[k]
+            history.train_loss.append(epoch_loss[i] / max(n_batches, 1))
+            val = loss.fn(val_pred[i], y_val[k])
+            history.val_loss.append(val)
+            if val < best_val[k] - cfg.min_delta:
+                best_val[k] = val
+                best[k] = stack.params[i].copy()
+                history.best_epoch = epoch
+                stale[k] = 0
+            else:
+                stale[k] += 1
+                if stale[k] >= cfg.patience:
+                    history.stopped_early = True
+                    continue
+            if epoch + 1 < cfg.max_epochs:
+                keep.append(i)
+        if len(keep) < len(active):
+            if not keep:
                 break
-    network.set_weights(best_weights)
-    if history.best_epoch < 0:
-        history.best_epoch = 0
-    return history
+            stack.adopt(stack.params[keep])
+            optimizer.keep(keep)
+            active = [active[i] for i in keep]
+    for network, row, history in zip(networks, best, histories):
+        _Stack.write(network, row)
+        if history.best_epoch < 0:
+            history.best_epoch = 0
+    return histories

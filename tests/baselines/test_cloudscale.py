@@ -64,12 +64,14 @@ class TestRun:
 
     def test_predict_series_handles_flat(self):
         sched = CloudScaleScheduler()
-        assert sched._predict_series(np.full(20, 2.0)) == pytest.approx(2.0, abs=1.0)
+        flat = np.full((1, 20, 1), 2.0)
+        assert sched._forecast(flat)[0, 0] == pytest.approx(2.0, abs=1.0)
 
     def test_predict_series_nonnegative(self):
         sched = CloudScaleScheduler()
         rng = np.random.default_rng(0)
-        assert sched._predict_series(rng.normal(0.1, 0.5, 40)) >= 0.0
+        series = rng.normal(0.1, 0.5, (1, 40, 1))
+        assert sched._forecast(series)[0, 0] >= 0.0
 
     def test_young_jobs_keep_full_request(self):
         # _apply_demand_caps leaves jobs with <2 observed slots uncapped.

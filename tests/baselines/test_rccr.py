@@ -25,16 +25,20 @@ class TestConstruction:
             RccrScheduler(history_slots=1)
 
     def test_simple_es_default(self):
-        from repro.forecast.ets import SimpleExponentialSmoothing
+        from ..forecast.oracles.ets import SimpleExponentialSmoothing
 
-        sched = RccrScheduler()
-        assert isinstance(sched._make_forecaster(), SimpleExponentialSmoothing)
+        ramp = np.arange(12.0)
+        level = SimpleExponentialSmoothing(0.3).fit(ramp).forecast(6)
+        forecast = RccrScheduler()._forecast(ramp.reshape(1, 12, 1))
+        assert forecast[0, 0] == level
 
     def test_holt_when_beta_positive(self):
-        from repro.forecast.ets import HoltLinear
+        from ..forecast.oracles.ets import HoltLinear
 
-        sched = RccrScheduler(beta=0.2)
-        assert isinstance(sched._make_forecaster(), HoltLinear)
+        ramp = np.arange(12.0)
+        trend = HoltLinear(0.3, 0.2).fit(ramp).forecast(6)
+        forecast = RccrScheduler(beta=0.2)._forecast(ramp.reshape(1, 12, 1))
+        assert forecast[0, 0] == trend > ramp[-1]
 
 
 class TestPrepare:

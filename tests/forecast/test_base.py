@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.forecast.base import Forecaster
+from .oracles.forecaster import Forecaster
 
 
 class ConstantForecaster(Forecaster):

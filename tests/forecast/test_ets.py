@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.forecast.ets import HoltLinear, SimpleExponentialSmoothing
+from .oracles.ets import HoltLinear, SimpleExponentialSmoothing
 
 
 class TestSimpleExponentialSmoothing:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.forecast.fft_signature import FftSignaturePredictor
-from repro.forecast.markov_chain import MarkovChainPredictor
+from .oracles.fft_signature import FftSignaturePredictor
+from .oracles.markov_chain import MarkovChainPredictor
 
 
 def periodic_series(n=128, period=16, amp=2.0, base=5.0, noise=0.0, seed=0):

@@ -50,6 +50,13 @@ class TestSigmoid:
         with np.errstate(over="raise"):  # exp never sees a positive argument
             assert SIGMOID(x).tobytes() == masked_sigmoid(x).tobytes()
 
+    def test_same_floats_as_the_where_form_on_edge_values(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e-320, -1e-320]
+        x = np.array(edges)
+        e = np.exp(-np.abs(x))
+        where_form = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        assert SIGMOID(x).tobytes() == where_form.tobytes()
+
     def test_derivative_formula(self):
         g = SIGMOID(np.array([0.3]))
         assert SIGMOID.deriv(g)[0] == pytest.approx(g[0] * (1 - g[0]))

@@ -6,6 +6,7 @@ import pytest
 from repro.nn.losses import MSE
 from repro.nn.network import FeedForwardNetwork
 from repro.nn.optimizers import SGD, Adam
+from repro.nn.training import TrainingConfig, train
 
 
 class TestConstruction:
@@ -62,21 +63,30 @@ class TestPrediction:
         net.backward(np.ones((2, 1)))  # still uses the training cache
 
 
+def one_batch_epochs(epochs: int) -> TrainingConfig:
+    """Every epoch one unshuffled step over the whole data, no hold-out."""
+    return TrainingConfig(
+        max_epochs=epochs, batch_size=64, validation_fraction=0.0,
+        patience=epochs, shuffle=False,
+    )
+
+
 class TestTraining:
     def test_train_batch_reduces_loss(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(64, 3))
         y = x.mean(axis=1, keepdims=True)
         net = FeedForwardNetwork([3, 8, 1], seed=2)
-        first = net.evaluate(x, y)
-        for _ in range(200):
-            net.train_batch(x, y, optimizer=Adam(0.01))
-        assert net.evaluate(x, y) < first * 0.5
+        first = MSE.fn(net.predict(x), y)
+        train([net], [x], [y], [one_batch_epochs(200)], optimizer=Adam(0.01))
+        assert MSE.fn(net.predict(x), y) < first * 0.5
 
     def test_train_batch_returns_loss(self):
         net = FeedForwardNetwork([2, 4, 1])
-        loss = net.train_batch(np.zeros((4, 2)), np.full((4, 1), 0.5))
-        assert loss == pytest.approx(
+        [history] = train(
+            [net], [np.zeros((4, 2))], [np.full((4, 1), 0.5)], [one_batch_epochs(1)]
+        )
+        assert history.train_loss[0] == pytest.approx(
             MSE.fn(np.full((4, 1), net.predict(np.zeros((1, 2)))[0, 0]),
                    np.full((4, 1), 0.5)),
             rel=0.2,
@@ -85,12 +95,12 @@ class TestTraining:
     def test_shape_mismatch_rejected(self):
         net = FeedForwardNetwork([2, 4, 1])
         with pytest.raises(ValueError):
-            net.train_batch(np.zeros((4, 2)), np.zeros((4, 2)))
+            train([net], [np.zeros((4, 2))], [np.zeros((4, 2))], [one_batch_epochs(1)])
 
     def test_sgd_default_optimizer(self):
         net = FeedForwardNetwork([2, 4, 1], seed=1)
         before = net.layers[0].weights.copy()
-        net.train_batch(np.ones((4, 2)), np.zeros((4, 1)), optimizer=SGD(0.5))
+        train([net], [np.ones((4, 2))], [np.zeros((4, 1))], [one_batch_epochs(1)])
         assert not np.array_equal(before, net.layers[0].weights)
 
 
@@ -98,7 +108,8 @@ class TestWeightManagement:
     def test_roundtrip(self):
         net = FeedForwardNetwork([3, 5, 1], seed=1)
         saved = net.get_weights()
-        net.train_batch(np.ones((4, 3)), np.zeros((4, 1)), optimizer=SGD(1.0))
+        train([net], [np.ones((4, 3))], [np.zeros((4, 1))], [one_batch_epochs(1)],
+              optimizer=SGD(1.0))
         net.set_weights(saved)
         np.testing.assert_array_equal(net.layers[0].weights, saved[0]["weights"])
 

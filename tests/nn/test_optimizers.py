@@ -9,7 +9,7 @@ from repro.nn.optimizers import SGD, Adam
 class TestSgd:
     def test_update_in_place(self):
         param = np.array([1.0, 2.0])
-        SGD(0.1).step("p", param, np.array([1.0, -1.0]))
+        SGD(0.1).step(param, np.array([1.0, -1.0]))
         np.testing.assert_allclose(param, [0.9, 2.1])
 
     def test_paper_equation_8(self):
@@ -17,7 +17,7 @@ class TestSgd:
         mu = 0.25
         param = np.zeros(3)
         grad = np.array([1.0, 2.0, 3.0])
-        SGD(mu).step("p", param, grad)
+        SGD(mu).step(param, grad)
         np.testing.assert_allclose(param, -mu * grad)
 
     def test_invalid_rate(self):
@@ -29,7 +29,7 @@ class TestAdam:
     def test_first_step_magnitude(self):
         opt = Adam(learning_rate=0.001)
         param = np.zeros(1)
-        opt.step("p", param, np.array([10.0]))
+        opt.step(param, np.array([10.0]))
         # bias-corrected first step ≈ lr regardless of gradient scale
         assert param[0] == pytest.approx(-0.001, rel=1e-3)
 
@@ -37,7 +37,7 @@ class TestAdam:
         opt = Adam(0.1)
         theta = np.array([5.0])
         for _ in range(500):
-            opt.step("t", theta, 2 * theta)  # d/dθ of θ²
+            opt.step(theta, 2 * theta)  # d/dθ of θ²
         assert abs(theta[0]) < 0.05
 
     def test_invalid_betas(self):

@@ -6,6 +6,7 @@ from repro.nn.losses import MSE
 from repro.nn.network import FeedForwardNetwork
 from repro.nn.optimizers import SGD
 from repro.nn.parallel import parallel_map
+from repro.nn.training import TrainingConfig, train
 
 
 def make_data(n=64, seed=0):
@@ -19,8 +20,10 @@ def make_data(n=64, seed=0):
 def _train_tiny_net(seed: int) -> np.ndarray:
     net = FeedForwardNetwork([4, 6, 1], seed=seed)
     x, y = make_data(32, seed=seed)
-    for _ in range(5):
-        net.train_batch(x, y, optimizer=SGD(0.2), loss=MSE)
+    config = TrainingConfig(
+        max_epochs=5, batch_size=32, validation_fraction=0.0, patience=5, shuffle=False
+    )
+    train([net], [x], [y], [config], optimizer=SGD(0.2), loss=MSE)
     return net.layers[0].weights
 
 

@@ -64,8 +64,8 @@ class TestTrain:
     def test_learns_linear_map(self):
         x, y = make_data()
         net = FeedForwardNetwork([4, 16, 1], seed=1)
-        history = train(
-            net, x, y, TrainingConfig(max_epochs=120, patience=20, seed=2),
+        [history] = train(
+            [net], [x], [y], [TrainingConfig(max_epochs=120, patience=20, seed=2)],
             optimizer=Adam(0.01),
         )
         assert history.final_val_loss < 0.002
@@ -74,15 +74,15 @@ class TestTrain:
     def test_history_lengths_match(self):
         x, y = make_data(60)
         net = FeedForwardNetwork([4, 8, 1], seed=1)
-        history = train(net, x, y, TrainingConfig(max_epochs=10, patience=10))
+        [history] = train([net], [x], [y], [TrainingConfig(max_epochs=10, patience=10)])
         assert len(history.train_loss) == len(history.val_loss) == history.n_epochs
 
     def test_early_stop_on_plateau(self):
         x = np.zeros((40, 4))
         y = np.full((40, 1), 0.5)
         net = FeedForwardNetwork([4, 8, 1], seed=1)
-        history = train(
-            net, x, y, TrainingConfig(max_epochs=500, patience=3, seed=0)
+        [history] = train(
+            [net], [x], [y], [TrainingConfig(max_epochs=500, patience=3, seed=0)]
         )
         assert history.stopped_early
         assert history.n_epochs < 500
@@ -90,8 +90,8 @@ class TestTrain:
     def test_best_weights_restored(self):
         x, y = make_data(80, seed=3)
         net = FeedForwardNetwork([4, 8, 1], seed=4)
-        history = train(
-            net, x, y, TrainingConfig(max_epochs=30, patience=30, seed=5),
+        [history] = train(
+            [net], [x], [y], [TrainingConfig(max_epochs=30, patience=30, seed=5)],
             optimizer=Adam(0.05),
         )
         # The restored network's validation loss must equal the best seen
@@ -102,13 +102,13 @@ class TestTrain:
     def test_row_mismatch_rejected(self):
         net = FeedForwardNetwork([4, 8, 1])
         with pytest.raises(ValueError):
-            train(net, np.zeros((5, 4)), np.zeros((4, 1)))
+            train([net], [np.zeros((5, 4))], [np.zeros((4, 1))])
 
     def test_tiny_dataset_trains_without_split(self):
         net = FeedForwardNetwork([4, 8, 1])
-        history = train(
-            net, np.zeros((3, 4)), np.zeros((3, 1)),
-            TrainingConfig(max_epochs=3, patience=2),
+        [history] = train(
+            [net], [np.zeros((3, 4))], [np.zeros((3, 1))],
+            [TrainingConfig(max_epochs=3, patience=2)],
         )
         assert history.n_epochs >= 1
 
