@@ -5,7 +5,8 @@ Each rule encodes one of the paper's stated guarantees:
 ``capacity``
     Per-slot capacity conservation (Section II accounting): the sum of
     primary reservations on a VM matches its incrementally maintained
-    commitment, never exceeds the nominal capacity, the served demand
+    commitment (and its placement count the occupancy lane), the
+    commitment never exceeds the nominal capacity, the served demand
     never exceeds the effective (revocation-aware) capacity, and the
     unlocked opportunistic pools stay inside the allocated-but-idle
     slack they were carved from.
@@ -203,6 +204,14 @@ class InvariantChecker:
         tol = self.tolerance
         if "capacity" in self.rules:
             self.checks["capacity"] += 1
+            occupied = int(vm._lanes.occupied[vm._row])
+            if occupied != len(vm.placements):
+                self._report(
+                    "capacity",
+                    f"occupancy drift: lane {occupied} != "
+                    f"{len(vm.placements)} placement(s)",
+                    slot=slot, scheduler=scheduler, vm=vm.vm_id,
+                )
             committed = vm.committed()
             recomputed = vm.reserved_total()
             if np.any(np.abs(committed - recomputed) > tol):

@@ -36,25 +36,46 @@ class ClusterLanes:
     """The mutable state of a cluster's VMs, one row per VM.
 
     ``capacity`` is the effective capacity (nominal, shrunk by any
-    revocation in force), ``committed`` the primary reservations held
-    and ``online`` the liveness; ``capacity_changes`` counts capacity
-    writes, so a memo of anything derived from ``capacity`` revalidates
-    in O(1).  A :class:`VirtualMachine` is a ``(lanes, row)`` handle
-    that indexes these arrays on every access and stores no view of
-    them (``copy.deepcopy`` would turn a view into a detached copy).
+    revocation in force), ``committed`` the primary reservations held,
+    ``online`` the liveness, ``occupied`` the placements held (either
+    class) and ``idle_slots`` the slots skipped while :meth:`quiescent`
+    whose zero history rows are not yet written; ``capacity_changes``
+    counts capacity writes, so a memo of anything derived from
+    ``capacity`` revalidates in O(1).  A :class:`VirtualMachine` is a
+    ``(lanes, row)`` handle that indexes these arrays on every access
+    and stores no view of them (``copy.deepcopy`` would turn a view into
+    a detached copy).
     """
 
-    __slots__ = ("capacity", "committed", "online", "capacity_changes")
+    __slots__ = ("capacity", "committed", "online", "occupied", "idle_slots",
+                 "capacity_changes")
 
     def __init__(self, capacity: np.ndarray) -> None:
         self.capacity = np.array(capacity, dtype=np.float64).reshape(-1, NUM_RESOURCES)
         self.committed = np.zeros_like(self.capacity)
         self.online = np.ones(len(self.capacity), dtype=bool)
+        self.occupied = np.zeros(len(self.capacity), dtype=np.int64)
+        self.idle_slots = np.zeros(len(self.capacity), dtype=np.int64)
         self.capacity_changes = 0
 
     def unallocated(self, rows: int | slice = slice(None)) -> np.ndarray:
         """``max(capacity - committed, 0)`` of ``rows`` (default: all)."""
         return np.maximum(self.capacity[rows] - self.committed[rows], 0.0)
+
+    def quiescent(self, rows: int | slice = slice(None)) -> np.ndarray:
+        """Online, no placement of either class, commitment exactly zero.
+
+        Such a row's slot outcome is :data:`IDLE_OUTCOME` and its history
+        row zero, so a caller may add one to ``idle_slots`` instead of
+        executing it.  Riders move no commitment, hence the ``occupied``
+        term; float residue left in the commitment is what
+        :meth:`unallocated` reports, so such a row is still executed.
+        """
+        committed = self.committed[rows]
+        idle = self.online[rows] & (self.occupied[rows] == 0)
+        for k in range(NUM_RESOURCES):  # numpy reduces a length-3 axis slowly
+            idle &= committed[..., k] == 0.0
+        return idle
 
     @classmethod
     def of(cls, vms: Sequence["VirtualMachine"]) -> "ClusterLanes":
@@ -72,9 +93,8 @@ class ClusterLanes:
         lanes = cls(np.zeros((len(vms), NUM_RESOURCES)))
         for row, vm in enumerate(vms):
             old, i = vm._lanes, vm._row
-            lanes.capacity[row] = old.capacity[i]
-            lanes.committed[row] = old.committed[i]
-            lanes.online[row] = old.online[i]
+            for name in ("capacity", "committed", "online", "occupied", "idle_slots"):
+                getattr(lanes, name)[row] = getattr(old, name)[i]
             vm._lanes, vm._row = lanes, row
         return lanes
 
@@ -123,9 +143,10 @@ IDLE_OUTCOME = SlotOutcome(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 class VirtualMachine:
     """One VM: placements and usage history, plus its row of the lanes.
 
-    Capacity, commitment and liveness live in a :class:`ClusterLanes`
-    row (a one-row set until a cluster adopts the VM); every mutation
-    below writes that row and nothing else.
+    Capacity, commitment, liveness, the placement count and the skipped
+    idle slots live in a :class:`ClusterLanes` row (a one-row set until a
+    cluster adopts the VM); every mutation below writes that row and
+    nothing else.
     """
 
     def __init__(self, vm_id: int, capacity: ResourceVector, pm_id: int = 0) -> None:
@@ -143,9 +164,6 @@ class VirtualMachine:
         #: this is the series the predictors train on.  Every row is a
         #: read-only array, never written in place: snapshots share rows.
         self._unused_history: list[np.ndarray] = []
-        #: Slots the caller skipped while :attr:`quiescent` (``+= 1`` each):
-        #: zero history rows, written before the next real row or any read.
-        self.pending_idle_slots = 0
 
     # ------------------------------------------------------------------
     # capacity (revocation-aware)
@@ -179,21 +197,18 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     @property
     def quiescent(self) -> bool:
-        """Online, no placement of either class, commitment exactly zero.
+        """:meth:`ClusterLanes.quiescent` of this VM's row."""
+        return bool(self._lanes.quiescent(self._row))
 
-        Such a slot's outcome is :data:`IDLE_OUTCOME` and its history row
-        zero, so a caller may bump :attr:`pending_idle_slots` instead of
-        executing it.  Riders move no commitment, hence
-        the ``placements`` test; float residue left in the commitment is
-        what :meth:`unallocated` reports, so such a VM is still executed.
-        """
-        return self._quiescent(self, self.online, bool(self._lanes.committed[self._row].any()))
+    @property
+    def pending_idle_slots(self) -> int:
+        """Slots skipped while :attr:`quiescent`: zero history rows,
+        written before the next real row or any read."""
+        return int(self._lanes.idle_slots[self._row])
 
-    @staticmethod
-    def _quiescent(vm: "VirtualMachine", online: bool, holds: bool) -> bool:
-        """The :attr:`quiescent` rule given ``vm``'s lane readings, so a
-        sweep over the cluster reads each lane once for every VM."""
-        return online and not holds and not vm.placements
+    @pending_idle_slots.setter
+    def pending_idle_slots(self, count: int) -> None:
+        self._lanes.idle_slots[self._row] = count
 
     def committed(self) -> np.ndarray:
         """Total primary reservations currently held on this VM."""
@@ -239,6 +254,7 @@ class VirtualMachine:
                 f"(unallocated {self.unallocated().tolist()})"
             )
         self.placements.append(placement)
+        self._lanes.occupied[self._row] += 1
         if not placement.opportunistic:
             self._lanes.committed[self._row] += placement.reserved.as_array()
 
@@ -255,6 +271,7 @@ class VirtualMachine:
         self.placements = [
             p for p in self.placements if p.job.state is not JobState.COMPLETED
         ]
+        self._lanes.occupied[self._row] -= len(done)
         return done
 
     # ------------------------------------------------------------------
@@ -264,6 +281,7 @@ class VirtualMachine:
         """Drop every placement, releasing all commitment; return the jobs."""
         jobs = [p.job for p in self.placements]
         self.placements = []
+        self._lanes.occupied[self._row] = 0
         self._lanes.committed[self._row] = 0.0
         return jobs
 
@@ -272,6 +290,7 @@ class VirtualMachine:
         for i, p in enumerate(self.placements):
             if p.job.job_id == job_id:
                 del self.placements[i]
+                self._lanes.occupied[self._row] -= 1
                 if not p.opportunistic:
                     committed = self._lanes.committed[self._row]
                     committed -= p.reserved.as_array()
@@ -288,7 +307,7 @@ class VirtualMachine:
         """
         self._lanes.online[self._row] = False
         self._unused_history.clear()
-        self.pending_idle_slots = 0
+        self._lanes.idle_slots[self._row] = 0
         return self.evict_all()
 
     def restore(self) -> None:
@@ -307,8 +326,9 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     def _write_idle_rows(self) -> None:
         """Append the skipped slots' rows (the shared read-only zero row)."""
-        self._unused_history.extend([_ZERO] * self.pending_idle_slots)
-        self.pending_idle_slots = 0
+        idle_slots = self._lanes.idle_slots
+        self._unused_history.extend([_ZERO] * int(idle_slots[self._row]))
+        idle_slots[self._row] = 0
 
     def unused_history(self, last: int | None = None) -> np.ndarray:
         """Per-slot actual unused resource, ``(n, l)`` array.
@@ -360,7 +380,7 @@ def execute_slots(vms: Sequence[VirtualMachine], slot: int) -> list[SlotOutcome]
     """
     m = len(vms)
     for vm in vms:
-        if vm.pending_idle_slots:
+        if vm._lanes.idle_slots[vm._row]:
             vm._write_idle_rows()
     placements = [p for vm in vms for p in vm.placements]
     counts = [len(vm.placements) for vm in vms]

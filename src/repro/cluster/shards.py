@@ -16,8 +16,9 @@ VM objects.
 
 The pool is *flat*.  Eq. 22 is one global argmin, and on one core a
 single ``(n_vms, l)`` matrix expression beat every row partitioning
-measured (ledger probe ``index.select_us_10k``: 296 us flat vs 417 us in
-8 partitions), so the partition layer of v1.7 is gone;
+measured (ledger probe ``index.select_us_10k``: 417 us in 8 partitions;
+the flat scan read 296 us then, and 62-70 us since its feasibility test
+runs column by column), so the partition layer of v1.7 is gone;
 ``ShardedCandidateIndex`` survives as a second name for the class, and
 ``shards`` is accepted and ignored, for one release.
 """
@@ -134,8 +135,8 @@ class CandidateSet:
     :meth:`forget_refusals`.
     """
 
-    __slots__ = ("vms", "matrix", "online", "lanes", "_ids", "_rows",
-                 "_refused")
+    __slots__ = ("vms", "matrix", "online", "lanes", "lane_rows", "_ids",
+                 "_rows", "_refused")
 
     def __init__(
         self, vms: Sequence[VirtualMachine], matrix: np.ndarray
@@ -154,6 +155,8 @@ class CandidateSet:
         self.online = np.ones(len(self.vms), dtype=bool)
         #: The cluster lanes :meth:`refresh` reads (:meth:`for_vms` only).
         self.lanes: ClusterLanes | None = None
+        #: Each row's VM's row of its lanes: a lane read is one gather.
+        self.lane_rows = np.array([vm._row for vm in self.vms], dtype=np.intp)
         self._ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
         self._rows = {vm.vm_id: i for i, vm in enumerate(self.vms)}
         #: Pareto-minimal demands a selector found no live row for.
@@ -177,8 +180,9 @@ class CandidateSet:
         """Pool over ``vms``' lanes (adopted if not yet one set's rows);
         rows are filled by :meth:`refresh`."""
         ScaleConfig(shards=shards)  # validates and warns: deprecated knob
+        lanes = ClusterLanes.of(vms)  # before the rows read ``vm._row``
         pool = cls(vms, np.zeros((len(vms), NUM_RESOURCES)))
-        pool.lanes = ClusterLanes.of(pool.vms)
+        pool.lanes = lanes
         return pool
 
     def refresh(self) -> int:
@@ -232,8 +236,14 @@ class CandidateSet:
 
     # ------------------------------------------------------------------
     def feasible_mask(self, demand: ResourceVector) -> np.ndarray:
-        """Boolean row mask of live candidates the demand fits within."""
-        mask = (demand.as_array() <= self.matrix + _FIT_ATOL).all(axis=1)
+        """Boolean row mask of live candidates the demand fits within:
+        ``(demand <= matrix + atol).all(axis=1) & online``, one column at a
+        time (numpy reduces a length-3 axis slowly: 80 vs 12 us at 3k rows)."""
+        cpu, mem, storage = demand
+        fits = self.matrix + _FIT_ATOL
+        mask = cpu <= fits[:, 0]
+        mask &= mem <= fits[:, 1]
+        mask &= storage <= fits[:, 2]
         mask &= self.online
         return mask
 
@@ -280,7 +290,7 @@ class CandidateSet:
             self._refuse(demand)
             return None
         volumes = self.volumes(reference)
-        best = volumes[mask].min()
+        best = np.where(mask, volumes, np.inf).min()
         tied = mask & (volumes <= best + tie_window(best))
         (indices,) = np.nonzero(tied)
         return self.vms[indices[np.argmin(self._ids[indices])]]

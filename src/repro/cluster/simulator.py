@@ -144,6 +144,8 @@ class ClusterSimulator:
         self.pms, self.vms = profile.build()
         #: The cluster's VM state; ``vms[i]`` is row ``i``.
         self.lanes = ClusterLanes.of(self.vms)
+        #: ``vms[i].vm_id`` by row, for expressions over the lanes.
+        self.vm_ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
         self.metrics = MetricsRecorder()
         self.slo_tracker = SloTracker(spec=self.config.slo)
         self.pending: list[Job] = []

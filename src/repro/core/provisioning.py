@@ -38,9 +38,6 @@ from .vm_selection import CandidateSet, unused_volume
 
 __all__ = ["ProvisioningSchedulerBase"]
 
-#: The pool row of a VM with no reservation to find slack in.
-_NO_SLACK = np.zeros(NUM_RESOURCES)
-
 
 @dataclass(slots=True)
 class _WindowRecord:
@@ -230,7 +227,7 @@ class ProvisioningSchedulerBase(Scheduler):
         tick, so downtime is seen whether or not jobs were pending.
         """
         pool = self._opp_pool
-        online = self.sim.lanes.online[[vm._row for vm in pool.vms]]
+        online = self.sim.lanes.online[pool.lane_rows]
         if (online & ~pool.online).any():
             pool.forget_refusals()  # a restored VM's zero row fits again
         pool.online[:] = online
@@ -264,30 +261,26 @@ class ProvisioningSchedulerBase(Scheduler):
         """Start a forecast window: poll every online VM, forecast the occupied.
 
         Each online VM costs one poll and, under opportunistic reuse,
-        gets a pool row; only VMs *with placements* reach
-        ``predict_vms_unused`` (one call for all of them) and
+        gets a pool row; only VMs *with placements* (the occupancy lane)
+        reach ``predict_vms_unused`` (one call for all of them) and
         ``adjust_forecast`` — an empty VM has no reservation to find
-        slack in, so its row is zero.
+        slack in, so its row stays zero.
         """
         # Emit the previous window's samples before starting a new one.
         self._emit_window_samples()
         self._window.clear()
         self._begin_window()
         # A crashed VM has no usage to poll.
-        polled = [self.vms[row] for row in np.flatnonzero(self.sim.lanes.online)]
+        lanes = self.sim.lanes
+        polled = np.flatnonzero(lanes.online)
         # Polling a VM's usage history is one remote operation.
         self.latency.charge_comm(len(polled))
-        occupied = [vm for vm in polled if vm.placements]
-        forecasts = iter(self.predict_vms_unused(occupied))
-        pool_vms: list[VirtualMachine] = []
-        pool_rows: list[np.ndarray] = []
-        for vm in polled:
-            if not vm.placements:
-                if self.supports_opportunistic:
-                    pool_vms.append(vm)
-                    pool_rows.append(_NO_SLACK)
-                continue
-            raw = np.asarray(next(forecasts), dtype=np.float64)
+        (held,) = np.nonzero(lanes.occupied[polled])
+        occupied = [self.vms[row] for row in polled[held].tolist()]
+        forecasts = self.predict_vms_unused(occupied)
+        rows = np.zeros((len(polled), NUM_RESOURCES))
+        for i, vm, raw in zip(held.tolist(), occupied, forecasts, strict=True):
+            raw = np.asarray(raw, dtype=np.float64)
             if raw.shape != (NUM_RESOURCES,):
                 raise ValueError("forecast must have one entry per resource")
             committed = vm.committed()
@@ -298,16 +291,15 @@ class ProvisioningSchedulerBase(Scheduler):
                 self._window[vm.vm_id] = _WindowRecord(
                     vm, adjusted, raw, committed, self._primary_jobset(vm),
                 )
-            if not self.supports_opportunistic:
-                continue
-            committed_slack = committed - vm.opportunistic_demand()
-            # Opportunistic capacity can never exceed what is actually
-            # committed (the slack lives inside reservations).
-            pool_vms.append(vm)
-            pool_rows.append(
-                np.clip(np.minimum(adjusted, committed_slack), 0.0, None)
-            )
-        self._opp_pool = CandidateSet(pool_vms, pool_rows)
+            if self.supports_opportunistic:
+                # Opportunistic capacity can never exceed what is actually
+                # committed (the slack lives inside reservations).
+                committed_slack = committed - vm.opportunistic_demand()
+                rows[i] = np.clip(np.minimum(adjusted, committed_slack), 0.0, None)
+        if self.supports_opportunistic:
+            self._opp_pool = CandidateSet([self.vms[row] for row in polled.tolist()], rows)
+        else:
+            self._opp_pool = CandidateSet([], ())
         if CHECK.enabled:
             CHECK.checker.observe_pools(self)
 

@@ -5,7 +5,7 @@ NumPy implementation of the paper's DNN: feed-forward evaluation
 training with validation convergence.
 """
 
-from .activations import LINEAR, SIGMOID, TANH, Activation, get_activation
+from .activations import SIGMOID, Activation, get_activation
 from .initializers import xavier_uniform
 from .layers import DenseLayer
 from .losses import MSE, Loss, pinball
@@ -14,9 +14,7 @@ from .optimizers import SGD, Adam, Optimizer
 from .training import TrainingConfig, TrainingHistory, train, train_validation_split
 
 __all__ = [
-    "LINEAR",
     "SIGMOID",
-    "TANH",
     "Activation",
     "get_activation",
     "xavier_uniform",

@@ -3,7 +3,6 @@
 The paper's network uses the sigmoid — "Equ. (5) is a sigmoid function,
 which is a nonlinear function associated with all neurons in the network"
 — with its derivative feeding the back-propagated error terms (Eq. 6-7).
-Alternatives are provided for the ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Activation", "SIGMOID", "TANH", "LINEAR", "get_activation"]
+__all__ = ["Activation", "SIGMOID", "get_activation"]
 
 
 @dataclass(frozen=True)
@@ -46,29 +45,9 @@ def _sigmoid_deriv(g: np.ndarray) -> np.ndarray:
     return g * (1.0 - g)
 
 
-def _tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def _tanh_deriv(g: np.ndarray) -> np.ndarray:
-    return 1.0 - g * g
-
-
-def _identity(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-def _identity_deriv(g: np.ndarray) -> np.ndarray:
-    return np.ones_like(g)
-
-
 SIGMOID = Activation("sigmoid", _sigmoid, _sigmoid_deriv)
-TANH = Activation("tanh", _tanh, _tanh_deriv)
-LINEAR = Activation("linear", _identity, _identity_deriv)
 
-_REGISTRY: dict[str, Activation] = {
-    a.name: a for a in (SIGMOID, TANH, LINEAR)
-}
+_REGISTRY: dict[str, Activation] = {SIGMOID.name: SIGMOID}
 
 
 def get_activation(name: str) -> Activation:

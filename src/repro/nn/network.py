@@ -50,16 +50,6 @@ class FeedForwardNetwork:
         """Width of the input layer."""
         return self.layers[0].in_features
 
-    @property
-    def output_size(self) -> int:
-        """Width of the output layer."""
-        return self.layers[-1].out_features
-
-    @property
-    def n_hidden_layers(self) -> int:
-        """Number of hidden layers (the paper's ``h``)."""
-        return len(self.layers) - 1
-
     # ------------------------------------------------------------------
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Feed-forward evaluation without caching (inference path)."""

@@ -201,10 +201,12 @@ class SchedulerService:
     # ------------------------------------------------------------------
     def _emit_placements(self, slot: int, placed: list) -> None:
         placed_ids = {job.job_id for job in placed}
+        sim = self.kernel.sim
+        (held,) = sim.lanes.occupied.nonzero()  # only occupied VMs hold one
         vm_by_job = {
-            p.job.job_id: vm.vm_id
-            for vm in self.kernel.sim.vms if vm.placements  # empty: one test
-            for p in vm.placements if p.job.job_id in placed_ids
+            p.job.job_id: sim.vms[row].vm_id
+            for row in held.tolist()
+            for p in sim.vms[row].placements if p.job.job_id in placed_ids
         }
         for job in placed:
             update = PlacementUpdate(

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..check import CHECK
 from ..cluster.job import Job, JobState
-from ..cluster.machine import IDLE_OUTCOME, VirtualMachine, execute_slots
+from ..cluster.machine import IDLE_OUTCOME, execute_slots
 from ..cluster.resources import NUM_RESOURCES
 from ..obs import OBS
 
@@ -335,27 +335,22 @@ class SchedulerKernel:
 
         # execute every VM that holds something as one batch, summing the
         # outcome rows into two fresh totals the recorder adopts; a
-        # quiescent VM's slot is a count (a zero row).  One sweep reads
-        # liveness and commitment off the lanes; the checker snapshots
-        # every live VM before the batch and checks each after it.
+        # quiescent VM's slot is a count on the idle-slot lane (a zero
+        # row).  The checker snapshots every live VM before the batch and
+        # checks each after it.
         lanes = sim.lanes
-        quiescent = VirtualMachine._quiescent
+        idle = lanes.quiescent()
+        lanes.idle_slots += idle
+        live = lanes.online
+        runnable = [sim.vms[row] for row in np.flatnonzero(live & ~idle).tolist()]
+        outcomes: dict[int, "SlotOutcome"] = dict.fromkeys(
+            sim.vm_ids[live].tolist(), IDLE_OUTCOME
+        )
         checker = CHECK.checker if CHECK.enabled else None
-        outcomes: dict[int, "SlotOutcome"] = {}
-        runnable: list[VirtualMachine] = []
-        snapshots = []
-        for vm, live, holds in zip(
-            sim.vms, lanes.online.tolist(), lanes.committed.any(axis=1).tolist()
-        ):
-            if not live:
-                continue
-            if checker is not None:
-                snapshots.append((vm, checker.before_execute(vm)))
-            outcomes[vm.vm_id] = IDLE_OUTCOME
-            if quiescent(vm, live, holds):
-                vm.pending_idle_slots += 1
-            else:
-                runnable.append(vm)
+        snapshots = [] if checker is None else [
+            (vm, checker.before_execute(vm))
+            for vm, up in zip(sim.vms, live.tolist()) if up
+        ]
         total_demand, total_committed = np.zeros(NUM_RESOURCES), np.zeros(NUM_RESOURCES)
         for vm, outcome in zip(runnable, execute_slots(runnable, slot)):
             outcomes[vm.vm_id] = outcome

@@ -102,6 +102,50 @@ class TestLeakedCommitment:
         assert any("commitment drift" in v.detail for v in report.violations)
 
 
+class TestStaleOccupancy:
+    def test_only_the_capacity_rule_catches_it(self, monkeypatch):
+        """An ``evict_job`` that forgets to decrement the occupancy lane.
+        The VM then never reads as quiescent and is executed instead of
+        counted — the same rows — so the run is unchanged: only the
+        capacity rule's recount of the placements against the lane sees
+        it."""
+        from repro.faults.plan import FaultPlan, JobFailure, RetryPolicy
+
+        original = VirtualMachine.evict_job
+
+        def keeps_the_count(self: VirtualMachine, job_id: int):
+            occupied = self._lanes.occupied
+            count = occupied[self._row]
+            job = original(self, job_id)
+            occupied[self._row] = count
+            return job
+
+        plan = FaultPlan(
+            events=tuple(
+                JobFailure(slot=slot, vm_index=vm)
+                for slot in range(2, 12, 3) for vm in range(4)
+            ),
+            retry=RetryPolicy(max_retries=3, backoff_base_slots=1),
+        )
+        scenario = tight_scenario(30).with_fault_plan(plan)
+        healthy = api.check_run(scenario=scenario, methods=("DRA",))
+        assert healthy.ok
+        monkeypatch.setattr(VirtualMachine, "evict_job", keeps_the_count)
+        report = api.check_run(scenario=scenario, methods=("DRA",))
+        print_rule_row("stale-occupancy", report)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"capacity"}
+        assert all("occupancy drift" in v.detail for v in report.violations)
+
+        def timeless(summaries):  # allocation latency is wall-clock
+            return {
+                method: {k: v for k, v in row.items() if k != "allocation_latency_s"}
+                for method, row in summaries.items()
+            }
+
+        assert timeless(report.summaries) == timeless(healthy.summaries)
+
+
 class TestSilentGiveUp:
     def test_only_the_jobs_rule_catches_it(self, monkeypatch):
         """A ``_give_up`` that fails the job but never files it under
@@ -357,24 +401,28 @@ class TestUnscaledOpportunists:
 
 
 class TestRidersNotQuiescent:
-    """The kernel skips a quiescent VM instead of executing it."""
+    """The kernel skips the rows ``ClusterLanes.quiescent`` names instead
+    of executing them."""
 
     def test_skipping_a_riders_only_vm_is_caught_twice(
         self, monkeypatch, predictor_cache
     ):
-        """A quiescence test that looks at commitment alone (riders move
-        none) skips a VM whose primaries completed before its riders.
-        The checker still sees every skipped VM: the differential rule
+        """A quiescence test that drops the occupancy term and looks at
+        commitment alone (riders move none) skips a VM whose primaries
+        completed before its riders.  The checker still sees every
+        skipped VM: the differential rule
         contradicts the idle outcome with the riders' demand.  The books
         balance and nothing over-commits — the riders just never run —
         so no other rule fires, and the lazy-history property test kills
         the same mutant at the VM (``rate_history`` stops growing)."""
         from ..cluster.test_idle_history import test_reads_equal_the_eager_list
 
-        def ignores_riders(vm: VirtualMachine, online: bool, holds: bool) -> bool:
-            return online and not holds and all(
-                p.opportunistic for p in vm.placements
-            )
+        def ignores_riders(lanes: ClusterLanes, rows=slice(None)):
+            committed = lanes.committed[rows]
+            idle = lanes.online[rows].copy()  # no occupancy term
+            for k in range(committed.shape[-1]):
+                idle &= committed[..., k] == 0.0
+            return idle
 
         # 40 jobs: several riders outlive their primaries.  A stuck rider
         # never drains, so the horizon is capped well past the healthy
@@ -388,9 +436,7 @@ class TestRidersNotQuiescent:
             predictor_cache=predictor_cache,
         )
         assert healthy.ok
-        monkeypatch.setattr(
-            VirtualMachine, "_quiescent", staticmethod(ignores_riders)
-        )
+        monkeypatch.setattr(ClusterLanes, "quiescent", ignores_riders)
         report = api.check_run(
             scenario=scenario, methods=("CORP",), differential=True,
             predictor_cache=predictor_cache,

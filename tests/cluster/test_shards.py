@@ -13,6 +13,7 @@ common and the tie-break path is exercised, not just the strict minimum.
 
 import copy
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.cluster.job import JobState
 from repro.cluster.resources import ResourceVector
-from repro.cluster.shards import ScaleConfig, ShardedCandidateIndex
+from repro.cluster.shards import _FIT_ATOL, ScaleConfig, ShardedCandidateIndex
+from repro.core.provisioning import ProvisioningSchedulerBase
 from repro.core.vm_selection import (
     CandidateSet,
     select_most_matched as scalar_select_most_matched,
@@ -219,6 +221,90 @@ class TestShardedEquivalence:
         assert index.refresh() == 0  # nothing moved
         place(vms[0], running_job(request=(1, 1, 1)))
         assert index.refresh() == 1  # only vm 0's row rewritten
+
+
+#: Entries the column scan must read exactly as the row-wise reduction.
+_EDGES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 2.0, 8.0)
+
+
+def _boundary(need: float) -> list[float]:
+    """``need - atol`` and its two float neighbours: ``need <= x + atol``
+    flips somewhere among them."""
+    at = need - _FIT_ATOL
+    return [at, float(np.nextafter(at, -np.inf)), float(np.nextafter(at, np.inf))]
+
+
+def _draw_pool(data, demand, edges):
+    """A pool of 0..8 rows, entries from ``edges`` or the demand's
+    boundary in their column, a random offline subset."""
+    n = data.draw(st.integers(0, 8), label="n_vms")
+    columns = [st.sampled_from(list(edges) + _boundary(need)) for need in demand]
+    matrix = np.array(
+        data.draw(st.lists(st.tuples(*columns), min_size=n, max_size=n), label="rows")
+    ).reshape(n, 3)
+    online = np.array(data.draw(
+        st.lists(st.booleans(), min_size=n, max_size=n), label="online"
+    ), dtype=bool)
+    pool = CandidateSet([make_vm(vm_id=i) for i in range(n)], matrix)
+    pool.online[:] = online
+    return pool
+
+
+class TestColumnMask:
+    """``feasible_mask`` scans one column at a time; the row-wise
+    reduction it replaced is its oracle, the scalar loop the selectors'."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mask_is_the_rowwise_reduction(self, data):
+        demand = data.draw(st.tuples(*[st.sampled_from(
+            (0.0, -0.0, 1.0, 2.0, 5.0, 1e-9, np.inf)
+        )] * 3), label="demand")
+        pool = _draw_pool(data, demand, _EDGES)
+        need = np.array(demand)
+        want = (need <= pool.matrix + _FIT_ATOL).all(axis=1) & pool.online
+        got = pool.feasible_mask(ResourceVector(demand))
+        assert got.dtype == bool and got.shape == (len(pool.vms),)
+        assert np.array_equal(got, want)
+        assert pool.feasible_count(ResourceVector(demand)) == int(want.sum())
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_selectors_are_the_scalar_loop(self, data):
+        """Finite pools (an Eq. 22 volume is defined on every row), with
+        entries on the feasibility boundary and signed zeros."""
+        demand = data.draw(demand_triples, label="demand")
+        pool = _draw_pool(data, demand, (0.0, -0.0) + _CAP_GRID)
+        pairs = list(pool)
+        reference = ResourceVector(data.draw(capacity_triples, label="reference"))
+        demand = ResourceVector(demand)
+        assert pool.select_most_matched(demand, reference) is \
+            scalar_select_most_matched(demand, pairs, reference)
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng_i, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert pool.select_random_feasible(demand, rng_i) is \
+            scalar_select_random_feasible(demand, pairs, rng_s)
+        assert rng_i.bit_generator.state == rng_s.bit_generator.state
+
+    def test_matrix_stays_c_contiguous(self):
+        """Eq. 22's gemv reads the ``(n, 3)`` C-ordered matrix: a
+        transposed or Fortran layout changes its last bit."""
+        vms = [make_vm(vm_id=i) for i in range(4)]
+        built = CandidateSet(vms, np.asfortranarray(np.ones((4, 3))))
+        assert built.matrix.flags.c_contiguous
+        pool = CandidateSet.for_vms(vms)
+        assert pool.matrix.flags.c_contiguous
+        place(vms[1], running_job(request=(1, 1, 1)))
+        assert pool.refresh() == 4
+        assert pool.matrix.flags.c_contiguous
+        pool.consume(vms[2], np.array([1.0, 2.0, 3.0]))
+        assert pool.matrix.flags.c_contiguous
+        vms[3].crash()
+        scheduler = SimpleNamespace(_opp_pool=pool, sim=SimpleNamespace(lanes=pool.lanes))
+        ProvisioningSchedulerBase._void_offline_rows(scheduler)
+        assert pool.matrix.flags.c_contiguous
+        assert not pool.online[3] and not pool.matrix[3].any()
+        assert pool.online[:3].all()
 
 
 class TestTieWindowScaleInvariance:

@@ -100,6 +100,17 @@ def predictor_cache() -> PredictorCache:
     return PredictorCache(maxsize=64)
 
 
+@pytest.fixture(scope="session")
+def cli_store(tmp_path_factory) -> str:
+    """One ``--store`` directory for every CLI test that fits a predictor.
+
+    ``main([...])`` has no in-process cache seam; with the store, each
+    distinct (seed, config) fit runs once per session instead of once
+    per test.
+    """
+    return str(tmp_path_factory.mktemp("predictor-store"))
+
+
 @pytest.fixture()
 def small_profile() -> ClusterProfile:
     """A 4-PM / 8-VM cluster for fast simulations."""

@@ -271,22 +271,26 @@ class TestCliObservability:
         assert exc.value.code == 0
         assert f"repro {__version__}" in capsys.readouterr().out
 
-    def test_compare_events_writes_parseable_jsonl(self, tmp_path, capsys):
+    def test_compare_events_writes_parseable_jsonl(self, tmp_path, capsys, cli_store):
         from repro.__main__ import main
 
         out = tmp_path / "ev.jsonl"
-        assert main(["compare", "--jobs", "15", "--events", str(out)]) == 0
+        assert main([
+            "compare", "--jobs", "15", "--events", str(out), "--store", cli_store,
+        ]) == 0
         grouped = events_by_name(read_jsonl(str(out)))
         assert {"slot", "placement", "preemption"} <= set(grouped)
         assert not OBS.enabled  # CLI detached its sink
 
-    def test_compare_events_with_workers_merges_shards(self, tmp_path, capsys):
+    def test_compare_events_with_workers_merges_shards(
+        self, tmp_path, capsys, cli_store
+    ):
         from repro.__main__ import main
 
         out = tmp_path / "ev.jsonl"
         code = main([
             "compare", "--jobs", "12", "--workers", "4",
-            "--events", str(out), "--seed", "3",
+            "--events", str(out), "--seed", "3", "--store", cli_store,
         ])
         assert code == 0
         grouped = events_by_name(read_jsonl(str(out)))
@@ -296,22 +300,26 @@ class TestCliObservability:
         }
         assert not list(tmp_path.glob("*.shard-*"))  # shards cleaned up
 
-    def test_profile_command_writes_report(self, tmp_path, capsys):
+    def test_profile_command_writes_report(self, tmp_path, capsys, cli_store):
         from repro.__main__ import main
 
         out = tmp_path / "profile.json"
-        assert main(["profile", "--jobs", "10", "--out", str(out)]) == 0
+        assert main([
+            "profile", "--jobs", "10", "--out", str(out), "--store", cli_store,
+        ]) == 0
         stdout = capsys.readouterr().out
         assert "per-stage wall clock" in stdout and "counters" in stdout
         report = json.loads(out.read_text())
         assert report["stages"] and report["summaries"]
 
-    def test_cli_error_is_clean_nonzero(self, tmp_path, capsys):
+    def test_cli_error_is_clean_nonzero(self, tmp_path, capsys, cli_store):
         from repro.__main__ import main
 
         # Unwritable events path → OSError → one stderr line, exit 2.
         bad = tmp_path / "missing-dir" / "ev.jsonl"
-        code = main(["compare", "--jobs", "10", "--events", str(bad)])
+        code = main([
+            "compare", "--jobs", "10", "--events", str(bad), "--store", cli_store,
+        ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

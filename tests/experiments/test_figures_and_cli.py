@@ -114,10 +114,12 @@ class TestCli:
         args = parser.parse_args(["figure", "fig09", "--testbed", "ec2"])
         assert args.name == "fig09"
 
-    def test_compare_command_runs(self, capsys):
+    def test_compare_command_runs(self, capsys, cli_store):
         from repro.__main__ import main
 
-        assert main(["compare", "--jobs", "15", "--seed", "3"]) == 0
+        assert main(
+            ["compare", "--jobs", "15", "--seed", "3", "--store", cli_store]
+        ) == 0
         out = capsys.readouterr().out
         assert "CORP" in out and "utilization" in out
 

@@ -116,20 +116,22 @@ class TestFaultSweepScenarios:
 
 @pytest.mark.slow
 class TestCliFaults:
-    def test_compare_faults_quick(self, capsys):
+    def test_compare_faults_quick(self, capsys, cli_store):
         from repro.__main__ import main
 
         code = main([
             "compare", "--faults", "0.5", "--quick",
-            "--jobs", "12", "--seed", "3",
+            "--jobs", "12", "--seed", "3", "--store", cli_store,
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "resilience under fault intensity 0.5" in out
         assert "evictions" in out and "retries" in out
 
-    def test_compare_without_faults_has_no_resilience_table(self, capsys):
+    def test_compare_without_faults_has_no_resilience_table(self, capsys, cli_store):
         from repro.__main__ import main
 
-        assert main(["compare", "--jobs", "12", "--seed", "3"]) == 0
+        assert main(
+            ["compare", "--jobs", "12", "--seed", "3", "--store", cli_store]
+        ) == 0
         assert "resilience" not in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nn.activations import LINEAR, SIGMOID, TANH, get_activation
+from repro.nn.activations import SIGMOID, get_activation
 
 floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -70,29 +70,8 @@ class TestSigmoid:
         np.testing.assert_allclose(analytic, numeric, atol=1e-4)
 
 
-class TestTanh:
-    def test_odd_function(self):
-        x = np.array([1.7])
-        assert TANH(-x)[0] == pytest.approx(-TANH(x)[0])
-
-    @given(floats)
-    def test_derivative_matches_numerical(self, x):
-        h = 1e-6
-        arr = np.array([x])
-        numeric = (TANH(arr + h) - TANH(arr - h)) / (2 * h)
-        analytic = TANH.deriv(TANH(arr))
-        np.testing.assert_allclose(analytic, numeric, atol=1e-4)
-
-
-class TestLinear:
-    def test_identity(self):
-        x = np.array([-1.5, 2.0])
-        np.testing.assert_array_equal(LINEAR(x), x)
-        np.testing.assert_array_equal(LINEAR.deriv(x), [1.0, 1.0])
-
-
 class TestRegistry:
-    @pytest.mark.parametrize("name", ["sigmoid", "tanh", "linear"])
+    @pytest.mark.parametrize("name", ["sigmoid"])
     def test_lookup(self, name):
         assert get_activation(name).name == name
 

@@ -14,8 +14,7 @@ class TestConstruction:
         # Table II: h = 4 hidden layers of N_n = 50 units.
         net = FeedForwardNetwork([6, 50, 50, 50, 50, 1])
         assert net.input_size == 6
-        assert net.output_size == 1
-        assert net.n_hidden_layers == 4
+        assert [layer.out_features for layer in net.layers] == [50] * 4 + [1]
 
     def test_too_few_layers(self):
         with pytest.raises(ValueError):

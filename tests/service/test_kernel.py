@@ -5,14 +5,18 @@ by event reproduces :meth:`ClusterSimulator.run` exactly (the golden
 suite separately pins that the batch path itself never drifted).
 """
 
+import numpy as np
 import pytest
 
 from repro import ClusterProfile, api, cluster_scenario
 from repro.cluster.machine import VirtualMachine
+from repro.cluster.resources import NUM_RESOURCES
 from repro.experiments.runner import METHOD_ORDER
 from repro.obs import MemorySink, capture_events
 from repro.service import EventKind, SchedulerKernel
 from repro.experiments.runner import build_kernel
+
+from ..cluster.test_idle_history import eager_row
 
 #: Wall-clock-only metric, legitimately different between two runs.
 _SKIP = {"allocation_latency_s"}
@@ -197,6 +201,61 @@ class TestSnapshot:
         a = {k: v for k, v in first.result().summary().items() if k not in skip}
         b = {k: v for k, v in second.result().summary().items() if k not in skip}
         assert a == b
+
+
+class TestIdleSweepOffTheLanes:
+    """The tick finds its quiescent VMs in the lanes: no VM is asked."""
+
+    @pytest.mark.parametrize("method", METHOD_ORDER)
+    @pytest.mark.parametrize("intensity", [None, 0.5])
+    def test_histories_are_the_eager_rows(
+        self, tiny_corp_config, predictor_cache, monkeypatch, method, intensity
+    ):
+        """3,000 VMs, 24 jobs: after the run every VM's history is, byte
+        for byte, the row an eager slot appends (``eager_row``) for every
+        tick it was online since its last crash."""
+
+        def refuse(*args):
+            raise AssertionError("the tick asked a VM whether it is quiescent")
+
+        monkeypatch.setattr(VirtualMachine, "quiescent", property(refuse))
+        monkeypatch.setattr(VirtualMachine, "_quiescent", refuse, raising=False)
+        rows: dict[int, list[np.ndarray]] = {}
+        crash = VirtualMachine.crash
+
+        def crashing(vm):
+            rows[vm.vm_id] = []  # a crash loses the history
+            return crash(vm)
+
+        monkeypatch.setattr(VirtualMachine, "crash", crashing)
+        plan = None
+        if intensity is not None:  # crashes often enough to land in 30 slots
+            plan = api.build_fault_plan(
+                seed=0, intensity=intensity, vm_crash_rate=0.3
+            )
+        scenario = cluster_scenario(
+            24, seed=7, profile=ClusterProfile.hyperscale(n_pms=375)
+        ).with_fault_plan(plan)
+        kernel = build_kernel(
+            scenario=scenario, method=method, corp_config=tiny_corp_config,
+            predictor_cache=predictor_cache, streaming=False,
+        )
+        sim = kernel.sim
+        place_jobs = sim.scheduler.place_jobs
+
+        def placing(pending, slot):  # the VMs as the slot will run them
+            placed = place_jobs(pending, slot)
+            for vm in sim.vms:
+                if vm.online:
+                    rows.setdefault(vm.vm_id, []).append(eager_row(vm))
+            return placed
+
+        sim.scheduler.place_jobs = placing
+        kernel.run_until_blocked()
+        assert kernel.finished and sim.completed
+        for vm in sim.vms:
+            want = np.array(rows.get(vm.vm_id, [])).reshape(-1, NUM_RESOURCES)
+            assert vm.unused_history().tobytes() == want.tobytes(), vm.vm_id
 
 
 class TestOneBatchPerTick:
