@@ -32,8 +32,7 @@ IEEE CLUSTER 2016), including every substrate the evaluation needs:
 * :mod:`repro.core.predictor_store` — persistent content-fingerprinted
   store of fitted predictors, so fresh processes load the offline
   DNN/HMM fit instead of repeating it (``repro cache
-  warm|stats|clear``, ``--store`` / ``--warm-start`` /
-  ``--fit-workers`` on the CLI);
+  warm|stats|clear``, ``--store`` / ``--warm-start`` on the CLI);
 * :mod:`repro.api` — the stable keyword-only facade (``compare``,
   ``sweep``, ``run_one``, ``attach_sink``, ``check_run``, ``replay``)
   and the **only supported import surface** for new code.

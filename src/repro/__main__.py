@@ -104,10 +104,6 @@ _SHARED = dict((
           "artifact (requires --store; changes the fitted weights, so "
           "results differ from a cold fit)",
           action="store_true"),
-    _flag("--fit-workers",
-          "fan the three per-resource HMM fits across N worker "
-          "processes (0 = serial; results are identical either way)",
-          type=int, default=0),
     _flag("--predictor-cache-size",
           "in-memory LRU bound of the fitted-predictor cache (default: 16)",
           type=int, default=16),
@@ -139,7 +135,7 @@ _SHARED = dict((
 
 _WORKLOAD = ("--jobs", "--testbed", "--seed")
 _FAULTS = ("--faults", "--fault-seed")
-_CACHE = ("--store", "--warm-start", "--fit-workers", "--predictor-cache-size")
+_CACHE = ("--store", "--warm-start", "--predictor-cache-size")
 _SCALE = ("--shards", "--chunk-size")
 
 
@@ -186,7 +182,6 @@ def _run_inputs(args: argparse.Namespace) -> tuple:
             maxsize=args.predictor_cache_size,
             store=store,
             warm_start=args.warm_start,
-            fit_workers=args.fit_workers,
         )
     knobs = {
         knob: getattr(args, knob)
@@ -809,7 +804,7 @@ def _cmd_golden(args: argparse.Namespace) -> int:
           "warm: pre-fit one scenario's predictor into the store (the "
           "workload flags describe that scenario)",
           choices=("stats", "clear", "warm")),
-    *_WORKLOAD, "--quick", "--fit-workers",
+    *_WORKLOAD, "--quick",
     _flag("--dir", "store directory (default: $REPRO_CACHE_DIR or the XDG cache dir)",
           metavar="DIR"),
     jobs=200,
@@ -849,7 +844,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     scenario = api.build_scenario(
         jobs=jobs, testbed=args.testbed, seed=args.seed
     )
-    cache = api.PredictorCache(store=store, fit_workers=args.fit_workers)
+    cache = api.PredictorCache(store=store)
     cache.get(CorpConfig(seed=args.seed), scenario.history_trace())
     verb = "loaded (already warm)" if store.hits else "fitted and stored"
     print(

@@ -51,12 +51,13 @@ an unchecked run's on every deterministic field (the wall-clock
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..cluster.machine import SlotOutcome, VirtualMachine
+    from ..cluster.shards import CandidateSet
     from ..cluster.simulator import ClusterSimulator
     from ..core.packing import JobEntity
     from ..core.preemption import PreemptionGate
@@ -356,14 +357,13 @@ class InvariantChecker:
         slot: int,
         *,
         opportunistic: bool,
-        candidates: Sequence[tuple["VirtualMachine", object]] | None = None,
+        candidates: "CandidateSet | None" = None,
         demand: object = None,
     ) -> None:
-        """Packing feasibility (Section III-B) and Eq. 22 optimality."""
+        """Packing feasibility (Section III-B) and Eq. 22 optimality (the
+        ``volume`` and ``differential`` oracles iterate the pool as pairs)."""
         name = getattr(scheduler, "name", None)
-        chosen_avail = None
-        if candidates is not None:
-            chosen_avail = next((a for v, a in candidates if v is vm), None)
+        chosen_avail = None if candidates is None else candidates.availability(vm)
         if "packing" in self.rules:
             self.checks["packing"] += 1
             if (
@@ -396,7 +396,6 @@ class InvariantChecker:
                     )
         if (
             "volume" in self.rules
-            and candidates is not None
             and demand is not None
             and chosen_avail is not None
             and getattr(scheduler, "uses_volume_selection", False)
@@ -452,8 +451,8 @@ class InvariantChecker:
         self, scheduler: object, entity: "JobEntity", slot: int,
         candidates: object, demand: object,
     ) -> None:
-        """An attempt skipped on the pool's refused-demand list must have
-        been futile: the full feasibility scan finds no live row."""
+        """A unit the overload screen skipped (its fit count read 0) must
+        have been futile: the full feasibility scan finds no live row."""
         if "packing" not in self.rules:
             return
         self.checks["packing"] += 1
@@ -461,7 +460,7 @@ class InvariantChecker:
         if fits.size:
             self._report(
                 "packing",
-                f"attempt skipped as refused, but demand "
+                f"unit skipped by the screen, but demand "
                 f"{demand.as_array().tolist()} fits the availability "
                 f"{candidates.matrix[fits[0]].tolist()}",
                 slot=slot, scheduler=getattr(scheduler, "name", None),

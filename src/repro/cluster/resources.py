@@ -202,13 +202,14 @@ class ResourceVector:
         This is the feasibility test used when choosing a VM for a job
         entity (Section III-B).  It sits on the scheduler's hottest path
         (tens of thousands of calls per run), hence the plain-float loop
-        instead of a NumPy reduction.
+        instead of a NumPy reduction.  A NaN on either side fits nothing,
+        as in the pools' column test.
         """
         cap = capacity._t
         if cap is None:
             cap = capacity._tuple()
         for a, b in zip(self._tuple(), cap):
-            if a > b + atol:
+            if not a <= b + atol:
                 return False
         return True
 

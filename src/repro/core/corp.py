@@ -22,7 +22,7 @@ Ties the pieces together:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -263,10 +263,15 @@ class CorpScheduler(ProvisioningSchedulerBase):
         past it get squeezed first, which the P_th / η knobs trade
         against utilization (Fig. 8).
         """
-        expected_draw = 1.0 - self.predictor.prior_unused_fraction
         return ResourceVector(
-            entity.demand.as_array() * np.clip(expected_draw, 0.05, 1.0)
+            self.opportunistic_admission_sizes((entity,), entity.demand.as_array())
         )
+
+    def opportunistic_admission_sizes(
+        self, entities: Iterable[JobEntity], demands: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`opportunistic_admission_size` of many rows: one multiply."""
+        return demands * np.clip(1.0 - self.predictor.prior_unused_fraction, 0.05, 1.0)
 
     # ------------------------------------------------------------------
     # packing / placement hooks

@@ -28,7 +28,6 @@ from ..obs import OBS
 from ..nn.losses import MSE, pinball
 from ..nn.network import FeedForwardNetwork
 from ..nn.optimizers import Adam
-from ..nn.parallel import parallel_map
 from ..nn.training import TrainingConfig, train
 from ..trace.records import Trace
 from .config import CorpConfig
@@ -79,31 +78,6 @@ def build_training_set(
     return np.asarray(xs), np.asarray(ys)[:, None], np.asarray(reqs)
 
 
-@dataclass(frozen=True)
-class _HmmFitTask:
-    """What one resource type's HMM fit needs — plain picklable data.
-
-    Per-resource seeds (HMM ``seed + 101·(kind+1)``) make the three fits
-    independent, which is what lets :func:`parallel_map` fan them across
-    worker processes bit-identically to the serial loop.
-    """
-
-    config: CorpConfig
-    kind: int
-    histories: tuple[np.ndarray, ...]
-    warm_model: HiddenMarkovModel | None = None
-
-
-def _fit_fluctuation(task: _HmmFitTask) -> FluctuationPredictor:
-    """Fit one resource type's HMM over job-level unused-fraction series
-    (module-level: pool-callable); unfitted without series, which
-    disables its corrections."""
-    fp = _unfitted_fluctuation(task.config, task.kind)
-    if task.histories:
-        fp.fit(task.histories, init_model=task.warm_model)
-    return fp
-
-
 def _unfitted_fluctuation(cfg: CorpConfig, kind: int) -> FluctuationPredictor:
     """Resource ``kind``'s HMM stage as the config alone determines it."""
     return FluctuationPredictor(
@@ -122,7 +96,7 @@ class CorpPredictor(Predictor):
     """
 
     family = "corp"
-    capabilities = frozenset({"serialize", "warm_start", "parallel_fit"})
+    capabilities = frozenset({"serialize", "warm_start"})
 
     config: CorpConfig = field(default_factory=CorpConfig)
     networks: list[FeedForwardNetwork] = field(default_factory=list)
@@ -154,7 +128,6 @@ class CorpPredictor(Predictor):
         history: Trace,
         *,
         warm_start: "CorpPredictor | None" = None,
-        workers: int = 0,
     ) -> "CorpPredictor":
         """Offline phase: train one DNN and one HMM per resource type.
 
@@ -173,11 +146,6 @@ class CorpPredictor(Predictor):
         donors are ignored.  Warm-started fits converge to (slightly)
         different weights than cold fits, so warm starting is strictly
         opt-in.
-
-        ``workers >= 2`` fans the per-resource HMM fits (independent by
-        per-resource seeding) across worker processes via
-        :func:`repro.nn.parallel.parallel_map`; results are
-        bit-identical to the serial loop.
         """
         cfg = self.config
         donor = warm_start
@@ -198,18 +166,15 @@ class CorpPredictor(Predictor):
             r.utilization_series() for r in history if r.n_samples >= 2 * cfg.window_slots
         ]
         networks: list[FeedForwardNetwork] = []
-        tasks: list[_HmmFitTask] = []
+        warm_models: list[HiddenMarkovModel | None] = [None] * NUM_RESOURCES
         for kind in ResourceKind:
             net = FeedForwardNetwork(cfg.dnn_layer_sizes(), seed=cfg.seed + kind)
-            warm_model = None
             if donor is not None:
                 net.set_weights(donor.networks[int(kind)].get_weights())
                 donor_fp = donor.fluctuation[int(kind)]
                 if donor_fp.fitted:
-                    warm_model = donor_fp.model
+                    warm_models[kind] = donor_fp.model
             networks.append(net)
-            histories = tuple(1.0 - util[:, int(kind)] for util in series)
-            tasks.append(_HmmFitTask(cfg, int(kind), histories, warm_model))
         if donor is not None:
             OBS.count("predictor.warm_start")
         trained = [k for k, (x, _y) in enumerate(samples) if x.shape[0] >= 8]
@@ -230,7 +195,13 @@ class CorpPredictor(Predictor):
             loss=MSE if cfg.train_quantile is None else pinball(cfg.train_quantile),
         )))
         self.networks = networks
-        self.fluctuation = parallel_map(_fit_fluctuation, tasks, workers=workers)
+        # One HMM per resource (its own seed); unfitted without series,
+        # which disables its corrections.
+        self.fluctuation = [_unfitted_fluctuation(cfg, kind) for kind in ResourceKind]
+        for kind, fp in enumerate(self.fluctuation):
+            histories = tuple(1.0 - util[:, kind] for util in series)
+            if histories:
+                fp.fit(histories, init_model=warm_models[kind])
         # Fraction-of-request errors: the same commitment-fraction units
         # the scheduler's Eq. 20 trackers use.
         self.seed_errors = [

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +38,102 @@ from .preemption import PreemptionGate
 from .vm_selection import CandidateSet, unused_volume
 
 __all__ = ["ProvisioningSchedulerBase"]
+
+#: The reservation of every opportunistic placement: none, one shared value.
+_NO_RESERVATION = ResourceVector.zeros()
+
+
+def _unit(entity: JobEntity, k: int) -> JobEntity:
+    """Unit ``k`` of ``entity``: itself (``k == 0``) or its ``k``-th job."""
+    return entity if k == 0 else JobEntity(jobs=(entity.jobs[k - 1],))
+
+
+class _Screen:
+    """One tick's queue, unit by unit, with exact fit counts per pool.
+
+    An entity's units are its own demand and, for a packed pair, each
+    member's: the entities' own units first, in queue order, then the
+    pairs' members two by two (:meth:`unit`).  ``units`` holds them as
+    the columns of an ``(l, units)`` array per pool: admission rows for
+    the opportunistic pool, requests for the primary one.  The first
+    attempt of the tick that finds no VM in a pool lays the units out
+    and counts, with one ``(rows, units)`` comparison (``fit``), how
+    many live rows of that pool each fits.  Inside ``place_jobs`` rows
+    only fall, so :meth:`consumed` keeps the counts exact by re-deriving
+    the one row a placement lowered.  ``pools`` and the per-pool lists
+    are indexed by ``opportunistic`` (the primary pool first; None when
+    no rider is tried).
+    """
+
+    def __init__(
+        self,
+        scheduler: "ProvisioningSchedulerBase",
+        entities: list[JobEntity],
+        primary: CandidateSet,
+        opportunistic: CandidateSet | None,
+    ) -> None:
+        self.scheduler, self.entities = scheduler, entities
+        self.pools = (primary, opportunistic)
+        self.units: tuple[np.ndarray, np.ndarray | None] | None = None
+        self.fit: list[np.ndarray | None] = [None, None]  # (pool rows, units)
+        self.counts: list[np.ndarray | None] = [None, None]
+
+    def unit(self, e: int, k: int) -> int:
+        """Index of unit ``k`` (0: the entity, 1 or 2: a member) of entity ``e``."""
+        return e if k == 0 else self._member[e] + k
+
+    def failed(self, opportunistic: bool) -> None:
+        """An attempt in that pool found no VM: lay the queue out, then
+        count that pool (once each)."""
+        if self.units is None:
+            entities = self.entities
+            sizes = np.array([len(e.jobs) for e in entities])
+            requests = np.array([job.requested.as_array() for e in entities for job in e.jobs])
+            self.packed = packed = sizes == 2
+            first = np.cumsum(sizes) - sizes
+            demands = requests[first]
+            demands[packed] += requests[first[packed] + 1]  # ResourceVector.sum's order
+            primary = np.concatenate([demands, requests[np.repeat(packed, sizes)]])
+            admitted = None
+            if self.pools[True] is not None:
+                members = (_unit(e, k) for e in entities if e.is_packed for k in (1, 2))
+                admitted = self.scheduler.opportunistic_admission_sizes(
+                    chain(entities, members), primary
+                )
+            self.units = tuple(None if u is None else u.T.copy() for u in (primary, admitted))
+            # A pair's members sit after every entity's own unit, two by two.
+            self._member = (packed.size + 2 * np.cumsum(packed) - 3).tolist()
+        if self.fit[opportunistic] is None:
+            pool, units = self.pools[opportunistic], self.units[opportunistic]
+            rows, fit, self.counts[opportunistic] = pool.fit_counts(units)
+            # A zero row never loses a unit it fits: its mask row may read False.
+            self.fit[opportunistic] = np.zeros((len(pool.vms), units.shape[1]), dtype=bool)
+            self.fit[opportunistic][rows] = fit
+
+    def consumed(self, opportunistic: bool, row: int) -> None:
+        """Row ``row`` of that pool fell: re-derive which units fit it."""
+        fit = self.fit[opportunistic]
+        if fit is not None:
+            pool, units = self.pools[opportunistic], self.units[opportunistic]
+            fits = pool.fit_mask(units, row)
+            self.counts[opportunistic] -= fit[row] & ~fits
+            fit[row] = fits
+
+    def next_entity(self, start: int) -> int | None:
+        """The next entity to visit: ``start``, or once every pool tried
+        is counted, the first from it with a unit some live row fits.
+        The checker re-scans every skipped unit, so it visits all."""
+        if start >= len(self.entities):
+            return None
+        primary, riders = self.counts
+        if CHECK.enabled or primary is None or (riders is None and self.pools[True] is not None):
+            return start
+        live = primary > 0 if riders is None else (primary > 0) | (riders > 0)
+        n = len(self.entities)
+        alive = live[:n]
+        alive[self.packed] |= live[n::2] | live[n + 1::2]
+        (hits,) = np.nonzero(alive[start:])
+        return start + int(hits[0]) if hits.size else None
 
 
 @dataclass(slots=True)
@@ -188,6 +285,16 @@ class ProvisioningSchedulerBase(Scheduler):
         """
         return entity.demand
 
+    def opportunistic_admission_sizes(
+        self, entities: Iterable[JobEntity], demands: np.ndarray
+    ) -> np.ndarray:
+        """Admission rows of several entities whose demand rows are
+        ``demands`` (default: one :meth:`opportunistic_admission_size`
+        call each; ``entities`` is built as it is iterated)."""
+        return np.array(
+            [self.opportunistic_admission_size(e).as_array() for e in entities]
+        ).reshape(-1, NUM_RESOURCES)
+
     # ------------------------------------------------------------------
     # window mechanics
     # ------------------------------------------------------------------
@@ -228,8 +335,6 @@ class ProvisioningSchedulerBase(Scheduler):
         """
         pool = self._opp_pool
         online = self.sim.lanes.online[pool.lane_rows]
-        if (online & ~pool.online).any():
-            pool.forget_refusals()  # a restored VM's zero row fits again
         pool.online[:] = online
         pool.matrix[~online] = 0.0
 
@@ -378,6 +483,10 @@ class ProvisioningSchedulerBase(Scheduler):
         per-VM attribute reads.  The opportunistic pool (unlocked
         predicted unused) is the one the window refresh built.  Both
         are updated in place (``consume``) as placements land.
+
+        Under overload most of the queue fits nowhere, every slot: an
+        attempt that finds no VM screens the queue against its pool
+        (:class:`_Screen`), and the loop skips what fits nowhere.
         """
         if not pending:
             return []
@@ -392,89 +501,90 @@ class ProvisioningSchedulerBase(Scheduler):
         rewritten = self._primary_index.refresh()
         if OBS.enabled:
             OBS.count("index.rows_refreshed", rewritten)
-        for entity in self.make_entities(pending):
-            placed.extend(
-                self._place_entity_units(entity, slot, allow_opportunistic)
-            )
+        screen = self._screen(
+            self.make_entities(pending),
+            self._opp_pool if allow_opportunistic else None,
+        )
+        e = screen.next_entity(0)
+        while e is not None:
+            placed.extend(self._place_entity_units(screen, e, slot))
+            e = screen.next_entity(e + 1)
         return placed
 
-    def _place_entity_units(
-        self, entity: JobEntity, slot: int, allow_opportunistic: bool
-    ) -> list[Job]:
-        """Place an entity: unused pools first, then unallocated capacity.
+    def _screen(
+        self, entities: list[JobEntity], opportunistic: CandidateSet | None
+    ) -> _Screen:
+        """The tick's screen (a seam: tests audit it or patch it off)."""
+        return _Screen(self, entities, self._primary_index, opportunistic)
+
+    def _place_entity_units(self, screen: _Screen, e: int, slot: int) -> list[Job]:
+        """Place entity ``e``: unused pools first, then unallocated capacity.
 
         A packed pair that fits no single unused pool falls back to
         per-job opportunistic attempts before taking a reservation —
         packing targets fragmentation of *reserved* capacity (Fig. 4),
         and refusing reuse because the pair only fits apart would waste
-        the very slack CORP exists to harvest.
+        the very slack CORP exists to harvest.  Unit ``k`` of an entity
+        is the entity itself (``0``) or its ``k``-th member.
         """
-        placed: list[Job] = []
-        remaining = list(entity.jobs)
-        if allow_opportunistic:
-            if self._try_opportunistic(entity, slot):
-                return list(entity.jobs)
-            if entity.is_packed:
-                for job in list(remaining):
-                    if self._try_opportunistic(JobEntity(jobs=(job,)), slot):
-                        placed.append(job)
-                        remaining.remove(job)
-        if not remaining:
+        jobs = screen.entities[e].jobs
+        members = (1, 2) if len(jobs) == 2 else ()
+        left = list(members)
+        if screen.pools[True] is not None:
+            if self._try(screen, e, 0, slot, opportunistic=True):
+                return list(jobs)
+            left = [
+                k for k in members
+                if not self._try(screen, e, k, slot, opportunistic=True)
+            ]
+        placed = [jobs[k - 1] for k in members if k not in left]
+        if members and not left:
             return placed
-        group = JobEntity(jobs=tuple(remaining))
-        if self._try_primary(group, slot):
-            placed.extend(remaining)
-            return placed
-        if len(remaining) > 1:
-            for job in remaining:
-                if self._try_primary(JobEntity(jobs=(job,)), slot):
-                    placed.append(job)
+        whole = len(left) == len(members)  # always, for a singleton
+        if self._try(screen, e, 0 if whole else left[0], slot, opportunistic=False):
+            return list(jobs) if whole else placed + [jobs[left[0] - 1]]
+        if whole:
+            for k in left:
+                if self._try(screen, e, k, slot, opportunistic=False):
+                    placed.append(jobs[k - 1])
         return placed
 
-    def _try_opportunistic(self, entity: JobEntity, slot: int) -> bool:
-        return self._try(
-            entity, slot, self._opp_pool,
-            self.opportunistic_admission_size(entity), opportunistic=True,
-        )
-
-    def _try_primary(self, entity: JobEntity, slot: int) -> bool:
-        # Consuming the reservation clips at zero, mirroring the VM's
-        # ``max(capacity - committed, 0)``.
-        return self._try(
-            entity, slot, self._primary_index, entity.demand,
-            opportunistic=False,
-        )
-
     def _try(
-        self,
-        entity: JobEntity,
-        slot: int,
-        candidates: CandidateSet,
-        demand: ResourceVector,
-        *,
-        opportunistic: bool,
+        self, screen: _Screen, e: int, k: int, slot: int, *, opportunistic: bool
     ) -> bool:
-        """One placement attempt of ``demand`` into ``candidates``.
+        """One attempt to place unit ``k`` of entity ``e`` into a pool.
 
-        A demand the pool already refused (no live row fitted it, or a
-        smaller one, and no row has risen since) fails without asking
-        ``choose_vm`` again: under overload most of the queue is retried
-        every slot against a pool that has only shrunk.
+        A unit no live row of a counted pool fits is not offered to
+        ``choose_vm``: the scan would find nothing and draw no ``rng``.
         """
-        if candidates.refuses(demand):
-            if CHECK.enabled:
-                CHECK.checker.observe_refusal(
-                    self, entity, slot, candidates, demand
-                )
-            return False
-        vm = self.choose_vm(demand, candidates)
+        entity, pool = screen.entities[e], screen.pools[opportunistic]
+        if screen.units is None:
+            if opportunistic:
+                row = self.opportunistic_admission_size(_unit(entity, k)).as_array()
+            else:
+                row = (entity.demand if k == 0 else entity.jobs[k - 1].requested).as_array()
+        else:
+            unit = screen.unit(e, k)
+            row = screen.units[opportunistic][:, unit]
+            counts = screen.counts[opportunistic]
+            if counts is not None and not counts[unit]:
+                if CHECK.enabled:
+                    CHECK.checker.observe_refusal(
+                        self, _unit(entity, k), slot, pool, ResourceVector(row)
+                    )
+                return False
+        demand = ResourceVector._wrap(row)
+        vm = self.choose_vm(demand, pool)
         if vm is None:
+            screen.failed(opportunistic)
             return False
         self._place_entity(
-            entity, vm, slot, opportunistic=opportunistic,
-            candidates=candidates, demand=demand,
+            _unit(entity, k), vm, slot, opportunistic=opportunistic,
+            candidates=pool, demand=demand,
         )
-        candidates.consume(vm, demand.as_array())
+        index = pool.consume(vm, row)
+        if index is not None:
+            screen.consumed(opportunistic, index)
         return True
 
     def _emit_placement(
@@ -483,8 +593,8 @@ class ProvisioningSchedulerBase(Scheduler):
         vm: VirtualMachine,
         slot: int,
         opportunistic: bool,
-        candidates: CandidateSet | None,
-        demand: ResourceVector | None,
+        candidates: CandidateSet,
+        demand: ResourceVector,
     ) -> None:
         """One ``placement`` event per placed job (decision telemetry).
 
@@ -492,12 +602,10 @@ class ProvisioningSchedulerBase(Scheduler):
         ``volume`` is the chosen VM's Eq. 22 availability volume.  Both
         are computed only here, i.e. only when a sink/profiler listens.
         """
-        feasible = volume = None
-        if candidates is not None and demand is not None:
-            feasible = candidates.feasible_count(demand)
-            chosen = candidates.availability(vm)
-            if chosen is not None and self._sim is not None:
-                volume = unused_volume(chosen, self.sim.max_vm_capacity())
+        feasible = candidates.feasible_count(demand)
+        chosen, volume = candidates.availability(vm), None
+        if chosen is not None and self._sim is not None:
+            volume = unused_volume(chosen, self.sim.max_vm_capacity())
         ids = entity.job_ids()
         for job in entity.jobs:
             partner = next((i for i in ids if i != job.job_id), None)
@@ -525,8 +633,8 @@ class ProvisioningSchedulerBase(Scheduler):
         slot: int,
         *,
         opportunistic: bool,
-        candidates: CandidateSet | None = None,
-        demand: ResourceVector | None = None,
+        candidates: CandidateSet,
+        demand: ResourceVector,
     ) -> None:
         # Dispatching an entity to a VM is one remote operation.
         self.latency.charge_comm(1)
@@ -543,9 +651,7 @@ class ProvisioningSchedulerBase(Scheduler):
                 candidates=candidates, demand=demand,
             )
         for job in entity.jobs:
-            reserved = (
-                ResourceVector.zeros() if opportunistic else job.requested
-            )
+            reserved = _NO_RESERVATION if opportunistic else job.requested
             vm.add_placement(
                 Placement(job=job, vm=vm, reserved=reserved, opportunistic=opportunistic)
             )

@@ -88,8 +88,7 @@ class PredictorCache:
     fitting, and fresh fits are persisted back.  ``warm_start=True``
     additionally seeds unavoidable fits from the nearest stored artifact
     of the same config (opt-in — warm-started weights differ from cold
-    ones); ``fit_workers >= 2`` fans the per-resource HMM fits across
-    processes (bit-identical to serial).
+    ones).
     """
 
     _cache: "OrderedDict[str, Predictor]" = field(
@@ -107,9 +106,6 @@ class PredictorCache:
     #: Seed unavoidable fits from the store's nearest same-config
     #: artifact.  Opt-in: changes the fitted weights.
     warm_start: bool = False
-    #: ``>= 2`` fans the independent per-resource fits across worker
-    #: processes; ``0``/``1`` is the plain serial loop.
-    fit_workers: int = 0
     store_hits: int = 0
     store_misses: int = 0
     warm_starts: int = 0
@@ -173,8 +169,6 @@ class PredictorCache:
             kwargs: dict = {}
             if "warm_start" in fresh.capabilities:
                 kwargs["warm_start"] = donor
-            if "parallel_fit" in fresh.capabilities:
-                kwargs["workers"] = self.fit_workers
             fresh.fit(history, **kwargs)
             if donor is not None:
                 self.warm_starts += 1

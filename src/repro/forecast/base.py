@@ -23,8 +23,6 @@ declare what the surrounding machinery may do with an implementation:
     :class:`~repro.core.predictor_store.PredictorStore` may persist it.
 ``"warm_start"``
     ``fit(..., warm_start=donor)`` seeds training from a previous fit.
-``"parallel_fit"``
-    ``fit(..., workers=N)`` fans independent sub-fits across processes.
 ``"online_selection"``
     :meth:`Predictor.observe_slot` carries live state (the scheduler
     calls it at every slot boundary) and fitting may consult sibling

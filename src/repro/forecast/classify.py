@@ -9,11 +9,6 @@ training windows.  Routing a job to a model trained on jobs *like it*
 is what beats one monolithic model in Zhu & Fan's study; here the
 sub-predictors stay deliberately simple (shifted quantiles) so the
 family isolates the value of the classification itself.
-
-The per-class calibrations are independent, so :meth:`fit` fans them
-across worker processes via :func:`repro.nn.parallel.parallel_map`
-(``workers >= 2``), bit-identical to the serial loop — the same
-discipline CORP's per-resource fits follow.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.resources import NUM_RESOURCES
-from ..nn.parallel import parallel_map
 from ..obs import OBS
 from .base import Predictor, window_samples
 from .quantile import recent_unused_quantiles
@@ -70,24 +64,16 @@ def _kmeans(
     return centroids, assignment
 
 
-@dataclass(frozen=True)
-class _ClassCalibrationTask:
-    """One class's calibration inputs — plain picklable data."""
-
-    class_id: int
-    #: Per resource: ``(base_predictions, targets)`` arrays.
-    samples: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
 def _calibrate_class(
-    task: _ClassCalibrationTask,
+    samples: list[tuple[list[float], list[float]]],
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Per-resource shift (median residual) and calibrated errors."""
+    """Per-resource shift (median residual) and calibrated errors of one
+    class, from its ``(base_predictions, targets)`` per resource."""
     shifts = np.zeros(NUM_RESOURCES)
     errors: list[np.ndarray] = []
-    for kind, (preds, targets) in enumerate(task.samples):
-        if targets.size:
-            residual = targets - preds
+    for kind, (preds, targets) in enumerate(samples):
+        if targets:
+            residual = np.asarray(targets) - np.asarray(preds)
             shifts[kind] = float(np.median(residual))
             errors.append(residual - shifts[kind])
         else:
@@ -100,7 +86,7 @@ class ClassifyThenPredictPredictor(Predictor):
     """k-means job classes feeding class-specialized quantile predictors."""
 
     family = "classify"
-    capabilities = frozenset({"serialize", "parallel_fit"})
+    capabilities = frozenset({"serialize"})
     PARAMS = (
         "quantile", "input_slots", "window_slots", "prediction_target",
         "min_history_slots", "n_classes", "seed",
@@ -141,9 +127,7 @@ class ClassifyThenPredictPredictor(Predictor):
             raise ValueError("n_classes must be >= 1")
 
     # ------------------------------------------------------------------
-    def _fit(
-        self, history, *, workers: int = 0, **kwargs: object
-    ) -> "ClassifyThenPredictPredictor":
+    def _fit(self, history, **kwargs: object) -> "ClassifyThenPredictPredictor":
         """Classify the training jobs, then calibrate per class."""
         records = [r for r in history if r.n_samples >= 2]
         features = (
@@ -186,17 +170,7 @@ class ClassifyThenPredictPredictor(Predictor):
                     preds.append(float(np.quantile(unused, self.quantile)))
                     targets.append(y)
                     pooled[kind].append(y)
-        tasks = [
-            _ClassCalibrationTask(
-                class_id=c,
-                samples=tuple(
-                    (np.asarray(preds), np.asarray(targets))
-                    for preds, targets in by_class[c]
-                ),
-            )
-            for c in range(k)
-        ]
-        results = parallel_map(_calibrate_class, tasks, workers=workers)
+        results = [_calibrate_class(by_class[c]) for c in range(k)]
         self.class_shifts = np.array([shifts for shifts, _errors in results])
         self.seed_errors = [
             np.concatenate([errors[kind] for _shifts, errors in results])

@@ -11,6 +11,7 @@ actually *used* at each sampling interval.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -74,10 +75,12 @@ class TaskRecord:
             raise ValueError("duration_s must be positive")
         if self.sample_period_s <= 0:
             raise ValueError("sample_period_s must be positive")
+        if not math.isfinite(sum(self.requested)):  # a NaN or inf anywhere
+            raise ValueError("requested amounts must be finite")
         if not self.requested.is_nonnegative():
             raise ValueError("requested amounts must be non-negative")
-        if np.any(usage < -1e-12):
-            raise ValueError("usage must be non-negative")
+        if not (usage.min() >= -1e-12 and usage.max() < np.inf):  # NaN fails both
+            raise ValueError("usage must be finite and non-negative")
         usage = usage.copy()
         usage.setflags(write=False)
         object.__setattr__(self, "usage", usage)

@@ -19,6 +19,7 @@ from repro.check.rules import ALL_RULES
 from repro.cluster.machine import ClusterLanes, VirtualMachine
 from repro.cluster.profiles import ClusterProfile
 from repro.core.preemption import PreemptionGate
+from repro.core.provisioning import _Screen
 from repro.core.vm_selection import CandidateSet
 from repro.forecast.confidence import PredictionErrorTracker
 
@@ -181,28 +182,34 @@ class TestSilentGiveUp:
 
 class TestStaleRefusals:
     def test_a_list_that_survives_a_rising_row_is_caught(self, monkeypatch):
-        """``refresh()`` that rewrites a row upward but keeps the
-        refused-demand list lets ``_try`` skip attempts a scan would
-        place.  Every skipped attempt is re-scanned under the packing
+        """A screen that counts against the lowest rows its pool has ever
+        shown — one that survives a rising row — skips units a scan
+        would place.  Every skipped unit is re-scanned under the packing
         rule; the books stay balanced (jobs only wait), so nothing else
         may fire."""
-        original = CandidateSet.refresh
+        original = _Screen.failed
+        lowest = {}
 
-        def keeps_the_list(self: CandidateSet) -> int:
-            kept = self._refused
-            rewritten = original(self)
-            self._refused = kept
-            return rewritten
+        def survives_rising_rows(self, opportunistic):
+            pool = self.pools[opportunistic]
+            real = pool.matrix
+            seen = lowest.get(pool, real)
+            lowest[pool] = np.minimum(seen, real) if seen.shape == real.shape else real
+            pool.matrix = lowest[pool].copy()
+            try:
+                original(self, opportunistic)
+            finally:
+                pool.matrix = real
 
         scenario = tight_scenario(30)
         healthy = api.check_run(scenario=scenario, methods=("DRA",))
         assert healthy.ok
-        monkeypatch.setattr(CandidateSet, "refresh", keeps_the_list)
+        monkeypatch.setattr(_Screen, "failed", survives_rising_rows)
         report = api.check_run(scenario=scenario, methods=("DRA",))
-        print_rule_row("stale-refusals", report)
+        print_rule_row("stale-screen", report)
         assert not report.ok
         assert {v.rule for v in report.violations} == {"packing"}
-        assert all("skipped as refused" in v.detail for v in report.violations)
+        assert all("skipped by the screen" in v.detail for v in report.violations)
 
 
 class TestBogusUnlock:

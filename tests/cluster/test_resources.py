@@ -131,6 +131,18 @@ class TestPredicates:
         assert ResourceVector([0, 0, 1]).any_positive()
         assert not ResourceVector.zeros().any_positive()
 
+    @pytest.mark.parametrize("side", ["demand", "capacity"])
+    def test_nan_fits_nothing_as_in_the_pool(self, side):
+        """The scalar oracle and the pools' column test agree on NaN."""
+        from repro.cluster.machine import VirtualMachine
+        from repro.cluster.shards import CandidateSet
+
+        nan, fine = ResourceVector([1, np.nan, 1]), ResourceVector([2, 2, 2])
+        demand, capacity = (nan, fine) if side == "demand" else (fine, nan)
+        pool = CandidateSet.from_pairs([(VirtualMachine(0, fine), capacity)])
+        assert not demand.fits_within(capacity)
+        assert not pool.feasible_mask(demand).any()
+
     @given(vectors, vectors)
     def test_fits_within_implies_componentwise(self, a, b):
         if a.fits_within(b):

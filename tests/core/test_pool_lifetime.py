@@ -55,21 +55,12 @@ class ParentPools(StubScheduler):
             )
         return super().place_jobs(pending, slot)
 
-    def _try_opportunistic(self, entity, slot):
-        admission = self.opportunistic_admission_size(entity)
-        candidates = self._opp_pool
-        vm = self.choose_vm(admission, candidates)
-        if vm is None:
-            return False
-        self._place_entity(
-            entity, vm, slot, opportunistic=True,
-            candidates=candidates, demand=admission,
-        )
-        self.available[vm.vm_id] = np.clip(
-            self.available[vm.vm_id] - admission.as_array(), 0.0, None
-        )
-        candidates.consume(vm, admission.as_array())
-        return True
+    def _place_entity(self, entity, vm, slot, *, opportunistic, **kw):
+        super()._place_entity(entity, vm, slot, opportunistic=opportunistic, **kw)
+        if opportunistic:
+            self.available[vm.vm_id] = np.clip(
+                self.available[vm.vm_id] - kw["demand"].as_array(), 0.0, None
+            )
 
     def live_rows(self):
         return [

@@ -1,28 +1,33 @@
-"""A pool may refuse only what a full scan would refuse.
+"""The overload screen may skip only what a full scan would find empty.
 
-``CandidateSet`` remembers the demands its selectors found no live row
-for and ``_try`` skips ``choose_vm`` for any demand at least as large.
-That is sound only while rows fall, so the fence is: over arbitrary
-interleavings of placements, completions, crashes, restores, capacity
-rescales and window refreshes, (a) whatever a pool refuses — each time
-``_try`` consults it, and after every tick — has an all-False
-``feasible_mask`` at that moment, and (b) a twin scheduler whose pools
-forget every refusal before each attempt places the same jobs on the
-same VMs with the same ``rng`` draws.
-"""
+An attempt that finds no VM makes ``place_jobs`` count, for every unit
+of the tick's queue, the live rows of that pool it fits
+(``provisioning._Screen``).  A unit whose count is 0 is not offered to
+``choose_vm``, and once both pools are counted the loop jumps over
+entities whose every count is 0.  The counts are kept through
+``consume`` alone, which is sound only while rows fall, so the fence
+is: over arbitrary interleavings of placements, completions, crashes,
+restores, capacity rescales and window refreshes, (a) every unit the
+screen skips has an all-False ``feasible_mask`` at that moment, and (b)
+a twin scheduler whose screen is patched off places the same jobs on
+the same VMs with the same ``rng`` draws."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.cluster.job import JobState
 from repro.cluster.profiles import ClusterProfile
 from repro.cluster.resources import ResourceVector
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.core.provisioning import _Screen
 from repro.core.vm_selection import CandidateSet
+from repro.experiments.runner import default_schedulers, run_scenario
 from repro.faults.plan import FaultPlan, VmCrash
 from repro.obs import MemorySink, capture_events
 
@@ -38,32 +43,54 @@ class MostMatchedStub(StubScheduler):
         return candidates.select_most_matched(demand, self.sim.max_vm_capacity())
 
 
-def forgetful(base):
-    """``base`` with the refused-demand list forced empty."""
+def unscreened(base):
+    """``base`` with the screen patched off: its pools are never counted,
+    so every unit asks ``choose_vm`` and no entity is jumped over."""
 
-    class Forgetful(base):
-        def _try(self, entity, slot, candidates, demand, *, opportunistic):
-            candidates.forget_refusals()
-            return super()._try(
-                entity, slot, candidates, demand, opportunistic=opportunistic
-            )
+    class NeverCounts(_Screen):
+        def failed(self, opportunistic):
+            pass
 
-    return Forgetful
+    class Unscreened(base):
+        def _screen(self, entities, opportunistic):
+            return NeverCounts(self, entities, self._primary_index, opportunistic)
+
+    return Unscreened
+
+
+def infeasible(screen, opportunistic, unit):
+    row = screen.units[opportunistic][:, unit]
+    return not screen.pools[opportunistic].feasible_mask(ResourceVector(row)).any()
 
 
 def audited(base):
-    """``base`` re-running the full scan each time its list answers."""
+    """``base`` re-running the full scan for every unit its screen skips:
+    units ``_try`` turns away and every unit of an entity jumped over."""
+
+    class Checked(_Screen):
+        def next_entity(self, start):
+            found = super().next_entity(start)
+            stop = len(self.entities) if found is None else found
+            for e in range(start, stop):
+                for k in (0, 1, 2) if self.packed[e] else (0,):
+                    for opportunistic in (False, True):
+                        if self.counts[opportunistic] is not None:
+                            self.scheduler.skipped += 1
+                            assert infeasible(self, opportunistic, self.unit(e, k))
+            return found
 
     class Audited(base):
         skipped = 0
 
-        def _try(self, entity, slot, candidates, demand, *, opportunistic):
-            if candidates.refuses(demand):
+        def _screen(self, entities, opportunistic):
+            return Checked(self, entities, self._primary_index, opportunistic)
+
+        def _try(self, screen, e, k, slot, *, opportunistic):
+            counts = screen.counts[opportunistic]
+            if counts is not None and not counts[screen.unit(e, k)]:
                 self.skipped += 1
-                assert not candidates.feasible_mask(demand).any()
-            return super()._try(
-                entity, slot, candidates, demand, opportunistic=opportunistic
-            )
+                assert infeasible(screen, opportunistic, screen.unit(e, k))
+            return super()._try(screen, e, k, slot, opportunistic=opportunistic)
 
     return Audited
 
@@ -77,18 +104,6 @@ DEMANDS = (
 )
 _DEMANDS = st.sampled_from(DEMANDS)
 _PRIMARIES = st.sampled_from((None, (8.0, 32.0, 200.0), (14.0, 60.0, 700.0)))
-
-
-def pools(sched):
-    return [p for p in (sched._opp_pool, sched._primary_index) if p is not None]
-
-
-def assert_refusals_are_infeasible(sched):
-    for pool in pools(sched):
-        for row in list(pool._refused) + list(DEMANDS):
-            demand = ResourceVector(row)
-            if pool.refuses(demand):
-                assert not pool.feasible_mask(demand).any(), (row, pool.matrix)
 
 
 def disturb(vm, op):
@@ -122,7 +137,7 @@ class TestRefusalsUnderInterleavings:
         seed = data.draw(st.integers(0, 2**16), label="seed")
         base = data.draw(st.sampled_from((StubScheduler, MostMatchedStub)))
         kw = dict(fraction=0.9, window_slots=4, seed=seed)
-        live, twin = audited(base)(**kw), forgetful(base)(**kw)
+        live, twin = audited(base)(**kw), unscreened(base)(**kw)
         sims = [start_window(live, primaries), start_window(twin, primaries)]
         task_ids = itertools.count(n)
         vm_index = st.integers(0, n - 1)
@@ -145,8 +160,6 @@ class TestRefusalsUnderInterleavings:
         slot = 0
         for op, arg in ops:
             if op != "tick":
-                # Between ticks a list may be stale, as the primary
-                # index itself is: ``place_jobs`` syncs both first.
                 for sim in sims:
                     disturb(sim.vms[arg], op)
                 continue
@@ -161,32 +174,56 @@ class TestRefusalsUnderInterleavings:
             assert placed[0] == placed[1]
             assert landed(sims[0]) == landed(sims[1])
             assert live.rng.bit_generator.state == twin.rng.bit_generator.state
-            assert_refusals_are_infeasible(live)
 
 
 class TestTheListIsMinimal:
-    @given(st.lists(_DEMANDS, max_size=12))
-    def test_no_entry_covers_another(self, demands):
-        pool = CandidateSet([], ())
-        rng = np.random.default_rng(0)
-        for row in demands:
-            assert pool.select_random_feasible(ResourceVector(row), rng) is None
-        kept = pool._refused
-        assert {tuple(r) for r in kept} <= set(demands)
-        for a, b in itertools.permutations(kept, 2):
-            assert not all(x >= y for x, y in zip(a, b))
-        for row in demands:
-            assert pool.refuses(ResourceVector(row))
+    """The screen keeps no list: it records exactly what a scan would say,
+    and nothing at all while every scan finds a VM."""
 
-    def test_a_feasible_scan_records_nothing(self):
+    @given(
+        st.lists(_DEMANDS, max_size=12),
+        st.lists(st.tuples(st.integers(0, 2), _DEMANDS), max_size=6),
+        st.booleans(),
+    )
+    def test_no_entry_covers_another(self, demands, consumed, riders):
+        """Each unit is counted on its own, with no entry standing in for
+        another: counts from one batch comparison, kept through
+        ``consumed`` as rows fall, equal a fresh ``feasible_count`` — in
+        the primary pool and in a forecast pool whose empty VMs' rows are
+        zero (counted apart)."""
+        sched = StubScheduler(fraction=0.9)
+        vms = start_window(sched, [None, (8.0, 32.0, 200.0), None]).vms
+        if riders:
+            pool = sched._opp_pool
+        else:
+            pool = CandidateSet.for_vms(vms)
+            pool.refresh()
+        units = np.array(demands, dtype=float).reshape(-1, 3)
+        screen = _Screen(None, [], pool, pool)
+        screen.units = (units.T.copy(), units.T.copy())
+        screen.failed(riders)
+        for row, amount in consumed:
+            index = pool.consume(vms[row], np.array(amount))
+            screen.consumed(riders, index)
+            want = [pool.feasible_count(ResourceVector(u)) for u in units]
+            assert screen.counts[riders].tolist() == want
+
+    def test_a_feasible_scan_records_nothing(self, monkeypatch):
+        """A tick in which every attempt finds a VM lays nothing out."""
+        laid = []
+        failed = _Screen.failed
+        monkeypatch.setattr(
+            _Screen, "failed", lambda self, o: laid.append(o) or failed(self, o)
+        )
         sched = StubScheduler(fraction=0.9, window_slots=6)
         sim = start_window(sched, [(8.0, 32.0, 200.0)])
-        tick(sim, 1, [new_job((1.0, 2.0, 10.0), 5)])
-        assert all(not p._refused for p in pools(sched))
+        jobs = [new_job((1.0, 2.0, 10.0), 5), new_job((1.0, 2.0, 10.0), 6)]
+        assert tick(sim, 1, jobs) == jobs
+        assert laid == []
 
 
 class TestRisingRowsAreSeen:
-    """The list never outlives the state it was learnt from."""
+    """A screen never outlives the tick it was taken in."""
 
     BIG = (12.0, 48.0, 500.0)
 
@@ -197,19 +234,26 @@ class TestRisingRowsAreSeen:
         sim = start_window(sched, [(14.0, 60.0, 700.0), (14.0, 60.0, 700.0)])
         return sched, sim
 
-    def test_refused_while_full(self):
+    def test_refused_while_full(self, monkeypatch):
         sched, sim = self._full_cluster()
+        asked = []
+        choose = StubScheduler.choose_vm
+        monkeypatch.setattr(
+            StubScheduler, "choose_vm",
+            lambda self, demand, pool: asked.append(demand) or choose(self, demand, pool),
+        )
         assert tick(sim, 1, [new_job(self.BIG, 7)]) == []
-        assert sched._primary_index.refuses(ResourceVector(self.BIG))
-        # ...and the next tick, nothing having changed, skips the scan.
-        assert tick(sim, 2, [new_job(self.BIG, 8)]) == []
+        # The first BIG asks both pools; the screen turns the second away.
+        asked.clear()
+        assert tick(sim, 2, [new_job(self.BIG, 8), new_job(self.BIG, 9)]) == []
+        assert len(asked) == 2
 
     def test_a_completion_between_two_ticks_is_seen(self):
         sched, sim = self._full_cluster()
-        assert tick(sim, 1, [new_job(self.BIG, 7)]) == []
+        assert tick(sim, 1, [new_job(self.BIG, 7), new_job(self.BIG, 8)]) == []
         vm = sim.vms[1]
         disturb(vm, "complete")
-        job = new_job(self.BIG, 8)
+        job = new_job(self.BIG, 9)
         assert tick(sim, 2, [job]) == [job]
         assert job in [p.job for p in vm.placements]
 
@@ -218,9 +262,9 @@ class TestRisingRowsAreSeen:
         vm = sim.vms[1]
         vm.crash()
         # Down: the one live VM is full.
-        assert tick(sim, 1, [new_job(self.BIG, 7)]) == []
+        assert tick(sim, 1, [new_job(self.BIG, 7), new_job(self.BIG, 8)]) == []
         vm.restore()
-        job = new_job(self.BIG, 8)
+        job = new_job(self.BIG, 9)
         assert tick(sim, 2, [job]) == [job]
         assert [p.job for p in vm.placements] == [job]
 
@@ -231,19 +275,19 @@ class TestRisingRowsAreSeen:
         sim = start_window(sched, [(8.0, 32.0, 200.0)])
         vm = sim.vms[0]
         vm.crash()
-        zero = ResourceVector.zeros()
-        tick(sim, 1, [new_job((0.0, 0.0, 0.0), 5)])
-        assert sched._opp_pool.refuses(zero)  # no live row at all
+        # No live row at all: both riders fail, the second screened away.
+        zeros = [new_job((0.0, 0.0, 0.0), 5), new_job((0.0, 0.0, 0.0), 6)]
+        assert tick(sim, 1, zeros) == []
         vm.restore()
-        rider = new_job((0.0, 0.0, 0.0), 6)
+        rider = new_job((0.0, 0.0, 0.0), 7)
         assert tick(sim, 2, [rider]) == [rider]
         assert rider.opportunistic
 
     @pytest.mark.parametrize("base", [StubScheduler, MostMatchedStub])
     def test_through_the_kernel(self, base):
         """Overload plus mid-window crashes through the real slot loop:
-        the run with the list and the run without emit the same
-        placement events, and the list did skip attempts."""
+        the run with the screen and the run without emit the same
+        placement events, and the screen did skip units."""
         profile = ClusterProfile.palmetto(n_pms=2, vms_per_pm=2)
         plan = FaultPlan(
             events=tuple(
@@ -253,23 +297,13 @@ class TestRisingRowsAreSeen:
         )
         trace = make_short_trace(n_jobs=80, seed=41, arrival_span_s=60.0)
         runs = []
-        skipped = []
-        for cls in (base, forgetful(base)):
-            sched = cls(fraction=0.9, window_slots=6, seed=3)
-            refuses = CandidateSet.refuses
-
-            def counting(pool, demand):
-                answer = refuses(pool, demand)
-                skipped.append(answer)
-                return answer
-
+        live = audited(base)(fraction=0.9, window_slots=6, seed=3)
+        for sched in (live, unscreened(base)(fraction=0.9, window_slots=6, seed=3)):
             sim = ClusterSimulator(
                 profile, sched, SimulationConfig(), fault_plan=plan
             )
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(CandidateSet, "refuses", counting)
-                with capture_events(MemorySink()) as sink:
-                    result = sim.run(trace)
+            with capture_events(MemorySink()) as sink:
+                result = sim.run(trace)
             runs.append(
                 (
                     [
@@ -283,4 +317,38 @@ class TestRisingRowsAreSeen:
                 )
             )
         assert runs[0] == runs[1]
-        assert runs[0][0] and any(skipped)
+        assert runs[0][0] and live.skipped
+
+
+class TestTheRealSchedulers:
+    @pytest.mark.parametrize("method", ["CORP", "RCCR", "DRA"])
+    def test_same_placements_same_draws(self, method, predictor_cache):
+        """CORP's packed pairs, Eq. 22 and admission rows, RCCR's and
+        DRA's rng draws: an overloaded 4-VM run with the screen audits
+        every skip and matches the twin without it, event for event."""
+        scenario = replace(
+            api.build_scenario(jobs=60, seed=7),
+            profile=ClusterProfile.palmetto(n_pms=2, vms_per_pm=2),
+        )
+        factory = default_schedulers(
+            history=scenario.history_trace(), predictor_cache=predictor_cache, seed=7
+        )[method]
+        runs, skipped = [], []
+        for wrap in (audited, unscreened):
+            sched = factory()
+            sched.__class__ = wrap(type(sched))
+            with capture_events(MemorySink()) as sink:
+                result = run_scenario(scenario, sched)
+            skipped.append(getattr(sched, "skipped", 0))
+            runs.append((
+                [
+                    (e.fields["slot"], e.fields["job"], e.fields["vm"],
+                     e.fields["opportunistic"], e.fields["partner"])
+                    for e in sink.named("placement")
+                ],
+                sched.rng.bit_generator.state,
+                {k: v for k, v in result.summary().items()
+                 if k != "allocation_latency_s"},
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][0] and skipped[0]

@@ -23,7 +23,6 @@ EXPECTED_OPTIONS = {
         '--events': (None, None, None, None, None),
         '--fault-seed': (0, None, None, None, 'int'),
         '--faults': (None, None, '?', 0.3, 'float'),
-        '--fit-workers': (0, None, None, None, 'int'),
         '--jobs': (200, None, None, None, 'int'),
         '--predictor': ('corp', None, None, None, None),
         '--predictor-cache-size': (16, None, None, None, 'int'),
@@ -41,7 +40,6 @@ EXPECTED_OPTIONS = {
         '--events': (None, None, None, None, None),
         '--fault-seed': (0, None, None, None, 'int'),
         '--faults': (None, None, '?', 0.3, 'float'),
-        '--fit-workers': (0, None, None, None, 'int'),
         '--jobs': (50, None, None, None, 'int'),
         '--method': ('CORP', ('CORP', 'RCCR', 'CloudScale', 'DRA'), None, None, None),
         '--predictor': ('corp', None, None, None, None),
@@ -55,7 +53,6 @@ EXPECTED_OPTIONS = {
     },
     'profile': {
         '--events': (None, None, None, None, None),
-        '--fit-workers': (0, None, None, None, 'int'),
         '--jobs': (50, None, None, None, 'int'),
         '--out': ('PROFILE_runtime.json', None, None, None, None),
         '--predictor': ('corp', None, None, None, None),
@@ -117,7 +114,6 @@ EXPECTED_OPTIONS = {
     },
     'cache': {
         '--dir': (None, None, None, None, None),
-        '--fit-workers': (0, None, None, None, 'int'),
         '--jobs': (200, None, None, None, 'int'),
         '--quick': (False, None, 0, True, None),
         '--seed': (7, None, None, None, 'int'),

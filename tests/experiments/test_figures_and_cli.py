@@ -183,10 +183,10 @@ class TestCli:
         assert args.action == "warm" and args.jobs == 20
         args = build_parser().parse_args(
             ["compare", "--store", "/tmp/s", "--warm-start",
-             "--fit-workers", "2", "--predictor-cache-size", "4"]
+             "--predictor-cache-size", "4"]
         )
         assert args.store == "/tmp/s" and args.warm_start
-        assert args.fit_workers == 2 and args.predictor_cache_size == 4
+        assert args.predictor_cache_size == 4
         # Bare --store means "the default directory".
         args = build_parser().parse_args(["profile", "--store"])
         assert args.store == ""

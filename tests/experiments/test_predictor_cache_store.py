@@ -1,5 +1,4 @@
-"""PredictorCache + PredictorStore: cross-process reuse, warm starts,
-process-parallel fits."""
+"""PredictorCache + PredictorStore: cross-process reuse and warm starts."""
 
 import numpy as np
 import pytest
@@ -126,15 +125,6 @@ class TestWarmStart:
 
 
 class TestParallelFits:
-    def test_workers_bit_identical_to_serial(
-        self, fast_corp_config, history_trace
-    ):
-        serial = PredictorCache().get(fast_corp_config, history_trace)
-        fanned = PredictorCache(fit_workers=2).get(
-            fast_corp_config, history_trace
-        )
-        _assert_same_fit(serial, fanned)
-
     def test_incompatible_donor_rejected(self, fast_corp_config, history_trace):
         """A donor with a different DNN shape must be ignored, not crash."""
         import dataclasses

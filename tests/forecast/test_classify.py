@@ -71,17 +71,6 @@ class TestFit:
         for errors in fitted.seed_errors:
             assert abs(float(np.median(errors))) < 0.25
 
-    def test_parallel_fit_matches_serial(self, history_trace, fitted):
-        parallel = ClassifyThenPredictPredictor(seed=3).fit(
-            history_trace, workers=2
-        )
-        np.testing.assert_array_equal(fitted.centroids, parallel.centroids)
-        np.testing.assert_array_equal(
-            fitted.class_shifts, parallel.class_shifts
-        )
-        for a, b in zip(fitted.seed_errors, parallel.seed_errors):
-            np.testing.assert_array_equal(a, b)
-
     def test_from_config_threads_seed(self):
         p = ClassifyThenPredictPredictor.from_config(CorpConfig(seed=17))
         assert p.seed == 17

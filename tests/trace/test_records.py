@@ -53,6 +53,20 @@ class TestTaskRecordValidation:
         with pytest.raises(ValueError):
             make_record(request=(-1, 1, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_request_rejected(self, bad):
+        """A NaN request once passed every check (``nan < 0`` is False),
+        was admitted, and then fit no pool row: the queue never drained."""
+        with pytest.raises(ValueError, match="finite"):
+            make_record(request=(2, bad, 10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_usage_rejected(self, bad):
+        usage = np.ones((3, 3))
+        usage[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            make_record(usage=usage)
+
     def test_usage_made_readonly(self):
         record = make_record()
         with pytest.raises(ValueError):
