@@ -29,7 +29,7 @@ conservative unused-side schemes).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -174,7 +174,7 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
         )
         return raw - pads
 
-    def on_slot_end(self, slot: int, outcomes: dict[int, SlotOutcome]) -> None:
+    def on_slot_end(self, slot: int, outcomes: Mapping[int, SlotOutcome]) -> None:
         """Base error tracking plus padding-tracker updates."""
         super().on_slot_end(slot, outcomes)
         # Feed the padding trackers with per-slot usage and forecast errors.

@@ -5,7 +5,8 @@ Each rule encodes one of the paper's stated guarantees:
 ``capacity``
     Per-slot capacity conservation (Section II accounting): the sum of
     primary reservations on a VM matches its incrementally maintained
-    commitment (and its placement count the occupancy lane), the
+    commitment (its placement count the occupancy lane, its placements
+    their placement-lane rows), the
     commitment never exceeds the nominal capacity, the served demand
     never exceeds the effective (revocation-aware) capacity, and the
     unlocked opportunistic pools stay inside the allocated-but-idle
@@ -213,6 +214,12 @@ class InvariantChecker:
                     f"{len(vm.placements)} placement(s)",
                     slot=slot, scheduler=scheduler, vm=vm.vm_id,
                 )
+            drift = self._placement_lane_drift(vm)
+            if drift:
+                self._report(
+                    "capacity", f"placement lane drift: {drift}",
+                    slot=slot, scheduler=scheduler, vm=vm.vm_id,
+                )
             committed = vm.committed()
             recomputed = vm.reserved_total()
             if np.any(np.abs(committed - recomputed) > tol):
@@ -259,6 +266,29 @@ class InvariantChecker:
                     "differential", detail,
                     slot=slot, scheduler=scheduler, vm=vm.vm_id,
                 )
+
+    @staticmethod
+    def _placement_lane_drift(vm: "VirtualMachine") -> str:
+        """The VM's :class:`~repro.cluster.machine.PlacementLanes` rows
+        recounted from its placement list: one row per placement, owned
+        by the VM, each with the placement's class, cap and its job's
+        progress and nominal slots ("" when they agree)."""
+        placed, placements = vm._lanes.placed, vm.placements
+        owned = int(np.count_nonzero(placed.owner == vm._row))
+        if owned != len(placements):
+            return f"{owned} row(s) for {len(placements)} placement(s)"
+        for p in placements:
+            row, job = p.row, p.job
+            if row < 0 or placed.owner[row] != vm._row:
+                return f"job {job.job_id} holds no row of this VM"
+            if (
+                bool(placed.rider[row]) != p.opportunistic
+                or not np.array_equal(placed.cap[row], p.effective_cap())
+                or placed.progress[row] != job.progress
+                or placed.nominal[row] != job.nominal_slots
+            ):
+                return f"job {job.job_id}'s row disagrees with its placement"
+        return ""
 
     def end_slot(
         self, sim: "ClusterSimulator", slot: int, n_submitted: int

@@ -23,7 +23,11 @@ from .resources import ResourceVector
 if TYPE_CHECKING:  # pragma: no cover - avoids a trace<->cluster import cycle
     from ..trace.records import TaskRecord
 
-__all__ = ["Job", "JobState"]
+__all__ = ["COMPLETION_ATOL", "Job", "JobState"]
+
+#: A job whose progress is within this of ``nominal_slots`` has completed
+#: (:meth:`Job.advance` and the placement lanes' column advance).
+COMPLETION_ATOL = 1e-9
 
 
 class JobState(Enum):
@@ -78,6 +82,8 @@ class Job:
     #: Per-slot demand vectors observed while running — the utilization
     #: history the predictors consume.
     demand_log: list[np.ndarray] = field(default_factory=list)
+    #: The VM holding the job's current (or, once done, last) placement.
+    vm_id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.nominal_slots = max(
@@ -128,10 +134,14 @@ class Job:
         self.rate_history.append(rate)
         self.demand_log.append(self.demand() if demand is None else demand)
         self.progress += rate
-        if self.progress >= self.nominal_slots - 1e-9:
-            self.progress = float(self.nominal_slots)
-            self.state = JobState.COMPLETED
-            self.completion_slot = slot
+        if self.progress >= self.nominal_slots - COMPLETION_ATOL:
+            self.complete(slot)
+
+    def complete(self, slot: int) -> None:
+        """Mark the job finished at ``slot``: progress snaps to nominal."""
+        self.progress = float(self.nominal_slots)
+        self.state = JobState.COMPLETED
+        self.completion_slot = slot
 
     def requeue(self, slot: int) -> None:
         """Return a running job to the queue after a fault, losing progress.
@@ -145,6 +155,7 @@ class Job:
             raise RuntimeError(f"job {self.job_id} cannot be requeued from {self.state}")
         self.state = JobState.PENDING
         self.start_slot = None
+        self.vm_id = None
         self.opportunistic = False
         self.progress = 0.0
         if self.first_fault_slot is None:

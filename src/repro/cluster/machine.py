@@ -15,16 +15,18 @@ classes:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .job import Job, JobState
+from .job import COMPLETION_ATOL, Job, JobState
 from .resources import NUM_RESOURCES, ResourceVector
 
 __all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome",
-           "IDLE_OUTCOME", "ClusterLanes", "execute_slots"]
+           "IDLE_OUTCOME", "ClusterLanes", "PlacementLanes", "SlotBatch",
+           "SlotOutcomes", "execute_slots"]
 
 #: What an idle VM demands and serves: one read-only row, shared by every
 #: idle slot's outcome and history.
@@ -38,25 +40,36 @@ class ClusterLanes:
     ``capacity`` is the effective capacity (nominal, shrunk by any
     revocation in force), ``committed`` the primary reservations held,
     ``online`` the liveness, ``occupied`` the placements held (either
-    class) and ``idle_slots`` the slots skipped while :meth:`quiescent`
-    whose zero history rows are not yet written; ``capacity_changes``
-    counts capacity writes, so a memo of anything derived from
-    ``capacity`` revalidates in O(1).  A :class:`VirtualMachine` is a
-    ``(lanes, row)`` handle that indexes these arrays on every access
-    and stores no view of them (``copy.deepcopy`` would turn a view into
-    a detached copy).
+    class), ``changes`` the writes to a VM's placement list (a list
+    whose count has not moved has not changed) and ``idle_slots`` the
+    slots skipped while :meth:`quiescent` whose zero history rows are
+    not yet written; ``capacity_changes`` counts capacity writes, so a
+    memo of anything derived from ``capacity`` revalidates in O(1).
+    ``placed`` holds the placements themselves (:class:`PlacementLanes`,
+    made on first use: a VM's own one-row lanes mostly never need one).
+    A :class:`VirtualMachine` is a ``(lanes, row)`` handle that indexes
+    these arrays on every access and stores no view of them
+    (``copy.deepcopy`` would turn a view into a detached copy).
     """
 
-    __slots__ = ("capacity", "committed", "online", "occupied", "idle_slots",
-                 "capacity_changes")
+    __slots__ = ("capacity", "committed", "online", "occupied", "changes",
+                 "idle_slots", "capacity_changes", "_placed")
 
     def __init__(self, capacity: np.ndarray) -> None:
         self.capacity = np.array(capacity, dtype=np.float64).reshape(-1, NUM_RESOURCES)
         self.committed = np.zeros_like(self.capacity)
         self.online = np.ones(len(self.capacity), dtype=bool)
         self.occupied = np.zeros(len(self.capacity), dtype=np.int64)
+        self.changes = np.zeros(len(self.capacity), dtype=np.int64)
         self.idle_slots = np.zeros(len(self.capacity), dtype=np.int64)
         self.capacity_changes = 0
+        self._placed: PlacementLanes | None = None
+
+    @property
+    def placed(self) -> "PlacementLanes":
+        if self._placed is None:
+            self._placed = PlacementLanes()
+        return self._placed
 
     def unallocated(self, rows: int | slice = slice(None)) -> np.ndarray:
         """``max(capacity - committed, 0)`` of ``rows`` (default: all)."""
@@ -83,7 +96,8 @@ class ClusterLanes:
 
         Idempotent: VMs that already are rows ``0..n-1`` of one set keep
         it.  Any other list is copied into a fresh set, each VM re-pointed
-        at its new row (a row it leaves in a larger set goes stale).
+        at its new row and its placements re-added in order (the rows it
+        leaves in a larger set go stale).
         """
         lanes = vms[0]._lanes if vms else None
         if lanes is not None and len(lanes.online) == len(vms) and all(
@@ -93,32 +107,198 @@ class ClusterLanes:
         lanes = cls(np.zeros((len(vms), NUM_RESOURCES)))
         for row, vm in enumerate(vms):
             old, i = vm._lanes, vm._row
-            for name in ("capacity", "committed", "online", "occupied", "idle_slots"):
+            for name in ("capacity", "committed", "online", "occupied", "changes",
+                         "idle_slots"):
                 getattr(lanes, name)[row] = getattr(old, name)[i]
             vm._lanes, vm._row = lanes, row
+            for placement in vm.placements:
+                lanes.placed.add(placement, row)
         return lanes
 
 
-@dataclass
+class PlacementLanes:
+    """The placements a cluster holds, one row each: what a slot reads.
+
+    ``owner`` is the holding VM's lane row (-1 marks a free row),
+    ``rider`` the class, ``cap`` :meth:`Placement.effective_cap`, and
+    ``progress`` / ``nominal`` the job's.  Every held job's usage series
+    is copied into one arena, ``usage``, at ``start``; ``last`` is its
+    final row, so a slot's demand rows are one gather,
+    ``usage[start + min(int(progress), last)]`` (:meth:`positions`), the
+    rows :meth:`Job.demand` reads.  ``seq`` counts :meth:`add` calls, so
+    a VM's rows in ``seq`` order are its placement list in order.
+    ``jobs`` is the job of each row.
+
+    Rows are written only by :class:`VirtualMachine`'s four placement
+    mutators, ``granted_cap`` writes and :func:`execute_slots` (progress);
+    ``repro check``'s ``capacity`` rule recounts them from the placement
+    lists.
+    """
+
+    __slots__ = ("owner", "rider", "cap", "progress", "nominal", "start", "last",
+                 "seq", "jobs", "free", "usage", "usage_end", "added")
+
+    def __init__(self) -> None:
+        self.owner = np.zeros(0, dtype=np.int64)
+        self.rider = np.zeros(0, dtype=bool)
+        self.cap = np.zeros((0, NUM_RESOURCES))
+        self.progress = np.zeros(0)
+        self.nominal = np.zeros(0)
+        self.start = np.zeros(0, dtype=np.int64)
+        self.last = np.zeros(0, dtype=np.int64)
+        self.seq = np.zeros(0, dtype=np.int64)
+        self.jobs: list[Optional[Job]] = []
+        self.free: list[int] = []
+        self.usage = np.zeros((0, NUM_RESOURCES))
+        self.usage_end = 0
+        self.added = 0
+
+    def add(self, placement: "Placement", owner: int) -> None:
+        """Give ``placement`` a row, held by the VM at lane row ``owner``."""
+        if not self.free:
+            self._grow()
+        row = self.free.pop()
+        job = placement.job
+        usage = job.record.usage
+        self.start[row] = self._store(usage)
+        self.last[row] = len(usage) - 1
+        self.owner[row] = owner
+        self.rider[row] = placement.opportunistic
+        self.progress[row] = job.progress
+        self.nominal[row] = job.nominal_slots
+        self.seq[row] = self.added
+        self.added += 1
+        self.jobs[row] = job
+        placement.row = row
+        self.cap[row] = placement.effective_cap()
+
+    def remove(self, placements: Sequence["Placement"]) -> None:
+        """Free the rows of ``placements``; an emptied table lets go of
+        its columns and arena (a finished run's lanes stay small)."""
+        for placement in placements:
+            row = placement.row
+            self.owner[row] = -1
+            self.jobs[row] = None
+            self.free.append(row)
+            placement.row = -1
+        if len(self.free) == len(self.owner):
+            self.__init__()
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's position in its job's usage series (:meth:`Job.demand`'s)."""
+        return np.minimum(self.progress[rows].astype(np.int64), self.last[rows])
+
+    def advance(self, rows: np.ndarray, rates: np.ndarray, positions: np.ndarray,
+                slot: int) -> np.ndarray:
+        """:meth:`Job.advance` of every row's job; the rows that completed.
+
+        Progress moves as one add and one completion mask; one loop then
+        appends each job's rate and demand row (a view of its usage
+        series, as :meth:`Job.demand` returns), writes its progress back
+        and marks the completed jobs.
+        """
+        progress = self.progress[rows] + rates
+        nominal = self.nominal[rows]
+        done = progress >= nominal - COMPLETION_ATOL
+        progress[done] = nominal[done]
+        self.progress[rows] = progress
+        jobs, running = self.jobs, JobState.RUNNING
+        for row, rate, position, value in zip(
+            rows.tolist(), rates.tolist(), positions.tolist(), progress.tolist()
+        ):
+            job = jobs[row]
+            if job.state is not running:
+                raise RuntimeError(f"job {job.job_id} is not running")
+            job.rate_history.append(rate)
+            job.demand_log.append(job.record.usage[position])
+            job.progress = value
+        for row in rows[done].tolist():
+            jobs[row].complete(slot)
+        return done
+
+    def _grow(self) -> None:
+        size = len(self.owner)
+        grown = max(2 * size, 16)
+        for name in ("owner", "rider", "cap", "progress", "nominal", "start", "last", "seq"):
+            old = getattr(self, name)
+            new = np.zeros((grown,) + old.shape[1:], dtype=old.dtype)
+            new[:size] = old
+            setattr(self, name, new)
+        self.owner[size:] = -1
+        self.jobs.extend([None] * (grown - size))
+        self.free.extend(range(grown - 1, size - 1, -1))
+
+    def _store(self, usage: np.ndarray) -> int:
+        """Copy ``usage`` into the arena; its first row's index."""
+        n = len(usage)
+        if self.usage_end + n > len(self.usage):
+            self._compact(n)
+        start = self.usage_end
+        self.usage[start:start + n] = usage
+        self.usage_end = start + n
+        return start
+
+    def _compact(self, extra: int) -> None:
+        """Move the held series to the front of an arena with room for
+        ``extra`` more rows and a quarter again (a compaction is one
+        gather, so a tight arena costs little)."""
+        (held,) = np.nonzero(self.owner >= 0)
+        lengths = self.last[held] + 1
+        total = int(lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        arena = np.zeros(((total + extra) * 5 // 4 + 64, NUM_RESOURCES))
+        source = np.repeat(self.start[held] - starts, lengths) + np.arange(total)
+        arena[:total] = self.usage[source]
+        self.start[held] = starts
+        self.usage, self.usage_end = arena, total
+
+
 class Placement:
     """A job running on a VM.
 
     ``reserved`` is the commitment the placement holds (zero for
     opportunistic placements); ``granted_cap`` is an optional per-slot
     ceiling a scheduler may impose below the job's request (used by DRA's
-    share-based redistribution).
+    share-based redistribution).  ``row`` is the placement's row of its
+    VM's :class:`PlacementLanes` while the VM holds it (-1 otherwise);
+    writing ``granted_cap`` rewrites that row's cap.
     """
 
-    job: Job
-    vm: "VirtualMachine"
-    reserved: ResourceVector
-    opportunistic: bool
-    granted_cap: Optional[ResourceVector] = None
+    __slots__ = ("job", "vm", "reserved", "opportunistic", "_granted_cap", "row")
+
+    def __init__(
+        self,
+        job: Job,
+        vm: "VirtualMachine",
+        reserved: ResourceVector,
+        opportunistic: bool,
+        granted_cap: Optional[ResourceVector] = None,
+    ) -> None:
+        self.job, self.vm, self.reserved = job, vm, reserved
+        self.opportunistic = opportunistic
+        self._granted_cap = granted_cap
+        self.row = -1
+
+    @property
+    def granted_cap(self) -> Optional[ResourceVector]:
+        return self._granted_cap
+
+    @granted_cap.setter
+    def granted_cap(self, cap: Optional[ResourceVector]) -> None:
+        self._granted_cap = cap
+        if self.row >= 0:
+            self.vm._lanes.placed.cap[self.row] = self.effective_cap()
+
+    def __repr__(self) -> str:
+        return (
+            f"Placement(job={self.job.job_id}, vm={self.vm.vm_id}, "
+            f"opportunistic={self.opportunistic}, granted_cap={self._granted_cap})"
+        )
 
     def effective_cap(self) -> np.ndarray:
         """The ceiling applied to this placement's grant each slot."""
-        if self.granted_cap is not None:
-            return self.granted_cap.as_array()
+        if self._granted_cap is not None:
+            return self._granted_cap.as_array()
         if self.opportunistic:
             return self.job.requested.as_array()
         return self.reserved.as_array()
@@ -143,10 +323,11 @@ IDLE_OUTCOME = SlotOutcome(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 class VirtualMachine:
     """One VM: placements and usage history, plus its row of the lanes.
 
-    Capacity, commitment, liveness, the placement count and the skipped
-    idle slots live in a :class:`ClusterLanes` row (a one-row set until a
-    cluster adopts the VM); every mutation below writes that row and
-    nothing else.
+    Capacity, commitment, liveness, the placement count, the placement
+    list's change count and the skipped idle slots live in a
+    :class:`ClusterLanes` row (a one-row set until a cluster adopts the
+    VM), each placement in a row of its :class:`PlacementLanes`; every
+    mutation below writes those rows and nothing else.
     """
 
     def __init__(self, vm_id: int, capacity: ResourceVector, pm_id: int = 0) -> None:
@@ -210,6 +391,11 @@ class VirtualMachine:
     def pending_idle_slots(self, count: int) -> None:
         self._lanes.idle_slots[self._row] = count
 
+    @property
+    def placement_changes(self) -> int:
+        """Writes to :attr:`placements` so far (equal counts, equal lists)."""
+        return int(self._lanes.changes[self._row])
+
     def committed(self) -> np.ndarray:
         """Total primary reservations currently held on this VM."""
         return self._lanes.committed[self._row].copy()
@@ -254,25 +440,33 @@ class VirtualMachine:
                 f"(unallocated {self.unallocated().tolist()})"
             )
         self.placements.append(placement)
-        self._lanes.occupied[self._row] += 1
+        lanes = self._lanes
+        lanes.occupied[self._row] += 1
+        lanes.changes[self._row] += 1
         if not placement.opportunistic:
-            self._lanes.committed[self._row] += placement.reserved.as_array()
+            lanes.committed[self._row] += placement.reserved.as_array()
+        lanes.placed.add(placement, self._row)
+        placement.job.vm_id = self.vm_id
 
     def remove_completed(self) -> list[Job]:
         """Drop placements whose jobs completed; return those jobs."""
-        done = [p.job for p in self.placements if p.job.state is JobState.COMPLETED]
-        if not done:
-            return done
-        committed = self._lanes.committed[self._row]
+        done: list[Placement] = []
+        kept: list[Placement] = []
         for p in self.placements:
-            if p.job.state is JobState.COMPLETED and not p.opportunistic:
+            (done if p.job.state is JobState.COMPLETED else kept).append(p)
+        if not done:
+            return []
+        lanes = self._lanes
+        committed = lanes.committed[self._row]
+        for p in done:
+            if not p.opportunistic:
                 committed -= p.reserved.as_array()
         np.maximum(committed, 0.0, out=committed)  # float drift
-        self.placements = [
-            p for p in self.placements if p.job.state is not JobState.COMPLETED
-        ]
-        self._lanes.occupied[self._row] -= len(done)
-        return done
+        self.placements = kept
+        lanes.occupied[self._row] -= len(done)
+        lanes.changes[self._row] += 1
+        lanes.placed.remove(done)
+        return [p.job for p in done]
 
     # ------------------------------------------------------------------
     # fault injection (crash/restore, targeted eviction)
@@ -280,9 +474,12 @@ class VirtualMachine:
     def evict_all(self) -> list[Job]:
         """Drop every placement, releasing all commitment; return the jobs."""
         jobs = [p.job for p in self.placements]
+        lanes = self._lanes
+        lanes.placed.remove(self.placements)
         self.placements = []
-        self._lanes.occupied[self._row] = 0
-        self._lanes.committed[self._row] = 0.0
+        lanes.occupied[self._row] = 0
+        lanes.changes[self._row] += 1
+        lanes.committed[self._row] = 0.0
         return jobs
 
     def evict_job(self, job_id: int) -> Optional[Job]:
@@ -290,9 +487,12 @@ class VirtualMachine:
         for i, p in enumerate(self.placements):
             if p.job.job_id == job_id:
                 del self.placements[i]
-                self._lanes.occupied[self._row] -= 1
+                lanes = self._lanes
+                lanes.occupied[self._row] -= 1
+                lanes.changes[self._row] += 1
+                lanes.placed.remove([p])
                 if not p.opportunistic:
-                    committed = self._lanes.committed[self._row]
+                    committed = lanes.committed[self._row]
                     committed -= p.reserved.as_array()
                     np.maximum(committed, 0.0, out=committed)
                 return p.job
@@ -354,44 +554,93 @@ class VirtualMachine:
         )
 
 
-def _rows(rows: list) -> np.ndarray:
-    return np.array(rows, dtype=np.float64).reshape(-1, NUM_RESOURCES)
-
-
 def _segment_sums(rows: np.ndarray, owner: np.ndarray, m: int) -> np.ndarray:
-    """Per-VM sums of ``rows``, each VM's rows added in order, as its
-    ``.sum(axis=0)`` does (``np.add.reduceat`` would sum pairwise)."""
-    sums = np.zeros((m, NUM_RESOURCES))
-    np.add.at(sums, owner, rows)
-    return sums
+    """Per-VM sums of ``rows``, each VM's rows added in order from zero,
+    as its ``.sum(axis=0)`` does: ``np.bincount`` accumulates its weights
+    one by one, here with one bin per (VM, resource) (``np.add.reduceat``
+    would sum pairwise)."""
+    bins = (owner[:, None] * NUM_RESOURCES + np.arange(NUM_RESOURCES)).ravel()
+    weights = np.ascontiguousarray(rows).ravel()
+    return np.bincount(bins, weights, m * NUM_RESOURCES).reshape(m, NUM_RESOURCES)
 
 
-def execute_slots(vms: Sequence[VirtualMachine], slot: int) -> list[SlotOutcome]:
+@dataclass(frozen=True)
+class SlotBatch(Sequence[SlotOutcome]):
+    """One slot of ``m`` VMs: their outcomes as five ``(m, l)`` arrays.
+
+    Item ``j`` is VM ``j``'s :class:`SlotOutcome`, built when read (its
+    fields are read-only rows of the arrays; a VM that held no placement
+    demanded and served the shared zero row, and its slack is its
+    commitment).  ``held`` marks the VMs that held a placement,
+    ``finished`` lists, in ascending order, those on which a job
+    completed.
+    """
+
+    committed: np.ndarray
+    primary_demand: np.ndarray
+    opportunistic_demand: np.ndarray
+    served_demand: np.ndarray
+    unused: np.ndarray
+    held: np.ndarray
+    finished: list[int]
+
+    def __len__(self) -> int:
+        return len(self.committed)
+
+    def __getitem__(self, j: int) -> SlotOutcome:
+        if not self.held[j]:
+            return SlotOutcome(self.committed[j], _ZERO, _ZERO, _ZERO, self.committed[j])
+        return SlotOutcome(self.committed[j], self.primary_demand[j],
+                           self.opportunistic_demand[j], self.served_demand[j],
+                           self.unused[j])
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Served demand and commitment summed over the VMs, row after
+        row from zero (a running ``+=``, not a pairwise sum)."""
+        first = np.zeros(len(self), dtype=np.intp)
+        return (_segment_sums(self.served_demand, first, 1)[0],
+                _segment_sums(self.committed, first, 1)[0])
+
+
+def execute_slots(vms: Sequence[VirtualMachine], slot: int) -> SlotBatch:
     """Serve one slot on every VM of ``vms``: grant, advance jobs, record.
 
     On each VM primaries are served first, each up to ``min(demand,
     cap)``, scaled back together where they exceed the capacity; riders
     share what is left in proportion to their demand (they hold no
     commitment, so they are squeezed first); every job advances at
-    ``min(granted / demand)``.  All placements are rows of one batch and
-    ``owner`` maps a row to its VM, so a VM's outcome is bit-identical
-    whatever shares its batch; it is property-tested against
+    ``min(granted / demand)``.  The VMs must share one
+    :class:`ClusterLanes`: the batch reads its placements off the
+    :class:`PlacementLanes` columns, and ``owner`` maps a placement row
+    to its VM, so a VM's outcome is bit-identical whatever shares its
+    batch; it is property-tested against
     :func:`repro.check.differential.reference_outcome`.
     """
     m = len(vms)
-    for vm in vms:
-        if vm._lanes.idle_slots[vm._row]:
-            vm._write_idle_rows()
-    placements = [p for vm in vms for p in vm.placements]
-    counts = [len(vm.placements) for vm in vms]
-    owner = np.repeat(np.arange(m), counts)
-    jobs = [p.job for p in placements]
-    demand_rows = [job.demand() for job in jobs]
-    demands = _rows(demand_rows)
-    caps = _rows([p.effective_cap() for p in placements])
-    opp = np.array([p.opportunistic for p in placements], dtype=bool)[:, None]
-    capacity = _rows([vm._lanes.capacity[vm._row] for vm in vms])
-    committed = _rows([vm._lanes.committed[vm._row] for vm in vms])
+    if not m:
+        return SlotBatch(*[np.zeros((0, NUM_RESOURCES))] * 5, np.zeros(0, dtype=bool), [])
+    lanes = vms[0]._lanes
+    vm_rows = np.array([vm._row for vm in vms if vm._lanes is lanes], dtype=np.intp)
+    if len(vm_rows) < m:
+        raise ValueError("the VMs of one batch must share one ClusterLanes")
+    for j in np.flatnonzero(lanes.idle_slots[vm_rows]).tolist():
+        vms[j]._write_idle_rows()
+    # The placement rows of these VMs, in placement order per VM, and
+    # each one's position in ``vms``.
+    placed = lanes.placed
+    (rows,) = np.nonzero(placed.owner >= 0)
+    at = np.full(len(lanes.online), -1)
+    at[vm_rows] = np.arange(m)
+    owner = at[placed.owner[rows]]
+    rows, owner = rows[owner >= 0], owner[owner >= 0]
+    order = np.argsort(placed.seq[rows])
+    rows, owner = rows[order], owner[order]
+    positions = placed.positions(rows)
+    demands = placed.usage[placed.start[rows] + positions]
+    caps = placed.cap[rows]
+    opp = placed.rider[rows][:, None]
+    capacity = lanes.capacity[vm_rows]
+    committed = lanes.committed[vm_rows]
     grants = np.minimum(demands, caps)
 
     # --- primaries ---------------------------------------------------
@@ -415,27 +664,66 @@ def execute_slots(vms: Sequence[VirtualMachine], slot: int) -> list[SlotOutcome]
     # --- advance ------------------------------------------------------
     # Execution rate: min over demanded resources of granted/demand,
     # clipped to [0, 1]; a job with no current demand runs at full
-    # speed (rows with no demanded resource reduce over +inf).
+    # speed (rows with no demanded resource reduce over +inf).  The
+    # minimum is taken column by column, in ``.min(axis=1)``'s order:
+    # numpy reduces a length-3 axis slowly.
     needed = demands > 1e-12
     ratios = np.where(needed, grants / np.where(needed, demands, 1.0), np.inf)
-    rates = np.clip(ratios.min(axis=1), 0.0, 1.0)
+    rates = ratios[:, 0]
+    for k in range(1, NUM_RESOURCES):
+        rates = np.minimum(rates, ratios[:, k])
+    rates = np.clip(rates, 0.0, 1.0)
     served = _segment_sums(np.minimum(grants, demands), owner, m)
-    for job, demand, rate in zip(jobs, demand_rows, rates.tolist()):
-        job.advance(rate, slot, demand)
+    done = placed.advance(rows, rates, positions, slot)
 
     unused = np.maximum(committed - primary_demand, 0.0)
-    rows = (committed, primary_demand, opp_demand, served, unused)
-    for batch in rows:
-        batch.setflags(write=False)  # history rows are shared by snapshots
-    outcomes = []
-    for j, vm in enumerate(vms):
-        if counts[j]:
-            outcome = SlotOutcome(*(batch[j] for batch in rows))
-        else:  # nothing demanded or served: the slack is the commitment
-            outcome = SlotOutcome(committed[j], _ZERO, _ZERO, _ZERO, committed[j])
-        vm._unused_history.append(outcome.unused)
-        outcomes.append(outcome)
-    return outcomes
+    held, finished = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    held[owner] = True
+    finished[owner[done]] = True
+    batch = SlotBatch(committed, primary_demand, opp_demand, served, unused, held,
+                      np.flatnonzero(finished).tolist())
+    for outcome_rows in (committed, primary_demand, opp_demand, served, unused):
+        outcome_rows.setflags(write=False)  # history rows are shared by snapshots
+    for vm, row in zip(vms, unused):  # bit for bit an empty VM's commitment
+        vm._unused_history.append(row)
+    return batch
+
+
+class SlotOutcomes(Mapping[int, SlotOutcome]):
+    """Every live VM's outcome of one tick, keyed by ``vm_id`` in VM order.
+
+    An executed VM's :class:`SlotOutcome` is built from its
+    :class:`SlotBatch` row when read; a VM the tick skipped reads
+    :data:`IDLE_OUTCOME`.  ``vm_ids`` is the id of each lane row,
+    ``live`` the rows online this tick, ``executed`` the lane row of
+    each batch item.
+    """
+
+    __slots__ = ("_batch", "_vm_ids", "_row_of", "_live", "_at")
+
+    def __init__(self, batch: SlotBatch, vm_ids: np.ndarray, row_of: dict[int, int],
+                 live: np.ndarray, executed: np.ndarray) -> None:
+        self._batch, self._vm_ids, self._row_of = batch, vm_ids, row_of
+        self._live = live
+        self._at = np.full(len(live), -1)
+        self._at[executed] = np.arange(len(executed))
+
+    def __getitem__(self, vm_id: int) -> SlotOutcome:
+        row = self._row_of[vm_id]
+        if not self._live[row]:
+            raise KeyError(vm_id)
+        j = int(self._at[row])
+        return IDLE_OUTCOME if j < 0 else self._batch[j]
+
+    def __contains__(self, vm_id: object) -> bool:
+        row = self._row_of.get(vm_id)
+        return row is not None and bool(self._live[row])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._vm_ids[self._live].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._live))
 
 
 class PhysicalMachine:

@@ -24,7 +24,7 @@ import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -186,5 +186,10 @@ class Scheduler(ABC):
         Jobs not returned stay queued and are retried next slot.
         """
 
-    def on_slot_end(self, slot: int, outcomes: dict[int, SlotOutcome]) -> None:
-        """Hook after the slot executed (observe actuals, update errors)."""
+    def on_slot_end(self, slot: int, outcomes: Mapping[int, SlotOutcome]) -> None:
+        """Hook after the slot executed (observe actuals, update errors).
+
+        ``outcomes`` is read-only: every live VM's outcome, keyed by
+        ``vm_id`` in VM order (:data:`~repro.cluster.machine.IDLE_OUTCOME`
+        for a VM the tick skipped).
+        """

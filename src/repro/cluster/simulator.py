@@ -144,8 +144,10 @@ class ClusterSimulator:
         self.pms, self.vms = profile.build()
         #: The cluster's VM state; ``vms[i]`` is row ``i``.
         self.lanes = ClusterLanes.of(self.vms)
-        #: ``vms[i].vm_id`` by row, for expressions over the lanes.
+        #: ``vms[i].vm_id`` by row, for expressions over the lanes, and
+        #: the row of each ``vm_id``.
         self.vm_ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
+        self.vm_rows = {vm.vm_id: row for row, vm in enumerate(self.vms)}
         self.metrics = MetricsRecorder()
         self.slo_tracker = SloTracker(spec=self.config.slo)
         self.pending: list[Job] = []

@@ -45,8 +45,8 @@ class PreemptionGate:
         a = np.asarray(actual, dtype=np.float64).ravel()
         if p.shape != (NUM_RESOURCES,) or a.shape != (NUM_RESOURCES,):
             raise ValueError("predicted/actual must have one entry per resource")
-        for k in range(NUM_RESOURCES):
-            self.trackers[k].record(p[k], a[k])
+        for tracker, predicted_k, actual_k in zip(self.trackers, p.tolist(), a.tolist()):
+            tracker.record(predicted_k, actual_k)
 
     # ------------------------------------------------------------------
     def probability(self, kind: ResourceKind) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from abc import abstractmethod
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -164,6 +164,9 @@ class _WindowRecord:
     minimum: np.ndarray | None = None
     total: np.ndarray | None = None
     slots: int = 0
+    #: ``vm.placement_changes`` when ``jobset`` was last known current
+    #: (-1: never).
+    changes: int = -1
 
 
 class ProvisioningSchedulerBase(Scheduler):
@@ -395,6 +398,7 @@ class ProvisioningSchedulerBase(Scheduler):
             if (committed > 1e-9).any():
                 self._window[vm.vm_id] = _WindowRecord(
                     vm, adjusted, raw, committed, self._primary_jobset(vm),
+                    changes=vm.placement_changes,
                 )
             if self.supports_opportunistic:
                 # Opportunistic capacity can never exceed what is actually
@@ -421,14 +425,13 @@ class ProvisioningSchedulerBase(Scheduler):
             actual = record.minimum
         else:
             actual = record.total / record.slots
-        self.gate.record(record.forecast / scale, actual / scale)
-        self.raw_errors.record(record.raw_forecast / scale, actual / scale)
+        actual = actual / scale
+        self.gate.record(record.forecast / scale, actual)
+        self.raw_errors.record(record.raw_forecast / scale, actual)
         # Fig. 6 log: CPU forecast vs realized unused CPU (the paper's
         # running example resource), commitment fractions.
         if record.committed[0] > 1e-9:
-            self.prediction_log.add(
-                record.forecast[0] / scale[0], actual[0] / scale[0]
-            )
+            self.prediction_log.add(record.forecast[0] / scale[0], actual[0])
 
     def _emit_window_samples(self) -> None:
         """One δ sample per tracked VM per window (Eq. 20/21).
@@ -442,7 +445,7 @@ class ProvisioningSchedulerBase(Scheduler):
             if record.slots:
                 self._emit_one(record)
 
-    def on_slot_end(self, slot: int, outcomes: dict[int, SlotOutcome]) -> None:
+    def on_slot_end(self, slot: int, outcomes: Mapping[int, SlotOutcome]) -> None:
         """Score forecasts against realized availability (Eq. 20)."""
         # Accumulate each tracked VM's realized availability minimum for
         # as long as its primary job set stays the one the forecast
@@ -450,24 +453,37 @@ class ProvisioningSchedulerBase(Scheduler):
         # the sample early and stops tracking — a completed job frees
         # real capacity and a new placement was never in the forecast,
         # so later slots carry no information about predictor quality.
+        # A placement list whose change count has not moved since the
+        # job set was last found current still holds that job set.
+        vm_ids: list[int] = []
+        current: list[_WindowRecord] = []
         for vm_id, record in list(self._window.items()):
+            vm = record.vm
+            changes = vm.placement_changes
             # A VM absent from the outcomes crashed this slot (its
             # eviction already churned the jobset, but guard anyway).
-            if (
-                vm_id not in outcomes
-                or self._primary_jobset(record.vm) != record.jobset
+            if vm_id not in outcomes or (
+                changes != record.changes
+                and self._primary_jobset(vm) != record.jobset
             ):
                 if record.slots:
                     # Emit the partial-window sample, then stop tracking.
                     self._emit_one(record)
                 del self._window[vm_id]
                 continue
-            actual = record.committed - outcomes[vm_id].primary_demand
+            record.changes = changes
+            vm_ids.append(vm_id)
+            current.append(record)
+        if not current:
+            return
+        primary = np.array([outcomes[v].primary_demand for v in vm_ids])
+        actual = np.array([record.committed for record in current]) - primary
+        for record, row in zip(current, actual):
             if record.slots == 0:
-                record.minimum, record.total = actual, actual.copy()
+                record.minimum, record.total = row.copy(), row.copy()
             else:
-                np.minimum(record.minimum, actual, out=record.minimum)
-                record.total += actual
+                np.minimum(record.minimum, row, out=record.minimum)
+                record.total += row
             record.slots += 1
 
     # ------------------------------------------------------------------

@@ -200,19 +200,11 @@ class SchedulerService:
     # placement streaming
     # ------------------------------------------------------------------
     def _emit_placements(self, slot: int, placed: list) -> None:
-        placed_ids = {job.job_id for job in placed}
-        sim = self.kernel.sim
-        (held,) = sim.lanes.occupied.nonzero()  # only occupied VMs hold one
-        vm_by_job = {
-            p.job.job_id: sim.vms[row].vm_id
-            for row in held.tolist()
-            for p in sim.vms[row].placements if p.job.job_id in placed_ids
-        }
-        for job in placed:
+        for job in placed:  # ``add_placement`` recorded each job's VM
             update = PlacementUpdate(
                 slot=slot,
                 job_id=job.job_id,
-                vm_id=vm_by_job.get(job.job_id),
+                vm_id=job.vm_id,
                 opportunistic=job.opportunistic,
                 method=self.method,
             )

@@ -48,12 +48,10 @@ import numpy as np
 
 from ..check import CHECK
 from ..cluster.job import Job, JobState
-from ..cluster.machine import IDLE_OUTCOME, execute_slots
-from ..cluster.resources import NUM_RESOURCES
+from ..cluster.machine import SlotOutcomes, execute_slots
 from ..obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..cluster.machine import SlotOutcome
     from ..cluster.simulator import ClusterSimulator, SimulationResult
     from ..trace.records import TaskRecord
     from ..trace.workload import Workload
@@ -333,7 +331,7 @@ class SchedulerKernel:
             if self.on_placements is not None:
                 self.on_placements(slot, list(placed))
 
-        # execute every VM that holds something as one batch, summing the
+        # execute every VM that holds something as one batch and sum its
         # outcome rows into two fresh totals the recorder adopts; a
         # quiescent VM's slot is a count on the idle-slot lane (a zero
         # row).  The checker snapshots every live VM before the batch and
@@ -341,33 +339,31 @@ class SchedulerKernel:
         lanes = sim.lanes
         idle = lanes.quiescent()
         lanes.idle_slots += idle
-        live = lanes.online
-        runnable = [sim.vms[row] for row in np.flatnonzero(live & ~idle).tolist()]
-        outcomes: dict[int, "SlotOutcome"] = dict.fromkeys(
-            sim.vm_ids[live].tolist(), IDLE_OUTCOME
-        )
+        live = lanes.online.copy()
+        executed = np.flatnonzero(live & ~idle)
+        runnable = [sim.vms[row] for row in executed.tolist()]
         checker = CHECK.checker if CHECK.enabled else None
         snapshots = [] if checker is None else [
             (vm, checker.before_execute(vm))
             for vm, up in zip(sim.vms, live.tolist()) if up
         ]
-        total_demand, total_committed = np.zeros(NUM_RESOURCES), np.zeros(NUM_RESOURCES)
-        for vm, outcome in zip(runnable, execute_slots(runnable, slot)):
-            outcomes[vm.vm_id] = outcome
-            total_demand += outcome.served_demand
-            total_committed += outcome.committed
+        batch = execute_slots(runnable, slot)
+        outcomes = SlotOutcomes(batch, sim.vm_ids, sim.vm_rows, live, executed)
         for vm, snapshot in snapshots:
             checker.after_execute(
                 vm, slot, outcomes[vm.vm_id], snapshot, scheduler=sim.scheduler.name
             )
+        total_demand, total_committed = batch.totals()
         sim.metrics.record(total_demand, total_committed)
 
-        # completions: only a VM in the batch can have completed a job
-        for vm in runnable:
-            for job in vm.remove_completed():
+        # completions, in VM order then placement order, from the VMs
+        # the batch saw finish a job
+        for j in batch.finished:
+            for job in runnable[j].remove_completed():
                 sim.slo_tracker.record(job)
                 sim.completed.append(job)
-        sim.running = [j for j in sim.running if j.state is JobState.RUNNING]
+        if batch.finished:
+            sim.running = [j for j in sim.running if j.state is JobState.RUNNING]
 
         # scheduler feedback
         sim.scheduler.on_slot_end(slot, outcomes)

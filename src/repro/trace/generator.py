@@ -24,12 +24,14 @@ packing strategy of Section III-B consequential.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
+from ..cluster.resources import ResourceKind, ResourceVector
 from .records import SHORT_JOB_TIMEOUT_S, TaskRecord, Trace
 
 __all__ = ["TraceConfig", "GoogleTraceGenerator", "INTENSITY_CLASSES"]
@@ -120,6 +122,8 @@ class TraceConfig:
             raise ValueError("short_fraction must be in [0, 1]")
         if self.arrival_span_s is not None and self.arrival_span_s <= 0:
             raise ValueError("arrival_span_s must be positive when set")
+        if not all(p >= 0.0 for p in self.class_probs):
+            raise ValueError("class_probs must be non-negative")
         if abs(sum(self.class_probs) - 1.0) > 1e-9:
             raise ValueError("class_probs must sum to 1")
         if len(self.class_probs) != len(self.class_names):
@@ -134,6 +138,17 @@ class GoogleTraceGenerator:
 
     def __init__(self, config: TraceConfig | None = None) -> None:
         self.config = config or TraceConfig()
+        # What ``rng.choice(n, p=class_probs)`` searches, once: the
+        # normalised cumulative sum, in which one ``rng.random()`` draw is
+        # bisected (right side) — the same draw and index, without the
+        # per-call validation of ``p``.
+        cdf = np.cumsum(np.asarray(self.config.class_probs, dtype=np.float64))
+        cdf /= cdf[-1]
+        self._class_cdf = cdf.tolist()
+        self._class_ranges = [
+            [INTENSITY_CLASSES[name][kind] for kind in ResourceKind]
+            for name in self.config.class_names
+        ]
 
     # ------------------------------------------------------------------
     def iter_records(self) -> Iterator[TaskRecord]:
@@ -197,22 +212,23 @@ class GoogleTraceGenerator:
         cfg = self.config
         requested = self._draw_request(rng)
         if is_short:
-            duration = float(
-                np.clip(
+            duration = min(
+                max(
                     rng.lognormal(cfg.short_duration_mu, cfg.short_duration_sigma),
                     cfg.min_duration_s,
-                    SHORT_JOB_TIMEOUT_S,
-                )
+                ),
+                SHORT_JOB_TIMEOUT_S,
             )
         else:
             lo, hi = cfg.long_duration_range_s
-            duration = float(rng.uniform(lo, hi))
-        n_samples = max(1, int(np.ceil(duration / cfg.sample_period_s)))
+            duration = rng.uniform(lo, hi)
+        n_samples = max(1, math.ceil(duration / cfg.sample_period_s))
         if is_short:
             util = self._short_utilization(n_samples, rng)
         else:
             util = self._long_utilization(n_samples, rng)
-        usage = util[:, None] * requested.as_array()[None, :]
+        request = requested.as_array()
+        usage = util[:, None] * request[None, :]
         # Storage differs from CPU/MEM: usage is sticky (written data
         # stays) and requests are padded well above real needs — jobs
         # over-reserve disk, so a sizable fraction stays unused for the
@@ -221,7 +237,7 @@ class GoogleTraceGenerator:
         usage[:, ResourceKind.STORAGE] = (
             np.maximum.accumulate(usage[:, ResourceKind.STORAGE]) * storage_scale
         )
-        usage = np.clip(usage, 0.0, requested.as_array()[None, :])
+        usage = np.clip(usage, 0.0, request[None, :])
         return TaskRecord(
             task_id=task_id,
             submit_time_s=submit_time_s,
@@ -234,14 +250,9 @@ class GoogleTraceGenerator:
 
     # ------------------------------------------------------------------
     def _draw_request(self, rng: np.random.Generator) -> ResourceVector:
-        cfg = self.config
-        idx = int(rng.choice(len(cfg.class_names), p=cfg.class_probs))
-        ranges = INTENSITY_CLASSES[cfg.class_names[idx]]
-        values = np.empty(NUM_RESOURCES)
-        for kind in ResourceKind:
-            lo, hi = ranges[kind]
-            values[kind] = rng.uniform(lo, hi)
-        return ResourceVector(values)
+        ranges = self._class_ranges[bisect_right(self._class_cdf, rng.random())]
+        uniform = rng.uniform
+        return ResourceVector([uniform(lo, hi) for lo, hi in ranges])
 
     # ------------------------------------------------------------------
     def _short_utilization(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,37 +261,37 @@ class GoogleTraceGenerator:
         Three regimes — centre (drifting random walk), peak burst, valley
         drop — entered at random with geometric dwell times.  This is the
         fluctuation structure Section III-A.1b's HMM discretizes into
-        peak/center/valley observation symbols.
+        peak/center/valley observation symbols.  Scalars are clipped with
+        ``min`` / ``max`` (``np.clip``'s value for finite floats).
         """
         cfg = self.config
-        util = np.empty(n)
+        random, geometric, normal = rng.random, rng.geometric, rng.normal
+        burst, dip = cfg.burst_prob, cfg.burst_prob + cfg.valley_prob
+        burst_p, valley_p = 1.0 / cfg.burst_mean_len, 1.0 / cfg.valley_mean_len
+        peak, valley = cfg.peak_level, cfg.valley_level
+        walk, noise = cfg.centre_walk_sigma, cfg.noise_sigma
+        util = [0.0] * n
         centre = rng.uniform(0.25, 0.55)
-        regime = "centre"
+        level = regime = None
         dwell = 0
         for i in range(n):
             if dwell > 0:
                 dwell -= 1
             else:
-                u = rng.random()
-                if u < cfg.burst_prob:
-                    regime = "peak"
-                    dwell = int(rng.geometric(1.0 / cfg.burst_mean_len))
-                elif u < cfg.burst_prob + cfg.valley_prob:
-                    regime = "valley"
-                    dwell = int(rng.geometric(1.0 / cfg.valley_mean_len))
+                u = random()
+                if u < burst:
+                    regime, level = "peak", peak
+                    dwell = int(geometric(burst_p))
+                elif u < dip:
+                    regime, level = "valley", valley
+                    dwell = int(geometric(valley_p))
                 else:
                     regime = "centre"
-            if regime == "peak":
-                level = cfg.peak_level
-            elif regime == "valley":
-                level = cfg.valley_level
-            else:
-                centre = float(
-                    np.clip(centre + rng.normal(0.0, cfg.centre_walk_sigma), 0.15, 0.65)
-                )
+            if regime == "centre":
+                centre = min(max(centre + normal(0.0, walk), 0.15), 0.65)
                 level = centre
-            util[i] = level + rng.normal(0.0, cfg.noise_sigma)
-        return np.clip(util, 0.0, 1.0)
+            util[i] = level + normal(0.0, noise)
+        return np.clip(np.array(util), 0.0, 1.0)
 
     def _long_utilization(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Patterned (periodic) utilization for long-lived service jobs."""

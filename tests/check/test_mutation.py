@@ -16,7 +16,7 @@ import pytest
 
 from repro import api
 from repro.check.rules import ALL_RULES
-from repro.cluster.machine import ClusterLanes, VirtualMachine
+from repro.cluster.machine import ClusterLanes, Placement, VirtualMachine
 from repro.cluster.profiles import ClusterProfile
 from repro.core.preemption import PreemptionGate
 from repro.core.provisioning import _Screen
@@ -78,12 +78,13 @@ class TestLeakedCommitment:
         sees the drift."""
         from repro.faults.plan import FaultPlan, JobFailure, RetryPolicy
 
+        original = VirtualMachine.evict_job
+
         def leaky_evict_job(self: VirtualMachine, job_id: int):
-            for i, p in enumerate(self.placements):
-                if p.job.job_id == job_id:
-                    del self.placements[i]
-                    return p.job
-            return None
+            committed = self._lanes.committed[self._row].copy()
+            job = original(self, job_id)
+            self._lanes.committed[self._row] = committed
+            return job
 
         plan = FaultPlan(
             events=tuple(
@@ -178,6 +179,31 @@ class TestSilentGiveUp:
         assert not report.ok
         assert {v.rule for v in report.violations} == {"jobs"}
         assert all("job conservation" in v.detail for v in report.violations)
+
+
+class TestStaleCapLane:
+    def test_only_the_capacity_rule_catches_it(self, monkeypatch):
+        """A ``granted_cap`` write that leaves the placement lanes' cap
+        column as it was: DRA's redistributed caps are recorded on the
+        placements but never reach the slot, so DRA's jobs run unsqueezed.
+        Nothing over-commits, every job is accounted for and the served
+        demand stays within capacity: only the capacity rule's recount of
+        the placement lanes against the placement list sees it."""
+        scenario = tight_scenario(30)
+        healthy = api.check_run(scenario=scenario, methods=("DRA",))
+        assert healthy.ok
+
+        def keep_the_lane(placement: Placement, cap) -> None:
+            placement._granted_cap = cap
+
+        monkeypatch.setattr(
+            Placement, "granted_cap", property(Placement.granted_cap.fget, keep_the_lane)
+        )
+        report = api.check_run(scenario=scenario, methods=("DRA",))
+        print_rule_row("stale-cap-lane", report)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"capacity"}
+        assert all("placement lane drift" in v.detail for v in report.violations)
 
 
 class TestStaleRefusals:

@@ -219,7 +219,7 @@ class TestOneBatch:
             assert vm.unused_history().tobytes() == twin.unused_history().tobytes()
 
     def test_an_empty_batch_is_no_outcome(self):
-        assert execute_slots([], 0) == []
+        assert list(execute_slots([], 0)) == []
 
 
 #: Ragged ``(k, 3)`` segments of non-negative values spanning many

@@ -137,6 +137,47 @@ class TestStreaming:
         asyncio.run(go())
 
 
+class TestStreamAfterEvictions:
+    def test_a_replaced_job_streams_the_vm_it_runs_on(
+        self, small_scenario, monkeypatch
+    ):
+        """Crashes and transient failures evict running jobs, which are
+        placed again elsewhere: each placement streams the VM that took
+        it, as ``add_placement`` saw it, in decision order."""
+        from repro.cluster.machine import VirtualMachine
+        from repro.faults.plan import FaultPlan, JobFailure, RetryPolicy, VmCrash
+
+        landed = []
+        add_placement = VirtualMachine.add_placement
+
+        def recording(vm, placement):
+            add_placement(vm, placement)
+            landed.append((placement.job.job_id, vm.vm_id))
+
+        monkeypatch.setattr(VirtualMachine, "add_placement", recording)
+        plan = FaultPlan(
+            events=tuple(VmCrash(slot=3, vm_index=vm, downtime_slots=20) for vm in range(4))
+            + tuple(JobFailure(slot=slot, vm_index=vm) for slot in (5, 8) for vm in (4, 5)),
+            retry=RetryPolicy(max_retries=3, backoff_base_slots=1),
+        )
+
+        async def go():
+            async with open_service(
+                scenario=small_scenario.with_fault_plan(plan), method="DRA"
+            ) as svc:
+                await svc.submit_trace(small_scenario.evaluation_trace())
+                result = await svc.drain()
+                return list(svc.history), result
+
+        history, result = asyncio.run(go())
+        assert result.resilience["evictions"] > 0
+        assert [(u.job_id, u.vm_id) for u in history] == landed
+        vms_of: dict[int, set[int]] = {}
+        for job_id, vm_id in landed:
+            vms_of.setdefault(job_id, set()).add(vm_id)
+        assert any(len(vms) > 1 for vms in vms_of.values())
+
+
 class TestAutoAdvance:
     def test_auto_advance_completes(self, small_scenario):
         async def go():

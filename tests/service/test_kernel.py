@@ -304,3 +304,48 @@ class TestOneBatchPerTick:
         results = api.compare(scenario=scenario, predictor_cache=predictor_cache)
         assert len(batched) == sum(r.n_slots for r in results.values())
         assert sum(batched) == 750
+
+
+class TestOutcomesMapping:
+    """``on_slot_end`` gets every live VM's outcome, keyed in VM order, as
+    ``dict.fromkeys`` over the live ids laid them out; an executed VM's
+    outcome is its batch row, a skipped one ``IDLE_OUTCOME``."""
+
+    @pytest.mark.parametrize("method", ["DRA", "CloudScale"])
+    def test_every_live_vm_in_order(self, small_scenario, method):
+        from repro.cluster.machine import IDLE_OUTCOME
+
+        plan = api.build_fault_plan(seed=0, intensity=0.5, vm_crash_rate=0.3)
+        kernel = build_kernel(
+            scenario=small_scenario.with_fault_plan(plan), method=method,
+            streaming=False,
+        )
+        sim = kernel.sim
+        on_slot_end = sim.scheduler.on_slot_end
+        seen = {"offline": 0, "idle": 0, "executed": 0}
+
+        def audited(slot, outcomes):
+            live = sim.vm_ids[sim.lanes.online].tolist()
+            assert list(outcomes) == live and len(outcomes) == len(live)
+            assert [vm_id for vm_id, _ in outcomes.items()] == live
+            assert not hasattr(outcomes, "__setitem__")
+            for vm in sim.vms:
+                if not vm.online:
+                    assert vm.vm_id not in outcomes
+                    with pytest.raises(KeyError):
+                        outcomes[vm.vm_id]
+                    seen["offline"] += 1
+                    continue
+                outcome = outcomes[vm.vm_id]
+                if vm.pending_idle_slots:  # skipped this tick
+                    assert outcome is IDLE_OUTCOME
+                    seen["idle"] += 1
+                    continue
+                assert outcome.unused.tobytes() == vm._unused_history[-1].tobytes()
+                assert not outcome.primary_demand.flags.writeable
+                seen["executed"] += 1
+            on_slot_end(slot, outcomes)
+
+        sim.scheduler.on_slot_end = audited
+        kernel.run_until_blocked()
+        assert kernel.finished and all(seen.values()), seen
