@@ -553,15 +553,18 @@ class InvariantChecker:
 
         The deny direction is always sound (keeping resources locked can
         cost utilization, never correctness), so only unlocks are
-        re-derived from the trackers.
+        re-derived — from each tracker's own samples, not through the
+        gate's memo, so a memo that missed a write is caught here.
         """
         if "gate" not in self.rules:
             return
         self.checks["gate"] += 1
         if not unlocked:
             return
-        for kind in range(len(gate.trackers)):
-            p, standard_error, n = gate.evidence(kind)
+        from ..core.preemption import gate_evidence
+
+        for kind, tracker in enumerate(gate.trackers):
+            p, standard_error, n = gate_evidence(tracker, gate.error_tolerance)
             if n == 0:
                 self._report(
                     "gate",

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .resources import ResourceVector
+from .logs import Log
+from .resources import NUM_RESOURCES, ResourceVector
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a trace<->cluster import cycle
     from ..trace.records import TaskRecord
 
-__all__ = ["COMPLETION_ATOL", "Job", "JobState"]
+__all__ = ["COMPLETION_ATOL", "Job", "JobState", "utilization_histories"]
 
 #: A job whose progress is within this of ``nominal_slots`` has completed
 #: (:meth:`Job.advance` and the placement lanes' column advance).
@@ -78,10 +80,11 @@ class Job:
     #: the retry policy's give-up deadline is measured from here.
     first_fault_slot: Optional[int] = None
     #: Per-slot rates actually achieved while running (for diagnostics).
-    rate_history: list[float] = field(default_factory=list)
+    rate_history: Log = field(default_factory=Log)
     #: Per-slot demand vectors observed while running — the utilization
-    #: history the predictors consume.
-    demand_log: list[np.ndarray] = field(default_factory=list)
+    #: history the predictors consume.  Each row is a read-only view of
+    #: ``record.usage``, so a snapshot shares the rows.
+    demand_log: Log = field(default_factory=Log)
     #: The VM holding the job's current (or, once done, last) placement.
     vm_id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
@@ -198,3 +201,23 @@ class Job:
             f"progress={self.progress:.2f}/{self.nominal_slots}, "
             f"opportunistic={self.opportunistic})"
         )
+
+
+def utilization_histories(jobs: Sequence[Job]) -> list[np.ndarray]:
+    """:meth:`Job.utilization_history` of every job in one pass.
+
+    One stack of every job's demand rows, one division by each row's
+    request, one clip, then one split back into per-job views: the same
+    arithmetic, row for row, as one job at a time.
+    """
+    if not jobs:
+        return []
+    lengths = [len(job.demand_log) for job in jobs]
+    demand = np.array(
+        list(chain.from_iterable(job.demand_log for job in jobs)), dtype=np.float64
+    ).reshape(-1, NUM_RESOURCES)
+    request = np.repeat([job.requested.as_array() for job in jobs], lengths, axis=0)
+    out = np.zeros_like(demand)
+    np.divide(demand, request, out=out, where=request > 0)
+    np.clip(out, 0.0, 1.0, out=out)
+    return np.split(out, np.cumsum(lengths)[:-1])

@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .job import COMPLETION_ATOL, Job, JobState
+from .logs import Log
 from .resources import NUM_RESOURCES, ResourceVector
 
 __all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome",
@@ -320,6 +321,11 @@ class SlotOutcome:
 IDLE_OUTCOME = SlotOutcome(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 
 
+def _check_capacity(capacity: ResourceVector) -> None:
+    if not capacity.is_nonnegative() or not capacity.any_positive():
+        raise ValueError("VM capacity must be non-negative and non-zero")
+
+
 class VirtualMachine:
     """One VM: placements and usage history, plus its row of the lanes.
 
@@ -331,20 +337,39 @@ class VirtualMachine:
     """
 
     def __init__(self, vm_id: int, capacity: ResourceVector, pm_id: int = 0) -> None:
-        if not capacity.is_nonnegative() or not capacity.any_positive():
-            raise ValueError("VM capacity must be non-negative and non-zero")
+        _check_capacity(capacity)
+        self._bind(vm_id, capacity, pm_id, ClusterLanes(capacity.as_array()), 0)
+
+    @classmethod
+    def cluster(
+        cls, capacity: ResourceVector, pm_ids: Sequence[int]
+    ) -> list["VirtualMachine"]:
+        """VMs ``0..n-1`` of equal ``capacity``, VM ``i`` on ``pm_ids[i]``,
+        built as the rows of one lane set: what :meth:`ClusterLanes.of`
+        makes of VMs built one at a time, without their one-row sets."""
+        _check_capacity(capacity)
+        lanes = ClusterLanes(np.tile(capacity.as_array(), (len(pm_ids), 1)))
+        vms = [cls.__new__(cls) for _ in pm_ids]
+        for row, (vm, pm_id) in enumerate(zip(vms, pm_ids)):
+            vm._bind(row, capacity, pm_id, lanes, row)
+        return vms
+
+    def _bind(
+        self, vm_id: int, capacity: ResourceVector, pm_id: int,
+        lanes: ClusterLanes, row: int,
+    ) -> None:
         self.vm_id = vm_id
         #: Nominal (provisioned) capacity; ``capacity`` reflects any
         #: transient revocation currently in force.
         self.base_capacity = capacity
-        self._lanes = ClusterLanes(capacity.as_array())
-        self._row = 0
+        self._lanes = lanes
+        self._row = row
         self.pm_id = pm_id
         self.placements: list[Placement] = []
         #: Per-slot history of actual unused resource (n_slots, l) rows;
         #: this is the series the predictors train on.  Every row is a
         #: read-only array, never written in place: snapshots share rows.
-        self._unused_history: list[np.ndarray] = []
+        self._unused_history = Log()
 
     # ------------------------------------------------------------------
     # capacity (revocation-aware)

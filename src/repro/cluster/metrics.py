@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .logs import Log
 from .resources import DEFAULT_WEIGHTS, NUM_RESOURCES, ResourceKind, ResourceVector
 
 __all__ = [
@@ -97,15 +98,18 @@ class MetricsRecorder:
     """
 
     weights: np.ndarray = field(default_factory=lambda: DEFAULT_WEIGHTS.copy())
-    _demand: list[np.ndarray] = field(default_factory=list)
-    _committed: list[np.ndarray] = field(default_factory=list)
+    _demand: Log = field(default_factory=Log)
+    _committed: Log = field(default_factory=Log)
 
     def record(self, demand: np.ndarray, committed: np.ndarray) -> None:
         """Record one slot's cluster-wide served demand and commitment.
 
-        The rows are *adopted*, not copied: the caller hands over rows
-        it no longer writes (the kernel's fresh per-tick totals).
+        The rows are *adopted*, not copied, and made read-only: the
+        caller hands over rows it no longer writes (the kernel's fresh
+        per-tick totals), and a snapshot shares them.
         """
+        demand.setflags(write=False)
+        committed.setflags(write=False)
         self._demand.append(demand)
         self._committed.append(committed)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machine import ClusterLanes, PhysicalMachine, VirtualMachine
+from .machine import PhysicalMachine, VirtualMachine
 from .resources import ResourceVector
 
 __all__ = ["ClusterProfile"]
@@ -122,16 +122,11 @@ class ClusterProfile:
 
     def build(self) -> tuple[list[PhysicalMachine], list[VirtualMachine]]:
         """Instantiate the PMs and VMs of this profile (one lane set)."""
-        pms: list[PhysicalMachine] = []
-        vms: list[VirtualMachine] = []
-        vm_id = 0
-        for pm_id in range(self.n_pms):
-            pm = PhysicalMachine(pm_id, self.pm_capacity)
-            for _ in range(self.vms_per_pm):
-                vm = VirtualMachine(vm_id, self.vm_capacity, pm_id=pm_id)
-                pm.add_vm(vm)
-                vms.append(vm)
-                vm_id += 1
-            pms.append(pm)
-        ClusterLanes.of(vms)
+        vms = VirtualMachine.cluster(
+            self.vm_capacity,
+            [pm_id for pm_id in range(self.n_pms) for _ in range(self.vms_per_pm)],
+        )
+        pms = [PhysicalMachine(pm_id, self.pm_capacity) for pm_id in range(self.n_pms)]
+        for vm in vms:
+            pms[vm.pm_id].add_vm(vm)
         return pms, vms

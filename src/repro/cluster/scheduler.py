@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .job import Job
+from .logs import Log
 from .machine import SlotOutcome, VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -101,8 +102,8 @@ class PredictionLog:
     less unused than existed), negative means it over-promised.
     """
 
-    predicted: list[float] = field(default_factory=list)
-    actual: list[float] = field(default_factory=list)
+    predicted: Log = field(default_factory=Log)
+    actual: Log = field(default_factory=Log)
 
     def add(self, predicted: float, actual: float) -> None:
         """Record one (forecast, realized) pair."""

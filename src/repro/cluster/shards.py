@@ -205,12 +205,17 @@ class CandidateSet:
             if online[i]:
                 yield vm, ResourceVector(self.matrix[i])
 
-    def availability(self, vm: VirtualMachine) -> ResourceVector | None:
-        """Current availability row of ``vm`` (None if absent/offline)."""
+    def live_row(self, vm: VirtualMachine) -> int | None:
+        """``vm``'s row index (None if absent/offline)."""
         row = self._rows.get(vm.vm_id)
         if row is None or not self.online[row]:
             return None
-        return ResourceVector(self.matrix[row])
+        return row
+
+    def availability(self, vm: VirtualMachine) -> ResourceVector | None:
+        """Current availability row of ``vm`` (None if absent/offline)."""
+        row = self.live_row(vm)
+        return None if row is None else ResourceVector(self.matrix[row])
 
     # ------------------------------------------------------------------
     def consume(self, vm: VirtualMachine, amount: np.ndarray) -> int | None:
@@ -266,7 +271,7 @@ class CandidateSet:
 
     def feasible_count(self, demand: ResourceVector) -> int:
         """How many live candidates the demand fits within."""
-        return int(self.feasible_mask(demand).sum())
+        return int(np.count_nonzero(self.feasible_mask(demand)))
 
     def volumes(self, reference: ResourceVector) -> np.ndarray:
         """Eq. 22 volume of every row (one matrix-vector product)."""

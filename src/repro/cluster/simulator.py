@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a trace<->cluster import cycle
     from ..faults.injector import FaultInjector
     from ..faults.plan import FaultPlan
     from ..trace.records import Trace
+from .logs import Log
 from .machine import ClusterLanes, PhysicalMachine, VirtualMachine
 from .metrics import MetricsRecorder
 from .profiles import ClusterProfile
@@ -152,9 +153,11 @@ class ClusterSimulator:
         self.slo_tracker = SloTracker(spec=self.config.slo)
         self.pending: list[Job] = []
         self.running: list[Job] = []
-        self.rejected: list[Job] = []
-        self.completed: list[Job] = []
-        self.failed: list[Job] = []
+        #: Terminal jobs, in the order they ended; nothing writes a job
+        #: again once it is here.
+        self.rejected = Log()
+        self.completed = Log()
+        self.failed = Log()
         self.current_slot: int = 0
         self._max_capacity_cache: tuple[int, ResourceVector] | None = None
         #: Max *nominal* VM capacity: admission outlasts any revocation.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .job import Job
+from .logs import LogDict
 
 __all__ = ["SloSpec", "SloTracker"]
 
@@ -57,7 +58,7 @@ class SloTracker:
     completed: int = 0
     violated: int = 0
     #: job_id -> (response_slots, threshold_slots, violated)
-    outcomes: dict[int, tuple[int, int, bool]] = field(default_factory=dict)
+    outcomes: LogDict = field(default_factory=LogDict)
 
     def record(self, job: Job) -> bool:
         """Record a completed job; returns whether it violated."""

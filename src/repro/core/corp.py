@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..check import CHECK
-from ..cluster.job import Job
+from ..cluster.job import Job, utilization_histories
 from ..cluster.machine import VirtualMachine
 from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
 from ..forecast.base import Predictor
@@ -155,7 +155,7 @@ class CorpScheduler(ProvisioningSchedulerBase):
         jobs = [job for vm_jobs in jobs_of for job in vm_jobs]
         self.latency.charge_comm(len(jobs))  # per-job usage-history fetch
         forecasts = iter(self.predictor.predict_jobs_unused(
-            [job.utilization_history() for job in jobs], [job.requested for job in jobs]
+            utilization_histories(jobs), [job.requested for job in jobs]
         ))
         totals = []
         for vm_jobs in jobs_of:

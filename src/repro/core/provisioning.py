@@ -615,13 +615,14 @@ class ProvisioningSchedulerBase(Scheduler):
         """One ``placement`` event per placed job (decision telemetry).
 
         ``feasible_vms`` is the size of the feasible set the chooser saw;
-        ``volume`` is the chosen VM's Eq. 22 availability volume.  Both
-        are computed only here, i.e. only when a sink/profiler listens.
+        ``volume`` is the chosen VM's Eq. 22 availability volume, read
+        off its pool row.  Both are computed only here, i.e. only when a
+        sink/profiler listens.
         """
         feasible = candidates.feasible_count(demand)
-        chosen, volume = candidates.availability(vm), None
-        if chosen is not None and self._sim is not None:
-            volume = unused_volume(chosen, self.sim.max_vm_capacity())
+        row, volume = candidates.live_row(vm), None
+        if row is not None and self._sim is not None:
+            volume = unused_volume(candidates.matrix[row], self.sim.max_vm_capacity())
         ids = entity.job_ids()
         for job in entity.jobs:
             partner = next((i for i in ids if i != job.job_id), None)

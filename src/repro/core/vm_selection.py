@@ -34,9 +34,22 @@ __all__ = [
 ]
 
 
-def unused_volume(available: ResourceVector, reference: ResourceVector) -> float:
-    """Eq. 22: capacity-normalized total of an availability vector."""
-    return float(available.normalized_by(reference).as_array().sum())
+def unused_volume(
+    available: ResourceVector | np.ndarray, reference: ResourceVector
+) -> float:
+    """Eq. 22: capacity-normalized total of an availability vector (or
+    ``(l,)`` row); a resource no VM offers contributes zero.
+
+    Python floats, added in order from ``0.0``: the bits of numpy's
+    ``normalized.sum()`` over three entries, without its allocations.
+    """
+    if isinstance(available, ResourceVector):
+        available = available.as_array()
+    volume = 0.0
+    for amount, scale in zip(available.tolist(), reference.as_array().tolist()):
+        if scale > 0:
+            volume += amount / scale
+    return volume
 
 
 def min_feasible_volume(

@@ -12,11 +12,11 @@ RCCR's ``_shift_scale``); this module supplies ``z`` and the windows.
 
 from __future__ import annotations
 
-from collections import deque
 from statistics import NormalDist
 
 import numpy as np
 
+from ..cluster.logs import LogDeque
 from ..cluster.scheduler import share_within
 
 __all__ = ["z_value", "PredictionErrorTracker"]
@@ -40,19 +40,24 @@ class PredictionErrorTracker:
 
     Errors are ``δ = actual − predicted`` of the unused amount: positive
     δ means the forecast was conservative.  ``Pr(0 ≤ δ < ε)`` is
-    estimated empirically from the recent error window.
+    estimated empirically from the recent error window.  ``writes``
+    counts the calls that changed the window (:meth:`record`,
+    :meth:`seed`): equal counts, equal windows, so a memo of anything
+    derived from the samples revalidates in O(1).
     """
 
     def __init__(self, window: int = 200) -> None:
         if window < 2:
             raise ValueError("window must be >= 2")
-        self._errors: deque[float] = deque(maxlen=window)
+        self._errors = LogDeque(maxlen=window)
+        self.writes = 0
 
     # ------------------------------------------------------------------
     def record(self, predicted: float, actual: float) -> float:
         """Add one error sample; returns δ."""
         delta = float(actual) - float(predicted)
         self._errors.append(delta)
+        self.writes += 1
         return delta
 
     def seed(self, deltas: np.ndarray) -> None:
@@ -60,6 +65,7 @@ class PredictionErrorTracker:
         data with prediction error samples")."""
         for delta in np.asarray(deltas, dtype=np.float64).ravel():
             self._errors.append(float(delta))
+        self.writes += 1
 
     # ------------------------------------------------------------------
     @property

@@ -19,6 +19,7 @@ Sinks:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
@@ -91,17 +92,19 @@ class MemorySink:
 
 
 def _sanitize(value: object) -> object:
-    """Coerce numpy scalars/arrays to JSON types and NaN to ``null``.
+    """Coerce numpy scalars/arrays to JSON types and non-finite floats
+    to ``null``.
 
     Applied recursively so every emitted line stays strictly parseable
-    (``json.dumps`` would otherwise write bare ``NaN`` literals).
+    (``json.dumps`` would otherwise write bare ``NaN`` / ``Infinity``
+    literals).
     """
     if hasattr(value, "item") and not hasattr(value, "__len__"):
         value = value.item()  # numpy scalar
     if hasattr(value, "tolist"):
         value = value.tolist()  # numpy array
-    if isinstance(value, float) and value != value:
-        return None  # NaN has no strict-JSON spelling
+    if isinstance(value, float) and not math.isfinite(value):
+        return None  # NaN and infinity have no strict-JSON spelling
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if isinstance(value, dict):
@@ -109,12 +112,22 @@ def _sanitize(value: object) -> object:
     return value
 
 
+#: Strict JSON: raises ``ValueError`` on NaN / infinity instead of
+#: writing a literal no strict parser reads.
+_STRICT = json.JSONEncoder(allow_nan=False)
+
+
 class JsonlSink:
     """Writes one JSON object per event line to a file.
 
     Accepts a path (opened for writing, closed by :meth:`close`) or an
-    already-open text stream (left open).  ``NaN`` field values are
+    already-open text stream (left open).  Non-finite float values are
     written as ``null`` so every line stays strictly parseable.
+
+    An event is encoded once by the strict C encoder; only one it
+    refuses — numpy values, NaN, infinity — is walked by
+    :func:`_sanitize` and encoded again.  Where both succeed they write
+    the same bytes.
     """
 
     def __init__(self, target: str | IO[str]) -> None:
@@ -132,7 +145,12 @@ class JsonlSink:
         self._closed = False
 
     def emit(self, event: Event) -> None:
-        self._fh.write(json.dumps(_sanitize(event.to_dict())) + "\n")
+        record = event.to_dict()
+        try:
+            line = _STRICT.encode(record)
+        except (TypeError, ValueError):
+            line = _STRICT.encode(_sanitize(record))
+        self._fh.write(line + "\n")
 
     def flush(self) -> None:
         """Push buffered lines to the OS.

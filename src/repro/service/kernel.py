@@ -86,12 +86,13 @@ class KernelEvent:
 
 
 def _shared_memo(kernel: "SchedulerKernel") -> dict[int, object]:
-    """A ``copy.deepcopy`` memo mapping what nothing writes again to itself.
+    """A ``copy.deepcopy`` memo mapping what has become immutable to itself.
 
     Terminal jobs (``advance`` / ``requeue`` / ``fail_permanently`` raise
-    from a terminal state; rejected jobs never leave their list), every
-    ``TaskRecord`` (frozen, read-only usage), every VM history row
-    (read-only) and every ``SloTracker.outcomes`` tuple.
+    from a terminal state; rejected jobs never leave their list) and
+    every ``TaskRecord`` (frozen, read-only usage).  Log entries (history
+    rows, demand rows, outcomes) need no entry here: a
+    :class:`~repro.cluster.logs.Log` copies itself and shares them.
     """
     sim = kernel.sim
     terminal = sim.completed + sim.failed + sim.rejected
@@ -100,8 +101,6 @@ def _shared_memo(kernel: "SchedulerKernel") -> dict[int, object]:
         terminal,
         (job.record for job in chain(terminal, sim.pending, sim.running, backlog)),
         (record for *_, record in kernel._queue if record is not None),
-        (row for vm in sim.vms for row in vm._unused_history),
-        sim.slo_tracker.outcomes.values(),
     )
     return {id(obj): obj for obj in shared}
 

@@ -261,6 +261,39 @@ class TestBogusUnlock:
         assert "zero error samples" in details or "below" in details
 
 
+class TestStaleGateMemo:
+    def test_a_write_that_skips_the_count_is_caught(self, monkeypatch):
+        """The gate derives its evidence once per change of the trackers'
+        write counts.  A ``record`` that appends its sample but skips the
+        count leaves the gate on the evidence it derived after seeding:
+        under a predictor that promises every request back as unused,
+        the run's samples fall outside ``[0, ε)`` and push the tracked
+        ``Pr(0 <= δ < ε)`` below ``P_th``, but the stale gate keeps
+        unlocking.  The gate rule re-derives from the trackers' samples,
+        not through the memo, so it alone reports it; a healthy run with
+        the same predictor locks and stays clean."""
+        from repro.forecast.quantile import QuantileHistogramPredictor
+
+        class Overpromising(QuantileHistogramPredictor):
+            def _unused_fractions(self, histories):
+                return np.ones((len(histories), 3))
+
+        healthy = api.check_run(jobs=120, methods=("CORP",), predictor=Overpromising())
+        assert healthy.ok
+
+        def record_without_count(self, predicted, actual):
+            delta = float(actual) - float(predicted)
+            self._errors.append(delta)
+            return delta
+
+        monkeypatch.setattr(PredictionErrorTracker, "record", record_without_count)
+        report = api.check_run(jobs=120, methods=("CORP",), predictor=Overpromising())
+        print_rule_row("stale-gate-memo", report)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"gate"}
+        assert all("below" in v.detail for v in report.violations)
+
+
 class TestBrokenPipelineBarrier:
     def test_partial_drain_is_caught(self, monkeypatch):
         """A pipeline barrier that stops draining early submits phase

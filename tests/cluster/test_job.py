@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.check.differential import SlotSnapshot, reference_outcome
-from repro.cluster.job import Job, JobState
+from repro.cluster.job import Job, JobState, utilization_histories
 from repro.cluster.resources import ResourceVector
 from repro.trace.records import TaskRecord
 
@@ -194,3 +194,36 @@ class TestRepr:
         job = make_job()
         text = repr(job)
         assert "pending" in text and f"id={job.job_id}" in text
+
+
+class TestHistoriesInOnePass:
+    def test_equal_to_one_job_at_a_time(self):
+        """:func:`utilization_histories` is :meth:`Job.utilization_history`
+        of every job, bit for bit: empty logs, zero-request resources,
+        demand above the request (clipped) and uneven lengths."""
+        jobs = [
+            make_job(duration_s=40, task_id=1),
+            make_job(task_id=2),  # never ran: an empty log
+            make_job(request=(2.0, 0.0, 10.0), duration_s=30, task_id=3),
+            Job(record=TaskRecord(  # usage above the request: clipped
+                task_id=4, submit_time_s=0.0, duration_s=30.0,
+                requested=ResourceVector([2.0, 4.0, 10.0]),
+                usage=np.array([[5.0, 9.0, 30.0], [0.6, 1.2, 3.0], [0.1, 0.2, 0.5]]),
+                sample_period_s=10.0,
+            ), submit_slot=0),
+            make_job(request=(3.0, 5.0, 0.0), duration_s=90, task_id=5),
+        ]
+        for job, slots in zip(jobs, (4, 0, 2, 3, 7)):
+            if slots:
+                job.start(0, opportunistic=False)
+            for slot in range(slots):
+                job.advance(0.5 if slot % 2 else 1.0, slot)
+        batch = utilization_histories(jobs)
+        assert len(batch) == len(jobs)
+        for job, got in zip(jobs, batch):
+            want = job.utilization_history()
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_jobs(self):
+        assert utilization_histories([]) == []

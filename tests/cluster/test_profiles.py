@@ -1,7 +1,9 @@
 """Cluster profiles: the two testbed descriptions of Section IV."""
 
+import numpy as np
 import pytest
 
+from repro.cluster.machine import ClusterLanes, VirtualMachine
 from repro.cluster.profiles import ClusterProfile
 from repro.cluster.resources import ResourceVector
 
@@ -90,3 +92,52 @@ class TestValidation:
         _, vms_a = p.build()
         _, vms_b = p.build()
         assert vms_a[0] is not vms_b[0]
+
+
+class TestOneLaneSet:
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            ClusterProfile.palmetto(n_pms=3, vms_per_pm=2),
+            ClusterProfile.ec2(),
+            ClusterProfile.hyperscale(n_pms=4),
+        ],
+        ids=["palmetto", "ec2", "hyperscale"],
+    )
+    def test_build_lanes_equal_the_adopted_one_at_a_time_vms(self, profile):
+        """``build()`` makes the cluster's lanes once, each VM a row
+        handle of them; VMs built one at a time and adopted by
+        ``ClusterLanes.of`` hold the same lanes, ids and PMs."""
+        pms, vms = profile.build()
+        lanes = vms[0]._lanes
+        assert all(vm._lanes is lanes and vm._row == row for row, vm in enumerate(vms))
+        assert ClusterLanes.of(vms) is lanes
+
+        alone = [
+            VirtualMachine(vm_id, profile.vm_capacity, pm_id=vm_id // profile.vms_per_pm)
+            for vm_id in range(profile.n_vms)
+        ]
+        adopted = ClusterLanes.of(alone)
+        for name in ("capacity", "committed", "online", "occupied", "changes",
+                     "idle_slots"):
+            got, want = getattr(lanes, name), getattr(adopted, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        assert lanes.capacity_changes == adopted.capacity_changes == 0
+        assert [(vm.vm_id, vm.pm_id) for vm in vms] == [
+            (vm.vm_id, vm.pm_id) for vm in alone
+        ]
+        assert [vm.base_capacity for vm in vms] == [vm.base_capacity for vm in alone]
+        assert [[vm.vm_id for vm in pm.vms] for pm in pms] == [
+            list(range(i * profile.vms_per_pm, (i + 1) * profile.vms_per_pm))
+            for i in range(profile.n_pms)
+        ]
+
+    def test_a_vm_writes_its_own_row(self):
+        _, vms = ClusterProfile.palmetto(n_pms=2, vms_per_pm=2).build()
+        vms[2].set_capacity_scale(0.5)
+        lanes = vms[0]._lanes
+        np.testing.assert_array_equal(lanes.capacity[2], vms[2].base_capacity.as_array() * 0.5)
+        np.testing.assert_array_equal(lanes.capacity[[0, 1, 3]], np.tile(
+            vms[0].base_capacity.as_array(), (3, 1)
+        ))

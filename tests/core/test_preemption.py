@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.resources import ResourceKind
+from repro.cluster.scheduler import share_within
 from repro.core.preemption import PreemptionGate
+from repro.forecast.confidence import PredictionErrorTracker
 
 
 def make_gate(eps=0.5, p_th=0.95):
@@ -110,3 +114,61 @@ class TestUnlocking:
             strict.record(*sample)
         assert lenient.all_unlocked()
         assert not strict.all_unlocked()
+
+
+#: One step on a gate: a δ sample per resource, a seed of one tracker,
+#: or a read through one of the gate's entry points.
+_floats = st.floats(-2.0, 2.0, allow_nan=False)
+_steps = st.one_of(
+    st.tuples(st.just("record"), st.lists(_floats, min_size=3, max_size=3)),
+    st.tuples(
+        st.just("seed"), st.integers(0, 2), st.lists(_floats, max_size=8)
+    ),
+    st.tuples(st.just("read"), st.sampled_from(
+        ["all_unlocked", "evidence", "probability", "unlocked"]
+    )),
+)
+
+
+class TestEvidenceMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(_steps, max_size=40), window=st.integers(2, 6))
+    def test_memo_equals_a_fresh_count_after_any_interleaving(self, steps, window):
+        """Whatever mix of writes and reads came before, the gate's
+        evidence is ``share_within`` over each tracker's samples now."""
+        gate = make_gate(eps=0.5, p_th=0.6)
+        gate.trackers = [PredictionErrorTracker(window=window) for _ in range(3)]
+        for step in steps:
+            if step[0] == "record":
+                gate.record(np.zeros(3), np.array(step[1]))
+            elif step[0] == "seed":
+                gate.trackers[step[1]].seed(np.array(step[2]))
+            else:
+                getattr(gate, step[1])(*(() if step[1] == "all_unlocked" else (0,)))
+            for kind in ResourceKind:
+                samples = list(gate.trackers[kind]._errors)
+                fresh = share_within(samples, gate.error_tolerance)
+                p, _, n = gate.evidence(kind)
+                assert n == len(samples)
+                assert (np.isnan(p) and np.isnan(fresh)) or p == fresh
+                assert gate.probability(kind) is p
+            assert gate.all_unlocked() == all(gate.unlocked(k) for k in ResourceKind)
+
+    def test_reads_between_writes_reuse_one_derivation(self, monkeypatch):
+        gate = make_gate()
+        gate.record(np.zeros(3), np.full(3, 0.1))
+        calls = []
+        real = PredictionErrorTracker.probability_within
+
+        def counted(self, tolerance):
+            calls.append(self)
+            return real(self, tolerance)
+
+        monkeypatch.setattr(PredictionErrorTracker, "probability_within", counted)
+        gate.all_unlocked()
+        gate.evidence(ResourceKind.CPU)
+        gate.probability(ResourceKind.MEM)
+        assert len(calls) == 3  # one per resource, once
+        gate.trackers[1].record(0.0, 0.2)
+        gate.all_unlocked()
+        assert len(calls) == 6

@@ -47,6 +47,23 @@ class TestUnusedVolume:
     def test_zero_vector(self):
         assert unused_volume(ResourceVector.zeros(), FIG5_REFERENCE) == 0.0
 
+    @given(
+        available=st.lists(
+            st.one_of(st.just(-0.0), st.floats(0.0, 1e12)), min_size=3, max_size=3
+        ),
+        reference=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=3, max_size=3
+        ),
+    )
+    def test_a_row_reads_the_bits_of_the_vector_sum(self, available, reference):
+        """On a vector or a plain row: the bits numpy's sum of the
+        normalized vector gives (the placement event reads rows)."""
+        ref = ResourceVector(reference)
+        want = float(ResourceVector(available).normalized_by(ref).as_array().sum())
+        for given_as in (ResourceVector(available), np.array(available)):
+            got = unused_volume(given_as, ref)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestMostMatched:
     def test_fig5_first_entity_goes_to_vm2(self):

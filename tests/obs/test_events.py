@@ -33,6 +33,7 @@ class TestEvent:
 class TestSanitize:
     def test_nan_becomes_none(self):
         assert _sanitize(float("nan")) is None
+        assert _sanitize(float("inf")) is None and _sanitize(-float("inf")) is None
         assert _sanitize([1.0, float("nan")]) == [1.0, None]
         assert _sanitize({"a": float("nan")}) == {"a": None}
 
@@ -83,6 +84,49 @@ class TestSinks:
         for line in path.read_text().splitlines():
             rec = json.loads(line)
         assert rec["probabilities"] == [0.9, None]
+
+    def test_jsonl_writes_infinities_as_null(self, tmp_path):
+        """``±inf`` has no strict-JSON spelling either: in a scalar, a
+        list and a numpy array it is written as ``null``."""
+        path = tmp_path / "ev.jsonl"
+        inf = float("inf")
+        with JsonlSink(str(path)) as sink:
+            sink.emit(Event(name="x", fields={"a": inf, "b": -inf}))
+            sink.emit(Event(name="x", fields={"a": [1.0, -inf, inf]}))
+            sink.emit(Event(name="x", fields={"a": np.array([inf, -inf, 0.5])}))
+            sink.emit(Event(name="x", fields={"a": np.float64(-inf)}))
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        records = [
+            json.loads(line, parse_constant=refuse)
+            for line in path.read_text().splitlines()
+        ]
+        assert records == [
+            {"event": "x", "a": None, "b": None},
+            {"event": "x", "a": [1.0, None, None]},
+            {"event": "x", "a": [None, None, 0.5]},
+            {"event": "x", "a": None},
+        ]
+
+    def test_jsonl_bytes_equal_the_sanitized_encoding(self, tmp_path):
+        """An event the strict encoder takes as it is is written exactly
+        as the sanitize-then-``json.dumps`` path writes it."""
+        fields = [
+            {"slot": 3, "u": 0.1 + 0.2, "name": "CORP", "ok": True, "partner": None},
+            {"probabilities": (0.25, 1.0, 1e-300), "nested": {"k": [1, 2.5]}},
+            {"text": "\u00e9\u00e8 \"quoted\"", "big": 2**62, "neg": -0.0},
+        ]
+        path = tmp_path / "ev.jsonl"
+        with JsonlSink(str(path)) as sink:
+            for f in fields:
+                sink.emit(Event(name="e", fields=f))
+        want = "".join(
+            json.dumps(_sanitize(Event(name="e", fields=f).to_dict())) + "\n"
+            for f in fields
+        )
+        assert path.read_text() == want
 
     def test_jsonl_into_existing_stream(self, tmp_path):
         path = tmp_path / "ev.jsonl"

@@ -1,8 +1,10 @@
 """A snapshot copies the live state and shares what never changes again.
 
 ``SchedulerKernel.snapshot`` and ``KernelSnapshot.restore`` deep-copy
-the kernel, but finished jobs, trace records, VM history rows and SLO
-outcome tuples are handed over as they are.  This module pins both
+the kernel, but finished jobs, trace records and the entries of every
+append-only log — VM history rows, in-flight jobs' demand rows, the
+metrics recorder's per-slot rows, SLO outcome tuples — are handed over
+as they are.  This module pins both
 halves on a CORP run under job failures, a crash and a revocation wave,
 snapshotted while jobs are pending, running, backed off, completed and
 failed at once: the unchanging objects are one object across the live
@@ -73,6 +75,17 @@ def _in_flight(kernel):
     return sim.pending + sim.running + sim.faults.backlog_jobs()
 
 
+def shared_rows(kernel):
+    """The array entries of the logs, by kind."""
+    sim = kernel.sim
+    return {
+        "vm history": [row for vm in sim.vms for row in vm._unused_history],
+        "demand log": [row for job in _in_flight(kernel) for row in job.demand_log],
+        "metrics demand": list(sim.metrics._demand),
+        "metrics committed": list(sim.metrics._committed),
+    }
+
+
 def unchanging(kernel):
     """What a snapshot may share, in a fixed order."""
     sim = kernel.sim
@@ -81,7 +94,7 @@ def unchanging(kernel):
         _terminal(kernel)
         + [job.record for job in jobs]
         + [record for *_, record in kernel._queue if record is not None]
-        + [row for vm in sim.vms for row in vm._unused_history]
+        + [row for rows in shared_rows(kernel).values() for row in rows]
         + [sim.slo_tracker.outcomes[key] for key in sorted(sim.slo_tracker.outcomes)]
     )
 
@@ -176,11 +189,11 @@ class TestSharedObjects:
     def test_history_rows_are_read_only(self, live):
         snapshot = live.snapshot()
         for copy in (snapshot._kernel, snapshot.restore()):
-            rows = [row for vm in copy.sim.vms for row in vm._unused_history]
-            assert rows
-            for row in rows:
-                with pytest.raises(ValueError, match="read-only"):
-                    row[0] = 1.0
+            for kind, rows in shared_rows(copy).items():
+                assert rows, kind
+                for row in rows:
+                    with pytest.raises(ValueError, match="read-only"):
+                        row[0] = 1.0
 
 
 class TestLanesAlias:
