@@ -31,7 +31,7 @@ Commands
 
 The parser is data: every flag two subcommands share (workload,
 ``--faults``, ``--events``, the predictor cache/store group,
-``--predictor``, the scale knobs, ``--methods``, ``--workers``) is
+``--predictor``, ``--methods``, ``--workers``) is
 declared once in ``_SHARED``, and each handler's ``@_command`` row names
 the flags it takes — ``python -m repro <command> --help`` prints them.
 Experiment execution routes exclusively through :mod:`repro.api`.
@@ -62,7 +62,6 @@ import argparse
 import contextlib
 import json
 import sys
-import warnings
 from typing import Callable, Mapping
 
 from . import __version__, api
@@ -112,17 +111,8 @@ _SHARED = dict((
     # into the usual one-line error + exit 2.
     _flag("--predictor",
           "registered forecasting family CORP runs on: corp (DNN+HMM, "
-          "default), quantile, classify, ets, markov, or auto (online "
-          "per-workload selection); see `repro predictors`",
+          "default), quantile, classify or markov; see `repro predictors`",
           default="corp", metavar="NAME"),
-    _flag("--shards",
-          "deprecated, no effect; removed next release (the availability "
-          "index is flat — results were identical at every shard count)",
-          type=int, metavar="N"),
-    _flag("--chunk-size",
-          "deprecated, no effect; removed next release (no command streams "
-          "a trace in chunks)",
-          type=int, metavar="N"),
     _flag("--methods",
           "restrict to a subset of the schedulers (default: all four; for "
           "check --replay, the captured set)",
@@ -136,7 +126,6 @@ _SHARED = dict((
 _WORKLOAD = ("--jobs", "--testbed", "--seed")
 _FAULTS = ("--faults", "--fault-seed")
 _CACHE = ("--store", "--warm-start", "--predictor-cache-size")
-_SCALE = ("--shards", "--chunk-size")
 
 
 #: The subcommand rows, in ``--help`` order (filled by :func:`_command`).
@@ -159,7 +148,7 @@ def _command(name: str, help: str, *options, **defaults):
 
 
 def _run_inputs(args: argparse.Namespace) -> tuple:
-    """``(jobs, fault_plan, cache, scale)`` as the shared flags describe them.
+    """``(jobs, fault_plan, cache)`` as the shared flags describe them.
 
     A flag group the subcommand does not declare yields ``None`` (for
     ``jobs``: no ``--quick`` cap), so every handler reads its run inputs
@@ -183,20 +172,7 @@ def _run_inputs(args: argparse.Namespace) -> tuple:
             store=store,
             warm_start=args.warm_start,
         )
-    knobs = {
-        knob: getattr(args, knob)
-        for knob in ("shards", "chunk_size")
-        if getattr(args, knob, None) is not None
-    }
-    if "chunk_size" in knobs:
-        # --shards warns from ScaleConfig itself; chunk_size is still a
-        # live field for library callers, so only the flag is deprecated.
-        warnings.warn(
-            "--chunk-size is deprecated and has no effect; it will be "
-            "removed in v1.10",
-            DeprecationWarning,
-        )
-    return jobs, fault_plan, cache, api.ScaleConfig(**knobs) if knobs else None
+    return jobs, fault_plan, cache
 
 
 def _events(args: argparse.Namespace):
@@ -290,7 +266,7 @@ def _warn_truncated(results: dict) -> None:
 @_command(
     "compare", "run all four schedulers once",
     *_WORKLOAD, "--quick", "--workers", "--events", *_FAULTS,
-    *_CACHE, "--predictor", *_SCALE,
+    *_CACHE, "--predictor",
     _flag("--scenario",
           "run a scenario-zoo family instead of the steady arrival mix: pipeline "
           "(phased DAG submission), diurnal (day/night arrivals with flash crowds) "
@@ -299,7 +275,7 @@ def _warn_truncated(results: dict) -> None:
     jobs=200,
 )
 def _cmd_compare(args: argparse.Namespace) -> int:
-    jobs, fault_plan, cache, scale = _run_inputs(args)
+    jobs, fault_plan, cache = _run_inputs(args)
     scenario = None
     if args.scenario is not None:
         scenario = api.build_scenario(
@@ -316,7 +292,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             predictor_cache=cache,
             predictor=args.predictor,
-            scale=scale,
         )
     summaries = {method: r.summary() for method, r in results.items()}
     workload = (
@@ -370,7 +345,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 @_command(
     "serve", "run the asyncio allocation service over a generated workload",
-    *_WORKLOAD, "--events", *_FAULTS, *_CACHE, "--predictor", *_SCALE,
+    *_WORKLOAD, "--events", *_FAULTS, *_CACHE, "--predictor",
     _flag("--method", "the scheduler the service runs (default: CORP)",
           choices=api.METHOD_ORDER, default="CORP"),
     _flag("--show-placements", "echo the first N streamed placement updates",
@@ -387,7 +362,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    jobs, fault_plan, cache, scale = _run_inputs(args)
+    jobs, fault_plan, cache = _run_inputs(args)
     scenario = api.build_scenario(
         jobs=jobs, testbed=args.testbed, seed=args.seed
     )
@@ -411,7 +386,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             predictor_cache=cache,
             predictor=args.predictor,
-            scale=scale,
         ) as svc:
             consumer = asyncio.ensure_future(_consume(svc))
             n = await svc.submit_trace(scenario.evaluation_trace())
@@ -448,7 +422,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     jobs=50,
 )
 def _cmd_profile(args: argparse.Namespace) -> int:
-    _, _, cache, _ = _run_inputs(args)
+    _, _, cache = _run_inputs(args)
     report = api.profile_run(
         jobs=args.jobs, testbed=args.testbed, seed=args.seed,
         predictor_cache=cache, predictor=args.predictor, events=args.events,
@@ -555,7 +529,7 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
         _print_summaries(
             "CORP predictor ablation (all families, same workload)",
             run_predictor_ablation(n_jobs=args.jobs, seed=args.seed),
-            _VARIANT_COLUMNS + (("switches", "switches", int, "-"),),
+            _VARIANT_COLUMNS,
             label="predictor",
         )
     else:
@@ -600,7 +574,7 @@ def _cmd_storms(args: argparse.Namespace) -> int:
     increasing intensity, with the per-intensity resilience and
     storm-recovery metrics tabulated for all four methods.
     """
-    jobs, _, _, _ = _run_inputs(args)
+    jobs, _, _ = _run_inputs(args)
     intensities = args.intensities or FAULT_INTENSITIES
     methods = args.methods or api.METHOD_ORDER
     base = api.build_scenario(
@@ -693,7 +667,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         return 1
 
-    jobs, fault_plan, _, _ = _run_inputs(args)
+    jobs, fault_plan, _ = _run_inputs(args)
     report = api.check_run(
         jobs=jobs,
         testbed=args.testbed,
@@ -840,7 +814,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     # run with the same (config, history) loads instead of fitting.
     from .core.config import CorpConfig
 
-    jobs, _, _, _ = _run_inputs(args)
+    jobs, _, _ = _run_inputs(args)
     scenario = api.build_scenario(
         jobs=jobs, testbed=args.testbed, seed=args.seed
     )

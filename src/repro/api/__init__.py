@@ -9,8 +9,7 @@ keyword-only entry points plus the observability attachments:
 * ``predictor=`` (v1.6, on :func:`run_one` / :func:`compare` /
   :func:`sweep` / :func:`open_service`) — the registered forecasting
   family CORP runs on: ``"corp"`` (default), ``"quantile"``,
-  ``"classify"``, ``"ets"``, ``"markov"`` or ``"auto"`` (online
-  per-workload selection); :func:`available_predictors` /
+  ``"classify"`` or ``"markov"``; :func:`available_predictors` /
   :func:`predictor_summaries` enumerate the registry;
 * ``scale=`` (v1.7, on :func:`run_one` / :func:`compare` /
   :func:`sweep` / :func:`open_service`) — a typed

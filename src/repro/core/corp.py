@@ -88,11 +88,6 @@ class CorpScheduler(ProvisioningSchedulerBase):
         """Offline phase: fit the predictor and seed the error trackers."""
         if not self.predictor.fitted:
             self.predictor.fit(history)
-        elif "online_selection" in self.predictor.capabilities:
-            # A cached selector carries live arbitration state from a
-            # previous run; restore the post-fit baseline so every run
-            # starts from the same trackers and active predictor.
-            self.predictor.reset()
         theta_half = self.config.significance_level / 2.0
         for kind in range(NUM_RESOURCES):
             # Trackers hold commitment-fraction δ samples at VM
@@ -114,24 +109,6 @@ class CorpScheduler(ProvisioningSchedulerBase):
                 errors = errors - float(np.quantile(errors, theta_half))
             self.gate.trackers[kind].seed(errors)
         self._begin_window()
-
-    # ------------------------------------------------------------------
-    def on_slot_start(self, slot: int) -> None:
-        """Give online-selecting predictors their slot tick first.
-
-        The ``"auto"`` selector arbitrates at window boundaries; running
-        :meth:`~repro.forecast.base.Predictor.observe_slot` *before* the
-        base class refreshes forecasts means a switch takes effect in
-        the same window's forecasts, not one window late.  Outage slots
-        are skipped — arbitration over windows the predictor never saw
-        would be noise.
-        """
-        if (
-            "online_selection" in self.predictor.capabilities
-            and not (self._sim is not None and not self.sim.predictor_available)
-        ):
-            self.predictor.observe_slot(slot)
-        super().on_slot_start(slot)
 
     # ------------------------------------------------------------------
     # forecasting hooks
@@ -176,8 +153,8 @@ class CorpScheduler(ProvisioningSchedulerBase):
         (the Gaussian form under-covers there).  Falls back to ``σ̂ · z``
         when too few samples exist.  It depends on the error history
         only — recomputed here rather than per VM, and per refresh
-        rather than per run because the ``"auto"`` selector may have
-        just switched the active predictor.
+        rather than per run because the ``σ̂`` fallback reads the live
+        tracker, which every window's samples move.
         """
         if not self.config.use_confidence_interval:
             return

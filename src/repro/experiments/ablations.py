@@ -71,8 +71,7 @@ def run_predictor_ablation(
     The predictor-zoo counterpart of :func:`run_ablations`: the
     scheduler, packing, CI and gate machinery stay at the paper's
     defaults, and only the forecasting family behind ``predict_vm_unused``
-    changes.  Returns ``family → summary dict`` (plus ``riders`` and,
-    for ``"auto"``, ``switches`` — the selector's switch count).
+    changes.  Returns ``family → summary dict`` (plus ``riders``).
     """
     from ..forecast.registry import available_predictors
 
@@ -87,7 +86,5 @@ def run_predictor_ablation(
         result = run_scenario(scenario, scheduler)
         summary = result.summary()
         summary["riders"] = float(sum(1 for j in result.jobs if j.opportunistic))
-        if hasattr(scheduler.predictor, "switch_log"):
-            summary["switches"] = float(len(scheduler.predictor.switch_log))
         out[name] = summary
     return out

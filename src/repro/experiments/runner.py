@@ -128,9 +128,7 @@ class PredictorCache:
         ``predictor`` is a registry family name; the fingerprint keys on
         it, so artifacts from different families never collide.  Only
         families advertising the ``"serialize"`` capability touch the
-        on-disk store; the ``"auto"`` selector fits its candidates
-        *through this cache*, so every candidate family shares artifacts
-        with plain single-family runs.
+        on-disk store.
         """
         digest = history.content_digest()
         key = fit_fingerprint(config, digest, predictor)
@@ -151,27 +149,19 @@ class PredictorCache:
                 self._insert(key, loaded)
                 return loaded
             self.store_misses += 1
-        if "online_selection" in fresh.capabilities:
-            fresh.fit(
-                history,
-                fit_candidate=lambda name: self.get(
-                    config, history, predictor=name
-                ),
-            )
-        else:
-            donor = None
-            if (
-                self.warm_start
-                and self.store is not None
-                and "warm_start" in fresh.capabilities
-            ):
-                donor = self.store.nearest(config, exclude_digest=digest)
-            kwargs: dict = {}
-            if "warm_start" in fresh.capabilities:
-                kwargs["warm_start"] = donor
-            fresh.fit(history, **kwargs)
-            if donor is not None:
-                self.warm_starts += 1
+        donor = None
+        if (
+            self.warm_start
+            and self.store is not None
+            and "warm_start" in fresh.capabilities
+        ):
+            donor = self.store.nearest(config, exclude_digest=digest)
+        kwargs: dict = {}
+        if "warm_start" in fresh.capabilities:
+            kwargs["warm_start"] = donor
+        fresh.fit(history, **kwargs)
+        if donor is not None:
+            self.warm_starts += 1
         if self.store is not None and serializable:
             self.store.save(config, digest, fresh)
         self._insert(key, fresh)
@@ -490,7 +480,8 @@ def run_specs(
     ----------
     workers:
         ``0`` or ``1`` runs everything in-process (the default; no
-        multiprocessing machinery involved).  ``N >= 2`` fans specs out
+        multiprocessing machinery involved); a negative count raises
+        :class:`ValueError`.  ``N >= 2`` fans specs out
         over a :class:`ProcessPoolExecutor` of ``N`` processes.  Every
         run is seeded and single-threaded, so worker placement cannot
         change results: parallel output is bit-identical to serial
@@ -507,6 +498,8 @@ def run_specs(
         the pool joins.  The serial path ignores this (events already
         flow to the parent's sink directly).
     """
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     shared = predictor_cache if predictor_cache is not None else PredictorCache()
     if workers <= 1:
         return [_execute_spec(spec, shared) for spec in specs]

@@ -8,16 +8,15 @@ RCCR share.
 Since v1.6 the package also hosts the job-level
 :class:`~repro.forecast.base.Predictor` protocol and its registry
 (:mod:`repro.forecast.registry`): CORP's DNN+HMM, the data-driven
-quantile predictor, the classify-then-predict router, job-level
-ETS/Markov wrappers and the ``"auto"`` online selector are all
-name-keyed, interchangeable implementations behind the public API's
-``predictor=`` knob.
+quantile predictor, the classify-then-predict router and the job-level
+Markov-chain wrapper are name-keyed, interchangeable implementations
+behind the public API's ``predictor=`` knob.
 """
 
 from .base import Predictor, window_samples
 from .classify import ClassifyThenPredictPredictor
 from .confidence import PredictionErrorTracker, z_value
-from .jobwise import EtsJobPredictor, MarkovJobPredictor
+from .jobwise import MarkovJobPredictor
 from .padding import AdaptivePadding
 from .quantile import QuantileHistogramPredictor
 from .registry import (
@@ -28,7 +27,6 @@ from .registry import (
     register_predictor,
     resolve_predictor,
 )
-from .selection import OnlinePredictorSelector
 
 __all__ = [
     "Predictor",
@@ -38,9 +36,7 @@ __all__ = [
     "AdaptivePadding",
     "QuantileHistogramPredictor",
     "ClassifyThenPredictPredictor",
-    "EtsJobPredictor",
     "MarkovJobPredictor",
-    "OnlinePredictorSelector",
     "available_predictors",
     "create_predictor",
     "predictor_class",

@@ -10,9 +10,9 @@ round trip; a family writes ``_fit``, ``_unused_fractions`` and names
 its hyper-parameters and fitted arrays in :attr:`Predictor.PARAMS` /
 :attr:`Predictor.ARRAYS`.  That is what makes CORP's DNN+HMM, the
 quantile predictor (Pace et al.), the classify-then-predict router
-(Zhu & Fan), the lifted ETS / Markov kernels and the online selector
-interchangeable behind :mod:`repro.forecast.registry` and the
-``predictor=`` knob of the public API.
+(Zhu & Fan) and the lifted Markov kernel interchangeable behind
+:mod:`repro.forecast.registry` and the ``predictor=`` knob of the
+public API.
 
 Capability flags (class attribute :attr:`Predictor.capabilities`)
 declare what the surrounding machinery may do with an implementation:
@@ -23,10 +23,6 @@ declare what the surrounding machinery may do with an implementation:
     :class:`~repro.core.predictor_store.PredictorStore` may persist it.
 ``"warm_start"``
     ``fit(..., warm_start=donor)`` seeds training from a previous fit.
-``"online_selection"``
-    :meth:`Predictor.observe_slot` carries live state (the scheduler
-    calls it at every slot boundary) and fitting may consult sibling
-    predictors; such predictors are never persisted.
 """
 
 from __future__ import annotations
@@ -207,9 +203,6 @@ class Predictor(ABC):
         forecast from ``n`` histories of at least
         :attr:`min_history_slots` slots each (the caller clips them)."""
         raise NotImplementedError
-
-    def observe_slot(self, slot: int) -> None:
-        """Slot-boundary hook for ``"online_selection"`` predictors."""
 
     # ------------------------------------------------------------------
     # generic serialization ("serialize" capability)

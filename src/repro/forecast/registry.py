@@ -18,13 +18,8 @@ imports :mod:`repro.core` at import time — the core package imports
 ``"classify"``
     Classify-then-predict router (Zhu & Fan): k-means job classes
     feeding class-specialized sub-predictors.
-``"ets"``
-    Holt linear-trend exponential smoothing per job series.
 ``"markov"``
-    Discrete-time Markov chain per job series.
-``"auto"``
-    Online selector over {corp, quantile, classify}, switching on the
-    rolling Eq. 20 error windows.
+    Discrete-time Markov chain per job series (CloudScale's kernel).
 """
 
 from __future__ import annotations
@@ -125,12 +120,7 @@ for _name, _module, _attr, _summary in (
     ("classify", ".classify", "ClassifyThenPredictPredictor",
      "k-means job classes routing to class-specialized predictors "
      "(Zhu & Fan)"),
-    ("ets", ".jobwise", "EtsJobPredictor",
-     "Holt linear-trend exponential smoothing per job series"),
     ("markov", ".jobwise", "MarkovJobPredictor",
      "discrete-time Markov chain per job series"),
-    ("auto", ".selection", "OnlinePredictorSelector",
-     "online selection over {corp, quantile, classify} on rolling "
-     "Eq. 20 error windows"),
 ):
     register_predictor(_name, cls=_lazy(_module, _attr), summary=_summary)

@@ -206,7 +206,7 @@ class TestFamilyIsolation:
     def test_family_is_part_of_the_fingerprint(self, fast_corp_config):
         corp = fit_fingerprint(fast_corp_config, "d")
         assert corp == fit_fingerprint(fast_corp_config, "d", family="corp")
-        for family in ("quantile", "classify", "ets", "markov"):
+        for family in ("quantile", "classify", "markov"):
             assert fit_fingerprint(fast_corp_config, "d", family) != corp
 
     def test_non_corp_round_trip(

@@ -29,12 +29,9 @@ from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.corp import CorpScheduler
 from repro.core.provisioning import _WindowRecord
 from repro.core.vm_selection import CandidateSet
-from repro.forecast import create_predictor
-from repro.forecast.selection import OnlinePredictorSelector
 from repro.obs import OBS
 
 from ..cluster.test_job import make_record
-from ..forecast.test_selection import _drive_backtests, _stub_selector
 
 #: The six per-VM views of one window's state: four fields of the
 #: ``_window`` records, their running actuals, and the pool's rows.
@@ -144,16 +141,9 @@ def prepared(fast_corp_config, fitted_predictor, history_trace):
     """One prepared (unbound) scheduler per method; examples deep-copy it."""
     few = copy.copy(fitted_predictor)
     few.seed_errors = [e[:10] for e in fitted_predictor.seed_errors]
-    selector = OnlinePredictorSelector(config=fast_corp_config)
-    selector.fit(
-        history_trace,
-        fit_candidate=lambda name: fitted_predictor if name == "corp"
-        else create_predictor(name, fast_corp_config).fit(history_trace),
-    )
     schedulers = {
         "CORP": CorpScheduler(fast_corp_config, predictor=fitted_predictor),
         "CORP-few-errors": CorpScheduler(fast_corp_config, predictor=few),
-        "CORP-auto": CorpScheduler(fast_corp_config, predictor=selector),
         "RCCR": RccrScheduler(seed=3),
         "CloudScale": CloudScaleScheduler(seed=3),
         "DRA": DraScheduler(seed=3),
@@ -218,13 +208,6 @@ def observable_state(sched, checker):
         "violations": list(checker.violations),
         "error_samples": [list(t._errors) for t in trackers],
         "prediction_log": (sched.prediction_log.predicted, sched.prediction_log.actual),
-        # The "auto" selector's backtests, in the order they landed.
-        "selector": {
-            name: [list(t._errors) for t in trackers]
-            for name, trackers in getattr(
-                getattr(sched, "predictor", None), "_trackers", {}
-            ).items()
-        },
     }
 
 
@@ -242,7 +225,7 @@ def assert_same(got, want):
                 assert value == want[name][vm_id], (name, vm_id)
 
 
-METHODS = ["CORP", "CORP-few-errors", "CORP-auto", "RCCR", "CloudScale", "DRA"]
+METHODS = ["CORP", "CORP-few-errors", "RCCR", "CloudScale", "DRA"]
 #: The forecast counters ``Predictor.predict_jobs_unused`` bumps.
 PREDICTOR_COUNTERS = (
     "predictor.predict", "predictor.prior_fallback", "predictor.hmm_correction",
@@ -279,7 +262,6 @@ class TestRefreshMatchesThePerVmLoop:
         else:
             assert got["pool"] == {}
 
-    @pytest.mark.parametrize("method", ["CORP", "CORP-auto"])
     @settings(max_examples=10)
     @given(
         kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=7),
@@ -287,9 +269,9 @@ class TestRefreshMatchesThePerVmLoop:
         warm_slots=st.integers(1, 8),
     )
     def test_same_predictor_counters_with_obs_on(
-        self, prepared, method, kinds, seed, warm_slots
+        self, prepared, kinds, seed, warm_slots
     ):
-        live = copy.deepcopy(prepared[method])
+        live = copy.deepcopy(prepared["CORP"])
         build_cluster(live, kinds, seed, warm_slots)
         reference = copy.deepcopy(live)
         counts = []
@@ -332,28 +314,6 @@ class TestErrorScaleIsPerRefresh:
         sched._refresh_forecasts()
         assert len(sched._window) == n_vms  # every VM was adjusted
         assert predictor.seed_errors.reads == NUM_RESOURCES
-
-    def test_selector_switch_shows_in_the_same_refresh(self):
-        selector = _stub_selector()
-        # Enough samples for the quantile branch, a different scale each.
-        for name, delta in (("corp", -0.1), ("quantile", -0.4)):
-            selector.candidate(name).seed_errors = [
-                np.full(30, delta) for _ in range(NUM_RESOURCES)
-            ]
-        sched = CorpScheduler(selector.config, predictor=selector)
-        sched.prepare(None)
-        sim = build_cluster(sched, ["occupied"], seed=1, warm_slots=1)
-        (vm,) = sim.vms
-        np.testing.assert_allclose(sched._job_scale, 0.1)
-        _drive_backtests(selector, 15)
-        sim.current_slot = 2
-        sched.on_slot_start(2)  # arbitration, then the refresh
-        assert selector.active == "quantile"
-        np.testing.assert_allclose(sched._job_scale, 0.4)
-        sum_sq = sum(p.job.requested.as_array() ** 2 for p in vm.placements)
-        record = sched._window[vm.vm_id]
-        shift = record.raw_forecast - record.forecast
-        np.testing.assert_allclose(shift, 0.4 * np.sqrt(sum_sq))
 
 
 class TestCiShiftGauge:

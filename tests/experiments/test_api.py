@@ -86,6 +86,21 @@ class TestCompare:
                 scenarios=[small_scenario], methods=["FOO"], workers=workers
             )
 
+    def test_negative_workers_rejected(self, small_scenario, capsys):
+        # Used to run serially and exit 0, as if workers were 0.
+        from repro.__main__ import main
+
+        with pytest.raises(ValueError, match="workers must be >= 0, got -1"):
+            run_specs(specs=[], workers=-1)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            api.compare(scenario=small_scenario, methods=("DRA",), workers=-1)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            api.sweep(scenarios=[small_scenario], methods=["DRA"], workers=-1)
+        assert main(["compare", "--quick", "--jobs", "8", "--workers", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: workers must be >= 0, got -1\n"
+        assert captured.out == ""
+
     def test_memory_sink_with_workers_rejected(self, small_scenario):
         # In-memory sinks cannot receive events from worker processes;
         # v1.2 raises a clear error instead of silently forcing serial.

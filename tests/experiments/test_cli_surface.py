@@ -19,7 +19,6 @@ EXPECTED_OPTIONS = {
         '--version': ('==SUPPRESS==', None, 0, None, None),
     },
     'compare': {
-        '--chunk-size': (None, None, None, None, 'int'),
         '--events': (None, None, None, None, None),
         '--fault-seed': (0, None, None, None, 'int'),
         '--faults': (None, None, '?', 0.3, 'float'),
@@ -29,14 +28,12 @@ EXPECTED_OPTIONS = {
         '--quick': (False, None, 0, True, None),
         '--scenario': (None, ('pipeline', 'diurnal', 'storm'), None, None, None),
         '--seed': (7, None, None, None, 'int'),
-        '--shards': (None, None, None, None, 'int'),
         '--store': (None, None, '?', '', None),
         '--testbed': ('cluster', ('cluster', 'ec2'), None, None, None),
         '--warm-start': (False, None, 0, True, None),
         '--workers': (0, None, None, None, 'int'),
     },
     'serve': {
-        '--chunk-size': (None, None, None, None, 'int'),
         '--events': (None, None, None, None, None),
         '--fault-seed': (0, None, None, None, 'int'),
         '--faults': (None, None, '?', 0.3, 'float'),
@@ -45,7 +42,6 @@ EXPECTED_OPTIONS = {
         '--predictor': ('corp', None, None, None, None),
         '--predictor-cache-size': (16, None, None, None, 'int'),
         '--seed': (7, None, None, None, 'int'),
-        '--shards': (None, None, None, None, 'int'),
         '--show-placements': (0, None, None, None, 'int'),
         '--store': (None, None, '?', '', None),
         '--testbed': ('cluster', ('cluster', 'ec2'), None, None, None),

@@ -163,13 +163,6 @@ class TestCli:
         assert captured.err == "error: intensity must be >= 0\n"
         assert "storm intensity" not in captured.out
 
-    def test_chunk_size_flag_is_deprecated_but_validated(self, capsys):
-        from repro.__main__ import main
-
-        with pytest.warns(DeprecationWarning, match="--chunk-size"):
-            assert main(["compare", "--jobs", "5", "--chunk-size", "0"]) == 2
-        assert capsys.readouterr().err == "error: chunk_size must be >= 1\n"
-
     def test_workers_parser_option(self):
         from repro.__main__ import build_parser
 

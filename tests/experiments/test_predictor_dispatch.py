@@ -26,6 +26,8 @@ def small_scenario():
 
 
 TINY_CFG = dict(n_hidden_layers=1, units_per_layer=8, train_max_epochs=2)
+#: The families the registry ships, in registration order.
+REGISTERED = ("corp", "quantile", "classify", "markov")
 
 
 def _behavior(result):
@@ -36,7 +38,7 @@ def _behavior(result):
 
 class TestRunOneDispatch:
     @pytest.mark.parametrize(
-        "name", ["quantile", "classify", "ets", "markov"]
+        "name", ["quantile", "classify", "markov"]
     )
     def test_each_family_drives_corp(self, small_scenario, name):
         result = api.run_one(
@@ -84,6 +86,10 @@ class TestRunOneDispatch:
 
 
 class TestCompareAndSweepDispatch:
+    def test_removed_family_name_rejected(self, small_scenario):
+        with pytest.raises(ValueError, match="unknown predictor 'auto'"):
+            api.compare(scenario=small_scenario, predictor="auto")
+
     def test_compare_name_path(self, small_scenario):
         results = api.compare(
             scenario=small_scenario,
@@ -214,6 +220,15 @@ class TestCliDispatch:
         from repro.__main__ import main
 
         assert main(["predictors"]) == 0
-        out = capsys.readouterr().out
-        for name in ("corp", "quantile", "classify", "ets", "markov", "auto"):
-            assert name in out
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == list(REGISTERED)
+
+    @pytest.mark.parametrize("name", ["auto", "ets"])
+    def test_removed_families_are_clean_errors(self, capsys, name):
+        from repro.__main__ import main
+
+        assert main(["compare", "--quick", "--jobs", "8", "--predictor", name]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown predictor {name!r} "
+            f"(registered: {', '.join(REGISTERED)})\n"
+        )

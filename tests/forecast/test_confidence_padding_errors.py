@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +11,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cluster.scheduler import PredictionLog, share_within
-from repro.core.config import CorpConfig
 from repro.forecast.confidence import PredictionErrorTracker, z_value
 from repro.forecast.padding import AdaptivePadding
-from repro.forecast.selection import OnlinePredictorSelector
 
 #: ``scipy.stats.norm.ppf(1 - (1 - η) / 2)`` (scipy 1.17.1), transcribed.
 SCIPY_Z = {
@@ -168,22 +165,11 @@ def _tracker_error_rate(deltas, tolerance):
     return 1.0 - tracker.probability_within(tolerance)
 
 
-def _selector_error_rate(deltas, tolerance):
-    selector = OnlinePredictorSelector(
-        config=CorpConfig(error_tolerance=tolerance), candidates=("stub",)
-    )
-    selector._candidates["stub"] = SimpleNamespace(
-        seed_errors=[np.asarray(deltas, dtype=np.float64)]
-    )
-    return selector._seed_error_rate("stub")
-
-
-#: Fig. 6's error rate, Eq. 21's gate probability and the selector's
-#: initial ranking, each as an error rate over the same δ samples.
+#: Fig. 6's error rate and Eq. 21's gate probability, each as an error
+#: rate over the same δ samples.
 ERROR_RATES = {
     "prediction_log": _log_error_rate,
     "tracker": _tracker_error_rate,
-    "selector": _selector_error_rate,
 }
 
 

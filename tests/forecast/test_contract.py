@@ -44,9 +44,7 @@ PINNED = {
     "corp": "b019ba4ba31668cc",
     "quantile": "43b14612bc829473",
     "classify": "1ce50c524b8677ec",
-    "ets": "7f816c407311b29b",
     "markov": "8f954adc8ca02a6e",
-    "auto": "b019ba4ba31668cc",
 }
 
 
@@ -82,15 +80,7 @@ def zoo(history_trace, fast_corp_config):
             config = dataclasses.replace(
                 fast_corp_config, train_quantile=train_quantile
             )
-            predictor = create_predictor(name, config)
-            if name == "auto":  # share the candidates' fits
-                predictor.fit(
-                    history_trace,
-                    fit_candidate=lambda n: fit(n, train_quantile),
-                )
-            else:
-                predictor.fit(history_trace)
-            fits[key] = predictor
+            fits[key] = create_predictor(name, config).fit(history_trace)
         return fits[key]
 
     return fit
@@ -132,7 +122,7 @@ class TestContract:
             train_quantile=0.3, min_history_slots=3, seed=17,
         )
         predictor = create_predictor(name, config)
-        if hasattr(predictor, "config"):  # corp, auto: the config itself
+        if hasattr(predictor, "config"):  # corp: the config itself
             assert predictor.config is config
             return
         assert predictor.input_slots == 4 and predictor.window_slots == 3
@@ -200,7 +190,6 @@ class TestEveryConstructorParameterIsArchived:
         [
             ("quantile", {"quantile": 0.2, "input_slots": 4}),
             ("classify", {"n_classes": 2, "seed": 5}),
-            ("ets", {"alpha": 0.7, "beta": 0.4}),
             ("markov", {"n_bins": 3}),
         ],
     )

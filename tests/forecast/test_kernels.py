@@ -135,23 +135,12 @@ def test_by_length_keeps_input_order():
 
 
 @pytest.mark.parametrize("target", ["window_min", "window_mean", "point"])
-@pytest.mark.parametrize("family", ["ets", "markov"])
-def test_job_families_match_the_per_series_fit(family, target):
-    """The ``ets`` / ``markov`` families forecast mixed-length series in
-    blocks, each as the per-series fit they replaced."""
-    from repro.forecast.jobwise import EtsJobPredictor, MarkovJobPredictor
+def test_markov_family_matches_the_per_series_fit(target):
+    """The ``markov`` family forecasts mixed-length series in blocks,
+    each as the per-series fit it replaced."""
+    from repro.forecast.jobwise import MarkovJobPredictor
 
-    if family == "ets":
-        predictor = EtsJobPredictor(prediction_target=target)
-
-        def make():
-            return HoltLinear(predictor.alpha, predictor.beta)
-    else:
-        predictor = MarkovJobPredictor(prediction_target=target)
-
-        def make():
-            return MarkovChainPredictor(predictor.n_bins)
-
+    predictor = MarkovJobPredictor(prediction_target=target)
     rng = np.random.default_rng(5)
     series = [make_block(1, int(rng.integers(2, 7)), seed)[0] for seed in range(120)]
     want = []
@@ -159,7 +148,9 @@ def test_job_families_match_the_per_series_fit(family, target):
         if np.ptp(unused) < 1e-12:
             want.append(float(unused[-1]))
             continue
-        path = make().fit(unused).forecast_path(predictor.window_slots)
+        path = MarkovChainPredictor(predictor.n_bins).fit(unused).forecast_path(
+            predictor.window_slots
+        )
         want.append({"window_min": path.min(), "window_mean": path.mean(),
                      "point": path[-1]}[target])
     same_bits(predictor._forecast_fractions(series), want)

@@ -6,9 +6,7 @@ from repro.core.config import CorpConfig
 from repro.core.predictor import CorpPredictor
 from repro.forecast import (
     ClassifyThenPredictPredictor,
-    EtsJobPredictor,
     MarkovJobPredictor,
-    OnlinePredictorSelector,
     Predictor,
     QuantileHistogramPredictor,
     available_predictors,
@@ -20,7 +18,7 @@ from repro.forecast import (
 )
 from repro.forecast import registry as registry_mod
 
-BUILTINS = ("corp", "quantile", "classify", "ets", "markov", "auto")
+BUILTINS = ("corp", "quantile", "classify", "markov")
 
 
 class TestLookup:
@@ -36,9 +34,7 @@ class TestLookup:
         assert predictor_class("corp") is CorpPredictor
         assert predictor_class("quantile") is QuantileHistogramPredictor
         assert predictor_class("classify") is ClassifyThenPredictPredictor
-        assert predictor_class("ets") is EtsJobPredictor
         assert predictor_class("markov") is MarkovJobPredictor
-        assert predictor_class("auto") is OnlinePredictorSelector
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ValueError, match="corp, quantile, classify"):
@@ -70,7 +66,7 @@ class TestCreate:
 
 class TestResolve:
     def test_name_resolves(self):
-        assert isinstance(resolve_predictor("ets"), EtsJobPredictor)
+        assert isinstance(resolve_predictor("markov"), MarkovJobPredictor)
 
     def test_instance_passes_through(self):
         p = QuantileHistogramPredictor()
