@@ -13,11 +13,13 @@ Run with::
     python examples/custom_scheduler.py
 """
 
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from repro import CorpScheduler, cluster_scenario
 from repro.cluster.machine import VirtualMachine
-from repro.cluster.resources import NUM_RESOURCES, ResourceVector
+from repro.cluster.resources import NUM_RESOURCES
 from repro.core.packing import JobEntity
 from repro.core.provisioning import ProvisioningSchedulerBase
 from repro.core.vm_selection import select_most_matched
@@ -38,7 +40,11 @@ class OracleScheduler(ProvisioningSchedulerBase):
     name = "Oracle"
     supports_opportunistic = True
 
-    def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
+    def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
+        # One (l,) row per VM, asked once per window for every occupied VM.
+        return [self._true_unused(vm) for vm in vms]
+
+    def _true_unused(self, vm: VirtualMachine) -> np.ndarray:
         total = np.zeros(NUM_RESOURCES)
         horizon = self.window_slots
         for placement in vm.placements:
@@ -57,14 +63,20 @@ class OracleScheduler(ProvisioningSchedulerBase):
     def opportunistic_allowed(self) -> bool:
         return True  # an oracle needs no certification gate
 
-    def opportunistic_admission_size(self, entity: JobEntity) -> ResourceVector:
-        # True mean demand of each member job — perfect rider sizing.
-        total = np.zeros(NUM_RESOURCES)
-        for job in entity.jobs:
-            total += job.record.usage.mean(axis=0)
-        return ResourceVector(np.minimum(total, entity.demand.as_array()))
+    def opportunistic_admission_sizes(
+        self, entities: Iterable[JobEntity], demands: np.ndarray
+    ) -> np.ndarray:
+        # True mean demand of each member job — perfect rider sizing —
+        # capped at the entity's request: one row per row of ``demands``.
+        sizes = [
+            np.minimum(sum(job.record.usage.mean(axis=0) for job in entity.jobs), demand)
+            for entity, demand in zip(entities, demands)
+        ]
+        return np.array(sizes).reshape(-1, NUM_RESOURCES)
 
-    def choose_vm(self, demand, candidates):
+    def choose_vm(self, demand: np.ndarray, candidates) -> VirtualMachine | None:
+        # ``demand`` is a read-only (l,) row; the pool iterates as
+        # (vm, availability row) pairs, which the Eq. 22 oracle reads.
         return select_most_matched(
             demand, candidates, reference=self.sim.max_vm_capacity()
         )

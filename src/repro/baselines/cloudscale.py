@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..cluster.machine import SlotOutcome, VirtualMachine
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.resources import NUM_RESOURCES
 from ..core.provisioning import ProvisioningSchedulerBase
 from ..forecast.kernels import by_length, fft_signature, markov_forecast
 from ..forecast.padding import AdaptivePadding
@@ -144,15 +144,11 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
             )
         for (vm_id, placement, _), demand in zip(capped, predicted):
             pads = [self._pad_tracker(vm_id, k).pad() for k in range(NUM_RESOURCES)]
-            placement.granted_cap = ResourceVector(
-                np.minimum(demand + pads, placement.job.requested.as_array())
+            placement.granted_cap = np.minimum(
+                demand + pads, placement.job.requested.as_array()
             )
 
     # ------------------------------------------------------------------
-    def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        """One VM's forecast: the ``n = 1`` case of :meth:`predict_vms_unused`."""
-        return self.predict_vms_unused([vm])[0]
-
     def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
         """FFT signature per VM and resource, Markov-chain fallback where
         none; one kernel call each per history length."""

@@ -22,11 +22,13 @@ rate in Fig. 9/13.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..cluster.job import Job
 from ..cluster.machine import VirtualMachine
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.resources import NUM_RESOURCES
 from ..core.provisioning import ProvisioningSchedulerBase
 
 __all__ = ["DraScheduler"]
@@ -132,18 +134,21 @@ class DraScheduler(ProvisioningSchedulerBase):
                         targets[:, k], weights * capacity[k]
                     )
             for p, cap in zip(placements, caps):
-                p.granted_cap = ResourceVector(cap)
+                p.granted_cap = cap
 
     # ------------------------------------------------------------------
-    def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        """DRA's unused estimate: commitment minus average-demand estimates.
+    def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
+        """DRA's unused estimate per VM: commitment minus average-demand
+        estimates.
 
         Used only for the Fig. 6 error metric — DRA never reallocates
         unused resources.
         """
-        total_estimate = np.zeros(NUM_RESOURCES)
-        for p in vm.placements:
-            if not p.opportunistic:
-                total_estimate += self._demand_estimate(p.job)
-        unused = vm.committed() - total_estimate
-        return np.clip(unused, 0.0, None)
+        forecasts = []
+        for vm in vms:
+            total_estimate = np.zeros(NUM_RESOURCES)
+            for p in vm.placements:
+                if not p.opportunistic:
+                    total_estimate += self._demand_estimate(p.job)
+            forecasts.append(np.clip(vm.committed() - total_estimate, 0.0, None))
+        return forecasts

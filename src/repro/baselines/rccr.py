@@ -111,10 +111,6 @@ class RccrScheduler(ProvisioningSchedulerBase):
         self._begin_window()
 
     # ------------------------------------------------------------------
-    def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        """One VM's forecast: the ``n = 1`` case of :meth:`predict_vms_unused`."""
-        return self.predict_vms_unused([vm])[0]
-
     def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
         """ETS per VM and resource over the recent unused history, one
         kernel call per history length."""

@@ -56,6 +56,8 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
+from ..cluster.resources import fits_within
+
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..cluster.machine import SlotOutcome, VirtualMachine
     from ..cluster.shards import CandidateSet
@@ -388,7 +390,7 @@ class InvariantChecker:
         *,
         opportunistic: bool,
         candidates: "CandidateSet | None" = None,
-        demand: object = None,
+        demand: np.ndarray | None = None,
     ) -> None:
         """Packing feasibility (Section III-B) and Eq. 22 optimality (the
         ``volume`` and ``differential`` oracles iterate the pool as pairs)."""
@@ -399,13 +401,13 @@ class InvariantChecker:
             if (
                 chosen_avail is not None
                 and demand is not None
-                and not demand.fits_within(chosen_avail, atol=self.tolerance)
+                and not fits_within(demand, chosen_avail, atol=self.tolerance)
             ):
                 self._report(
                     "packing",
-                    f"entity demand {demand.as_array().tolist()} does not "
+                    f"entity demand {demand.tolist()} does not "
                     f"fit the chosen availability "
-                    f"{chosen_avail.as_array().tolist()}",
+                    f"{chosen_avail.tolist()}",
                     slot=slot, scheduler=name, vm=vm.vm_id,
                     job=entity.job_ids()[0],
                 )
@@ -415,7 +417,7 @@ class InvariantChecker:
                 # the (possibly corrupted) incremental accounting cannot
                 # fool this.
                 free = vm.capacity - vm.reserved_total()
-                need = entity.demand.as_array()
+                need = entity.demand
                 if np.any(need > free + self.tolerance):
                     self._report(
                         "packing",
@@ -479,7 +481,7 @@ class InvariantChecker:
 
     def observe_refusal(
         self, scheduler: object, entity: "JobEntity", slot: int,
-        candidates: object, demand: object,
+        candidates: "CandidateSet", demand: np.ndarray,
     ) -> None:
         """A unit the overload screen skipped (its fit count read 0) must
         have been futile: the full feasibility scan finds no live row."""
@@ -491,7 +493,7 @@ class InvariantChecker:
             self._report(
                 "packing",
                 f"unit skipped by the screen, but demand "
-                f"{demand.as_array().tolist()} fits the availability "
+                f"{demand.tolist()} fits the availability "
                 f"{candidates.matrix[fits[0]].tolist()}",
                 slot=slot, scheduler=getattr(scheduler, "name", None),
                 vm=candidates.vms[fits[0]].vm_id, job=entity.job_ids()[0],

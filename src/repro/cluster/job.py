@@ -181,7 +181,7 @@ class Job:
         was allocated, so nothing can be "used" of it).
         """
         if not self.demand_log:
-            return np.zeros((0, len(self.requested)))
+            return np.zeros((0, NUM_RESOURCES))
         demand = np.asarray(self.demand_log)
         req = self.requested.as_array()
         out = np.zeros_like(demand)

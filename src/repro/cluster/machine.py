@@ -23,7 +23,7 @@ import numpy as np
 
 from .job import COMPLETION_ATOL, Job, JobState
 from .logs import Log
-from .resources import NUM_RESOURCES, ResourceVector
+from .resources import NUM_RESOURCES, ResourceVector, fits_within
 
 __all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome",
            "IDLE_OUTCOME", "ClusterLanes", "PlacementLanes", "SlotBatch",
@@ -254,15 +254,24 @@ class PlacementLanes:
         self.usage, self.usage_end = arena, total
 
 
+def _frozen(row: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``row``, made read-only (None passes through)."""
+    if row is not None:
+        row.setflags(write=False)
+    return row
+
+
 class Placement:
     """A job running on a VM.
 
     ``reserved`` is the commitment the placement holds (zero for
     opportunistic placements); ``granted_cap`` is an optional per-slot
-    ceiling a scheduler may impose below the job's request (used by DRA's
-    share-based redistribution).  ``row`` is the placement's row of its
-    VM's :class:`PlacementLanes` while the VM holds it (-1 otherwise);
-    writing ``granted_cap`` rewrites that row's cap.
+    ceiling a scheduler may impose below the job's request (DRA's
+    share-based redistribution, CloudScale's demand caps).  Both are
+    ``(l,)`` rows, adopted without a copy and made read-only.  ``row``
+    is the placement's row of its VM's :class:`PlacementLanes` while the
+    VM holds it (-1 otherwise); writing ``granted_cap`` rewrites that
+    row's cap.
     """
 
     __slots__ = ("job", "vm", "reserved", "opportunistic", "_granted_cap", "row")
@@ -271,22 +280,22 @@ class Placement:
         self,
         job: Job,
         vm: "VirtualMachine",
-        reserved: ResourceVector,
+        reserved: np.ndarray,
         opportunistic: bool,
-        granted_cap: Optional[ResourceVector] = None,
+        granted_cap: Optional[np.ndarray] = None,
     ) -> None:
-        self.job, self.vm, self.reserved = job, vm, reserved
+        self.job, self.vm, self.reserved = job, vm, _frozen(reserved)
         self.opportunistic = opportunistic
-        self._granted_cap = granted_cap
+        self._granted_cap = _frozen(granted_cap)
         self.row = -1
 
     @property
-    def granted_cap(self) -> Optional[ResourceVector]:
+    def granted_cap(self) -> Optional[np.ndarray]:
         return self._granted_cap
 
     @granted_cap.setter
-    def granted_cap(self, cap: Optional[ResourceVector]) -> None:
-        self._granted_cap = cap
+    def granted_cap(self, cap: Optional[np.ndarray]) -> None:
+        self._granted_cap = _frozen(cap)
         if self.row >= 0:
             self.vm._lanes.placed.cap[self.row] = self.effective_cap()
 
@@ -299,10 +308,10 @@ class Placement:
     def effective_cap(self) -> np.ndarray:
         """The ceiling applied to this placement's grant each slot."""
         if self._granted_cap is not None:
-            return self._granted_cap.as_array()
+            return self._granted_cap
         if self.opportunistic:
             return self.job.requested.as_array()
-        return self.reserved.as_array()
+        return self.reserved
 
 
 @dataclass(frozen=True)
@@ -440,7 +449,7 @@ class VirtualMachine:
         total = np.zeros(NUM_RESOURCES)
         for p in self.placements:
             if not p.opportunistic:
-                total += p.reserved.as_array()
+                total += p.reserved
         return total
 
     def opportunistic_demand(self) -> np.ndarray:
@@ -451,9 +460,9 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     # placement management
     # ------------------------------------------------------------------
-    def can_reserve(self, amount: ResourceVector) -> bool:
-        """Does ``amount`` fit in the unallocated capacity (within 1e-9)?"""
-        return bool((amount.as_array() <= self.unallocated() + 1e-9).all())
+    def can_reserve(self, amount: np.ndarray) -> bool:
+        """Does the ``amount`` row fit in the unallocated capacity (within 1e-9)?"""
+        return bool((amount <= self.unallocated() + 1e-9).all())
 
     def add_placement(self, placement: Placement) -> None:
         """Attach a placement, enforcing the reservation capacity check."""
@@ -461,7 +470,7 @@ class VirtualMachine:
             raise ValueError("placement bound to a different VM")
         if not placement.opportunistic and not self.can_reserve(placement.reserved):
             raise ValueError(
-                f"VM {self.vm_id} cannot reserve {placement.reserved} "
+                f"VM {self.vm_id} cannot reserve {placement.reserved.tolist()} "
                 f"(unallocated {self.unallocated().tolist()})"
             )
         self.placements.append(placement)
@@ -469,7 +478,7 @@ class VirtualMachine:
         lanes.occupied[self._row] += 1
         lanes.changes[self._row] += 1
         if not placement.opportunistic:
-            lanes.committed[self._row] += placement.reserved.as_array()
+            lanes.committed[self._row] += placement.reserved
         lanes.placed.add(placement, self._row)
         placement.job.vm_id = self.vm_id
 
@@ -485,7 +494,7 @@ class VirtualMachine:
         committed = lanes.committed[self._row]
         for p in done:
             if not p.opportunistic:
-                committed -= p.reserved.as_array()
+                committed -= p.reserved
         np.maximum(committed, 0.0, out=committed)  # float drift
         self.placements = kept
         lanes.occupied[self._row] -= len(done)
@@ -518,7 +527,7 @@ class VirtualMachine:
                 lanes.placed.remove([p])
                 if not p.opportunistic:
                     committed = lanes.committed[self._row]
-                    committed -= p.reserved.as_array()
+                    committed -= p.reserved
                     np.maximum(committed, 0.0, out=committed)
                 return p.job
         return None
@@ -768,7 +777,7 @@ class PhysicalMachine:
         """Host a VM, enforcing the PM capacity envelope on nominal
         capacities (a revoked VM frees nothing: its revocation ends)."""
         total = ResourceVector.sum(v.base_capacity for v in self.vms) + vm.base_capacity
-        if not total.fits_within(self.capacity):
+        if not fits_within(total.as_array(), self.capacity.as_array()):
             raise ValueError(
                 f"PM {self.pm_id} capacity {self.capacity} exceeded by VM set {total}"
             )

@@ -32,11 +32,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .machine import ClusterLanes, VirtualMachine
-from .resources import NUM_RESOURCES, ResourceVector
+from .resources import NUM_RESOURCES
 
 __all__ = ["ScaleConfig", "CandidateSet", "ShardedCandidateIndex", "tie_window"]
 
-#: Feasibility slack, matching :meth:`ResourceVector.fits_within`.
+#: Feasibility slack, matching :func:`~repro.cluster.resources.fits_within`.
 _FIT_ATOL = 1e-9
 #: Relative volume tie window (see :func:`tie_window`).
 _TIE_RTOL = 1e-12
@@ -107,11 +107,12 @@ class CandidateSet:
     VMs' unallocated capacity and liveness off their lanes in
     :meth:`refresh`.
 
-    Iteration yields ``(vm, ResourceVector)`` pairs — the exact shape
-    the scalar reference functions, the invariant checker and custom
-    ``choose_vm`` overrides consume — so a ``CandidateSet`` can stand in
-    anywhere a candidate list is expected.  The yielded vectors are
-    snapshots (copies) of the current rows.
+    Iteration yields ``(vm, row)`` pairs, ``row`` a read-only ``(l,)``
+    availability — the exact shape the scalar reference functions, the
+    invariant checker and custom ``choose_vm`` overrides consume — so a
+    ``CandidateSet`` can stand in anywhere a candidate list is expected.
+    The yielded rows are a snapshot (a copy) of the current matrix.
+    Demands and the Eq. 22 reference are ``(l,)`` rows too.
 
     Selection semantics match the scalar loop in
     :mod:`repro.core.vm_selection`, which remains the differential
@@ -156,14 +157,11 @@ class CandidateSet:
 
     @classmethod
     def from_pairs(
-        cls, pairs: Sequence[tuple[VirtualMachine, ResourceVector]]
+        cls, pairs: Sequence[tuple[VirtualMachine, np.ndarray]]
     ) -> "CandidateSet":
-        """Build from a scalar-style candidate list."""
+        """Build from a scalar-style ``(vm, row)`` candidate list."""
         pairs = list(pairs)
-        return cls(
-            [vm for vm, _ in pairs],
-            np.array([avail.as_array() for _, avail in pairs]),
-        )
+        return cls([vm for vm, _ in pairs], np.array([row for _, row in pairs]))
 
     @classmethod
     def for_vms(
@@ -199,11 +197,13 @@ class CandidateSet:
     def __len__(self) -> int:
         return int(self.online.sum())
 
-    def __iter__(self) -> Iterator[tuple[VirtualMachine, ResourceVector]]:
-        online = self.online
-        for i, vm in enumerate(self.vms):
-            if online[i]:
-                yield vm, ResourceVector(self.matrix[i])
+    def __iter__(self) -> Iterator[tuple[VirtualMachine, np.ndarray]]:
+        (live,) = np.nonzero(self.online)
+        rows = self.matrix[live]  # one copy, handed out as read-only views
+        rows.setflags(write=False)
+        vms = self.vms
+        for i, row in zip(live.tolist(), rows):
+            yield vms[i], row
 
     def live_row(self, vm: VirtualMachine) -> int | None:
         """``vm``'s row index (None if absent/offline)."""
@@ -212,10 +212,15 @@ class CandidateSet:
             return None
         return row
 
-    def availability(self, vm: VirtualMachine) -> ResourceVector | None:
-        """Current availability row of ``vm`` (None if absent/offline)."""
+    def availability(self, vm: VirtualMachine) -> np.ndarray | None:
+        """A read-only copy of ``vm``'s availability row (None if
+        absent/offline)."""
         row = self.live_row(vm)
-        return None if row is None else ResourceVector(self.matrix[row])
+        if row is None:
+            return None
+        available = self.matrix[row].copy()
+        available.setflags(write=False)
+        return available
 
     # ------------------------------------------------------------------
     def consume(self, vm: VirtualMachine, amount: np.ndarray) -> int | None:
@@ -258,8 +263,8 @@ class CandidateSet:
         zeros = np.count_nonzero(self.online) - rows.size
         return rows, fit, np.count_nonzero(fit, axis=0) + zeros * tiny
 
-    def feasible_mask(self, demand: ResourceVector) -> np.ndarray:
-        """Boolean row mask of live candidates the demand fits within:
+    def feasible_mask(self, demand: np.ndarray) -> np.ndarray:
+        """Boolean row mask of live candidates the demand row fits within:
         :meth:`fit_mask` of one demand (written out, it is 2 us faster)."""
         cpu, mem, storage = demand
         fits = self.matrix + _FIT_ATOL
@@ -269,21 +274,24 @@ class CandidateSet:
         mask &= self.online
         return mask
 
-    def feasible_count(self, demand: ResourceVector) -> int:
+    def feasible_count(self, demand: np.ndarray) -> int:
         """How many live candidates the demand fits within."""
         return int(np.count_nonzero(self.feasible_mask(demand)))
 
-    def volumes(self, reference: ResourceVector) -> np.ndarray:
-        """Eq. 22 volume of every row (one matrix-vector product)."""
-        ref = reference.as_array()
-        inv = np.zeros(NUM_RESOURCES)
-        nz = ref > 0
-        inv[nz] = 1.0 / ref[nz]
+    def volumes(self, reference: np.ndarray) -> np.ndarray:
+        """Eq. 22 volume of every row (one matrix-vector product); a
+        resource no VM offers (``reference`` entry ``<= 0``) weighs zero.
+
+        ``reference`` and the selectors' ``demand`` are read by
+        unpacking, so a :class:`~repro.cluster.resources.ResourceVector`
+        is taken as its row.
+        """
+        inv = np.array([1.0 / c if c > 0 else 0.0 for c in reference])
         return self.matrix @ inv
 
     # ------------------------------------------------------------------
     def select_most_matched(
-        self, demand: ResourceVector, reference: ResourceVector
+        self, demand: np.ndarray, reference: np.ndarray
     ) -> VirtualMachine | None:
         """Vectorized Eq. 22 most-matched choice (see class docstring)."""
         mask = self.feasible_mask(demand)
@@ -296,7 +304,7 @@ class CandidateSet:
         return self.vms[indices[np.argmin(self._ids[indices])]]
 
     def select_random_feasible(
-        self, demand: ResourceVector, rng: np.random.Generator
+        self, demand: np.ndarray, rng: np.random.Generator
     ) -> VirtualMachine | None:
         """Vectorized uniform-random feasible choice.
 

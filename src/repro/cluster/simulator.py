@@ -29,7 +29,7 @@ from .logs import Log
 from .machine import ClusterLanes, PhysicalMachine, VirtualMachine
 from .metrics import MetricsRecorder
 from .profiles import ClusterProfile
-from .resources import ResourceVector
+from .resources import fits_within
 from .scheduler import Scheduler
 from .shards import ScaleConfig
 from .slo import SloSpec, SloTracker
@@ -159,10 +159,10 @@ class ClusterSimulator:
         self.completed = Log()
         self.failed = Log()
         self.current_slot: int = 0
-        self._max_capacity_cache: tuple[int, ResourceVector] | None = None
+        self._max_capacity_cache: tuple[int, np.ndarray] | None = None
         #: Max *nominal* VM capacity: admission outlasts any revocation.
         nominal = [vm.base_capacity.as_array() for vm in self.vms]
-        self._admission_limit = ResourceVector(np.max(nominal, axis=0))
+        self._admission_limit = np.max(nominal, axis=0)
         # An empty plan builds no injector: the fault layer then adds
         # zero work (and zero behavioural difference) to the slot loop.
         self.faults: "FaultInjector | None" = None
@@ -178,8 +178,9 @@ class ClusterSimulator:
         return self.faults is None or self.faults.predictor_available
 
     # ------------------------------------------------------------------
-    def max_vm_capacity(self) -> ResourceVector:
-        """Elementwise max capacity across VMs (the ``C'`` of Eq. 22).
+    def max_vm_capacity(self) -> np.ndarray:
+        """Elementwise max capacity across VMs (the ``C'`` of Eq. 22), a
+        read-only ``(l,)`` row.
 
         Memoized on the lanes' capacity-change counter: it is read for
         every arriving job (and by CORP for every selection), but
@@ -189,14 +190,15 @@ class ClusterSimulator:
         cached = self._max_capacity_cache
         if cached is not None and cached[0] == changes:
             return cached[1]
-        value = ResourceVector._wrap(np.maximum(self.lanes.capacity.max(axis=0), 0.0))
+        value = np.maximum(self.lanes.capacity.max(axis=0), 0.0)
+        value.setflags(write=False)
         self._max_capacity_cache = (changes, value)
         return value
 
     def _admit(self, job: Job) -> bool:
         """Reject jobs no VM could ever host (prevents starved queues);
         a job that fits once a revocation ends waits for it instead."""
-        return job.requested.fits_within(self._admission_limit)
+        return fits_within(job.requested.as_array(), self._admission_limit)
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace, *, history: Trace | None = None) -> SimulationResult:

@@ -29,7 +29,7 @@ import numpy as np
 from ..check import CHECK
 from ..cluster.job import Job, utilization_histories
 from ..cluster.machine import VirtualMachine
-from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
+from ..cluster.resources import NUM_RESOURCES, ResourceKind
 from ..forecast.base import Predictor
 from ..forecast.confidence import z_value
 from ..obs import OBS
@@ -113,10 +113,6 @@ class CorpScheduler(ProvisioningSchedulerBase):
     # ------------------------------------------------------------------
     # forecasting hooks
     # ------------------------------------------------------------------
-    def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        """Sum of per-primary-job DNN+HMM forecasts on this VM."""
-        return self.predict_vms_unused([vm])[0]
-
     def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
         """Per VM, the sum of its primary jobs' forecasts, all of them
         from one predictor call.
@@ -230,8 +226,11 @@ class CorpScheduler(ProvisioningSchedulerBase):
             )
         return unlocked
 
-    def opportunistic_admission_size(self, entity: JobEntity) -> ResourceVector:
-        """Admit riders at expected demand, not worst-case request.
+    def opportunistic_admission_sizes(
+        self, entities: Iterable[JobEntity], demands: np.ndarray
+    ) -> np.ndarray:
+        """Admit riders at expected demand, not worst-case request: one
+        multiply over every row.
 
         The predictor's unused-fraction prior says how much of a request
         a short job typically leaves idle; the complement is its
@@ -240,14 +239,6 @@ class CorpScheduler(ProvisioningSchedulerBase):
         past it get squeezed first, which the P_th / η knobs trade
         against utilization (Fig. 8).
         """
-        return ResourceVector(
-            self.opportunistic_admission_sizes((entity,), entity.demand.as_array())
-        )
-
-    def opportunistic_admission_sizes(
-        self, entities: Iterable[JobEntity], demands: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`opportunistic_admission_size` of many rows: one multiply."""
         return demands * np.clip(1.0 - self.predictor.prior_unused_fraction, 0.05, 1.0)
 
     # ------------------------------------------------------------------
@@ -265,9 +256,7 @@ class CorpScheduler(ProvisioningSchedulerBase):
         return pack_jobs(pending, reference=self.sim.max_vm_capacity())
 
     def choose_vm(
-        self,
-        demand: ResourceVector,
-        candidates: CandidateSet,
+        self, demand: np.ndarray, candidates: CandidateSet
     ) -> VirtualMachine | None:
         """Most-matched VM by unused-resource volume (Eq. 22).
 

@@ -12,10 +12,10 @@ the partner with the largest demand deviation
 jobs' demands, the larger the deviation.  Packed pairs are placed as one
 entity on one VM, cutting fragmentation (Fig. 1's motivating example).
 
-Demands are normalized by a per-resource reference capacity before
-comparison by default — raw units would let the storage axis (hundreds
-of GB) drown out CPU cores in both the dominant-resource test and the
-deviation.  ``reference=None`` recovers the paper's literal raw-unit
+Demands are ``(l,)`` rows, normalized by a per-resource reference
+capacity row before comparison by default — raw units would let the
+storage axis (hundreds of GB) drown out CPU cores in both the
+dominant-resource test and the deviation.  ``reference=None`` recovers the paper's literal raw-unit
 arithmetic (used by the worked-example test of Fig. 5).
 
 :func:`pack_jobs` is the matrix form of the pair scan — under overload
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.job import Job
-from ..cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
+from ..cluster.resources import NUM_RESOURCES, ResourceKind
 
 __all__ = [
     "JobEntity",
@@ -58,11 +58,14 @@ class JobEntity:
             raise ValueError("a packed pair must hold two distinct jobs")
 
     @property
-    def demand(self) -> ResourceVector:
-        """Combined allocation request of the member jobs."""
+    def demand(self) -> np.ndarray:
+        """Combined allocation request of the member jobs, a read-only row."""
         if len(self.jobs) == 1:
-            return self.jobs[0].requested  # immutable: nothing to sum
-        return ResourceVector.sum(j.requested for j in self.jobs)
+            return self.jobs[0].requested.as_array()  # read-only: nothing to sum
+        a, b = self.jobs
+        total = a.requested.as_array() + b.requested.as_array()
+        total.setflags(write=False)
+        return total
 
     @property
     def is_packed(self) -> bool:
@@ -74,10 +77,12 @@ class JobEntity:
         return tuple(j.job_id for j in self.jobs)
 
 
-def _normalized(demand: ResourceVector, reference: ResourceVector | None) -> np.ndarray:
+def _normalized(demand: np.ndarray, reference: np.ndarray | None) -> np.ndarray:
+    """``demand / reference`` per resource, zero where ``reference`` is not
+    positive (a resource no VM offers)."""
     if reference is None:
-        return demand.as_array()
-    return demand.normalized_by(reference).as_array()
+        return demand
+    return np.divide(demand, reference, out=np.zeros(NUM_RESOURCES), where=reference > 0)
 
 
 def _dv(va: np.ndarray, vb: np.ndarray) -> float:
@@ -86,7 +91,7 @@ def _dv(va: np.ndarray, vb: np.ndarray) -> float:
 
 
 def dominant_resource(
-    demand: ResourceVector, reference: ResourceVector | None = None
+    demand: np.ndarray, reference: np.ndarray | None = None
 ) -> ResourceKind:
     """The resource the demand is largest on (Section III-B).
 
@@ -97,17 +102,14 @@ def dominant_resource(
 
 
 def deviation(
-    a: ResourceVector,
-    b: ResourceVector,
-    reference: ResourceVector | None = None,
+    a: np.ndarray, b: np.ndarray, reference: np.ndarray | None = None
 ) -> float:
-    """The paper's ``DV`` between two demand vectors."""
+    """The paper's ``DV`` between two demand rows."""
     return _dv(_normalized(a, reference), _normalized(b, reference))
 
 
 def pack_jobs(
-    jobs: Sequence[Job],
-    reference: ResourceVector | None = None,
+    jobs: Sequence[Job], reference: np.ndarray | None = None
 ) -> list[JobEntity]:
     """Greedy complementary pairing, in arrival order.
 
@@ -137,9 +139,8 @@ def pack_jobs(
         -1, NUM_RESOURCES
     )
     if reference is not None:
-        ref = reference.as_array()
         demands = np.divide(
-            demands, ref, out=np.zeros_like(demands), where=ref > 0
+            demands, reference, out=np.zeros_like(demands), where=reference > 0
         )
     dominants = demands.argmax(axis=1)
     ids = np.array([j.job_id for j in jobs])

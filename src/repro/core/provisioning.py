@@ -30,7 +30,7 @@ import numpy as np
 from ..check import CHECK
 from ..cluster.job import Job
 from ..cluster.machine import Placement, SlotOutcome, VirtualMachine
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.resources import NUM_RESOURCES
 from ..cluster.scheduler import Scheduler
 from ..obs import OBS
 from .packing import JobEntity, singleton_entities
@@ -39,8 +39,9 @@ from .vm_selection import CandidateSet, unused_volume
 
 __all__ = ["ProvisioningSchedulerBase"]
 
-#: The reservation of every opportunistic placement: none, one shared value.
-_NO_RESERVATION = ResourceVector.zeros()
+#: The reservation of every opportunistic placement: none, one shared row.
+_NO_RESERVATION = np.zeros(NUM_RESOURCES)
+_NO_RESERVATION.setflags(write=False)
 
 
 def _unit(entity: JobEntity, k: int) -> JobEntity:
@@ -92,7 +93,7 @@ class _Screen:
             self.packed = packed = sizes == 2
             first = np.cumsum(sizes) - sizes
             demands = requests[first]
-            demands[packed] += requests[first[packed] + 1]  # ResourceVector.sum's order
+            demands[packed] += requests[first[packed] + 1]  # JobEntity.demand's order
             primary = np.concatenate([demands, requests[np.repeat(packed, sizes)]])
             admitted = None
             if self.pools[True] is not None:
@@ -244,12 +245,10 @@ class ProvisioningSchedulerBase(Scheduler):
     # subclass hooks
     # ------------------------------------------------------------------
     @abstractmethod
-    def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        """Raw forecast of the VM's unused resources for the next window."""
-
     def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
-        """Raw forecasts of several VMs, in order (default: one each)."""
-        return [self.predict_vm_unused(vm) for vm in vms]
+        """Raw forecasts of the VMs' unused resources for the next window,
+        one ``(l,)`` row per VM, in order (the window refresh asks once,
+        for every occupied VM)."""
 
     def adjust_forecast(self, raw: np.ndarray, vm: VirtualMachine) -> np.ndarray:
         """Conservative adjustment (default: none)."""
@@ -260,14 +259,13 @@ class ProvisioningSchedulerBase(Scheduler):
         return singleton_entities(pending)
 
     def choose_vm(
-        self,
-        demand: ResourceVector,
-        candidates: CandidateSet,
+        self, demand: np.ndarray, candidates: CandidateSet
     ) -> VirtualMachine | None:
-        """Pick a feasible VM (default: the baselines' uniform random).
+        """Pick a feasible VM for a read-only ``(l,)`` ``demand`` row
+        (default: the baselines' uniform random).
 
         ``candidates`` is the pool being placed into; overrides that
-        iterate it as ``(vm, availability)`` pairs (the documented
+        iterate it as ``(vm, availability row)`` pairs (the documented
         shape) see its live rows.
         """
         return candidates.select_random_feasible(demand, self.rng)
@@ -276,27 +274,21 @@ class ProvisioningSchedulerBase(Scheduler):
         """Scheme-level switch on reuse for this window (CORP: Eq. 21)."""
         return True
 
-    def opportunistic_admission_size(self, entity: JobEntity) -> ResourceVector:
-        """How much pool an opportunistic placement consumes.
-
-        Default: the entity's full request — the conservative admission
-        for schemes with no per-job demand model.  CORP overrides this
-        with its expected demand (admitting best-effort riders at
-        expected rather than worst-case consumption is the point of
-        overcommit; riders absorb any squeeze, per the weaker SLO class
-        of Section I's opportunistic provisioning).
-        """
-        return entity.demand
-
     def opportunistic_admission_sizes(
         self, entities: Iterable[JobEntity], demands: np.ndarray
     ) -> np.ndarray:
-        """Admission rows of several entities whose demand rows are
-        ``demands`` (default: one :meth:`opportunistic_admission_size`
-        call each; ``entities`` is built as it is iterated)."""
-        return np.array(
-            [self.opportunistic_admission_size(e).as_array() for e in entities]
-        ).reshape(-1, NUM_RESOURCES)
+        """How much pool an opportunistic placement of each entity
+        consumes: one row per row of ``demands`` (``(n, l)``, the
+        entities' demand rows; ``entities`` is built as it is iterated).
+
+        Default: the full request, ``demands`` itself — the conservative
+        admission for schemes with no per-job demand model.  CORP
+        overrides this with its expected demand (admitting best-effort
+        riders at expected rather than worst-case consumption is the
+        point of overcommit; riders absorb any squeeze, per the weaker
+        SLO class of Section I's opportunistic provisioning).
+        """
+        return demands
 
     # ------------------------------------------------------------------
     # window mechanics
@@ -575,28 +567,25 @@ class ProvisioningSchedulerBase(Scheduler):
         """
         entity, pool = screen.entities[e], screen.pools[opportunistic]
         if screen.units is None:
+            row = entity.demand if k == 0 else entity.jobs[k - 1].requested.as_array()
             if opportunistic:
-                row = self.opportunistic_admission_size(_unit(entity, k)).as_array()
-            else:
-                row = (entity.demand if k == 0 else entity.jobs[k - 1].requested).as_array()
+                row = self.opportunistic_admission_sizes((_unit(entity, k),), row[None])[0]
         else:
             unit = screen.unit(e, k)
             row = screen.units[opportunistic][:, unit]
             counts = screen.counts[opportunistic]
             if counts is not None and not counts[unit]:
                 if CHECK.enabled:
-                    CHECK.checker.observe_refusal(
-                        self, _unit(entity, k), slot, pool, ResourceVector(row)
-                    )
+                    CHECK.checker.observe_refusal(self, _unit(entity, k), slot, pool, row)
                 return False
-        demand = ResourceVector._wrap(row)
-        vm = self.choose_vm(demand, pool)
+        row.setflags(write=False)
+        vm = self.choose_vm(row, pool)
         if vm is None:
             screen.failed(opportunistic)
             return False
         self._place_entity(
             _unit(entity, k), vm, slot, opportunistic=opportunistic,
-            candidates=pool, demand=demand,
+            candidates=pool, demand=row,
         )
         index = pool.consume(vm, row)
         if index is not None:
@@ -610,7 +599,7 @@ class ProvisioningSchedulerBase(Scheduler):
         slot: int,
         opportunistic: bool,
         candidates: CandidateSet,
-        demand: ResourceVector,
+        demand: np.ndarray,
     ) -> None:
         """One ``placement`` event per placed job (decision telemetry).
 
@@ -651,7 +640,7 @@ class ProvisioningSchedulerBase(Scheduler):
         *,
         opportunistic: bool,
         candidates: CandidateSet,
-        demand: ResourceVector,
+        demand: np.ndarray,
     ) -> None:
         # Dispatching an entity to a VM is one remote operation.
         self.latency.charge_comm(1)
@@ -668,7 +657,7 @@ class ProvisioningSchedulerBase(Scheduler):
                 candidates=candidates, demand=demand,
             )
         for job in entity.jobs:
-            reserved = _NO_RESERVATION if opportunistic else job.requested
+            reserved = _NO_RESERVATION if opportunistic else job.requested.as_array()
             vm.add_placement(
                 Placement(job=job, vm=vm, reserved=reserved, opportunistic=opportunistic)
             )

@@ -16,12 +16,12 @@ is re-exported for its callers.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..cluster.machine import VirtualMachine
-from ..cluster.resources import ResourceVector
+from ..cluster.resources import fits_within
 from ..cluster.shards import CandidateSet, tie_window
 
 __all__ = [
@@ -33,29 +33,27 @@ __all__ = [
     "CandidateSet",
 ]
 
+#: A scalar-style candidate list: each VM with its ``(l,)`` availability
+#: row (a :class:`CandidateSet` iterates as one).
+Candidates = Iterable[tuple[VirtualMachine, np.ndarray]]
 
-def unused_volume(
-    available: ResourceVector | np.ndarray, reference: ResourceVector
-) -> float:
-    """Eq. 22: capacity-normalized total of an availability vector (or
-    ``(l,)`` row); a resource no VM offers contributes zero.
+
+def unused_volume(available: np.ndarray, reference: np.ndarray) -> float:
+    """Eq. 22: capacity-normalized total of an ``(l,)`` availability row;
+    a resource no VM offers contributes zero.
 
     Python floats, added in order from ``0.0``: the bits of numpy's
     ``normalized.sum()`` over three entries, without its allocations.
     """
-    if isinstance(available, ResourceVector):
-        available = available.as_array()
     volume = 0.0
-    for amount, scale in zip(available.tolist(), reference.as_array().tolist()):
+    for amount, scale in zip(available.tolist(), reference.tolist()):
         if scale > 0:
             volume += amount / scale
     return volume
 
 
 def min_feasible_volume(
-    demand: ResourceVector,
-    candidates: Sequence[tuple[VirtualMachine, ResourceVector]],
-    reference: ResourceVector,
+    demand: np.ndarray, candidates: Candidates, reference: np.ndarray
 ) -> float | None:
     """Smallest Eq. 22 volume over the feasible candidates (None if none).
 
@@ -66,7 +64,7 @@ def min_feasible_volume(
     """
     best: float | None = None
     for _, available in candidates:
-        if not demand.fits_within(available):
+        if not fits_within(demand, available):
             continue
         volume = unused_volume(available, reference)
         if best is None or volume < best:
@@ -75,13 +73,11 @@ def min_feasible_volume(
 
 
 def select_most_matched(
-    demand: ResourceVector,
-    candidates: Sequence[tuple[VirtualMachine, ResourceVector]],
-    reference: ResourceVector,
+    demand: np.ndarray, candidates: Candidates, reference: np.ndarray
 ) -> VirtualMachine | None:
     """Feasible VM with the smallest availability volume, or None.
 
-    ``candidates`` pairs each VM with the availability vector relevant to
+    ``candidates`` pairs each VM with the availability row relevant to
     the placement class being attempted (predicted unused for
     opportunistic placements, unallocated capacity for primary ones).
     Ties break toward the lower VM id for determinism.
@@ -95,7 +91,7 @@ def select_most_matched(
     best_vm: VirtualMachine | None = None
     best_volume = np.inf
     for vm, available in candidates:
-        if not demand.fits_within(available):
+        if not fits_within(demand, available):
             continue
         volume = unused_volume(available, reference)
         if best_vm is None:
@@ -112,16 +108,14 @@ def select_most_matched(
 
 
 def select_random_feasible(
-    demand: ResourceVector,
-    candidates: Sequence[tuple[VirtualMachine, ResourceVector]],
-    rng: np.random.Generator,
+    demand: np.ndarray, candidates: Candidates, rng: np.random.Generator
 ) -> VirtualMachine | None:
     """Uniformly random feasible VM — the baselines' placement rule.
 
     Section IV: RCCR, CloudScale and DRA all "randomly chose a VM that
     can satisfy the resource demands of the job".
     """
-    feasible = [vm for vm, available in candidates if demand.fits_within(available)]
+    feasible = [vm for vm, available in candidates if fits_within(demand, available)]
     if not feasible:
         return None
     return feasible[int(rng.integers(len(feasible)))]

@@ -70,7 +70,7 @@ def run_predictor_ablation(
 
     The predictor-zoo counterpart of :func:`run_ablations`: the
     scheduler, packing, CI and gate machinery stay at the paper's
-    defaults, and only the forecasting family behind ``predict_vm_unused``
+    defaults, and only the forecasting family behind ``predict_vms_unused``
     changes.  Returns ``family → summary dict`` (plus ``riders``).
     """
     from ..forecast.registry import available_predictors

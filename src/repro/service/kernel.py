@@ -321,9 +321,11 @@ class SchedulerKernel:
         with sim.scheduler.latency.measure():
             sim.scheduler.on_slot_start(slot)
             placed = sim.scheduler.place_jobs(tuple(sim.pending), slot)
-        placed_ids = {j.job_id for j in placed}
-        if placed_ids:
-            sim.pending = [j for j in sim.pending if j.job_id not in placed_ids]
+        if placed:
+            # By identity: two pending jobs may share a job id (a record
+            # submitted twice), and placing one must not drop the other.
+            placed_ids = {id(j) for j in placed}
+            sim.pending = [j for j in sim.pending if id(j) not in placed_ids]
             sim.running.extend(placed)
             if sim.faults is not None:
                 sim.faults.note_placements(placed, slot)

@@ -71,10 +71,13 @@ class TaskRecord:
             )
         if usage.shape[0] < 1:
             raise ValueError("usage needs at least one sample")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
+        # Stated as what holds, so a NaN (which fails every comparison) fails.
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
+        if not 0 < self.sample_period_s < math.inf:
+            raise ValueError("sample_period_s must be positive and finite")
+        if not math.isfinite(self.submit_time_s):
+            raise ValueError("submit_time_s must be finite")
         if not math.isfinite(sum(self.requested)):  # a NaN or inf anywhere
             raise ValueError("requested amounts must be finite")
         if not self.requested.is_nonnegative():

@@ -38,10 +38,8 @@ class TestSharedContracts:
         from repro.core.vm_selection import CandidateSet
 
         vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(6)]
-        candidates = CandidateSet.from_pairs(
-            [(vm, ResourceVector([5, 5, 5])) for vm in vms]
-        )
-        demand = ResourceVector([1, 1, 1])
+        candidates = CandidateSet.from_pairs([(vm, np.full(3, 5.0)) for vm in vms])
+        demand = np.ones(3)
         picks = set()
         for seed in range(12):
             sched = type(baseline)(seed=seed)

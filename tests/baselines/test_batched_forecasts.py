@@ -120,7 +120,8 @@ def test_demand_caps_match_the_per_job_loop(history_trace, monkeypatch):
             if w is None:
                 assert g is None
             else:
-                same_bits(g.as_array(), w)
+                same_bits(g, w)
+                assert not g.flags.writeable
         seen.append(sum(w is not None for w in want))
 
     monkeypatch.setattr(CloudScaleScheduler, "_apply_demand_caps", checked)

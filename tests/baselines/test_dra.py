@@ -7,7 +7,6 @@ from repro.baselines.dra import SHARE_VALUES, DraScheduler
 from repro.cluster.job import Job, JobState
 from repro.cluster.machine import Placement
 from repro.cluster.profiles import ClusterProfile
-from repro.cluster.resources import ResourceVector
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 
 from ..cluster.test_job import make_record
@@ -90,13 +89,11 @@ class TestRedistribution:
         ]
         for job in jobs:
             vm.add_placement(
-                Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
+                Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
             )
             job.start(0, opportunistic=False)
         sched._redistribute()
-        caps = np.array(
-            [p.granted_cap.as_array() for p in vm.placements]
-        )
+        caps = np.array([p.granted_cap for p in vm.placements])
         assert np.all(caps.sum(axis=0) <= vm.capacity + 1e-6)
 
     def test_higher_headroom_fewer_squeezes(self):
@@ -104,10 +101,11 @@ class TestRedistribution:
         loose, _ = run_dra(n_jobs=30, seed=72, headroom=1.6)
         assert loose.slo.violation_rate <= tight.slo.violation_rate
 
-    def test_predict_vm_unused_nonnegative(self):
+    def test_predict_vms_unused_nonnegative(self):
         _, sched = run_dra()
-        for vm in sched.vms:
-            assert np.all(sched.predict_vm_unused(vm) >= 0)
+        forecasts = sched.predict_vms_unused(sched.vms)
+        assert len(forecasts) == len(sched.vms)
+        assert all(np.all(forecast >= 0) for forecast in forecasts)
 
 
 class TestRun:

@@ -32,7 +32,7 @@ def make_vm_with_jobs(primary_utils, rider_utils):
             submit_slot=0,
         )
         vm.add_placement(
-            Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
+            Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
         )
         job.start(0, opportunistic=False)
     for i, util in enumerate(rider_utils):
@@ -44,7 +44,7 @@ def make_vm_with_jobs(primary_utils, rider_utils):
         )
         vm.add_placement(
             Placement(
-                job=job, vm=vm, reserved=ResourceVector.zeros(),
+                job=job, vm=vm, reserved=np.zeros(3),
                 opportunistic=True,
             )
         )

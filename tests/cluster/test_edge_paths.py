@@ -32,9 +32,9 @@ class TestPrimaryOverCapacityScaling:
                 Placement(
                     job=job,
                     vm=vm,
-                    reserved=ResourceVector([1, 1, 1]),
+                    reserved=np.ones(3),
                     opportunistic=False,
-                    granted_cap=ResourceVector([10, 10, 10]),
+                    granted_cap=np.full(3, 10.0),
                 )
             )
             job.start(0, opportunistic=False)

@@ -27,7 +27,7 @@ from repro.cluster.machine import (
     _segment_sums,
     execute_slots,
 )
-from repro.cluster.resources import NUM_RESOURCES, ResourceVector
+from repro.cluster.resources import NUM_RESOURCES
 
 from .test_machine import make_vm, place, running_job
 
@@ -49,13 +49,13 @@ def build_vm(seed: int, *, riders_only: bool = False, vm_id: int = 0) -> Virtual
         )
         cap = None
         if rng.random() < 0.3:
-            cap = ResourceVector(rng.uniform(0.2, 4.0, size=3))
+            cap = rng.uniform(0.2, 4.0, size=3)
         if opportunistic:
             place(vm, job, opportunistic=True, cap=cap)
             continue
         # Reserving only a fraction of the request lets the collective
         # primary demand exceed capacity, exercising the scaling branch.
-        reserved = job.requested * float(rng.uniform(0.1, 1.0))
+        reserved = job.requested.as_array() * float(rng.uniform(0.1, 1.0))
         if not vm.can_reserve(reserved):
             place(vm, job, opportunistic=True, cap=cap)
             continue
@@ -134,12 +134,12 @@ def test_max_vm_capacity_cache_matches_uncached():
     sim = ClusterSimulator(
         ClusterProfile.palmetto(n_pms=2, vms_per_pm=2), GreedyScheduler()
     )
-    uncached = ResourceVector(np.max([vm.capacity for vm in sim.vms], axis=0))
-    assert sim.max_vm_capacity() == uncached
+    uncached = np.max([vm.capacity for vm in sim.vms], axis=0)
+    assert np.array_equal(sim.max_vm_capacity(), uncached)
     # Second read hits the memo; a changed VM set invalidates it.
-    assert sim.max_vm_capacity() == uncached
+    assert np.array_equal(sim.max_vm_capacity(), uncached)
     sim.vms = sim.vms[:1]
-    assert sim.max_vm_capacity() == ResourceVector(sim.vms[0].capacity)
+    assert np.array_equal(sim.max_vm_capacity(), sim.vms[0].capacity)
 
 
 def residue_vm(vm_id: int) -> VirtualMachine:

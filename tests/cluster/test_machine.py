@@ -26,9 +26,9 @@ def running_job(*, request=(2, 4, 10), util=None, duration_s=60.0, task_id=0) ->
 
 def place(vm, job, *, opportunistic=False, reserved=None, cap=None, slot=0):
     reserved = (
-        ResourceVector.zeros()
+        np.zeros(3)
         if opportunistic
-        else (reserved if reserved is not None else job.requested)
+        else (reserved if reserved is not None else job.requested.as_array())
     )
     p = Placement(job=job, vm=vm, reserved=reserved, opportunistic=opportunistic,
                   granted_cap=cap)
@@ -40,7 +40,7 @@ def place(vm, job, *, opportunistic=False, reserved=None, cap=None, slot=0):
 class TestVmConstruction:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            VirtualMachine(0, ResourceVector.zeros())
+            VirtualMachine(0, ResourceVector([0, 0, 0]))
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
@@ -67,8 +67,8 @@ class TestCommitmentAccounting:
     def test_can_reserve_respects_unallocated(self):
         vm = make_vm(capacity=(4, 8, 20))
         place(vm, running_job(request=(3, 4, 10)))
-        assert vm.can_reserve(ResourceVector([1, 4, 10]))
-        assert not vm.can_reserve(ResourceVector([2, 4, 10]))
+        assert vm.can_reserve(np.array([1.0, 4, 10]))
+        assert not vm.can_reserve(np.array([2.0, 4, 10]))
 
     def test_overcommit_primary_rejected(self):
         vm = make_vm(capacity=(4, 8, 20))
@@ -76,7 +76,7 @@ class TestCommitmentAccounting:
         job2 = running_job(request=(2, 2, 2), task_id=2)
         with pytest.raises(ValueError):
             vm.add_placement(
-                Placement(job=job2, vm=vm, reserved=job2.requested, opportunistic=False)
+                Placement(job=job2, vm=vm, reserved=job2.requested.as_array(), opportunistic=False)
             )
 
     def test_placement_on_wrong_vm_rejected(self):
@@ -84,7 +84,7 @@ class TestCommitmentAccounting:
         job = running_job()
         with pytest.raises(ValueError):
             vm1.add_placement(
-                Placement(job=job, vm=vm2, reserved=job.requested, opportunistic=False)
+                Placement(job=job, vm=vm2, reserved=job.requested.as_array(), opportunistic=False)
             )
 
     def test_actual_unused(self):
@@ -123,7 +123,7 @@ class TestSlotExecution:
     def test_granted_cap_squeezes_primary(self):
         vm = make_vm()
         job = running_job(request=(4, 4, 4), util=np.full(6, 0.5))
-        place(vm, job, cap=ResourceVector([1, 4, 4]))  # cpu cap half the demand
+        place(vm, job, cap=np.array([1.0, 4, 4]))  # cpu cap half the demand
         vm.execute_slot(0)
         assert job.rate_history[-1] == pytest.approx(0.5)
 
@@ -223,7 +223,7 @@ class TestSlotSpeaksRows:
         vm = make_vm(capacity=(8, 16, 100))
         place(vm, running_job(request=(4, 8, 50), util=np.full(6, 0.9), task_id=1))
         place(vm, running_job(request=(2, 4, 20), util=np.full(6, 0.8), task_id=2),
-              cap=ResourceVector([1, 2, 10]))
+              cap=np.array([1.0, 2, 10]))
         for task_id in (3, 4):
             place(vm, running_job(request=(3, 3, 3), util=np.full(6, 0.5),
                                   task_id=task_id), opportunistic=True)
@@ -264,7 +264,7 @@ class TestPlacementCaps:
 
     def test_effective_cap_explicit(self):
         vm = make_vm()
-        p = place(vm, running_job(), cap=ResourceVector([1, 1, 1]))
+        p = place(vm, running_job(), cap=np.array([1.0, 1, 1]))
         np.testing.assert_array_equal(p.effective_cap(), [1, 1, 1])
 
 
@@ -274,7 +274,7 @@ class TestPhysicalMachine:
         pm.add_vm(make_vm(capacity=(8, 32, 360), vm_id=0))
         pm.add_vm(make_vm(capacity=(8, 32, 360), vm_id=1))
         assert len(pm.vms) == 2
-        assert pm.free_capacity() == ResourceVector.zeros()
+        assert pm.free_capacity() == ResourceVector([0, 0, 0])
 
     def test_add_vm_overflow_rejected(self):
         pm = PhysicalMachine(0, ResourceVector([8, 32, 360]))
@@ -290,7 +290,7 @@ class TestPhysicalMachine:
         pm.add_vm(revoked)
         pm.add_vm(make_vm(capacity=(8, 32, 360), vm_id=1))
         revoked.set_capacity_scale(0.5)
-        assert pm.free_capacity() == ResourceVector.zeros()
+        assert pm.free_capacity() == ResourceVector([0, 0, 0])
         with pytest.raises(ValueError):
             pm.add_vm(make_vm(capacity=(4, 16, 180), vm_id=2))
 

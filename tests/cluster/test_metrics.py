@@ -29,7 +29,7 @@ class TestPointMetrics:
         np.testing.assert_allclose(u, [0.5, 0.5, 0.5])
 
     def test_utilization_zero_committed(self):
-        u = utilization(ResourceVector([1, 2, 3]), ResourceVector.zeros())
+        u = utilization(ResourceVector([1, 2, 3]), ResourceVector([0, 0, 0]))
         np.testing.assert_allclose(u, [0, 0, 0])
 
     def test_utilization_clipped_at_one(self):
@@ -43,7 +43,7 @@ class TestPointMetrics:
         assert overall_utilization(demand, committed) == pytest.approx(0.4)
 
     def test_overall_utilization_zero_denominator(self):
-        assert overall_utilization(ResourceVector([1, 1, 1]), ResourceVector.zeros()) == 0.0
+        assert overall_utilization(ResourceVector([1, 1, 1]), ResourceVector([0, 0, 0])) == 0.0
 
     def test_wastage_is_complement(self):
         demand = ResourceVector([1, 2, 3])
@@ -75,7 +75,7 @@ class TestPointMetrics:
     def test_util_plus_wastage_is_one_when_demand_fits(self, demand, committed):
         # The exact complement only holds when no resource is
         # over-served (demand <= committed elementwise).
-        capped = demand.minimum(committed)
+        capped = ResourceVector(np.minimum(demand.as_array(), committed.as_array()))
         u = overall_utilization(capped, committed)
         w = overall_wastage(capped, committed)
         assert u + w == pytest.approx(1.0, abs=1e-9)

@@ -36,7 +36,7 @@ class TestPalmetto:
 
     def test_vms_fit_in_pm(self):
         pms, _ = ClusterProfile.palmetto(n_pms=1, vms_per_pm=4).build()
-        assert pms[0].free_capacity() == ResourceVector.zeros()
+        assert pms[0].free_capacity() == ResourceVector([0, 0, 0])
 
 
 class TestEc2:

@@ -1,4 +1,5 @@
-"""Unit and property tests for ResourceVector / ResourceKind."""
+"""Unit and property tests for ResourceVector / ResourceKind and the
+row feasibility rule ``fits_within``."""
 
 import numpy as np
 import pytest
@@ -10,33 +11,28 @@ from repro.cluster.resources import (
     NUM_RESOURCES,
     ResourceKind,
     ResourceVector,
+    fits_within,
 )
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 vectors = st.builds(
     lambda a, b, c: ResourceVector([a, b, c]), finite, finite, finite
 )
+rows = st.builds(lambda a, b, c: np.array([a, b, c]), finite, finite, finite)
 
 
 class TestConstruction:
     def test_basic(self):
         v = ResourceVector([1.0, 2.0, 3.0])
-        assert v.cpu == 1.0
-        assert v.mem == 2.0
-        assert v.storage == 3.0
+        assert v.as_array().dtype == np.float64
+        assert list(v) == [1.0, 2.0, 3.0]
 
     def test_of_named(self):
         v = ResourceVector.of(cpu=4, mem=8, storage=100)
-        assert v.cpu == 4 and v.mem == 8 and v.storage == 100
+        assert list(v) == [4.0, 8.0, 100.0]
 
     def test_of_defaults_zero(self):
         assert ResourceVector.of(cpu=1) == ResourceVector([1, 0, 0])
-
-    def test_zeros(self):
-        assert ResourceVector.zeros().total() == 0.0
-
-    def test_full(self):
-        assert ResourceVector.full(2.5).total() == pytest.approx(7.5)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -53,17 +49,10 @@ class TestConstruction:
         src = np.array([1.0, 2.0, 3.0])
         v = ResourceVector(src)
         src[0] = 99.0
-        assert v.cpu == 1.0
-
-    def test_len_and_iter(self):
-        v = ResourceVector([1, 2, 3])
-        assert len(v) == NUM_RESOURCES
         assert list(v) == [1.0, 2.0, 3.0]
 
-    def test_getitem_by_kind(self):
-        v = ResourceVector([1, 2, 3])
-        assert v[ResourceKind.MEM] == 2.0
-        assert v[2] == 3.0
+    def test_iter(self):
+        assert list(ResourceVector([1, 2, 3])) == [1.0, 2.0, 3.0]
 
 
 class TestArithmetic:
@@ -80,22 +69,8 @@ class TestArithmetic:
             [3, 3, 3]
         )
 
-    def test_rsub(self):
-        assert 10 - ResourceVector([1, 2, 3]) == ResourceVector([9, 8, 7])
-
-    def test_mul_scalar(self):
-        assert 2 * ResourceVector([1, 2, 3]) == ResourceVector([2, 4, 6])
-
-    def test_mul_elementwise(self):
-        assert ResourceVector([1, 2, 3]) * ResourceVector([2, 2, 2]) == ResourceVector(
-            [2, 4, 6]
-        )
-
     def test_div(self):
         assert ResourceVector([2, 4, 6]) / 2 == ResourceVector([1, 2, 3])
-
-    def test_neg(self):
-        assert -ResourceVector([1, 2, 3]) == ResourceVector([-1, -2, -3])
 
     @given(vectors, vectors)
     def test_add_commutative(self, a, b):
@@ -103,7 +78,7 @@ class TestArithmetic:
 
     @given(vectors)
     def test_additive_identity(self, a):
-        assert a + ResourceVector.zeros() == a
+        assert a + ResourceVector([0, 0, 0]) == a
 
     @given(vectors, vectors)
     def test_sub_then_add_roundtrip(self, a, b):
@@ -114,14 +89,14 @@ class TestArithmetic:
 
 class TestPredicates:
     def test_fits_within_true(self):
-        assert ResourceVector([1, 1, 1]).fits_within(ResourceVector([2, 2, 2]))
+        assert fits_within(np.array([1.0, 1, 1]), np.array([2.0, 2, 2]))
 
     def test_fits_within_equal(self):
-        v = ResourceVector([1, 2, 3])
-        assert v.fits_within(v)
+        row = np.array([1.0, 2, 3])
+        assert fits_within(row, row)
 
     def test_fits_within_false_single_axis(self):
-        assert not ResourceVector([3, 1, 1]).fits_within(ResourceVector([2, 2, 2]))
+        assert not fits_within(np.array([3.0, 1, 1]), np.array([2.0, 2, 2]))
 
     def test_is_nonnegative(self):
         assert ResourceVector([0, 0, 0]).is_nonnegative()
@@ -129,7 +104,7 @@ class TestPredicates:
 
     def test_any_positive(self):
         assert ResourceVector([0, 0, 1]).any_positive()
-        assert not ResourceVector.zeros().any_positive()
+        assert not ResourceVector([0, 0, 0]).any_positive()
 
     @pytest.mark.parametrize("side", ["demand", "capacity"])
     def test_nan_fits_nothing_as_in_the_pool(self, side):
@@ -137,16 +112,17 @@ class TestPredicates:
         from repro.cluster.machine import VirtualMachine
         from repro.cluster.shards import CandidateSet
 
-        nan, fine = ResourceVector([1, np.nan, 1]), ResourceVector([2, 2, 2])
+        nan, fine = np.array([1, np.nan, 1]), np.array([2.0, 2, 2])
         demand, capacity = (nan, fine) if side == "demand" else (fine, nan)
-        pool = CandidateSet.from_pairs([(VirtualMachine(0, fine), capacity)])
-        assert not demand.fits_within(capacity)
+        vm = VirtualMachine(0, ResourceVector(fine))
+        pool = CandidateSet.from_pairs([(vm, capacity)])
+        assert not fits_within(demand, capacity)
         assert not pool.feasible_mask(demand).any()
 
-    @given(vectors, vectors)
+    @given(rows, rows)
     def test_fits_within_implies_componentwise(self, a, b):
-        if a.fits_within(b):
-            assert np.all(a.as_array() <= b.as_array() + 1e-9)
+        if fits_within(a, b):
+            assert np.all(a <= b + 1e-9)
 
 
 class TestElementwiseHelpers:
@@ -155,40 +131,18 @@ class TestElementwiseHelpers:
             [0, 2, 0]
         )
 
-    def test_minimum_maximum(self):
-        a, b = ResourceVector([1, 5, 3]), ResourceVector([2, 4, 3])
-        assert a.minimum(b) == ResourceVector([1, 4, 3])
-        assert a.maximum(b) == ResourceVector([2, 5, 3])
-
-    def test_total(self):
-        assert ResourceVector([1, 2, 3]).total() == 6.0
-
-    def test_weighted_total_default(self):
-        v = ResourceVector([1, 1, 1])
-        assert v.weighted_total() == pytest.approx(DEFAULT_WEIGHTS.sum())
-
-    def test_weighted_total_custom(self):
-        assert ResourceVector([1, 2, 3]).weighted_total([1, 0, 0]) == 1.0
-
-    def test_weighted_total_bad_weights(self):
-        with pytest.raises(ValueError):
-            ResourceVector([1, 2, 3]).weighted_total([1, 0])
-
     def test_dominant(self):
-        assert ResourceVector([3, 1, 2]).dominant() is ResourceKind.CPU
-        assert ResourceVector([1, 3, 2]).dominant() is ResourceKind.MEM
-        assert ResourceVector([1, 2, 3]).dominant() is ResourceKind.STORAGE
+        """The packer's dominant resource of a row: its largest entry."""
+        from repro.core.packing import dominant_resource
+
+        assert dominant_resource(np.array([3.0, 1, 2])) is ResourceKind.CPU
+        assert dominant_resource(np.array([1.0, 3, 2])) is ResourceKind.MEM
+        assert dominant_resource(np.array([1.0, 2, 3])) is ResourceKind.STORAGE
 
     def test_dominant_tie_prefers_cpu(self):
-        assert ResourceVector([2, 2, 2]).dominant() is ResourceKind.CPU
+        from repro.core.packing import dominant_resource
 
-    def test_normalized_by(self):
-        v = ResourceVector([5, 1, 15]).normalized_by(ResourceVector([25, 2, 30]))
-        np.testing.assert_allclose(v.as_array(), [0.2, 0.5, 0.5])
-
-    def test_normalized_by_zero_reference(self):
-        v = ResourceVector([5, 1, 15]).normalized_by(ResourceVector([25, 0, 30]))
-        assert v.mem == 0.0
+        assert dominant_resource(np.array([2.0, 2, 2])) is ResourceKind.CPU
 
     @given(vectors)
     def test_clip_nonnegative_idempotent(self, a):
@@ -199,18 +153,12 @@ class TestElementwiseHelpers:
 
 class TestAggregation:
     def test_sum_empty(self):
-        assert ResourceVector.sum([]) == ResourceVector.zeros()
+        assert ResourceVector.sum([]) == ResourceVector([0, 0, 0])
 
     def test_sum(self):
         vs = [ResourceVector([1, 0, 0]), ResourceVector([0, 2, 0])]
         assert ResourceVector.sum(vs) == ResourceVector([1, 2, 0])
 
-    def test_elementwise_max(self):
-        vs = [ResourceVector([1, 5, 0]), ResourceVector([2, 1, 3])]
-        assert ResourceVector.elementwise_max(vs) == ResourceVector([2, 5, 3])
-
-    def test_elementwise_max_empty(self):
-        assert ResourceVector.elementwise_max([]) == ResourceVector.zeros()
 
 
 class TestEqualityHash:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.job import JobState
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import fits_within
 from repro.cluster.shards import _FIT_ATOL, ScaleConfig, ShardedCandidateIndex
 from repro.core.provisioning import ProvisioningSchedulerBase
 from repro.core.vm_selection import (
@@ -45,9 +45,20 @@ demand_triples = st.tuples(*[st.sampled_from(_DEMAND_GRID)] * 3)
 
 def _online_pairs(vms):
     """The scalar oracle's input, read off the VMs (not off the index)."""
-    return [
-        (vm, ResourceVector(vm.unallocated())) for vm in vms if vm.online
-    ]
+    return [(vm, vm.unallocated()) for vm in vms if vm.online]
+
+
+def _same_pairs(got, want):
+    """Two ``(vm, row)`` lists name the same VMs with equal rows."""
+    got, want = list(got), list(want)
+    return len(got) == len(want) and all(
+        a is b and np.array_equal(x, y) for (a, x), (b, y) in zip(got, want)
+    )
+
+
+def _same_row(got, want):
+    """Equal rows, or both None."""
+    return got is None and want is None or np.array_equal(got, want)
 
 
 class TestScaleConfig:
@@ -120,14 +131,14 @@ class TestShardedEquivalence:
         # The oracle's rows are tracked by hand from here on: consume()
         # changes index rows without touching the VMs.
         pairs = _online_pairs(vms)
-        reference = ResourceVector(np.array(caps).max(axis=0))
+        reference = np.array(caps).max(axis=0)
         seed = data.draw(st.integers(0, 2**16), label="seed")
         for _ in range(data.draw(st.integers(1, 8), label="n_ops")):
-            demand = ResourceVector(data.draw(demand_triples, label="demand"))
+            demand = np.array(data.draw(demand_triples, label="demand"))
             assert len(index) == len(pairs) == n - len(offline)
-            assert list(index) == pairs
+            assert _same_pairs(index, pairs)
             assert index.feasible_count(demand) == sum(
-                demand.fits_within(avail) for _, avail in pairs
+                fits_within(demand, avail) for _, avail in pairs
             )
             pick = index.select_most_matched(demand, reference)
             assert pick is scalar_select_most_matched(demand, pairs, reference)
@@ -141,16 +152,14 @@ class TestShardedEquivalence:
             # fits): the streams stay aligned.
             assert rng_i.bit_generator.state == rng_s.bit_generator.state
             if pick is not None:
-                index.consume(pick, demand.as_array())
+                index.consume(pick, demand)
                 pairs = [
-                    (vm, ResourceVector(
-                        np.clip(avail.as_array() - demand.as_array(), 0.0, None)
-                    ) if vm is pick else avail)
+                    (vm, np.clip(avail - demand, 0.0, None) if vm is pick else avail)
                     for vm, avail in pairs
                 ]
         expected = {vm.vm_id: avail for vm, avail in pairs}
         for vm in vms:
-            assert index.availability(vm) == expected.get(vm.vm_id)
+            assert _same_row(index.availability(vm), expected.get(vm.vm_id))
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -165,7 +174,7 @@ class TestShardedEquivalence:
         )
         vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
         index = ShardedCandidateIndex.for_vms(vms)
-        reference = ResourceVector(np.array(caps).max(axis=0))
+        reference = np.array(caps).max(axis=0)
         task_id = 0
         for _ in range(data.draw(st.integers(1, 10), label="n_ops")):
             op = data.draw(
@@ -182,7 +191,7 @@ class TestShardedEquivalence:
                     task_id=task_id,
                 )
                 task_id += 1
-                if vm.can_reserve(job.requested):
+                if vm.can_reserve(job.requested.as_array()):
                     place(vm, job)
             elif op == "complete" and vm.placements:
                 vm.placements[0].job.state = JobState.COMPLETED
@@ -202,15 +211,13 @@ class TestShardedEquivalence:
             fresh = ShardedCandidateIndex.for_vms(vms)
             fresh.refresh()
             pairs = _online_pairs(vms)
-            assert list(index) == list(fresh) == pairs
-            demand = ResourceVector(data.draw(demand_triples, label="demand"))
+            assert _same_pairs(index, fresh) and _same_pairs(index, pairs)
+            demand = np.array(data.draw(demand_triples, label="demand"))
             assert index.select_most_matched(demand, reference) is \
                 scalar_select_most_matched(demand, pairs, reference)
             for v in vms:
                 if v.online:
-                    assert index.availability(v) == ResourceVector(
-                        v.unallocated()
-                    )
+                    assert np.array_equal(index.availability(v), v.unallocated())
                 else:
                     assert index.availability(v) is None
 
@@ -263,10 +270,10 @@ class TestColumnMask:
         pool = _draw_pool(data, demand, _EDGES)
         need = np.array(demand)
         want = (need <= pool.matrix + _FIT_ATOL).all(axis=1) & pool.online
-        got = pool.feasible_mask(ResourceVector(demand))
+        got = pool.feasible_mask(need)
         assert got.dtype == bool and got.shape == (len(pool.vms),)
         assert np.array_equal(got, want)
-        assert pool.feasible_count(ResourceVector(demand)) == int(want.sum())
+        assert pool.feasible_count(need) == int(want.sum())
 
     @settings(max_examples=300)
     @given(data=st.data())
@@ -276,8 +283,8 @@ class TestColumnMask:
         demand = data.draw(demand_triples, label="demand")
         pool = _draw_pool(data, demand, (0.0, -0.0) + _CAP_GRID)
         pairs = list(pool)
-        reference = ResourceVector(data.draw(capacity_triples, label="reference"))
-        demand = ResourceVector(demand)
+        reference = np.array(data.draw(capacity_triples, label="reference"))
+        demand = np.array(demand)
         assert pool.select_most_matched(demand, reference) is \
             scalar_select_most_matched(demand, pairs, reference)
         seed = data.draw(st.integers(0, 2**16), label="seed")
@@ -328,8 +335,8 @@ class TestTieWindowScaleInvariance:
         ]
         vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
         matrix = np.array(caps)
-        reference = ResourceVector.of(cpu=1.0, mem=1.0, storage=1.0)
-        demand = ResourceVector.of(cpu=1.0, mem=1.0, storage=1.0)
+        reference = np.ones(3)
+        demand = np.ones(3)
         return vms, matrix, reference, demand
 
     @pytest.mark.parametrize("magnitude", [1e12, 1e13])
@@ -372,6 +379,6 @@ class TestTieWindowScaleInvariance:
         caps = [(8.0, 8.0, 8.0), (4.0, 4.0, 4.0)]
         vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
         cset = CandidateSet(vms, np.array(caps))
-        reference = ResourceVector.of(cpu=8.0, mem=8.0, storage=8.0)
-        demand = ResourceVector.of(cpu=1.0, mem=1.0, storage=1.0)
+        reference = np.full(3, 8.0)
+        demand = np.ones(3)
         assert cset.select_most_matched(demand, reference) is vms[1]

@@ -27,12 +27,12 @@ class GreedyScheduler(Scheduler):
         placed = []
         for job in pending:
             for vm in self.vms:
-                if vm.can_reserve(job.requested):
+                if vm.can_reserve(job.requested.as_array()):
                     vm.add_placement(
                         Placement(
                             job=job,
                             vm=vm,
-                            reserved=job.requested,
+                            reserved=job.requested.as_array(),
                             opportunistic=False,
                         )
                     )
@@ -120,7 +120,9 @@ class TestAdmission:
 
     def test_max_vm_capacity(self, profile):
         sim = ClusterSimulator(profile, GreedyScheduler())
-        assert sim.max_vm_capacity() == profile.vm_capacity
+        capacity = sim.max_vm_capacity()
+        np.testing.assert_array_equal(capacity, profile.vm_capacity.as_array())
+        assert not capacity.flags.writeable
 
     def test_a_revocation_in_force_rejects_nothing_for_good(self, profile):
         """Admission is judged on nominal capacities: a job that fits a

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
+from repro.cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector, fits_within
 from repro.core.config import CorpConfig
 from repro.core.predictor import CorpPredictor, build_training_set
 
@@ -120,7 +120,7 @@ class TestCorpPredictor:
         util = np.full((12, 3), 0.1)
         request = ResourceVector([4, 8, 100])
         pred = fitted_predictor.predict_job_unused(util, request)
-        assert pred.fits_within(request)
+        assert fits_within(pred.as_array(), request.as_array())
         assert pred.is_nonnegative()
 
     def test_young_job_uses_prior(self, fitted_predictor):
@@ -141,7 +141,7 @@ class TestCorpPredictor:
         request = ResourceVector([4, 4, 4])
         pred_idle = fitted_predictor.predict_job_unused(idle, request)
         pred_busy = fitted_predictor.predict_job_unused(busy, request)
-        assert pred_idle.cpu > pred_busy.cpu
+        assert pred_idle.as_array()[0] > pred_busy.as_array()[0]
 
     def test_validation_rmse_reasonable(self, fitted_predictor):
         rmse = np.array(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.profiles import ClusterProfile
-from repro.cluster.resources import NUM_RESOURCES
+from repro.cluster.resources import NUM_RESOURCES, fits_within
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.corp import CorpScheduler
 
@@ -84,9 +84,9 @@ class TestHooks:
         corp.prepare(history_trace)
         job = Job(record=make_record(request=(4, 4, 4)), submit_slot=0)
         entity = JobEntity(jobs=(job,))
-        admission = corp.opportunistic_admission_size(entity)
-        assert admission.fits_within(entity.demand)
-        assert admission.any_positive()
+        (admission,) = corp.opportunistic_admission_sizes((entity,), entity.demand[None])
+        assert fits_within(admission, entity.demand)
+        assert (admission > 1e-9).any()
 
     def test_packing_disabled_yields_singletons(
         self, fast_corp_config, fitted_predictor, small_profile, history_trace

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import ResourceVector, fits_within
 from repro.core.predictor import CorpPredictor
 from repro.hmm.discretize import CENTER, PEAK, VALLEY
 
@@ -72,7 +72,7 @@ class TestCorrectionDirection:
         util = np.full((12, 3), 0.02)  # near-idle: base forecast near max
         request = ResourceVector([4, 4, 4])
         peak = predictor_with(PEAK).predict_job_unused(util, request)
-        assert peak.fits_within(request)
+        assert fits_within(peak.as_array(), request.as_array())
         util_busy = np.full((12, 3), 0.98)
         valley = predictor_with(VALLEY).predict_job_unused(util_busy, request)
         assert valley.is_nonnegative()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.job import Job
-from repro.cluster.resources import ResourceKind, ResourceVector
+from repro.cluster.resources import ResourceKind
 from repro.core.packing import (
     JobEntity,
     deviation,
@@ -18,7 +18,12 @@ from repro.core.packing import (
 from ..cluster.test_job import make_record
 
 pos = st.floats(min_value=0.01, max_value=100, allow_nan=False)
-vectors = st.builds(lambda a, b, c: ResourceVector([a, b, c]), pos, pos, pos)
+vectors = st.builds(lambda a, b, c: np.array([a, b, c]), pos, pos, pos)
+
+
+def as_row(values):
+    """A demand or reference ``(l,)`` float row."""
+    return np.array(values, dtype=np.float64)
 
 
 def job_with_request(request, task_id=0):
@@ -27,36 +32,36 @@ def job_with_request(request, task_id=0):
 
 class TestDominantResource:
     def test_raw_units(self):
-        assert dominant_resource(ResourceVector([20, 1, 5])) is ResourceKind.CPU
-        assert dominant_resource(ResourceVector([1, 1, 30])) is ResourceKind.STORAGE
+        assert dominant_resource(as_row([20, 1, 5])) is ResourceKind.CPU
+        assert dominant_resource(as_row([1, 1, 30])) is ResourceKind.STORAGE
 
     def test_normalized_changes_answer(self):
         # Raw: storage dominates (30 > 4); normalized by capacity
         # (8, 32, 360): CPU dominates (0.5 > 0.083).
-        demand = ResourceVector([4, 2, 30])
-        reference = ResourceVector([8, 32, 360])
+        demand = as_row([4, 2, 30])
+        reference = as_row([8, 32, 360])
         assert dominant_resource(demand) is ResourceKind.STORAGE
         assert dominant_resource(demand, reference) is ResourceKind.CPU
 
 
 class TestDeviation:
     def test_identical_jobs_zero(self):
-        v = ResourceVector([2, 3, 4])
+        v = as_row([2, 3, 4])
         assert deviation(v, v) == pytest.approx(0.0)
 
     def test_algebraic_identity(self):
         # DV(a, b) = Σ_k (a_k − b_k)² / 2
-        a, b = ResourceVector([1, 5, 2]), ResourceVector([3, 1, 2])
+        a, b = as_row([1, 5, 2]), as_row([3, 1, 2])
         expected = ((1 - 3) ** 2 + (5 - 1) ** 2 + 0) / 2
         assert deviation(a, b) == pytest.approx(expected)
 
     def test_symmetry(self):
-        a, b = ResourceVector([1, 5, 2]), ResourceVector([3, 1, 9])
+        a, b = as_row([1, 5, 2]), as_row([3, 1, 9])
         assert deviation(a, b) == pytest.approx(deviation(b, a))
 
     def test_normalization_rescales(self):
-        a, b = ResourceVector([1, 0, 100]), ResourceVector([2, 0, 0])
-        reference = ResourceVector([10, 10, 1000])
+        a, b = as_row([1, 0, 100]), as_row([2, 0, 0])
+        reference = as_row([10, 10, 1000])
         raw = deviation(a, b)
         norm = deviation(a, b, reference)
         assert raw > norm  # the 100-GB storage axis dominates raw units
@@ -67,7 +72,7 @@ class TestDeviation:
 
     @given(vectors, vectors)
     def test_identity_property(self, a, b):
-        expected = float(np.sum((a.as_array() - b.as_array()) ** 2) / 2)
+        expected = float(np.sum((a - b) ** 2) / 2)
         assert deviation(a, b) == pytest.approx(expected, rel=1e-9)
 
 
@@ -76,14 +81,15 @@ class TestJobEntity:
         job = job_with_request((2, 4, 10))
         entity = JobEntity(jobs=(job,))
         assert not entity.is_packed
-        assert entity.demand == job.requested
+        assert entity.demand is job.requested.as_array()
 
     def test_pair_demand_sums(self):
         a = job_with_request((2, 4, 10), task_id=1)
         b = job_with_request((1, 1, 1), task_id=2)
         entity = JobEntity(jobs=(a, b))
         assert entity.is_packed
-        assert entity.demand == ResourceVector([3, 5, 11])
+        np.testing.assert_array_equal(entity.demand, [3, 5, 11])
+        assert not entity.demand.flags.writeable
         assert entity.job_ids() == (1, 2)
 
     def test_size_limits(self):
@@ -157,7 +163,7 @@ class TestPackJobs:
         # the VM capacity the CPU does, so two such jobs stop pairing.
         a = job_with_request((4, 1, 30), task_id=1)
         b = job_with_request((0.5, 2, 35), task_id=2)
-        reference = ResourceVector([8, 32, 360])
+        reference = as_row([8, 32, 360])
         raw_entities = pack_jobs([a, b])  # STORAGE vs STORAGE: no pack
         norm_entities = pack_jobs([a, b], reference)  # CPU vs STORAGE: pack
         assert not any(e.is_packed for e in raw_entities)
@@ -177,11 +183,10 @@ def pack_jobs_per_pair(jobs, reference=None):
         for other in jobs[i + 1 :]:
             if other.job_id in used:
                 continue
-            if dominant_resource(other.requested, reference) == dominant_resource(
-                job.requested, reference
-            ):
+            mine, theirs = job.requested.as_array(), other.requested.as_array()
+            if dominant_resource(theirs, reference) == dominant_resource(mine, reference):
                 continue
-            dv = deviation(job.requested, other.requested, reference)
+            dv = deviation(mine, theirs, reference)
             if dv > best_dv + 1e-12:
                 best_dv, best = dv, other
         if best is not None:
@@ -210,8 +215,8 @@ grid = st.sampled_from(GRID)
 requests = st.lists(st.tuples(grid, grid, grid), min_size=0, max_size=14)
 references = st.one_of(
     st.none(),
-    st.just(ResourceVector(CAPACITY)),
-    st.just(ResourceVector([8, 0, 360])),  # a resource no VM offers
+    st.just(as_row(CAPACITY)),
+    st.just(as_row([8, 0, 360])),  # a resource no VM offers
 )
 # Shared values nudged by multiples of 3e-13 *in normalised units*: DV
 # values a few 1e-13 apart, inside and just outside the 1e-12 tie window.
@@ -235,7 +240,7 @@ def running_scan(values):
 
 
 def midpoint_dv(queue):
-    first, *rest = (ResourceVector(r) for r in queue)
+    first, *rest = (as_row(r) for r in queue)
     return [deviation(first, other) for other in rest]
 
 
@@ -283,7 +288,7 @@ class TestPackJobsMatchesPerPairReference:
     @example(RIVAL_RULES["argmax"][0], False)
     @example(RIVAL_RULES["algebraic-dv"][0], False)
     def test_near_ties_follow_the_running_scan(self, normalised, scaled):
-        reference = ResourceVector(CAPACITY) if scaled else None
+        reference = as_row(CAPACITY) if scaled else None
         scale = np.array(CAPACITY) if scaled else 1.0
         jobs = [
             job_with_request(tuple(np.array(row) * scale), task_id=i)

@@ -59,7 +59,7 @@ class ParentPools(StubScheduler):
         super()._place_entity(entity, vm, slot, opportunistic=opportunistic, **kw)
         if opportunistic:
             self.available[vm.vm_id] = np.clip(
-                self.available[vm.vm_id] - kw["demand"].as_array(), 0.0, None
+                self.available[vm.vm_id] - kw["demand"], 0.0, None
             )
 
     def live_rows(self):
@@ -153,7 +153,7 @@ class TestPoolMatchesTheParentConstruction:
                     elif op == "restore" and not vm.online:
                         vm.restore()
                 continue
-            got = [(vm.vm_id, a.as_array()) for vm, a in live._opp_pool]
+            got = [(vm.vm_id, a) for vm, a in live._opp_pool]
             want = parent.live_rows()
             assert [i for i, _ in got] == [i for i, _ in want]
             assert np.array_equal(
@@ -190,7 +190,7 @@ class TestCrashVoidsTheRow:
         rider = new_job(self.RIDER, task_id=9)
         assert tick(sim, 2, [rider]) == [rider]
         assert not rider.opportunistic  # took a reservation instead
-        assert not sched._opp_pool.availability(lender).any_positive()
+        assert not (sched._opp_pool.availability(lender) > 1e-9).any()
         # The next window forecasts the restarted VM afresh.
         tick(sim, 6)
         assert lender in sched._opp_pool.vms

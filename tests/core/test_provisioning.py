@@ -1,13 +1,20 @@
 """Shared provisioning-scheduler machinery via a controllable stub."""
 
+from dataclasses import replace
+from typing import Sequence
+
 import numpy as np
 import pytest
 
+from repro import api
+from repro.check import CHECK, InvariantChecker
+from repro.check.rules import DEFAULT_RULES
 from repro.cluster.machine import VirtualMachine
 from repro.cluster.profiles import ClusterProfile
-from repro.cluster.resources import NUM_RESOURCES, ResourceVector
+from repro.cluster.resources import ResourceVector
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.provisioning import ProvisioningSchedulerBase
+from repro.experiments.runner import default_schedulers, run_scenario
 
 from ..conftest import make_short_trace
 
@@ -33,10 +40,10 @@ class StubScheduler(ProvisioningSchedulerBase):
         self.online_at_refresh += len(online)
         self.occupied_at_refresh += sum(1 for vm in online if vm.placements)
 
-    def predict_vm_unused(self, vm: VirtualMachine) -> np.ndarray:
-        self.forecast_calls += 1
-        self.idle_forecasts += not vm.placements
-        return self.fraction * vm.committed()
+    def predict_vms_unused(self, vms: Sequence[VirtualMachine]) -> list[np.ndarray]:
+        self.forecast_calls += len(vms)
+        self.idle_forecasts += sum(not vm.placements for vm in vms)
+        return [self.fraction * vm.committed() for vm in vms]
 
 
 class NoReuseStub(StubScheduler):
@@ -80,8 +87,8 @@ class TestWindowMechanics:
 
     def test_forecast_shape_enforced(self):
         class BadStub(StubScheduler):
-            def predict_vm_unused(self, vm):
-                return np.zeros(2)
+            def predict_vms_unused(self, vms):
+                return [np.zeros(2) for _ in vms]
 
         with pytest.raises(ValueError):
             run_stub(BadStub())
@@ -154,3 +161,66 @@ class TestAggregateModes:
         min_err = np.asarray(min_sched.gate.trackers[0]._errors)
         # The window minimum is never above the window mean.
         assert min_err.mean() <= mean_err.mean() + 1e-9
+
+
+class TestPlacementSpeaksRows:
+    @pytest.mark.parametrize("method", ["CORP", "RCCR", "CloudScale", "DRA"])
+    def test_the_decision_path_builds_no_resource_vector(
+        self, method, monkeypatch, predictor_cache
+    ):
+        """From ``place_jobs`` to ``add_placement`` a demand is a row: the
+        packer, the admission hook, ``choose_vm``, the pool, the Eq. 22
+        reference, the reservation and the checker's packing, volume and
+        differential oracles wrap nothing, and neither do the window
+        refresh and the baselines' cap writes.  An overloaded 4-VM run
+        under the checker; CORP's places riders and packed pairs, RCCR's
+        riders, CloudScale's and DRA's write grant caps."""
+        scenario = replace(
+            api.build_scenario(jobs=60, seed=7),
+            profile=ClusterProfile.palmetto(n_pms=2, vms_per_pm=2),
+        )
+        sched = default_schedulers(
+            history=scenario.history_trace(), predictor_cache=predictor_cache, seed=7
+        )[method]()
+        seen = {"riders": 0, "pairs": 0, "caps": 0}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the placement path built a ResourceVector")
+
+        def guarded(step):
+            def run(*args):
+                with monkeypatch.context() as patch:
+                    patch.setattr(ResourceVector, "_wrap", classmethod(refuse))
+                    patch.setattr(ResourceVector, "__init__", refuse)
+                    out = step(*args)
+                for vm in sched.vms:
+                    for p in vm.placements:
+                        assert not p.reserved.flags.writeable
+                        if p.granted_cap is not None:
+                            assert not p.granted_cap.flags.writeable
+                            seen["caps"] += 1
+                return out
+
+            return run
+
+        def place_entity(entity, vm, slot, *, opportunistic, candidates, demand):
+            assert isinstance(demand, np.ndarray) and not demand.flags.writeable
+            seen["riders"] += opportunistic * len(entity.jobs)
+            seen["pairs"] += entity.is_packed
+            return place(entity, vm, slot, opportunistic=opportunistic,
+                         candidates=candidates, demand=demand)
+
+        place = sched._place_entity
+        sched._place_entity = place_entity
+        sched.on_slot_start = guarded(sched.on_slot_start)
+        sched.place_jobs = guarded(sched.place_jobs)
+        checker = InvariantChecker(rules=DEFAULT_RULES + ("differential",))
+        with CHECK.session(checker):
+            result = run_scenario(scenario, sched)
+        assert result.all_done and checker.n_violations == 0
+        if method == "CORP":
+            assert seen["riders"] and seen["pairs"] and checker.checks["differential"]
+        elif method == "RCCR":
+            assert seen["riders"]
+        else:
+            assert seen["caps"]

@@ -24,7 +24,7 @@ from repro.check import CHECK, InvariantChecker
 from repro.cluster.job import Job
 from repro.cluster.machine import Placement
 from repro.cluster.profiles import ClusterProfile
-from repro.cluster.resources import NUM_RESOURCES, ResourceVector
+from repro.cluster.resources import NUM_RESOURCES
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.corp import CorpScheduler
 from repro.core.provisioning import _WindowRecord
@@ -99,7 +99,7 @@ def reference_predict(sched, vm):
             )
             total += forecast.as_array()
         return total
-    return sched.predict_vm_unused(vm)
+    return sched.predict_vms_unused([vm])[0]
 
 
 def reference_refresh(sched):
@@ -174,7 +174,7 @@ def build_cluster(sched, kinds, seed, warm_slots):
             task_id=next(ids),
         )
         job = Job(record=record, submit_slot=0)
-        reserved = ResourceVector.zeros() if opportunistic else job.requested
+        reserved = np.zeros(NUM_RESOURCES) if opportunistic else job.requested.as_array()
         vm.add_placement(
             Placement(job=job, vm=vm, reserved=reserved, opportunistic=opportunistic)
         )

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro import api
 from repro.cluster.job import JobState
 from repro.cluster.profiles import ClusterProfile
-from repro.cluster.resources import ResourceVector
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.provisioning import _Screen
 from repro.core.vm_selection import CandidateSet
@@ -60,7 +59,7 @@ def unscreened(base):
 
 def infeasible(screen, opportunistic, unit):
     row = screen.units[opportunistic][:, unit]
-    return not screen.pools[opportunistic].feasible_mask(ResourceVector(row)).any()
+    return not screen.pools[opportunistic].feasible_mask(row).any()
 
 
 def audited(base):
@@ -205,7 +204,7 @@ class TestTheListIsMinimal:
         for row, amount in consumed:
             index = pool.consume(vms[row], np.array(amount))
             screen.consumed(riders, index)
-            want = [pool.feasible_count(ResourceVector(u)) for u in units]
+            want = [pool.feasible_count(u) for u in units]
             assert screen.counts[riders].tolist() == want
 
     def test_a_feasible_scan_records_nothing(self, monkeypatch):

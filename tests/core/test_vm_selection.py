@@ -14,14 +14,19 @@ from repro.core.vm_selection import (
     unused_volume,
 )
 
+def as_row(values):
+    """A demand, availability or reference ``(l,)`` float row."""
+    return np.array(values, dtype=np.float64)
+
+
 #: The worked example of Fig. 5: C' = <25, 2, 30> and the four VMs'
 #: unlocked predicted unused amounts.
-FIG5_REFERENCE = ResourceVector([25, 2, 30])
+FIG5_REFERENCE = as_row([25, 2, 30])
 FIG5_UNUSED = {
-    1: ResourceVector([5, 0, 20]),
-    2: ResourceVector([10, 1, 10]),
-    3: ResourceVector([20, 2, 30]),
-    4: ResourceVector([10, 1, 8.5]),
+    1: as_row([5, 0, 20]),
+    2: as_row([10, 1, 10]),
+    3: as_row([20, 2, 30]),
+    4: as_row([10, 1, 8.5]),
 }
 #: The volumes the paper computes for them (Section III-B).
 FIG5_VOLUMES = {1: 0.867, 2: 1.233, 3: 2.8, 4: 1.183}
@@ -41,11 +46,11 @@ class TestUnusedVolume:
         assert volume == pytest.approx(FIG5_VOLUMES[vm_id], abs=1e-3)
 
     def test_zero_reference_component_ignored(self):
-        volume = unused_volume(ResourceVector([5, 3, 0]), ResourceVector([10, 0, 10]))
+        volume = unused_volume(as_row([5, 3, 0]), as_row([10, 0, 10]))
         assert volume == pytest.approx(0.5)
 
     def test_zero_vector(self):
-        assert unused_volume(ResourceVector.zeros(), FIG5_REFERENCE) == 0.0
+        assert unused_volume(np.zeros(3), FIG5_REFERENCE) == 0.0
 
     @given(
         available=st.lists(
@@ -56,53 +61,53 @@ class TestUnusedVolume:
         ),
     )
     def test_a_row_reads_the_bits_of_the_vector_sum(self, available, reference):
-        """On a vector or a plain row: the bits numpy's sum of the
-        normalized vector gives (the placement event reads rows)."""
-        ref = ResourceVector(reference)
-        want = float(ResourceVector(available).normalized_by(ref).as_array().sum())
-        for given_as in (ResourceVector(available), np.array(available)):
-            got = unused_volume(given_as, ref)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        """The bits numpy's sum of the normalized row gives (the
+        placement event and the checker read pool rows)."""
+        ref = np.array(reference)
+        normalized = np.divide(available, ref, out=np.zeros(3), where=ref > 0)
+        want = float(normalized.sum())
+        got = unused_volume(np.array(available), ref)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestMostMatched:
     def test_fig5_first_entity_goes_to_vm2(self):
         # Packed entity (job 3, job 4): VM1 and VM4 infeasible; VM2 wins
         # over VM3 because 1.233 < 2.8.
-        demand = ResourceVector([10, 1, 10])
+        demand = as_row([10, 1, 10])
         chosen = select_most_matched(demand, fig5_candidates(), FIG5_REFERENCE)
         assert chosen.vm_id == 2
 
     def test_fig5_second_entity_goes_to_vm4(self):
         # Packed entity (job 5, job 6): VM1 infeasible; VM4's 1.183 is
         # the smallest remaining volume.
-        demand = ResourceVector([8, 1, 8])
+        demand = as_row([8, 1, 8])
         chosen = select_most_matched(demand, fig5_candidates(), FIG5_REFERENCE)
         assert chosen.vm_id == 4
 
     def test_none_feasible(self):
-        demand = ResourceVector([100, 100, 100])
+        demand = as_row([100, 100, 100])
         assert select_most_matched(demand, fig5_candidates(), FIG5_REFERENCE) is None
 
     def test_empty_candidates(self):
-        assert select_most_matched(ResourceVector([1, 1, 1]), [], FIG5_REFERENCE) is None
+        assert select_most_matched(as_row([1, 1, 1]), [], FIG5_REFERENCE) is None
 
     def test_tie_breaks_to_lower_id(self):
         vm_a = VirtualMachine(3, ResourceVector([10, 10, 10]))
         vm_b = VirtualMachine(1, ResourceVector([10, 10, 10]))
-        same = ResourceVector([5, 5, 5])
+        same = as_row([5, 5, 5])
         chosen = select_most_matched(
-            ResourceVector([1, 1, 1]),
+            as_row([1, 1, 1]),
             [(vm_a, same), (vm_b, same)],
-            ResourceVector([10, 10, 10]),
+            as_row([10, 10, 10]),
         )
         assert chosen.vm_id == 1
 
     def test_exact_fit_allowed(self):
         vm = VirtualMachine(0, ResourceVector([10, 10, 10]))
-        available = ResourceVector([2, 2, 2])
+        available = as_row([2, 2, 2])
         chosen = select_most_matched(
-            ResourceVector([2, 2, 2]), [(vm, available)], FIG5_REFERENCE
+            as_row([2, 2, 2]), [(vm, available)], FIG5_REFERENCE
         )
         assert chosen is vm
 
@@ -112,11 +117,11 @@ class TestRandomFeasible:
         rng = np.random.default_rng(0)
         vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(3)]
         candidates = [
-            (vms[0], ResourceVector([5, 5, 5])),
-            (vms[1], ResourceVector([0, 0, 0])),  # infeasible
-            (vms[2], ResourceVector([5, 5, 5])),
+            (vms[0], as_row([5, 5, 5])),
+            (vms[1], as_row([0, 0, 0])),  # infeasible
+            (vms[2], as_row([5, 5, 5])),
         ]
-        demand = ResourceVector([1, 1, 1])
+        demand = as_row([1, 1, 1])
         picks = {
             select_random_feasible(demand, candidates, rng).vm_id
             for _ in range(50)
@@ -127,14 +132,14 @@ class TestRandomFeasible:
         rng = np.random.default_rng(1)
         vm = VirtualMachine(0, ResourceVector([10, 10, 10]))
         result = select_random_feasible(
-            ResourceVector([5, 5, 5]), [(vm, ResourceVector([1, 1, 1]))], rng
+            as_row([5, 5, 5]), [(vm, as_row([1, 1, 1]))], rng
         )
         assert result is None
 
     def test_deterministic_given_rng_state(self):
         vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(5)]
-        candidates = [(vm, ResourceVector([5, 5, 5])) for vm in vms]
-        demand = ResourceVector([1, 1, 1])
+        candidates = [(vm, as_row([5, 5, 5])) for vm in vms]
+        demand = as_row([1, 1, 1])
         a = select_random_feasible(demand, candidates, np.random.default_rng(7))
         b = select_random_feasible(demand, candidates, np.random.default_rng(7))
         assert a.vm_id == b.vm_id
@@ -144,7 +149,7 @@ def random_candidates(draw_values, n):
     """Build (pairs, CandidateSet) over the same availability values."""
     vms = [VirtualMachine(i, ResourceVector([30, 30, 30])) for i in range(n)]
     pairs = [
-        (vm, ResourceVector(draw_values[3 * i: 3 * i + 3]))
+        (vm, as_row(draw_values[3 * i: 3 * i + 3]))
         for i, vm in enumerate(vms)
     ]
     return pairs, CandidateSet.from_pairs(pairs)
@@ -163,7 +168,7 @@ class TestCandidateSetAgainstScalar:
     )
     def test_most_matched_matches_reference(self, values, demand):
         pairs, cset = random_candidates(values, len(values) // 3)
-        d = ResourceVector(list(demand))
+        d = as_row(list(demand))
         expected = select_most_matched(d, pairs, FIG5_REFERENCE)
         actual = cset.select_most_matched(d, FIG5_REFERENCE)
         assert (expected is None) == (actual is None)
@@ -181,7 +186,7 @@ class TestCandidateSetAgainstScalar:
     )
     def test_random_feasible_consumes_same_rng_stream(self, values, demand, seed):
         pairs, cset = random_candidates(values, len(values) // 3)
-        d = ResourceVector(list(demand))
+        d = as_row(list(demand))
         expected = select_random_feasible(d, pairs, np.random.default_rng(seed))
         actual = cset.select_random_feasible(d, np.random.default_rng(seed))
         assert (expected is None) == (actual is None)
@@ -191,19 +196,28 @@ class TestCandidateSetAgainstScalar:
     def test_fig5_entities(self):
         cset = CandidateSet.from_pairs(fig5_candidates())
         first = cset.select_most_matched(
-            ResourceVector([10, 1, 10]), FIG5_REFERENCE
+            as_row([10, 1, 10]), FIG5_REFERENCE
         )
         second = cset.select_most_matched(
-            ResourceVector([8, 1, 8]), FIG5_REFERENCE
+            as_row([8, 1, 8]), FIG5_REFERENCE
         )
         assert (first.vm_id, second.vm_id) == (2, 4)
 
+    def test_vectors_are_read_as_rows(self):
+        """A caller holding profile-style ResourceVectors may pass them as
+        the demand and the Eq. 22 reference (the ledger's select probe)."""
+        cset = CandidateSet.from_pairs(fig5_candidates())
+        for demand in ([10, 1, 10], [8, 1, 8], [100, 1, 1]):
+            assert cset.select_most_matched(
+                ResourceVector(demand), ResourceVector(FIG5_REFERENCE)
+            ) is cset.select_most_matched(as_row(demand), FIG5_REFERENCE)
+
     def test_exact_tie_breaks_to_lowest_id(self):
         vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in (5, 2, 9)]
-        same = ResourceVector([5, 5, 5])
+        same = as_row([5, 5, 5])
         cset = CandidateSet.from_pairs([(vm, same) for vm in vms])
         chosen = cset.select_most_matched(
-            ResourceVector([1, 1, 1]), ResourceVector([10, 10, 10])
+            as_row([1, 1, 1]), as_row([10, 10, 10])
         )
         assert chosen.vm_id == 2
 
@@ -212,11 +226,11 @@ class TestCandidateSetAgainstScalar:
         vm_a = VirtualMachine(7, ResourceVector([10, 10, 10]))
         vm_b = VirtualMachine(1, ResourceVector([10, 10, 10]))
         cset = CandidateSet.from_pairs([
-            (vm_a, ResourceVector([5.0, 5.0, 5.0])),
-            (vm_b, ResourceVector([5.0 + 2e-13, 5.0, 5.0])),
+            (vm_a, as_row([5.0, 5.0, 5.0])),
+            (vm_b, as_row([5.0 + 2e-13, 5.0, 5.0])),
         ])
         chosen = cset.select_most_matched(
-            ResourceVector([1, 1, 1]), ResourceVector([10, 10, 10])
+            as_row([1, 1, 1]), as_row([10, 10, 10])
         )
         assert chosen.vm_id == 1
 
@@ -224,12 +238,13 @@ class TestCandidateSetAgainstScalar:
 class TestCandidateSetMechanics:
     def test_iterates_as_pairs(self):
         cset = CandidateSet.from_pairs(fig5_candidates())
-        seen = {vm.vm_id: avail.as_array().tolist() for vm, avail in cset}
-        assert seen[3] == [20, 2, 30]
+        seen = {vm.vm_id: avail for vm, avail in cset}
+        assert seen[3].tolist() == [20, 2, 30]
+        assert not any(avail.flags.writeable for avail in seen.values())
 
     def test_consume_clamps_at_zero(self):
         vm = VirtualMachine(0, ResourceVector([10, 10, 10]))
-        cset = CandidateSet.from_pairs([(vm, ResourceVector([3, 3, 3]))])
+        cset = CandidateSet.from_pairs([(vm, as_row([3, 3, 3]))])
         cset.consume(vm, np.array([1.0, 4.0, 2.0]))
         np.testing.assert_array_equal(
             cset.availability(vm), np.array([2.0, 0.0, 1.0])
@@ -238,24 +253,24 @@ class TestCandidateSetMechanics:
     def test_consume_affects_later_selection(self):
         vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(2)]
         cset = CandidateSet.from_pairs(
-            [(vms[0], ResourceVector([4, 4, 4])), (vms[1], ResourceVector([9, 9, 9]))]
+            [(vms[0], as_row([4, 4, 4])), (vms[1], as_row([9, 9, 9]))]
         )
-        demand = ResourceVector([3, 3, 3])
-        ref = ResourceVector([10, 10, 10])
+        demand = as_row([3, 3, 3])
+        ref = as_row([10, 10, 10])
         assert cset.select_most_matched(demand, ref).vm_id == 0
-        cset.consume(vms[0], demand.as_array())
+        cset.consume(vms[0], demand)
         assert cset.select_most_matched(demand, ref).vm_id == 1
 
     def test_feasible_count(self):
         cset = CandidateSet.from_pairs(fig5_candidates())
-        assert cset.feasible_count(ResourceVector([10, 1, 10])) == 2
-        assert cset.feasible_count(ResourceVector([100, 100, 100])) == 0
+        assert cset.feasible_count(as_row([10, 1, 10])) == 2
+        assert cset.feasible_count(as_row([100, 100, 100])) == 0
 
     def test_empty_set(self):
         cset = CandidateSet([], np.zeros((0, 3)))
         assert len(cset) == 0 and list(cset) == []
         assert cset.select_most_matched(
-            ResourceVector([1, 1, 1]), FIG5_REFERENCE
+            as_row([1, 1, 1]), FIG5_REFERENCE
         ) is None
 
     def test_shape_mismatch_rejected(self):

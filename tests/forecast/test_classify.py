@@ -86,12 +86,12 @@ class TestPredict:
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             ClassifyThenPredictPredictor().predict_job_unused(
-                np.zeros((4, NUM_RESOURCES)), ResourceVector.full(1.0)
+                np.zeros((4, NUM_RESOURCES)), ResourceVector([1.0] * NUM_RESOURCES)
             )
 
     def test_short_history_falls_back_to_prior(self, fitted):
         got = fitted.predict_job_unused(
-            np.full((1, NUM_RESOURCES), 0.9), ResourceVector.full(1.0)
+            np.full((1, NUM_RESOURCES), 0.9), ResourceVector([1.0] * NUM_RESOURCES)
         )
         np.testing.assert_allclose(
             got.as_array(), fitted.prior_unused_fraction
@@ -103,7 +103,7 @@ class TestPredict:
 
     def test_forecast_is_shifted_quantile(self, fitted):
         util = np.full((8, NUM_RESOURCES), 0.4)
-        request = ResourceVector.full(2.0)
+        request = ResourceVector([2.0] * NUM_RESOURCES)
         class_id = fitted.classify(util)
         got = fitted.predict_job_unused(util, request).as_array()
         expected = (
@@ -114,7 +114,7 @@ class TestPredict:
     def test_forecast_bounded_by_request(self, fitted, rng):
         util = rng.uniform(0.0, 1.0, size=(12, NUM_RESOURCES))
         got = fitted.predict_job_unused(
-            util, ResourceVector.full(3.0)
+            util, ResourceVector([3.0] * NUM_RESOURCES)
         ).as_array()
         assert np.all(got >= 0.0) and np.all(got <= 3.0)
 
@@ -133,9 +133,9 @@ class TestSerialization:
         assert fitted.classify(util) == loaded.classify(util)
         np.testing.assert_array_equal(
             fitted.predict_job_unused(
-                util, ResourceVector.full(1.0)
+                util, ResourceVector([1.0] * NUM_RESOURCES)
             ).as_array(),
             loaded.predict_job_unused(
-                util, ResourceVector.full(1.0)
+                util, ResourceVector([1.0] * NUM_RESOURCES)
             ).as_array(),
         )

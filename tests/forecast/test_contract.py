@@ -91,7 +91,7 @@ class TestContract:
     def test_unfitted_raises(self, name):
         with pytest.raises(RuntimeError, match="not fitted"):
             create_predictor(name).predict_job_unused(
-                np.zeros((4, NUM_RESOURCES)), ResourceVector.full(1.0)
+                np.zeros((4, NUM_RESOURCES)), ResourceVector([1.0] * NUM_RESOURCES)
             )
 
     def test_young_job_gets_the_prior(self, name, zoo):

@@ -45,7 +45,7 @@ class TestFit:
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             QuantileHistogramPredictor().predict_job_unused(
-                np.zeros((4, NUM_RESOURCES)), ResourceVector.full(1.0)
+                np.zeros((4, NUM_RESOURCES)), ResourceVector([1.0] * NUM_RESOURCES)
             )
 
     def test_fit_populates_error_statistics(self, fitted):
@@ -67,7 +67,7 @@ class TestFit:
 
 class TestPredict:
     def test_short_history_falls_back_to_prior(self, fitted):
-        request = ResourceVector.full(1.0)
+        request = ResourceVector([1.0] * NUM_RESOURCES)
         got = fitted.predict_job_unused(
             np.full((1, NUM_RESOURCES), 0.2), request
         )
@@ -77,14 +77,14 @@ class TestPredict:
 
     def test_forecast_is_the_empirical_quantile(self, fitted):
         util = np.full((8, NUM_RESOURCES), 0.3)
-        request = ResourceVector.full(2.0)
+        request = ResourceVector([2.0] * NUM_RESOURCES)
         got = fitted.predict_job_unused(util, request)
         # Constant 30% utilization -> 70% unused of a request of 2.
         np.testing.assert_allclose(got.as_array(), 1.4)
 
     def test_forecast_bounded_by_request(self, fitted, rng):
         util = rng.uniform(0.0, 1.0, size=(10, NUM_RESOURCES))
-        request = ResourceVector.full(3.0)
+        request = ResourceVector([3.0] * NUM_RESOURCES)
         got = fitted.predict_job_unused(util, request).as_array()
         assert np.all(got >= 0.0) and np.all(got <= 3.0)
 
@@ -102,7 +102,7 @@ class TestSerialization:
             fitted.prior_unused_fraction, loaded.prior_unused_fraction
         )
         util = np.full((8, NUM_RESOURCES), 0.4)
-        request = ResourceVector.full(1.0)
+        request = ResourceVector([1.0] * NUM_RESOURCES)
         np.testing.assert_array_equal(
             fitted.predict_job_unused(util, request).as_array(),
             loaded.predict_job_unused(util, request).as_array(),

@@ -87,6 +87,31 @@ class TestLifecycle:
             svc.kernel
 
 
+class TestRepeatedJobIds:
+    @pytest.mark.parametrize("method", ["CORP", "RCCR", "CloudScale", "DRA"])
+    def test_a_record_submitted_twice_runs_twice(
+        self, method, small_scenario, tiny_corp_config, predictor_cache
+    ):
+        """Two pending jobs share an id: CORP's packer places one of them
+        a tick ("using any retires them all"), and the kernel must keep
+        the other queued, not drop both from ``pending``."""
+        records = small_scenario.evaluation_trace().records
+
+        async def go():
+            async with open_service(
+                scenario=small_scenario, method=method,
+                corp_config=tiny_corp_config, predictor_cache=predictor_cache,
+            ) as svc:
+                for record in (*records[:4], records[0]):
+                    await svc.submit(record)
+                return await svc.drain()
+
+        result = asyncio.run(go())
+        assert result.n_submitted == 5
+        assert result.n_completed == 5
+        assert result.all_done and not result.truncated
+
+
 class TestStreaming:
     def test_late_subscriber_replays_history(self, small_scenario):
         async def go():

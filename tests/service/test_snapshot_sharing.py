@@ -22,7 +22,6 @@ from types import BuiltinFunctionType, FunctionType, ModuleType
 import numpy as np
 import pytest
 
-from repro.cluster.resources import ResourceVector
 from repro.experiments.runner import build_kernel
 from repro.faults.plan import FaultPlan, JobFailure, RetryPolicy, RevocationWave, VmCrash
 
@@ -217,7 +216,7 @@ class TestLanesAlias:
         assert vm._lanes is restored.lanes is pools[1].lanes
         vm.add_placement(Placement(
             job=restored.pending[0], vm=vm,
-            reserved=ResourceVector(vm.unallocated() * 0.5),
+            reserved=vm.unallocated() * 0.5,
             opportunistic=False,
         ))
         assert pools[1].refresh() == 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.job import Job, JobState
 from repro.cluster.machine import Placement, VirtualMachine
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import ResourceVector, fits_within
 from repro.core.packing import deviation, pack_jobs
 from repro.core.vm_selection import (
     min_feasible_volume,
@@ -52,15 +52,17 @@ class TestPackingProperties:
         for entity in pack_jobs(jobs):
             if entity.is_packed:
                 a, b = entity.jobs
-                assert dominant_resource(a.requested) != dominant_resource(b.requested)
+                assert dominant_resource(a.requested.as_array()) != dominant_resource(
+                    b.requested.as_array()
+                )
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(request, min_size=1, max_size=9))
     def test_entity_demand_is_member_sum(self, requests):
         jobs = jobs_from_requests(requests)
         for entity in pack_jobs(jobs):
-            expected = ResourceVector.sum(j.requested for j in entity.jobs)
-            assert entity.demand == expected
+            expected = sum(j.requested.as_array() for j in entity.jobs)
+            np.testing.assert_array_equal(entity.demand, expected)
 
 
 class TestDeviationProperties:
@@ -69,9 +71,9 @@ class TestDeviationProperties:
     @settings(max_examples=60, deadline=None)
     @given(request, request)
     def test_symmetric(self, a, b):
-        va, vb = ResourceVector(a), ResourceVector(b)
+        va, vb = np.array(a), np.array(b)
         assert deviation(va, vb) == pytest.approx(deviation(vb, va))
-        reference = ResourceVector([8, 16, 100])
+        reference = np.array([8, 16, 100])
         assert deviation(va, vb, reference) == pytest.approx(
             deviation(vb, va, reference)
         )
@@ -79,12 +81,12 @@ class TestDeviationProperties:
     @settings(max_examples=60, deadline=None)
     @given(request, request)
     def test_non_negative(self, a, b):
-        assert deviation(ResourceVector(a), ResourceVector(b)) >= 0.0
+        assert deviation(np.array(a), np.array(b)) >= 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(request)
     def test_self_deviation_is_zero(self, a):
-        va = ResourceVector(a)
+        va = np.array(a)
         assert deviation(va, va) == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -93,7 +95,7 @@ class TestDeviationProperties:
         """DV equals its algebraic simplification Σ_k (d_jk − d_ik)² / 2."""
         va, vb = np.asarray(a), np.asarray(b)
         expected = float(np.sum((va - vb) ** 2) / 2)
-        assert deviation(ResourceVector(a), ResourceVector(b)) == pytest.approx(
+        assert deviation(np.array(a), np.array(b)) == pytest.approx(
             expected
         )
 
@@ -105,18 +107,18 @@ class TestVolumeProperties:
     @given(request, request)
     def test_monotone_in_availability(self, a, b):
         """Elementwise-larger availability never has smaller volume."""
-        reference = ResourceVector([8, 16, 100])
-        lo = ResourceVector(np.minimum(a, b))
-        hi = ResourceVector(np.maximum(a, b))
+        reference = np.array([8, 16, 100])
+        lo = np.array(np.minimum(a, b))
+        hi = np.array(np.maximum(a, b))
         assert unused_volume(lo, reference) <= unused_volume(hi, reference) + 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(request, st.floats(1.0, 10.0))
     def test_antitone_in_reference(self, a, scale):
         """Scaling the reference capacity up scales every volume down."""
-        available = ResourceVector(a)
-        reference = ResourceVector([8, 16, 100])
-        bigger = ResourceVector(reference.as_array() * scale)
+        available = np.array(a)
+        reference = np.array([8, 16, 100])
+        bigger = reference * scale
         assert (
             unused_volume(available, bigger)
             <= unused_volume(available, reference) + 1e-12
@@ -126,10 +128,10 @@ class TestVolumeProperties:
     @given(st.lists(request, min_size=1, max_size=8), request)
     def test_min_feasible_volume_matches_selection(self, availables, demand):
         """The chosen VM's volume is exactly the feasible minimum."""
-        reference = ResourceVector([8, 16, 100])
-        vms = [VirtualMachine(i, reference) for i in range(len(availables))]
-        candidates = [(vm, ResourceVector(a)) for vm, a in zip(vms, availables)]
-        demand_v = ResourceVector(demand)
+        reference = np.array([8, 16, 100])
+        vms = [VirtualMachine(i, ResourceVector(reference)) for i in range(len(availables))]
+        candidates = [(vm, np.array(a)) for vm, a in zip(vms, availables)]
+        demand_v = np.array(demand)
         best = min_feasible_volume(demand_v, candidates, reference)
         chosen = select_most_matched(demand_v, candidates, reference)
         if best is None:
@@ -143,13 +145,13 @@ class TestSelectionProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(request, min_size=1, max_size=8), request)
     def test_most_matched_is_feasible_and_minimal(self, availables, demand):
-        reference = ResourceVector([8, 16, 100])
-        vms = [VirtualMachine(i, reference) for i in range(len(availables))]
-        candidates = [(vm, ResourceVector(a)) for vm, a in zip(vms, availables)]
-        demand_v = ResourceVector(demand)
+        reference = np.array([8, 16, 100])
+        vms = [VirtualMachine(i, ResourceVector(reference)) for i in range(len(availables))]
+        candidates = [(vm, np.array(a)) for vm, a in zip(vms, availables)]
+        demand_v = np.array(demand)
         chosen = select_most_matched(demand_v, candidates, reference)
         feasible = [
-            (vm, a) for vm, a in candidates if demand_v.fits_within(a)
+            (vm, a) for vm, a in candidates if fits_within(demand_v, a)
         ]
         if not feasible:
             assert chosen is None
@@ -175,7 +177,7 @@ class TestVmExecutionProperties:
                 submit_slot=0,
             )
             vm.add_placement(
-                Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
+                Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
             )
             job.start(0, opportunistic=False)
         for i, util in enumerate(rider_utils):
@@ -186,7 +188,7 @@ class TestVmExecutionProperties:
             )
             vm.add_placement(
                 Placement(
-                    job=job, vm=vm, reserved=ResourceVector.zeros(),
+                    job=job, vm=vm, reserved=np.zeros(3),
                     opportunistic=True,
                 )
             )
@@ -206,7 +208,7 @@ class TestVmExecutionProperties:
             submit_slot=0,
         )
         vm.add_placement(
-            Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
+            Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
         )
         job.start(0, opportunistic=False)
         vm.execute_slot(0)

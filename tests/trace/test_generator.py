@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.resources import ResourceKind
+from repro.core.packing import dominant_resource
 from repro.trace.generator import INTENSITY_CLASSES, GoogleTraceGenerator, TraceConfig
 from repro.trace.records import SHORT_JOB_TIMEOUT_S
 
@@ -124,7 +125,8 @@ class TestUsage:
         # Jobs over-reserve disk (the packing-relevant slack).
         trace = generate(n_jobs=60, seed=9, short_fraction=1.0)
         final_fracs = [
-            r.usage[-1, ResourceKind.STORAGE] / r.requested.storage for r in trace
+            r.usage[-1, ResourceKind.STORAGE] / r.requested.as_array()[ResourceKind.STORAGE]
+            for r in trace
         ]
         assert np.mean(final_fracs) < 0.7
 
@@ -156,12 +158,12 @@ class TestRequests:
         }
         for r in trace:
             for kind in ResourceKind:
-                assert lows[kind] <= r.requested[kind] <= highs[kind]
+                assert lows[kind] <= r.requested.as_array()[kind] <= highs[kind]
 
     def test_complementary_classes_present(self):
         # Packing needs both CPU-dominant and non-CPU-dominant jobs.
         trace = generate(n_jobs=200, seed=12)
-        dominants = {r.requested.dominant() for r in trace}
+        dominants = {dominant_resource(r.requested.as_array()) for r in trace}
         assert ResourceKind.CPU in dominants
         assert len(dominants) >= 2
 

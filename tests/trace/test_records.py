@@ -67,6 +67,15 @@ class TestTaskRecordValidation:
         with pytest.raises(ValueError, match="finite"):
             make_record(usage=usage)
 
+    @pytest.mark.parametrize("field", ["duration", "period", "submit"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timing_rejected(self, field, bad):
+        """A NaN or inf duration, sample period or submit time once passed
+        ``__post_init__`` (``nan <= 0`` is False); the service admitted
+        it and ``drain()`` then died turning it into slots."""
+        with pytest.raises(ValueError, match="finite"):
+            make_record(usage=np.ones((3, 3)), **{field: bad})
+
     def test_usage_made_readonly(self):
         record = make_record()
         with pytest.raises(ValueError):
