@@ -57,7 +57,7 @@ class OracleScheduler(ProvisioningSchedulerBase):
             start = min(int(job.progress), record.n_samples - 1)
             window = record.usage[start : start + horizon]
             future_demand = window.mean(axis=0)
-            total += np.maximum(job.requested.as_array() - future_demand, 0.0)
+            total += np.maximum(job.requested - future_demand, 0.0)
         return total
 
     def opportunistic_allowed(self) -> bool:

@@ -145,7 +145,7 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
         for (vm_id, placement, _), demand in zip(capped, predicted):
             pads = [self._pad_tracker(vm_id, k).pad() for k in range(NUM_RESOURCES)]
             placement.granted_cap = np.minimum(
-                demand + pads, placement.job.requested.as_array()
+                demand + pads, placement.job.requested
             )
 
     # ------------------------------------------------------------------

@@ -82,7 +82,7 @@ class DraScheduler(ProvisioningSchedulerBase):
         """
         log = job.demand_log[-self.history_slots :]
         if not log:
-            return job.requested.as_array().copy()
+            return job.requested.copy()
         return np.asarray(log).mean(axis=0)
 
     # ------------------------------------------------------------------
@@ -116,7 +116,7 @@ class DraScheduler(ProvisioningSchedulerBase):
             targets = np.array(
                 [
                     np.minimum(
-                        p.job.requested.as_array(),
+                        p.job.requested,
                         self.headroom * self._demand_estimate(p.job),
                     )
                     for p in placements

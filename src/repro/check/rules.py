@@ -231,7 +231,7 @@ class InvariantChecker:
                     f"recomputed {recomputed.tolist()}",
                     slot=slot, scheduler=scheduler, vm=vm.vm_id,
                 )
-            base = vm.base_capacity.as_array()
+            base = vm.base_capacity
             if np.any(committed > base + tol):
                 self._report(
                     "capacity",
@@ -333,7 +333,7 @@ class InvariantChecker:
             tol = self.tolerance
             for vm, pool in self._pool_rows(sim.scheduler):
                 self.checks["capacity"] += 1
-                base = vm.base_capacity.as_array()
+                base = vm.base_capacity
                 if np.any(pool < -tol) or np.any(pool > base + tol):
                     self._report(
                         "capacity",

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .logs import Log
-from .resources import NUM_RESOURCES, ResourceVector
+from .resources import NUM_RESOURCES
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a trace<->cluster import cycle
     from ..trace.records import TaskRecord
@@ -100,8 +100,9 @@ class Job:
         return self.record.task_id
 
     @property
-    def requested(self) -> ResourceVector:
-        """The job's allocation request ``r_i`` (from the trace)."""
+    def requested(self) -> np.ndarray:
+        """The job's allocation request ``r_i`` (from the trace), a
+        read-only ``(l,)`` row."""
         return self.record.requested
 
     def demand(self) -> np.ndarray:
@@ -183,7 +184,7 @@ class Job:
         if not self.demand_log:
             return np.zeros((0, NUM_RESOURCES))
         demand = np.asarray(self.demand_log)
-        req = self.requested.as_array()
+        req = self.requested
         out = np.zeros_like(demand)
         nz = req > 0
         out[:, nz] = demand[:, nz] / req[nz]
@@ -216,7 +217,7 @@ def utilization_histories(jobs: Sequence[Job]) -> list[np.ndarray]:
     demand = np.array(
         list(chain.from_iterable(job.demand_log for job in jobs)), dtype=np.float64
     ).reshape(-1, NUM_RESOURCES)
-    request = np.repeat([job.requested.as_array() for job in jobs], lengths, axis=0)
+    request = np.repeat([job.requested for job in jobs], lengths, axis=0)
     out = np.zeros_like(demand)
     np.divide(demand, request, out=out, where=request > 0)
     np.clip(out, 0.0, 1.0, out=out)

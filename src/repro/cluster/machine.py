@@ -23,7 +23,7 @@ import numpy as np
 
 from .job import COMPLETION_ATOL, Job, JobState
 from .logs import Log
-from .resources import NUM_RESOURCES, ResourceVector, fits_within
+from .resources import NUM_RESOURCES, as_row, fits_within
 
 __all__ = ["Placement", "VirtualMachine", "PhysicalMachine", "SlotOutcome",
            "IDLE_OUTCOME", "ClusterLanes", "PlacementLanes", "SlotBatch",
@@ -310,7 +310,7 @@ class Placement:
         if self._granted_cap is not None:
             return self._granted_cap
         if self.opportunistic:
-            return self.job.requested.as_array()
+            return self.job.requested
         return self.reserved
 
 
@@ -330,9 +330,13 @@ class SlotOutcome:
 IDLE_OUTCOME = SlotOutcome(_ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 
 
-def _check_capacity(capacity: ResourceVector) -> None:
-    if not capacity.is_nonnegative() or not capacity.any_positive():
+def _capacity_row(capacity: object) -> np.ndarray:
+    """``capacity`` as a row (:func:`as_row`), refused unless non-negative
+    and non-zero."""
+    row = as_row(capacity)
+    if (row < -1e-9).any() or not (row > 1e-9).any():
         raise ValueError("VM capacity must be non-negative and non-zero")
+    return row
 
 
 class VirtualMachine:
@@ -345,31 +349,31 @@ class VirtualMachine:
     mutation below writes those rows and nothing else.
     """
 
-    def __init__(self, vm_id: int, capacity: ResourceVector, pm_id: int = 0) -> None:
-        _check_capacity(capacity)
-        self._bind(vm_id, capacity, pm_id, ClusterLanes(capacity.as_array()), 0)
+    def __init__(self, vm_id: int, capacity: np.ndarray, pm_id: int = 0) -> None:
+        capacity = _capacity_row(capacity)
+        self._bind(vm_id, capacity, pm_id, ClusterLanes(capacity), 0)
 
     @classmethod
     def cluster(
-        cls, capacity: ResourceVector, pm_ids: Sequence[int]
+        cls, capacity: np.ndarray, pm_ids: Sequence[int]
     ) -> list["VirtualMachine"]:
         """VMs ``0..n-1`` of equal ``capacity``, VM ``i`` on ``pm_ids[i]``,
         built as the rows of one lane set: what :meth:`ClusterLanes.of`
         makes of VMs built one at a time, without their one-row sets."""
-        _check_capacity(capacity)
-        lanes = ClusterLanes(np.tile(capacity.as_array(), (len(pm_ids), 1)))
+        capacity = _capacity_row(capacity)
+        lanes = ClusterLanes(np.tile(capacity, (len(pm_ids), 1)))
         vms = [cls.__new__(cls) for _ in pm_ids]
         for row, (vm, pm_id) in enumerate(zip(vms, pm_ids)):
             vm._bind(row, capacity, pm_id, lanes, row)
         return vms
 
     def _bind(
-        self, vm_id: int, capacity: ResourceVector, pm_id: int,
+        self, vm_id: int, capacity: np.ndarray, pm_id: int,
         lanes: ClusterLanes, row: int,
     ) -> None:
         self.vm_id = vm_id
-        #: Nominal (provisioned) capacity; ``capacity`` reflects any
-        #: transient revocation currently in force.
+        #: Nominal (provisioned) capacity, a read-only row; ``capacity``
+        #: reflects any transient revocation currently in force.
         self.base_capacity = capacity
         self._lanes = lanes
         self._row = row
@@ -404,7 +408,7 @@ class VirtualMachine:
         scale = float(scale)
         if not 0.0 < scale <= 1.0:
             raise ValueError("capacity scale must be in (0, 1]")
-        self._lanes.capacity[self._row] = self.base_capacity.as_array() * scale
+        self._lanes.capacity[self._row] = self.base_capacity * scale
         self._lanes.capacity_changes += 1
 
     # ------------------------------------------------------------------
@@ -768,27 +772,28 @@ class PhysicalMachine:
     within the PM.
     """
 
-    def __init__(self, pm_id: int, capacity: ResourceVector) -> None:
+    def __init__(self, pm_id: int, capacity: np.ndarray) -> None:
         self.pm_id = pm_id
-        self.capacity = capacity
+        self.capacity = as_row(capacity)
         self.vms: list[VirtualMachine] = []
+        #: Nominal capacity of the hosted VMs, summed as they are added.
+        self._carved = _ZERO
 
     def add_vm(self, vm: VirtualMachine) -> None:
         """Host a VM, enforcing the PM capacity envelope on nominal
         capacities (a revoked VM frees nothing: its revocation ends)."""
-        total = ResourceVector.sum(v.base_capacity for v in self.vms) + vm.base_capacity
-        if not fits_within(total.as_array(), self.capacity.as_array()):
+        total = self._carved + vm.base_capacity
+        if not fits_within(total, self.capacity):
             raise ValueError(
                 f"PM {self.pm_id} capacity {self.capacity} exceeded by VM set {total}"
             )
         vm.pm_id = self.pm_id
         self.vms.append(vm)
+        self._carved = total
 
-    def free_capacity(self) -> ResourceVector:
-        """PM capacity not yet carved into VMs."""
-        return (
-            self.capacity - ResourceVector.sum(v.base_capacity for v in self.vms)
-        ).clip_nonnegative()
+    def free_capacity(self) -> np.ndarray:
+        """PM capacity not yet carved into VMs, a row."""
+        return np.maximum(self.capacity - self._carved, 0.0)
 
     def __repr__(self) -> str:
         return f"PhysicalMachine(id={self.pm_id}, vms={len(self.vms)})"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logs import Log
-from .resources import DEFAULT_WEIGHTS, NUM_RESOURCES, ResourceKind, ResourceVector
+from .resources import DEFAULT_WEIGHTS, NUM_RESOURCES, ResourceKind
 
 __all__ = [
     "utilization",
@@ -43,45 +43,44 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def utilization(demand: ResourceVector, committed: ResourceVector) -> np.ndarray:
-    """Per-resource utilization ``U_{j,t}`` (Eq. 1), clipped to [0, 1].
+def utilization(demand: np.ndarray, committed: np.ndarray) -> np.ndarray:
+    """Per-resource utilization ``U_{j,t}`` (Eq. 1) of two ``(l,)`` rows,
+    clipped to [0, 1].
 
     Values can transiently exceed 1 when opportunistic demand rides on
     uncommitted headroom; the clip keeps the metric a true utilization.
     """
-    return np.clip(_ratio(demand.as_array(), committed.as_array()), 0.0, 1.0)
+    return np.clip(_ratio(demand, committed), 0.0, 1.0)
 
 
 def overall_utilization(
-    demand: ResourceVector,
-    committed: ResourceVector,
+    demand: np.ndarray,
+    committed: np.ndarray,
     weights: np.ndarray = DEFAULT_WEIGHTS,
 ) -> float:
     """Weighted overall utilization ``U_{a,t}`` (Eq. 2)."""
     w = np.asarray(weights, dtype=np.float64)
-    num = float(demand.as_array() @ w)
-    den = float(committed.as_array() @ w)
+    num = float(demand @ w)
+    den = float(committed @ w)
     if den <= 1e-12:
         return 0.0
     return float(np.clip(num / den, 0.0, 1.0))
 
 
-def wastage(demand: ResourceVector, committed: ResourceVector) -> np.ndarray:
-    """Per-resource wastage ratio ``w_{j,t}`` (Eq. 3)."""
-    d = demand.as_array()
-    r = committed.as_array()
-    return np.clip(_ratio(np.maximum(r - d, 0.0), r), 0.0, 1.0)
+def wastage(demand: np.ndarray, committed: np.ndarray) -> np.ndarray:
+    """Per-resource wastage ratio ``w_{j,t}`` (Eq. 3) of two ``(l,)`` rows."""
+    return np.clip(_ratio(np.maximum(committed - demand, 0.0), committed), 0.0, 1.0)
 
 
 def overall_wastage(
-    demand: ResourceVector,
-    committed: ResourceVector,
+    demand: np.ndarray,
+    committed: np.ndarray,
     weights: np.ndarray = DEFAULT_WEIGHTS,
 ) -> float:
     """Weighted overall wastage ratio ``w_{a,t}`` (Eq. 4)."""
     w = np.asarray(weights, dtype=np.float64)
-    num = float(np.maximum(committed.as_array() - demand.as_array(), 0.0) @ w)
-    den = float(committed.as_array() @ w)
+    num = float(np.maximum(committed - demand, 0.0) @ w)
+    den = float(committed @ w)
     if den <= 1e-12:
         return 0.0
     return float(np.clip(num / den, 0.0, 1.0))

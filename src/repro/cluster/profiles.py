@@ -35,7 +35,9 @@ class ClusterProfile:
     n_pms:
         Number of physical machines (paper: 30-50, Table II).
     pm_capacity:
-        Per-PM capacity (cores, GB RAM, GB disk).
+        Per-PM capacity (cores, GB RAM, GB disk): a hashable
+        :class:`~repro.cluster.resources.ResourceVector`, so a profile is a
+        value; the machines :meth:`build` makes hold its row.
     vms_per_pm:
         Equal-size VMs carved from each PM (total VMs 100-400, Table II).
     comm_latency_s:
@@ -118,7 +120,7 @@ class ClusterProfile:
     @property
     def vm_capacity(self) -> ResourceVector:
         """Capacity of each (equal) VM."""
-        return self.pm_capacity / float(self.vms_per_pm)
+        return ResourceVector(self.pm_capacity.as_array() / float(self.vms_per_pm))
 
     def build(self) -> tuple[list[PhysicalMachine], list[VirtualMachine]]:
         """Instantiate the PMs and VMs of this profile (one lane set)."""

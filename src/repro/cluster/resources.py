@@ -1,19 +1,20 @@
-"""Multi-resource vectors for the cloud simulator.
+"""Multi-resource rows for the cloud simulator.
 
 The paper models ``l`` resource types per VM (Section II); the evaluation
-uses ``l = 3``: CPU, memory and storage (Table II).  A
-:class:`ResourceVector` — a thin, immutable wrapper around a float64
-NumPy array — is the value type of traces and profiles: task requests
-and PM / nominal VM capacities.  Everything the simulator computes with
-— slot state and outcomes, and the whole placement path from packing
-demands to reservations and grant caps — is a plain read-only ``(l,)``
-float row, and :func:`fits_within` is the feasibility rule on rows.
+uses ``l = 3``: CPU, memory and storage (Table II).  Inside the
+simulator every demand and capacity — a task's request and usage, PM and
+VM capacities, slot state and outcomes, and the whole placement path —
+is a plain read-only float64 ``(l,)`` row.  :func:`as_row` is the one
+conversion into that form and :func:`fits_within` the feasibility rule
+on rows.  :class:`ResourceVector`, a thin immutable, hashable wrapper
+around such a row, is only the value type of cluster profiles (a frozen
+config that scenario equality passes through).
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,12 +23,13 @@ __all__ = [
     "ResourceVector",
     "NUM_RESOURCES",
     "DEFAULT_WEIGHTS",
+    "as_row",
     "fits_within",
 ]
 
 
 class ResourceKind(IntEnum):
-    """Index of each resource type inside a :class:`ResourceVector`.
+    """Index of each resource type inside a demand or capacity row.
 
     The ordering matches the paper's running example (CPU first; see
     Section III-A.1a: "suppose the first resource type ... is CPU").
@@ -55,6 +57,28 @@ DEFAULT_WEIGHTS: np.ndarray = np.array([0.4, 0.4, 0.2], dtype=np.float64)
 DEFAULT_WEIGHTS.setflags(write=False)
 
 
+def as_row(values: "Sequence[float] | np.ndarray | ResourceVector") -> np.ndarray:
+    """``values`` copied into a read-only float64 ``(l,)`` row.
+
+    The one conversion into the simulator's demand / capacity form:
+    anything but ``l`` real numbers — a ``(1, l)`` or ``(2,)`` array, an
+    object or boolean array — raises instead of being misread later (a
+    row function handed an object array reads it as a 0-d scalar).  A
+    :class:`ResourceVector` converts to its own row, already read-only.
+    """
+    if isinstance(values, ResourceVector):
+        return values._v
+    row = np.asarray(values)
+    if row.shape != (NUM_RESOURCES,) or row.dtype.kind not in "iuf":
+        raise ValueError(
+            f"a resource row needs {NUM_RESOURCES} real entries, got shape "
+            f"{row.shape} of dtype {row.dtype}"
+        )
+    row = row.astype(np.float64)
+    row.setflags(write=False)
+    return row
+
+
 def fits_within(demand: np.ndarray, available: np.ndarray, *, atol: float = 1e-9) -> bool:
     """True iff every component of ``demand`` is ``<=`` ``available``'s
     (within ``atol``): the feasibility test of choosing a VM for a job
@@ -71,39 +95,19 @@ def fits_within(demand: np.ndarray, available: np.ndarray, *, atol: float = 1e-9
 
 
 class ResourceVector:
-    """An immutable vector of per-resource quantities.
+    """An immutable, hashable resource vector: a profile's capacity.
 
     Parameters
     ----------
     values:
         Length-``NUM_RESOURCES`` sequence of quantities, ordered by
-        :class:`ResourceKind`.
+        :class:`ResourceKind` (checked and copied by :func:`as_row`).
     """
 
     __slots__ = ("_v",)
 
     def __init__(self, values: Sequence[float] | np.ndarray) -> None:
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (NUM_RESOURCES,):
-            raise ValueError(
-                f"ResourceVector needs {NUM_RESOURCES} entries, got shape {v.shape}"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        self._v = v
-
-    @classmethod
-    def _wrap(cls, values: np.ndarray) -> "ResourceVector":
-        """Adopt a freshly computed float64 array without copy/validation.
-
-        Internal fast path for arithmetic results: the caller guarantees
-        shape ``(NUM_RESOURCES,)`` float64 and exclusive ownership, so
-        the public constructor's copy is unnecessary.
-        """
-        self = cls.__new__(cls)
-        values.setflags(write=False)
-        self._v = values
-        return self
+        self._v = as_row(values)
 
     @classmethod
     def of(cls, cpu: float = 0.0, mem: float = 0.0, storage: float = 0.0) -> "ResourceVector":
@@ -117,28 +121,6 @@ class ResourceVector:
     def __iter__(self) -> Iterator[float]:
         return iter(self._v.tolist())
 
-    # ------------------------------------------------------------------
-    # arithmetic (profile capacities: PMs carved into VMs)
-    # ------------------------------------------------------------------
-    def _coerce(self, other: "ResourceVector | float | int") -> np.ndarray:
-        if isinstance(other, ResourceVector):
-            return other._v
-        return np.float64(other)
-
-    def __add__(self, other: "ResourceVector | float") -> "ResourceVector":
-        return ResourceVector._wrap(self._v + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "ResourceVector | float") -> "ResourceVector":
-        return ResourceVector._wrap(self._v - self._coerce(other))
-
-    def __truediv__(self, other: "ResourceVector | float") -> "ResourceVector":
-        return ResourceVector._wrap(self._v / self._coerce(other))
-
-    # ------------------------------------------------------------------
-    # comparisons / predicates
-    # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceVector):
             return NotImplemented
@@ -149,27 +131,6 @@ class ResourceVector:
         # Python's float hash maps both signed zeros together.
         return hash(tuple(self._v.tolist()))
 
-    def is_nonnegative(self, *, atol: float = 1e-9) -> bool:
-        """True iff every component is ``>= -atol``."""
-        return not any(a < -atol for a in self._v.tolist())
-
-    def any_positive(self, *, atol: float = 1e-9) -> bool:
-        """True iff at least one component exceeds ``atol``."""
-        return any(a > atol for a in self._v.tolist())
-
-    def clip_nonnegative(self) -> "ResourceVector":
-        """Elementwise ``max(x, 0)``."""
-        return ResourceVector._wrap(np.maximum(self._v, 0.0))
-
-    @staticmethod
-    def sum(vectors: Iterable["ResourceVector"]) -> "ResourceVector":
-        """Sum of a (possibly empty) iterable of vectors."""
-        acc = np.zeros(NUM_RESOURCES)
-        for vec in vectors:
-            acc += vec._v
-        return ResourceVector._wrap(acc)
-
-    # ------------------------------------------------------------------
     def __repr__(self) -> str:
         parts = ", ".join(f"{k.label.lower()}={self._v[k]:.4g}" for k in ResourceKind)
         return f"ResourceVector({parts})"

@@ -283,8 +283,8 @@ class CandidateSet:
         resource no VM offers (``reference`` entry ``<= 0``) weighs zero.
 
         ``reference`` and the selectors' ``demand`` are read by
-        unpacking, so a :class:`~repro.cluster.resources.ResourceVector`
-        is taken as its row.
+        unpacking, so any three numbers in resource order — a profile's
+        capacity value included — are taken as a row.
         """
         inv = np.array([1.0 / c if c > 0 else 0.0 for c in reference])
         return self.matrix @ inv

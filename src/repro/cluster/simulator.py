@@ -161,7 +161,7 @@ class ClusterSimulator:
         self.current_slot: int = 0
         self._max_capacity_cache: tuple[int, np.ndarray] | None = None
         #: Max *nominal* VM capacity: admission outlasts any revocation.
-        nominal = [vm.base_capacity.as_array() for vm in self.vms]
+        nominal = [vm.base_capacity for vm in self.vms]
         self._admission_limit = np.max(nominal, axis=0)
         # An empty plan builds no injector: the fault layer then adds
         # zero work (and zero behavioural difference) to the slot loop.
@@ -198,7 +198,7 @@ class ClusterSimulator:
     def _admit(self, job: Job) -> bool:
         """Reject jobs no VM could ever host (prevents starved queues);
         a job that fits once a revocation ends waits for it instead."""
-        return fits_within(job.requested.as_array(), self._admission_limit)
+        return fits_within(job.requested, self._admission_limit)
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace, *, history: Trace | None = None) -> SimulationResult:

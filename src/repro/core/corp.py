@@ -189,7 +189,7 @@ class CorpScheduler(ProvisioningSchedulerBase):
         sum_sq = np.zeros_like(raw)
         for p in vm.placements:
             if not p.opportunistic:
-                sum_sq += p.job.requested.as_array() ** 2
+                sum_sq += p.job.requested ** 2
         shift = self._job_scale * np.sqrt(sum_sq)
         if OBS.enabled:
             self._shift_means.append(float(shift.mean()))

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.job import Job
-from ..cluster.resources import NUM_RESOURCES, ResourceKind
+from ..cluster.resources import NUM_RESOURCES, ResourceKind, as_row
 
 __all__ = [
     "JobEntity",
@@ -61,9 +61,9 @@ class JobEntity:
     def demand(self) -> np.ndarray:
         """Combined allocation request of the member jobs, a read-only row."""
         if len(self.jobs) == 1:
-            return self.jobs[0].requested.as_array()  # read-only: nothing to sum
+            return self.jobs[0].requested  # read-only: nothing to sum
         a, b = self.jobs
-        total = a.requested.as_array() + b.requested.as_array()
+        total = a.requested + b.requested
         total.setflags(write=False)
         return total
 
@@ -79,9 +79,12 @@ class JobEntity:
 
 def _normalized(demand: np.ndarray, reference: np.ndarray | None) -> np.ndarray:
     """``demand / reference`` per resource, zero where ``reference`` is not
-    positive (a resource no VM offers)."""
+    positive (a resource no VM offers); both go through :func:`as_row`, so
+    anything but three real numbers raises."""
+    demand = as_row(demand)
     if reference is None:
         return demand
+    reference = as_row(reference)
     return np.divide(demand, reference, out=np.zeros(NUM_RESOURCES), where=reference > 0)
 
 
@@ -135,7 +138,7 @@ def pack_jobs(
     it can block it, nothing after displace it — and otherwise the same
     scan runs over the ``DV`` values already computed.
     """
-    demands = np.array([j.requested.as_array() for j in jobs]).reshape(
+    demands = np.array([j.requested for j in jobs]).reshape(
         -1, NUM_RESOURCES
     )
     if reference is not None:

@@ -89,7 +89,7 @@ class _Screen:
         if self.units is None:
             entities = self.entities
             sizes = np.array([len(e.jobs) for e in entities])
-            requests = np.array([job.requested.as_array() for e in entities for job in e.jobs])
+            requests = np.array([job.requested for e in entities for job in e.jobs])
             self.packed = packed = sizes == 2
             first = np.cumsum(sizes) - sizes
             demands = requests[first]
@@ -567,7 +567,7 @@ class ProvisioningSchedulerBase(Scheduler):
         """
         entity, pool = screen.entities[e], screen.pools[opportunistic]
         if screen.units is None:
-            row = entity.demand if k == 0 else entity.jobs[k - 1].requested.as_array()
+            row = entity.demand if k == 0 else entity.jobs[k - 1].requested
             if opportunistic:
                 row = self.opportunistic_admission_sizes((_unit(entity, k),), row[None])[0]
         else:
@@ -657,7 +657,7 @@ class ProvisioningSchedulerBase(Scheduler):
                 candidates=candidates, demand=demand,
             )
         for job in entity.jobs:
-            reserved = _NO_RESERVATION if opportunistic else job.requested.as_array()
+            reserved = _NO_RESERVATION if opportunistic else job.requested
             vm.add_placement(
                 Placement(job=job, vm=vm, reserved=reserved, opportunistic=opportunistic)
             )

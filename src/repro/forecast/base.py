@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.resources import NUM_RESOURCES
 from ..obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -78,7 +78,7 @@ def window_samples(
         n = util.size
         if n < span:
             continue
-        request = float(record.requested.as_array()[k])
+        request = float(record.requested[k])
         for start in range(n - span + 1):
             window = util[start + input_slots : start + span]
             if target == "window_min":
@@ -95,7 +95,7 @@ class Predictor(ABC):
 
     A predictor fits once on a historical trace (the offline phase) and
     then serves per-job forecasts: utilization history in, predicted
-    unused :class:`~repro.cluster.resources.ResourceVector` out.  A
+    unused ``(l,)`` row out.  A
     family implements :meth:`_fit` and :meth:`_unused_fractions` and
     declares :attr:`PARAMS` / :attr:`ARRAYS`; everything else here is
     shared.  Two attributes feed the scheduler's error machinery and
@@ -162,7 +162,7 @@ class Predictor(ABC):
         raise NotImplementedError
 
     def predict_jobs_unused(
-        self, histories: Sequence[np.ndarray], requests: Sequence[ResourceVector]
+        self, histories: Sequence[np.ndarray], requests: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Predicted unused amounts ``(n, l)`` of ``n`` jobs over the next window.
 
@@ -188,15 +188,15 @@ class Predictor(ABC):
             fractions[grown] = np.clip(
                 self._unused_fractions([histories[i] for i in grown]), 0.0, 1.0
             )
-        reqs = np.array([r.as_array() for r in requests]).reshape(n, NUM_RESOURCES)
+        reqs = np.array(requests, dtype=np.float64).reshape(n, NUM_RESOURCES)
         return fractions * reqs
 
     def predict_job_unused(
-        self, util_history: np.ndarray, request: ResourceVector
-    ) -> ResourceVector:
-        """Predicted unused amount of one job: the ``n = 1`` case of
-        :meth:`predict_jobs_unused`."""
-        return ResourceVector(self.predict_jobs_unused([util_history], [request])[0])
+        self, util_history: np.ndarray, request: np.ndarray
+    ) -> np.ndarray:
+        """Predicted unused amount of one job, an ``(l,)`` row: the
+        ``n = 1`` case of :meth:`predict_jobs_unused`."""
+        return self.predict_jobs_unused([util_history], [request])[0]
 
     def _unused_fractions(self, histories: list[np.ndarray]) -> np.ndarray:
         """The family's arithmetic: the ``(n, l)`` unused fractions

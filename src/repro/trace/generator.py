@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..cluster.resources import ResourceKind, ResourceVector
+from ..cluster.resources import ResourceKind, as_row
 from .records import SHORT_JOB_TIMEOUT_S, TaskRecord, Trace
 
 __all__ = ["TraceConfig", "GoogleTraceGenerator", "INTENSITY_CLASSES"]
@@ -227,8 +227,7 @@ class GoogleTraceGenerator:
             util = self._short_utilization(n_samples, rng)
         else:
             util = self._long_utilization(n_samples, rng)
-        request = requested.as_array()
-        usage = util[:, None] * request[None, :]
+        usage = util[:, None] * requested[None, :]
         # Storage differs from CPU/MEM: usage is sticky (written data
         # stays) and requests are padded well above real needs — jobs
         # over-reserve disk, so a sizable fraction stays unused for the
@@ -237,7 +236,7 @@ class GoogleTraceGenerator:
         usage[:, ResourceKind.STORAGE] = (
             np.maximum.accumulate(usage[:, ResourceKind.STORAGE]) * storage_scale
         )
-        usage = np.clip(usage, 0.0, request[None, :])
+        usage = np.clip(usage, 0.0, requested[None, :])
         return TaskRecord(
             task_id=task_id,
             submit_time_s=submit_time_s,
@@ -249,10 +248,10 @@ class GoogleTraceGenerator:
         )
 
     # ------------------------------------------------------------------
-    def _draw_request(self, rng: np.random.Generator) -> ResourceVector:
+    def _draw_request(self, rng: np.random.Generator) -> np.ndarray:
         ranges = self._class_ranges[bisect_right(self._class_cdf, rng.random())]
         uniform = rng.uniform
-        return ResourceVector([uniform(lo, hi) for lo, hi in ranges])
+        return as_row([uniform(lo, hi) for lo, hi in ranges])
 
     # ------------------------------------------------------------------
     def _short_utilization(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.resources import NUM_RESOURCES, as_row
 from .records import TaskRecord, Trace
 
 __all__ = ["save_jsonl", "load_jsonl", "load_usage_csv"]
@@ -40,7 +40,7 @@ def save_jsonl(trace: Trace, path: str | Path) -> None:
                         "task_id": record.task_id,
                         "submit_time_s": record.submit_time_s,
                         "duration_s": record.duration_s,
-                        "requested": list(record.requested),
+                        "requested": record.requested.tolist(),
                         "sample_period_s": record.sample_period_s,
                         "is_short": record.is_short,
                         "usage": record.usage.tolist(),
@@ -68,7 +68,7 @@ def load_jsonl(path: str | Path) -> Trace:
                     task_id=int(obj["task_id"]),
                     submit_time_s=float(obj["submit_time_s"]),
                     duration_s=float(obj["duration_s"]),
-                    requested=ResourceVector(obj["requested"]),
+                    requested=as_row(obj["requested"]),
                     usage=np.asarray(obj["usage"], dtype=np.float64),
                     sample_period_s=float(obj["sample_period_s"]),
                     is_short=bool(obj.get("is_short", True)),
@@ -109,7 +109,7 @@ def load_usage_csv(
             tasks[task_id] = {
                 "submit": float(row["submit_time_s"]),
                 "duration": float(row["duration_s"]),
-                "requested": ResourceVector(
+                "requested": as_row(
                     [
                         float(row["req_cpu"]),
                         float(row["req_mem"]),
@@ -148,7 +148,7 @@ def load_usage_csv(
                 last = usage[i].copy()
             else:
                 usage[i] = last
-        usage = np.clip(usage, 0.0, info["requested"].as_array())
+        usage = np.clip(usage, 0.0, info["requested"])
         records.append(
             TaskRecord(
                 task_id=task_id,

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..cluster.resources import NUM_RESOURCES, ResourceVector
+from ..cluster.resources import NUM_RESOURCES, as_row
 
 __all__ = ["TaskRecord", "Trace", "SHORT_JOB_TIMEOUT_S"]
 
@@ -41,7 +41,8 @@ class TaskRecord:
         Nominal (uncontended) runtime in seconds.
     requested:
         Per-resource amount the task requested — this is the amount the
-        cloud *allocates* (``r_ij`` in the paper's notation).
+        cloud *allocates* (``r_ij`` in the paper's notation); stored as
+        a read-only float64 ``(l,)`` row.
     usage:
         ``(n_samples, NUM_RESOURCES)`` float array of actual usage
         (``d_ij`` per sample), sampled every ``sample_period_s`` seconds.
@@ -58,12 +59,13 @@ class TaskRecord:
     task_id: int
     submit_time_s: float
     duration_s: float
-    requested: ResourceVector
+    requested: np.ndarray
     usage: np.ndarray
     sample_period_s: float
     is_short: bool = field(default=True)
 
     def __post_init__(self) -> None:
+        requested = as_row(self.requested)
         usage = np.asarray(self.usage, dtype=np.float64)
         if usage.ndim != 2 or usage.shape[1] != NUM_RESOURCES:
             raise ValueError(
@@ -78,14 +80,16 @@ class TaskRecord:
             raise ValueError("sample_period_s must be positive and finite")
         if not math.isfinite(self.submit_time_s):
             raise ValueError("submit_time_s must be finite")
-        if not math.isfinite(sum(self.requested)):  # a NaN or inf anywhere
+        amounts = requested.tolist()
+        if not math.isfinite(sum(amounts)):  # a NaN or inf anywhere
             raise ValueError("requested amounts must be finite")
-        if not self.requested.is_nonnegative():
+        if min(amounts) < -1e-9:
             raise ValueError("requested amounts must be non-negative")
         if not (usage.min() >= -1e-12 and usage.max() < np.inf):  # NaN fails both
             raise ValueError("usage must be finite and non-negative")
         usage = usage.copy()
         usage.setflags(write=False)
+        object.__setattr__(self, "requested", requested)
         object.__setattr__(self, "usage", usage)
 
     @property
@@ -93,24 +97,25 @@ class TaskRecord:
         """Number of usage samples the record carries."""
         return int(self.usage.shape[0])
 
-    def usage_at(self, sample_index: int) -> ResourceVector:
-        """Usage vector at a sample index (clamped to the last sample)."""
+    def usage_at(self, sample_index: int) -> np.ndarray:
+        """Usage row at a sample index (clamped to the last sample), a
+        read-only view of :attr:`usage`."""
         idx = min(max(sample_index, 0), self.n_samples - 1)
-        return ResourceVector(self.usage[idx])
+        return self.usage[idx]
 
     def unused_series(self) -> np.ndarray:
         """Per-sample allocated-but-unused amounts ``r - d`` (Section II).
 
         Returns a ``(n_samples, NUM_RESOURCES)`` array, clipped at zero.
         """
-        return np.maximum(self.requested.as_array() - self.usage, 0.0)
+        return np.maximum(self.requested - self.usage, 0.0)
 
     def utilization_series(self) -> np.ndarray:
         """Per-sample fraction of the request actually used, in ``[0, 1]``.
 
         Resources with a zero request report zero utilization.
         """
-        req = self.requested.as_array()
+        req = self.requested
         out = np.zeros_like(self.usage)
         nz = req > 0
         out[:, nz] = self.usage[:, nz] / req[nz]
@@ -209,7 +214,7 @@ class Trace:
                         r.duration_s,
                         r.sample_period_s,
                         r.is_short,
-                        tuple(r.requested.as_array()),
+                        tuple(r.requested),
                     )
                 ).encode()
             )

@@ -78,14 +78,14 @@ def resample_record(
         rng = np.random.default_rng(
             None if seed is None else (seed * 1_000_003 + record.task_id)
         )
-        scale = record.requested.as_array()[None, :] * fluctuation_sigma
+        scale = record.requested[None, :] * fluctuation_sigma
         noise = rng.normal(0.0, 1.0, size=fine.shape) * scale
         # Zero-mean the noise within each coarse window so the fine series
         # still averages back to (approximately) the coarse sample.
         noise = noise.reshape(record.n_samples, factor, -1)
         noise -= noise.mean(axis=1, keepdims=True)
         fine = fine + noise.reshape(fine.shape)
-    fine = np.clip(fine, 0.0, record.requested.as_array()[None, :])
+    fine = np.clip(fine, 0.0, record.requested[None, :])
     # Trim to the samples the job actually lives through.
     n_keep = max(1, int(np.ceil(record.duration_s / target_period_s)))
     fine = fine[:n_keep]

@@ -34,10 +34,9 @@ class TestSharedContracts:
         """All three 'randomly chose a VM that can satisfy the resource
         demands' — different seeds must be able to pick different VMs."""
         from repro.cluster.machine import VirtualMachine
-        from repro.cluster.resources import ResourceVector
         from repro.core.vm_selection import CandidateSet
 
-        vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(6)]
+        vms = [VirtualMachine(i, [10, 10, 10]) for i in range(6)]
         candidates = CandidateSet.from_pairs([(vm, np.full(3, 5.0)) for vm in vms])
         demand = np.ones(3)
         picks = set()

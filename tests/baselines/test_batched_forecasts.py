@@ -68,7 +68,7 @@ def caps_oracle(sched: CloudScaleScheduler) -> list:
                 markov = MarkovChainPredictor(sched.n_bins).fit(history[:, k])
                 predicted = max(markov.forecast(sched.window_slots), 0.0)
                 cap[k] = predicted + sched._pad_tracker(vm.vm_id, k).pad()
-            caps.append(np.minimum(cap, placement.job.requested.as_array()))
+            caps.append(np.minimum(cap, placement.job.requested))
     return caps
 
 

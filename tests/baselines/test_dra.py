@@ -89,7 +89,7 @@ class TestRedistribution:
         ]
         for job in jobs:
             vm.add_placement(
-                Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
+                Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
             )
             job.start(0, opportunistic=False)
         sched._redistribute()

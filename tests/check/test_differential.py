@@ -14,13 +14,12 @@ from repro.check.differential import (
 )
 from repro.cluster.machine import Placement, VirtualMachine
 from repro.cluster.job import Job
-from repro.cluster.resources import ResourceVector
 
 from ..cluster.test_job import make_record
 
 
 def make_vm_with_jobs(primary_utils, rider_utils):
-    vm = VirtualMachine(0, ResourceVector([8, 16, 100]))
+    vm = VirtualMachine(0, [8, 16, 100])
     for i, util in enumerate(primary_utils):
         share = len(primary_utils)
         job = Job(
@@ -32,7 +31,7 @@ def make_vm_with_jobs(primary_utils, rider_utils):
             submit_slot=0,
         )
         vm.add_placement(
-            Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
+            Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
         )
         job.start(0, opportunistic=False)
     for i, util in enumerate(rider_utils):

@@ -4,14 +4,13 @@ import pytest
 
 from repro.cluster.bandwidth import BandwidthModel
 from repro.cluster.machine import PhysicalMachine, Placement, VirtualMachine
-from repro.cluster.resources import ResourceVector
 
 from .test_machine import place, running_job
 
 
 def loaded_pm(n_jobs: int) -> PhysicalMachine:
-    pm = PhysicalMachine(0, ResourceVector([160, 640, 7200]))
-    vm = VirtualMachine(0, ResourceVector([160, 640, 7200]))
+    pm = PhysicalMachine(0, [160, 640, 7200])
+    vm = VirtualMachine(0, [160, 640, 7200])
     pm.add_vm(vm)
     for i in range(n_jobs):
         place(vm, running_job(request=(0.1, 0.1, 0.1), task_id=i))

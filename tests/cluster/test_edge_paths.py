@@ -6,7 +6,6 @@ import pytest
 from repro.cluster.job import Job
 from repro.cluster.machine import Placement, VirtualMachine
 from repro.cluster.profiles import ClusterProfile
-from repro.cluster.resources import ResourceVector
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 
 from ..conftest import make_short_trace
@@ -18,7 +17,7 @@ class TestPrimaryOverCapacityScaling:
     def test_caps_above_reservation_trigger_proportional_scaling(self):
         """granted_cap above the reservation can push the collective
         primary grant past capacity; the VM must scale grants back."""
-        vm = VirtualMachine(0, ResourceVector([8, 32, 360]))
+        vm = VirtualMachine(0, [8, 32, 360])
         jobs = []
         for i in range(3):
             job = Job(

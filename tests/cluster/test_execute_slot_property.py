@@ -55,7 +55,7 @@ def build_vm(seed: int, *, riders_only: bool = False, vm_id: int = 0) -> Virtual
             continue
         # Reserving only a fraction of the request lets the collective
         # primary demand exceed capacity, exercising the scaling branch.
-        reserved = job.requested.as_array() * float(rng.uniform(0.1, 1.0))
+        reserved = job.requested * float(rng.uniform(0.1, 1.0))
         if not vm.can_reserve(reserved):
             place(vm, job, opportunistic=True, cap=cap)
             continue

@@ -104,7 +104,7 @@ def test_reads_equal_the_eager_list(ops):
                 request=arg, duration_s=30.0, task_id=next(task_ids)
             )
             rider = op == "rider"
-            if vm.online and (rider or vm.can_reserve(job.requested.as_array())):
+            if vm.online and (rider or vm.can_reserve(job.requested)):
                 place(vm, job, opportunistic=rider)
                 jobs[job.job_id], served[job.job_id] = job, 0
         elif op == "complete" and vm.placements:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.check.differential import SlotSnapshot, reference_outcome
 from repro.cluster.job import Job, JobState, utilization_histories
-from repro.cluster.resources import ResourceVector
 from repro.trace.records import TaskRecord
 
 
@@ -21,7 +20,7 @@ def make_record(
         task_id=task_id,
         submit_time_s=0.0,
         duration_s=duration_s,
-        requested=ResourceVector(req),
+        requested=req,
         usage=usage,
         sample_period_s=period_s,
     )
@@ -207,7 +206,7 @@ class TestHistoriesInOnePass:
             make_job(request=(2.0, 0.0, 10.0), duration_s=30, task_id=3),
             Job(record=TaskRecord(  # usage above the request: clipped
                 task_id=4, submit_time_s=0.0, duration_s=30.0,
-                requested=ResourceVector([2.0, 4.0, 10.0]),
+                requested=[2.0, 4.0, 10.0],
                 usage=np.array([[5.0, 9.0, 30.0], [0.6, 1.2, 3.0], [0.1, 0.2, 0.5]]),
                 sample_period_s=10.0,
             ), submit_slot=0),

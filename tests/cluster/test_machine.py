@@ -11,7 +11,7 @@ from .test_job import make_record
 
 
 def make_vm(capacity=(8.0, 32.0, 360.0), vm_id=0) -> VirtualMachine:
-    return VirtualMachine(vm_id, ResourceVector(capacity))
+    return VirtualMachine(vm_id, capacity)
 
 
 def running_job(*, request=(2, 4, 10), util=None, duration_s=60.0, task_id=0) -> Job:
@@ -28,7 +28,7 @@ def place(vm, job, *, opportunistic=False, reserved=None, cap=None, slot=0):
     reserved = (
         np.zeros(3)
         if opportunistic
-        else (reserved if reserved is not None else job.requested.as_array())
+        else (reserved if reserved is not None else job.requested)
     )
     p = Placement(job=job, vm=vm, reserved=reserved, opportunistic=opportunistic,
                   granted_cap=cap)
@@ -40,11 +40,29 @@ def place(vm, job, *, opportunistic=False, reserved=None, cap=None, slot=0):
 class TestVmConstruction:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            VirtualMachine(0, ResourceVector([0, 0, 0]))
+            VirtualMachine(0, [0, 0, 0])
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
-            VirtualMachine(0, ResourceVector([-1, 2, 3]))
+            VirtualMachine(0, [-1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "capacity",
+        [np.ones((1, 3)), np.ones(2), np.array([1, 1, 1], dtype=object), [True] * 3],
+        ids=["(1, 3)", "(2,)", "object", "bool"],
+    )
+    def test_rejects_anything_but_three_real_numbers(self, capacity):
+        with pytest.raises(ValueError, match="3 real entries"):
+            VirtualMachine(0, capacity)
+
+    def test_base_capacity_is_a_read_only_copy(self):
+        capacity = np.array([8.0, 32, 360])
+        vm = VirtualMachine(0, capacity)
+        capacity[0] = 1.0
+        assert vm.base_capacity.dtype == np.float64
+        np.testing.assert_array_equal(vm.base_capacity, [8, 32, 360])
+        with pytest.raises(ValueError, match="read-only"):
+            vm.base_capacity[0] = 1.0
 
 
 class TestCommitmentAccounting:
@@ -76,7 +94,7 @@ class TestCommitmentAccounting:
         job2 = running_job(request=(2, 2, 2), task_id=2)
         with pytest.raises(ValueError):
             vm.add_placement(
-                Placement(job=job2, vm=vm, reserved=job2.requested.as_array(), opportunistic=False)
+                Placement(job=job2, vm=vm, reserved=job2.requested, opportunistic=False)
             )
 
     def test_placement_on_wrong_vm_rejected(self):
@@ -84,7 +102,7 @@ class TestCommitmentAccounting:
         job = running_job()
         with pytest.raises(ValueError):
             vm1.add_placement(
-                Placement(job=job, vm=vm2, reserved=job.requested.as_array(), opportunistic=False)
+                Placement(job=job, vm=vm2, reserved=job.requested, opportunistic=False)
             )
 
     def test_actual_unused(self):
@@ -238,7 +256,6 @@ class TestSlotSpeaksRows:
         def refuse(*args, **kwargs):
             raise AssertionError("a VM-slot built a ResourceVector")
 
-        monkeypatch.setattr(ResourceVector, "_wrap", classmethod(refuse))
         monkeypatch.setattr(ResourceVector, "__init__", refuse)
         for slot in range(3):
             outcome = vm.execute_slot(slot)
@@ -270,37 +287,55 @@ class TestPlacementCaps:
 
 class TestPhysicalMachine:
     def test_add_vm_within_capacity(self):
-        pm = PhysicalMachine(0, ResourceVector([16, 64, 720]))
+        pm = PhysicalMachine(0, [16, 64, 720])
         pm.add_vm(make_vm(capacity=(8, 32, 360), vm_id=0))
+        np.testing.assert_array_equal(pm.free_capacity(), [8, 32, 360])
         pm.add_vm(make_vm(capacity=(8, 32, 360), vm_id=1))
         assert len(pm.vms) == 2
-        assert pm.free_capacity() == ResourceVector([0, 0, 0])
+        np.testing.assert_array_equal(pm.free_capacity(), [0, 0, 0])
 
     def test_add_vm_overflow_rejected(self):
-        pm = PhysicalMachine(0, ResourceVector([8, 32, 360]))
+        pm = PhysicalMachine(0, [8, 32, 360])
         pm.add_vm(make_vm(capacity=(8, 32, 360)))
         with pytest.raises(ValueError):
             pm.add_vm(make_vm(capacity=(1, 1, 1), vm_id=1))
 
+    @pytest.mark.parametrize("vms_per_pm", [1, 3, 8])
+    def test_a_pm_filled_by_its_vms_refuses_one_more(self, vms_per_pm):
+        """The running nominal commitment admits exactly ``vms_per_pm``
+        equal VMs, and a refused VM leaves the PM as it was."""
+        capacity = np.array([64.0, 256, 4000])
+        pm = PhysicalMachine(0, capacity)
+        for vm_id in range(vms_per_pm):
+            pm.add_vm(make_vm(capacity=capacity / vms_per_pm, vm_id=vm_id))
+            np.testing.assert_array_equal(
+                pm.free_capacity(),
+                np.maximum(capacity - sum(vm.base_capacity for vm in pm.vms), 0.0),
+            )
+        with pytest.raises(ValueError, match="capacity .* exceeded by VM set"):
+            pm.add_vm(make_vm(capacity=(0, 0, 1), vm_id=vms_per_pm))
+        assert len(pm.vms) == vms_per_pm
+        np.testing.assert_array_equal(pm.free_capacity(), [0, 0, 0])
+
     def test_a_revoked_vm_frees_no_pm_capacity(self):
         """VMs carve their nominal capacity: a revocation ends, so the
         capacity it withholds is not the PM's to hand out."""
-        pm = PhysicalMachine(0, ResourceVector([16, 64, 720]))
+        pm = PhysicalMachine(0, [16, 64, 720])
         revoked = make_vm(capacity=(8, 32, 360), vm_id=0)
         pm.add_vm(revoked)
         pm.add_vm(make_vm(capacity=(8, 32, 360), vm_id=1))
         revoked.set_capacity_scale(0.5)
-        assert pm.free_capacity() == ResourceVector([0, 0, 0])
+        np.testing.assert_array_equal(pm.free_capacity(), [0, 0, 0])
         with pytest.raises(ValueError):
             pm.add_vm(make_vm(capacity=(4, 16, 180), vm_id=2))
 
     def test_add_vm_sets_pm_id(self):
-        pm = PhysicalMachine(7, ResourceVector([16, 64, 720]))
+        pm = PhysicalMachine(7, [16, 64, 720])
         vm = make_vm()
         pm.add_vm(vm)
         assert vm.pm_id == 7
 
     def test_repr(self):
-        pm = PhysicalMachine(1, ResourceVector([16, 64, 720]))
+        pm = PhysicalMachine(1, [16, 64, 720])
         assert "id=1" in repr(pm)
         assert "id=0" in repr(make_vm())

@@ -12,49 +12,49 @@ from repro.cluster.metrics import (
     utilization,
     wastage,
 )
-from repro.cluster.resources import DEFAULT_WEIGHTS, ResourceKind, ResourceVector
-
-pos = st.floats(min_value=0.01, max_value=1e4, allow_nan=False)
-vectors = st.builds(lambda a, b, c: ResourceVector([a, b, c]), pos, pos, pos)
-
+from repro.cluster.resources import DEFAULT_WEIGHTS, ResourceKind
 
 def row(*values: float) -> np.ndarray:
     """A cluster-total row, as the kernel hands it to the recorder."""
     return np.array(values, dtype=np.float64)
 
 
+pos = st.floats(min_value=0.01, max_value=1e4, allow_nan=False)
+vectors = st.builds(row, pos, pos, pos)
+
+
 class TestPointMetrics:
     def test_utilization_basic(self):
-        u = utilization(ResourceVector([1, 2, 3]), ResourceVector([2, 4, 6]))
+        u = utilization(row(1, 2, 3), row(2, 4, 6))
         np.testing.assert_allclose(u, [0.5, 0.5, 0.5])
 
     def test_utilization_zero_committed(self):
-        u = utilization(ResourceVector([1, 2, 3]), ResourceVector([0, 0, 0]))
+        u = utilization(row(1, 2, 3), row(0, 0, 0))
         np.testing.assert_allclose(u, [0, 0, 0])
 
     def test_utilization_clipped_at_one(self):
-        u = utilization(ResourceVector([3, 3, 3]), ResourceVector([2, 2, 2]))
+        u = utilization(row(3, 3, 3), row(2, 2, 2))
         np.testing.assert_allclose(u, [1, 1, 1])
 
     def test_overall_utilization_weighted(self):
         # CPU fully used, storage unused; weights 0.4/0.4/0.2
-        demand = ResourceVector([2, 0, 0])
-        committed = ResourceVector([2, 2, 2])
+        demand = row(2, 0, 0)
+        committed = row(2, 2, 2)
         assert overall_utilization(demand, committed) == pytest.approx(0.4)
 
     def test_overall_utilization_zero_denominator(self):
-        assert overall_utilization(ResourceVector([1, 1, 1]), ResourceVector([0, 0, 0])) == 0.0
+        assert overall_utilization(row(1, 1, 1), row(0, 0, 0)) == 0.0
 
     def test_wastage_is_complement(self):
-        demand = ResourceVector([1, 2, 3])
-        committed = ResourceVector([2, 4, 6])
+        demand = row(1, 2, 3)
+        committed = row(2, 4, 6)
         np.testing.assert_allclose(
             wastage(demand, committed), 1.0 - utilization(demand, committed)
         )
 
     def test_overall_wastage_complement(self):
-        demand = ResourceVector([1, 1, 1])
-        committed = ResourceVector([2, 2, 2])
+        demand = row(1, 1, 1)
+        committed = row(2, 2, 2)
         total = overall_utilization(demand, committed) + overall_wastage(
             demand, committed
         )
@@ -75,7 +75,7 @@ class TestPointMetrics:
     def test_util_plus_wastage_is_one_when_demand_fits(self, demand, committed):
         # The exact complement only holds when no resource is
         # over-served (demand <= committed elementwise).
-        capped = ResourceVector(np.minimum(demand.as_array(), committed.as_array()))
+        capped = np.minimum(demand, committed)
         u = overall_utilization(capped, committed)
         w = overall_wastage(capped, committed)
         assert u + w == pytest.approx(1.0, abs=1e-9)
@@ -98,8 +98,8 @@ class TestDefaultWeights:
     def test_caller_mutation_cannot_leak_into_defaults(self):
         # A caller normalizing or scaling "the" weights must not be able
         # to change what a later default-weight call computes.
-        u = ResourceVector([1, 1, 1])
-        c = ResourceVector([2, 2, 2])
+        u = row(1, 1, 1)
+        c = row(2, 2, 2)
         before = overall_utilization(u, c)
         weights = DEFAULT_WEIGHTS
         with pytest.raises(ValueError):

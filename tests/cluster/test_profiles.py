@@ -36,7 +36,7 @@ class TestPalmetto:
 
     def test_vms_fit_in_pm(self):
         pms, _ = ClusterProfile.palmetto(n_pms=1, vms_per_pm=4).build()
-        assert pms[0].free_capacity() == ResourceVector([0, 0, 0])
+        np.testing.assert_array_equal(pms[0].free_capacity(), [0, 0, 0])
 
 
 class TestEc2:
@@ -127,7 +127,9 @@ class TestOneLaneSet:
         assert [(vm.vm_id, vm.pm_id) for vm in vms] == [
             (vm.vm_id, vm.pm_id) for vm in alone
         ]
-        assert [vm.base_capacity for vm in vms] == [vm.base_capacity for vm in alone]
+        assert [vm.base_capacity.tolist() for vm in vms] == [
+            vm.base_capacity.tolist() for vm in alone
+        ]
         assert [[vm.vm_id for vm in pm.vms] for pm in pms] == [
             list(range(i * profile.vms_per_pm, (i + 1) * profile.vms_per_pm))
             for i in range(profile.n_pms)
@@ -137,7 +139,21 @@ class TestOneLaneSet:
         _, vms = ClusterProfile.palmetto(n_pms=2, vms_per_pm=2).build()
         vms[2].set_capacity_scale(0.5)
         lanes = vms[0]._lanes
-        np.testing.assert_array_equal(lanes.capacity[2], vms[2].base_capacity.as_array() * 0.5)
+        np.testing.assert_array_equal(lanes.capacity[2], vms[2].base_capacity * 0.5)
         np.testing.assert_array_equal(lanes.capacity[[0, 1, 3]], np.tile(
-            vms[0].base_capacity.as_array(), (3, 1)
+            vms[0].base_capacity, (3, 1)
         ))
+
+
+class TestRowsFromTheProfile:
+    def test_build_holds_read_only_rows(self):
+        """A profile is a hashable value; what it builds holds rows."""
+        p = ClusterProfile.hyperscale(n_pms=2, vms_per_pm=4)
+        pms, vms = p.build()
+        for row in [pm.capacity for pm in pms] + [vm.base_capacity for vm in vms]:
+            assert type(row) is np.ndarray and row.dtype == np.float64
+            assert row.shape == (3,) and not row.flags.writeable
+        np.testing.assert_array_equal(pms[0].capacity, p.pm_capacity.as_array())
+        np.testing.assert_array_equal(vms[0].base_capacity, p.vm_capacity.as_array())
+        assert p == ClusterProfile.hyperscale(n_pms=2, vms_per_pm=4)
+        assert hash(p) == hash(ClusterProfile.hyperscale(n_pms=2, vms_per_pm=4))

@@ -1,5 +1,5 @@
-"""Unit and property tests for ResourceVector / ResourceKind and the
-row feasibility rule ``fits_within``."""
+"""Unit and property tests for ResourceVector / ResourceKind, the one
+row conversion ``as_row`` and the row feasibility rule ``fits_within``."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,11 @@ from repro.cluster.resources import (
     NUM_RESOURCES,
     ResourceKind,
     ResourceVector,
+    as_row,
     fits_within,
 )
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
-vectors = st.builds(
-    lambda a, b, c: ResourceVector([a, b, c]), finite, finite, finite
-)
 rows = st.builds(lambda a, b, c: np.array([a, b, c]), finite, finite, finite)
 
 
@@ -55,36 +53,41 @@ class TestConstruction:
         assert list(ResourceVector([1, 2, 3])) == [1.0, 2.0, 3.0]
 
 
-class TestArithmetic:
-    def test_add(self):
-        assert ResourceVector([1, 2, 3]) + ResourceVector([4, 5, 6]) == ResourceVector(
-            [5, 7, 9]
-        )
+class TestAsRow:
+    @pytest.mark.parametrize(
+        "values", [[1, 2, 3], (1.0, 2.0, 3.0), np.array([1, 2, 3], dtype=np.int32),
+                   np.array([1.0, 2, 3], dtype=np.float32)],
+        ids=["list", "tuple", "int32", "float32"],
+    )
+    def test_three_real_numbers_become_a_read_only_float_row(self, values):
+        row = as_row(values)
+        assert type(row) is np.ndarray and row.dtype == np.float64
+        np.testing.assert_array_equal(row, [1, 2, 3])
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 9.0
 
-    def test_add_scalar(self):
-        assert ResourceVector([1, 2, 3]) + 1 == ResourceVector([2, 3, 4])
+    def test_the_row_is_a_copy(self):
+        source = np.array([1.0, 2.0, 3.0])
+        row = as_row(source)
+        source[0] = 99.0
+        assert row[0] == 1.0
+        assert as_row(row) is not row
 
-    def test_sub(self):
-        assert ResourceVector([4, 5, 6]) - ResourceVector([1, 2, 3]) == ResourceVector(
-            [3, 3, 3]
-        )
+    def test_a_vector_converts_to_its_row(self):
+        vector = ResourceVector.of(cpu=1, mem=2, storage=3)
+        assert as_row(vector) is vector.as_array()
 
-    def test_div(self):
-        assert ResourceVector([2, 4, 6]) / 2 == ResourceVector([1, 2, 3])
-
-    @given(vectors, vectors)
-    def test_add_commutative(self, a, b):
-        assert a + b == b + a
-
-    @given(vectors)
-    def test_additive_identity(self, a):
-        assert a + ResourceVector([0, 0, 0]) == a
-
-    @given(vectors, vectors)
-    def test_sub_then_add_roundtrip(self, a, b):
-        np.testing.assert_allclose(
-            ((a - b) + b).as_array(), a.as_array(), rtol=1e-9, atol=1e-6
-        )
+    @pytest.mark.parametrize(
+        "values",
+        [np.ones((1, 3)), np.ones(2), np.ones(4), 1.0,
+         np.array([1, 1, 1], dtype=object), [True, False, True], ["1", "2", "3"],
+         np.array([1 + 0j, 1, 1]), [ResourceVector([1, 1, 1])]],
+        ids=["(1, 3)", "(2,)", "(4,)", "scalar", "object", "bool", "str", "complex",
+             "[vector]"],
+    )
+    def test_anything_else_raises(self, values):
+        with pytest.raises(ValueError, match="3 real entries"):
+            as_row(values)
 
 
 class TestPredicates:
@@ -98,14 +101,6 @@ class TestPredicates:
     def test_fits_within_false_single_axis(self):
         assert not fits_within(np.array([3.0, 1, 1]), np.array([2.0, 2, 2]))
 
-    def test_is_nonnegative(self):
-        assert ResourceVector([0, 0, 0]).is_nonnegative()
-        assert not ResourceVector([-1, 0, 0]).is_nonnegative()
-
-    def test_any_positive(self):
-        assert ResourceVector([0, 0, 1]).any_positive()
-        assert not ResourceVector([0, 0, 0]).any_positive()
-
     @pytest.mark.parametrize("side", ["demand", "capacity"])
     def test_nan_fits_nothing_as_in_the_pool(self, side):
         """The scalar oracle and the pools' column test agree on NaN."""
@@ -114,7 +109,7 @@ class TestPredicates:
 
         nan, fine = np.array([1, np.nan, 1]), np.array([2.0, 2, 2])
         demand, capacity = (nan, fine) if side == "demand" else (fine, nan)
-        vm = VirtualMachine(0, ResourceVector(fine))
+        vm = VirtualMachine(0, fine)
         pool = CandidateSet.from_pairs([(vm, capacity)])
         assert not fits_within(demand, capacity)
         assert not pool.feasible_mask(demand).any()
@@ -126,11 +121,6 @@ class TestPredicates:
 
 
 class TestElementwiseHelpers:
-    def test_clip_nonnegative(self):
-        assert ResourceVector([-1, 2, -3]).clip_nonnegative() == ResourceVector(
-            [0, 2, 0]
-        )
-
     def test_dominant(self):
         """The packer's dominant resource of a row: its largest entry."""
         from repro.core.packing import dominant_resource
@@ -143,23 +133,6 @@ class TestElementwiseHelpers:
         from repro.core.packing import dominant_resource
 
         assert dominant_resource(np.array([2.0, 2, 2])) is ResourceKind.CPU
-
-    @given(vectors)
-    def test_clip_nonnegative_idempotent(self, a):
-        c = a.clip_nonnegative()
-        assert c == c.clip_nonnegative()
-        assert c.is_nonnegative()
-
-
-class TestAggregation:
-    def test_sum_empty(self):
-        assert ResourceVector.sum([]) == ResourceVector([0, 0, 0])
-
-    def test_sum(self):
-        vs = [ResourceVector([1, 0, 0]), ResourceVector([0, 2, 0])]
-        assert ResourceVector.sum(vs) == ResourceVector([1, 2, 0])
-
-
 
 class TestEqualityHash:
     def test_eq_and_hash(self):

@@ -27,12 +27,12 @@ class GreedyScheduler(Scheduler):
         placed = []
         for job in pending:
             for vm in self.vms:
-                if vm.can_reserve(job.requested.as_array()):
+                if vm.can_reserve(job.requested):
                     vm.add_placement(
                         Placement(
                             job=job,
                             vm=vm,
-                            reserved=job.requested.as_array(),
+                            reserved=job.requested,
                             opportunistic=False,
                         )
                     )

@@ -24,7 +24,6 @@ hypothesis_settings.register_profile("dev", deadline=None)
 hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 from repro.cluster.profiles import ClusterProfile
-from repro.cluster.resources import ResourceVector
 from repro.core.config import CorpConfig
 from repro.core.predictor import CorpPredictor
 from repro.experiments.runner import PredictorCache
@@ -115,12 +114,6 @@ def cli_store(tmp_path_factory) -> str:
 def small_profile() -> ClusterProfile:
     """A 4-PM / 8-VM cluster for fast simulations."""
     return ClusterProfile.palmetto(n_pms=4, vms_per_pm=2)
-
-
-@pytest.fixture()
-def rv():
-    """Shorthand ResourceVector constructor."""
-    return ResourceVector.of
 
 
 @pytest.fixture()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector, fits_within
+from repro.cluster.resources import NUM_RESOURCES, ResourceKind, as_row, fits_within
 from repro.core.config import CorpConfig
 from repro.core.predictor import CorpPredictor, build_training_set
 
@@ -92,7 +92,7 @@ class TestBuildTrainingSet:
 class TestCorpPredictor:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            CorpPredictor().predict_job_unused(np.zeros((6, 3)), ResourceVector([1, 1, 1]))
+            CorpPredictor().predict_job_unused(np.zeros((6, 3)), as_row([1, 1, 1]))
 
     def test_fit_builds_all_networks(self, fitted_predictor):
         assert fitted_predictor.fitted
@@ -110,38 +110,38 @@ class TestCorpPredictor:
 
     def test_prediction_scales_with_request(self, fitted_predictor):
         util = np.full((12, 3), 0.5)
-        small = fitted_predictor.predict_job_unused(util, ResourceVector([1, 1, 1]))
-        large = fitted_predictor.predict_job_unused(util, ResourceVector([10, 10, 10]))
+        small = fitted_predictor.predict_job_unused(util, as_row([1, 1, 1]))
+        large = fitted_predictor.predict_job_unused(util, as_row([10, 10, 10]))
         np.testing.assert_allclose(
-            large.as_array(), 10 * small.as_array(), rtol=1e-9
+            large, 10 * small, rtol=1e-9
         )
 
     def test_prediction_bounded_by_request(self, fitted_predictor):
         util = np.full((12, 3), 0.1)
-        request = ResourceVector([4, 8, 100])
+        request = as_row([4, 8, 100])
         pred = fitted_predictor.predict_job_unused(util, request)
-        assert fits_within(pred.as_array(), request.as_array())
-        assert pred.is_nonnegative()
+        assert fits_within(pred, request)
+        assert np.all(pred >= 0.0)
 
     def test_young_job_uses_prior(self, fitted_predictor):
-        request = ResourceVector([2, 2, 2])
+        request = as_row([2, 2, 2])
         pred = fitted_predictor.predict_job_unused(np.zeros((1, 3)), request)
         expected = fitted_predictor.prior_unused_fraction * 2.0
-        np.testing.assert_allclose(pred.as_array(), expected)
+        np.testing.assert_allclose(pred, expected)
 
     def test_short_history_padded(self, fitted_predictor):
         # 3 slots of history with input_slots=6: must not raise.
         util = np.full((3, 3), 0.6)
-        pred = fitted_predictor.predict_job_unused(util, ResourceVector([2, 2, 2]))
-        assert pred.is_nonnegative()
+        pred = fitted_predictor.predict_job_unused(util, as_row([2, 2, 2]))
+        assert np.all(pred >= 0.0)
 
     def test_idle_job_predicts_more_unused_than_busy_job(self, fitted_predictor):
         idle = np.full((12, 3), 0.1)
         busy = np.full((12, 3), 0.9)
-        request = ResourceVector([4, 4, 4])
+        request = as_row([4, 4, 4])
         pred_idle = fitted_predictor.predict_job_unused(idle, request)
         pred_busy = fitted_predictor.predict_job_unused(busy, request)
-        assert pred_idle.as_array()[0] > pred_busy.as_array()[0]
+        assert pred_idle[0] > pred_busy[0]
 
     def test_validation_rmse_reasonable(self, fitted_predictor):
         rmse = np.array(
@@ -156,5 +156,5 @@ class TestCorpPredictor:
         cfg = dataclasses.replace(fast_corp_config, use_hmm_correction=False)
         pred = CorpPredictor(config=cfg).fit(history_trace)
         util = np.full((12, 3), 0.5)
-        out = pred.predict_job_unused(util, ResourceVector([1, 1, 1]))
-        assert out.is_nonnegative()
+        out = pred.predict_job_unused(util, as_row([1, 1, 1]))
+        assert np.all(out >= 0.0)

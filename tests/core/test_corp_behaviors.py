@@ -59,7 +59,7 @@ class TestConservatismKnobs:
 
             job = Job(record=make_record(request=(4, 8, 40)), submit_slot=0)
             vm.add_placement(
-                Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
+                Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
             )
             job.start(0, opportunistic=False)
             raw = np.array([2.0, 4.0, 20.0])

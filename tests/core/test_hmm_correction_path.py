@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cluster.resources import ResourceVector, fits_within
+from repro.cluster.resources import as_row, fits_within
 from repro.core.predictor import CorpPredictor
 from repro.hmm.discretize import CENTER, PEAK, VALLEY
 
@@ -53,29 +53,29 @@ def predictor_with(fitted_predictor):
 class TestCorrectionDirection:
     def test_peak_raises_forecast(self, predictor_with):
         util = np.full((12, 3), 0.5)
-        request = ResourceVector([4, 4, 4])
+        request = as_row([4, 4, 4])
         base = predictor_with(CENTER).predict_job_unused(util, request)
         peak = predictor_with(PEAK).predict_job_unused(util, request)
-        assert np.all(peak.as_array() >= base.as_array())
+        assert np.all(peak >= base)
         # The raise equals scale x request where unclipped.
-        diff = peak.as_array() - base.as_array()
+        diff = peak - base
         assert diff.max() <= 0.2 * 4 + 1e-9
 
     def test_valley_lowers_forecast(self, predictor_with):
         util = np.full((12, 3), 0.5)
-        request = ResourceVector([4, 4, 4])
+        request = as_row([4, 4, 4])
         base = predictor_with(CENTER).predict_job_unused(util, request)
         valley = predictor_with(VALLEY).predict_job_unused(util, request)
-        assert np.all(valley.as_array() <= base.as_array())
+        assert np.all(valley <= base)
 
     def test_clipped_into_request_bounds(self, predictor_with):
         util = np.full((12, 3), 0.02)  # near-idle: base forecast near max
-        request = ResourceVector([4, 4, 4])
+        request = as_row([4, 4, 4])
         peak = predictor_with(PEAK).predict_job_unused(util, request)
-        assert fits_within(peak.as_array(), request.as_array())
+        assert fits_within(peak, request)
         util_busy = np.full((12, 3), 0.98)
         valley = predictor_with(VALLEY).predict_job_unused(util_busy, request)
-        assert valley.is_nonnegative()
+        assert np.all(valley >= 0.0)
 
     def test_disabled_correction_ignores_symbols(
         self, fitted_predictor, predictor_with
@@ -84,7 +84,7 @@ class TestCorrectionDirection:
         clone = predictor_with(PEAK)
         clone.config = cfg
         util = np.full((12, 3), 0.5)
-        request = ResourceVector([4, 4, 4])
+        request = as_row([4, 4, 4])
         no_hmm = clone.predict_job_unused(util, request)
         base = predictor_with(CENTER).predict_job_unused(util, request)
-        np.testing.assert_allclose(no_hmm.as_array(), base.as_array())
+        np.testing.assert_allclose(no_hmm, base)

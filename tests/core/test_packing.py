@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.job import Job
-from repro.cluster.resources import ResourceKind
+from repro.cluster.resources import ResourceKind, ResourceVector, as_row
 from repro.core.packing import (
     JobEntity,
     deviation,
@@ -19,11 +19,6 @@ from ..cluster.test_job import make_record
 
 pos = st.floats(min_value=0.01, max_value=100, allow_nan=False)
 vectors = st.builds(lambda a, b, c: np.array([a, b, c]), pos, pos, pos)
-
-
-def as_row(values):
-    """A demand or reference ``(l,)`` float row."""
-    return np.array(values, dtype=np.float64)
 
 
 def job_with_request(request, task_id=0):
@@ -42,6 +37,35 @@ class TestDominantResource:
         reference = as_row([8, 32, 360])
         assert dominant_resource(demand) is ResourceKind.STORAGE
         assert dominant_resource(demand, reference) is ResourceKind.CPU
+
+
+    @pytest.mark.parametrize("wrap", [as_row, ResourceVector], ids=["row", "vector"])
+    def test_a_vector_reads_as_its_row(self, wrap):
+        """(0.5, 1, 1) is MEM-dominant whichever type carries it: handed a
+        vector, ``np.argmax`` once read a 0-d object array and answered
+        CPU for every job."""
+        first, second = wrap([1, 1, 1]), wrap([0.5, 1, 1])
+        assert dominant_resource(first) is ResourceKind.CPU
+        assert dominant_resource(second) is ResourceKind.MEM
+        assert dominant_resource(second, wrap([1, 2, 2])) is ResourceKind.CPU
+        assert deviation(first, second) == pytest.approx(0.125)
+        assert deviation(first, second, wrap([2, 1, 1])) == pytest.approx(0.03125)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones((1, 3)), np.ones(2), np.array([1, 1, 1], dtype=object)],
+        ids=["(1, 3)", "(2,)", "object"],
+    )
+    def test_anything_but_a_row_raises(self, bad):
+        row = as_row([1, 2, 3])
+        for call in (
+            lambda: dominant_resource(bad),
+            lambda: dominant_resource(row, bad),
+            lambda: deviation(bad, row),
+            lambda: deviation(row, bad),
+        ):
+            with pytest.raises(ValueError, match="3 real entries"):
+                call()
 
 
 class TestDeviation:
@@ -81,7 +105,7 @@ class TestJobEntity:
         job = job_with_request((2, 4, 10))
         entity = JobEntity(jobs=(job,))
         assert not entity.is_packed
-        assert entity.demand is job.requested.as_array()
+        assert entity.demand is job.requested
 
     def test_pair_demand_sums(self):
         a = job_with_request((2, 4, 10), task_id=1)
@@ -183,7 +207,7 @@ def pack_jobs_per_pair(jobs, reference=None):
         for other in jobs[i + 1 :]:
             if other.job_id in used:
                 continue
-            mine, theirs = job.requested.as_array(), other.requested.as_array()
+            mine, theirs = job.requested, other.requested
             if dominant_resource(theirs, reference) == dominant_resource(mine, reference):
                 continue
             dv = deviation(mine, theirs, reference)

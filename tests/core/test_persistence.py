@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import as_row
 from repro.core.predictor import CorpPredictor
 
 
@@ -13,11 +13,11 @@ class TestRoundtrip:
         fitted_predictor.save_npz(path)
         loaded = CorpPredictor.load_npz(path)
         util = np.full((12, 3), 0.45)
-        request = ResourceVector([3, 6, 40])
+        request = as_row([3, 6, 40])
         original = fitted_predictor.predict_job_unused(util, request)
         restored = loaded.predict_job_unused(util, request)
         np.testing.assert_allclose(
-            restored.as_array(), original.as_array(), rtol=0, atol=0
+            restored, original, rtol=0, atol=0
         )
 
     def test_config_restored(self, fitted_predictor, tmp_path):

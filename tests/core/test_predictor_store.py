@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import as_row
 from repro.core.predictor import CorpPredictor
 from repro.core.predictor_store import (
     FIT_FIELDS,
@@ -73,10 +73,10 @@ class TestRoundtrip:
         loaded = store.load(fast_corp_config, "digest-1")
         assert loaded is not None and loaded.fitted
         util = np.full((12, 3), 0.45)
-        request = ResourceVector([3, 6, 40])
+        request = as_row([3, 6, 40])
         np.testing.assert_array_equal(
-            loaded.predict_job_unused(util, request).as_array(),
-            fitted_predictor.predict_job_unused(util, request).as_array(),
+            loaded.predict_job_unused(util, request),
+            fitted_predictor.predict_job_unused(util, request),
         )
         np.testing.assert_array_equal(
             loaded.prior_unused_fraction, fitted_predictor.prior_unused_fraction

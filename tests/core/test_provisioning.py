@@ -190,7 +190,6 @@ class TestPlacementSpeaksRows:
         def guarded(step):
             def run(*args):
                 with monkeypatch.context() as patch:
-                    patch.setattr(ResourceVector, "_wrap", classmethod(refuse))
                     patch.setattr(ResourceVector, "__init__", refuse)
                     out = step(*args)
                 for vm in sched.vms:
@@ -224,3 +223,61 @@ class TestPlacementSpeaksRows:
             assert seen["riders"]
         else:
             assert seen["caps"]
+
+    @pytest.mark.parametrize("method", ["CORP", "RCCR", "CloudScale", "DRA"])
+    def test_a_whole_run_builds_no_resource_vector(
+        self, method, monkeypatch, predictor_cache
+    ):
+        """Once ``build_kernel`` has built the cluster from its profile,
+        nothing constructs a vector again: not the tick, the window
+        refresh, the faults (a revocation scales ``base_capacity``, a
+        crash evicts and requeues), the checker nor the result, through
+        ``run_scenario`` and through an ``open_service`` submit / drain."""
+        import asyncio
+
+        from repro.experiments import runner
+        from repro.faults.plan import CapacityRevocation, FaultPlan, VmCrash
+
+        plan = FaultPlan(events=(
+            CapacityRevocation(slot=2, vm_index=1, fraction=0.5, duration_slots=3),
+            VmCrash(slot=3, vm_index=2, downtime_slots=2),
+        ))
+        scenario = replace(
+            api.build_scenario(jobs=40, seed=7),
+            profile=ClusterProfile.palmetto(n_pms=2, vms_per_pm=2),
+        ).with_fault_plan(plan)
+        build, init = runner.build_kernel, ResourceVector.__init__
+        kernels = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run built a ResourceVector")
+
+        def guarded_build(**kwargs):
+            monkeypatch.setattr(ResourceVector, "__init__", init)
+            kernels.append(build(**kwargs))
+            monkeypatch.setattr(ResourceVector, "__init__", refuse)
+            return kernels[-1]
+
+        monkeypatch.setattr(runner, "build_kernel", guarded_build)
+        sched = default_schedulers(
+            history=scenario.history_trace(), predictor_cache=predictor_cache, seed=7
+        )[method]()
+        checker = InvariantChecker(rules=DEFAULT_RULES + ("differential",))
+        with CHECK.session(checker):
+            batch = run_scenario(scenario, sched)
+
+        async def serve():
+            async with api.open_service(
+                scenario=scenario, method=method, seed=7,
+                predictor_cache=predictor_cache,
+            ) as svc:
+                await svc.submit_trace(scenario.evaluation_trace())
+                return await svc.drain()
+
+        served = asyncio.run(serve())
+        monkeypatch.undo()
+        assert len(kernels) == 2 and checker.n_violations == 0
+        for result, kernel in zip((batch, served), kernels):
+            assert result.all_done
+            assert kernel.sim.lanes.capacity_changes >= 2  # revoked, restored
+            assert sum(job.evictions for job in result.jobs) > 0  # the crash

@@ -70,7 +70,7 @@ def reference_adjust(sched, raw, vm):
         sum_sq = np.zeros_like(raw)
         for p in vm.placements:
             if not p.opportunistic:
-                sum_sq += p.job.requested.as_array() ** 2
+                sum_sq += p.job.requested ** 2
         rss = np.sqrt(sum_sq)
         shift = np.zeros_like(raw)
         for k, tracker in enumerate(sched.raw_errors.trackers):
@@ -97,7 +97,7 @@ def reference_predict(sched, vm):
             forecast = sched.predictor.predict_job_unused(
                 job.utilization_history(), job.requested
             )
-            total += forecast.as_array()
+            total += forecast
         return total
     return sched.predict_vms_unused([vm])[0]
 
@@ -174,7 +174,7 @@ def build_cluster(sched, kinds, seed, warm_slots):
             task_id=next(ids),
         )
         job = Job(record=record, submit_slot=0)
-        reserved = np.zeros(NUM_RESOURCES) if opportunistic else job.requested.as_array()
+        reserved = np.zeros(NUM_RESOURCES) if opportunistic else job.requested
         vm.add_placement(
             Placement(job=job, vm=vm, reserved=reserved, opportunistic=opportunistic)
         )

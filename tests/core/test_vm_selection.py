@@ -6,18 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.machine import VirtualMachine
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import ResourceVector, as_row
 from repro.core.vm_selection import (
     CandidateSet,
     select_most_matched,
     select_random_feasible,
     unused_volume,
 )
-
-def as_row(values):
-    """A demand, availability or reference ``(l,)`` float row."""
-    return np.array(values, dtype=np.float64)
-
 
 #: The worked example of Fig. 5: C' = <25, 2, 30> and the four VMs'
 #: unlocked predicted unused amounts.
@@ -34,7 +29,7 @@ FIG5_VOLUMES = {1: 0.867, 2: 1.233, 3: 2.8, 4: 1.183}
 
 def fig5_candidates():
     return [
-        (VirtualMachine(vm_id, ResourceVector([25, 2, 30])), unused)
+        (VirtualMachine(vm_id, [25, 2, 30]), unused)
         for vm_id, unused in FIG5_UNUSED.items()
     ]
 
@@ -93,8 +88,8 @@ class TestMostMatched:
         assert select_most_matched(as_row([1, 1, 1]), [], FIG5_REFERENCE) is None
 
     def test_tie_breaks_to_lower_id(self):
-        vm_a = VirtualMachine(3, ResourceVector([10, 10, 10]))
-        vm_b = VirtualMachine(1, ResourceVector([10, 10, 10]))
+        vm_a = VirtualMachine(3, [10, 10, 10])
+        vm_b = VirtualMachine(1, [10, 10, 10])
         same = as_row([5, 5, 5])
         chosen = select_most_matched(
             as_row([1, 1, 1]),
@@ -104,7 +99,7 @@ class TestMostMatched:
         assert chosen.vm_id == 1
 
     def test_exact_fit_allowed(self):
-        vm = VirtualMachine(0, ResourceVector([10, 10, 10]))
+        vm = VirtualMachine(0, [10, 10, 10])
         available = as_row([2, 2, 2])
         chosen = select_most_matched(
             as_row([2, 2, 2]), [(vm, available)], FIG5_REFERENCE
@@ -115,7 +110,7 @@ class TestMostMatched:
 class TestRandomFeasible:
     def test_uniform_over_feasible(self):
         rng = np.random.default_rng(0)
-        vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(3)]
+        vms = [VirtualMachine(i, [10, 10, 10]) for i in range(3)]
         candidates = [
             (vms[0], as_row([5, 5, 5])),
             (vms[1], as_row([0, 0, 0])),  # infeasible
@@ -130,14 +125,14 @@ class TestRandomFeasible:
 
     def test_none_feasible(self):
         rng = np.random.default_rng(1)
-        vm = VirtualMachine(0, ResourceVector([10, 10, 10]))
+        vm = VirtualMachine(0, [10, 10, 10])
         result = select_random_feasible(
             as_row([5, 5, 5]), [(vm, as_row([1, 1, 1]))], rng
         )
         assert result is None
 
     def test_deterministic_given_rng_state(self):
-        vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(5)]
+        vms = [VirtualMachine(i, [10, 10, 10]) for i in range(5)]
         candidates = [(vm, as_row([5, 5, 5])) for vm in vms]
         demand = as_row([1, 1, 1])
         a = select_random_feasible(demand, candidates, np.random.default_rng(7))
@@ -147,7 +142,7 @@ class TestRandomFeasible:
 
 def random_candidates(draw_values, n):
     """Build (pairs, CandidateSet) over the same availability values."""
-    vms = [VirtualMachine(i, ResourceVector([30, 30, 30])) for i in range(n)]
+    vms = [VirtualMachine(i, [30, 30, 30]) for i in range(n)]
     pairs = [
         (vm, as_row(draw_values[3 * i: 3 * i + 3]))
         for i, vm in enumerate(vms)
@@ -213,7 +208,7 @@ class TestCandidateSetAgainstScalar:
             ) is cset.select_most_matched(as_row(demand), FIG5_REFERENCE)
 
     def test_exact_tie_breaks_to_lowest_id(self):
-        vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in (5, 2, 9)]
+        vms = [VirtualMachine(i, [10, 10, 10]) for i in (5, 2, 9)]
         same = as_row([5, 5, 5])
         cset = CandidateSet.from_pairs([(vm, same) for vm in vms])
         chosen = cset.select_most_matched(
@@ -223,8 +218,8 @@ class TestCandidateSetAgainstScalar:
 
     def test_near_tie_within_tolerance_breaks_to_lowest_id(self):
         """Volumes closer than 1e-12 count as tied, like the scalar loop."""
-        vm_a = VirtualMachine(7, ResourceVector([10, 10, 10]))
-        vm_b = VirtualMachine(1, ResourceVector([10, 10, 10]))
+        vm_a = VirtualMachine(7, [10, 10, 10])
+        vm_b = VirtualMachine(1, [10, 10, 10])
         cset = CandidateSet.from_pairs([
             (vm_a, as_row([5.0, 5.0, 5.0])),
             (vm_b, as_row([5.0 + 2e-13, 5.0, 5.0])),
@@ -243,7 +238,7 @@ class TestCandidateSetMechanics:
         assert not any(avail.flags.writeable for avail in seen.values())
 
     def test_consume_clamps_at_zero(self):
-        vm = VirtualMachine(0, ResourceVector([10, 10, 10]))
+        vm = VirtualMachine(0, [10, 10, 10])
         cset = CandidateSet.from_pairs([(vm, as_row([3, 3, 3]))])
         cset.consume(vm, np.array([1.0, 4.0, 2.0]))
         np.testing.assert_array_equal(
@@ -251,7 +246,7 @@ class TestCandidateSetMechanics:
         )
 
     def test_consume_affects_later_selection(self):
-        vms = [VirtualMachine(i, ResourceVector([10, 10, 10])) for i in range(2)]
+        vms = [VirtualMachine(i, [10, 10, 10]) for i in range(2)]
         cset = CandidateSet.from_pairs(
             [(vms[0], as_row([4, 4, 4])), (vms[1], as_row([9, 9, 9]))]
         )
@@ -274,6 +269,6 @@ class TestCandidateSetMechanics:
         ) is None
 
     def test_shape_mismatch_rejected(self):
-        vm = VirtualMachine(0, ResourceVector([10, 10, 10]))
+        vm = VirtualMachine(0, [10, 10, 10])
         with pytest.raises(ValueError):
             CandidateSet([vm], np.zeros((2, 3)))

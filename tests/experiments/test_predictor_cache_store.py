@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import as_row
 from repro.core.predictor import CorpPredictor
 from repro.core.predictor_store import PredictorStore
 from repro.experiments.runner import PredictorCache
@@ -100,8 +100,8 @@ class TestWarmStart:
         assert cache.warm_starts == 1 and store.warm_hits == 1
         assert warmed.fitted
         util = np.full((12, 3), 0.45)
-        forecast = warmed.predict_job_unused(util, ResourceVector([3, 6, 40]))
-        assert np.all(np.isfinite(forecast.as_array()))
+        forecast = warmed.predict_job_unused(util, as_row([3, 6, 40]))
+        assert np.all(np.isfinite(forecast))
 
     def test_no_donor_means_cold_fit(
         self, store, fast_corp_config, history_trace

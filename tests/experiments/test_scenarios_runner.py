@@ -84,7 +84,7 @@ class TestScenarios:
         for r in cluster_scenario(300, seed=7).evaluation_trace():
             times = (round(r.submit_time_s, 6), round(r.duration_s, 6))
             digest.update(repr((r.task_id, *times)).encode())
-            digest.update(np.round(r.requested.as_array(), 9).tobytes())
+            digest.update(np.round(r.requested, 9).tobytes())
             digest.update(np.round(r.usage, 9).tobytes())
         assert digest.hexdigest() == (
             "5de7edf6e64281bd79898ef150384355"

@@ -173,7 +173,7 @@ class TestCapacityRevocation:
         assert result.all_done
         assert result.resilience["capacity_revocations"] == float(N_VMS)
         for vm in sim.vms:
-            assert np.array_equal(vm.capacity, vm.base_capacity.as_array())  # scale back to 1.0
+            assert np.array_equal(vm.capacity, vm.base_capacity)  # scale back to 1.0
 
 
 class TestPredictorOutage:

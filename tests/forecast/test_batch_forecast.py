@@ -31,7 +31,7 @@ BATCH_SIZES = (1, 2, 7, 48)
 
 def per_job_bytes(predictor, pairs) -> list[bytes]:
     return [
-        predictor.predict_job_unused(util, request).as_array().tobytes()
+        predictor.predict_job_unused(util, request).tobytes()
         for util, request in pairs
     ]
 

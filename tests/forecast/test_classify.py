@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.resources import NUM_RESOURCES, ResourceVector
+from repro.cluster.resources import NUM_RESOURCES, as_row
 from repro.core.config import CorpConfig
 from repro.forecast.classify import (
     ClassifyThenPredictPredictor,
@@ -86,15 +86,15 @@ class TestPredict:
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             ClassifyThenPredictPredictor().predict_job_unused(
-                np.zeros((4, NUM_RESOURCES)), ResourceVector([1.0] * NUM_RESOURCES)
+                np.zeros((4, NUM_RESOURCES)), as_row([1.0] * NUM_RESOURCES)
             )
 
     def test_short_history_falls_back_to_prior(self, fitted):
         got = fitted.predict_job_unused(
-            np.full((1, NUM_RESOURCES), 0.9), ResourceVector([1.0] * NUM_RESOURCES)
+            np.full((1, NUM_RESOURCES), 0.9), as_row([1.0] * NUM_RESOURCES)
         )
         np.testing.assert_allclose(
-            got.as_array(), fitted.prior_unused_fraction
+            got, fitted.prior_unused_fraction
         )
 
     def test_routing_is_deterministic(self, fitted, rng):
@@ -103,9 +103,9 @@ class TestPredict:
 
     def test_forecast_is_shifted_quantile(self, fitted):
         util = np.full((8, NUM_RESOURCES), 0.4)
-        request = ResourceVector([2.0] * NUM_RESOURCES)
+        request = as_row([2.0] * NUM_RESOURCES)
         class_id = fitted.classify(util)
-        got = fitted.predict_job_unused(util, request).as_array()
+        got = fitted.predict_job_unused(util, request)
         expected = (
             np.clip(0.6 + fitted.class_shifts[class_id], 0.0, 1.0) * 2.0
         )
@@ -114,8 +114,8 @@ class TestPredict:
     def test_forecast_bounded_by_request(self, fitted, rng):
         util = rng.uniform(0.0, 1.0, size=(12, NUM_RESOURCES))
         got = fitted.predict_job_unused(
-            util, ResourceVector([3.0] * NUM_RESOURCES)
-        ).as_array()
+            util, as_row([3.0] * NUM_RESOURCES)
+        )
         assert np.all(got >= 0.0) and np.all(got <= 3.0)
 
 
@@ -133,9 +133,9 @@ class TestSerialization:
         assert fitted.classify(util) == loaded.classify(util)
         np.testing.assert_array_equal(
             fitted.predict_job_unused(
-                util, ResourceVector([1.0] * NUM_RESOURCES)
-            ).as_array(),
+                util, as_row([1.0] * NUM_RESOURCES)
+            ),
             loaded.predict_job_unused(
-                util, ResourceVector([1.0] * NUM_RESOURCES)
-            ).as_array(),
+                util, as_row([1.0] * NUM_RESOURCES)
+            ),
         )

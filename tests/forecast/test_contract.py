@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cluster.resources import NUM_RESOURCES, ResourceVector
+from repro.cluster.resources import NUM_RESOURCES, as_row
 from repro.core.config import CorpConfig
 from repro.core.predictor_store import PredictorStore
 from repro.forecast import (
@@ -48,7 +48,7 @@ PINNED = {
 }
 
 
-def probes() -> list[tuple[np.ndarray, ResourceVector]]:
+def probes() -> list[tuple[np.ndarray, np.ndarray]]:
     """48 fixed ``(util_history, request)`` pairs, 1-40 slots long."""
     rng = np.random.default_rng(20261003)
     out = []
@@ -57,14 +57,14 @@ def probes() -> list[tuple[np.ndarray, ResourceVector]]:
         util = rng.uniform(0.0, 1.0, size=(n_slots, NUM_RESOURCES))
         if i % 8 == 5:  # a flat history: the series families' no-fit path
             util[:] = util[0]
-        request = ResourceVector(rng.uniform(0.5, 4.0, size=NUM_RESOURCES))
+        request = as_row(rng.uniform(0.5, 4.0, size=NUM_RESOURCES))
         out.append((util, request))
     return out
 
 
 def prediction_bytes(predictor) -> bytes:
     return b"".join(
-        predictor.predict_job_unused(util, request).as_array().tobytes()
+        predictor.predict_job_unused(util, request).tobytes()
         for util, request in probes()
     )
 
@@ -91,12 +91,12 @@ class TestContract:
     def test_unfitted_raises(self, name):
         with pytest.raises(RuntimeError, match="not fitted"):
             create_predictor(name).predict_job_unused(
-                np.zeros((4, NUM_RESOURCES)), ResourceVector([1.0] * NUM_RESOURCES)
+                np.zeros((4, NUM_RESOURCES)), as_row([1.0] * NUM_RESOURCES)
             )
 
     def test_young_job_gets_the_prior(self, name, zoo):
         predictor = zoo(name)
-        request = ResourceVector.of(2.0, 3.0, 0.5)
+        request = as_row([2.0, 3.0, 0.5])
         young = np.full((CorpConfig().min_history_slots - 1, NUM_RESOURCES), 0.2)
         obs.reset()  # counters are process-global
         obs.enable_profiling()
@@ -106,15 +106,15 @@ class TestContract:
         finally:
             obs.reset()
         np.testing.assert_array_equal(
-            got.as_array(), predictor.prior_unused_fraction * request.as_array()
+            got, predictor.prior_unused_fraction * request
         )
         assert fallbacks == 1.0
 
     def test_output_within_request(self, name, zoo):
         predictor = zoo(name)
         for util, request in probes():
-            got = predictor.predict_job_unused(util, request).as_array()
-            assert np.all(got >= 0.0) and np.all(got <= request.as_array())
+            got = predictor.predict_job_unused(util, request)
+            assert np.all(got >= 0.0) and np.all(got <= request)
 
     def test_from_config_honours_the_shared_knobs(self, name):
         config = CorpConfig(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.resources import NUM_RESOURCES, ResourceVector
+from repro.cluster.resources import NUM_RESOURCES, as_row
 from repro.core.config import CorpConfig
 from repro.forecast.quantile import QuantileHistogramPredictor
 
@@ -45,7 +45,7 @@ class TestFit:
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             QuantileHistogramPredictor().predict_job_unused(
-                np.zeros((4, NUM_RESOURCES)), ResourceVector([1.0] * NUM_RESOURCES)
+                np.zeros((4, NUM_RESOURCES)), as_row([1.0] * NUM_RESOURCES)
             )
 
     def test_fit_populates_error_statistics(self, fitted):
@@ -67,25 +67,25 @@ class TestFit:
 
 class TestPredict:
     def test_short_history_falls_back_to_prior(self, fitted):
-        request = ResourceVector([1.0] * NUM_RESOURCES)
+        request = as_row([1.0] * NUM_RESOURCES)
         got = fitted.predict_job_unused(
             np.full((1, NUM_RESOURCES), 0.2), request
         )
         np.testing.assert_allclose(
-            got.as_array(), fitted.prior_unused_fraction
+            got, fitted.prior_unused_fraction
         )
 
     def test_forecast_is_the_empirical_quantile(self, fitted):
         util = np.full((8, NUM_RESOURCES), 0.3)
-        request = ResourceVector([2.0] * NUM_RESOURCES)
+        request = as_row([2.0] * NUM_RESOURCES)
         got = fitted.predict_job_unused(util, request)
         # Constant 30% utilization -> 70% unused of a request of 2.
-        np.testing.assert_allclose(got.as_array(), 1.4)
+        np.testing.assert_allclose(got, 1.4)
 
     def test_forecast_bounded_by_request(self, fitted, rng):
         util = rng.uniform(0.0, 1.0, size=(10, NUM_RESOURCES))
-        request = ResourceVector([3.0] * NUM_RESOURCES)
-        got = fitted.predict_job_unused(util, request).as_array()
+        request = as_row([3.0] * NUM_RESOURCES)
+        got = fitted.predict_job_unused(util, request)
         assert np.all(got >= 0.0) and np.all(got <= 3.0)
 
 
@@ -102,10 +102,10 @@ class TestSerialization:
             fitted.prior_unused_fraction, loaded.prior_unused_fraction
         )
         util = np.full((8, NUM_RESOURCES), 0.4)
-        request = ResourceVector([1.0] * NUM_RESOURCES)
+        request = as_row([1.0] * NUM_RESOURCES)
         np.testing.assert_array_equal(
-            fitted.predict_job_unused(util, request).as_array(),
-            loaded.predict_job_unused(util, request).as_array(),
+            fitted.predict_job_unused(util, request),
+            loaded.predict_job_unused(util, request),
         )
 
     def test_wrong_family_archive_rejected(self, fitted, tmp_path):

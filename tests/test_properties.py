@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.job import Job, JobState
 from repro.cluster.machine import Placement, VirtualMachine
-from repro.cluster.resources import ResourceVector, fits_within
+from repro.cluster.resources import fits_within
 from repro.core.packing import deviation, pack_jobs
 from repro.core.vm_selection import (
     min_feasible_volume,
@@ -52,8 +52,8 @@ class TestPackingProperties:
         for entity in pack_jobs(jobs):
             if entity.is_packed:
                 a, b = entity.jobs
-                assert dominant_resource(a.requested.as_array()) != dominant_resource(
-                    b.requested.as_array()
+                assert dominant_resource(a.requested) != dominant_resource(
+                    b.requested
                 )
 
     @settings(max_examples=40, deadline=None)
@@ -61,7 +61,7 @@ class TestPackingProperties:
     def test_entity_demand_is_member_sum(self, requests):
         jobs = jobs_from_requests(requests)
         for entity in pack_jobs(jobs):
-            expected = sum(j.requested.as_array() for j in entity.jobs)
+            expected = sum(j.requested for j in entity.jobs)
             np.testing.assert_array_equal(entity.demand, expected)
 
 
@@ -129,7 +129,7 @@ class TestVolumeProperties:
     def test_min_feasible_volume_matches_selection(self, availables, demand):
         """The chosen VM's volume is exactly the feasible minimum."""
         reference = np.array([8, 16, 100])
-        vms = [VirtualMachine(i, ResourceVector(reference)) for i in range(len(availables))]
+        vms = [VirtualMachine(i, reference) for i in range(len(availables))]
         candidates = [(vm, np.array(a)) for vm, a in zip(vms, availables)]
         demand_v = np.array(demand)
         best = min_feasible_volume(demand_v, candidates, reference)
@@ -146,7 +146,7 @@ class TestSelectionProperties:
     @given(st.lists(request, min_size=1, max_size=8), request)
     def test_most_matched_is_feasible_and_minimal(self, availables, demand):
         reference = np.array([8, 16, 100])
-        vms = [VirtualMachine(i, ResourceVector(reference)) for i in range(len(availables))]
+        vms = [VirtualMachine(i, reference) for i in range(len(availables))]
         candidates = [(vm, np.array(a)) for vm, a in zip(vms, availables)]
         demand_v = np.array(demand)
         chosen = select_most_matched(demand_v, candidates, reference)
@@ -169,7 +169,7 @@ class TestVmExecutionProperties:
         st.lists(st.floats(0.05, 0.95), min_size=0, max_size=3),
     )
     def test_served_demand_never_exceeds_capacity(self, primary_utils, rider_utils):
-        vm = VirtualMachine(0, ResourceVector([8, 16, 100]))
+        vm = VirtualMachine(0, [8, 16, 100])
         for i, util in enumerate(primary_utils):
             req = (8 / len(primary_utils), 16 / len(primary_utils), 100 / len(primary_utils))
             job = Job(
@@ -177,7 +177,7 @@ class TestVmExecutionProperties:
                 submit_slot=0,
             )
             vm.add_placement(
-                Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
+                Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
             )
             job.start(0, opportunistic=False)
         for i, util in enumerate(rider_utils):
@@ -202,13 +202,13 @@ class TestVmExecutionProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.1, 1.0))
     def test_rates_bounded(self, util):
-        vm = VirtualMachine(0, ResourceVector([8, 16, 100]))
+        vm = VirtualMachine(0, [8, 16, 100])
         job = Job(
             record=make_record(request=(4, 8, 50), util=np.full(6, util)),
             submit_slot=0,
         )
         vm.add_placement(
-            Placement(job=job, vm=vm, reserved=job.requested.as_array(), opportunistic=False)
+            Placement(job=job, vm=vm, reserved=job.requested, opportunistic=False)
         )
         job.start(0, opportunistic=False)
         vm.execute_slot(0)

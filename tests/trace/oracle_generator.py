@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.cluster.resources import NUM_RESOURCES, ResourceKind, ResourceVector
+from repro.cluster.resources import NUM_RESOURCES, ResourceKind
 from repro.trace.generator import INTENSITY_CLASSES, TraceConfig
 from repro.trace.records import SHORT_JOB_TIMEOUT_S, TaskRecord
 
@@ -54,12 +54,12 @@ def _generate_task(
         util = _short_utilization(cfg, n_samples, rng)
     else:
         util = _long_utilization(cfg, n_samples, rng)
-    usage = util[:, None] * requested.as_array()[None, :]
+    usage = util[:, None] * requested[None, :]
     storage_scale = rng.uniform(0.2, 0.6)
     usage[:, ResourceKind.STORAGE] = (
         np.maximum.accumulate(usage[:, ResourceKind.STORAGE]) * storage_scale
     )
-    usage = np.clip(usage, 0.0, requested.as_array()[None, :])
+    usage = np.clip(usage, 0.0, requested[None, :])
     return TaskRecord(
         task_id=task_id,
         submit_time_s=submit_time_s,
@@ -71,14 +71,14 @@ def _generate_task(
     )
 
 
-def _draw_request(cfg: TraceConfig, rng: np.random.Generator) -> ResourceVector:
+def _draw_request(cfg: TraceConfig, rng: np.random.Generator) -> np.ndarray:
     idx = int(rng.choice(len(cfg.class_names), p=cfg.class_probs))
     ranges = INTENSITY_CLASSES[cfg.class_names[idx]]
     values = np.empty(NUM_RESOURCES)
     for kind in ResourceKind:
         lo, hi = ranges[kind]
         values[kind] = rng.uniform(lo, hi)
-    return ResourceVector(values)
+    return values
 
 
 def _short_utilization(cfg: TraceConfig, n: int, rng: np.random.Generator) -> np.ndarray:

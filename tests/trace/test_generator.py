@@ -98,7 +98,7 @@ class TestUsage:
     def test_usage_never_exceeds_request(self):
         trace = generate(n_jobs=40, seed=6)
         for r in trace:
-            assert np.all(r.usage <= r.requested.as_array() + 1e-9)
+            assert np.all(r.usage <= r.requested + 1e-9)
             assert np.all(r.usage >= 0)
 
     def test_short_jobs_fluctuate(self):
@@ -125,7 +125,7 @@ class TestUsage:
         # Jobs over-reserve disk (the packing-relevant slack).
         trace = generate(n_jobs=60, seed=9, short_fraction=1.0)
         final_fracs = [
-            r.usage[-1, ResourceKind.STORAGE] / r.requested.as_array()[ResourceKind.STORAGE]
+            r.usage[-1, ResourceKind.STORAGE] / r.requested[ResourceKind.STORAGE]
             for r in trace
         ]
         assert np.mean(final_fracs) < 0.7
@@ -158,12 +158,12 @@ class TestRequests:
         }
         for r in trace:
             for kind in ResourceKind:
-                assert lows[kind] <= r.requested.as_array()[kind] <= highs[kind]
+                assert lows[kind] <= r.requested[kind] <= highs[kind]
 
     def test_complementary_classes_present(self):
         # Packing needs both CPU-dominant and non-CPU-dominant jobs.
         trace = generate(n_jobs=200, seed=12)
-        dominants = {dominant_resource(r.requested.as_array()) for r in trace}
+        dominants = {dominant_resource(r.requested) for r in trace}
         assert ResourceKind.CPU in dominants
         assert len(dominants) >= 2
 
@@ -193,7 +193,7 @@ class TestStreaming:
             assert a.task_id == b.task_id
             assert a.submit_time_s == b.submit_time_s
             assert a.duration_s == b.duration_s
-            assert a.requested == b.requested
+            np.testing.assert_array_equal(a.requested, b.requested)
             assert np.array_equal(a.usage, b.usage)
 
     def test_chunk_sizes(self):

@@ -21,7 +21,8 @@ class TestJsonlRoundtrip:
             assert a.task_id == b.task_id
             assert a.submit_time_s == b.submit_time_s
             assert a.duration_s == b.duration_s
-            assert a.requested == b.requested
+            np.testing.assert_array_equal(a.requested, b.requested)
+            assert not b.requested.flags.writeable
             assert a.sample_period_s == b.sample_period_s
             assert a.is_short == b.is_short
             np.testing.assert_array_equal(a.usage, b.usage)
@@ -42,6 +43,14 @@ class TestJsonlRoundtrip:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"task_id": 1\n')
         with pytest.raises(ValueError, match="bad.jsonl:1"):
+            load_jsonl(path)
+
+    def test_a_request_of_two_numbers_is_refused(self, tmp_path):
+        path = tmp_path / "short.jsonl"
+        save_jsonl(Trace([make_record(task_id=1)]), path)
+        path.write_text(path.read_text().replace('"requested": [2.0, 4.0, 10.0]',
+                                                 '"requested": [2.0, 4.0]'))
+        with pytest.raises(ValueError, match="3 real entries"):
             load_jsonl(path)
 
 

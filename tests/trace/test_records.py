@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster.resources import ResourceVector
 from repro.trace.records import SHORT_JOB_TIMEOUT_S, TaskRecord, Trace
 
 
@@ -17,7 +16,7 @@ def make_record(task_id=0, submit=0.0, duration=60.0, period=10.0,
         task_id=task_id,
         submit_time_s=submit,
         duration_s=duration,
-        requested=ResourceVector(req),
+        requested=req,
         usage=np.asarray(usage, dtype=float),
         sample_period_s=period,
         is_short=is_short,
@@ -76,6 +75,28 @@ class TestTaskRecordValidation:
         with pytest.raises(ValueError, match="finite"):
             make_record(usage=np.ones((3, 3)), **{field: bad})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones((1, 3)), np.ones(2), np.array([1, 1, 1], dtype=object)],
+        ids=["(1, 3)", "(2,)", "object"],
+    )
+    def test_request_must_be_three_real_numbers(self, bad):
+        with pytest.raises(ValueError, match="3 real entries"):
+            TaskRecord(
+                task_id=0, submit_time_s=0.0, duration_s=30.0, requested=bad,
+                usage=np.ones((3, 3)), sample_period_s=10.0,
+            )
+
+    def test_request_is_a_read_only_float_row(self):
+        request = np.array([2, 4, 10])
+        record = make_record(request=request)
+        request[0] = 99
+        assert type(record.requested) is np.ndarray
+        assert record.requested.dtype == np.float64
+        np.testing.assert_array_equal(record.requested, [2, 4, 10])
+        with pytest.raises(ValueError, match="read-only"):
+            record.requested[0] = 99.0
+
     def test_usage_made_readonly(self):
         record = make_record()
         with pytest.raises(ValueError):
@@ -85,8 +106,9 @@ class TestTaskRecordValidation:
 class TestTaskRecordDerived:
     def test_usage_at_clamps(self):
         record = make_record()
-        assert record.usage_at(-5) == record.usage_at(0)
-        assert record.usage_at(999) == record.usage_at(record.n_samples - 1)
+        np.testing.assert_array_equal(record.usage_at(-5), record.usage[0])
+        np.testing.assert_array_equal(record.usage_at(999), record.usage[-1])
+        assert record.usage_at(2).shape == (3,)
 
     def test_unused_series(self):
         record = make_record(request=(2, 4, 10))
@@ -176,3 +198,18 @@ class TestTrace:
     def test_short_timeout_constant(self):
         # Section I: maximum timeout of 5 minutes.
         assert SHORT_JOB_TIMEOUT_S == 300.0
+
+
+class TestContentDigest:
+    def test_seed_7_history_digest_is_pinned(self):
+        """The digest keys every stored predictor (``--store``): it hashes
+        ``repr(tuple(requested))``, a tuple of ``np.float64``.  A request
+        held in another form (``.tolist()`` floats) would change it and
+        orphan every stored artifact."""
+        from repro import api
+
+        history = api.build_scenario(jobs=30, seed=7).history_trace()
+        assert all(type(x) is np.float64 for x in tuple(history[0].requested))
+        assert history.content_digest() == (
+            "285e067ff67c2039746b588e76d049e1273b1722fa14ba02dbe725b3f8d76265"
+        )

@@ -20,7 +20,7 @@ from . import oracle_generator
 def record_bytes(record) -> tuple:
     return (
         record.task_id, record.submit_time_s.hex(), record.duration_s.hex(),
-        record.requested.as_array().tobytes(), record.usage.tobytes(),
+        record.requested.tobytes(), record.usage.tobytes(),
         record.usage.shape, record.sample_period_s, record.is_short,
     )
 
