@@ -129,7 +129,7 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
         capped = []
         for vm in self.vms:
             for placement in vm.placements:
-                log = placement.job.demand_log[-self.history_slots :]
+                log = placement.job.demand_rows(self.history_slots)
                 if len(log) < 2:
                     placement.granted_cap = None
                 else:

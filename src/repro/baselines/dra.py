@@ -80,10 +80,9 @@ class DraScheduler(ProvisioningSchedulerBase):
         Fresh jobs (no observations) are estimated at their full request
         — DRA has no better information at admission.
         """
-        log = job.demand_log[-self.history_slots :]
-        if not log:
+        if not job.usage_positions:
             return job.requested.copy()
-        return np.asarray(log).mean(axis=0)
+        return job.demand_rows(self.history_slots).mean(axis=0)
 
     # ------------------------------------------------------------------
     def on_slot_start(self, slot: int) -> None:

@@ -12,15 +12,12 @@ unavailability of resource for job processing" [43]).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-
-from .logs import Log
-from .resources import NUM_RESOURCES
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a trace<->cluster import cycle
     from ..trace.records import TaskRecord
@@ -80,11 +77,11 @@ class Job:
     #: the retry policy's give-up deadline is measured from here.
     first_fault_slot: Optional[int] = None
     #: Per-slot rates actually achieved while running (for diagnostics).
-    rate_history: Log = field(default_factory=Log)
-    #: Per-slot demand vectors observed while running — the utilization
-    #: history the predictors consume.  Each row is a read-only view of
-    #: ``record.usage``, so a snapshot shares the rows.
-    demand_log: Log = field(default_factory=Log)
+    rate_history: array = field(default_factory=lambda: array("d"))
+    #: Per-slot positions in ``record.usage`` the job ran at: its observed
+    #: demand rows, the utilization history the predictors consume, are
+    #: ``record.usage[usage_positions]`` (:meth:`demand_rows`).
+    usage_positions: array = field(default_factory=lambda: array("q"))
     #: The VM holding the job's current (or, once done, last) placement.
     vm_id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
@@ -116,6 +113,11 @@ class Job:
         usage = self.record.usage
         return usage[min(int(self.progress), len(usage) - 1)]
 
+    def demand_rows(self, last: Optional[int] = None) -> np.ndarray:
+        """The ``(n, l)`` demand rows of the slots run (the ``last`` ones)."""
+        positions = self.usage_positions
+        return self.record.usage.take(positions if last is None else positions[-last:], axis=0)
+
     # ------------------------------------------------------------------
     def start(self, slot: int, *, opportunistic: bool) -> None:
         """Mark the job running (placement succeeded at ``slot``)."""
@@ -125,18 +127,18 @@ class Job:
         self.start_slot = slot
         self.opportunistic = opportunistic
 
-    def advance(self, rate: float, slot: int, demand: np.ndarray | None = None) -> None:
+    def advance(self, rate: float, slot: int) -> None:
         """Progress the job by one slot at the given rate ``in [0, 1]``.
 
         ``rate = 1`` is full speed; ``rate = 0.5`` means the slot only
-        completed half a slot's worth of work.  ``demand`` is this slot's
-        :meth:`demand` row if the caller read it; the log keeps the row.
+        completed half a slot's worth of work.  The logs keep the rate
+        and the slot's :meth:`demand` position.
         """
         if self.state is not JobState.RUNNING:
             raise RuntimeError(f"job {self.job_id} is not running")
         rate = min(max(float(rate), 0.0), 1.0)
         self.rate_history.append(rate)
-        self.demand_log.append(self.demand() if demand is None else demand)
+        self.usage_positions.append(min(int(self.progress), len(self.record.usage) - 1))
         self.progress += rate
         if self.progress >= self.nominal_slots - COMPLETION_ATOL:
             self.complete(slot)
@@ -181,10 +183,7 @@ class Job:
         Resources with a zero request report zero utilization (nothing
         was allocated, so nothing can be "used" of it).
         """
-        if not self.demand_log:
-            return np.zeros((0, NUM_RESOURCES))
-        demand = np.asarray(self.demand_log)
-        req = self.requested
+        demand, req = self.demand_rows(), self.requested
         out = np.zeros_like(demand)
         nz = req > 0
         out[:, nz] = demand[:, nz] / req[nz]
@@ -213,10 +212,8 @@ def utilization_histories(jobs: Sequence[Job]) -> list[np.ndarray]:
     """
     if not jobs:
         return []
-    lengths = [len(job.demand_log) for job in jobs]
-    demand = np.array(
-        list(chain.from_iterable(job.demand_log for job in jobs)), dtype=np.float64
-    ).reshape(-1, NUM_RESOURCES)
+    lengths = [len(job.usage_positions) for job in jobs]
+    demand = np.concatenate([job.demand_rows() for job in jobs])
     request = np.repeat([job.requested for job in jobs], lengths, axis=0)
     out = np.zeros_like(demand)
     np.divide(demand, request, out=out, where=request > 0)

@@ -1,12 +1,12 @@
 """Append-only logs: containers whose entries are never written again.
 
 A run accumulates history nothing rewrites once added: VM unused rows,
-job demand and rate logs, the recorder's per-slot totals, SLO outcomes,
-the prediction log and the error windows.  A deep copy (a kernel
-snapshot or restore) must copy such a container, since both sides
-append, but not its entries: these types copy themselves at C speed
-and hand the entries over.  That is sound because every entry is
-immutable (a float, a tuple of atoms) or a read-only array; dropping
+the recorder's per-slot totals, SLO outcomes and the error windows (a
+history of plain numbers is a typed ``array.array`` instead).  A deep
+copy (a kernel snapshot or restore) must copy such a container, since
+both sides append, but not its entries: these types copy themselves at
+C speed and hand the entries over.  That is sound because every entry
+is immutable (a float, a tuple of atoms) or a read-only array; dropping
 entries is fine, writing one in place is not.
 """
 

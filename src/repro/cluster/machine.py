@@ -194,9 +194,8 @@ class PlacementLanes:
         """:meth:`Job.advance` of every row's job; the rows that completed.
 
         Progress moves as one add and one completion mask; one loop then
-        appends each job's rate and demand row (a view of its usage
-        series, as :meth:`Job.demand` returns), writes its progress back
-        and marks the completed jobs.
+        appends each job's rate and the usage position :meth:`Job.demand`
+        reads, writes its progress back and marks the completed jobs.
         """
         progress = self.progress[rows] + rates
         nominal = self.nominal[rows]
@@ -211,7 +210,7 @@ class PlacementLanes:
             if job.state is not running:
                 raise RuntimeError(f"job {job.job_id} is not running")
             job.rate_history.append(rate)
-            job.demand_log.append(job.record.usage[position])
+            job.usage_positions.append(position)
             job.progress = value
         for row in rows[done].tolist():
             jobs[row].complete(slot)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -29,7 +30,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .job import Job
-from .logs import Log
 from .machine import SlotOutcome, VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -102,8 +102,8 @@ class PredictionLog:
     less unused than existed), negative means it over-promised.
     """
 
-    predicted: Log = field(default_factory=Log)
-    actual: Log = field(default_factory=Log)
+    predicted: array = field(default_factory=lambda: array("d"))
+    actual: array = field(default_factory=lambda: array("d"))
 
     def add(self, predicted: float, actual: float) -> None:
         """Record one (forecast, realized) pair."""

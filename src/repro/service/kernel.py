@@ -89,18 +89,23 @@ def _shared_memo(kernel: "SchedulerKernel") -> dict[int, object]:
     """A ``copy.deepcopy`` memo mapping what has become immutable to itself.
 
     Terminal jobs (``advance`` / ``requeue`` / ``fail_permanently`` raise
-    from a terminal state; rejected jobs never leave their list) and
-    every ``TaskRecord`` (frozen, read-only usage).  Log entries (history
-    rows, demand rows, outcomes) need no entry here: a
+    from a terminal state; rejected jobs never leave their list), every
+    ``TaskRecord`` (frozen, read-only usage), the frozen fault plan and
+    the fitted predictor (a run only predicts with it).  Log entries
+    (history rows, outcomes) need no entry here: a
     :class:`~repro.cluster.logs.Log` copies itself and shares them.
     """
     sim = kernel.sim
     terminal = sim.completed + sim.failed + sim.rejected
     backlog = [] if sim.faults is None else sim.faults.backlog_jobs()
+    plan = None if sim.faults is None else sim.faults.plan
+    predictor = getattr(sim.scheduler, "predictor", None)
     shared = chain(
         terminal,
         (job.record for job in chain(terminal, sim.pending, sim.running, backlog)),
         (record for *_, record in kernel._queue if record is not None),
+        () if plan is None else (plan, plan.retry, *plan.events),
+        () if predictor is None else (predictor,),
     )
     return {id(obj): obj for obj in shared}
 

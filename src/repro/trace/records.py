@@ -27,9 +27,9 @@ __all__ = ["TaskRecord", "Trace", "SHORT_JOB_TIMEOUT_S"]
 SHORT_JOB_TIMEOUT_S: float = 300.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskRecord:
-    """One task of one job in the trace.
+    """One task of one job in the trace (equal and hashed by identity).
 
     Attributes
     ----------

@@ -58,11 +58,11 @@ def caps_oracle(sched: CloudScaleScheduler) -> list:
     caps = []
     for vm in sched.vms:
         for placement in vm.placements:
-            log = placement.job.demand_log[-sched.history_slots :]
-            if len(log) < 2:
+            job = placement.job
+            history = job.record.usage[job.usage_positions[-sched.history_slots :]]
+            if len(history) < 2:
                 caps.append(None)
                 continue
-            history = np.asarray(log)
             cap = np.empty(NUM_RESOURCES)
             for k in range(NUM_RESOURCES):
                 markov = MarkovChainPredictor(sched.n_bins).fit(history[:, k])

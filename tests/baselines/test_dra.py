@@ -58,9 +58,9 @@ class TestDemandEstimate:
 
     def test_running_average_of_log(self):
         sched = DraScheduler(history_slots=2)
-        job = Job(record=make_record(request=(2, 4, 10)), submit_slot=0)
-        job.demand_log.extend([np.array([1.0, 1, 1]), np.array([3.0, 1, 1]),
-                               np.array([5.0, 1, 1])])
+        record = make_record(request=(10, 4, 10), util=[0.1, 0.3, 0.5], duration_s=30)
+        job = Job(record=record, submit_slot=0)
+        job.usage_positions.extend([0, 1, 2])  # CPU demand 1, 3, 5
         # only last two count
         assert sched._demand_estimate(job)[0] == pytest.approx(4.0)
 

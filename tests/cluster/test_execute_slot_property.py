@@ -184,7 +184,7 @@ def _job_state(vm: VirtualMachine):
         (
             p.job.job_id, p.job.progress.hex(), p.job.state,
             [rate.hex() for rate in p.job.rate_history],
-            b"".join(row.tobytes() for row in p.job.demand_log),
+            p.job.record.usage[p.job.usage_positions].tobytes(),
         )
         for p in vm.placements
     ]

@@ -126,8 +126,12 @@ class TestDemand:
         job = make_job(duration_s=30)
         job.start(0, opportunistic=False)
         job.advance(1.0, 0)
-        job.advance(1.0, 1)
-        assert len(job.demand_log) == 2
+        job.advance(0.5, 1)
+        job.advance(1.0, 2)
+        assert job.usage_positions.tolist() == [0, 1, 1]
+        assert job.rate_history.tolist() == [1.0, 0.5, 1.0]
+        assert job.demand_rows().tobytes() == job.record.usage[[0, 1, 1]].tobytes()
+        assert job.demand_rows(last=1).tobytes() == job.record.usage[[1]].tobytes()
 
     def test_utilization_history_shape_and_range(self):
         job = make_job(duration_s=40)

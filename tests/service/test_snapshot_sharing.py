@@ -1,10 +1,12 @@
 """A snapshot copies the live state and shares what never changes again.
 
 ``SchedulerKernel.snapshot`` and ``KernelSnapshot.restore`` deep-copy
-the kernel, but finished jobs, trace records and the entries of every
-append-only log — VM history rows, in-flight jobs' demand rows, the
-metrics recorder's per-slot rows, SLO outcome tuples — are handed over
-as they are.  This module pins both
+the kernel, but finished jobs, trace records, the fault plan and its
+events, the fitted predictor and the entries of every append-only log —
+VM history rows, the metrics recorder's per-slot rows, SLO outcome
+tuples — are handed over as they are.  A job's rate and usage-position
+logs are typed arrays: they hold no objects and copy whole.  This module
+pins both
 halves on a CORP run under job failures, a crash and a revocation wave,
 snapshotted while jobs are pending, running, backed off, completed and
 failed at once: the unchanging objects are one object across the live
@@ -79,7 +81,6 @@ def shared_rows(kernel):
     sim = kernel.sim
     return {
         "vm history": [row for vm in sim.vms for row in vm._unused_history],
-        "demand log": [row for job in _in_flight(kernel) for row in job.demand_log],
         "metrics demand": list(sim.metrics._demand),
         "metrics committed": list(sim.metrics._committed),
     }
@@ -89,12 +90,14 @@ def unchanging(kernel):
     """What a snapshot may share, in a fixed order."""
     sim = kernel.sim
     jobs = _terminal(kernel) + _in_flight(kernel)
+    plan = sim.faults.plan
     return (
         _terminal(kernel)
         + [job.record for job in jobs]
         + [record for *_, record in kernel._queue if record is not None]
         + [row for rows in shared_rows(kernel).values() for row in rows]
         + [sim.slo_tracker.outcomes[key] for key in sorted(sim.slo_tracker.outcomes)]
+        + [plan, plan.retry, *plan.events, sim.scheduler.predictor]
     )
 
 
@@ -132,8 +135,8 @@ def _fields(job):
     return (
         job.state, job.submit_slot, job.start_slot, job.completion_slot,
         job.progress, job.opportunistic, job.retries, job.evictions,
-        job.first_fault_slot, tuple(job.rate_history),
-        tuple(row.tobytes() for row in job.demand_log),
+        job.first_fault_slot, job.rate_history.tobytes(),
+        job.record.usage[job.usage_positions].tobytes(),
     )
 
 

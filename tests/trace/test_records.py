@@ -103,6 +103,19 @@ class TestTaskRecordValidation:
             record.usage[0, 0] = 99.0
 
 
+class TestTaskRecordIdentity:
+    def test_equal_ids_compare_by_identity(self):
+        """Two records with one task id and equal arrays are two records:
+        ``==``, ``hash`` and ``in`` neither raise nor merge them."""
+        record, other = make_record(task_id=1), make_record(task_id=1)
+        assert record != other and not (record == other)
+        assert record == record
+        assert isinstance(hash(record), int) and isinstance(hash(other), int)
+        assert record not in [other]
+        assert record in [other, record]
+        assert len({record, other}) == 2
+
+
 class TestTaskRecordDerived:
     def test_usage_at_clamps(self):
         record = make_record()
