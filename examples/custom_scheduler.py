@@ -22,7 +22,7 @@ from repro.cluster.machine import VirtualMachine
 from repro.cluster.resources import NUM_RESOURCES
 from repro.core.packing import JobEntity
 from repro.core.provisioning import ProvisioningSchedulerBase
-from repro.core.vm_selection import select_most_matched
+from repro.core.vm_selection import CandidateSet, Choice
 from repro.experiments.report import format_table
 from repro.experiments.runner import PredictorCache, run_scenario
 from repro.core.config import CorpConfig
@@ -74,12 +74,10 @@ class OracleScheduler(ProvisioningSchedulerBase):
         ]
         return np.array(sizes).reshape(-1, NUM_RESOURCES)
 
-    def choose_vm(self, demand: np.ndarray, candidates) -> VirtualMachine | None:
-        # ``demand`` is a read-only (l,) row; the pool iterates as
-        # (vm, availability row) pairs, which the Eq. 22 oracle reads.
-        return select_most_matched(
-            demand, candidates, reference=self.sim.max_vm_capacity()
-        )
+    def choose_vm(self, demand: np.ndarray, candidates: CandidateSet) -> Choice | None:
+        # ``demand`` is a read-only (l,) row.  Only the pool can name the
+        # chosen VM's row, so the choice comes from one of its selectors.
+        return candidates.select_most_matched(demand, self.sim.max_vm_capacity())
 
 
 def main() -> None:

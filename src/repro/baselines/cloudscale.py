@@ -114,12 +114,6 @@ class CloudScaleScheduler(ProvisioningSchedulerBase):
         if slot % (self.window_slots * self.cap_period_windows) == 0:
             self._apply_demand_caps()
 
-    def on_degraded(self, slot: int) -> None:
-        """Requested-resource fallback: lift every demand-based cap."""
-        for vm in self.vms:
-            for placement in vm.placements:
-                placement.granted_cap = None
-
     def _apply_demand_caps(self) -> None:
         """Elastic scaling: cap each grant at predicted demand + pad.
 

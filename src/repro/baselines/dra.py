@@ -27,9 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.job import Job
-from ..cluster.machine import VirtualMachine
+from ..cluster.machine import VirtualMachine, _segment_sums
 from ..cluster.resources import NUM_RESOURCES
 from ..core.provisioning import ProvisioningSchedulerBase
+from ..forecast.kernels import by_length
 
 __all__ = ["DraScheduler"]
 
@@ -59,6 +60,8 @@ class DraScheduler(ProvisioningSchedulerBase):
             error_tolerance=error_tolerance,
             seed=seed,
         )
+        if history_slots < 1:
+            raise ValueError("history_slots must be >= 1")
         if headroom < 1.0:
             raise ValueError("headroom must be >= 1")
         self.history_slots = history_slots
@@ -74,15 +77,21 @@ class DraScheduler(ProvisioningSchedulerBase):
             self._shares[job.job_id] = share
         return share
 
-    def _demand_estimate(self, job: Job) -> np.ndarray:
-        """Run-time estimate: running average of recent observed demand.
-
-        Fresh jobs (no observations) are estimated at their full request
-        — DRA has no better information at admission.
+    def _demand_estimates(self, jobs: Sequence[Job]) -> np.ndarray:
+        """Run-time estimates, one ``(l,)`` row per job: the running
+        average of its recent observed demand, one stacked mean (bit-equal
+        to each job's own) per history length.  Fresh jobs (no
+        observations) are estimated at their full request — DRA has no
+        better information at admission.
         """
-        if not job.usage_positions:
-            return job.requested.copy()
-        return job.demand_rows(self.history_slots).mean(axis=0)
+        logs = [job.demand_rows(self.history_slots) for job in jobs]
+        estimates = np.empty((len(jobs), NUM_RESOURCES))
+        for length, rows in by_length(logs).items():
+            if length:
+                estimates[rows] = np.array([logs[i] for i in rows]).mean(axis=1)
+            else:
+                estimates[rows] = [jobs[i].requested for i in rows]
+        return estimates
 
     # ------------------------------------------------------------------
     def on_slot_start(self, slot: int) -> None:
@@ -93,12 +102,6 @@ class DraScheduler(ProvisioningSchedulerBase):
         if slot % self.window_slots == 0:
             self._redistribute()
 
-    def on_degraded(self, slot: int) -> None:
-        """Requested-resource fallback: lift every demand-based cap."""
-        for vm in self.vms:
-            for p in vm.placements:
-                p.granted_cap = None
-
     def _redistribute(self) -> None:
         """Equitable share-based redistribution with demand caps.
 
@@ -106,21 +109,20 @@ class DraScheduler(ProvisioningSchedulerBase):
         demand_estimate)``; when the targets exceed the VM capacity they
         are scaled back proportionally to share weights.
         """
-        for vm in self.vms:
-            placements = [p for p in vm.placements if not p.opportunistic]
+        held = [[p for p in vm.placements if not p.opportunistic] for vm in self.vms]
+        jobs = [p.job for placements in held for p in placements]
+        # The base class already charged this window's VM poll; the
+        # redistribution reuses that telemetry.
+        every_target = np.minimum(
+            np.array([job.requested for job in jobs]).reshape(-1, NUM_RESOURCES),
+            self.headroom * self._demand_estimates(jobs),
+        )
+        end = 0
+        for vm, placements in zip(self.vms, held):
             if not placements:
                 continue
-            # The base class already charged this window's VM poll; the
-            # redistribution reuses that telemetry.
-            targets = np.array(
-                [
-                    np.minimum(
-                        p.job.requested,
-                        self.headroom * self._demand_estimate(p.job),
-                    )
-                    for p in placements
-                ]
-            )
+            start, end = end, end + len(placements)
+            targets = every_target[start:end]
             shares = np.array([self._share_of(p.job) for p in placements])
             capacity = vm.capacity
             total = targets.sum(axis=0)
@@ -141,13 +143,11 @@ class DraScheduler(ProvisioningSchedulerBase):
         estimates.
 
         Used only for the Fig. 6 error metric — DRA never reallocates
-        unused resources.
+        unused resources.  Each VM's estimates add in order from zero.
         """
-        forecasts = []
-        for vm in vms:
-            total_estimate = np.zeros(NUM_RESOURCES)
-            for p in vm.placements:
-                if not p.opportunistic:
-                    total_estimate += self._demand_estimate(p.job)
-            forecasts.append(np.clip(vm.committed() - total_estimate, 0.0, None))
-        return forecasts
+        held = [[p.job for p in vm.placements if not p.opportunistic] for vm in vms]
+        owner = np.repeat(np.arange(len(vms)), [len(jobs) for jobs in held])
+        estimates = self._demand_estimates([job for jobs in held for job in jobs])
+        total = _segment_sums(estimates, owner, len(vms))
+        committed = np.array([vm.committed() for vm in vms]).reshape(-1, NUM_RESOURCES)
+        return list(np.clip(committed - total, 0.0, None))

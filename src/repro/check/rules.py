@@ -20,8 +20,9 @@ Each rule encodes one of the paper's stated guarantees:
     when the empirical ``Pr(0 ≤ δ < ε)`` (plus its binomial standard
     error credit) actually meets ``P_th`` on every resource.
 ``packing``
-    Packing feasibility (Section III-B): a placed entity's demand fits
-    the availability the chooser saw, and a primary reservation fits the
+    Packing feasibility (Section III-B): the chooser's decision names a
+    live pool row that holds the chosen VM, a placed entity's demand
+    fits that row's availability, and a primary reservation fits the
     capacity that is genuinely still unreserved (recomputed from the
     placement list, not from the incremental total).
 ``volume``
@@ -60,7 +61,7 @@ from ..cluster.resources import fits_within
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..cluster.machine import SlotOutcome, VirtualMachine
-    from ..cluster.shards import CandidateSet
+    from ..cluster.shards import CandidateSet, Choice
     from ..cluster.simulator import ClusterSimulator
     from ..core.packing import JobEntity
     from ..core.preemption import PreemptionGate
@@ -385,24 +386,34 @@ class InvariantChecker:
         self,
         scheduler: object,
         entity: "JobEntity",
-        vm: "VirtualMachine",
+        choice: "Choice",
         slot: int,
         *,
         opportunistic: bool,
-        candidates: "CandidateSet | None" = None,
-        demand: np.ndarray | None = None,
+        candidates: "CandidateSet",
+        demand: np.ndarray,
     ) -> None:
-        """Packing feasibility (Section III-B) and Eq. 22 optimality (the
-        ``volume`` and ``differential`` oracles iterate the pool as pairs)."""
+        """Packing feasibility (Section III-B) and Eq. 22 optimality.
+
+        ``choice`` is evidence, not trusted: its row is read only once
+        it is seen to hold the chosen VM, live, and the ``volume`` and
+        ``differential`` oracles re-scan the pool as pairs (neither reads
+        ``choice.feasible``)."""
         name = getattr(scheduler, "name", None)
-        chosen_avail = None if candidates is None else candidates.availability(vm)
+        vm, row = choice.vm, choice.row
+        chosen_avail = None
+        live = 0 <= row < len(candidates.vms) and candidates.online[row]
+        if live and candidates.vms[row] is vm:
+            chosen_avail = candidates.matrix[row].copy()
+            chosen_avail.setflags(write=False)
         if "packing" in self.rules:
             self.checks["packing"] += 1
-            if (
-                chosen_avail is not None
-                and demand is not None
-                and not fits_within(demand, chosen_avail, atol=self.tolerance)
-            ):
+            if chosen_avail is None:
+                self._report(
+                    "packing", f"pool row {row} does not hold the chosen VM live",
+                    slot=slot, scheduler=name, vm=vm.vm_id, job=entity.job_ids()[0],
+                )
+            elif not fits_within(demand, chosen_avail, atol=self.tolerance):
                 self._report(
                     "packing",
                     f"entity demand {demand.tolist()} does not "
@@ -428,7 +439,6 @@ class InvariantChecker:
                     )
         if (
             "volume" in self.rules
-            and demand is not None
             and chosen_avail is not None
             and getattr(scheduler, "uses_volume_selection", False)
         ):
@@ -451,8 +461,6 @@ class InvariantChecker:
                     )
         if (
             "differential" in self.rules
-            and candidates is not None
-            and demand is not None
             and getattr(scheduler, "uses_volume_selection", False)
         ):
             sim = getattr(scheduler, "_sim", None)

@@ -114,9 +114,12 @@ class Job:
         return usage[min(int(self.progress), len(usage) - 1)]
 
     def demand_rows(self, last: Optional[int] = None) -> np.ndarray:
-        """The ``(n, l)`` demand rows of the slots run (the ``last`` ones)."""
+        """The ``(n, l)`` demand rows of the slots run (the ``last`` ones;
+        ``last=0`` is none, where ``positions[-0:]`` would be all)."""
         positions = self.usage_positions
-        return self.record.usage.take(positions if last is None else positions[-last:], axis=0)
+        if last is not None:
+            positions = positions[max(len(positions) - last, 0):]
+        return self.record.usage.take(positions, axis=0)
 
     # ------------------------------------------------------------------
     def start(self, slot: int, *, opportunistic: bool) -> None:

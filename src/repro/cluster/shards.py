@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .machine import ClusterLanes, VirtualMachine
 from .resources import NUM_RESOURCES
 
-__all__ = ["ScaleConfig", "CandidateSet", "ShardedCandidateIndex", "tie_window"]
+__all__ = ["ScaleConfig", "CandidateSet", "Choice", "ShardedCandidateIndex", "tie_window"]
 
 #: Feasibility slack, matching :func:`~repro.cluster.resources.fits_within`.
 _FIT_ATOL = 1e-9
@@ -55,6 +55,16 @@ def tie_window(best: float) -> float:
     ``vm_id``, which is the deterministic case that matters.
     """
     return _TIE_RTOL * abs(best)
+
+
+class Choice(NamedTuple):
+    """One placement decision, read by everything after it: the chosen
+    VM, its row of the pool that chose it, and how many live rows of
+    that pool the demand fit."""
+
+    vm: VirtualMachine
+    row: int
+    feasible: int
 
 
 @dataclass(frozen=True)
@@ -102,10 +112,9 @@ class CandidateSet:
 
     Liveness is applied in one place: a row whose ``online`` flag is
     False is infeasible for every demand, the all-zero one included,
-    and is absent from iteration, ``len`` and :meth:`availability` — a
-    pool *is* its live rows.  A pool built by :meth:`for_vms` reads its
-    VMs' unallocated capacity and liveness off their lanes in
-    :meth:`refresh`.
+    and is absent from iteration and ``len`` — a pool *is* its live
+    rows.  A pool built by :meth:`for_vms` reads its VMs' unallocated
+    capacity and liveness off their lanes in :meth:`refresh`.
 
     Iteration yields ``(vm, row)`` pairs, ``row`` a read-only ``(l,)``
     availability — the exact shape the scalar reference functions, the
@@ -118,7 +127,8 @@ class CandidateSet:
     :mod:`repro.core.vm_selection`, which remains the differential
     oracle: smallest Eq. 22 volume over the feasible rows, ties within
     the scale-invariant :func:`tie_window` broken toward the lowest
-    ``vm_id``.  (The loop applies its tie tolerance pairwise against a
+    ``vm_id``; they return a :class:`Choice`, whose ``row`` :meth:`consume`
+    takes.  (The loop applies its tie tolerance pairwise against a
     running best, which could chain across candidates closer than the
     window apart without being exactly tied; real capacity data never
     produces such near-ties, and exact ties — the case that matters for
@@ -131,7 +141,7 @@ class CandidateSet:
     (:meth:`~repro.core.provisioning.ProvisioningSchedulerBase.place_jobs`).
     """
 
-    __slots__ = ("vms", "matrix", "online", "lanes", "lane_rows", "_ids", "_rows")
+    __slots__ = ("vms", "matrix", "online", "lanes", "lane_rows", "_ids")
 
     def __init__(
         self, vms: Sequence[VirtualMachine], matrix: np.ndarray
@@ -153,7 +163,6 @@ class CandidateSet:
         #: Each row's VM's row of its lanes: a lane read is one gather.
         self.lane_rows = np.array([vm._row for vm in self.vms], dtype=np.intp)
         self._ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
-        self._rows = {vm.vm_id: i for i, vm in enumerate(self.vms)}
 
     @classmethod
     def from_pairs(
@@ -205,36 +214,15 @@ class CandidateSet:
         for i, row in zip(live.tolist(), rows):
             yield vms[i], row
 
-    def live_row(self, vm: VirtualMachine) -> int | None:
-        """``vm``'s row index (None if absent/offline)."""
-        row = self._rows.get(vm.vm_id)
-        if row is None or not self.online[row]:
-            return None
-        return row
-
-    def availability(self, vm: VirtualMachine) -> np.ndarray | None:
-        """A read-only copy of ``vm``'s availability row (None if
-        absent/offline)."""
-        row = self.live_row(vm)
-        if row is None:
-            return None
-        available = self.matrix[row].copy()
-        available.setflags(write=False)
-        return available
-
     # ------------------------------------------------------------------
-    def consume(self, vm: VirtualMachine, amount: np.ndarray) -> int | None:
-        """Decrement ``vm``'s row by ``amount``, clipping at zero; returns
-        the row's index (None if ``vm`` has no row).
+    def consume(self, row: int, amount: np.ndarray) -> None:
+        """Decrement row ``row`` by ``amount``, clipping at zero.
 
         Keeps the matrix in sync with a placement that just landed —
         the incremental update that lets one matrix serve a whole
         window (or run) instead of being rebuilt per entity.
         """
-        row = self._rows.get(vm.vm_id)
-        if row is not None:
-            np.clip(self.matrix[row] - amount, 0.0, None, out=self.matrix[row])
-        return row
+        np.clip(self.matrix[row] - amount, 0.0, None, out=self.matrix[row])
 
     # ------------------------------------------------------------------
     def fit_mask(
@@ -274,10 +262,6 @@ class CandidateSet:
         mask &= self.online
         return mask
 
-    def feasible_count(self, demand: np.ndarray) -> int:
-        """How many live candidates the demand fits within."""
-        return int(np.count_nonzero(self.feasible_mask(demand)))
-
     def volumes(self, reference: np.ndarray) -> np.ndarray:
         """Eq. 22 volume of every row (one matrix-vector product); a
         resource no VM offers (``reference`` entry ``<= 0``) weighs zero.
@@ -292,20 +276,22 @@ class CandidateSet:
     # ------------------------------------------------------------------
     def select_most_matched(
         self, demand: np.ndarray, reference: np.ndarray
-    ) -> VirtualMachine | None:
+    ) -> Choice | None:
         """Vectorized Eq. 22 most-matched choice (see class docstring)."""
         mask = self.feasible_mask(demand)
-        if not mask.any():
+        feasible = int(np.count_nonzero(mask))
+        if not feasible:
             return None
         volumes = self.volumes(reference)
         best = np.where(mask, volumes, np.inf).min()
         tied = mask & (volumes <= best + tie_window(best))
         (indices,) = np.nonzero(tied)
-        return self.vms[indices[np.argmin(self._ids[indices])]]
+        row = int(indices[np.argmin(self._ids[indices])])
+        return Choice(self.vms[row], row, feasible)
 
     def select_random_feasible(
         self, demand: np.ndarray, rng: np.random.Generator
-    ) -> VirtualMachine | None:
+    ) -> Choice | None:
         """Vectorized uniform-random feasible choice.
 
         Consumes exactly one ``rng.integers(n_feasible)`` draw — the
@@ -315,7 +301,8 @@ class CandidateSet:
         (indices,) = np.nonzero(self.feasible_mask(demand))
         if indices.size == 0:
             return None
-        return self.vms[indices[int(rng.integers(indices.size))]]
+        row = int(indices[int(rng.integers(indices.size))])
+        return Choice(self.vms[row], row, indices.size)
 
 
 #: The v1.7 name of the persistent pool; the same class.

@@ -38,7 +38,7 @@ from .config import CorpConfig
 from .packing import JobEntity, pack_jobs, singleton_entities
 from .predictor import CorpPredictor
 from .provisioning import ProvisioningSchedulerBase
-from .vm_selection import CandidateSet
+from .vm_selection import CandidateSet, Choice
 
 __all__ = ["CorpScheduler"]
 
@@ -257,7 +257,7 @@ class CorpScheduler(ProvisioningSchedulerBase):
 
     def choose_vm(
         self, demand: np.ndarray, candidates: CandidateSet
-    ) -> VirtualMachine | None:
+    ) -> Choice | None:
         """Most-matched VM by unused-resource volume (Eq. 22).
 
         The choice is one matrix expression over the pool; with volume

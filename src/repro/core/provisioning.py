@@ -35,7 +35,7 @@ from ..cluster.scheduler import Scheduler
 from ..obs import OBS
 from .packing import JobEntity, singleton_entities
 from .preemption import PreemptionGate
-from .vm_selection import CandidateSet, unused_volume
+from .vm_selection import CandidateSet, Choice, unused_volume
 
 __all__ = ["ProvisioningSchedulerBase"]
 
@@ -260,13 +260,13 @@ class ProvisioningSchedulerBase(Scheduler):
 
     def choose_vm(
         self, demand: np.ndarray, candidates: CandidateSet
-    ) -> VirtualMachine | None:
+    ) -> Choice | None:
         """Pick a feasible VM for a read-only ``(l,)`` ``demand`` row
         (default: the baselines' uniform random).
 
-        ``candidates`` is the pool being placed into; overrides that
-        iterate it as ``(vm, availability row)`` pairs (the documented
-        shape) see its live rows.
+        ``candidates`` is the pool being placed into, and only it can
+        name the chosen VM's row: an override returns one of its
+        selectors' :class:`~repro.cluster.shards.Choice`.
         """
         return candidates.select_random_feasible(demand, self.rng)
 
@@ -298,7 +298,7 @@ class ProvisioningSchedulerBase(Scheduler):
 
         During a predictor outage the scheme degrades gracefully: no
         forecasts are made, opportunistic placement is disabled and any
-        prediction-derived state is dropped (``on_degraded``).  Recovery
+        prediction-derived state is dropped (``_enter_degraded``).  Recovery
         refreshes forecasts immediately rather than waiting for the next
         window boundary.
         """
@@ -338,16 +338,17 @@ class ProvisioningSchedulerBase(Scheduler):
 
         Window tracking is discarded *without* emitting samples —
         realized availability observed during an outage says nothing
-        about predictor quality.
+        about predictor quality — and every demand-based grant cap (DRA's
+        redistribution, CloudScale's scaling) is lifted: provisioning
+        falls back to the jobs' requested resources.
         """
         self._window.clear()
         self._opp_pool = CandidateSet([], ())
-        self.on_degraded(slot)
+        for placement in [p for vm in self.vms for p in vm.placements]:
+            if placement.granted_cap is not None:
+                placement.granted_cap = None
         OBS.emit("degraded_mode", slot=slot, scheduler=self.name, active=True)
         OBS.count("faults.degraded_mode")
-
-    def on_degraded(self, slot: int) -> None:
-        """Subclass hook: drop scheme-specific prediction-derived state."""
 
     def _begin_window(self) -> None:
         """Subclass hook: compute what is constant across one refresh.
@@ -579,39 +580,34 @@ class ProvisioningSchedulerBase(Scheduler):
                     CHECK.checker.observe_refusal(self, _unit(entity, k), slot, pool, row)
                 return False
         row.setflags(write=False)
-        vm = self.choose_vm(row, pool)
-        if vm is None:
+        choice = self.choose_vm(row, pool)
+        if choice is None:
             screen.failed(opportunistic)
             return False
         self._place_entity(
-            _unit(entity, k), vm, slot, opportunistic=opportunistic,
+            _unit(entity, k), choice, slot, opportunistic=opportunistic,
             candidates=pool, demand=row,
         )
-        index = pool.consume(vm, row)
-        if index is not None:
-            screen.consumed(opportunistic, index)
+        pool.consume(choice.row, row)
+        screen.consumed(opportunistic, choice.row)
         return True
 
     def _emit_placement(
         self,
         entity: JobEntity,
-        vm: VirtualMachine,
+        choice: Choice,
         slot: int,
         opportunistic: bool,
         candidates: CandidateSet,
-        demand: np.ndarray,
     ) -> None:
         """One ``placement`` event per placed job (decision telemetry).
 
-        ``feasible_vms`` is the size of the feasible set the chooser saw;
-        ``volume`` is the chosen VM's Eq. 22 availability volume, read
-        off its pool row.  Both are computed only here, i.e. only when a
-        sink/profiler listens.
+        ``feasible_vms`` is the size of the feasible set the chooser
+        counted; ``volume`` is the chosen VM's Eq. 22 availability
+        volume, read off its pool row before ``consume`` lowers it
+        (computed only here, i.e. only when a sink/profiler listens).
         """
-        feasible = candidates.feasible_count(demand)
-        row, volume = candidates.live_row(vm), None
-        if row is not None and self._sim is not None:
-            volume = unused_volume(candidates.matrix[row], self.sim.max_vm_capacity())
+        volume = unused_volume(candidates.matrix[choice.row], self.sim.max_vm_capacity())
         ids = entity.job_ids()
         for job in entity.jobs:
             partner = next((i for i in ids if i != job.job_id), None)
@@ -620,11 +616,11 @@ class ProvisioningSchedulerBase(Scheduler):
                 slot=slot,
                 scheduler=self.name,
                 job=job.job_id,
-                vm=vm.vm_id,
+                vm=choice.vm.vm_id,
                 opportunistic=opportunistic,
                 packed=entity.is_packed,
                 partner=partner,
-                feasible_vms=feasible,
+                feasible_vms=choice.feasible,
                 volume=volume,
             )
         OBS.count(
@@ -635,7 +631,7 @@ class ProvisioningSchedulerBase(Scheduler):
     def _place_entity(
         self,
         entity: JobEntity,
-        vm: VirtualMachine,
+        choice: Choice,
         slot: int,
         *,
         opportunistic: bool,
@@ -645,17 +641,16 @@ class ProvisioningSchedulerBase(Scheduler):
         # Dispatching an entity to a VM is one remote operation.
         self.latency.charge_comm(1)
         if OBS.enabled:
-            self._emit_placement(
-                entity, vm, slot, opportunistic, candidates, demand
-            )
+            self._emit_placement(entity, choice, slot, opportunistic, candidates)
         if CHECK.enabled:
             # Before add_placement mutates anything: the availabilities
             # in ``candidates`` still describe the pre-placement state.
             CHECK.checker.observe_placement(
-                self, entity, vm, slot,
+                self, entity, choice, slot,
                 opportunistic=opportunistic,
                 candidates=candidates, demand=demand,
             )
+        vm = choice.vm
         for job in entity.jobs:
             reserved = _NO_RESERVATION if opportunistic else job.requested
             vm.add_placement(

@@ -9,9 +9,11 @@ where ``C'`` is the elementwise maximum capacity across all VMs — the
 least-remaining feasible VM, so big holes stay available for big
 entities (best-fit in volume space; Fig. 5's worked example).
 
-The functions here are the scalar *reference* semantics; the pool class
-the schedulers select through, :class:`~repro.cluster.shards.CandidateSet`,
-is re-exported for its callers.
+The functions here are the scalar *reference* semantics and return a
+VM; the pool class the schedulers select through,
+:class:`~repro.cluster.shards.CandidateSet`, and the
+:class:`~repro.cluster.shards.Choice` its selectors return are
+re-exported for their callers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from ..cluster.machine import VirtualMachine
 from ..cluster.resources import fits_within
-from ..cluster.shards import CandidateSet, tie_window
+from ..cluster.shards import CandidateSet, Choice, tie_window
 
 __all__ = [
     "unused_volume",
@@ -31,6 +33,7 @@ __all__ = [
     "select_random_feasible",
     "tie_window",
     "CandidateSet",
+    "Choice",
 ]
 
 #: A scalar-style candidate list: each VM with its ``(l,)`` availability

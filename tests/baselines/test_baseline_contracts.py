@@ -42,7 +42,7 @@ class TestSharedContracts:
         picks = set()
         for seed in range(12):
             sched = type(baseline)(seed=seed)
-            picks.add(sched.choose_vm(demand, candidates).vm_id)
+            picks.add(sched.choose_vm(demand, candidates).vm.vm_id)
         assert len(picks) > 1
 
     def test_runs_to_completion(self, baseline):

@@ -4,15 +4,18 @@ A window refresh makes one kernel call per history length, CloudScale's
 demand caps one per demand-log length and RCCR's offline seeding one
 per prefix length.  The loops they replaced, one ``Forecaster`` object
 per VM (or job) and resource, are kept here as oracles and checked at
-every call of a real run.
+every call of a real run; so is DRA's per-job running average, which
+its forecast and its redistribution now take in one stacked mean.
 """
 
+import copy
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.baselines.cloudscale import CloudScaleScheduler
+from repro.baselines.dra import SHARE_VALUES, DraScheduler
 from repro.baselines.rccr import RccrScheduler
 from repro.cluster.profiles import ClusterProfile
 from repro.cluster.resources import NUM_RESOURCES
@@ -181,3 +184,73 @@ class TestPrepare:
             gate = list(sched.gate.trackers[k]._errors)
             assert len(gate) == 1 and np.isfinite(gate).all()
             assert gate == list(sched.raw_errors.trackers[k]._errors)
+
+
+def dra_estimate_oracle(sched: DraScheduler, job) -> np.ndarray:
+    """DRA's per-job running average of its recent demand (the request
+    while it has none)."""
+    if not job.usage_positions:
+        return job.requested.copy()
+    return job.record.usage[job.usage_positions[-sched.history_slots :]].mean(axis=0)
+
+
+def dra_vm_oracle(sched: DraScheduler, vm) -> np.ndarray:
+    total = np.zeros(NUM_RESOURCES)
+    for p in vm.placements:
+        if not p.opportunistic:
+            total += dra_estimate_oracle(sched, p.job)
+    return np.clip(vm.committed() - total, 0.0, None)
+
+
+def dra_caps_oracle(sched: DraScheduler) -> list:
+    """The per-VM redistribution, on the shares the scheduler holds."""
+    caps = []
+    for vm in sched.vms:
+        placements = [p for p in vm.placements if not p.opportunistic]
+        if not placements:
+            continue
+        targets = np.array([
+            np.minimum(p.job.requested, sched.headroom * dra_estimate_oracle(sched, p.job))
+            for p in placements
+        ])
+        shares = np.array([sched._shares[p.job.job_id] for p in placements])
+        total, capped = targets.sum(axis=0), targets.copy()
+        for k in range(NUM_RESOURCES):
+            if total[k] > vm.capacity[k] + 1e-12:
+                capped[:, k] = np.minimum(targets[:, k], shares / shares.sum() * vm.capacity[k])
+        caps.extend(capped)
+    return caps
+
+
+def test_dra_matches_the_per_job_loop(monkeypatch):
+    """Every window forecast and every redistribution of a real run, bit
+    for bit, with the shares drawn in placement order, VM by VM."""
+    forecast, redistribute = DraScheduler.predict_vms_unused, DraScheduler._redistribute
+    seen = {"vms": 0, "caps": 0}
+
+    def checked_forecast(self, vms):
+        want = [dra_vm_oracle(self, vm) for vm in vms]
+        got = forecast(self, vms)
+        for g, w in zip(got, want, strict=True):
+            same_bits(g, w)
+        seen["vms"] += len(vms)
+        return got
+
+    def checked_redistribute(self):
+        rng, shares = copy.deepcopy(self.rng), dict(self._shares)
+        for vm in self.vms:
+            for p in vm.placements:
+                if not p.opportunistic and p.job.job_id not in shares:
+                    shares[p.job.job_id] = SHARE_VALUES[int(rng.integers(len(SHARE_VALUES)))]
+        redistribute(self)
+        assert self._shares == shares
+        assert self.rng.bit_generator.state == rng.bit_generator.state
+        got = [p.granted_cap for vm in self.vms for p in vm.placements if not p.opportunistic]
+        for g, w in zip(got, dra_caps_oracle(self), strict=True):
+            same_bits(g, w)
+        seen["caps"] += len(got)
+
+    monkeypatch.setattr(DraScheduler, "predict_vms_unused", checked_forecast)
+    monkeypatch.setattr(DraScheduler, "_redistribute", checked_redistribute)
+    assert run(DraScheduler(history_slots=4), None).all_done
+    assert seen["vms"] > 20 and seen["caps"] > 20

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.dra import SHARE_VALUES, DraScheduler
 from repro.cluster.job import Job, JobState
@@ -25,6 +27,13 @@ class TestConstruction:
     def test_headroom_validated(self):
         with pytest.raises(ValueError):
             DraScheduler(headroom=0.9)
+
+    @pytest.mark.parametrize("slots", [0, -3])
+    def test_history_slots_validated(self, slots):
+        """An average over no slots is no estimate (``last=0`` once read
+        as the whole log)."""
+        with pytest.raises(ValueError, match="history_slots"):
+            DraScheduler(history_slots=slots)
 
     def test_share_mix_is_paper_ratio(self):
         assert SHARE_VALUES == (4.0, 2.0, 1.0)
@@ -54,7 +63,7 @@ class TestDemandEstimate:
     def test_fresh_job_estimated_at_request(self):
         sched = DraScheduler()
         job = Job(record=make_record(request=(2, 4, 10)), submit_slot=0)
-        np.testing.assert_allclose(sched._demand_estimate(job), [2, 4, 10])
+        np.testing.assert_allclose(sched._demand_estimates([job])[0], [2, 4, 10])
 
     def test_running_average_of_log(self):
         sched = DraScheduler(history_slots=2)
@@ -62,7 +71,39 @@ class TestDemandEstimate:
         job = Job(record=record, submit_slot=0)
         job.usage_positions.extend([0, 1, 2])  # CPU demand 1, 3, 5
         # only last two count
-        assert sched._demand_estimate(job)[0] == pytest.approx(4.0)
+        assert sched._demand_estimates([job])[0, 0] == pytest.approx(4.0)
+
+    def test_no_jobs_no_rows(self):
+        assert DraScheduler()._demand_estimates([]).shape == (0, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        logs=st.lists(st.integers(0, 60), min_size=1, max_size=12),
+        history_slots=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_means_are_each_jobs_mean(self, logs, history_slots, seed):
+        """One stacked mean per history length, bit-equal to each job's
+        own ``.mean(axis=0)`` over its last ``history_slots`` rows."""
+        rng = np.random.default_rng(seed)
+        jobs = []
+        for i, n in enumerate(logs):
+            record = make_record(
+                request=rng.uniform(0.5, 50.0, 3), util=rng.uniform(0.0, 1.0, 64),
+                duration_s=640.0, task_id=i,
+            )
+            job = Job(record=record, submit_slot=0)
+            job.usage_positions.extend(sorted(rng.integers(0, 64, n).tolist()))
+            jobs.append(job)
+        sched = DraScheduler(history_slots=history_slots)
+        got = sched._demand_estimates(jobs)
+        for job, row in zip(jobs, got, strict=True):
+            if job.usage_positions:
+                positions = np.asarray(job.usage_positions)[-history_slots:]
+                want = job.record.usage[positions].mean(axis=0)
+            else:
+                want = job.requested
+            assert row.tobytes() == want.tobytes()
 
 
 class TestRedistribution:

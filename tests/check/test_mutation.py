@@ -20,7 +20,7 @@ from repro.cluster.machine import ClusterLanes, Placement, VirtualMachine
 from repro.cluster.profiles import ClusterProfile
 from repro.core.preemption import PreemptionGate
 from repro.core.provisioning import _Screen
-from repro.core.vm_selection import CandidateSet
+from repro.core.vm_selection import CandidateSet, Choice
 from repro.forecast.confidence import PredictionErrorTracker
 
 pytestmark = pytest.mark.slow
@@ -338,7 +338,8 @@ def _anti_most_matched(self: CandidateSet, demand, reference):
         return None
     indices = np.flatnonzero(mask)
     volumes = self.volumes(reference)
-    return self.vms[indices[np.argmax(volumes[indices])]]
+    row = int(indices[np.argmax(volumes[indices])])
+    return Choice(self.vms[row], row, indices.size)
 
 
 class TestCorruptedVectorSelector:
@@ -392,7 +393,8 @@ class TestCorruptedVectorSelector:
             volumes = self.volumes(reference)
             tied = indices[volumes[indices] <= volumes.min(initial=np.inf,
                                                            where=mask) + 1e-9]
-            return self.vms[tied[np.argmax(self._ids[tied])]]
+            row = int(tied[np.argmax(self._ids[tied])])
+            return Choice(self.vms[row], row, indices.size)
 
         monkeypatch.setattr(
             CandidateSet, "select_most_matched", highest_id_on_ties
@@ -408,6 +410,36 @@ class TestCorruptedVectorSelector:
         # must notice (the volume rule alone cannot — the chosen VM's
         # volume is still within its tolerance of optimal).
         assert "differential" in rules
+
+
+class TestMisnamedRow:
+    def test_only_the_packing_rule_catches_it(self, monkeypatch, predictor_cache):
+        """A most-matched selector whose ``Choice`` names the right VM but
+        the next VM's row, in the window's forecast pool (the one without
+        lanes: a misnamed primary row over-commits, and ``add_placement``
+        refuses that outright).  The VM still gets its rider, so the volume
+        and differential oracles, which re-scan the pool, agree with it;
+        ``consume`` lowers the wrong row, which only moves later choices
+        inside the same pool the oracles scan, and a rider reserves
+        nothing.  The packing rule reads a chosen row only once it is seen
+        to hold the chosen VM: it alone catches the lie."""
+        original = CandidateSet.select_most_matched
+
+        def names_the_next_row(self: CandidateSet, demand, reference):
+            choice = original(self, demand, reference)
+            if choice is None or self.lanes is not None or len(self.vms) < 2:
+                return choice
+            return choice._replace(row=(choice.row + 1) % len(self.vms))
+
+        monkeypatch.setattr(CandidateSet, "select_most_matched", names_the_next_row)
+        report = api.check_run(
+            jobs=15, methods=("CORP",), differential=True,
+            predictor_cache=predictor_cache,
+        )
+        print_rule_row("misnamed-row", report)
+        assert not report.ok
+        assert {v.rule for v in report.violations} == {"packing"}
+        assert all("does not hold the chosen VM" in v.detail for v in report.violations)
 
 
 class TestUnscaledOpportunists:
@@ -523,13 +555,16 @@ class TestRidersNotQuiescent:
 #: is exactly that rule).  A rule added to ``ALL_RULES`` without one
 #: fails the test below.
 EXCLUSIVE_MUTANTS = {
-    "capacity": TestLeakedCommitment.test_only_the_capacity_rule_catches_it,
-    "jobs": TestSilentGiveUp.test_only_the_jobs_rule_catches_it,
-    "gate": TestBogusUnlock.test_gate_bypass_is_caught,
-    "packing": TestStaleRefusals.test_a_list_that_survives_a_rising_row_is_caught,
-    "volume": TestCorruptedVectorSelector.test_only_the_volume_rule_catches_it_by_default,
-    "pipeline": TestBrokenPipelineBarrier.test_partial_drain_is_caught,
-    "differential": TestUnscaledOpportunists.test_only_the_differential_rule_catches_it,
+    "capacity": (TestLeakedCommitment.test_only_the_capacity_rule_catches_it,),
+    "jobs": (TestSilentGiveUp.test_only_the_jobs_rule_catches_it,),
+    "gate": (TestBogusUnlock.test_gate_bypass_is_caught,),
+    "packing": (
+        TestStaleRefusals.test_a_list_that_survives_a_rising_row_is_caught,
+        TestMisnamedRow.test_only_the_packing_rule_catches_it,
+    ),
+    "volume": (TestCorruptedVectorSelector.test_only_the_volume_rule_catches_it_by_default,),
+    "pipeline": (TestBrokenPipelineBarrier.test_partial_drain_is_caught,),
+    "differential": (TestUnscaledOpportunists.test_only_the_differential_rule_catches_it,),
 }
 
 

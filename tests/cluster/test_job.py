@@ -133,6 +133,15 @@ class TestDemand:
         assert job.demand_rows().tobytes() == job.record.usage[[0, 1, 1]].tobytes()
         assert job.demand_rows(last=1).tobytes() == job.record.usage[[1]].tobytes()
 
+    def test_last_zero_is_an_empty_window(self):
+        """``positions[-0:]`` is the whole log: ``last=0`` must not be."""
+        job = make_job(duration_s=30)
+        job.start(0, opportunistic=False)
+        job.advance(1.0, 0)
+        job.advance(1.0, 1)
+        assert job.demand_rows(last=0).shape == (0, 3)
+        assert job.demand_rows(last=2).shape == job.demand_rows(last=5).shape == (2, 3)
+
     def test_utilization_history_shape_and_range(self):
         job = make_job(duration_s=40)
         job.start(0, opportunistic=False)

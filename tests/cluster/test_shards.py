@@ -82,6 +82,16 @@ def _same_row(got, want):
     return got is None and want is None or np.array_equal(got, want)
 
 
+def _chosen(pool, choice, feasible):
+    """The VM a selector's ``Choice`` names, once its row is seen to hold
+    that VM, live, and its feasible-set size to be ``feasible``."""
+    if choice is None:
+        return None
+    assert pool.vms[choice.row] is choice.vm and pool.online[choice.row]
+    assert choice.feasible == feasible
+    return choice.vm
+
+
 class TestScaleConfig:
     def test_defaults(self):
         cfg = ScaleConfig()
@@ -165,29 +175,29 @@ class TestShardedEquivalence:
             demand = np.array(data.draw(demand_triples, label="demand"))
             assert len(index) == len(pairs) == n - len(offline)
             assert _same_pairs(index, pairs)
-            assert index.feasible_count(demand) == sum(
-                fits_within(demand, avail) for _, avail in pairs
-            )
-            pick = index.select_most_matched(demand, reference)
+            feasible = sum(fits_within(demand, avail) for _, avail in pairs)
+            choice = index.select_most_matched(demand, reference)
+            pick = _chosen(index, choice, feasible)
             assert pick is scalar_select_most_matched(demand, pairs, reference)
             assert pick is None or pick.online  # even for the zero demand
             rng_i = np.random.default_rng(seed)
             rng_s = np.random.default_rng(seed)
-            drawn = index.select_random_feasible(demand, rng_i)
+            drawn = _chosen(index, index.select_random_feasible(demand, rng_i), feasible)
             assert drawn is scalar_select_random_feasible(demand, pairs, rng_s)
             assert drawn is None or drawn.online
             # Exactly the oracle's one rng.integers draw (none if nothing
             # fits): the streams stay aligned.
             assert rng_i.bit_generator.state == rng_s.bit_generator.state
             if pick is not None:
-                index.consume(pick, demand)
+                index.consume(choice.row, demand)
                 pairs = [
                     (vm, np.clip(avail - demand, 0.0, None) if vm is pick else avail)
                     for vm, avail in pairs
                 ]
         expected = {vm.vm_id: avail for vm, avail in pairs}
+        live = {vm.vm_id: avail for vm, avail in index}
         for vm in vms:
-            assert _same_row(index.availability(vm), expected.get(vm.vm_id))
+            assert _same_row(live.get(vm.vm_id), expected.get(vm.vm_id))
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -241,13 +251,15 @@ class TestShardedEquivalence:
             pairs = _online_pairs(vms)
             assert _same_pairs(index, fresh) and _same_pairs(index, pairs)
             demand = np.array(data.draw(demand_triples, label="demand"))
-            assert index.select_most_matched(demand, reference) is \
-                scalar_select_most_matched(demand, pairs, reference)
+            feasible = sum(fits_within(demand, avail) for _, avail in pairs)
+            assert _chosen(index, index.select_most_matched(demand, reference), feasible) \
+                is scalar_select_most_matched(demand, pairs, reference)
+            live = {vm.vm_id: avail for vm, avail in index}
             for v in vms:
                 if v.online:
-                    assert np.array_equal(index.availability(v), v.unallocated())
+                    assert np.array_equal(live[v.vm_id], v.unallocated())
                 else:
-                    assert index.availability(v) is None
+                    assert v.vm_id not in live
 
     def test_second_refresh_touches_nothing_when_idle(self):
         vms = [make_vm(vm_id=i) for i in range(6)]
@@ -301,7 +313,10 @@ class TestColumnMask:
         got = pool.feasible_mask(need)
         assert got.dtype == bool and got.shape == (len(pool.vms),)
         assert np.array_equal(got, want)
-        assert pool.feasible_count(need) == int(want.sum())
+        # The random selector counts the feasible set off the same mask.
+        choice = pool.select_random_feasible(need, np.random.default_rng(0))
+        assert (choice is None) == (not want.any())
+        _chosen(pool, choice, int(want.sum()))
 
     @settings(max_examples=300)
     @given(data=st.data())
@@ -313,11 +328,12 @@ class TestColumnMask:
         pairs = list(pool)
         reference = np.array(data.draw(capacity_triples, label="reference"))
         demand = np.array(demand)
-        assert pool.select_most_matched(demand, reference) is \
+        feasible = sum(fits_within(demand, avail) for _, avail in pairs)
+        assert _chosen(pool, pool.select_most_matched(demand, reference), feasible) is \
             scalar_select_most_matched(demand, pairs, reference)
         seed = data.draw(st.integers(0, 2**16), label="seed")
         rng_i, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert pool.select_random_feasible(demand, rng_i) is \
+        assert _chosen(pool, pool.select_random_feasible(demand, rng_i), feasible) is \
             scalar_select_random_feasible(demand, pairs, rng_s)
         assert rng_i.bit_generator.state == rng_s.bit_generator.state
 
@@ -332,7 +348,7 @@ class TestColumnMask:
         place(vms[1], running_job(request=(1, 1, 1)))
         assert pool.refresh() == 4
         assert pool.matrix.flags.c_contiguous
-        pool.consume(vms[2], np.array([1.0, 2.0, 3.0]))
+        pool.consume(2, np.array([1.0, 2.0, 3.0]))
         assert pool.matrix.flags.c_contiguous
         vms[3].crash()
         scheduler = SimpleNamespace(_opp_pool=pool, sim=SimpleNamespace(lanes=pool.lanes))
@@ -376,10 +392,10 @@ class TestTieWindowScaleInvariance:
         assert gap > 1e-12  # an absolute window would call this strict
         assert gap < tie_window(3 * magnitude)  # the relative one ties it
         cset = CandidateSet(vms, matrix.copy())
-        assert cset.select_most_matched(demand, reference) is vms[0]
+        assert cset.select_most_matched(demand, reference).vm is vms[0]
         index = ShardedCandidateIndex.for_vms(vms)  # rows = capacities
         index.refresh()
-        assert index.select_most_matched(demand, reference) is vms[0]
+        assert index.select_most_matched(demand, reference).vm is vms[0]
         assert scalar_select_most_matched(
             demand, list(cset), reference
         ) is vms[0]
@@ -392,7 +408,7 @@ class TestTieWindowScaleInvariance:
             # Keep the *relative* gap constant across magnitudes.
             matrix[0, 0] = magnitude * (1.0 + 1e-13)
             cset = CandidateSet(vms, matrix)
-            winners.append(cset.select_most_matched(demand, reference).vm_id)
+            winners.append(cset.select_most_matched(demand, reference).vm.vm_id)
         assert winners == [0, 0]
 
     def test_tie_window_values(self):
@@ -409,4 +425,4 @@ class TestTieWindowScaleInvariance:
         cset = CandidateSet(vms, np.array(caps))
         reference = np.full(3, 8.0)
         demand = np.ones(3)
-        assert cset.select_most_matched(demand, reference) is vms[1]
+        assert cset.select_most_matched(demand, reference).vm is vms[1]

@@ -55,11 +55,11 @@ class ParentPools(StubScheduler):
             )
         return super().place_jobs(pending, slot)
 
-    def _place_entity(self, entity, vm, slot, *, opportunistic, **kw):
-        super()._place_entity(entity, vm, slot, opportunistic=opportunistic, **kw)
+    def _place_entity(self, entity, choice, slot, *, opportunistic, **kw):
+        super()._place_entity(entity, choice, slot, opportunistic=opportunistic, **kw)
         if opportunistic:
-            self.available[vm.vm_id] = np.clip(
-                self.available[vm.vm_id] - kw["demand"], 0.0, None
+            self.available[choice.vm.vm_id] = np.clip(
+                self.available[choice.vm.vm_id] - kw["demand"], 0.0, None
             )
 
     def live_rows(self):
@@ -190,7 +190,8 @@ class TestCrashVoidsTheRow:
         rider = new_job(self.RIDER, task_id=9)
         assert tick(sim, 2, [rider]) == [rider]
         assert not rider.opportunistic  # took a reservation instead
-        assert not (sched._opp_pool.availability(lender) > 1e-9).any()
+        pool = sched._opp_pool
+        assert not (pool.matrix[pool.vms.index(lender)] > 1e-9).any()
         # The next window forecasts the restarted VM afresh.
         tick(sim, 6)
         assert lender in sched._opp_pool.vms

@@ -202,11 +202,11 @@ class TestPlacementSpeaksRows:
 
             return run
 
-        def place_entity(entity, vm, slot, *, opportunistic, candidates, demand):
+        def place_entity(entity, choice, slot, *, opportunistic, candidates, demand):
             assert isinstance(demand, np.ndarray) and not demand.flags.writeable
             seen["riders"] += opportunistic * len(entity.jobs)
             seen["pairs"] += entity.is_packed
-            return place(entity, vm, slot, opportunistic=opportunistic,
+            return place(entity, choice, slot, opportunistic=opportunistic,
                          candidates=candidates, demand=demand)
 
         place = sched._place_entity

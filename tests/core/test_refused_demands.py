@@ -187,7 +187,7 @@ class TestTheListIsMinimal:
     def test_no_entry_covers_another(self, demands, consumed, riders):
         """Each unit is counted on its own, with no entry standing in for
         another: counts from one batch comparison, kept through
-        ``consumed`` as rows fall, equal a fresh ``feasible_count`` — in
+        ``consumed`` as rows fall, equal a fresh feasibility scan — in
         the primary pool and in a forecast pool whose empty VMs' rows are
         zero (counted apart)."""
         sched = StubScheduler(fraction=0.9)
@@ -202,9 +202,9 @@ class TestTheListIsMinimal:
         screen.units = (units.T.copy(), units.T.copy())
         screen.failed(riders)
         for row, amount in consumed:
-            index = pool.consume(vms[row], np.array(amount))
-            screen.consumed(riders, index)
-            want = [pool.feasible_count(u) for u in units]
+            pool.consume(row, np.array(amount))
+            screen.consumed(riders, row)
+            want = [np.count_nonzero(pool.feasible_mask(u)) for u in units]
             assert screen.counts[riders].tolist() == want
 
     def test_a_feasible_scan_records_nothing(self, monkeypatch):

@@ -168,7 +168,8 @@ class TestCandidateSetAgainstScalar:
         actual = cset.select_most_matched(d, FIG5_REFERENCE)
         assert (expected is None) == (actual is None)
         if expected is not None:
-            assert actual.vm_id == expected.vm_id
+            assert actual.vm.vm_id == expected.vm_id
+            assert cset.vms[actual.row] is actual.vm
 
     @given(
         values=st.lists(
@@ -186,7 +187,8 @@ class TestCandidateSetAgainstScalar:
         actual = cset.select_random_feasible(d, np.random.default_rng(seed))
         assert (expected is None) == (actual is None)
         if expected is not None:
-            assert actual.vm_id == expected.vm_id
+            assert actual.vm.vm_id == expected.vm_id
+            assert cset.vms[actual.row] is actual.vm
 
     def test_fig5_entities(self):
         cset = CandidateSet.from_pairs(fig5_candidates())
@@ -196,7 +198,9 @@ class TestCandidateSetAgainstScalar:
         second = cset.select_most_matched(
             as_row([8, 1, 8]), FIG5_REFERENCE
         )
-        assert (first.vm_id, second.vm_id) == (2, 4)
+        assert (first.vm.vm_id, second.vm.vm_id) == (2, 4)
+        # Entity 1 fits VMs 2 and 3; entity 2 fits VMs 2, 3 and 4.
+        assert (first.feasible, second.feasible) == (2, 3)
 
     def test_vectors_are_read_as_rows(self):
         """A caller holding profile-style ResourceVectors may pass them as
@@ -205,7 +209,7 @@ class TestCandidateSetAgainstScalar:
         for demand in ([10, 1, 10], [8, 1, 8], [100, 1, 1]):
             assert cset.select_most_matched(
                 ResourceVector(demand), ResourceVector(FIG5_REFERENCE)
-            ) is cset.select_most_matched(as_row(demand), FIG5_REFERENCE)
+            ) == cset.select_most_matched(as_row(demand), FIG5_REFERENCE)
 
     def test_exact_tie_breaks_to_lowest_id(self):
         vms = [VirtualMachine(i, [10, 10, 10]) for i in (5, 2, 9)]
@@ -214,7 +218,7 @@ class TestCandidateSetAgainstScalar:
         chosen = cset.select_most_matched(
             as_row([1, 1, 1]), as_row([10, 10, 10])
         )
-        assert chosen.vm_id == 2
+        assert (chosen.vm.vm_id, chosen.row, chosen.feasible) == (2, 1, 3)
 
     def test_near_tie_within_tolerance_breaks_to_lowest_id(self):
         """Volumes closer than 1e-12 count as tied, like the scalar loop."""
@@ -227,7 +231,7 @@ class TestCandidateSetAgainstScalar:
         chosen = cset.select_most_matched(
             as_row([1, 1, 1]), as_row([10, 10, 10])
         )
-        assert chosen.vm_id == 1
+        assert chosen.vm.vm_id == 1
 
 
 class TestCandidateSetMechanics:
@@ -240,10 +244,8 @@ class TestCandidateSetMechanics:
     def test_consume_clamps_at_zero(self):
         vm = VirtualMachine(0, [10, 10, 10])
         cset = CandidateSet.from_pairs([(vm, as_row([3, 3, 3]))])
-        cset.consume(vm, np.array([1.0, 4.0, 2.0]))
-        np.testing.assert_array_equal(
-            cset.availability(vm), np.array([2.0, 0.0, 1.0])
-        )
+        cset.consume(0, np.array([1.0, 4.0, 2.0]))
+        np.testing.assert_array_equal(cset.matrix[0], np.array([2.0, 0.0, 1.0]))
 
     def test_consume_affects_later_selection(self):
         vms = [VirtualMachine(i, [10, 10, 10]) for i in range(2)]
@@ -252,14 +254,23 @@ class TestCandidateSetMechanics:
         )
         demand = as_row([3, 3, 3])
         ref = as_row([10, 10, 10])
-        assert cset.select_most_matched(demand, ref).vm_id == 0
-        cset.consume(vms[0], demand)
-        assert cset.select_most_matched(demand, ref).vm_id == 1
+        first = cset.select_most_matched(demand, ref)
+        assert (first.vm.vm_id, first.feasible) == (0, 2)
+        cset.consume(first.row, demand)
+        second = cset.select_most_matched(demand, ref)
+        assert (second.vm.vm_id, second.feasible) == (1, 1)
 
     def test_feasible_count(self):
+        """``feasible`` is the size of the set each selector chose from;
+        an offline row is never in it."""
         cset = CandidateSet.from_pairs(fig5_candidates())
-        assert cset.feasible_count(as_row([10, 1, 10])) == 2
-        assert cset.feasible_count(as_row([100, 100, 100])) == 0
+        demand = as_row([10, 1, 10])
+        assert cset.select_most_matched(demand, FIG5_REFERENCE).feasible == 2
+        assert cset.select_random_feasible(demand, np.random.default_rng(0)).feasible == 2
+        cset.online[1] = False  # VM 2, the Eq. 22 winner
+        choice = cset.select_most_matched(demand, FIG5_REFERENCE)
+        assert (choice.vm.vm_id, choice.row, choice.feasible) == (3, 2, 1)
+        assert cset.select_most_matched(as_row([100, 100, 100]), FIG5_REFERENCE) is None
 
     def test_empty_set(self):
         cset = CandidateSet([], np.zeros((0, 3)))

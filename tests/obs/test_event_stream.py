@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import api
+from repro.obs import MemorySink
 
 pytestmark = pytest.mark.slow
 
@@ -37,3 +38,30 @@ def test_faulted_compare_stream_is_pinned(tmp_path, predictor_cache):
     names = {json.loads(line, parse_constant=refuse)["event"] for line in data.splitlines()}
     assert {"run_meta", "slot", "placement", "preemption", "capacity_revoked"} <= names
     assert hashlib.sha256(data).hexdigest() == PINNED_SHA256
+
+
+def test_a_sink_adds_no_feasibility_scan(monkeypatch, predictor_cache):
+    """The placement event reads the chooser's decision (its feasible-set
+    size and pool row): a listening sink costs no second scan of the pool
+    per placed entity."""
+    from repro.core.vm_selection import CandidateSet
+
+    scans = [0]
+    scan = CandidateSet.feasible_mask
+
+    def counted(self, demand):
+        scans[0] += 1
+        return scan(self, demand)
+
+    monkeypatch.setattr(CandidateSet, "feasible_mask", counted)
+
+    def compare_scans():
+        scans[0] = 0
+        api.compare(jobs=300, seed=7, predictor_cache=predictor_cache)
+        return scans[0]
+
+    quiet = compare_scans()
+    with api.capture_events(MemorySink()) as sink:
+        heard = compare_scans()
+    assert sink.named("placement") and quiet > 0
+    assert heard == quiet
